@@ -16,7 +16,8 @@ from ..engines.base import RunResult
 FIELDS = [
     "iteration", "active_edges", "compute_ms", "apply_ms", "sync_ms",
     "total_ms", "skipped", "local_iterations", "changed_vertices",
-    "uploads", "cache_hits", "cache_misses",
+    "uploads", "cache_hits", "cache_misses", "cache_evictions",
+    "cache_writebacks",
     "faults_injected", "retries", "recoveries", "checkpoint_ms",
     "retransmits", "dup_drops", "net_wasted_ms",
 ]
@@ -39,6 +40,8 @@ def iteration_records(result: RunResult) -> List[Dict]:
             "uploads": s.uploads,
             "cache_hits": s.cache_hits,
             "cache_misses": s.cache_misses,
+            "cache_evictions": s.cache_evictions,
+            "cache_writebacks": s.cache_writebacks,
             "faults_injected": s.faults_injected,
             "retries": s.retries,
             "recoveries": s.recoveries,
@@ -79,6 +82,8 @@ def run_summary(result: RunResult) -> Dict:
         "online_rebalances": result.online_rebalances,
         "link_verdicts": result.link_verdicts,
         "link_slow_ms": round(result.link_slow_ms, 6),
+        "cache_evictions": result.cache_evictions,
+        "cache_writebacks": result.cache_writebacks,
         "sched_events": result.sched_events,
         "sched_batches": result.sched_batches,
         "sched_max_batch": result.sched_max_batch,

@@ -486,6 +486,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     print_table(["component", "simulated ms"], rows, title="breakdown")
     if middleware is not None:
         print(f"middleware ratio: {result.middleware_ratio:.1%}")
+    lookups = sum(s.cache_hits + s.cache_misses for s in result.stats)
+    if lookups:
+        hits = sum(s.cache_hits for s in result.stats)
+        print(f"sync cache : {hits}/{lookups} hits, "
+              f"{result.cache_evictions} evictions "
+              f"({result.cache_writebacks} dirty write-backs)")
     if result.sched_events:
         print(f"event loop : {result.sched_events} events in "
               f"{result.sched_batches} batches "

@@ -56,6 +56,11 @@ from .template import AlgorithmTemplate, MessageSet
 #: downloading it from the upper system costs this fraction of k1/k3.
 LOCAL_ACCESS_FACTOR = 0.05
 
+#: Nominal capacity of an "unbounded" cache (``cache_capacity`` unset).
+#: The cache's tables grow with residency, so the size costs nothing; it
+#: only says where eviction starts on a graph larger than this.
+DEFAULT_CACHE_CAPACITY = 1_000_000
+
 #: Default retry budget: a pass survives at most this many faults before
 #: the failure propagates (or the node degrades to its host path).
 #: Mirrors ``MiddlewareConfig.max_retry_attempts``.
@@ -85,6 +90,11 @@ class EdgePassResult:
     breakdown: Dict[str, float] = field(default_factory=dict)
     cache_hits: int = 0
     cache_misses: int = 0
+    #: cache rows displaced (and, of those, dirty rows written back
+    #: early) since the agent's previous pass — this pass's miss-fills
+    #: plus the master write-through that followed the previous one
+    cache_evictions: int = 0
+    cache_writebacks: int = 0
 
 
 class Agent:
@@ -105,6 +115,8 @@ class Agent:
                             config)
             self.daemons.append(daemon)
         self.cache: Optional[LRUVertexCache] = None
+        #: the cache's (evictions, writebacks) already reported by a pass
+        self._churn_reported = (0, 0)
         #: fraction of a pass's triplets requiring a fresh vertex fetch
         #: (cold caches ~ unique-vertex fraction, warm caches ~ 0)
         self._last_fetch_ratio = 1.0
@@ -163,9 +175,7 @@ class Agent:
         if self.config.runtime_isolation:
             for daemon in self.daemons:
                 cost += daemon.init_cost_ms()
-        if self.config.sync_cache:
-            capacity = self.config.cache_capacity or 1_000_000
-            self.cache = LRUVertexCache(capacity, writeback=True)
+        self._new_cache()
         self.total_middleware_ms += cost
         return cost
 
@@ -385,6 +395,11 @@ class Agent:
             cache_hits=hits_misses[0],
             cache_misses=hits_misses[1],
         )
+        if self.cache is not None:
+            churn = (self.cache.evictions, self.cache.writebacks)
+            result.cache_evictions = churn[0] - self._churn_reported[0]
+            result.cache_writebacks = churn[1] - self._churn_reported[1]
+            self._churn_reported = churn
         self.total_middleware_ms += elapsed
         self.total_entities += d
         if d:
@@ -557,10 +572,17 @@ class Agent:
         After a rollback the values the cache was warmed with never
         happened; the next pass re-downloads on demand.
         """
-        if self.config.sync_cache:
-            capacity = self.config.cache_capacity or 1_000_000
-            self.cache = LRUVertexCache(capacity, writeback=True)
+        self._new_cache()
         self._last_fetch_ratio = 1.0
+
+    def _new_cache(self) -> None:
+        """Install an empty vertex cache per the config (None: caching
+        is off); nothing of it has been reported by a pass yet."""
+        self.cache = None
+        if self.config.sync_cache:
+            capacity = self.config.cache_capacity or DEFAULT_CACHE_CAPACITY
+            self.cache = LRUVertexCache(capacity, writeback=True)
+        self._churn_reported = (0, 0)
 
     def _fastest_daemon(self) -> Daemon:
         """The daemon single-device requests (apply, scatter) run on.

@@ -14,9 +14,11 @@ weight, i.e. least recently used) entry is evicted.
    We implement the only internally consistent reading — evict the lowest
    weight — and note the discrepancy in DESIGN.md.
 
-The cache is slot-based: a preallocated ``(capacity, width)`` value
-matrix, flat per-slot id/weight/dirty arrays, and a dense ``id -> slot``
-lookup array.  Whole id arrays move through :meth:`lookup_many` /
+The cache is slot-based: a ``(slots, width)`` value matrix, flat per-slot
+id/weight/dirty arrays, and a dense ``id -> slot`` lookup array.  The
+slot tables are sized by residency — they start small and double up to
+``capacity`` — so every operation costs O(batch) or O(resident), never
+O(capacity).  Whole id arrays move through :meth:`lookup_many` /
 :meth:`insert_many` / :meth:`touch` / :meth:`take_dirty` with fancy
 indexing — the per-vertex methods (``lookup``/``insert``/``update``)
 remain and keep their exact historical semantics.
@@ -30,6 +32,7 @@ queue** only its updated vertices that some other agent queried.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -39,6 +42,18 @@ from ..errors import MiddlewareError
 #: Starting size of the dense ``id -> slot`` index; grows geometrically
 #: to cover the largest vertex id seen.
 _INDEX_SEED = 1024
+#: Starting length of the slot tables; they double on demand, up to the
+#: cache's capacity.
+_TABLE_SEED = 1024
+
+_FULL_OF_DIRTY = "cache full of dirty entries; flush with take_dirty() first"
+
+
+def _extended(arr: np.ndarray, size: int, fill) -> np.ndarray:
+    """``arr`` lengthened to ``size`` rows, the new tail set to ``fill``."""
+    out = np.full((size,) + arr.shape[1:], fill, dtype=arr.dtype)
+    out[: arr.shape[0]] = arr
+    return out
 
 
 class LRUVertexCache:
@@ -60,14 +75,19 @@ class LRUVertexCache:
         #: stalest dirty row (its update counts as eagerly uploaded)
         #: instead of raising; clean entries always evict first.
         self.writeback = writeback
-        # slot-major state; the value matrix is allocated lazily once the
-        # first row reveals the attribute width and dtype.
-        self._values: Optional[np.ndarray] = None  # (capacity, width)
-        self._ids = np.full(capacity, -1, dtype=np.int64)  # slot -> id
-        self._weights = np.zeros(capacity, dtype=np.float64)
-        self._dirty = np.zeros(capacity, dtype=bool)
+        # slot-major state, grown by _grow_tables(); the value matrix is
+        # allocated lazily once the first row reveals the attribute width
+        # and dtype.
+        slots = min(capacity, _TABLE_SEED)
+        self._values: Optional[np.ndarray] = None  # (slots, width)
+        self._ids = np.full(slots, -1, dtype=np.int64)  # slot -> id
+        self._weights = np.zeros(slots, dtype=np.float64)
+        self._dirty = np.zeros(slots, dtype=bool)
         self._index = np.full(_INDEX_SEED, -1, dtype=np.int64)  # id -> slot
-        self._free: List[int] = list(range(capacity - 1, -1, -1))
+        #: slots ``[0, _used)`` have been handed out at least once;
+        #: ``_free`` lists the ones below that watermark vacated since.
+        self._used = 0
+        self._free: List[int] = []
         self._size = 0
         self._generation = 0.0
         # instrumentation
@@ -175,13 +195,13 @@ class LRUVertexCache:
         """Bulk insert/update: scatter ``rows`` to ``ids`` in one shot.
 
         Returns the evicted vertex ids.  Entries already resident are
-        updated in place; new entries claim free slots, evicting the
+        updated in place; new entries claim vacant slots, evicting the
         stalest clean pre-batch entries when the cache is full (batch
         members never evict each other — when a batch outsizes what the
         pre-batch state can absorb, the exact sequential semantics run
-        instead).  ``dirty=True`` marks every written row dirty;
-        ``dirty=False`` leaves existing dirty flags alone (refresh
-        semantics, matching ``update(..., dirty=False)``).
+        instead, see :meth:`_plan_thrash`).  ``dirty=True`` marks every
+        written row dirty; ``dirty=False`` leaves existing dirty flags
+        alone (refresh semantics, matching ``update(..., dirty=False)``).
         """
         ids = np.asarray(ids, dtype=np.int64).ravel()
         if ids.size == 0:
@@ -203,43 +223,54 @@ class LRUVertexCache:
         slots = self._index[ids]
         present = slots >= 0
         n_new = int(ids.size - int(present.sum()))
+        vacant = self.capacity - self._size
         evicted = np.empty(0, dtype=np.int64)
-        if n_new > len(self._free):
-            need = n_new - len(self._free)
+        wedged = False
+        if n_new > vacant:
+            need = n_new - vacant
             occ = self._ids >= 0
-            excl = np.zeros(self.capacity, dtype=bool)
+            excl = np.zeros(occ.size, dtype=bool)
             excl[slots[present]] = True  # in-place targets are off-limits
             clean = np.flatnonzero(occ & ~self._dirty & ~excl)
             pinned = np.flatnonzero(occ & self._dirty & ~excl)
             avail = clean.size + (pinned.size if self.writeback else 0)
-            if avail < need:
+            if avail >= need:
+                victims = self._pick_stalest(clean, min(need, clean.size))
+                if victims.size < need:
+                    extra = self._pick_stalest(pinned, need - victims.size)
+                    self.writebacks += int(extra.size)
+                    victims = np.concatenate([victims, extra])
+                evicted = self._ids[victims].copy()
+                self._drop_slots(victims)
+            else:
                 # batch outsizes the evictable pre-batch state: replay
                 # the exact one-at-a-time semantics (thrash, or the
                 # historical full-of-dirty error).
-                return self._insert_seq(ids, rows, dirty)
-            victims = self._pick_stalest(clean, min(need, clean.size))
-            if victims.size < need:
-                extra = self._pick_stalest(pinned, need - victims.size)
-                self.writebacks += int(extra.size)
-                victims = np.concatenate([victims, extra])
-            evicted = self._ids[victims].copy()
-            self._drop_slots(victims)
-            self.evictions += int(victims.size)
+                evicted, kept, writebacks = self._plan_thrash(
+                    ids, slots, dirty)
+                self.writebacks += writebacks
+                victims = self._index[evicted]
+                self._drop_slots(np.unique(victims[victims >= 0]))
+                wedged = kept.size < ids.size
+                ids, rows = ids[: kept.size][kept], rows[: kept.size][kept]
+                slots = self._index[ids]
+                present = slots >= 0
+            self.evictions += int(evicted.size)
         pslots = slots[present]
         self._values[pslots] = rows[present]
         self._weights[pslots] = self._generation
         if dirty:
             self._dirty[pslots] = True
-        if n_new:
-            nslots = np.asarray(self._free[-n_new:][::-1], dtype=np.int64)
-            del self._free[-n_new:]
-            new_ids = ids[~present]
+        new_ids = ids[~present]
+        if new_ids.size:
+            nslots = self._claim_slots(new_ids.size)
             self._index[new_ids] = nslots
             self._ids[nslots] = new_ids
             self._values[nslots] = rows[~present]
             self._weights[nslots] = self._generation
             self._dirty[nslots] = bool(dirty)
-            self._size += n_new
+        if wedged:
+            raise MiddlewareError(_FULL_OF_DIRTY)
         return evicted
 
     def invalidate(self, vertex: int) -> None:
@@ -266,15 +297,13 @@ class LRUVertexCache:
         size = self._index.size
         while size <= max_id:
             size *= 2
-        grown = np.full(size, -1, dtype=np.int64)
-        grown[: self._index.size] = self._index
-        self._index = grown
+        self._index = _extended(self._index, size, -1)
 
     def _ensure_store(self, rows: np.ndarray) -> np.ndarray:
         """(Re)allocate the value matrix for ``rows``; returns rows 2-D."""
         rows = np.atleast_2d(np.asarray(rows))
         if self._values is None:
-            self._values = np.zeros((self.capacity, rows.shape[1]),
+            self._values = np.zeros((self._ids.size, rows.shape[1]),
                                     dtype=rows.dtype)
         elif rows.shape[1] != self._values.shape[1]:
             raise MiddlewareError(
@@ -285,6 +314,35 @@ class LRUVertexCache:
             if dtype != self._values.dtype:
                 self._values = self._values.astype(dtype)
         return rows
+
+    def _grow_tables(self, need: int) -> None:
+        """Lengthen the slot tables to hold ``need`` slots: doubling, so
+        growth is amortised O(1) per slot, and never past ``capacity``."""
+        size = self._ids.size
+        if need <= size:
+            return
+        size = min(self.capacity, max(need, 2 * size))
+        self._ids = _extended(self._ids, size, -1)
+        self._weights = _extended(self._weights, size, 0.0)
+        self._dirty = _extended(self._dirty, size, False)
+        if self._values is not None:
+            self._values = _extended(self._values, size, 0)
+
+    def _claim_slots(self, k: int) -> np.ndarray:
+        """Occupy ``k`` vacant slots: recycled ones first, then
+        never-used ones past the watermark.  The caller has made room
+        (``k`` fits) and fills the slots in."""
+        split = max(len(self._free) - k, 0)
+        recycled = self._free[split:]
+        del self._free[split:]
+        fresh = k - len(recycled)
+        self._grow_tables(self._used + fresh)
+        slots = np.concatenate([
+            np.asarray(recycled, dtype=np.int64),
+            np.arange(self._used, self._used + fresh, dtype=np.int64)])
+        self._used += fresh
+        self._size += k
+        return slots
 
     def _put_one(self, vertex: int, value: np.ndarray,
                  mark_dirty: bool) -> Optional[int]:
@@ -297,22 +355,94 @@ class LRUVertexCache:
         if slot < 0:
             if self._size >= self.capacity:
                 evicted = self._evict_one()
-            slot = self._free.pop()
+            slot = int(self._claim_slots(1)[0])
             self._index[vertex] = slot
             self._ids[slot] = vertex
-            self._size += 1
         self._values[slot] = rows[0]
         self._weights[slot] = self._generation
         if mark_dirty:
             self._dirty[slot] = True
         return evicted
 
-    def _insert_seq(self, ids: np.ndarray, rows: np.ndarray,
-                    dirty: bool) -> np.ndarray:
-        evicted = [self._put_one(int(v), row, mark_dirty=bool(dirty))
-                   for v, row in zip(ids, rows)]
-        return np.asarray([e for e in evicted if e is not None],
-                          dtype=np.int64)
+    def _plan_thrash(self, ids: np.ndarray, slots: np.ndarray, mark: bool
+                     ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Plan the per-vertex ``insert()``/``update()`` fold over a
+        batch, without touching the tables.
+
+        Every eviction of that fold takes the minimum of ``(dirty,
+        weight, id)`` over the residents, and every key the batch writes
+        is ``(dirty, generation, id)`` with ``generation`` the largest
+        weight there is.  So the residents split into four pools that
+        empty strictly in turn — stale clean, fresh clean, stale dirty,
+        fresh dirty (fresh: weight == generation) — where the stale
+        pools only shrink (one sort up front orders them) and the fresh
+        pools are min-heaps of bare ids.  A resident batch member that
+        is evicted before its turn simply becomes a miss; one that is
+        still resident at its turn moves to a fresh pool, leaving a dead
+        copy behind that ``moved`` lets the pops skip.
+
+        Returns ``(evicted, kept, writebacks)``: the evicted ids in fold
+        order, a mask over the processed prefix ``ids[:kept.size]`` of
+        the batch members resident at the end, and how many evictions
+        were dirty write-backs.  The prefix is shorter than the batch
+        when the fold wedges on a cache full of pinned dirty rows.
+        """
+        occ = np.flatnonzero(self._ids >= 0)
+        order = occ[np.lexsort((self._ids[occ], self._weights[occ],
+                                self._dirty[occ]))]
+        pool_of = 2 * self._dirty + (self._weights == self._generation)
+        cuts = np.cumsum(np.bincount(pool_of[occ], minlength=4))[:3]
+        stale_clean, fresh_clean, stale_dirty, fresh_dirty = (
+            part.tolist() for part in np.split(self._ids[order], cuts))
+        stale_clean.reverse()  # pop() then takes the stalest
+        stale_dirty.reverse()
+        pools = (stale_clean, fresh_clean, stale_dirty, fresh_dirty)
+        resident = slots >= 0
+        #: resident batch members whose turn is still to come -> pool
+        pending = dict(zip(ids[resident].tolist(),
+                           pool_of[slots[resident]].tolist()))
+        moved: Dict[int, int] = {}  # id -> pool its in-place update chose
+        evicted: List[int] = []
+        lost: List[int] = []  # evicted with no turn left to re-enter
+        writebacks = 0
+        size, capacity, writeback = self._size, self.capacity, self.writeback
+        fresh = pools[3 if mark else 1]  # where the batch's new rows land
+        done = 0
+        for vertex in ids.tolist():
+            home = pending.pop(vertex, None)
+            if home is not None:
+                pool = 3 if (mark or home >= 2) else 1
+                if pool != home:
+                    moved[vertex] = pool
+                    heappush(pools[pool], vertex)
+            else:
+                if size < capacity:
+                    size += 1
+                else:
+                    while True:  # smallest live (dirty, weight, id)
+                        if stale_clean:
+                            pool, victim = 0, stale_clean.pop()
+                        elif fresh_clean:
+                            pool, victim = 1, heappop(fresh_clean)
+                        elif not writeback:
+                            pool = -1  # only pinned dirty rows remain
+                            break
+                        elif stale_dirty:
+                            pool, victim = 2, stale_dirty.pop()
+                        else:
+                            pool, victim = 3, heappop(fresh_dirty)
+                        if moved.get(victim, pool) == pool:
+                            break
+                    if pool < 0:
+                        break
+                    evicted.append(victim)
+                    writebacks += pool >= 2
+                    if pending.pop(victim, None) is None:
+                        lost.append(victim)
+                heappush(fresh, vertex)
+            done += 1
+        kept = ~np.isin(ids[:done], np.asarray(lost, dtype=np.int64))
+        return np.asarray(evicted, dtype=np.int64), kept, writebacks
 
     def _pick_stalest(self, slots: np.ndarray, k: int) -> np.ndarray:
         """The ``k`` slots with the smallest ``(weight, id)`` among
@@ -326,7 +456,7 @@ class LRUVertexCache:
         self._index[self._ids[slots]] = -1
         self._ids[slots] = -1
         self._dirty[slots] = False
-        self._free.extend(int(s) for s in slots)
+        self._free.extend(slots.tolist())
         self._size -= int(slots.size)
 
     def _evict_one(self) -> int:
@@ -336,10 +466,7 @@ class LRUVertexCache:
         candidates = np.flatnonzero(occ & ~self._dirty)
         if candidates.size == 0:
             if not self.writeback:
-                raise MiddlewareError(
-                    "cache full of dirty entries; flush with take_dirty() "
-                    "first"
-                )
+                raise MiddlewareError(_FULL_OF_DIRTY)
             # write-back: the stalest dirty entry's update is considered
             # eagerly uploaded, freeing its slot.
             candidates = np.flatnonzero(occ)

@@ -79,6 +79,9 @@ class IterationStats:
     uploads: int                 # vertex values shipped at sync time
     cache_hits: int = 0
     cache_misses: int = 0
+    #: cache rows displaced / dirty rows written back early (thrash)
+    cache_evictions: int = 0
+    cache_writebacks: int = 0
     node_compute_ms: List[float] = field(default_factory=list)
     #: entities (triplets) each node processed, aligned with
     #: ``node_compute_ms`` — the (d_j, T_j) pairs online Lemma-2
@@ -192,6 +195,17 @@ class RunResult:
     sched_max_batch: int = 0
     #: peak number of pending events in any pass's event heap
     sched_heap_peak: int = 0
+
+    @property
+    def cache_evictions(self) -> int:
+        """Sync-cache rows displaced over the run (a cache smaller than
+        the working set shows here, not only as a low hit ratio)."""
+        return sum(s.cache_evictions for s in self.stats)
+
+    @property
+    def cache_writebacks(self) -> int:
+        """Evictions that had to write a dirty row back early."""
+        return sum(s.cache_writebacks for s in self.stats)
 
     @property
     def computation_iterations(self) -> int:
@@ -757,7 +771,7 @@ class IterativeEngine:
         partials: Dict[int, MessageSet] = {}
         node_ms: List[float] = []
         node_entities: List[int] = []
-        hits = misses = 0
+        hits = misses = evictions = writebacks = 0
         active_edges = 0
         crit_mw_ms = 0.0      # middleware share on the critical node
         crit_dev_ms = 0.0     # device share on the critical node
@@ -777,6 +791,8 @@ class IterativeEngine:
                 node_ms.append(res.elapsed_ms)
                 hits += res.cache_hits
                 misses += res.cache_misses
+                evictions += res.cache_evictions
+                writebacks += res.cache_writebacks
                 if res.elapsed_ms > crit_total:
                     crit_total = res.elapsed_ms
                     mw_busy = (
@@ -902,6 +918,8 @@ class IterativeEngine:
             uploads=uploads,
             cache_hits=hits,
             cache_misses=misses,
+            cache_evictions=evictions,
+            cache_writebacks=writebacks,
             node_compute_ms=node_ms,
             node_entities=node_entities,
         ), values, active, changed_total, all_changed)
@@ -928,7 +946,7 @@ class IterativeEngine:
         node_ms: List[float] = []
         node_apply_ms: List[float] = []
         node_entities: List[int] = []
-        hits = misses = 0
+        hits = misses = evictions = writebacks = 0
         active_edges = 0
         max_sub = 0
         crit_mw_ms = crit_dev_ms = 0.0
@@ -971,6 +989,8 @@ class IterativeEngine:
                 t_compute += res.elapsed_ms
                 hits += res.cache_hits
                 misses += res.cache_misses
+                evictions += res.cache_evictions
+                writebacks += res.cache_writebacks
                 mw_busy = (res.breakdown.get("middleware.download", 0.0)
                            + res.breakdown.get("middleware.upload", 0.0)
                            + res.breakdown.get("middleware.init", 0.0))
@@ -1121,6 +1141,8 @@ class IterativeEngine:
             uploads=uploads,
             cache_hits=hits,
             cache_misses=misses,
+            cache_evictions=evictions,
+            cache_writebacks=writebacks,
             node_compute_ms=node_ms,
             node_entities=node_entities,
             local_iterations=max(max_sub, 1),

@@ -15,7 +15,7 @@ from repro.bench import (
 )
 from repro.bench.trace import FIELDS
 from repro.cluster import make_cluster
-from repro.core import GXPlug
+from repro.core import GXPlug, MiddlewareConfig
 from repro.engines import PowerGraphEngine
 from repro.graph import rmat
 
@@ -53,6 +53,28 @@ def test_run_summary_contents(result):
     assert summary["total_ms"] > 0
     assert 0 <= summary["middleware_ratio"] <= 1
     assert "setup" in summary["breakdown"]
+
+
+def test_cache_thrash_shows_in_records_and_summary(result):
+    """A cache smaller than the working set is visible as evictions and
+    dirty write-backs, per superstep and run-wide; an all-fitting cache
+    reports none."""
+    assert run_summary(result)["cache_evictions"] == 0
+    g = rmat(128, 1024, seed=3)
+    cluster = make_cluster(2, gpus_per_node=1)
+    plug = GXPlug(cluster, config=MiddlewareConfig(cache_capacity=12))
+    engine = PowerGraphEngine.build(g, cluster, middleware=plug)
+    thrashed = engine.run(PageRank(), max_iterations=4)
+    records = iteration_records(thrashed)
+    summary = run_summary(thrashed)
+    assert summary["cache_evictions"] == sum(
+        r["cache_evictions"] for r in records) > 0
+    assert 0 < summary["cache_writebacks"] <= summary["cache_evictions"]
+    # every eviction a pass reports happened in some agent's cache, and
+    # only the write-through after the last pass is still unreported
+    in_caches = sum(plug.agent_for(n).cache.evictions
+                    for n in range(cluster.num_nodes))
+    assert 0 < summary["cache_evictions"] <= in_caches
 
 
 def test_csv_roundtrip(result, tmp_path):

@@ -301,3 +301,106 @@ def test_cache_matches_model(ops, capacity):
         assert len(real) <= capacity
         for v in model.values:
             assert v in real
+
+
+# -- thrash regime: capacity below the id universe ------------------------------
+
+UNIVERSE = 24
+THRASH_IDS = st.lists(st.integers(0, UNIVERSE - 1), min_size=0, max_size=8)
+
+THRASH_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("tick")),
+        st.tuples(st.just("touch"), THRASH_IDS),
+        st.tuples(st.just("clear_dirty")),
+        st.tuples(st.just("invalidate_many"), THRASH_IDS),
+        st.tuples(st.just("update"), st.integers(0, UNIVERSE - 1),
+                  st.booleans()),
+        # a permutation of the universe; the op keeps a prefix longer
+        # than the capacity, so the batch always outsizes the cache
+        st.tuples(st.just("insert_many"),
+                  st.permutations(range(UNIVERSE)),
+                  st.integers(1, UNIVERSE), st.booleans(), st.booleans()),
+    ),
+    min_size=1, max_size=30,
+)
+
+
+def table(cache):
+    """Everything observable about the resident set, keyed by id."""
+    slots = np.flatnonzero(cache._ids >= 0)
+    return {int(cache._ids[s]): (float(cache._weights[s]),
+                                 bool(cache._dirty[s]),
+                                 cache._values[s].tolist())
+            for s in slots}
+
+
+def counters(cache):
+    return (len(cache), cache.hits, cache.misses, cache.evictions,
+            cache.writebacks, cache.dirty_count)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=THRASH_OPS, capacity=st.integers(1, 8),
+       writeback=st.booleans())
+def test_thrashing_insert_many_equals_the_per_vertex_fold(
+        ops, capacity, writeback):
+    """With capacity below the id universe, a batch larger than the
+    cache takes the exact sequential order: the bulk cache must equal a
+    twin driven one vertex at a time through insert()/update() on every
+    observable, including the full-of-dirty error and the state it
+    leaves behind."""
+    bulk = LRUVertexCache(capacity, writeback=writeback)
+    twin = LRUVertexCache(capacity, writeback=writeback)
+    counter = 0
+    for op in ops:
+        kind = op[0]
+        counter += 1
+        if kind == "tick":
+            bulk.tick()
+            twin.tick()
+        elif kind == "touch":
+            ids = np.asarray(op[1], dtype=np.int64)
+            bulk.touch(ids)
+            twin.touch(ids)
+        elif kind == "clear_dirty":
+            assert bulk.clear_dirty() == twin.clear_dirty()
+        elif kind == "invalidate_many":
+            ids = np.asarray(op[1], dtype=np.int64)
+            assert bulk.invalidate_many(ids) == twin.invalidate_many(ids)
+        elif kind == "update":
+            value = np.array([float(counter)])
+            outcomes = []
+            for cache in (bulk, twin):
+                try:
+                    outcomes.append(cache.update(op[1], value, dirty=op[2]))
+                except MiddlewareError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+        else:
+            _, perm, extra, dirty, ascending = op
+            ids = np.asarray(perm[: min(capacity + extra, UNIVERSE)],
+                             dtype=np.int64)
+            if ascending:  # the order the agent's np.unique batches have
+                ids = np.sort(ids)
+            rows = counter * 100.0 + np.arange(ids.size,
+                                               dtype=float).reshape(-1, 1)
+            expected, error = [], None
+            try:
+                for v, row in zip(ids, rows):
+                    out = (twin.update(int(v), row) if dirty
+                           else twin.insert(int(v), row))
+                    if out is not None:
+                        expected.append(out)
+            except MiddlewareError as exc:
+                error = str(exc)
+            if error is None:
+                assert bulk.insert_many(ids, rows,
+                                        dirty=dirty).tolist() == expected
+            else:
+                with pytest.raises(MiddlewareError) as caught:
+                    bulk.insert_many(ids, rows, dirty=dirty)
+                assert str(caught.value) == error
+        assert table(bulk) == table(twin)
+        assert counters(bulk) == counters(twin)
+        assert len(bulk) <= capacity

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core import sync_cache
 from repro.core.sync_cache import GlobalQueues, LRUVertexCache
 from repro.errors import MiddlewareError
+
+from .test_property_cache import table
 
 
 def row(x):
@@ -111,6 +114,62 @@ def test_insert_returns_evicted_id():
 def test_capacity_validation():
     with pytest.raises(MiddlewareError):
         LRUVertexCache(0)
+
+
+# -- tables sized by residency ----------------------------------------------------
+
+
+def test_nominal_capacity_costs_nothing_until_used():
+    c = LRUVertexCache(1_000_000)
+    ids = np.arange(0, 3000, 3)                    # 1 000 vertices
+    c.insert_many(ids, np.ones((ids.size, 2)))
+    assert len(c) == 1000
+    for array in (c._ids, c._weights, c._dirty, c._values):
+        assert array.shape[0] <= 4 * 1000
+    assert c._values.nbytes <= 4 * 1000 * 2 * 8
+    assert len(c._free) == 0                       # no list of vacant slots
+
+
+def test_growing_tables_match_an_eagerly_sized_twin(monkeypatch):
+    capacity = 64
+    eager = LRUVertexCache(capacity, writeback=True)
+    monkeypatch.setattr(sync_cache, "_TABLE_SEED", 4)
+    grown = LRUVertexCache(capacity, writeback=True)
+    assert eager._ids.size == capacity and grown._ids.size == 4
+
+    def both(op):
+        a, b = op(eager), op(grown)
+        assert np.array_equal(a, b)
+        assert table(eager) == table(grown)
+        assert (len(eager), eager.evictions, eager.writebacks) == (
+            len(grown), grown.evictions, grown.writebacks)
+
+    def rows(ids, salt):                           # width-4 value matrix
+        return np.outer(np.asarray(ids) + salt, [1.0, 2.0, 3.0, 4.0])
+
+    both(lambda c: c.insert(3, rows([3], 0.5)[0]))
+    both(lambda c: c.insert_many(np.arange(10, 15), rows(range(10, 15), 0)))
+    assert 4 < grown._ids.size < 32                # first doubling(s)
+    both(lambda c: c.tick())
+    both(lambda c: c.insert_many(np.arange(20, 60), rows(range(20, 60), 1),
+                                 dirty=True))      # crosses two more
+    assert grown._ids.size > 32
+    both(lambda c: c.invalidate_many(np.arange(10, 40, 2)))
+    recycled = len(grown._free)
+    assert recycled == 13
+    both(lambda c: c.insert_many(np.arange(100, 110),
+                                 rows(range(100, 110), 2)))
+    assert len(grown._free) == recycled - 10       # vacated slots reused
+    both(lambda c: c.tick())
+    both(lambda c: c.insert_many(np.arange(200, 230),
+                                 rows(range(200, 230), 3)))  # bulk eviction
+    both(lambda c: c.insert_many(np.arange(300, 400),
+                                 rows(range(300, 400), 4),
+                                 dirty=True))      # thrash
+    assert eager.evictions > 0 and eager.writebacks > 0
+    assert grown._ids.size == capacity == grown._values.shape[0]
+    both(lambda c: sorted(c.take_dirty()))
+    assert grown._values.shape[1] == 4
 
 
 # -- global queues (Algorithm 3) -------------------------------------------------
