@@ -6,6 +6,10 @@ the 3 interfaces of the algorithm template" — MSGGen, MSGMerge and
 MSGApply — and the middleware handles devices, pipelining, caching and
 synchronization.
 
+Those three methods plus ``init_state`` are the whole algorithm below;
+combining partials across nodes and sizing pipeline blocks are template
+defaults derived from them.
+
 This example implements *k-hop reach counting from a seed set* (how many
 of the seeds can reach each vertex within the iteration budget), a
 primitive used in influence estimation, and runs it distributed on GPUs
@@ -25,9 +29,8 @@ class SeedReachability(AlgorithmTemplate):
     """Bitmask propagation: value = set of seeds that can reach a vertex.
 
     Messages are integer bitmasks over the seed set; MSGMerge ORs them
-    (as sums over disjoint... no — bitwise OR, which is associative,
-    commutative and idempotent — exactly what the middleware's
-    block-splitting requires).
+    (bitwise OR is associative, commutative and idempotent — exactly
+    what merging partials across nodes requires).
     """
 
     name = "seed-reach"
@@ -51,9 +54,6 @@ class SeedReachability(AlgorithmTemplate):
     def msg_gen(self, src_ids, dst_ids, weights, values) -> np.ndarray:
         return values[src_ids][:, None]
 
-    def msg_gen_local(self, src_rows, weights) -> np.ndarray:
-        return src_rows.copy()
-
     def msg_merge(self, dst_ids, messages) -> MessageSet:
         if dst_ids.size == 0:
             return self.empty_messages()
@@ -61,14 +61,6 @@ class SeedReachability(AlgorithmTemplate):
         merged = np.zeros((uniq.size, 1), dtype=np.int64)
         np.bitwise_or.at(merged, inverse, messages.astype(np.int64))
         return MessageSet(uniq, merged.astype(np.float64))
-
-    def combine(self, a: MessageSet, b: MessageSet) -> MessageSet:
-        if a.size == 0:
-            return b
-        if b.size == 0:
-            return a
-        return self.msg_merge(np.concatenate([a.ids, b.ids]),
-                              np.concatenate([a.data, b.data]))
 
     def msg_apply(self, values, merged) -> Tuple[np.ndarray, np.ndarray]:
         new_values = values.copy()

@@ -8,9 +8,17 @@ float outputs must match bit for bit).  Shrunk parameters keep the
 sweep CI-sized while still covering every figure family plus the
 fault/straggler/topology/serve soaks (fault injection included).
 
+``--dump rows.json`` also writes the batched rows (``repr`` per runner
+name); ``--against rows.json`` additionally compares them with a dump
+taken elsewhere — "parent vs change" is ``--dump`` at the parent commit
+and ``--against`` at the change.
+
 Usage: PYTHONPATH=src python scripts/check_bit_identity.py
+           [--dump rows.json] [--against rows.json]
 """
 
+import argparse
+import json
 import sys
 import tempfile
 
@@ -53,12 +61,23 @@ EXPERIMENTS = [
 ]
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--dump", metavar="ROWS_JSON",
+                        help="write {runner: repr(rows)} to this file")
+    parser.add_argument("--against", metavar="ROWS_JSON",
+                        help="also require rows equal to this dump")
+    args = parser.parse_args(argv)
+    reference = None
+    if args.against:
+        with open(args.against) as fh:
+            reference = json.load(fh)
+    rows = {}
     failures = []
     for name, fn in EXPERIMENTS:
         agent_mod.BatchedScheduler = BatchedScheduler
         batched = fn()
-        # force the per-event oracle regardless of batch_events
+        # force the per-event oracle
         agent_mod.BatchedScheduler = Scheduler
         per_event = fn()
         agent_mod.BatchedScheduler = BatchedScheduler
@@ -68,6 +87,15 @@ def main() -> int:
             failures.append(name)
             print(f"  batched:   {batched!r}"[:400])
             print(f"  per-event: {per_event!r}"[:400])
+        rows[name] = repr(batched)
+        if reference is not None and reference.get(name) != rows[name]:
+            failures.append(f"{name} (vs {args.against})")
+            print(f"  {name}: rows differ from {args.against}")
+            print(f"  here:  {rows[name]}"[:400])
+            print(f"  there: {reference.get(name)}"[:400])
+    if args.dump:
+        with open(args.dump, "w") as fh:
+            json.dump(rows, fh, indent=1)
     if failures:
         print(f"FAIL: {len(failures)} diverged: {', '.join(failures)}")
         return 1

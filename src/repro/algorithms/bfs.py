@@ -40,10 +40,6 @@ class BFS(AlgorithmTemplate):
                 weights: np.ndarray, values: np.ndarray) -> np.ndarray:
         return (values[src_ids] + 1.0)[:, None]
 
-    def msg_gen_local(self, src_rows: np.ndarray,
-                      weights: np.ndarray) -> np.ndarray:
-        return src_rows + 1.0
-
     def msg_merge(self, dst_ids: np.ndarray,
                   messages: np.ndarray) -> MessageSet:
         if dst_ids.size == 0:
@@ -52,16 +48,6 @@ class BFS(AlgorithmTemplate):
         merged = np.full((uniq.size, 1), np.inf)
         np.minimum.at(merged, inverse, messages)
         return MessageSet(uniq, merged)
-
-    concat_combine = True
-
-    def combine(self, a: MessageSet, b: MessageSet) -> MessageSet:
-        if a.size == 0:
-            return b
-        if b.size == 0:
-            return a
-        return self.msg_merge(np.concatenate([a.ids, b.ids]),
-                              np.concatenate([a.data, b.data]))
 
     def msg_apply(self, values: np.ndarray, merged: MessageSet
                   ) -> Tuple[np.ndarray, np.ndarray]:

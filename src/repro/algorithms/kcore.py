@@ -61,10 +61,6 @@ class KCore(AlgorithmTemplate):
         """A removed source decrements each out-neighbour by one."""
         return values[src_ids][:, _OUT][:, None]
 
-    def msg_gen_local(self, src_rows: np.ndarray,
-                      weights: np.ndarray) -> np.ndarray:
-        return src_rows[:, _OUT][:, None]
-
     def msg_merge(self, dst_ids: np.ndarray,
                   messages: np.ndarray) -> MessageSet:
         if dst_ids.size == 0:
@@ -73,16 +69,6 @@ class KCore(AlgorithmTemplate):
         sums = np.zeros((uniq.size, 1))
         np.add.at(sums, inverse, messages)
         return MessageSet(uniq, sums)
-
-    concat_combine = True
-
-    def combine(self, a: MessageSet, b: MessageSet) -> MessageSet:
-        if a.size == 0:
-            return b
-        if b.size == 0:
-            return a
-        return self.msg_merge(np.concatenate([a.ids, b.ids]),
-                              np.concatenate([a.data, b.data]))
 
     def msg_apply(self, values: np.ndarray, merged: MessageSet
                   ) -> Tuple[np.ndarray, np.ndarray]:

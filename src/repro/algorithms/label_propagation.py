@@ -44,11 +44,6 @@ class LabelPropagation(AlgorithmTemplate):
         ones = np.ones_like(labels)
         return np.column_stack([labels, ones])
 
-    def msg_gen_local(self, src_rows: np.ndarray,
-                      weights: np.ndarray) -> np.ndarray:
-        labels = src_rows[:, 0]
-        return np.column_stack([labels, np.ones_like(labels)])
-
     def msg_merge(self, dst_ids: np.ndarray,
                   messages: np.ndarray) -> MessageSet:
         """Aggregate votes into (dst, label) -> count histogram rows."""
@@ -64,16 +59,16 @@ class LabelPropagation(AlgorithmTemplate):
         out_data = np.column_stack([uniq[:, 1], summed])
         return MessageSet(out_ids, out_data)
 
-    concat_combine = True
-
-    def combine(self, a: MessageSet, b: MessageSet) -> MessageSet:
-        if a.size == 0:
-            return b
-        if b.size == 0:
-            return a
-        ids = np.concatenate([a.ids, b.ids])
-        data = np.concatenate([a.data, b.data])
-        return self.msg_merge(ids, data)
+    def merged_size(self, dst_ids: np.ndarray,
+                    messages: np.ndarray) -> int:
+        """Distinct (dst, label) pairs — the histogram's merge key."""
+        if dst_ids.size == 0:
+            return 0
+        labels = messages[:, 0]
+        order = np.lexsort((labels, dst_ids))
+        dst, labels = dst_ids[order], labels[order]
+        return 1 + int(np.count_nonzero(
+            (dst[1:] != dst[:-1]) | (labels[1:] != labels[:-1])))
 
     def msg_apply(self, values: np.ndarray, merged: MessageSet
                   ) -> Tuple[np.ndarray, np.ndarray]:

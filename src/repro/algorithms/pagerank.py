@@ -58,17 +58,6 @@ class PageRank(AlgorithmTemplate):
         contrib = values[src_ids] * self._inv_outdeg[src_ids]
         return contrib[:, None]
 
-    def gather_values(self, values: np.ndarray,
-                      ids: np.ndarray) -> np.ndarray:
-        """Vertex-block row = the ready-to-send contribution rank/deg."""
-        if self._inv_outdeg.size == 0:
-            raise AlgorithmError("gather_values before init_state")
-        return (values[ids] * self._inv_outdeg[ids])[:, None]
-
-    def msg_gen_local(self, src_rows: np.ndarray,
-                      weights: np.ndarray) -> np.ndarray:
-        return src_rows
-
     def msg_merge(self, dst_ids: np.ndarray,
                   messages: np.ndarray) -> MessageSet:
         if dst_ids.size == 0:
@@ -77,17 +66,6 @@ class PageRank(AlgorithmTemplate):
         sums = np.zeros((uniq.size, 1))
         np.add.at(sums, inverse, messages)
         return MessageSet(uniq, sums)
-
-    concat_combine = True
-
-    def combine(self, a: MessageSet, b: MessageSet) -> MessageSet:
-        if a.size == 0:
-            return b
-        if b.size == 0:
-            return a
-        ids = np.concatenate([a.ids, b.ids])
-        data = np.concatenate([a.data, b.data])
-        return self.msg_merge(ids, data)
 
     def msg_apply(self, values: np.ndarray, merged: MessageSet
                   ) -> Tuple[np.ndarray, np.ndarray]:

@@ -52,10 +52,6 @@ class MultiSourceSSSP(AlgorithmTemplate):
         """Relax: candidate distance through each edge, per source."""
         return values[src_ids] + weights[:, None]
 
-    def msg_gen_local(self, src_rows: np.ndarray,
-                      weights: np.ndarray) -> np.ndarray:
-        return src_rows + weights[:, None]
-
     def msg_merge(self, dst_ids: np.ndarray,
                   messages: np.ndarray) -> MessageSet:
         """Min per destination (columnwise)."""
@@ -65,17 +61,6 @@ class MultiSourceSSSP(AlgorithmTemplate):
         merged = np.full((uniq.size, messages.shape[1]), np.inf)
         np.minimum.at(merged, inverse, messages)
         return MessageSet(uniq, merged)
-
-    concat_combine = True
-
-    def combine(self, a: MessageSet, b: MessageSet) -> MessageSet:
-        if a.size == 0:
-            return b
-        if b.size == 0:
-            return a
-        ids = np.concatenate([a.ids, b.ids])
-        data = np.concatenate([a.data, b.data])
-        return self.msg_merge(ids, data)
 
     def msg_apply(self, values: np.ndarray, merged: MessageSet
                   ) -> Tuple[np.ndarray, np.ndarray]:

@@ -43,10 +43,6 @@ class WidestPath(AlgorithmTemplate):
                 weights: np.ndarray, values: np.ndarray) -> np.ndarray:
         return np.minimum(values[src_ids], weights)[:, None]
 
-    def msg_gen_local(self, src_rows: np.ndarray,
-                      weights: np.ndarray) -> np.ndarray:
-        return np.minimum(src_rows[:, 0], weights)[:, None]
-
     def msg_merge(self, dst_ids: np.ndarray,
                   messages: np.ndarray) -> MessageSet:
         if dst_ids.size == 0:
@@ -55,16 +51,6 @@ class WidestPath(AlgorithmTemplate):
         best = np.full((uniq.size, 1), -np.inf)
         np.maximum.at(best, inverse, messages)
         return MessageSet(uniq, best)
-
-    concat_combine = True
-
-    def combine(self, a: MessageSet, b: MessageSet) -> MessageSet:
-        if a.size == 0:
-            return b
-        if b.size == 0:
-            return a
-        return self.msg_merge(np.concatenate([a.ids, b.ids]),
-                              np.concatenate([a.data, b.data]))
 
     def msg_apply(self, values: np.ndarray, merged: MessageSet
                   ) -> Tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ The same protocol runs twice:
   ``Send``/``Recv`` command per fragment and token;
 * **batched** — :class:`~repro.ipc.BatchedScheduler` with ``SendMany``
   token/fragment enqueues and a ``DrainReady`` collector, the shape the
-  middleware's transport uses under ``batch_events``.
+  middleware's transport uses.
 
 Both modes simulate the *identical* logical event stream (equal final
 simulated times, equal per-phase event counts), so events/sec is

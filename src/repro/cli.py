@@ -107,11 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--no-pipeline", action="store_true")
     run.add_argument("--no-cache", action="store_true")
     run.add_argument("--no-skip", action="store_true")
-    run.add_argument("--per-event-loop", action="store_true",
-                     help="drive the protocol with the per-event "
-                          "scheduler oracle instead of the batched "
-                          "event heap (same results, slower wall "
-                          "clock; for debugging/verification)")
     run.add_argument("--block-size", type=int, default=None)
     run.add_argument("--trace-json", metavar="PATH", default=None,
                      help="write per-iteration telemetry as JSON")
@@ -422,7 +417,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             sync_cache=not no_cache,
             lazy_upload=not no_cache,
             sync_skip=not (no_cache or args.no_skip),
-            batch_events=not args.per_event_loop,
         )
         if args.fault_seed is not None:
             kinds = (tuple(args.fault_kinds) if args.fault_kinds

@@ -8,7 +8,6 @@ CPU+GPU mixes (Fig. 9(d), Fig. 12(a)), and accelerator-less baselines.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -116,18 +115,12 @@ class Cluster:
 def make_cluster(num_nodes: int, *, gpus_per_node: int = 0,
                  cpu_accels_per_node: int = 0,
                  runtime: HostRuntime = NATIVE_RUNTIME,
-                 network: Optional[NetworkModel] = None,
                  topology: Optional[Topology] = None) -> Cluster:
     """Homogeneous cluster: every node gets the same accelerator set.
 
-    Prefer describing clusters with :class:`repro.api.ClusterSpec` —
-    the ``network`` kwarg here is kept as a deprecated shim.
+    The interconnect is the default :class:`NetworkModel`; describe any
+    other with :class:`repro.api.ClusterSpec`.
     """
-    if network is not None:
-        warnings.warn(
-            "make_cluster(network=...) is deprecated; describe the "
-            "interconnect with repro.api.ClusterSpec instead",
-            DeprecationWarning, stacklevel=2)
     if num_nodes < 1:
         raise SimulationError(f"need >=1 nodes, got {num_nodes}")
     if gpus_per_node < 0 or cpu_accels_per_node < 0:
@@ -143,13 +136,11 @@ def make_cluster(num_nodes: int, *, gpus_per_node: int = 0,
             accels.append(make_cpu_accelerator(device_id))
             device_id += 1
         nodes.append(DistributedNode(node_id, runtime, accels))
-    return Cluster(nodes, network if network is not None else DEFAULT_NETWORK,
-                   topology=topology)
+    return Cluster(nodes, DEFAULT_NETWORK, topology=topology)
 
 
 def make_heterogeneous_cluster(accel_specs: Sequence[Sequence[str]], *,
                                runtime: HostRuntime = NATIVE_RUNTIME,
-                               network: Optional[NetworkModel] = None,
                                topology: Optional[Topology] = None
                                ) -> Cluster:
     """Cluster from explicit per-node accelerator lists.
@@ -157,11 +148,6 @@ def make_heterogeneous_cluster(accel_specs: Sequence[Sequence[str]], *,
     ``accel_specs[j]`` is a sequence of ``"gpu"`` / ``"cpu"`` strings, e.g.
     the Fig. 12(a) setup is ``[["gpu", "cpu"], ["gpu", "gpu", "gpu", "cpu"]]``.
     """
-    if network is not None:
-        warnings.warn(
-            "make_heterogeneous_cluster(network=...) is deprecated; "
-            "describe the interconnect with repro.api.ClusterSpec instead",
-            DeprecationWarning, stacklevel=2)
     if not accel_specs:
         raise SimulationError("need at least one node spec")
     nodes = []
@@ -179,5 +165,4 @@ def make_heterogeneous_cluster(accel_specs: Sequence[Sequence[str]], *,
                 )
             device_id += 1
         nodes.append(DistributedNode(node_id, runtime, accels))
-    return Cluster(nodes, network if network is not None else DEFAULT_NETWORK,
-                   topology=topology)
+    return Cluster(nodes, DEFAULT_NETWORK, topology=topology)

@@ -32,8 +32,8 @@ from ..errors import (
 from ..fault.monitor import HeartbeatMonitor
 from ..fault.retry import RetryPolicy
 from ..fault.straggler import StragglerDetector
-from ..ipc import (BatchedScheduler, Channel, Join, Now, Recv, Scheduler,
-                   Send, Sleep, Spawn)
+from ..ipc import (BatchedScheduler, Channel, Join, Now, Recv, Send, Sleep,
+                   Spawn)
 from ..ipc.shm import ShmRegistry
 from .blocks import TripletBlock, build_blocks
 from .config import MiddlewareConfig
@@ -235,13 +235,9 @@ class Agent:
     def request_gen(self, src_ids: np.ndarray, dst_ids: np.ndarray,
                     weights: np.ndarray, values: np.ndarray,
                     algorithm: AlgorithmTemplate) -> EdgePassResult:
-        """MSGGen over the node's active triplets (pipelined edge pass).
-
-        Block-local MSGMerge runs fused with generation on the daemons —
-        "MSGMerge delivers the initial messages to corresponding graph
-        partitions", which here means the per-block partials the upload
-        thread hands back.
-        """
+        """MSGGen over the node's active triplets (pipelined edge pass),
+        fused with the node-local MSGMerge — "MSGMerge delivers the
+        initial messages to corresponding graph partitions"."""
         return self.edge_pass(src_ids, dst_ids, weights, values, algorithm)
 
     def request_merge(self, partials: List[MessageSet],
@@ -326,6 +322,15 @@ class Agent:
         daemon (Algorithms 1-2 on the simulated scheduler); otherwise the
         naive 5-step sequential flow is timed.  Work is split across
         daemons proportionally to their capacity factors.
+
+        The returned messages are one ``msg_gen`` + ``msg_merge`` over
+        the triplets; the blocked pipeline only prices them.  Block
+        boundaries move with every timing-adaptive input — cache hit
+        ratios, straggler inflation, daemon shares — so keeping values
+        out of the blocks is what makes "those knobs shape cost, never
+        values" exact at the bit level; checkpoint-resume recovery (a
+        fresh agent re-executing a warmed agent's superstep) depends on
+        that.
         """
         self._require_connected()
         d = int(src_ids.size)
@@ -334,7 +339,8 @@ class Agent:
 
         if self.cache is not None:
             self.cache.tick()
-        src_rows = algorithm.gather_values(values, src_ids)
+        msgs = algorithm.msg_gen(src_ids, dst_ids, weights, values)
+        partial = algorithm.msg_merge(dst_ids, msgs)
 
         # Failure recovery (§II-A's transparent hardware management): a
         # device fault, heartbeat verdict, or shm corruption aborts the
@@ -345,9 +351,9 @@ class Agent:
         attempts = 0
         while True:
             try:
-                (partial, elapsed, total_blocks, breakdown,
-                 hits_misses) = self._attempt_pass(
-                    src_ids, dst_ids, weights, src_rows, algorithm)
+                elapsed, total_blocks, breakdown, hits_misses = \
+                    self._attempt_pass(src_ids, dst_ids, msgs, values,
+                                       algorithm)
                 break
             except (DeviceFailure, FaultError) as failure:
                 attempts += 1
@@ -368,23 +374,6 @@ class Agent:
         elapsed += lost_ms
         if lost_ms:
             breakdown[CAT_INIT] = breakdown.get(CAT_INIT, 0.0) + lost_ms
-
-        if self.config.validate:
-            self._validate_partial(src_ids, dst_ids, weights, values,
-                                   algorithm, partial)
-
-        # The authoritative message data is the monolithic gen+merge over
-        # the agent's triplets.  The blocked pipeline computes the same
-        # quantity (asserted above under ``config.validate``) but groups
-        # the floating-point reduction by block, and block boundaries move
-        # with every timing-adaptive input — cache hit ratios, straggler
-        # inflation, daemon shares.  Deriving the returned data from the
-        # triplets alone keeps the invariant that those knobs shape cost,
-        # never values, exact at the bit level; checkpoint-resume recovery
-        # (a fresh agent re-executing a warmed agent's superstep) depends
-        # on that.
-        partial = algorithm.msg_merge(
-            dst_ids, algorithm.msg_gen(src_ids, dst_ids, weights, values))
 
         result = EdgePassResult(
             partial=partial,
@@ -407,15 +396,16 @@ class Agent:
         return result
 
     def _attempt_pass(self, src_ids: np.ndarray, dst_ids: np.ndarray,
-                      weights: np.ndarray, src_rows: np.ndarray,
+                      msgs: np.ndarray, values: np.ndarray,
                       algorithm: AlgorithmTemplate):
-        """One attempt at the (pipelined) pass; raises DeviceFailure (or a
-        FaultError) with the simulated time burned so far attached."""
+        """One attempt at timing the (pipelined) pass; raises
+        DeviceFailure (or a FaultError) with the simulated time burned so
+        far attached."""
         d = int(src_ids.size)
         shares = self._daemon_shares()
         bounds = np.floor(np.cumsum(shares) * d).astype(np.int64)
         bounds[-1] = d
-        sched = BatchedScheduler() if self.config.batch_events else Scheduler()
+        sched = BatchedScheduler()
         monitor: Optional[HeartbeatMonitor] = None
         if self.config.pipeline and self.config.monitor_heartbeats:
             monitor = HeartbeatMonitor(self.config.heartbeat_interval_ms,
@@ -423,7 +413,6 @@ class Agent:
                                        detector=self.straggler)
         self._spec_pending = []
         self._abandoned = []
-        collectors: List[List[MessageSet]] = []
         hits_misses = [0, 0]
         lo = 0
         total_blocks = 0
@@ -437,13 +426,11 @@ class Agent:
             hi = int(hi)
             if hi <= lo:
                 daemon.pass_idle = True
-                collectors.append([])
                 continue
             init_ms = max(init_ms, daemon.init_cost_ms())
             blocks = self._build_blocks(
-                daemon, algorithm,
-                src_ids[lo:hi], dst_ids[lo:hi], weights[lo:hi],
-                src_rows[lo:hi], hits_misses)
+                daemon, algorithm, src_ids[lo:hi], dst_ids[lo:hi],
+                msgs[lo:hi], values, hits_misses)
             total_blocks += len(blocks)
             if monitor is not None and self.config.straggler.enabled \
                     and blocks:
@@ -461,21 +448,17 @@ class Agent:
                     "compute": max(t, coeffs.t_c(b) * h),
                     "upload": max(t, coeffs.t_u(b) * h),
                 })
-            collector: List[MessageSet] = []
-            collectors.append(collector)
             if self.config.pipeline:
                 if monitor is not None:
                     monitor.register(daemon.daemon_id, sched.clock.now)
-                sched.spawn(daemon.iteration_process(algorithm),
+                sched.spawn(daemon.iteration_process(),
                             name=f"daemon{daemon.daemon_id}", daemon=True)
                 sched.spawn(
-                    self._pipeline_process(daemon, algorithm, blocks,
-                                           collector),
+                    self._pipeline_process(daemon, blocks),
                     name=f"agent{self.node.node_id}->d{daemon.daemon_id}")
             else:
                 sched.spawn(
-                    self._sequential_process(daemon, algorithm, blocks,
-                                             collector),
+                    self._sequential_process(daemon, blocks),
                     name=f"agent{self.node.node_id}-seq")
             lo = hi
         if monitor is not None and monitor.tracked:
@@ -500,48 +483,13 @@ class Agent:
             if sched.heap_peak > self.sched_heap_peak:
                 self.sched_heap_peak = sched.heap_peak
 
-        partial = algorithm.combine_many(
-            [block_partial for collector in collectors
-             for block_partial in collector])
         for daemon in self.daemons:
             daemon.release_after_request()
 
         breakdown = dict(sched.time_by_category)
-        return partial, elapsed, total_blocks, breakdown, hits_misses
+        return elapsed, total_blocks, breakdown, hits_misses
 
     # -- internals -----------------------------------------------------------------
-
-    def _validate_partial(self, src_ids, dst_ids, weights, values,
-                          algorithm: AlgorithmTemplate,
-                          partial: MessageSet) -> None:
-        """Debug-mode invariant (``MiddlewareConfig.validate``): the
-        blocked, pipelined, multi-daemon pass must equal a monolithic
-        gen+merge over the same triplets.  Costs real wall time; tests
-        and debugging only."""
-        msgs = algorithm.msg_gen(src_ids, dst_ids, weights, values)
-        expected = algorithm.msg_merge(dst_ids, msgs)
-
-        def canonical(ms: MessageSet) -> Tuple[np.ndarray, np.ndarray]:
-            if ms.ids.size == 0:
-                return ms.ids, np.empty((0, 1))
-            data = np.round(np.atleast_2d(ms.data), 9)
-            if data.shape[0] != ms.ids.size:  # width-1 row vector
-                data = data.reshape(ms.ids.size, -1)
-            order = np.lexsort(tuple(data.T[::-1]) + (ms.ids,))
-            return ms.ids[order], data[order]
-
-        got_ids, got_data = canonical(partial)
-        want_ids, want_data = canonical(expected)
-        same = (got_ids.shape == want_ids.shape
-                and got_data.shape == want_data.shape
-                and bool(np.array_equal(got_ids, want_ids))
-                and bool(np.array_equal(got_data, want_data)))
-        if not same:
-            raise MiddlewareError(
-                f"agent {self.node.node_id}: pipelined partial diverges "
-                f"from the monolithic result ({partial.size} vs "
-                f"{expected.size} entries)"
-            )
 
     def _require_connected(self) -> None:
         if not self.connected:
@@ -651,30 +599,29 @@ class Agent:
 
     def _build_blocks(self, daemon: Daemon, algorithm: AlgorithmTemplate,
                       src_ids: np.ndarray, dst_ids: np.ndarray,
-                      weights: np.ndarray, src_rows: np.ndarray,
+                      msgs: np.ndarray, values: np.ndarray,
                       hits_misses: List[int]) -> List[TripletBlock]:
         """Slice triplets into blocks, tagging cache-miss fetch volumes."""
         block_size = self._block_size_for(daemon, int(src_ids.size))
-        blocks = list(build_blocks(src_ids, dst_ids, weights, src_rows,
-                                   block_size))
-        if self.cache is None:
-            # no cache: each block still builds its paired vertex block,
-            # fetching each distinct source vertex once per block (§II-B)
-            for block in blocks:
-                uniques = int(np.unique(block.src_ids).size)
-                block.fetched_entities = uniques
-                hits_misses[1] += uniques
-            return blocks
+        blocks = list(build_blocks(dst_ids, msgs, block_size, algorithm))
         for block in blocks:
-            in_cache = self.cache.contains_many(block.src_ids)
-            self.cache.touch(np.unique(block.src_ids[in_cache]))
-            miss_ids, first_idx = np.unique(block.src_ids[~in_cache],
-                                            return_index=True)
+            lo = block.index * block_size
+            src = src_ids[lo:lo + block_size]
+            if self.cache is None:
+                # no cache: each block still builds its paired vertex
+                # block, fetching each distinct source vertex once per
+                # block (§II-B)
+                block.fetched_entities = int(np.unique(src).size)
+                hits_misses[1] += block.fetched_entities
+                continue
+            in_cache = self.cache.contains_many(src)
+            self.cache.touch(np.unique(src[in_cache]))
+            miss_ids = np.unique(src[~in_cache])
             block.fetched_entities = int(miss_ids.size)
             hits_misses[0] += int(in_cache.sum())
             hits_misses[1] += int(miss_ids.size)
-            miss_rows = block.src_values[~in_cache][first_idx]
-            self.cache.insert_many(miss_ids, miss_rows)
+            self.cache.insert_many(
+                miss_ids, algorithm.gather_values(values, miss_ids))
         return blocks
 
     def refresh_cache(self, vertex_ids: np.ndarray, values: np.ndarray,
@@ -727,15 +674,16 @@ class Agent:
             cost *= daemon.transfer_inflation
         return cost
 
-    def _upload_ms(self, result: MessageSet,
+    def _upload_ms(self, block: TripletBlock,
                    daemon: Optional[Daemon] = None) -> float:
+        """Upload stage cost: the block-local merge's entries."""
         k3 = self.node.runtime.upload_ms_per_entity
         if self.cache is not None and self.config.lazy_upload:
             # results land in the agent cache; the real upload happens
             # lazily at synchronization time for queried vertices only.
-            cost = k3 * LOCAL_ACCESS_FACTOR * result.size
+            cost = k3 * LOCAL_ACCESS_FACTOR * block.merged_size
         else:
-            cost = k3 * result.size
+            cost = k3 * block.merged_size
         if daemon is not None:
             cost *= daemon.transfer_inflation
         return cost
@@ -764,9 +712,7 @@ class Agent:
                                   phase=phase)
 
     def _pipeline_process(self, daemon: Daemon,
-                          algorithm: AlgorithmTemplate,
-                          blocks: List[TripletBlock],
-                          collector: List[MessageSet]) -> Generator:
+                          blocks: List[TripletBlock]) -> Generator:
         areas = daemon.areas
         block_iter = iter(blocks)
         first = next(block_iter, None)
@@ -799,8 +745,8 @@ class Agent:
                     f"agent{self.node.node_id}-desync{daemon.daemon_id}"))
             if speculated:
                 yield from self._adopt_speculation(
-                    daemon, algorithm, msg, compute_start, block_iter,
-                    collector, upload_h, download_h)
+                    daemon, msg, compute_start, block_iter,
+                    upload_h, download_h)
                 return
             if msg == MSG_ROTATE_FINISHED:
                 expect_rotate = False
@@ -812,10 +758,10 @@ class Agent:
                     outcome = {"done": False}
                     yield Spawn(
                         self._speculation_watcher(
-                            daemon, algorithm, areas.c.block, outcome),
+                            daemon, areas.c.block, outcome),
                         name=f"Speculate.d{daemon.daemon_id}", daemon=True)
                 upload_h = yield Spawn(
-                    self._upload_thread(daemon, algorithm, collector),
+                    self._upload_thread(daemon),
                     name="Thread.Upload", daemon=False)
                 download_h = yield Spawn(
                     self._download_thread(daemon, block_iter),
@@ -844,8 +790,7 @@ class Agent:
                     f"agent {self.node.node_id}: unexpected message {msg!r}"
                 )
 
-    def _upload_thread(self, daemon: Daemon, algorithm: AlgorithmTemplate,
-                       collector: List[MessageSet]) -> Generator:
+    def _upload_thread(self, daemon: Daemon) -> Generator:
         area = daemon.areas.u
         result = area.result
         if result is None:
@@ -853,9 +798,8 @@ class Agent:
         cost = self._upload_ms(result, daemon)
         yield from self._beat(daemon, busy_ms=cost, phase="upload")
         yield Sleep(cost, CAT_UPLOAD)
-        self._observe_transfer(daemon, result.size, cost,
+        self._observe_transfer(daemon, result.merged_size, cost,
                                self._upload_ms(result))
-        collector.append(result)
         area.clear()
 
     def _download_thread(self, daemon: Daemon,
@@ -897,7 +841,6 @@ class Agent:
                                   d.daemon_id))
 
     def _speculation_watcher(self, daemon: Daemon,
-                             algorithm: AlgorithmTemplate,
                              block: Optional[TripletBlock],
                              outcome: dict) -> Generator:
         """Hedge one block of a flagged straggler (Spark-style
@@ -924,7 +867,7 @@ class Agent:
                 break
             yield Sleep(self.config.heartbeat_interval_ms)
         backup.pass_idle = False
-        result, duration = backup.compute_block(algorithm, block)
+        duration = backup.compute_block(block)
         start = yield Now()
         entry = {"resolved": False, "duration": duration, "start": start}
         self._spec_pending.append(entry)
@@ -938,19 +881,16 @@ class Agent:
             backup.pass_idle = True
             return
         outcome["done"] = True
-        yield Send(daemon.to_agent, (MSG_SPECULATED, result, backup,
-                                     duration))
+        yield Send(daemon.to_agent, (MSG_SPECULATED, block, backup))
 
-    def _adopt_speculation(self, daemon: Daemon,
-                           algorithm: AlgorithmTemplate, msg: tuple,
+    def _adopt_speculation(self, daemon: Daemon, msg: tuple,
                            compute_start: float,
                            block_iter: Iterator[TripletBlock],
-                           collector: List[MessageSet],
                            upload_h, download_h) -> Generator:
         """A backup beat the straggler to its block: adopt the backup's
         result, abandon the primary, and drain the remaining blocks on
         the backup."""
-        _, result, backup, _duration = msg
+        _, result, backup = msg
         now = yield Now()
         if self.straggler is not None:
             # what the abandoned primary burned before being overtaken
@@ -966,19 +906,16 @@ class Agent:
             yield Join(download_h)
         cost = self._upload_ms(result, backup)
         yield Sleep(cost, CAT_UPLOAD)
-        self._observe_transfer(backup, result.size, cost,
+        self._observe_transfer(backup, result.merged_size, cost,
                                self._upload_ms(result))
-        collector.append(result)
         # the download thread already paid for the n-area block (if any);
         # the backup picks it up from shared memory for free
-        yield from self._drain_blocks(backup, algorithm,
-                                      daemon.areas.n.block, block_iter,
-                                      collector)
+        yield from self._drain_blocks(backup, daemon.areas.n.block,
+                                      block_iter)
 
-    def _drain_blocks(self, backup: Daemon, algorithm: AlgorithmTemplate,
+    def _drain_blocks(self, backup: Daemon,
                       first_block: Optional[TripletBlock],
-                      block_iter: Iterator[TripletBlock],
-                      collector: List[MessageSet]) -> Generator:
+                      block_iter: Iterator[TripletBlock]) -> Generator:
         """Finish the abandoned pair's remaining blocks on the backup.
 
         Sequential (the backup's own pipeline already ran), but a healthy
@@ -994,13 +931,12 @@ class Agent:
                 yield Sleep(cost, CAT_DOWNLOAD)
                 self._observe_transfer(backup, block.num_entities, cost,
                                        self._download_ms(block))
-            result, duration = backup.compute_block(algorithm, block)
+            duration = backup.compute_block(block)
             yield Sleep(duration, CAT_COMPUTE)
-            cost = self._upload_ms(result, backup)
+            cost = self._upload_ms(block, backup)
             yield Sleep(cost, CAT_UPLOAD)
-            self._observe_transfer(backup, result.size, cost,
-                                   self._upload_ms(result))
-            collector.append(result)
+            self._observe_transfer(backup, block.merged_size, cost,
+                                   self._upload_ms(block))
             block = next(block_iter, None)
             paid_download = False
         backup.pass_idle = True
@@ -1021,9 +957,7 @@ class Agent:
     # -- the 5-step sequential flow (pipeline disabled) -----------------------------------------
 
     def _sequential_process(self, daemon: Daemon,
-                            algorithm: AlgorithmTemplate,
-                            blocks: List[TripletBlock],
-                            collector: List[MessageSet]) -> Generator:
+                            blocks: List[TripletBlock]) -> Generator:
         """Download -> copy in -> compute -> copy out -> upload, per block.
 
         The two extra copies are the agent<->daemon transfers the shared
@@ -1038,11 +972,10 @@ class Agent:
             self._observe_transfer(daemon, block.num_entities, down,
                                    self._download_ms(block))
             yield Sleep(copy_in * block.num_entities, CAT_DOWNLOAD)
-            result, duration = daemon.compute_block(algorithm, block)
+            duration = daemon.compute_block(block)
             yield Sleep(duration, CAT_COMPUTE)
-            yield Sleep(copy_out * result.size, CAT_UPLOAD)
-            up = self._upload_ms(result, daemon)
+            yield Sleep(copy_out * block.merged_size, CAT_UPLOAD)
+            up = self._upload_ms(block, daemon)
             yield Sleep(up, CAT_UPLOAD)
-            self._observe_transfer(daemon, result.size, up,
-                                   self._upload_ms(result))
-            collector.append(result)
+            self._observe_transfer(daemon, block.merged_size, up,
+                                   self._upload_ms(block))

@@ -2,10 +2,14 @@
 
 The middleware's unit of work is the **edge triplet** — "an edge and its
 source and destination vertices" — grouped into fixed-size blocks.  The
-pipeline keeps three equal memory areas (*n*, *c*, *u* — new, computing,
-uploading) and rotates *pointers* between them instead of copying data;
-:class:`AreaSet` implements that rotation and the tests verify no copy
-ever happens (object identity is preserved across rotations).
+pipeline shuffle (Eq. 1-2) is a statement about what blocks *cost*, so a
+block here carries the counts the cost model reads and no triplet data:
+the pass's values come from one ``msg_gen`` + ``msg_merge`` over the
+agent's triplets, never from the blocks.  The pipeline keeps three equal
+memory areas (*n*, *c*, *u* — new, computing, uploading) and rotates
+*pointers* between them instead of copying data; :class:`AreaSet`
+implements that rotation and the tests verify no copy ever happens
+(object identity is preserved across rotations).
 """
 
 from __future__ import annotations
@@ -16,41 +20,31 @@ from typing import Iterator, List, Optional
 import numpy as np
 
 from ..errors import MiddlewareError
-from .template import MessageSet
+from .template import AlgorithmTemplate
 
 
 @dataclass
 class TripletBlock:
-    """A fixed-size batch of edge triplets, ready for a daemon.
+    """What one fixed-size batch of edge triplets costs a daemon.
 
-    ``src_values`` carries the source-vertex attributes joined in by the
-    agent (the "vertex block" paired with the edge block); destination
-    attributes are only needed at apply time and travel with the merged
-    messages instead.
+    ``num_entities`` triplets go down and through the kernel;
+    ``fetched_entities`` of their source vertices missed the agent's
+    cache and are downloaded first; ``merged_size`` entries — what the
+    block-local MSGMerge would produce — come back up.
     """
 
     index: int                   # position within the iteration's blocks
-    src_ids: np.ndarray
-    dst_ids: np.ndarray
-    weights: np.ndarray
-    src_values: np.ndarray       # rows aligned with src_ids
+    num_entities: int
+    merged_size: int
     fetched_entities: int = 0    # unique src vertices fetched (cache misses)
 
-    @property
-    def num_entities(self) -> int:
-        return int(self.src_ids.size)
-
     def __post_init__(self) -> None:
-        n = self.src_ids.size
-        if self.dst_ids.size != n or self.weights.size != n:
+        # merged_size comes from the algorithm author's template
+        if not 0 <= self.merged_size <= self.num_entities:
             raise MiddlewareError(
-                f"block {self.index}: ragged triplet arrays "
-                f"({n}, {self.dst_ids.size}, {self.weights.size})"
-            )
-        if self.src_values.shape[0] != n:
-            raise MiddlewareError(
-                f"block {self.index}: {self.src_values.shape[0]} value rows "
-                f"for {n} triplets"
+                f"block {self.index}: merged_size {self.merged_size} for "
+                f"{self.num_entities} triplets (a merge yields at most one "
+                f"entry per message)"
             )
 
 
@@ -58,8 +52,8 @@ class BlockArea:
     """One of the three pipeline memory chunks (n-, c-, or u-block slot).
 
     Lives in the daemon's shared-memory segment; holds at most one
-    :class:`TripletBlock` going *in* and one :class:`MessageSet` result
-    coming *out*.
+    :class:`TripletBlock` going *in* (``block``) and one computed block
+    coming *out* (``result``).
     """
 
     __slots__ = ("label", "block", "result")
@@ -67,7 +61,7 @@ class BlockArea:
     def __init__(self, label: str) -> None:
         self.label = label
         self.block: Optional[TripletBlock] = None
-        self.result: Optional[MessageSet] = None
+        self.result: Optional[TripletBlock] = None
 
     @property
     def empty(self) -> bool:
@@ -124,29 +118,25 @@ class AreaSet:
         return list(self._areas)
 
 
-def build_blocks(src_ids: np.ndarray, dst_ids: np.ndarray,
-                 weights: np.ndarray, src_values: np.ndarray,
-                 block_size: int) -> Iterator[TripletBlock]:
+def build_blocks(dst_ids: np.ndarray, messages: np.ndarray,
+                 block_size: int, algorithm: AlgorithmTemplate
+                 ) -> Iterator[TripletBlock]:
     """Split an iteration's triplets into fixed-size blocks.
 
-    The agent constructs edge blocks by walking the vertex-edge mapping
-    table; here the triplets arrive pre-joined (``src_values`` row per
-    edge) and are sliced without copying (numpy views).
+    Block ``i`` covers triplets ``[i * block_size, (i + 1) * block_size)``
+    and is sized by ``algorithm.merged_size`` over that slice (numpy
+    views, nothing copied).
     """
     if block_size < 1:
         raise MiddlewareError(f"block_size must be >= 1, got {block_size}")
-    total = src_ids.size
-    index = 0
-    for lo in range(0, total, block_size):
-        hi = min(lo + block_size, total)
+    for index, lo in enumerate(range(0, dst_ids.size, block_size)):
+        dst = dst_ids[lo:lo + block_size]
         yield TripletBlock(
             index=index,
-            src_ids=src_ids[lo:hi],
-            dst_ids=dst_ids[lo:hi],
-            weights=weights[lo:hi],
-            src_values=src_values[lo:hi],
+            num_entities=int(dst.size),
+            merged_size=algorithm.merged_size(
+                dst, messages[lo:lo + block_size]),
         )
-        index += 1
 
 
 @dataclass

@@ -161,9 +161,6 @@ class MiddlewareConfig:
     #: Fig. 13.
     runtime_isolation: bool = True
 
-    #: Extra invariant checking inside the middleware (tests only).
-    validate: bool = False
-
     # -- fault tolerance (repro.fault) ------------------------------------
 
     #: Deterministic fault schedule to inject, armed superstep by
@@ -241,18 +238,6 @@ class MiddlewareConfig:
 
     #: Straggler detection and its responses; see :class:`StragglerConfig`.
     straggler: StragglerConfig = StragglerConfig()
-
-    # -- event loop (repro.ipc) --------------------------------------------
-
-    #: Run passes on the cohort-batched event scheduler
-    #: (:class:`~repro.ipc.scheduler.BatchedScheduler`) instead of the
-    #: per-event oracle.  Observationally identical (same times,
-    #: category totals, and message orders — property-tested), but pops
-    #: whole same-timestamp event cohorts per loop iteration, which is
-    #: what keeps 1000-node twins scheduler-bound rather than
-    #: interpreter-bound.  Turn off to fall back to the per-event
-    #: reference core.
-    batch_events: bool = True
 
     def __post_init__(self) -> None:
         if self.block_size is not None and self.block_size < 1:

@@ -1,8 +1,8 @@
 """The daemon: accelerator wrapper with runtime/iteration control (§II-A1).
 
-A daemon represents one accelerator.  It holds the algorithm template, a
-System V shared memory segment (identified by its unique key) containing
-the rotating n/c/u block areas, and the two control channels to its agent.
+A daemon represents one accelerator.  It holds a System V shared memory
+segment (identified by its unique key) containing the rotating n/c/u
+block areas, and the two control channels to its agent.
 Its iteration behaviour is the paper's Algorithm 1: on ``ExchangeFinished``
 rotate the areas and acknowledge with ``RotateFinished``; compute the
 c-area block on the device and report ``ComputeFinished``; when the c-area
@@ -193,19 +193,17 @@ class Daemon:
 
     # -- kernels --------------------------------------------------------------------
 
-    def compute_block(self, algorithm: AlgorithmTemplate,
-                      block: TripletBlock) -> Tuple[MessageSet, float]:
-        """MSGGen + block-local MSGMerge on the device.
+    def compute_block(self, block: TripletBlock) -> float:
+        """Charge one block's MSGGen + block-local MSGMerge to the device.
 
-        Returns the block's partial message set and the simulated device
-        time (T_call + per-entity compute/copy, Eq. 2).
+        Returns the simulated device time (T_call + per-entity
+        compute/copy, Eq. 2).  The kernel is empty — the agent computes
+        the pass's messages once from the triplets, so block boundaries
+        can shape cost only — but the call still goes through the device:
+        armed faults fire here and its kernel counters advance.
         """
-        def kernel() -> MessageSet:
-            msgs = algorithm.msg_gen_local(block.src_values, block.weights)
-            return algorithm.msg_merge(block.dst_ids, msgs)
-
-        result, duration = self.accelerator.run(
-            kernel, entities=block.num_entities)
+        _, duration = self.accelerator.run(
+            lambda: None, entities=block.num_entities)
         self.blocks_computed += 1
         expected = duration
         inflation = self.compute_inflation
@@ -214,7 +212,7 @@ class Daemon:
         if self.straggler is not None and block.num_entities:
             self.straggler.observe(self.daemon_id, "compute",
                                    block.num_entities, duration, expected)
-        return result, duration
+        return duration
 
     def apply_messages(self, algorithm: AlgorithmTemplate,
                        values: np.ndarray, merged: MessageSet
@@ -236,8 +234,7 @@ class Daemon:
 
     # -- Algorithm 1 ------------------------------------------------------------------
 
-    def iteration_process(self, algorithm: AlgorithmTemplate
-                          ) -> Generator:
+    def iteration_process(self) -> Generator:
         """The daemon side of one pipelined iteration (paper Algorithm 1).
 
         Runs as a simulated process.  After each rotation the daemon
@@ -262,7 +259,7 @@ class Daemon:
                 area = self.areas.c
                 if area.block is not None:
                     block = area.block
-                    result, duration = self.compute_block(algorithm, block)
+                    duration = self.compute_block(block)
                     if self.heartbeat is not None:
                         # legitimate silence: lease the kernel's duration
                         now = yield Now()
@@ -272,7 +269,7 @@ class Daemon:
                     yield Sleep(duration, CAT_COMPUTE)
                     # result replaces the block in situ (*c <- com_dev.data)
                     area.block = None
-                    area.result = result
+                    area.result = block
                     yield Send(self.to_agent, MSG_COMPUTE_FINISHED)
                 else:
                     yield Send(self.to_agent, MSG_COMPUTE_ALL_FINISHED)

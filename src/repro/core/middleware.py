@@ -12,7 +12,6 @@ queues.  Plugging it into an engine is the paper's "few lines of code"::
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional
 
 from ..cluster.cluster import Cluster
@@ -30,20 +29,9 @@ class GXPlug:
     """The middleware: agents + daemons for every node of a cluster."""
 
     def __init__(self, cluster: Cluster,
-                 config: Optional[MiddlewareConfig] = None,
-                 **legacy) -> None:
+                 config: Optional[MiddlewareConfig] = None) -> None:
         if isinstance(config, RuntimeConfig):
             config = config.middleware()
-        if legacy:
-            # deprecation shim: loose MiddlewareConfig fields as kwargs
-            # (the pre-RuntimeConfig calling convention)
-            warnings.warn(
-                "passing middleware settings to GXPlug as loose keyword "
-                "arguments is deprecated; build a RuntimeConfig "
-                "(repro.api) or a MiddlewareConfig instead",
-                DeprecationWarning, stacklevel=2)
-            base = config if config is not None else MiddlewareConfig()
-            config = base.with_(**legacy)
         self.cluster = cluster
         self.config = config if config is not None else MiddlewareConfig()
         self.registry = ShmRegistry()

@@ -10,11 +10,14 @@ call orders yield different computation models (§IV-B2):
 
 This module defines the Python equivalent: :class:`AlgorithmTemplate`
 with :meth:`msg_gen`, :meth:`msg_merge` and :meth:`msg_apply`, operating
-on numpy edge/vertex arrays.  Message sets (:class:`MessageSet`) are the
-associative intermediate exchanged between blocks, daemons and nodes;
-associativity is what lets the middleware merge partial results computed
-anywhere in any order — a property the test suite checks for every
-algorithm.
+on numpy edge/vertex arrays — with :meth:`init_state`, the four methods
+an algorithm author writes.  Message sets (:class:`MessageSet`) are the
+associative intermediate exchanged between nodes; associativity is what
+lets the engines merge partial results computed anywhere in any order —
+a property the test suite checks for every algorithm.  Everything else
+on the template (:meth:`combine`, :meth:`combine_many`,
+:meth:`merged_size`, :meth:`gather_values`) has a default derived from
+those methods.
 """
 
 from __future__ import annotations
@@ -75,8 +78,8 @@ class AlgorithmTemplate(ABC):
 
     Subclasses implement the three paper APIs plus initialization.  All
     array arguments are numpy; implementations must be pure (no hidden
-    state between calls) because blocks may be processed in any order by
-    the pipeline.
+    state between calls): the middleware calls them once per pass over
+    whatever triplets are active, and retries re-run them.
     """
 
     #: Human-readable algorithm name used in reports and benches.
@@ -135,37 +138,54 @@ class AlgorithmTemplate(ABC):
         """MSGMerge: combine raw per-edge messages into a message set."""
 
     @abstractmethod
+    def msg_apply(self, values: np.ndarray, merged: MessageSet
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+        """MSGApply: fold messages into vertex values.
+
+        Returns ``(new_values, changed_vertex_ids)``; ``new_values`` must
+        be a fresh array (callers keep the old one for delta bookkeeping).
+        """
+
+    # -- derived from the three APIs (defaults) -----------------------------------
+
+    def merged_size(self, dst_ids: np.ndarray,
+                    messages: np.ndarray) -> int:
+        """``msg_merge(dst_ids, messages).size`` without merging.
+
+        The pipeline's cost model charges each block the upload of its
+        block-local merge; only the entry count is needed for that.
+        Default: the number of distinct destinations (any-writer-wins
+        scatter, O(len) with no sort).  Override only when the merge
+        key is not the destination id alone.
+        """
+        if dst_ids.size == 0:
+            return 0
+        pos = np.arange(dst_ids.size)
+        stamp = np.empty(int(dst_ids.max()) + 1, dtype=np.int64)
+        stamp[dst_ids] = pos
+        return int(np.count_nonzero(stamp[dst_ids] == pos))
+
     def combine(self, a: MessageSet, b: MessageSet) -> MessageSet:
-        """Associatively merge two message sets (cross-block/cross-node)."""
-
-    #: Classes whose :meth:`combine` is exactly "empty is identity;
-    #: otherwise concatenate ids/data and msg_merge" set this True *in
-    #: the same class body* — :meth:`combine_many` then merges any number
-    #: of parts in a single msg_merge call.  Because msg_merge
-    #: accumulates messages in element order, the one-shot merge is
-    #: bit-identical to the pairwise left-to-right fold (each partial
-    #: result is a prefix of the concatenated element sequence).
-    concat_combine: bool = False
-
-    def _combine_is_concat(self) -> bool:
-        # the fast path is only safe when the *same* class that declared
-        # concat_combine provides combine — a subclass overriding
-        # combine (however strangely) must get the faithful fold.
-        for klass in type(self).__mro__:
-            if "combine" in vars(klass):
-                return bool(vars(klass).get("concat_combine", False))
-        return False
+        """Associatively merge two message sets (cross-block/cross-node):
+        empty is the identity, otherwise concatenate and msg_merge."""
+        if a.size == 0:
+            return b
+        if b.size == 0:
+            return a
+        return self.msg_merge(np.concatenate([a.ids, b.ids]),
+                              np.concatenate([a.data, b.data]))
 
     def combine_many(self, parts: Sequence[MessageSet]) -> MessageSet:
         """Merge many message sets at once (segment-reduction point).
 
         Bit-identical to folding :meth:`combine` left to right over
-        ``parts`` — the contract every caller relies on.  Algorithms
-        declaring :attr:`concat_combine` merge all parts in one
-        msg_merge over the concatenated messages; anything else runs
-        the fold.
+        ``parts`` — the contract every caller relies on.  The default
+        :meth:`combine` merges all parts in one msg_merge over the
+        concatenated messages: msg_merge accumulates in element order,
+        so every partial result of the fold is a prefix of that one
+        pass.  A subclass overriding :meth:`combine` gets the fold.
         """
-        if self._combine_is_concat():
+        if type(self).combine is AlgorithmTemplate.combine:
             live = [p for p in parts if p.size]
             if not live:
                 return self.empty_messages()
@@ -179,43 +199,13 @@ class AlgorithmTemplate(ABC):
             merged = self.combine(merged, p)
         return merged
 
-    @abstractmethod
-    def msg_apply(self, values: np.ndarray, merged: MessageSet
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-        """MSGApply: fold messages into vertex values.
-
-        Returns ``(new_values, changed_vertex_ids)``; ``new_values`` must
-        be a fresh array (callers keep the old one for delta bookkeeping).
-        """
-
-    # -- block-local variants (used by daemons) -----------------------------------
-    #
-    # Daemons never see the full vertex table: the agent joins the needed
-    # source-vertex attributes into the block's paired *vertex block*
-    # (§II-B).  ``gather_values`` extracts those per-vertex rows and
-    # ``msg_gen_local`` generates messages from them; the default
-    # ``msg_gen`` is equivalent to ``msg_gen_local(gather_values(...))``,
-    # which the property tests verify for every algorithm.
-
     def gather_values(self, values: np.ndarray,
                       ids: np.ndarray) -> np.ndarray:
-        """Vertex-block rows for the given vertex ids (2-D, one row/id)."""
+        """Per-vertex rows for the given vertex ids (2-D, one row/id)."""
         rows = values[ids]
         if rows.ndim == 1:
             rows = rows[:, None]
         return rows
-
-    def msg_gen_local(self, src_rows: np.ndarray,
-                      weights: np.ndarray) -> np.ndarray:
-        """MSGGen from pre-gathered source rows (daemon-side form).
-
-        Default: algorithms whose messages depend only on the source value
-        and the edge weight can usually override this directly; the base
-        implementation raises so mismatches are caught early.
-        """
-        raise AlgorithmError(
-            f"{type(self).__name__} does not implement msg_gen_local"
-        )
 
     # -- iteration control ---------------------------------------------------------
 

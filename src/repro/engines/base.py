@@ -189,7 +189,7 @@ class RunResult:
     #: resume events popped (identical under both scheduler cores)
     sched_events: int = 0
     #: cohort batches the event loop executed (== events under the
-    #: per-event oracle; smaller under ``batch_events``)
+    #: per-event oracle; smaller on the batched core)
     sched_batches: int = 0
     #: largest same-timestamp cohort executed in one loop iteration
     sched_max_batch: int = 0

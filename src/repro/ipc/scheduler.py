@@ -696,8 +696,8 @@ class BatchedScheduler(Scheduler):
     in global ``(time, seq)`` order.  New events scheduled mid-cohort
     always carry larger sequence numbers, so cohort replay reproduces
     the per-event :class:`Scheduler`'s interleaving exactly — the
-    per-event core stays the bit-identity oracle, this one is the fast
-    path (``batch_events`` config flag).
+    per-event core stays the bit-identity oracle, this one is the core
+    every agent pass runs on.
     """
 
     def __init__(self, clock: Optional[SimClock] = None) -> None:

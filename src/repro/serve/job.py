@@ -253,7 +253,10 @@ def runtime_to_doc(runtime: RuntimeConfig) -> Dict[str, Any]:
 
 def runtime_from_doc(doc: Mapping[str, Any]) -> RuntimeConfig:
     """Inverse of :func:`runtime_to_doc`."""
-    fields = dict(doc)
+    # a journal outlives the code that wrote it: fields MiddlewareConfig
+    # has since retired are dropped on replay
+    known = {f.name for f in dataclasses.fields(MiddlewareConfig)}
+    fields = {k: v for k, v in doc.items() if k in known}
     straggler = fields.pop("straggler", None)
     if straggler is not None:
         fields["straggler"] = StragglerConfig(**straggler)

@@ -27,10 +27,10 @@ handles**:
   ``(key, version, engine, nodes)`` and rebound into fresh engine
   instances; partitions are shared read-only.
 
-``attach``/``detach`` and reload-via-:meth:`load` survive as
-deprecation shims that warn and route through the snapshot surface
-bit-identically; running-job accounting (admission budgets) uses the
-internal ``_attach``/``_detach`` counters underneath.
+Reload-via-:meth:`load` survives as a deprecation shim (it is how
+``GraphService.load_graph`` reloads) that warns and routes through
+:meth:`replace`; running-job accounting (admission budgets) is the
+internal ``_attach``/``_detach`` counters, separate from pins.
 """
 
 from __future__ import annotations
@@ -129,8 +129,6 @@ class GraphStore:
         self._retained: Dict[Tuple[str, int], Graph] = {}
         #: live snapshot pins per (key, version)
         self._pins: Dict[Tuple[str, int], int] = {}
-        #: legacy attach() shims hold their snapshot here
-        self._legacy_snaps: Dict[str, list] = {}
         self.log = MutationLog()
         self.partition_hits = 0
         self.partition_builds = 0
@@ -399,42 +397,6 @@ class GraphStore:
         if entry.attached <= 0:
             raise ServeError(f"graph {key!r} is not attached")
         entry.attached -= 1
-
-    def attach(self, key: str) -> StoredGraph:
-        """Deprecated: hold a :meth:`snapshot` instead.
-
-        The shim routes through the snapshot surface (so the current
-        version stays pinned exactly as a job's snapshot would pin it)
-        and keeps the attach counters bit-identical to the old
-        behavior.
-        """
-        warnings.warn(
-            "GraphStore.attach() is deprecated; hold a "
-            "store.snapshot(key) handle instead (release() when done)",
-            DeprecationWarning, stacklevel=2)
-        snap = self.snapshot(key)
-        self._legacy_snaps.setdefault(key, []).append(snap)
-        return self._attach(key)
-
-    def detach(self, key: str) -> None:
-        """Deprecated counterpart of :meth:`attach`.
-
-        A legacy detach is anonymous — the caller never identifies
-        *which* attach it undoes — so the shim releases the oldest
-        outstanding legacy snapshot (FIFO: the longest-held, hence
-        oldest-versioned, pin goes first).  Interleaving legacy
-        attach/detach with :meth:`mutate` therefore has approximate
-        pin accounting across versions; hold a real
-        :class:`GraphSnapshot` and ``release()`` it for exact pinning.
-        """
-        warnings.warn(
-            "GraphStore.detach() is deprecated; release() the "
-            "GraphSnapshot you hold instead",
-            DeprecationWarning, stacklevel=2)
-        self._detach(key)
-        snaps = self._legacy_snaps.get(key)
-        if snaps:
-            snaps.pop(0).release()
 
     # -- engine construction ------------------------------------------------------------
 

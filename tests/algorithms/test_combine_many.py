@@ -1,27 +1,22 @@
 """combine_many (one-shot segment-reduced merge) vs the pairwise fold.
 
-The engines merge collector partials with ``combine_many``; for every
-shipped algorithm that declares ``concat_combine`` it concatenates all
-parts and runs a single ``msg_merge``.  Because ``msg_merge`` accumulates
-in element order, this must be **bit-identical** (not just approximately
-equal) to folding ``combine`` pairwise — floats included.
+The engines merge per-node partials with ``combine_many``; for every
+algorithm on the template's default ``combine`` it concatenates all parts
+and runs a single ``msg_merge``.  Because ``msg_merge`` accumulates in
+element order, this must be **bit-identical** (not just approximately
+equal) to folding ``combine`` pairwise — floats included.  An algorithm
+that overrides ``combine`` gets the faithful fold instead.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import (
-    BFS,
-    ConnectedComponents,
-    LabelPropagation,
-    MultiSourceSSSP,
-    PageRank,
-    WidestPath,
-)
-from repro.core import MessageSet
+from repro.algorithms import MultiSourceSSSP
+from repro.core import AlgorithmTemplate, MessageSet
 from repro.graph import Graph
+
+from .test_properties import registered_algorithms
 
 N_VERTICES = 12
 
@@ -40,14 +35,10 @@ def small_graphs(draw):
 
 
 def make_algorithms():
-    return [
-        MultiSourceSSSP(sources=(0, 1)),
-        PageRank(),
-        LabelPropagation(),
-        BFS(source=0),
-        ConnectedComponents(),
-        WidestPath(source=0),
-    ]
+    """Every submittable algorithm; none overrides ``combine``."""
+    algs = registered_algorithms()
+    assert all(type(a).combine is AlgorithmTemplate.combine for a in algs)
+    return algs
 
 
 def make_parts(alg, g, n_parts):
@@ -96,10 +87,8 @@ def test_combine_many_of_empty_and_single():
 
 
 class DroppingSSSP(MultiSourceSSSP):
-    """Overrides combine *without* re-declaring concat_combine: the
-    fast path must not bypass the subclass's (deliberately lossy)
-    combine, exactly like the validator-bait subclass in the engine
-    tests."""
+    """Overrides combine: the one-shot path must not bypass the
+    subclass's (deliberately lossy) combine."""
 
     def combine(self, a: MessageSet, b: MessageSet) -> MessageSet:
         return b if a.ids.size == 0 or b.ids.size else a

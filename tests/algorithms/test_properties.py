@@ -1,14 +1,17 @@
 """Property-based tests on the algorithm-template invariants.
 
-The middleware depends on two algebraic properties of every algorithm:
+The middleware depends on three properties of every algorithm:
 
-1. **combine is associative and commutative** — blocks may be merged in
-   any grouping/order by the pipeline and across daemons/nodes;
-2. **block-split equivalence** — processing edges in arbitrary blocks and
-   combining partials gives exactly the monolithic result.
+1. **combine is associative and commutative** — partials may be merged
+   in any grouping/order across nodes;
+2. **split equivalence** — processing edges in arbitrary splits and
+   combining partials gives exactly the monolithic result;
+3. **merged_size is the merge's size** — the pipeline prices each block
+   by ``merged_size`` instead of running the block-local merge, so it
+   must equal ``msg_merge(...).size`` on any run of triplets.
 
-These hold for all five shipped algorithms and are what make the
-distributed execution provably equal to the single-machine reference.
+These are what make the distributed execution provably equal to the
+single-machine reference, in values and in simulated cost.
 """
 
 import numpy as np
@@ -24,6 +27,7 @@ from repro.algorithms import (
     PageRank,
 )
 from repro.graph import Graph
+from repro.serve.job import ALGORITHMS
 
 N_VERTICES = 12
 
@@ -49,6 +53,14 @@ def make_algorithms():
         BFS(source=0),
         ConnectedComponents(),
     ]
+
+
+def registered_algorithms():
+    """One instance of every submittable algorithm; SSSP-BF at the
+    paper's width 4, LP with its composite (dst, label) merge key."""
+    params = {"sssp-bf": dict(sources=(0, 1, 2, 3)), "kcore": dict(k=2)}
+    return [cls(**params.get(name, {}))
+            for name, cls in sorted(ALGORITHMS.items())]
 
 
 def canonical(alg, ms):
@@ -94,6 +106,24 @@ def test_combine_grouping_invariance(g, order):
         right = alg.combine(permuted[0],
                             alg.combine(permuted[1], permuted[2]))
         assert canonical(alg, left) == canonical(alg, right), alg.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=small_graphs(), supersteps=st.integers(0, 2),
+       lo=st.integers(0, 40), size=st.integers(0, 40))
+def test_merged_size_is_the_block_local_merge_size(g, supersteps, lo, size):
+    """Any block of triplets, at any point of a run (labels coalesce and
+    distances tie after a superstep or two)."""
+    for alg in registered_algorithms():
+        values = alg.init_state(g).values
+        for _ in range(supersteps):
+            merged = gen_and_merge(alg, g, values, 0, g.num_edges)
+            values, _ = alg.msg_apply(values, merged)
+        dst = g.dst[lo:lo + size]
+        msgs = alg.msg_gen(g.src[lo:lo + size], dst,
+                           g.weights[lo:lo + size], values)
+        assert alg.merged_size(dst, msgs) == alg.msg_merge(dst, msgs).size, \
+            alg.name
 
 
 @settings(max_examples=30, deadline=None)

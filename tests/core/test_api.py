@@ -1,13 +1,10 @@
 """Tests for the unified public configuration API (:mod:`repro.api`).
 
-Three contracts: the blessed surface is complete and importable; the
-new builders (:class:`ClusterSpec` / :class:`RuntimeConfig`) resolve to
-exactly the objects the legacy constructors built; and the legacy
-calling conventions still work but warn :class:`DeprecationWarning` —
-with bit-identical run results either way.
+Two contracts: the blessed surface is complete and importable; and the
+builders (:class:`ClusterSpec` / :class:`RuntimeConfig`) resolve to
+exactly the objects the plain constructors build, with bit-identical
+run results either way.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -21,15 +18,12 @@ from repro.api import (
     PRESETS,
     ClusterSpec,
     GXPlug,
-    MiddlewareConfig,
-    NetworkModel,
     PageRank,
     PowerGraphEngine,
     RuntimeConfig,
     deploy,
     load_synthetic_uniform,
     make_cluster,
-    make_heterogeneous_cluster,
 )
 from repro.cluster import DEFAULT_NETWORK
 from repro.errors import MiddlewareError, ReproError
@@ -102,9 +96,7 @@ def test_gxplug_accepts_runtime_config_directly():
 def test_cluster_spec_build_matches_make_cluster():
     spec = ClusterSpec(nodes=3, gpus_per_node=2, cpus_per_node=1)
     built = spec.build()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")          # must not warn
-        legacy = make_cluster(3, gpus_per_node=2, cpu_accels_per_node=1)
+    legacy = make_cluster(3, gpus_per_node=2, cpu_accels_per_node=1)
     assert built.num_nodes == legacy.num_nodes
     assert built.network == legacy.network == DEFAULT_NETWORK
     assert built.topology is None
@@ -171,36 +163,12 @@ def test_cluster_spec_with_():
     assert spec.nodes == 4
 
 
-# -- deprecation shims -------------------------------------------------------
-
-
-def test_gxplug_loose_kwargs_warn_and_match_config():
-    graph = small_graph()
-    cluster = ClusterSpec(nodes=2, gpus_per_node=1).build()
-    with pytest.warns(DeprecationWarning):
-        old = GXPlug(cluster, sync_skip=False, pipeline=False)
-    new = GXPlug(ClusterSpec(nodes=2, gpus_per_node=1).build(),
-                 MiddlewareConfig(sync_skip=False, pipeline=False))
-    assert old.config == new.config
-    # and the runs are bit-identical
-    a = PowerGraphEngine.build(graph, old.cluster, middleware=old).run(
-        PageRank(), max_iterations=5)
-    b = PowerGraphEngine.build(graph, new.cluster, middleware=new).run(
-        PageRank(), max_iterations=5)
-    assert np.array_equal(a.values, b.values)
-    assert a.total_ms == b.total_ms
-
-
-def test_make_cluster_network_kwarg_warns():
-    with pytest.warns(DeprecationWarning):
-        make_cluster(2, gpus_per_node=1, network=NetworkModel())
-    with pytest.warns(DeprecationWarning):
-        make_heterogeneous_cluster([["gpu"]], network=NetworkModel())
+# -- the constructor surface and the builder surface agree -------------------
 
 
 def test_old_and_new_surface_runs_bit_identical():
-    """The load-bearing shim property: a full legacy-style run equals
-    the ClusterSpec/RuntimeConfig run bit-for-bit."""
+    """A run built from ``make_cluster`` + ``GXPlug(cluster, config)``
+    equals the ClusterSpec/RuntimeConfig run bit-for-bit."""
     graph = small_graph()
     legacy_cluster = make_cluster(2, gpus_per_node=1)
     legacy = PowerGraphEngine.build(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.algorithms import PageRank
 from repro.core.blocks import (
     AreaSet,
     BlockArea,
@@ -14,50 +15,53 @@ from repro.errors import MiddlewareError
 
 
 def make_block(n=4, index=0):
-    return TripletBlock(
-        index=index,
-        src_ids=np.arange(n),
-        dst_ids=np.arange(n) + 1,
-        weights=np.ones(n),
-        src_values=np.ones((n, 2)),
-    )
+    return TripletBlock(index=index, num_entities=n, merged_size=n)
 
 
 def test_triplet_block_counts():
     b = make_block(5)
     assert b.num_entities == 5
+    assert b.merged_size == 5
+    assert b.fetched_entities == 0
 
 
 def test_triplet_block_validation():
+    """merged_size comes from the algorithm author's template: a merge
+    yields at most one entry per message, never a negative count."""
     with pytest.raises(MiddlewareError):
-        TripletBlock(0, np.arange(3), np.arange(2), np.ones(3),
-                     np.ones((3, 1)))
+        TripletBlock(0, num_entities=3, merged_size=4)
     with pytest.raises(MiddlewareError):
-        TripletBlock(0, np.arange(3), np.arange(3), np.ones(3),
-                     np.ones((2, 1)))
+        TripletBlock(0, num_entities=3, merged_size=-1)
 
 
 def test_build_blocks_sizes_and_order():
-    src = np.arange(10)
-    blocks = list(build_blocks(src, src + 1, np.ones(10),
-                               np.ones((10, 1)), block_size=4))
+    dst = np.array([1, 1, 2, 3, 3, 3, 3, 3, 4, 5])
+    blocks = list(build_blocks(dst, np.ones((10, 1)), block_size=4,
+                               algorithm=PageRank()))
     assert [b.num_entities for b in blocks] == [4, 4, 2]
     assert [b.index for b in blocks] == [0, 1, 2]
-    assert np.concatenate([b.src_ids for b in blocks]).tolist() == \
-        src.tolist()
+    # each block is sized by its own slice's block-local merge
+    assert [b.merged_size for b in blocks] == [3, 1, 2]
 
 
 def test_build_blocks_views_not_copies():
-    """Blocks must be numpy views: zero-copy slicing."""
-    src = np.arange(8)
-    blocks = list(build_blocks(src, src, np.ones(8), np.ones((8, 1)), 3))
-    assert blocks[0].src_ids.base is src
+    """Blocks are sized from numpy views: zero-copy slicing."""
+    seen = []
+
+    class Recording(PageRank):
+        def merged_size(self, dst_ids, messages):
+            seen.append((dst_ids, messages))
+            return super().merged_size(dst_ids, messages)
+
+    dst, msgs = np.arange(8), np.ones((8, 1))
+    list(build_blocks(dst, msgs, 3, Recording()))
+    assert len(seen) == 3
+    assert all(d.base is dst and m.base is msgs for d, m in seen)
 
 
 def test_build_blocks_validation():
     with pytest.raises(MiddlewareError):
-        list(build_blocks(np.arange(3), np.arange(3), np.ones(3),
-                          np.ones((3, 1)), 0))
+        list(build_blocks(np.arange(3), np.ones((3, 1)), 0, PageRank()))
 
 
 def test_area_set_initial_roles_distinct():

@@ -1,0 +1,126 @@
+"""Blocks shape cost, never values.
+
+An edge pass returns ``msg_merge(dst, msg_gen(...))`` over the agent's
+triplets — computed once, outside the blocked pipeline.  Everything that
+moves block boundaries or block timing (block size, the sync cache and
+its capacity, the number of daemons and their shares, a speculated
+straggler block, a retried pass) may change ``elapsed_ms`` / ``blocks``
+but must leave ``partial`` identical at the bit level.
+"""
+
+import numpy as np
+import pytest
+
+from repro.accel import make_gpu
+from repro.algorithms import LabelPropagation, MultiSourceSSSP, PageRank
+from repro.cluster import NATIVE_RUNTIME, DistributedNode
+from repro.core.agent import Agent
+from repro.core.config import MiddlewareConfig, StragglerConfig
+from repro.graph import rmat
+from repro.ipc import ShmRegistry
+
+GRAPH = rmat(128, 1024, seed=7)
+
+NO_CACHE = dict(sync_cache=False, lazy_upload=False, sync_skip=False)
+
+#: name -> (accelerator count, MiddlewareConfig kwargs)
+VARIANTS = {
+    "auto": (1, {}),
+    "block-1": (1, dict(block_size=1)),
+    "block-64": (1, dict(block_size=64)),
+    "no-cache": (1, NO_CACHE),
+    "cache-10pct": (1, dict(cache_capacity=GRAPH.num_vertices // 10)),
+    "sequential": (1, dict(pipeline=False, block_size=64, **NO_CACHE)),
+    "two-daemons": (2, dict(block_size=64)),
+}
+
+
+def make_agent(num_gpus, **config):
+    node = DistributedNode(0, NATIVE_RUNTIME,
+                           [make_gpu(i) for i in range(num_gpus)])
+    agent = Agent(node, ShmRegistry(), MiddlewareConfig(**config))
+    agent.connect()
+    return agent
+
+
+def algorithms():
+    return [PageRank(), LabelPropagation(),
+            MultiSourceSSSP(sources=(0, 1, 2, 3))]
+
+
+def warmed_values(alg):
+    """Vertex values two supersteps in: float sums whose bits depend on
+    reduction order (PageRank), coalescing labels (LP), partial
+    distances (SSSP)."""
+    values = alg.init_state(GRAPH).values
+    for _ in range(2):
+        merged = alg.msg_merge(GRAPH.dst, alg.msg_gen(
+            GRAPH.src, GRAPH.dst, GRAPH.weights, values))
+        values, _ = alg.msg_apply(values, merged)
+    return values
+
+
+def edge_pass(agent, alg, values):
+    return agent.edge_pass(GRAPH.src, GRAPH.dst, GRAPH.weights, values, alg)
+
+
+def assert_same_bits(partial, expected, label):
+    np.testing.assert_array_equal(partial.ids, expected.ids, err_msg=label)
+    # raw bytes: a reordered float sum or a -0.0 for 0.0 would show
+    assert partial.data.tobytes() == expected.data.tobytes(), label
+
+
+@pytest.mark.parametrize("alg", algorithms(), ids=lambda a: a.name)
+def test_every_block_layout_returns_the_monolithic_partial(alg):
+    values = warmed_values(alg)
+    expected = alg.msg_merge(GRAPH.dst, alg.msg_gen(
+        GRAPH.src, GRAPH.dst, GRAPH.weights, values))
+    results = {}
+    for name, (gpus, config) in VARIANTS.items():
+        agent = make_agent(gpus, **config)
+        cold = edge_pass(agent, alg, values)
+        warm = edge_pass(agent, alg, values)    # cache state moved on
+        assert_same_bits(cold.partial, expected, f"{name} (cold)")
+        assert_same_bits(warm.partial, expected, f"{name} (warm)")
+        results[name] = warm
+    # ... while the layouts really were different passes
+    assert results["block-1"].blocks == GRAPH.num_edges
+    assert results["block-64"].blocks == GRAPH.num_edges // 64
+    assert results["two-daemons"].blocks == results["block-64"].blocks
+    assert len({r.elapsed_ms for r in results.values()}) == len(VARIANTS)
+    assert (results["cache-10pct"].cache_misses
+            != results["auto"].cache_misses)
+
+
+@pytest.mark.parametrize("alg", algorithms(), ids=lambda a: a.name)
+def test_speculated_straggler_pass_returns_the_same_partial(alg):
+    values = warmed_values(alg)
+    expected = alg.msg_merge(GRAPH.dst, alg.msg_gen(
+        GRAPH.src, GRAPH.dst, GRAPH.weights, values))
+    config = dict(block_size=32, monitor_heartbeats=True,
+                  straggler=StragglerConfig(enabled=True, speculate=True))
+    # three daemons: the detector flags against the cross-daemon median
+    healthy = edge_pass(make_agent(3, **config), alg, values)
+    agent = make_agent(3, **config)
+    agent.daemons[0].arm_slowdown(8.0, passes=3)
+    for _ in range(3):
+        result = edge_pass(agent, alg, values)
+        assert_same_bits(result.partial, expected, "straggler pass")
+        assert result.elapsed_ms > healthy.elapsed_ms
+    # every pass had a backup adopt the straggler's block and drain the
+    # rest of its share
+    assert agent.straggler.speculative_wins == 3
+
+
+@pytest.mark.parametrize("alg", algorithms(), ids=lambda a: a.name)
+def test_retried_pass_returns_the_same_partial(alg):
+    values = warmed_values(alg)
+    config = dict(block_size=64, **NO_CACHE)
+    healthy = edge_pass(make_agent(1, **config), alg, values)
+    agent = make_agent(1, **config)
+    agent.daemons[0].accelerator.inject_failure(after_kernels=3)
+    retried = edge_pass(agent, alg, values)
+    assert agent.recoveries == 1
+    assert_same_bits(retried.partial, healthy.partial, "retried pass")
+    assert retried.blocks == healthy.blocks
+    assert retried.elapsed_ms > healthy.elapsed_ms

@@ -1,15 +1,12 @@
-"""Unit tests for engine internals and the validate debug mode."""
+"""Unit tests for engine internals."""
 
 import numpy as np
-import pytest
 
-from repro.algorithms import MultiSourceSSSP, PageRank
 from repro.cluster import make_cluster
-from repro.core import GXPlug, MessageSet, MiddlewareConfig
+from repro.core import GXPlug, MiddlewareConfig
 from repro.engines import GraphXEngine, PowerGraphEngine
 from repro.engines.base import RunResult
-from repro.errors import MiddlewareError
-from repro.graph import Graph, hash_partition, rmat
+from repro.graph import rmat
 
 GRAPH = rmat(128, 1024, seed=31)
 
@@ -100,30 +97,3 @@ def test_run_result_properties():
     assert result.middleware_ratio == 0.0
     assert result.computation_iterations == 0
     assert "e/a" in result.summary()
-
-
-def test_validate_mode_clean_run():
-    cluster = make_cluster(2, gpus_per_node=1)
-    plug = GXPlug(cluster, MiddlewareConfig(validate=True))
-    engine = PowerGraphEngine.build(GRAPH, cluster, middleware=plug)
-    alg = MultiSourceSSSP(sources=(0, 1))
-    result = engine.run(alg)
-    assert np.allclose(result.values, alg.reference(GRAPH),
-                       equal_nan=True)
-
-
-def test_validate_mode_catches_corruption():
-    """A combine that drops data must trip the validator."""
-
-    class BrokenSSSP(MultiSourceSSSP):
-        def combine(self, a, b):
-            # silently drop the second partial (a classic merge bug)
-            return a if a.size else b
-
-    cluster = make_cluster(1, gpus_per_node=1)
-    plug = GXPlug(cluster, MiddlewareConfig(
-        validate=True, block_size=64, sync_cache=False,
-        lazy_upload=False, sync_skip=False))
-    engine = PowerGraphEngine.build(GRAPH, cluster, middleware=plug)
-    with pytest.raises(MiddlewareError):
-        engine.run(BrokenSSSP(sources=(0, 1)))

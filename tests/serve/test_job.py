@@ -130,3 +130,13 @@ def test_to_doc_from_doc_roundtrip_is_lossless():
     import json
     assert JobSpec.from_doc(
         json.loads(json.dumps(spec.to_doc()))) == spec
+
+
+def test_from_doc_reads_journals_written_before_fields_were_retired():
+    """A journal outlives the code that wrote it: PR <= 14 journals carry
+    ``validate`` / ``batch_events`` in every submitted spec's runtime;
+    replay must drop retired fields, not fail the recover."""
+    spec = JobSpec.from_dict({"graph": "g", "preset": "resilient"})
+    doc = spec.to_doc()
+    doc["runtime"].update(validate=False, batch_events=True)
+    assert JobSpec.from_doc(doc) == spec

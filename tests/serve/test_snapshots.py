@@ -8,7 +8,6 @@ mutation replay, warm starts, cache invalidation, and the deprecated
 attach/reload shims.
 """
 
-import warnings
 
 import numpy as np
 import pytest
@@ -132,38 +131,6 @@ def test_partition_delta_preserves_float_summation_order():
     assert np.array_equal(r_delta.values, r_fresh.values)
 
 
-# -- deprecated shims ---------------------------------------------------------
-
-
-def test_attach_detach_shims_warn_but_count(store):
-    with pytest.warns(DeprecationWarning, match="attach.*deprecated"):
-        store.attach("g")
-    assert store.get("g").attached == 1
-    assert store.pinned_versions("g") == {1}   # shim holds a real pin
-    with pytest.warns(DeprecationWarning, match="release"):
-        store.detach("g")
-    assert store.get("g").attached == 0
-    assert store.pinned_versions("g") == set()
-
-
-def test_legacy_detach_releases_oldest_pin_first(store):
-    # anonymous legacy detaches straddling a mutation: the attacher
-    # that has been around longest (v1) leaves first, so FIFO release
-    # frees the superseded version instead of the live one
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        store.attach("g")                      # pins v1
-        store.mutate("g", add_edge_batch(0, 8))
-        store.attach("g")                      # pins v2
-        store.detach("g")                      # the v1 attacher leaves
-    assert store.pinned_versions("g") == {2}
-    assert store.stats()["retained_versions"] == 0   # v1 was GC'd
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        store.detach("g")
-    assert store.pinned_versions("g") == set()
-
-
 def test_partition_delta_from_zero_edge_graph():
     empty = Graph.from_edges(8, np.empty(0, dtype=np.int64),
                              np.empty(0, dtype=np.int64), name="empty")
@@ -175,6 +142,9 @@ def test_partition_delta_from_zero_edge_graph():
     store.build_engine("g", PowerGraphEngine, CLUSTER)   # v2 delta reused
     assert store.stats()["partition_hits"] == 1
     assert store.get("g").graph.num_edges == 1
+
+
+# -- deprecated shim: reload via load() --------------------------------------
 
 
 def test_reload_shim_warns_and_routes_through_replace(store):

@@ -1,4 +1,9 @@
-"""Graph store: versioning, attach lifecycle, partition memoization."""
+"""Graph store: versioning, running-job accounting, partition memoization.
+
+``_attach``/``_detach`` are the running-job counters ``GraphService``
+drives on admit/finish (admission budgets); pins are ``snapshot()`` /
+``release()`` (see ``test_snapshots.py``).
+"""
 
 import pytest
 
@@ -30,30 +35,30 @@ def test_reload_bumps_version(store):
 
 
 def test_reload_refused_while_attached(store):
-    store.attach("g")
+    store._attach("g")
     with pytest.raises(ServeError, match="attached"):
         store.load("g", dataset="wrn")
-    store.detach("g")
+    store._detach("g")
     store.load("g", dataset="wrn")   # fine once drained
 
 
 def test_unknown_key_raises(store):
     with pytest.raises(ServeError, match="unknown graph"):
         store.get("nope")
-    with pytest.raises(ServeError):
-        store.detach("nope")
+    with pytest.raises(ServeError, match="unknown graph"):
+        store.snapshot("nope")
 
 
 def test_attach_detach_counting(store):
-    store.attach("g")
-    store.attach("g")
+    store._attach("g")
+    store._attach("g")
     assert store.get("g").attached == 2
     assert store.get("g").total_attaches == 2
-    store.detach("g")
-    store.detach("g")
+    store._detach("g")
+    store._detach("g")
     assert store.get("g").attached == 0
     with pytest.raises(ServeError):
-        store.detach("g")
+        store._detach("g")
 
 
 def test_partitions_are_memoized_per_engine_and_nodes(store):
@@ -82,10 +87,14 @@ def test_reload_drops_memoized_partitions(store):
 
 
 def test_unload(store):
-    store.attach("g")
+    store._attach("g")
     with pytest.raises(ServeError, match="attached"):
         store.unload("g")
-    store.detach("g")
+    store._detach("g")
+    snap = store.snapshot("g")
+    with pytest.raises(ServeError, match="pinned"):
+        store.unload("g")
+    snap.release()
     store.unload("g")
     assert "g" not in store and len(store) == 0
 
@@ -98,9 +107,9 @@ def test_bytes_accounting(store):
     assert entry.nbytes == expected
     assert store.total_bytes() == expected
     assert store.attached_bytes() == 0     # nothing attached yet
-    store.attach("g")
+    store._attach("g")
     assert store.attached_bytes() == expected
-    store.attach("g")                      # second job: counted once
+    store._attach("g")                      # second job: counted once
     assert store.attached_bytes() == expected
 
 
