@@ -38,7 +38,7 @@ from .pipeline import (
     coefficients_for,
     pipeline_makespan_from_stage_times,
 )
-from .sync_cache import GlobalQueues, LRUVertexCache
+from .sync_cache import LRUVertexCache
 from .sync_skip import SkipDetector, SkipStats
 from .template import AlgorithmState, AlgorithmTemplate, MessageSet
 
@@ -69,7 +69,6 @@ __all__ = [
     "coefficients_for",
     "pipeline_makespan_from_stage_times",
     "LRUVertexCache",
-    "GlobalQueues",
     "SkipDetector",
     "SkipStats",
     "optimal_partition_sizes",

@@ -90,7 +90,7 @@ class EdgePassResult:
     breakdown: Dict[str, float] = field(default_factory=dict)
     cache_hits: int = 0
     cache_misses: int = 0
-    #: cache rows displaced (and, of those, dirty rows written back
+    #: cache entries displaced (and, of those, dirty ones written back
     #: early) since the agent's previous pass — this pass's miss-fills
     #: plus the master write-through that followed the previous one
     cache_evictions: int = 0
@@ -194,8 +194,10 @@ class Agent:
         The paper's per-iteration call sequence is ``connect() ->
         update() -> {requestX()} -> update() -> disconnect()``: the first
         ``update`` pulls vertex data down into the agent's tables, the
-        second pushes results back.  Returns the simulated cost; with the
-        cache enabled a download also warms it.
+        second pushes results back.  Returns the simulated cost.  The
+        agent holds no copy of ``values`` (they stay in the upper
+        system's array): with the cache enabled a download records the
+        ids as resident and an upload clears their dirty bits.
         """
         self._require_connected()
         if direction not in ("download", "upload"):
@@ -207,9 +209,8 @@ class Agent:
         runtime = self.node.runtime
         if direction == "download":
             cost = runtime.download_ms_per_entity * ids.size
-            if self.cache is not None and ids.size:
-                rows = algorithm.gather_values(values, ids)
-                self.cache.insert_many(ids, rows)
+            if self.cache is not None:
+                self.cache.insert_many(ids)
         else:
             cost = runtime.upload_ms_per_entity * ids.size
             if self.cache is not None:
@@ -286,17 +287,14 @@ class Agent:
         self.total_middleware_ms += cost
         return new_values, changed, cost
 
-    def note_master_updates(self, values: np.ndarray, changed: np.ndarray,
-                            algorithm: AlgorithmTemplate) -> None:
-        """Refresh cached rows for this node's updated master vertices.
+    def note_master_updates(self, changed: np.ndarray) -> None:
+        """Mark this node's updated master vertices resident and dirty.
 
         Called by the engine after it has restricted an apply result to
-        the node's own masters; the rows are held dirty for lazy upload.
+        the node's own masters; they stay dirty until lazy upload.
         """
-        if self.cache is None or changed.size == 0:
-            return
-        rows = algorithm.gather_values(values, changed)
-        self.cache.insert_many(changed, rows, dirty=True)
+        if self.cache is not None:
+            self.cache.insert_many(changed, dirty=True)
 
     def request_scatter(self, affected_edges: int) -> float:
         """GAS scatter pass: activate neighbours of changed vertices.
@@ -352,8 +350,7 @@ class Agent:
         while True:
             try:
                 elapsed, total_blocks, breakdown, hits_misses = \
-                    self._attempt_pass(src_ids, dst_ids, msgs, values,
-                                       algorithm)
+                    self._attempt_pass(src_ids, dst_ids, msgs, algorithm)
                 break
             except (DeviceFailure, FaultError) as failure:
                 attempts += 1
@@ -396,8 +393,7 @@ class Agent:
         return result
 
     def _attempt_pass(self, src_ids: np.ndarray, dst_ids: np.ndarray,
-                      msgs: np.ndarray, values: np.ndarray,
-                      algorithm: AlgorithmTemplate):
+                      msgs: np.ndarray, algorithm: AlgorithmTemplate):
         """One attempt at timing the (pipelined) pass; raises
         DeviceFailure (or a FaultError) with the simulated time burned so
         far attached."""
@@ -430,7 +426,7 @@ class Agent:
             init_ms = max(init_ms, daemon.init_cost_ms())
             blocks = self._build_blocks(
                 daemon, algorithm, src_ids[lo:hi], dst_ids[lo:hi],
-                msgs[lo:hi], values, hits_misses)
+                msgs[lo:hi], hits_misses)
             total_blocks += len(blocks)
             if monitor is not None and self.config.straggler.enabled \
                     and blocks:
@@ -599,8 +595,8 @@ class Agent:
 
     def _build_blocks(self, daemon: Daemon, algorithm: AlgorithmTemplate,
                       src_ids: np.ndarray, dst_ids: np.ndarray,
-                      msgs: np.ndarray, values: np.ndarray,
-                      hits_misses: List[int]) -> List[TripletBlock]:
+                      msgs: np.ndarray, hits_misses: List[int]
+                      ) -> List[TripletBlock]:
         """Slice triplets into blocks, tagging cache-miss fetch volumes."""
         block_size = self._block_size_for(daemon, int(src_ids.size))
         blocks = list(build_blocks(dst_ids, msgs, block_size, algorithm))
@@ -620,37 +616,29 @@ class Agent:
             block.fetched_entities = int(miss_ids.size)
             hits_misses[0] += int(in_cache.sum())
             hits_misses[1] += int(miss_ids.size)
-            self.cache.insert_many(
-                miss_ids, algorithm.gather_values(values, miss_ids))
+            self.cache.insert_many(miss_ids)
         return blocks
 
-    def refresh_cache(self, vertex_ids: np.ndarray, values: np.ndarray,
-                      algorithm: AlgorithmTemplate) -> None:
-        """Refresh cached rows with values delivered at synchronization.
+    def refresh_cache(self, vertex_ids: np.ndarray) -> None:
+        """Keep vertices delivered at synchronization warm.
 
         Algorithm 3's last step (``s.Update(Fetch(gdq, s_q))``): the
         global data queue hands each agent the queried vertices' new
-        values, so they are warm in the cache for the next iteration —
-        no re-download needed.  Only already-cached vertices refresh.
+        values, so they need no re-download next iteration.  Only
+        already-cached vertices refresh.
         """
         if self.cache is None:
             return
         ids = np.asarray(vertex_ids, dtype=np.int64).ravel()
-        if ids.size == 0:
-            return
-        ids = ids[self.cache.contains_many(ids)]
-        if ids.size == 0:
-            return
-        rows = algorithm.gather_values(values, ids)
-        self.cache.insert_many(ids, rows, dirty=False)
+        self.cache.insert_many(ids[self.cache.contains_many(ids)])
 
     def settle_dirty(self) -> None:
         """Clean the lazy-upload buffer after a global synchronization.
 
         The sync collective reconciles every changed master with the
-        upper system's tables (the engine charges its cost), so the rows
-        the cache held for lazy upload are no longer pending; they stay
-        cached, clean.
+        upper system's tables (the engine charges its cost), so the
+        vertices the cache held dirty for lazy upload are no longer
+        pending; they stay cached, clean.
         """
         if self.cache is not None:
             self.cache.clear_dirty()

@@ -134,9 +134,11 @@ class MiddlewareConfig:
     #: LRU-weighted vertex caching on agents (§III-B2a).
     sync_cache: bool = True
 
-    #: Cache capacity in vertices; ``None`` sizes it to the node's
-    #: referenced vertex count (everything fits — the paper's agents cache
-    #: a "temporary vertex table").
+    #: Cache capacity in vertices; ``None`` means the agent's
+    #: ``DEFAULT_CACHE_CAPACITY`` of 1 000 000 — nominally unbounded (the
+    #: paper's agents cache a "temporary vertex table"; the cache's tables
+    #: grow with residency, so the nominal size costs nothing), with
+    #: eviction starting only on a node that references more vertices.
     cache_capacity: Optional[int] = None
 
     #: Lazy uploading through the global query/data queues (§III-B2b).

@@ -1,8 +1,8 @@
 """GX-Plug: the middleware facade.
 
 A :class:`GXPlug` instance owns one agent per distributed node (each agent
-attached to the node's accelerators as daemons) plus the global lazy-upload
-queues.  Plugging it into an engine is the paper's "few lines of code"::
+attached to the node's accelerators as daemons).  Plugging it into an
+engine is the paper's "few lines of code"::
 
     cluster = make_cluster(4, gpus_per_node=1)
     plug = GXPlug(cluster)
@@ -22,7 +22,6 @@ from ..fault.straggler import StragglerDetector
 from ..ipc.shm import ShmRegistry
 from .agent import Agent
 from .config import MiddlewareConfig, RuntimeConfig
-from .sync_cache import GlobalQueues
 
 
 class GXPlug:
@@ -51,7 +50,6 @@ class GXPlug:
             node.node_id: Agent(node, self.registry, self.config)
             for node in cluster.nodes
         }
-        self.queues = GlobalQueues()
         # gray-failure tolerance: one cluster-wide straggler detector so
         # the cross-daemon median inflation spans every node's daemons
         self.straggler: Optional[StragglerDetector] = None

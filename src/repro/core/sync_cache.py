@@ -1,4 +1,5 @@
-"""Synchronization caching: LRU-weighted vertex cache + lazy upload (§III-B2).
+"""Synchronization caching: LRU-weighted vertex residency + lazy upload
+(§III-B2).
 
 The agent keeps a temporary vertex table so that vertices repeatedly
 involved in computation are not re-downloaded from the upper system every
@@ -14,24 +15,27 @@ weight, i.e. least recently used) entry is evicted.
    We implement the only internally consistent reading — evict the lowest
    weight — and note the discrepancy in DESIGN.md.
 
-The cache is slot-based: a ``(slots, width)`` value matrix, flat per-slot
-id/weight/dirty arrays, and a dense ``id -> slot`` lookup array.  The
-slot tables are sized by residency — they start small and double up to
-``capacity`` — so every operation costs O(batch) or O(resident), never
-O(capacity).  Whole id arrays move through :meth:`lookup_many` /
-:meth:`insert_many` / :meth:`touch` / :meth:`take_dirty` with fancy
-indexing — the per-vertex methods (``lookup``/``insert``/``update``)
-remain and keep their exact historical semantics.
+What the cache decides is *which vertices must be re-downloaded* — a
+cost question — so it tracks residency, not rows: three flat per-slot
+arrays (id, weight, dirty bit) and a dense ``id -> slot`` index.  Vertex
+values have one home, the engine's value array; nothing here holds a
+copy that could go stale.  The slot tables are sized by residency — they
+start small and double up to ``capacity`` — so every operation costs
+O(batch) or O(resident), never O(capacity).  Whole id arrays move
+through :meth:`contains_many` / :meth:`insert_many` / :meth:`touch` /
+:meth:`invalidate_many` / :meth:`take_dirty`; the per-vertex
+``insert``/``update`` are the sequential semantics the bulk forms are
+tested against.
 
-Lazy uploading (Algorithm 3) is driven by two queues: each agent pushes
-the vertex ids it will need next iteration to the **global query queue**;
-the union is broadcast, and each agent uploads to the **global data
-queue** only its updated vertices that some other agent queried.
+Lazy uploading (Algorithm 3) — agents announce the vertices they need
+next iteration, and each uploads only its updated vertices that some
+other agent queried — is priced by the engine (``_sync_cost``) and
+applied to the caches by ``_settle_caches``; the dirty bits here are
+the "updated, not yet uploaded" half of that contract.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
@@ -50,14 +54,14 @@ _FULL_OF_DIRTY = "cache full of dirty entries; flush with take_dirty() first"
 
 
 def _extended(arr: np.ndarray, size: int, fill) -> np.ndarray:
-    """``arr`` lengthened to ``size`` rows, the new tail set to ``fill``."""
-    out = np.full((size,) + arr.shape[1:], fill, dtype=arr.dtype)
-    out[: arr.shape[0]] = arr
+    """``arr`` lengthened to ``size``, the new tail set to ``fill``."""
+    out = np.full(size, fill, dtype=arr.dtype)
+    out[: arr.size] = arr
     return out
 
 
 class LRUVertexCache:
-    """Weight-decayed LRU cache of vertex attribute rows.
+    """Weight-decayed LRU index of the vertices resident on an agent.
 
     Weights follow the paper's scheme: new/used entries get the current
     generation stamp (so weight effectively "decreases with the passage of
@@ -72,14 +76,11 @@ class LRUVertexCache:
                                   f"{capacity}")
         self.capacity = capacity
         #: with write-back, a cache full of dirty entries evicts the
-        #: stalest dirty row (its update counts as eagerly uploaded)
+        #: stalest dirty entry (its update counts as eagerly uploaded)
         #: instead of raising; clean entries always evict first.
         self.writeback = writeback
-        # slot-major state, grown by _grow_tables(); the value matrix is
-        # allocated lazily once the first row reveals the attribute width
-        # and dtype.
+        # slot-major state, grown by _grow_tables()
         slots = min(capacity, _TABLE_SEED)
-        self._values: Optional[np.ndarray] = None  # (slots, width)
         self._ids = np.full(slots, -1, dtype=np.int64)  # slot -> id
         self._weights = np.zeros(slots, dtype=np.float64)
         self._dirty = np.zeros(slots, dtype=bool)
@@ -92,7 +93,6 @@ class LRUVertexCache:
         self._generation = 0.0
         # instrumentation
         self.hits = 0
-        self.misses = 0
         self.evictions = 0
         self.writebacks = 0
 
@@ -102,7 +102,7 @@ class LRUVertexCache:
         """Advance one iteration: every resident weight ages by one."""
         self._generation += 1.0
 
-    # -- lookups ------------------------------------------------------------------
+    # -- residency ----------------------------------------------------------------
 
     def __len__(self) -> int:
         return self._size
@@ -115,16 +115,6 @@ class LRUVertexCache:
             return int(self._index[vertex])
         return -1
 
-    def lookup(self, vertex: int) -> Optional[np.ndarray]:
-        """Value for ``vertex`` or None on miss; a hit bumps its weight."""
-        slot = self._slot(int(vertex))
-        if slot < 0:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._weights[slot] = self._generation
-        return self._values[slot].copy()
-
     def contains_many(self, ids: np.ndarray) -> np.ndarray:
         """Boolean residency mask for an id array (no weight bumps)."""
         ids = np.asarray(ids, dtype=np.int64).ravel()
@@ -132,34 +122,6 @@ class LRUVertexCache:
         in_range = (ids >= 0) & (ids < self._index.size)
         mask[in_range] = self._index[ids[in_range]] >= 0
         return mask
-
-    def lookup_many(self, ids: np.ndarray
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Bulk lookup: ``(hit_mask, rows)`` for an id array.
-
-        ``rows`` holds one value row per hit (aligned with
-        ``ids[hit_mask]``); hits bump weights, misses count as misses.
-        """
-        ids = np.asarray(ids, dtype=np.int64).ravel()
-        mask = self.contains_many(ids)
-        slots = self._index[ids[mask]]
-        self._weights[slots] = self._generation
-        self.hits += int(slots.size)
-        self.misses += int(ids.size - slots.size)
-        if self._values is None:
-            return mask, np.empty((0, 0))
-        return mask, self._values[slots]
-
-    def partition_ids(self, ids: np.ndarray
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-        """Split ``ids`` into (cached, missing) without bumping weights.
-
-        Used by the agent when costing a download batch; call
-        :meth:`touch` afterwards for the ids actually used.
-        """
-        ids = np.asarray(ids, dtype=np.int64).ravel()
-        mask = self.contains_many(ids)
-        return ids[mask], ids[~mask]
 
     def touch(self, ids: np.ndarray) -> None:
         """Bump weights of cached ids (counted as hits)."""
@@ -174,49 +136,44 @@ class LRUVertexCache:
 
     # -- inserts / updates ------------------------------------------------------------
 
-    def insert(self, vertex: int, value: np.ndarray) -> Optional[int]:
-        """Cache a freshly downloaded vertex (counted as a miss upstream).
+    def insert(self, vertex: int) -> Optional[int]:
+        """Record a freshly downloaded vertex (counted as a miss upstream).
 
         Returns the evicted vertex id if the insert displaced an entry,
         else None.
         """
-        return self._put_one(int(vertex), value, mark_dirty=False)
+        return self._put_one(int(vertex), mark_dirty=False)
 
-    def update(self, vertex: int, value: np.ndarray,
-               dirty: bool = True) -> Optional[int]:
-        """Write a computed result into the cache (lazy upload holds it).
+    def update(self, vertex: int, dirty: bool = True) -> Optional[int]:
+        """Record a computed result held by the agent (lazy upload keeps
+        it dirty until synchronization).
 
         Returns the evicted vertex id if the update displaced an entry.
         """
-        return self._put_one(int(vertex), value, mark_dirty=bool(dirty))
+        return self._put_one(int(vertex), mark_dirty=bool(dirty))
 
-    def insert_many(self, ids: np.ndarray, rows: np.ndarray,
-                    dirty: bool = False) -> np.ndarray:
-        """Bulk insert/update: scatter ``rows`` to ``ids`` in one shot.
+    def insert_many(self, ids: np.ndarray, dirty: bool = False
+                    ) -> np.ndarray:
+        """Bulk insert/update of ``ids`` in one shot.
 
-        Returns the evicted vertex ids.  Entries already resident are
-        updated in place; new entries claim vacant slots, evicting the
-        stalest clean pre-batch entries when the cache is full (batch
-        members never evict each other — when a batch outsizes what the
-        pre-batch state can absorb, the exact sequential semantics run
-        instead, see :meth:`_plan_thrash`).  ``dirty=True`` marks every
-        written row dirty; ``dirty=False`` leaves existing dirty flags
-        alone (refresh semantics, matching ``update(..., dirty=False)``).
+        Returns the evicted vertex ids.  Entries already resident get a
+        recency bump (no hit is counted); new entries claim vacant
+        slots, evicting the stalest clean pre-batch entries when the
+        cache is full (batch members never evict each other — when a
+        batch outsizes what the pre-batch state can absorb, the exact
+        sequential semantics run instead, see :meth:`_plan_thrash`).
+        ``dirty=True`` marks every written entry dirty; ``dirty=False``
+        leaves existing dirty flags alone (refresh semantics, matching
+        ``update(..., dirty=False)``).
         """
         ids = np.asarray(ids, dtype=np.int64).ravel()
         if ids.size == 0:
             return np.empty(0, dtype=np.int64)
-        rows = self._ensure_store(rows)
-        if rows.shape[0] != ids.size:
-            raise MiddlewareError(
-                f"insert_many: {ids.size} ids vs {rows.shape[0]} rows")
         if ids.size > 1:
-            uniq, rev_first = np.unique(ids[::-1], return_index=True)
-            if uniq.size != ids.size:
-                # duplicate ids: keep the last occurrence (the sequential
-                # overwrite result)
-                keep = ids.size - 1 - rev_first
-                ids, rows = ids[keep], rows[keep]
+            ordered = np.sort(ids)
+            repeat = ordered[1:] == ordered[:-1]
+            if repeat.any():  # duplicate ids count once
+                ids = np.concatenate((ordered[:1], ordered[1:][~repeat]))
         if bool((ids < 0).any()):
             raise MiddlewareError("vertex ids must be >= 0")
         self._ensure_index(int(ids.max()))
@@ -252,12 +209,11 @@ class LRUVertexCache:
                 victims = self._index[evicted]
                 self._drop_slots(np.unique(victims[victims >= 0]))
                 wedged = kept.size < ids.size
-                ids, rows = ids[: kept.size][kept], rows[: kept.size][kept]
+                ids = ids[: kept.size][kept]
                 slots = self._index[ids]
                 present = slots >= 0
             self.evictions += int(evicted.size)
         pslots = slots[present]
-        self._values[pslots] = rows[present]
         self._weights[pslots] = self._generation
         if dirty:
             self._dirty[pslots] = True
@@ -266,7 +222,6 @@ class LRUVertexCache:
             nslots = self._claim_slots(new_ids.size)
             self._index[new_ids] = nslots
             self._ids[nslots] = new_ids
-            self._values[nslots] = rows[~present]
             self._weights[nslots] = self._generation
             self._dirty[nslots] = bool(dirty)
         if wedged:
@@ -299,22 +254,6 @@ class LRUVertexCache:
             size *= 2
         self._index = _extended(self._index, size, -1)
 
-    def _ensure_store(self, rows: np.ndarray) -> np.ndarray:
-        """(Re)allocate the value matrix for ``rows``; returns rows 2-D."""
-        rows = np.atleast_2d(np.asarray(rows))
-        if self._values is None:
-            self._values = np.zeros((self._ids.size, rows.shape[1]),
-                                    dtype=rows.dtype)
-        elif rows.shape[1] != self._values.shape[1]:
-            raise MiddlewareError(
-                f"cache row width changed: {self._values.shape[1]} -> "
-                f"{rows.shape[1]}")
-        else:
-            dtype = np.result_type(self._values.dtype, rows.dtype)
-            if dtype != self._values.dtype:
-                self._values = self._values.astype(dtype)
-        return rows
-
     def _grow_tables(self, need: int) -> None:
         """Lengthen the slot tables to hold ``need`` slots: doubling, so
         growth is amortised O(1) per slot, and never past ``capacity``."""
@@ -325,8 +264,6 @@ class LRUVertexCache:
         self._ids = _extended(self._ids, size, -1)
         self._weights = _extended(self._weights, size, 0.0)
         self._dirty = _extended(self._dirty, size, False)
-        if self._values is not None:
-            self._values = _extended(self._values, size, 0)
 
     def _claim_slots(self, k: int) -> np.ndarray:
         """Occupy ``k`` vacant slots: recycled ones first, then
@@ -344,11 +281,9 @@ class LRUVertexCache:
         self._size += k
         return slots
 
-    def _put_one(self, vertex: int, value: np.ndarray,
-                 mark_dirty: bool) -> Optional[int]:
+    def _put_one(self, vertex: int, mark_dirty: bool) -> Optional[int]:
         if vertex < 0:
             raise MiddlewareError(f"vertex ids must be >= 0, got {vertex}")
-        rows = self._ensure_store(value)
         self._ensure_index(vertex)
         slot = int(self._index[vertex])
         evicted = None
@@ -358,7 +293,6 @@ class LRUVertexCache:
             slot = int(self._claim_slots(1)[0])
             self._index[vertex] = slot
             self._ids[slot] = vertex
-        self._values[slot] = rows[0]
         self._weights[slot] = self._generation
         if mark_dirty:
             self._dirty[slot] = True
@@ -385,7 +319,7 @@ class LRUVertexCache:
         order, a mask over the processed prefix ``ids[:kept.size]`` of
         the batch members resident at the end, and how many evictions
         were dirty write-backs.  The prefix is shorter than the batch
-        when the fold wedges on a cache full of pinned dirty rows.
+        when the fold wedges on a cache full of pinned dirty entries.
         """
         occ = np.flatnonzero(self._ids >= 0)
         order = occ[np.lexsort((self._ids[occ], self._weights[occ],
@@ -406,7 +340,7 @@ class LRUVertexCache:
         lost: List[int] = []  # evicted with no turn left to re-enter
         writebacks = 0
         size, capacity, writeback = self._size, self.capacity, self.writeback
-        fresh = pools[3 if mark else 1]  # where the batch's new rows land
+        fresh = pools[3 if mark else 1]  # where the batch's new ids land
         done = 0
         for vertex in ids.tolist():
             home = pending.pop(vertex, None)
@@ -425,7 +359,7 @@ class LRUVertexCache:
                         elif fresh_clean:
                             pool, victim = 1, heappop(fresh_clean)
                         elif not writeback:
-                            pool = -1  # only pinned dirty rows remain
+                            pool = -1  # only pinned dirty ids remain
                             break
                         elif stale_dirty:
                             pool, victim = 2, stale_dirty.pop()
@@ -486,12 +420,12 @@ class LRUVertexCache:
     def dirty_ids(self) -> List[int]:
         return sorted(int(v) for v in self._ids[self._dirty])
 
-    def take_dirty(self, ids: Optional[np.ndarray] = None
-                   ) -> Dict[int, np.ndarray]:
-        """Remove and return dirty entries (all, or the given subset).
+    def take_dirty(self, ids: Optional[np.ndarray] = None) -> np.ndarray:
+        """Clear the dirty bit of every dirty entry (or of the given
+        subset) and return the ids cleared, ascending.
 
-        The returned mapping is what the agent pushes to the global data
-        queue; the entries stay cached but are clean afterwards.
+        These are the vertices the agent uploads; the entries stay
+        cached but are clean afterwards.
         """
         if ids is None:
             slots = np.flatnonzero(self._dirty)
@@ -501,96 +435,13 @@ class LRUVertexCache:
             cand = self._index[wanted[in_range]]
             cand = cand[cand >= 0]
             slots = np.unique(cand[self._dirty[cand]])
-        out = {int(v): self._values[s].copy()
-               for v, s in zip(self._ids[slots], slots)}
         self._dirty[slots] = False
-        return out
+        return np.sort(self._ids[slots])
 
     def clear_dirty(self) -> int:
-        """Mark every dirty entry clean without materializing the rows
-        (the settle-after-sync fast path); returns how many were dirty."""
+        """Mark every dirty entry clean without listing the ids (the
+        settle-after-sync fast path); returns how many were dirty."""
         n = int(self._dirty.sum())
         if n:
             self._dirty[:] = False
         return n
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-@dataclass
-class GlobalQueues:
-    """The global query queue and global data queue of Algorithm 3."""
-
-    query_lists: Dict[int, np.ndarray] = field(default_factory=dict)
-    #: per-node uploads as aligned (ids, rows) arrays
-    data_arrays: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict)
-
-    def push_query(self, node_id: int, vertex_ids: np.ndarray) -> None:
-        """An agent announces the vertices it needs next iteration."""
-        self.query_lists[node_id] = np.asarray(vertex_ids, dtype=np.int64)
-
-    def query_union(self, exclude_node: Optional[int] = None) -> np.ndarray:
-        """The broadcast union of local query lists.
-
-        ``exclude_node`` yields "vertices some *other* node needs", which
-        is what node ``exclude_node`` must upload.
-        """
-        arrays = [ids for node, ids in self.query_lists.items()
-                  if node != exclude_node]
-        if not arrays:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(arrays))
-
-    def push_data(self, node_id: int,
-                  entries: Dict[int, np.ndarray]) -> None:
-        """An agent uploads the queried subset of its updated vertices."""
-        ids = np.fromiter(entries.keys(), dtype=np.int64,
-                          count=len(entries))
-        rows = (np.stack([np.atleast_1d(v) for v in entries.values()])
-                if entries else np.empty((0, 0)))
-        self.push_data_arrays(node_id, ids, rows)
-
-    def push_data_arrays(self, node_id: int, ids: np.ndarray,
-                         rows: np.ndarray) -> None:
-        """Array form of :meth:`push_data`: aligned ids + value rows."""
-        self.data_arrays[node_id] = (
-            np.asarray(ids, dtype=np.int64).ravel(),
-            np.atleast_2d(np.asarray(rows)))
-
-    def fetch_arrays(self, vertex_ids: np.ndarray
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fetch requested vertices as aligned (ids, rows) arrays.
-
-        Later uploads win for an id pushed by several nodes (mirroring
-        the historical per-node overwrite order of the mapping form).
-        """
-        wanted = np.unique(np.asarray(vertex_ids, dtype=np.int64).ravel())
-        got_ids: List[np.ndarray] = []
-        got_rows: List[np.ndarray] = []
-        for ids, rows in self.data_arrays.values():
-            if ids.size == 0 or wanted.size == 0:
-                continue
-            mask = np.isin(ids, wanted)
-            if mask.any():
-                got_ids.append(ids[mask])
-                got_rows.append(rows[mask])
-        if not got_ids:
-            return (np.empty(0, dtype=np.int64), np.empty((0, 0)))
-        all_ids = np.concatenate(got_ids)
-        all_rows = np.concatenate(got_rows)
-        # keep the last occurrence of each id
-        uniq, rev_first = np.unique(all_ids[::-1], return_index=True)
-        keep = all_ids.size - 1 - rev_first
-        return uniq, all_rows[keep]
-
-    def fetch(self, vertex_ids: np.ndarray) -> Dict[int, np.ndarray]:
-        """Fetch requested vertices from the global data queue."""
-        ids, rows = self.fetch_arrays(vertex_ids)
-        return {int(v): row for v, row in zip(ids, rows)}
-
-    def clear(self) -> None:
-        self.query_lists.clear()
-        self.data_arrays.clear()

@@ -16,8 +16,7 @@ associative intermediate exchanged between nodes; associativity is what
 lets the engines merge partial results computed anywhere in any order —
 a property the test suite checks for every algorithm.  Everything else
 on the template (:meth:`combine`, :meth:`combine_many`,
-:meth:`merged_size`, :meth:`gather_values`) has a default derived from
-those methods.
+:meth:`merged_size`) has a default derived from those methods.
 """
 
 from __future__ import annotations
@@ -198,14 +197,6 @@ class AlgorithmTemplate(ABC):
         for p in parts:
             merged = self.combine(merged, p)
         return merged
-
-    def gather_values(self, values: np.ndarray,
-                      ids: np.ndarray) -> np.ndarray:
-        """Per-vertex rows for the given vertex ids (2-D, one row/id)."""
-        rows = values[ids]
-        if rows.ndim == 1:
-            rows = rows[:, None]
-        return rows
 
     # -- iteration control ---------------------------------------------------------
 

@@ -868,8 +868,7 @@ class IterativeEngine:
             for part in self.pgraph.parts:
                 agent = mw.agent_for(part.node_id)
                 if not agent.degraded:
-                    agent.note_master_updates(
-                        values, changed_by_node[part.node_id], algorithm)
+                    agent.note_master_updates(changed_by_node[part.node_id])
             self.wall_s["cache"] += perf_counter() - wall0
         else:
             breakdown["engine"] += apply_ms
@@ -903,8 +902,7 @@ class IterativeEngine:
             breakdown["engine"] += sync_ms
             if mw is not None:
                 wall0 = perf_counter()
-                self._settle_caches(changed_by_node, needed_by_node,
-                                    values, algorithm)
+                self._settle_caches(changed_by_node, needed_by_node)
                 self.wall_s["cache"] += perf_counter() - wall0
 
         return (IterationStats(
@@ -1021,7 +1019,7 @@ class IterativeEngine:
                     break
                 new_values[changed] = cand[changed]
                 wall0 = perf_counter()
-                agent.note_master_updates(new_values, changed, algorithm)
+                agent.note_master_updates(changed)
                 self.wall_s["cache"] += perf_counter() - wall0
                 changed_accum.append(changed)
                 if sub >= depth_cap:
@@ -1094,8 +1092,7 @@ class IterativeEngine:
                 changed = changed[own[changed]] if changed.size else changed
                 if changed.size:
                     new_values[changed] = cand[changed]
-                    agent.note_master_updates(new_values, changed,
-                                              algorithm)
+                    agent.note_master_updates(changed)
                     sync_changed.append(changed)
                 changed_by_node[part.node_id] = changed
             if apply_sync:
@@ -1248,16 +1245,14 @@ class IterativeEngine:
         return sync_ms, upload_total, needed_by_node
 
     def _settle_caches(self, changed_by_node: Dict[int, np.ndarray],
-                       needed_by_node: Dict[int, np.ndarray],
-                       values: np.ndarray,
-                       algorithm: AlgorithmTemplate) -> None:
+                       needed_by_node: Dict[int, np.ndarray]) -> None:
         """Post-sync cache maintenance on every agent.
 
         Under lazy uploading (Algorithm 3) the global data queue delivers
         each agent the queried vertices' fresh values, so foreign changes
-        the node asked for are *refreshed* in place (their delivery was
-        already charged as sync payload); foreign changes it did not
-        query are invalidated and will be re-downloaded on demand.
+        the node asked for stay resident (their delivery was already
+        charged as sync payload); foreign changes it did not query are
+        invalidated and will be re-downloaded on demand.
         """
         mw = self.middleware
         for part in self.pgraph.parts:
@@ -1275,7 +1270,7 @@ class IterativeEngine:
             needed = needed_by_node.get(part.node_id)
             if needed is not None and needed.size:
                 delivered = np.intersect1d(stale, needed)
-                agent.refresh_cache(delivered, values, algorithm)
+                agent.refresh_cache(delivered)
                 remaining = np.setdiff1d(stale, delivered)
             else:
                 remaining = stale

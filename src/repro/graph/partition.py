@@ -310,19 +310,8 @@ def greedy_vertex_cut(graph: Graph, num_partitions: int, *,
     np.add.at(incidence, (owner_of_edge, dst_arr), 1)
     master_of = np.asarray(incidence.argmax(axis=0), dtype=np.int64)
 
-    all_vertices = np.arange(n)
-    parts: List[Subgraph] = []
-    for node_id in range(num_partitions):
-        edge_ids = np.nonzero(owner_of_edge == node_id)[0]
-        src = graph.src[edge_ids]
-        dst = graph.dst[edge_ids]
-        weights = graph.weights[edge_ids]
-        masters = all_vertices[master_of == node_id]
-        referenced = np.union1d(np.unique(src), np.unique(dst))
-        mirrors = np.setdiff1d(referenced, masters)
-        parts.append(Subgraph(node_id, edge_ids, src, dst, weights,
-                              masters, referenced, mirrors))
-    return PartitionedGraph(graph, "greedy-vertex-cut", master_of, parts)
+    return _build_from_edge_owners(graph, master_of, owner_of_edge,
+                                   "greedy-vertex-cut", num_partitions)
 
 
 PARTITIONERS = {

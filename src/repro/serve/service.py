@@ -191,8 +191,14 @@ class GraphService:
 
     def load_graph(self, key: str, graph=None, *,
                    dataset: Optional[str] = None):
-        """Load or reload a graph; reloads invalidate cached answers."""
-        entry = self.store.load(key, graph, dataset=dataset)
+        """Load a graph, or replace a resident one wholesale.
+
+        A replace is a new store version: jobs already submitted keep
+        their pinned snapshot, later submits see the new graph, and
+        cached answers for the key are invalidated.
+        """
+        place = self.store.replace if key in self.store else self.store.load
+        entry = place(key, graph, dataset=dataset)
         # every load severs the key's warm-start history: a reload
         # replaces the graph wholesale, and a fresh load after an
         # unload restarts versioning at 1 — a stale seed left behind
@@ -625,9 +631,7 @@ class GraphService:
                     f"graph {key!r} was journaled without a dataset "
                     f"name; pass it via graphs={{{key!r}: <Graph>}}")
             if key in svc.store:
-                # a journaled reload: replace() directly — the shim's
-                # deprecation warning is for callers, not replay
-                svc.store.replace(key, graph)
+                svc.store.replace(key, graph)  # a journaled reload
                 svc.cache.invalidate_graph(key)
             else:
                 svc.store.load(key, graph)

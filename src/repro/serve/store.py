@@ -27,15 +27,12 @@ handles**:
   ``(key, version, engine, nodes)`` and rebound into fresh engine
   instances; partitions are shared read-only.
 
-Reload-via-:meth:`load` survives as a deprecation shim (it is how
-``GraphService.load_graph`` reloads) that warns and routes through
-:meth:`replace`; running-job accounting (admission budgets) is the
-internal ``_attach``/``_detach`` counters, separate from pins.
+Running-job accounting (admission budgets) is the internal
+``_attach``/``_detach`` counters, separate from pins.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
@@ -138,48 +135,42 @@ class GraphStore:
 
     # -- loading ------------------------------------------------------------------------
 
+    @staticmethod
+    def _resolve(graph: Optional[Graph], dataset: Optional[str]) -> Graph:
+        """The graph named by exactly one of ``graph`` (an in-memory
+        :class:`Graph`) or ``dataset`` (a
+        :func:`~repro.graph.load_dataset` name)."""
+        if (graph is None) == (dataset is None):
+            raise ServeError("pass exactly one of graph= or dataset=")
+        return graph if graph is not None else load_dataset(dataset)
+
     def load(self, key: str, graph: Optional[Graph] = None, *,
              dataset: Optional[str] = None) -> StoredGraph:
-        """Load (or reload) a graph under ``key``.
+        """Load a graph (``graph=`` or ``dataset=``) under a new ``key``.
 
-        Pass exactly one of ``graph`` (an in-memory :class:`Graph`) or
-        ``dataset`` (a :func:`~repro.graph.load_dataset` name).
-
-        Loading a *new* key is the normal path.  Loading an *existing*
-        key is the deprecated reload shim: it warns, keeps the legacy
-        refusal while jobs are attached, and then routes through
-        :meth:`replace` (same version bump, same partition drop).
+        An existing key is refused: change a resident graph with
+        :meth:`replace` (wholesale) or :meth:`mutate` (incremental).
         """
-        if (graph is None) == (dataset is None):
+        if key in self._graphs:
             raise ServeError(
-                "pass exactly one of graph= or dataset= to load()")
-        if graph is None:
-            graph = load_dataset(dataset)
-        entry = self._graphs.get(key)
-        if entry is None:
-            entry = StoredGraph(key, graph)
-            self._graphs[key] = entry
-            return entry
-        if entry.attached:
-            raise ServeError(
-                f"graph {key!r} has {entry.attached} attached job(s); "
-                f"drain them before reloading")
-        warnings.warn(
-            "reloading via GraphStore.load() is deprecated; use "
-            "store.replace(key, graph) (wholesale) or "
-            "store.mutate(key, batch) (incremental) — in-flight jobs "
-            "keep their pinned GraphSnapshot instead of blocking the "
-            "reload", DeprecationWarning, stacklevel=2)
-        return self.replace(key, graph)
+                f"graph {key!r} is already loaded; use "
+                f"store.replace(key, graph) (wholesale) or "
+                f"store.mutate(key, batch) (incremental)")
+        entry = StoredGraph(key, self._resolve(graph, dataset))
+        self._graphs[key] = entry
+        return entry
 
-    def replace(self, key: str, graph: Graph) -> StoredGraph:
-        """Wholesale-swap ``key`` to ``graph`` as a new version.
+    def replace(self, key: str, graph: Optional[Graph] = None, *,
+                dataset: Optional[str] = None) -> StoredGraph:
+        """Wholesale-swap ``key`` to a graph (``graph=`` or
+        ``dataset=``) as a new version.
 
         The mutation chain for the key is severed (a replace is not a
         delta, so warm starts across it are impossible); pinned old
         versions stay readable through their snapshots, unpinned ones
         are dropped along with their partitions.
         """
+        graph = self._resolve(graph, dataset)
         entry = self.get(key)
         old_version = entry.version
         if self._pins.get((key, old_version), 0) > 0:

@@ -5,7 +5,8 @@ triplets — computed once, outside the blocked pipeline.  Everything that
 moves block boundaries or block timing (block size, the sync cache and
 its capacity, the number of daemons and their shares, a speculated
 straggler block, a retried pass) may change ``elapsed_ms`` / ``blocks``
-but must leave ``partial`` identical at the bit level.
+but must leave ``partial`` identical at the bit level.  The sync cache
+holds no values at all, so whole runs are equally blind to it.
 """
 
 import numpy as np
@@ -13,9 +14,11 @@ import pytest
 
 from repro.accel import make_gpu
 from repro.algorithms import LabelPropagation, MultiSourceSSSP, PageRank
-from repro.cluster import NATIVE_RUNTIME, DistributedNode
+from repro.cluster import NATIVE_RUNTIME, DistributedNode, make_cluster
+from repro.core import GXPlug
 from repro.core.agent import Agent
 from repro.core.config import MiddlewareConfig, StragglerConfig
+from repro.engines import GraphXEngine, PowerGraphEngine
 from repro.graph import rmat
 from repro.ipc import ShmRegistry
 
@@ -32,6 +35,18 @@ VARIANTS = {
     "cache-10pct": (1, dict(cache_capacity=GRAPH.num_vertices // 10)),
     "sequential": (1, dict(pipeline=False, block_size=64, **NO_CACHE)),
     "two-daemons": (2, dict(block_size=64)),
+}
+
+
+#: the cache as a shape input: off, thrashing, evicting, all-hit.  Sync
+#: skipping needs the cache and regroups iterations into supersteps, so
+#: it is held off to leave the cache the only thing that varies.
+CACHE_SHAPES = {
+    "off": NO_CACHE,
+    "capacity-1": dict(cache_capacity=1, sync_skip=False),
+    "capacity-10pct": dict(cache_capacity=GRAPH.num_vertices // 10,
+                           sync_skip=False),
+    "unbounded": dict(sync_skip=False),
 }
 
 
@@ -124,3 +139,24 @@ def test_retried_pass_returns_the_same_partial(alg):
     assert_same_bits(retried.partial, healthy.partial, "retried pass")
     assert retried.blocks == healthy.blocks
     assert retried.elapsed_ms > healthy.elapsed_ms
+
+
+@pytest.mark.parametrize("engine_cls", [PowerGraphEngine, GraphXEngine],
+                         ids=["powergraph", "graphx"])
+@pytest.mark.parametrize("alg", algorithms(), ids=lambda a: a.name)
+def test_the_cache_shapes_cost_never_a_run(alg, engine_cls):
+    cluster = make_cluster(2, gpus_per_node=1)
+    runs = {}
+    for name, config in CACHE_SHAPES.items():
+        plug = GXPlug(cluster, MiddlewareConfig(**config))
+        engine = engine_cls.build(GRAPH, cluster, middleware=plug)
+        runs[name] = engine.run(alg, max_iterations=12)
+    expected = runs["unbounded"]
+    for name, run in runs.items():
+        assert run.values.tobytes() == expected.values.tobytes(), name
+        assert run.iterations == expected.iterations, name
+    # ... while the four caches really behaved differently
+    assert len({run.total_ms for run in runs.values()}) == len(CACHE_SHAPES)
+    assert expected.cache_evictions == 0
+    assert (runs["capacity-1"].cache_evictions
+            > runs["capacity-10pct"].cache_evictions > 0)

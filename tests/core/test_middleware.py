@@ -100,12 +100,30 @@ def test_update_upload_flushes_dirty(connected_agent):
     alg = PageRank()
     g = rmat(32, 128, seed=3)
     values = alg.init_state(g).values
-    connected_agent.note_master_updates(values, np.array([1, 2]), alg)
+    connected_agent.note_master_updates(np.array([1, 2]))
     assert connected_agent.cache.dirty_count == 2
     cost = connected_agent.update(np.array([1, 2]), values, alg,
                                   direction="upload")
     assert cost == pytest.approx(2 * NATIVE_RUNTIME.upload_ms_per_entity)
     assert connected_agent.cache.dirty_count == 0
+
+
+def test_update_records_residency_not_values(connected_agent):
+    """update() keeps §IV-A2's signature but copies nothing out of
+    ``values``: its cost and the cache's resident/dirty sets are what
+    the row-holding agent of commit 63802eb produced."""
+    alg = PageRank()
+    values = alg.init_state(rmat(32, 128, seed=3)).values
+    cache = connected_agent.cache
+    down = connected_agent.update(np.arange(10), values, alg,
+                                  direction="download")
+    connected_agent.note_master_updates(np.array([1, 2, 20]))
+    up = connected_agent.update(np.array([2, 20, 5]), values, alg,
+                                direction="upload")
+    assert down == 10 * NATIVE_RUNTIME.download_ms_per_entity
+    assert up == 3 * NATIVE_RUNTIME.upload_ms_per_entity
+    assert sorted(v for v in range(32) if v in cache) == [*range(10), 20]
+    assert cache.dirty_ids() == [1]
 
 
 def test_update_validates_direction(connected_agent):

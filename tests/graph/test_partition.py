@@ -1,5 +1,7 @@
 """Tests for graph partitioners."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,35 @@ def test_vertex_cut_lower_replication_than_random():
         appearances += np.union1d(g.src[ids], g.dst[ids]).size
     random_rep = appearances / g.num_vertices
     assert greedy.replication_factor() < random_rep
+
+
+def _parts_digest(pg):
+    """SHA-256 over the strategy, ``master_of`` and every part array."""
+    h = hashlib.sha256()
+    h.update(pg.strategy.encode())
+    h.update(np.ascontiguousarray(pg.master_of).tobytes())
+    for part in pg.parts:
+        for name in ("edge_ids", "src", "dst", "weights", "masters",
+                     "referenced", "mirrors"):
+            arr = getattr(part, name)
+            h.update(f"{part.node_id}:{name}:{arr.dtype}:{arr.shape}".encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("graph, nodes, shares, expected", [
+    (rmat(512, 4096, seed=5), 4, None,
+     "d3666e254bcdd75c68e12989516bb1b285e1da34c288e65fb378316e2f6e1be9"),
+    (uniform_random(300, 2000, seed=11), 3, [0.5, 0.3, 0.2],
+     "f2410f4b995195b3c5e887a2261524a10e14a220258e29273469ce6660a0eedb"),
+], ids=["rmat", "uniform-shares"])
+def test_vertex_cut_parts_equal_the_hand_assembled_ones(graph, nodes, shares,
+                                                        expected):
+    """greedy_vertex_cut assembles its parts through the shared
+    _build_from_edge_owners; the digests were taken at commit 63802eb,
+    whose greedy_vertex_cut built every Subgraph array by hand."""
+    pg = greedy_vertex_cut(graph, nodes, shares=shares)
+    assert _parts_digest(pg) == expected
 
 
 def test_unknown_strategy_raises(g):

@@ -4,8 +4,8 @@ The isolation property under test: a job is pinned to the store
 version current at submit time, and its results are bit-identical
 whether or not mutations land while it runs.  Plus the machinery
 around it — copy-on-write retention, snapshot GC, exactly-once
-mutation replay, warm starts, cache invalidation, and the deprecated
-attach/reload shims.
+mutation replay, warm starts, cache invalidation, and wholesale
+replace.
 """
 
 
@@ -144,13 +144,12 @@ def test_partition_delta_from_zero_edge_graph():
     assert store.get("g").graph.num_edges == 1
 
 
-# -- deprecated shim: reload via load() --------------------------------------
+# -- wholesale replace --------------------------------------------------------
 
 
-def test_reload_shim_warns_and_routes_through_replace(store):
+def test_replace_severs_the_mutation_chain(store):
     g2 = ring(16, name="ring-v2")
-    with pytest.warns(DeprecationWarning, match="replace"):
-        entry = store.load("g", g2)
+    entry = store.replace("g", g2)
     assert entry.version == 2
     assert store.get("g").graph is g2
     # a wholesale replace severs the mutation chain
@@ -207,6 +206,28 @@ def test_mutation_midrun_leaves_pinned_job_bit_identical():
     svc.run()
     assert after.snapshot_version == 3
     assert not np.array_equal(after.values, base_job.values)
+
+
+def test_reload_midrun_leaves_pinned_job_bit_identical():
+    """load_graph() on a resident key is a replace(): it does not wait
+    for (or refuse because of) running jobs."""
+    base = make_service()
+    base_job = base.submit(pr_spec())
+    base.run()
+
+    svc = make_service()
+    job = svc.submit(pr_spec())
+    svc.step()                                 # job is mid-flight
+    entry = svc.load_graph("g", ring(24))      # wholesale reload under it
+    assert entry.version == 2
+    svc.run()
+    assert job.state == "done" and job.snapshot_version == 1
+    assert np.array_equal(job.values, base_job.values)
+    assert svc.store.pinned_versions("g") == set()
+
+    after = svc.submit(pr_spec())
+    svc.run()
+    assert after.snapshot_version == 2 and after.values.shape[0] == 24
 
 
 def test_service_mutate_validates():

@@ -30,16 +30,23 @@ def test_load_requires_exactly_one_source(store):
 
 def test_reload_bumps_version(store):
     assert store.get("g").version == 1
-    store.load("g", dataset="wrn")
+    store.replace("g", dataset="wrn")
     assert store.get("g").version == 2
 
 
-def test_reload_refused_while_attached(store):
-    store._attach("g")
-    with pytest.raises(ServeError, match="attached"):
+def test_load_refuses_an_existing_key(store):
+    """A resident graph changes through replace()/mutate(), which keep
+    running jobs on their pinned snapshot; load() names them."""
+    graph = store.get("g").graph
+    with pytest.raises(ServeError, match=r"replace.*mutate"):
         store.load("g", dataset="wrn")
+    assert store.get("g").version == 1 and store.get("g").graph is graph
+    store._attach("g")
+    with store.snapshot("g") as snap:
+        entry = store.replace("g", load_dataset("wrn"))   # not refused
+        assert entry.version == 2 and entry.graph is not graph
+        assert snap.graph is graph
     store._detach("g")
-    store.load("g", dataset="wrn")   # fine once drained
 
 
 def test_unknown_key_raises(store):
@@ -80,7 +87,7 @@ def test_partitions_are_memoized_per_engine_and_nodes(store):
 def test_reload_drops_memoized_partitions(store):
     cluster = ClusterSpec(nodes=2, gpus_per_node=1).build()
     e1 = store.build_engine("g", PowerGraphEngine, cluster)
-    store.load("g", dataset="wrn")
+    store.replace("g", dataset="wrn")
     e2 = store.build_engine("g", PowerGraphEngine, cluster)
     assert e2.pgraph is not e1.pgraph
     assert store.partition_builds == 2
