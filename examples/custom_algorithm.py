@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.api import (AlgorithmState, AlgorithmTemplate, ClusterSpec,
                        Graph, GXPlug, MessageSet, PowerGraphEngine,
-                       load_dataset)
+                       load_dataset, scatter_reduce)
 
 
 class SeedReachability(AlgorithmTemplate):
@@ -55,12 +55,11 @@ class SeedReachability(AlgorithmTemplate):
         return values[src_ids][:, None]
 
     def msg_merge(self, dst_ids, messages) -> MessageSet:
-        if dst_ids.size == 0:
-            return self.empty_messages()
-        uniq, inverse = np.unique(dst_ids, return_inverse=True)
-        merged = np.zeros((uniq.size, 1), dtype=np.int64)
-        np.bitwise_or.at(merged, inverse, messages.astype(np.int64))
-        return MessageSet(uniq, merged.astype(np.float64))
+        # one reduction per destination: the template's scatter_reduce,
+        # here over integers (values travel as float64 bitmasks)
+        merged = scatter_reduce(dst_ids, messages.astype(np.int64),
+                                np.bitwise_or, 0)
+        return MessageSet(merged.ids, merged.data.astype(np.float64))
 
     def msg_apply(self, values, merged) -> Tuple[np.ndarray, np.ndarray]:
         new_values = values.copy()

@@ -13,7 +13,8 @@ from typing import Tuple
 import numpy as np
 
 from ..graph import Graph
-from ..core.template import AlgorithmState, AlgorithmTemplate, MessageSet
+from ..core.template import (AlgorithmState, AlgorithmTemplate, MessageSet,
+                             scatter_reduce)
 
 
 class ConnectedComponents(AlgorithmTemplate):
@@ -36,12 +37,7 @@ class ConnectedComponents(AlgorithmTemplate):
 
     def msg_merge(self, dst_ids: np.ndarray,
                   messages: np.ndarray) -> MessageSet:
-        if dst_ids.size == 0:
-            return self.empty_messages()
-        uniq, inverse = np.unique(dst_ids, return_inverse=True)
-        merged = np.full((uniq.size, 1), np.inf)
-        np.minimum.at(merged, inverse, messages)
-        return MessageSet(uniq, merged)
+        return scatter_reduce(dst_ids, messages, np.minimum, np.inf)
 
     def msg_apply(self, values: np.ndarray, merged: MessageSet
                   ) -> Tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,8 @@ import numpy as np
 
 from ..errors import AlgorithmError
 from ..graph import Graph
-from ..core.template import AlgorithmState, AlgorithmTemplate, MessageSet
+from ..core.template import (AlgorithmState, AlgorithmTemplate, MessageSet,
+                             scatter_reduce)
 
 
 class PageRank(AlgorithmTemplate):
@@ -60,12 +61,7 @@ class PageRank(AlgorithmTemplate):
 
     def msg_merge(self, dst_ids: np.ndarray,
                   messages: np.ndarray) -> MessageSet:
-        if dst_ids.size == 0:
-            return self.empty_messages()
-        uniq, inverse = np.unique(dst_ids, return_inverse=True)
-        sums = np.zeros((uniq.size, 1))
-        np.add.at(sums, inverse, messages)
-        return MessageSet(uniq, sums)
+        return scatter_reduce(dst_ids, messages, np.add, 0.0)
 
     def msg_apply(self, values: np.ndarray, merged: MessageSet
                   ) -> Tuple[np.ndarray, np.ndarray]:

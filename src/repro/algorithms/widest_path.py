@@ -15,7 +15,8 @@ import numpy as np
 
 from ..errors import AlgorithmError
 from ..graph import Graph
-from ..core.template import AlgorithmState, AlgorithmTemplate, MessageSet
+from ..core.template import (AlgorithmState, AlgorithmTemplate, MessageSet,
+                             scatter_reduce)
 
 
 class WidestPath(AlgorithmTemplate):
@@ -45,12 +46,7 @@ class WidestPath(AlgorithmTemplate):
 
     def msg_merge(self, dst_ids: np.ndarray,
                   messages: np.ndarray) -> MessageSet:
-        if dst_ids.size == 0:
-            return self.empty_messages()
-        uniq, inverse = np.unique(dst_ids, return_inverse=True)
-        best = np.full((uniq.size, 1), -np.inf)
-        np.maximum.at(best, inverse, messages)
-        return MessageSet(uniq, best)
+        return scatter_reduce(dst_ids, messages, np.maximum, -np.inf)
 
     def msg_apply(self, values: np.ndarray, merged: MessageSet
                   ) -> Tuple[np.ndarray, np.ndarray]:

@@ -69,6 +69,7 @@ from .core import (
     network_coefficients,
     optimal_makespan,
     optimal_partition_sizes,
+    scatter_reduce,
 )
 from .engines import AsyncEngine, GraphXEngine, PowerGraphEngine, RunResult
 from .fault import (
@@ -186,6 +187,7 @@ __all__ = [
     "AlgorithmTemplate",
     "AlgorithmState",
     "MessageSet",
+    "scatter_reduce",
     "PageRank",
     "MultiSourceSSSP",
     "LabelPropagation",

@@ -26,7 +26,7 @@ from .balance import (
     optimal_partition_sizes,
     rebalanced_shares,
 )
-from .blocks import AreaSet, BlockArea, TripletBlock, VertexEdgeMap, build_blocks
+from .blocks import AreaSet, BlockArea, TripletBlock, build_blocks
 from .config import (BASELINE, FULL, NETWORK_RESILIENT, PRESETS, RESILIENT,
                      ClusterSpec, MiddlewareConfig, RuntimeConfig,
                      StragglerConfig)
@@ -40,7 +40,8 @@ from .pipeline import (
 )
 from .sync_cache import LRUVertexCache
 from .sync_skip import SkipDetector, SkipStats
-from .template import AlgorithmState, AlgorithmTemplate, MessageSet
+from .template import (AlgorithmState, AlgorithmTemplate, MessageSet,
+                       scatter_reduce)
 
 __all__ = [
     "GXPlug",
@@ -59,10 +60,10 @@ __all__ = [
     "AlgorithmTemplate",
     "AlgorithmState",
     "MessageSet",
+    "scatter_reduce",
     "TripletBlock",
     "BlockArea",
     "AreaSet",
-    "VertexEdgeMap",
     "build_blocks",
     "PipelineCoefficients",
     "PAPER_FIG15_COEFFICIENTS",

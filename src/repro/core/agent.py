@@ -1,9 +1,10 @@
 """The agent: the upper system's bridge to its daemons (§II-A2, Alg. 2).
 
 An agent lives in a distributed node.  It owns the node's vertex/edge
-tables, builds triplet blocks through the vertex-edge mapping table, runs
-the pipeline-shuffle protocol against each attached daemon (Algorithm 2),
-and carries the synchronization cache.  Its operation interfaces are the
+tables, builds triplet blocks, runs the pipeline-shuffle protocol against
+each attached daemon (Algorithm 2), and carries the synchronization
+cache.  (The §II-B vertex-edge mapping table is a constant of the
+partition: :class:`~repro.graph.partition.PartitionIndex`.)  Its operation interfaces are the
 paper's: ``connect`` / ``update`` / ``request_gen`` / ``request_merge`` /
 ``request_apply`` / ``disconnect``.
 
@@ -32,6 +33,7 @@ from ..errors import (
 from ..fault.monitor import HeartbeatMonitor
 from ..fault.retry import RetryPolicy
 from ..fault.straggler import StragglerDetector
+from ..graph import distinct_ids
 from ..ipc import (BatchedScheduler, Channel, Join, Now, Recv, Send, Sleep,
                    Spawn)
 from ..ipc.shm import ShmRegistry
@@ -607,12 +609,12 @@ class Agent:
                 # no cache: each block still builds its paired vertex
                 # block, fetching each distinct source vertex once per
                 # block (§II-B)
-                block.fetched_entities = int(np.unique(src).size)
+                block.fetched_entities = int(distinct_ids(src).size)
                 hits_misses[1] += block.fetched_entities
                 continue
             in_cache = self.cache.contains_many(src)
-            self.cache.touch(np.unique(src[in_cache]))
-            miss_ids = np.unique(src[~in_cache])
+            self.cache.touch(distinct_ids(src[in_cache]))
+            miss_ids = distinct_ids(src[~in_cache])
             block.fetched_entities = int(miss_ids.size)
             hits_misses[0] += int(in_cache.sum())
             hits_misses[1] += int(miss_ids.size)

@@ -137,37 +137,3 @@ def build_blocks(dst_ids: np.ndarray, messages: np.ndarray,
             merged_size=algorithm.merged_size(
                 dst, messages[lo:lo + block_size]),
         )
-
-
-@dataclass
-class VertexEdgeMap:
-    """The agent's vertex-edge mapping table (§II-B).
-
-    Maps a node's local edge set into CSR-like form grouped by source so
-    the agent can "select a vertex and retrieve its outer edges" when
-    packaging blocks, and can find which local edges are affected by an
-    updated vertex.
-    """
-
-    order: np.ndarray      # permutation sorting local edges by src
-    src_sorted: np.ndarray
-    starts: np.ndarray     # unique sources
-    offsets: np.ndarray    # CSR offsets into order, len(starts)+1
-
-    @classmethod
-    def build(cls, src_ids: np.ndarray) -> "VertexEdgeMap":
-        order = np.argsort(src_ids, kind="stable")
-        src_sorted = src_ids[order]
-        starts, first = np.unique(src_sorted, return_index=True)
-        offsets = np.concatenate([first, [src_sorted.size]])
-        return cls(order, src_sorted, starts, offsets)
-
-    def edges_of(self, vertex: int) -> np.ndarray:
-        """Local edge positions whose source is ``vertex``."""
-        i = np.searchsorted(self.starts, vertex)
-        if i >= self.starts.size or self.starts[i] != vertex:
-            return np.empty(0, dtype=np.int64)
-        return self.order[self.offsets[i]:self.offsets[i + 1]]
-
-    def sources(self) -> np.ndarray:
-        return self.starts

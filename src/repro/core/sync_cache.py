@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import MiddlewareError
+from ..graph import distinct_ids
 
 #: Starting size of the dense ``id -> slot`` index; grows geometrically
 #: to cover the largest vertex id seen.
@@ -207,7 +208,7 @@ class LRUVertexCache:
                     ids, slots, dirty)
                 self.writebacks += writebacks
                 victims = self._index[evicted]
-                self._drop_slots(np.unique(victims[victims >= 0]))
+                self._drop_slots(distinct_ids(victims[victims >= 0]))
                 wedged = kept.size < ids.size
                 ids = ids[: kept.size][kept]
                 slots = self._index[ids]
@@ -239,7 +240,7 @@ class LRUVertexCache:
         ids = np.asarray(ids, dtype=np.int64).ravel()
         in_range = (ids >= 0) & (ids < self._index.size)
         slots = self._index[ids[in_range]]
-        slots = np.unique(slots[slots >= 0])
+        slots = distinct_ids(slots[slots >= 0])
         if slots.size:
             self._drop_slots(slots)
         return int(slots.size)
@@ -434,7 +435,7 @@ class LRUVertexCache:
             in_range = (wanted >= 0) & (wanted < self._index.size)
             cand = self._index[wanted[in_range]]
             cand = cand[cand >= 0]
-            slots = np.unique(cand[self._dirty[cand]])
+            slots = distinct_ids(cand[self._dirty[cand]])
         self._dirty[slots] = False
         return np.sort(self._ids[slots])
 

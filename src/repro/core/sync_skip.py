@@ -44,7 +44,7 @@ class SkipDetector:
 
     def __init__(self, pgraph: PartitionedGraph) -> None:
         self._master_of = pgraph.master_of
-        self._out_local = pgraph.out_local_mask()
+        self._out_local = pgraph.index.out_local
         self.stats = SkipStats()
 
     def messages_are_local(self, partials_by_node: Dict[int, MessageSet]

@@ -17,6 +17,8 @@ lets the engines merge partial results computed anywhere in any order —
 a property the test suite checks for every algorithm.  Everything else
 on the template (:meth:`combine`, :meth:`combine_many`,
 :meth:`merged_size`) has a default derived from those methods.
+:func:`scatter_reduce` is the merge most algorithms need — one reduction
+per destination — so their ``msg_merge`` is one call to it.
 """
 
 from __future__ import annotations
@@ -59,6 +61,40 @@ class MessageSet:
                 f"MessageSet ids/data mismatch: {self.ids.shape[0]} vs "
                 f"{self.data.shape[0]}"
             )
+
+
+def scatter_reduce(dst_ids: np.ndarray, messages: np.ndarray,
+                   ufunc: np.ufunc, identity) -> MessageSet:
+    """Merge per-edge ``messages`` by destination: one row per distinct
+    ``dst_id`` (ascending), each column reduced with ``ufunc`` starting
+    from ``identity`` — ``(np.add, 0.0)``, ``(np.minimum, np.inf)``,
+    ``(np.bitwise_or, 0)``...  The rows keep ``messages``' dtype.
+
+    A dense scatter over ``[0, dst_ids.max()]``, not a sort: every
+    column accumulates into a flat array in element order (so float
+    sums are bit-identical to a sequential fold over the edges) and the
+    ids present are read back off a mask.  Cost is O(edges + largest
+    destination id) — the same order as ``msg_apply``'s copy of the
+    vertex values, which every superstep already pays.
+    """
+    width = messages.shape[1]
+    if dst_ids.size == 0:
+        return MessageSet(np.empty(0, dtype=np.int64),
+                          np.empty((0, width), dtype=messages.dtype))
+    span = int(dst_ids.max()) + 1
+    present = np.zeros(span, dtype=bool)
+    present[dst_ids] = True
+    ids = np.flatnonzero(present)
+    data = np.empty((ids.size, width), dtype=messages.dtype)
+    acc = np.full(span, identity, dtype=messages.dtype)
+    for col in range(width):
+        if col:
+            acc[ids] = identity  # only the entries just written moved
+        # 1-D operands take numpy's indexed-loop fast path; a 2-D
+        # ``ufunc.at`` over (k, width) rows does not
+        ufunc.at(acc, dst_ids, messages[:, col])
+        data[:, col] = acc[ids]
+    return MessageSet(ids, data)
 
 
 @dataclass

@@ -261,33 +261,20 @@ class IterativeEngine:
         self._bind_partition(pgraph)
 
     def _bind_partition(self, pgraph: PartitionedGraph) -> None:
-        """Adopt ``pgraph`` and rebuild the per-partition index state.
+        """Adopt ``pgraph``: at construction, and again when rebalancing
+        swaps in a repartitioned graph mid-run.
 
-        Called at construction and again when post-degradation
-        rebalancing swaps in a repartitioned graph mid-run.
+        What the engine reads of a partition besides its parts are
+        constants of it — the arrays of its shared, read-only
+        :class:`~repro.graph.partition.PartitionIndex`, built once per
+        partition and not per job.
         """
         self.pgraph = pgraph
-        # per-vertex replica counts (vertex-cut mirror sync volumes)
-        counts = np.zeros(self.graph.num_vertices, dtype=np.int64)
-        for part in pgraph.parts:
-            counts[part.referenced] += 1
-        self._replica_count = np.maximum(counts, 1)
-        self._master_sets = [
-            np.zeros(self.graph.num_vertices, dtype=bool)
-            for _ in pgraph.parts
-        ]
-        for part in pgraph.parts:
-            self._master_sets[part.node_id][part.masters] = True
-        # stored_local[v]: are all of v's out-edges stored on v's master?
-        # (always true for edge-cut-by-source; false for vertex-cut
-        # replicas).  Vertices violating it must be re-activated globally
-        # after a combined-local superstep.
-        stored_local = np.ones(self.graph.num_vertices, dtype=bool)
-        for part in pgraph.parts:
-            foreign_src = part.src[pgraph.master_of[part.src]
-                                   != part.node_id]
-            stored_local[foreign_src] = False
-        self._stored_local = stored_local
+        index = pgraph.index
+        self._sources = index.sources
+        self._master_sets = index.is_master
+        self._replica_count = index.replica_count
+        self._stored_local = index.stored_local
 
     # -- configuration hooks (overridden by GraphX / PowerGraph) --------------------
 
@@ -1194,13 +1181,18 @@ class IterativeEngine:
         """
         num_nodes = self.cluster.num_nodes
         network = self._network()
+        n = self.graph.num_vertices
 
-        # which vertices does each node need next iteration? (query lists)
+        # which vertices does each node need next iteration? (query
+        # lists: the active ones among the sources of its edges)
         needed_by_node: Dict[int, np.ndarray] = {}
         if use_lazy:
+            queries = np.zeros(n, dtype=np.int64)  # nodes asking for v
             for part in self.pgraph.parts:
-                sel = next_active[part.src]
-                needed_by_node[part.node_id] = np.unique(part.src[sel])
+                sources = self._sources[part.node_id]
+                needed = sources[next_active[sources]]
+                needed_by_node[part.node_id] = needed
+                queries[needed] += 1
 
         upload_total = 0
         slowest_upload = 0.0
@@ -1210,19 +1202,17 @@ class IterativeEngine:
             changed = changed_by_node.get(part.node_id,
                                           np.empty(0, dtype=np.int64))
             if use_lazy:
-                foreign_needs = [ids for node, ids in needed_by_node.items()
-                                 if node != part.node_id]
-                if foreign_needs:
-                    queried = np.unique(np.concatenate(foreign_needs))
-                    to_upload = np.intersect1d(changed, queried,
-                                               assume_unique=False)
-                else:
-                    to_upload = np.empty(0, dtype=np.int64)
-                query_bytes += needed_by_node[part.node_id].size * \
-                    BYTES_PER_ID
+                # upload the changed vertices some *other* node queried
+                needed = needed_by_node[part.node_id]
+                own_query = np.zeros(n, dtype=bool)
+                own_query[needed] = True
+                to_upload = np.zeros(n, dtype=bool)
+                to_upload[changed[queries[changed]
+                                  > own_query[changed]]] = True
+                count = int(np.count_nonzero(to_upload))
+                query_bytes += needed.size * BYTES_PER_ID
             else:
-                to_upload = changed
-            count = int(to_upload.size)
+                count = int(changed.size)
             upload_total += count
             upload_bytes[part.node_id] = count * width * BYTES_PER_CELL
             runtime = self.cluster.nodes[part.node_id].runtime
@@ -1269,9 +1259,14 @@ class IterativeEngine:
                 continue
             needed = needed_by_node.get(part.node_id)
             if needed is not None and needed.size:
-                delivered = np.intersect1d(stale, needed)
+                # query lists are ascending and duplicate-free, so both
+                # batches reach the cache that way too
+                stale_mask = np.zeros(self.graph.num_vertices, dtype=bool)
+                stale_mask[stale] = True
+                delivered = needed[stale_mask[needed]]
                 agent.refresh_cache(delivered)
-                remaining = np.setdiff1d(stale, delivered)
+                stale_mask[delivered] = False
+                remaining = np.flatnonzero(stale_mask)
             else:
                 remaining = stale
             if remaining.size:

@@ -30,6 +30,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from ..errors import CheckpointError
+from ..graph import distinct_ids
 
 
 @dataclass
@@ -168,7 +169,7 @@ class CheckpointStore:
         if arr.dtype == bool:
             ids = np.nonzero(arr)[0]
         else:
-            ids = np.unique(arr.astype(np.int64).ravel())
+            ids = distinct_ids(arr.astype(np.int64))
         if ids.size and (ids[0] < 0 or ids[-1] >= values.shape[0]):
             raise CheckpointError(
                 f"changed ids out of range [0, {values.shape[0]})"

@@ -13,13 +13,16 @@ the properties the experiments depend on:
 * the relative ordering of sizes (Twitter and UK-2007 are the two graphs
   that overflow a single simulated GPU, reproducing Fig. 9(b)).
 
-``load_dataset(name)`` returns the twin; ``DATASETS`` holds the metadata
-(including the paper's original sizes) used by the Table I benchmark.
+``load_dataset(name)`` returns the twin — built on the first call, the
+same read-only :class:`Graph` afterwards; ``DATASETS`` holds the
+metadata (including the paper's original sizes) used by the Table I
+benchmark.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, List
 
 from ..errors import GraphError
@@ -98,13 +101,23 @@ def dataset_names() -> List[str]:
     return list(DATASETS)
 
 
+@lru_cache(maxsize=None)
 def load_dataset(name: str) -> Graph:
-    """Build the deterministic synthetic twin of a Table I dataset."""
+    """The deterministic synthetic twin of a Table I dataset.
+
+    Twins are pure functions of their name and a :class:`Graph` is
+    immutable, so each is built once per process and shared; its arrays
+    are read-only to keep it that way.  ``DATASETS[name].build()``
+    still builds a private copy.
+    """
     if name not in DATASETS:
         raise GraphError(
             f"unknown dataset {name!r}; available: {sorted(DATASETS)}"
         )
-    return DATASETS[name].build()
+    graph = DATASETS[name].build()
+    for arr in (graph.indptr, graph.src, graph.dst, graph.weights):
+        arr.flags.writeable = False
+    return graph
 
 
 def load_synthetic_uniform(num_vertices: int = 3000, num_edges: int = 120_000,

@@ -15,6 +15,21 @@ import numpy as np
 from ..errors import GraphError
 
 
+def distinct_ids(ids: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer id array, ascending — exactly
+    what ``np.unique(ids)`` returns, input order and duplicates
+    notwithstanding.
+
+    One ``np.sort`` plus an adjacent compare.  Plain ``np.unique`` on
+    numpy 2.4 hashes instead, which measures ~13x slower on the int64
+    id arrays this package moves around (docs/performance.md).
+    """
+    ordered = np.sort(ids, axis=None)
+    keep = np.ones(ordered.size, dtype=bool)
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]
+
+
 class Graph:
     """Immutable directed graph in CSR form.
 

@@ -24,12 +24,13 @@ replicated across nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import PartitionError
-from .graph import Graph
+from .graph import Graph, distinct_ids
 
 
 @dataclass
@@ -58,9 +59,58 @@ class Subgraph:
                 f"masters={self.num_masters}, mirrors={self.mirrors.size})")
 
 
+class PartitionIndex:
+    """What every pass over a :class:`PartitionedGraph` reads and none
+    changes — the paper's vertex-edge mapping table (§II-B) and the
+    masks derived from the placement.
+
+    A partition is assembled once (:func:`_build_from_edge_owners`) and
+    never mutated, so these are constants of it: built on first use,
+    then shared by every engine, job and skip detector over the same
+    partition.  The arrays are read-only for that reason.
+    """
+
+    def __init__(self, pgraph: "PartitionedGraph") -> None:
+        g, master_of = pgraph.graph, pgraph.master_of
+        n = g.num_vertices
+        #: per part: the distinct source ids of its edges, ascending —
+        #: the vertices whose out-edges the node holds, so the query
+        #: list of a frontier is ``sources[active[sources]]``
+        self.sources = [distinct_ids(part.src) for part in pgraph.parts]
+        #: per part: ``is_master[p][v]`` — does node p own vertex v?
+        self.is_master = [master_of == part.node_id
+                          for part in pgraph.parts]
+        counts = np.zeros(n, dtype=np.int64)
+        #: ``stored_local[v]`` — are all of v's out-edges stored on v's
+        #: master?  Always true for edge-cut-by-source, false for
+        #: vertex-cut replicas, which must be re-activated globally
+        #: after a combined-local superstep.
+        self.stored_local = np.ones(n, dtype=bool)
+        for part in pgraph.parts:
+            counts[part.referenced] += 1
+            self.stored_local[
+                part.src[master_of[part.src] != part.node_id]] = False
+        #: nodes each vertex appears on (vertex-cut mirror sync volume)
+        self.replica_count = np.maximum(counts, 1)
+        #: ``out_local[v]`` — are all of v's out-edge destinations
+        #: mastered on v's own master node?  The §III-B3
+        #: synchronization-skipping predicate: an iteration's sync can
+        #: be skipped iff every vertex updated in it satisfies it.
+        self.out_local = np.ones(n, dtype=bool)
+        self.out_local[g.src[master_of[g.src] != master_of[g.dst]]] = False
+        for arr in (*self.sources, *self.is_master, self.replica_count,
+                    self.stored_local, self.out_local):
+            arr.flags.writeable = False
+
+
 @dataclass
 class PartitionedGraph:
-    """A graph partitioned over ``num_partitions`` distributed nodes."""
+    """A graph partitioned over ``num_partitions`` distributed nodes.
+
+    Immutable once assembled: jobs share one instance (and its
+    :attr:`index`) across engines, and a mutation or repartition builds
+    a new one.
+    """
 
     graph: Graph
     strategy: str
@@ -70,6 +120,11 @@ class PartitionedGraph:
     @property
     def num_partitions(self) -> int:
         return len(self.parts)
+
+    @cached_property
+    def index(self) -> PartitionIndex:
+        """The partition's :class:`PartitionIndex`, built on first use."""
+        return PartitionIndex(self)
 
     def edge_counts(self) -> np.ndarray:
         """Edges per node — the d_j of the balancing model (§III-C)."""
@@ -83,18 +138,8 @@ class PartitionedGraph:
         return appearances / self.graph.num_vertices
 
     def out_local_mask(self) -> np.ndarray:
-        """``out_local[v]`` — are all of v's out-edge destinations mastered
-        on v's own master node?
-
-        This is the §III-B3 synchronization-skipping predicate,
-        precomputed: an iteration's sync can be skipped iff every vertex
-        updated in it satisfies ``out_local``.
-        """
-        g = self.graph
-        ok = np.ones(g.num_vertices, dtype=bool)
-        same = self.master_of[g.src] == self.master_of[g.dst]
-        np.logical_and.at(ok, g.src, same)
-        return ok
+        """:attr:`PartitionIndex.out_local` (read-only, shared)."""
+        return self.index.out_local
 
     def local_edge_fraction(self) -> float:
         """Fraction of edges whose endpoints share a master (locality)."""
@@ -145,15 +190,14 @@ def _build_from_edge_owners(graph: Graph, master_of: np.ndarray,
         num_partitions = (int(master_of.max()) + 1 if master_of.size
                           else 1)
     parts: List[Subgraph] = []
-    all_vertices = np.arange(graph.num_vertices)
     for node_id in range(num_partitions):
         edge_ids = np.nonzero(owner_of_edge == node_id)[0]
         src = graph.src[edge_ids]
         dst = graph.dst[edge_ids]
         weights = graph.weights[edge_ids]
-        masters = all_vertices[master_of == node_id]
-        referenced = np.union1d(np.unique(src), np.unique(dst))
-        mirrors = np.setdiff1d(referenced, masters, assume_unique=False)
+        masters = np.flatnonzero(master_of == node_id)
+        referenced = distinct_ids(np.concatenate([src, dst]))
+        mirrors = referenced[master_of[referenced] != node_id]
         parts.append(Subgraph(node_id, edge_ids, src, dst, weights,
                               masters, referenced, mirrors))
     return PartitionedGraph(graph, strategy, master_of, parts)

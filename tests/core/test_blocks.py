@@ -8,10 +8,10 @@ from repro.core.blocks import (
     AreaSet,
     BlockArea,
     TripletBlock,
-    VertexEdgeMap,
     build_blocks,
 )
 from repro.errors import MiddlewareError
+from repro.graph import greedy_vertex_cut, hash_partition, rmat
 
 
 def make_block(n=4, index=0):
@@ -104,15 +104,13 @@ def test_block_area_clear():
 
 
 def test_vertex_edge_map_lookup():
-    src = np.array([3, 1, 3, 0, 1, 3])
-    vem = VertexEdgeMap.build(src)
-    assert vem.sources().tolist() == [0, 1, 3]
-    assert sorted(src[vem.edges_of(3)].tolist()) == [3, 3, 3]
-    assert vem.edges_of(3).size == 3
-    assert vem.edges_of(1).size == 2
-    assert vem.edges_of(0).size == 1
-    assert vem.edges_of(2).size == 0
-    assert vem.edges_of(99).size == 0
-    # positions actually point at the right edges
-    for v in (0, 1, 3):
-        assert np.all(src[vem.edges_of(v)] == v)
+    """The §II-B vertex-edge mapping table is the partition index's
+    ``sources``: per part, the distinct source ids of its edges,
+    ascending — every local edge's source is in it and nothing else."""
+    graph = rmat(256, 2048, seed=9)
+    for pg in (hash_partition(graph, 3), greedy_vertex_cut(graph, 3)):
+        assert len(pg.index.sources) == pg.num_partitions
+        for part, sources in zip(pg.parts, pg.index.sources):
+            assert np.all(np.diff(sources) > 0)      # distinct, ascending
+            assert np.isin(part.src, sources).all()
+            assert np.isin(sources, part.src).all()

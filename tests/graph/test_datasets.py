@@ -47,7 +47,16 @@ def test_scaled_twins_preserve_degree_ratio():
 
 
 def test_twins_are_deterministic():
-    assert load_dataset("orkut") == load_dataset("orkut")
+    assert load_dataset("orkut") == DATASETS["orkut"].build()
+
+
+def test_twins_are_built_once_and_shared_read_only():
+    twin = load_dataset("wrn")
+    assert load_dataset("wrn") is twin
+    for arr in (twin.indptr, twin.src, twin.dst, twin.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert DATASETS["wrn"].build() is not twin   # a private copy
 
 
 def test_twitter_and_uk_are_the_two_largest():

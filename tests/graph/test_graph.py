@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
-from repro.graph import Graph
+from repro.graph import Graph, distinct_ids
 
 
 def small_graph():
@@ -123,3 +125,38 @@ def test_memory_footprint():
 def test_equality():
     assert small_graph() == small_graph()
     assert small_graph() != Graph.empty(3)
+
+
+# -- distinct_ids: np.unique's result without np.unique's cost -------------------
+
+
+def assert_is_np_unique(ids):
+    got, want = distinct_ids(ids), np.unique(ids)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("ids", [
+    np.empty(0, dtype=np.int64),
+    np.array([4]),
+    np.full(9, 3),                              # all equal
+    np.array([0, 1, 1, 2, 5, 5, 5, 9]),         # sorted, duplicates
+    np.array([9, 5, 0, 5, 2, 1, 5, 1]),         # unsorted, duplicates
+    np.arange(20)[::-1],                        # descending, distinct
+    np.array([[3, 1], [1, 2]]),                 # flattened like np.unique
+    np.array([7, 2, 7], dtype=np.int32),
+], ids=["empty", "one", "all-equal", "sorted", "unsorted", "descending",
+        "2d", "int32"])
+def test_distinct_ids_cases(ids):
+    assert_is_np_unique(ids)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ids=st.lists(st.integers(-50, 50), max_size=80))
+def test_distinct_ids_equals_np_unique(ids):
+    arr = np.asarray(ids, dtype=np.int64)
+    before = arr.copy()
+    assert_is_np_unique(arr)
+    assert_is_np_unique(np.sort(arr))
+    assert np.array_equal(arr, before)      # the input is not sorted in place

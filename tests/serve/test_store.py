@@ -10,7 +10,7 @@ import pytest
 from repro.api import ClusterSpec
 from repro.engines import GraphXEngine, PowerGraphEngine
 from repro.errors import ServeError
-from repro.graph import load_dataset
+from repro.graph import DATASETS, load_dataset
 from repro.serve import GraphStore
 
 
@@ -43,10 +43,28 @@ def test_load_refuses_an_existing_key(store):
     assert store.get("g").version == 1 and store.get("g").graph is graph
     store._attach("g")
     with store.snapshot("g") as snap:
-        entry = store.replace("g", load_dataset("wrn"))   # not refused
+        entry = store.replace("g", DATASETS["wrn"].build())  # not refused
         assert entry.version == 2 and entry.graph is not graph
         assert snap.graph is graph
     store._detach("g")
+
+
+def test_replace_with_the_shared_twin_is_still_a_new_version(store):
+    """``load_dataset`` hands every caller the same read-only twin, so
+    a replace by dataset name swaps a graph for itself: versions, pins
+    and byte accounting must not care."""
+    twin = store.get("g").graph
+    assert twin is load_dataset("wrn")
+    nbytes = store.total_bytes()
+    with store.snapshot("g") as snap:
+        entry = store.replace("g", dataset="wrn")
+        assert entry.version == 2 and entry.graph is twin
+        assert snap.version == 1 and snap.graph is twin
+        assert store.pinned_versions("g") == {1}
+        assert store.retained_bytes() == nbytes     # v1, held by the pin
+        assert store.total_bytes() == nbytes
+    assert store.retained_bytes() == 0              # v1 dropped, v2 stays
+    assert store.get("g").graph is twin
 
 
 def test_unknown_key_raises(store):
