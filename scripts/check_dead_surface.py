@@ -1,0 +1,291 @@
+#!/usr/bin/env python
+"""Dead-surface gate: every public name in ``src/repro`` has a user.
+
+A public name is a module-level ``def``/``class``/UPPER_CASE constant,
+or a method (property included) of a module-level class, whose name
+does not start with an underscore.  It passes when
+
+* some code under ``src/``, ``examples/``, ``benchmarks/``,
+  ``perfbench/`` or ``scripts/`` refers to it — as a name, an attribute,
+  a keyword, or a word inside a string constant (``getattr``,
+  perfbench's method-name lists) — outside its own definition, outside
+  import statements and outside ``__all__`` lists; or
+* it is exported by ``repro.api.__all__``; or
+* only ``tests/`` refers to it **and** it is listed in ``TESTS_ONLY``
+  below with a reason.
+
+Anything else is dead surface: delete it, or give it a caller.  A
+``TESTS_ONLY`` entry that is no longer needed (the name is gone, or
+production code now uses it) is also a failure, so the table can only
+shrink; adding to it is a review decision, not a way to make CI pass.
+
+Matching is by bare name, not by resolved object: a reference to any
+``.name`` keeps every definition called ``name`` alive.  That errs
+toward silence — what this gate reports has no user under any reading.
+
+Usage: python scripts/check_dead_surface.py
+"""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+SELF = Path(__file__).resolve()
+ROOT = SELF.parent.parent
+PACKAGE = ROOT / "src" / "repro"
+USER_ROOTS = ("src", "examples", "benchmarks", "perfbench", "scripts")
+
+#: qualified name -> why a name only tests use is kept
+TESTS_ONLY = {
+    # -- test oracles: reference forms the production forms are checked
+    #    against, and fixtures only tests build
+    "repro.core.pipeline.PipelineCoefficients.brute_force_best":
+        "test oracle: exhaustive search the Lemma-1 block size must match",
+    "repro.core.pipeline.PipelineCoefficients.sequential_time":
+        "test oracle: the unpipelined 5-step time the pipeline must beat",
+    "repro.core.pipeline.pipeline_makespan_from_stage_times":
+        "test oracle: closed-form makespan the simulated pipeline equals",
+    "repro.core.sync_cache.LRUVertexCache.invalidate":
+        "test oracle: per-vertex twin of invalidate_many (property model)",
+    "repro.ipc.scheduler.run_process":
+        "test fixture: one process on a fresh scheduler",
+    "repro.graph.generators.complete":
+        "test fixture: the complete graph (LP, k-core ground truth)",
+    # -- inspection hooks: read-only views tests assert state through
+    "repro.accel.device.Accelerator.resident_bytes":
+        "inspection hook: device memory accounting",
+    "repro.algorithms.kcore.KCore.core_members":
+        "inspection hook: decodes a finished k-core value table",
+    "repro.cluster.cluster.Cluster.total_gpu_count":
+        "inspection hook: accelerator census of a built cluster",
+    "repro.cluster.topology.Topology.fragment_ms":
+        "inspection hook: healthy per-fragment wire time (docs/performance)",
+    "repro.core.sync_cache.LRUVertexCache.dirty_count":
+        "inspection hook: lazy-upload backlog size",
+    "repro.core.sync_cache.LRUVertexCache.dirty_ids":
+        "inspection hook: lazy-upload backlog contents",
+    "repro.core.sync_skip.SkipStats.skip_fraction":
+        "inspection hook: Fig. 11(b)'s ratio on the strict detector",
+    "repro.fault.checkpoint.CheckpointStore.latest_iteration":
+        "inspection hook: superstep of the newest save, delta included",
+    "repro.fault.monitor.CollectiveMonitor.overdue":
+        "inspection hook: the ack deadline the watchdog verdict reads",
+    "repro.graph.graph.Graph.in_degrees":
+        "inspection hook: generator and partition degree checks",
+    "repro.graph.graph.Graph.max_degree":
+        "inspection hook: dataset-twin skew checks",
+    "repro.graph.graph.Graph.subgraph_edges":
+        "inspection hook: edge-set comparison of a partition's parts",
+    "repro.graph.metrics.degree_histogram":
+        "inspection hook: twin calibration (docs/calibration.md)",
+    "repro.graph.metrics.degree_skew":
+        "inspection hook: twin calibration (docs/calibration.md)",
+    "repro.graph.metrics.weighted_imbalance":
+        "inspection hook: Lemma-2 share check on a partition",
+    "repro.ipc.scheduler.Scheduler.category_time":
+        "inspection hook: simulated ms charged to one category",
+    "repro.ipc.shm.SharedMemorySegment.corrupted_regions":
+        "inspection hook: what a shm-corruption fault hit",
+    "repro.serve.journal.JournalState.unfinished":
+        "inspection hook: jobs a replayed journal left in flight",
+    "repro.serve.scheduler.FairShareLedger.share_of":
+        "inspection hook: a tenant's realised fair share",
+    # -- API surface: the paper's or a user's, with no in-repo caller yet
+    "repro.accel.costmodel.BYTES_PER_EDGE":
+        "API surface: device footprint constant exported by repro.accel",
+    "repro.accel.costmodel.BYTES_PER_VERTEX":
+        "API surface: device footprint constant exported by repro.accel",
+    "repro.accel.device.Accelerator.allocate":
+        "API surface: resident-memory reservation (pairs with free)",
+    "repro.bench.reporting.bar_chart":
+        "API surface: text bar chart of figure rows (repro.bench export)",
+    "repro.bench.trace.read_json":
+        "API surface: reader for write_json trace documents",
+    "repro.cluster.topology.Topology.single_rack":
+        "API surface: the degenerate topology constructor",
+    "repro.core.agent.Agent.request_gen":
+        "paper API surface: the agent's MSGGen request (docs/protocol.md)",
+    "repro.core.agent.Agent.request_merge":
+        "paper API surface: the agent's MSGMerge request (docs/protocol.md)",
+    "repro.core.agent.MAX_RECOVERY_ATTEMPTS":
+        "API surface: documented default retry budget (docs/protocol.md)",
+    "repro.core.config.RuntimeConfig.with_faults":
+        "API surface: RuntimeConfig builder step (repro.api)",
+    "repro.core.config.RuntimeConfig.with_network":
+        "API surface: RuntimeConfig builder step (repro.api)",
+    "repro.core.config.RuntimeConfig.with_pipeline":
+        "API surface: RuntimeConfig builder step (repro.api)",
+    "repro.core.config.RuntimeConfig.with_straggler":
+        "API surface: RuntimeConfig builder step (repro.api, README)",
+    "repro.core.config.RuntimeConfig.with_sync":
+        "API surface: RuntimeConfig builder step (repro.api)",
+    "repro.engines.graphx.jvm_runtime_for":
+        "API surface: a JVM host runtime for a given JNI configuration",
+    "repro.fault.inject.FaultPlan.for_superstep":
+        "API surface: FaultPlan query",
+    "repro.fault.inject.FaultPlan.with_events":
+        "API surface: FaultPlan composition",
+    "repro.graph.datasets.DEFAULT_DATASET":
+        "API surface: the paper's default dataset name",
+    "repro.graph.gio.load_edge_list":
+        "API surface: user graph I/O",
+    "repro.graph.gio.load_npz":
+        "API surface: user graph I/O",
+    "repro.graph.gio.save_edge_list":
+        "API surface: user graph I/O",
+    "repro.graph.gio.save_npz":
+        "API surface: user graph I/O",
+    "repro.ipc.shm.SharedMemorySegment.detach":
+        "API surface: System-V detach (pairs with attach)",
+    "repro.serve.client.GraphClient.retarget":
+        "API surface: point a client at a restarted server",
+    "repro.serve.service.GraphService.unload_graph":
+        "API surface: documented service call (docs/streaming.md)",
+}
+
+WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def assigns_all(node) -> bool:
+    """Is ``node`` an assignment to ``__all__``?"""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    return any(isinstance(t, ast.Name) and t.id == "__all__"
+               for t in targets)
+
+
+def definitions():
+    """``{qualified name: (bare name, file, first line, last line,
+    is a class member)}`` for every public name ``src/repro`` defines."""
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE.parent)
+                          .with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        tree = ast.parse(path.read_text())
+
+        def add(prefix, node, name, member=False):
+            if not name.startswith("_"):
+                found[f"{prefix}.{name}"] = (
+                    name, path, node.lineno, node.end_lineno, member)
+
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                add(module, node, node.name)
+                if isinstance(node, ast.ClassDef):
+                    for member in node.body:
+                        if isinstance(member, ast.FunctionDef):
+                            add(f"{module}.{node.name}", member,
+                                member.name, member=True)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                for target in targets:
+                    if isinstance(target, ast.Name) and \
+                            target.id.isupper():
+                        add(module, node, target.id)
+    return found
+
+
+def references(path: Path):
+    """``(word, line)`` for everything in ``path`` that can keep a name
+    alive: names, attributes, keywords, words of non-docstring string
+    constants.  Import statements and ``__all__`` lists do not count."""
+    tree = ast.parse(path.read_text())
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            skipped.update(ast.walk(node))
+        elif assigns_all(node):
+            skipped.update(ast.walk(node))
+        elif (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                ast.AsyncFunctionDef))
+              and node.body and isinstance(node.body[0], ast.Expr)
+              and isinstance(node.body[0].value, ast.Constant)
+              and isinstance(node.body[0].value.value, str)):
+            skipped.add(node.body[0].value)  # docstring
+    for node in ast.walk(tree):
+        if node in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg, node.value.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for word in WORD.findall(node.value):
+                yield word, node.lineno
+
+
+def reference_index(roots):
+    """``{word: [(file, line), ...]}`` over every ``*.py`` under
+    ``roots``."""
+    index = {}
+    for root in roots:
+        for path in sorted((ROOT / root).rglob("*.py")):
+            if path == SELF:
+                continue  # TESTS_ONLY above names what it tables
+            for word, line in references(path):
+                index.setdefault(word, []).append((path, line))
+    return index
+
+
+def api_exports():
+    tree = ast.parse((PACKAGE / "api.py").read_text())
+    for node in tree.body:
+        if assigns_all(node):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def main() -> int:
+    defs = definitions()
+    used = reference_index(USER_ROOTS)
+    tested = reference_index(("tests",))
+    exported = api_exports()
+
+    def has_user(index, qualified):
+        name, path, first, last, _ = defs[qualified]
+        return any(not (ref_path == path and first <= line <= last)
+                   for ref_path, line in index.get(name, ()))
+
+    dead, untabled, stale = [], [], []
+    for qualified in sorted(defs):
+        name, *_, member = defs[qualified]
+        if has_user(used, qualified) or (name in exported and not member):
+            if qualified in TESTS_ONLY:
+                stale.append(qualified)
+        elif has_user(tested, qualified):
+            if qualified not in TESTS_ONLY:
+                untabled.append(qualified)
+        else:
+            dead.append(qualified)
+    stale += sorted(set(TESTS_ONLY) - set(defs))
+
+    for title, names in (
+            ("no reference anywhere — delete, or give it a caller", dead),
+            ("referenced only from tests/ and not in TESTS_ONLY", untabled),
+            ("TESTS_ONLY entries no longer needed — remove them", stale)):
+        if names:
+            print(f"{title}:")
+            for qualified in names:
+                where = "not defined"
+                if qualified in defs:
+                    _, path, line, *_ = defs[qualified]
+                    where = f"{path.relative_to(ROOT)}:{line}"
+                print(f"  {qualified}  [{where}]")
+    if dead or untabled or stale:
+        return 1
+    print(f"{len(defs)} public names in src/repro, "
+          f"{len(TESTS_ONLY)} kept for tests only, none dead")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

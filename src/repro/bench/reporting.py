@@ -76,10 +76,3 @@ def bar_chart(rows: Sequence[Sequence[Any]], width: int = 40,
         bar = "#" * max(length, 1 if value > 0 else 0)
         lines.append(f"{label.ljust(label_w)} | {bar} {_fmt(value)}")
     return "\n".join(lines)
-
-
-def print_bar_chart(rows: Sequence[Sequence[Any]], width: int = 40,
-                    title: Optional[str] = None) -> None:
-    print()
-    print(bar_chart(rows, width=width, title=title))
-    print()

@@ -104,9 +104,6 @@ class AlgorithmState:
     values: np.ndarray       # shape (n,) or (n, k)
     active: np.ndarray      # bool mask, shape (n,)
 
-    def active_count(self) -> int:
-        return int(self.active.sum())
-
 
 class AlgorithmTemplate(ABC):
     """Base class for iterative graph algorithms on the GX-Plug template.

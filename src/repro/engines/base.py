@@ -5,20 +5,25 @@ partitioned graph on a simulated cluster, either computing on the nodes'
 host runtimes ("GraphX"/"PowerGraph" bars of Fig. 8) or delegating the
 per-node computation to plugged GX-Plug agents ("CPU+"/"GPU+" bars).
 
-Per iteration:
+A superstep is an *order* over the same phase calls (§IV-A), and every
+rule of a phase is written once:
 
-1. **Edge computation** — every node processes its active local triplets
-   (MSGGen + block-local MSGMerge).  Nodes run in parallel, so the
-   iteration pays the slowest node (the workload-balancing objective of
-   §III-C).
-2. **Global merge** — partial message sets combine associatively; each
-   master node receives the messages addressed to its vertices.
-3. **Apply** — every node folds its masters' messages into the vertex
-   table (MSGApply), again in parallel.
-4. **Synchronization** — unless synchronization skipping (§III-B3) proves
-   no inter-node traffic is needed, the engine pays the network collective
-   plus the data uploads (trimmed by lazy uploading, §III-B2b) and
-   invalidates agent cache entries made stale by foreign updates.
+* **edge phase** — one node's MSGGen + MSGMerge over its selected
+  triplets, on its agent or its host runtime.  Nodes run in parallel, so
+  a superstep pays the slowest node (the balancing objective of §III-C).
+* **global combine** — partial message sets combine associatively.
+* **apply phase** — one node folds the messages addressed to its masters
+  into the vertex table (MSGApply) and writes them through to its cache.
+* **synchronization** — the network collective plus the data uploads
+  (trimmed by lazy uploading, §III-B2b), then agent cache entries made
+  stale by foreign updates are refreshed or invalidated.
+
+The *strict* order (``_run_iteration``) is one pass per node, one
+combine, one apply per node, one sync — skipped when the detector of
+§III-B3 proves no inter-node traffic is needed.  The *combined* order
+(``_run_superstep_combined``) is §III-B3's "logically combined
+iteration" for monotone algorithms: each node loops pass -> apply over
+its own masters to local quiescence, and one sync delivers the rest.
 
 Simulated results are *real*: the engine's values equal the algorithm's
 single-machine reference bit-for-bit, which the integration tests assert
@@ -27,7 +32,7 @@ for every engine/config combination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
@@ -47,7 +52,7 @@ from ..core.middleware import GXPlug
 from ..core.sync_skip import SkipDetector
 from ..core.template import AlgorithmTemplate, MessageSet
 from ..errors import AcceleratorsExhausted, EngineError, NodeUnreachable
-from ..fault.checkpoint import CheckpointStore
+from ..fault.checkpoint import Checkpoint, CheckpointStore
 from ..graph.partition import PartitionedGraph, partition
 
 #: simulated bytes per float64 payload cell crossing the network
@@ -65,18 +70,29 @@ MAX_ROLLBACKS = 8
 WALL_PHASES = ("gen", "merge", "apply", "sync", "cache")
 
 
+def _concat_ids(parts: List[np.ndarray]) -> np.ndarray:
+    """The vertex ids of ``parts`` in one array (duplicates kept)."""
+    return (np.concatenate(parts) if parts
+            else np.empty(0, dtype=np.int64))
+
+
+def _take(messages: MessageSet, mask: np.ndarray) -> MessageSet:
+    """The messages ``mask`` selects."""
+    return MessageSet(messages.ids[mask], messages.data[mask])
+
+
 @dataclass
 class IterationStats:
     """Everything recorded about one engine superstep."""
 
     index: int
-    active_edges: int
-    compute_ms: float            # slowest node's edge pass
-    apply_ms: float              # slowest node's apply
-    sync_ms: float               # global synchronization (0 when skipped)
-    skipped: bool
-    changed_vertices: int
-    uploads: int                 # vertex values shipped at sync time
+    active_edges: int = 0
+    compute_ms: float = 0.0      # slowest node's edge pass
+    apply_ms: float = 0.0        # slowest node's apply
+    sync_ms: float = 0.0         # global synchronization (0 when skipped)
+    skipped: bool = False
+    changed_vertices: int = 0
+    uploads: int = 0             # vertex values shipped at sync time
     cache_hits: int = 0
     cache_misses: int = 0
     #: cache rows displaced / dirty rows written back early (thrash)
@@ -327,11 +343,8 @@ class IterativeEngine:
         """
         wall_start = perf_counter()
         self.wall_s = dict.fromkeys(WALL_PHASES, 0.0)
-        g = self.graph
-        n = g.num_vertices
-        state = algorithm.init_state(g)
-        values, active = state.values, state.active
-        width = values.shape[1] if values.ndim > 1 else 1
+        state = algorithm.init_state(self.graph)
+        width = state.values.shape[1] if state.values.ndim > 1 else 1
         cap = max_iterations if max_iterations is not None \
             else algorithm.default_max_iterations
 
@@ -345,37 +358,41 @@ class IterativeEngine:
         detector = SkipDetector(self.pgraph) if (use_skip and
                                                  not use_async) else None
 
-        setup_ms = 0.0
+        # the record this run returns; the loop below accumulates in it
+        run = RunResult(
+            values=state.values, iterations=0, total_ms=0.0, setup_ms=0.0,
+            converged=False, stats=[],
+            breakdown={"middleware": 0.0, "device": 0.0, "engine": 0.0,
+                       "setup": 0.0},
+            engine_name=self.name, algorithm_name=algorithm.name)
+        active = state.active
         if mw is not None and not mw.connected:
-            setup_ms = mw.connect_all()
-
-        # setup (daemon spawn + device init) is a one-time deployment
-        # cost; it gets its own bucket so the Fig. 14 ratio reflects the
-        # iterative processing the paper measures on long-running jobs.
-        breakdown = {"middleware": 0.0, "device": 0.0, "engine": 0.0,
-                     "setup": setup_ms}
-        stats: List[IterationStats] = []
-        total_ms = setup_ms
-        converged = False
-        iteration = 0
+            # setup (daemon spawn + device init) is a one-time deployment
+            # cost; it gets its own bucket so the Fig. 14 ratio reflects
+            # the iterative processing the paper measures on
+            # long-running jobs.
+            run.setup_ms = run.total_ms = run.breakdown["setup"] = \
+                mw.connect_all()
         if resume_from is not None:
             seeded = np.asarray(resume_from.values)
-            if seeded.shape != values.shape:
+            if seeded.shape != run.values.shape:
                 # a checkpoint or warm start from a different graph
                 # version (or algorithm arity) can never be resumed —
                 # better to refuse than to compute garbage
                 raise EngineError(
                     f"resume_from values shape {seeded.shape} does not "
-                    f"match the graph's state shape {values.shape}")
-            values = np.array(resume_from.values, copy=True)
+                    f"match the graph's state shape {run.values.shape}")
+            run.values = np.array(resume_from.values, copy=True)
             active = np.array(resume_from.active, copy=True)
-            iteration = int(resume_from.iteration)
+            run.iterations = int(resume_from.iteration)
+        first = run.iterations  # ``run.stats[k]`` is superstep ``first + k``
 
         # fault tolerance: periodic vertex-table checkpoints plus the
-        # iteration-0 state, so an unrecoverable node fault rolls the run
-        # back to the last consistent superstep instead of failing it.
+        # state the run started from, so an unrecoverable node fault
+        # rolls the run back to the last consistent superstep instead
+        # of failing it.
         store: Optional[CheckpointStore] = None
-        origin = None
+        origin: Optional[Checkpoint] = None
         if mw is not None:
             if mw.config.checkpoint_interval > 0:
                 store = CheckpointStore(
@@ -386,18 +403,15 @@ class IterativeEngine:
                     # the resume point is already durable: install it as
                     # the free full base so a mid-run rollback can reach
                     # it before the first own checkpoint falls due
-                    store.seed(iteration, values, active)
+                    store.seed(first, run.values, active)
             if mw.config.degrade_to_host:
-                origin = (values.copy(), active.copy())
+                origin = Checkpoint(first, run.values.copy(), active.copy(),
+                                    cost_ms=0.0)
             if any(a.degraded for a in mw.agents.values()):
                 use_async = False  # degraded nodes force the strict path
         # external resume/peek handle for the serving layer (journal,
         # checkpoint-resume retries); None when checkpointing is off
         self.checkpoint_store = store
-        rollbacks = 0
-        wasted_ms = 0.0
-        rebalance_events = 0
-        rebalance_ms = 0.0
         rebalanced_for: set = set()
         # online Lemma-2 re-estimation (gray-failure response): track an
         # EWMA estimate of the per-node c_j from observed (d_j, T_j)
@@ -407,14 +421,11 @@ class IterativeEngine:
         reestimate = bool(scfg is not None and scfg.enabled
                           and scfg.reestimate)
         coeff_est: Optional[np.ndarray] = None
-        fold_links = bool(reestimate and self.cluster.topology is not None)
         if reestimate:
             coeff_est = np.asarray(
                 cluster_coefficients(self.cluster.nodes),
                 dtype=np.float64)
         last_online_reb = -(10 ** 9)
-        online_rebalances = 0
-        coeff_updates = 0
         # vertices touched since the last checkpoint, for delta snapshots
         changed_accum: List[np.ndarray] = []
         # speculative checkpointing: delta writes issued behind the
@@ -423,22 +434,38 @@ class IterativeEngine:
         speculative = bool(mw is not None and store is not None
                            and mw.config.speculative_checkpoint)
         pending_ckpt_ms = 0.0
-        hidden_ckpt_ms = 0.0
 
-        while iteration < cap:
-            step_ms0 = total_ms
-            faults = mw.arm_faults(iteration) if mw is not None else 0
+        def charge(ms: float) -> None:
+            """Simulated time the driver itself spends, outside any
+            superstep: restores, repartitions, stranded checkpoints."""
+            run.total_ms += ms
+            run.breakdown["engine"] += ms
+
+        def repartition(shares) -> None:
+            """Move to new Lemma-2 shares mid-run (both rebalance
+            triggers); the strict detector reads the partition, so it
+            is rebuilt on the new one."""
+            nonlocal detector
+            ms = self._repartition_to(shares, width)
+            run.rebalance_ms += ms
+            charge(ms)
+            if detector is not None:
+                detector = SkipDetector(self.pgraph)
+
+        while run.iterations < cap:
+            step_ms0 = run.total_ms
+            faults = mw.arm_faults(run.iterations) if mw is not None else 0
             before = self._fault_counters()
             net_before = self._net_counters()
             try:
                 if use_async:
                     step = self._run_superstep_combined(
-                        iteration, algorithm, values, active, width,
-                        use_lazy, breakdown)
+                        run.iterations, algorithm, run.values, active,
+                        width, run.breakdown)
                 else:
                     step = self._run_iteration(
-                        iteration, algorithm, values, active, width,
-                        detector, use_lazy, breakdown)
+                        run.iterations, algorithm, run.values, active,
+                        width, detector, use_lazy, run.breakdown)
             except (AcceleratorsExhausted, NodeUnreachable) as failure:
                 if (isinstance(failure, NodeUnreachable)
                         and not mw.config.degrade_to_host):
@@ -447,84 +474,80 @@ class IterativeEngine:
                     # the watchdog's partition verdict: write the node's
                     # accelerators off and fall back to its host path
                     mw.agent_for(failure.node_id).degraded = True
-                rollbacks += 1
-                if rollbacks > max(MAX_ROLLBACKS, self.cluster.num_nodes):
+                run.rollbacks += 1
+                if run.rollbacks > max(MAX_ROLLBACKS,
+                                       self.cluster.num_nodes):
                     raise EngineError(
-                        f"{rollbacks} rollbacks without progress"
+                        f"{run.rollbacks} rollbacks without progress"
                     ) from failure
                 if pending_ckpt_ms:
                     # the in-flight speculative delta must land before the
                     # restore can replay it; its window is gone, so the
                     # write charges in full.
-                    total_ms += pending_ckpt_ms
-                    breakdown["engine"] += pending_ckpt_ms
+                    charge(pending_ckpt_ms)
                     pending_ckpt_ms = 0.0
                 failed_ms = getattr(failure, "elapsed_ms", 0.0)
                 if not failed_ms and failure.__cause__ is not None:
                     failed_ms = getattr(failure.__cause__, "elapsed_ms",
                                         0.0)
-                target, values, active, restore_ms = self._rollback(
-                    store, origin, failure)
-                wasted_ms += (sum(s.total_ms for s in stats[target:])
-                              + failed_ms + restore_ms)
-                del stats[target:]
-                total_ms += failed_ms + restore_ms
-                breakdown["engine"] += failed_ms + restore_ms
-                iteration = target
+                ckpt = self._rollback(store, origin, failure)
+                run.values, active = ckpt.values, ckpt.active
+                # ckpt.iteration is absolute; ``stats`` starts at ``first``
+                discarded = run.stats[ckpt.iteration - first:]
+                run.wasted_ms += (sum(s.total_ms for s in discarded)
+                                  + failed_ms + ckpt.cost_ms)
+                del run.stats[ckpt.iteration - first:]
+                charge(failed_ms + ckpt.cost_ms)
+                run.iterations = ckpt.iteration
                 use_async = False  # the degraded node computes host-side
                 changed_accum = []  # the store forces a full snapshot next
-                if mw.config.rebalance_on_degrade:
-                    newly_down = (set(mw.degraded_nodes())
-                                  - rebalanced_for)
-                    if newly_down:
-                        reb_ms = self._rebalance(width)
-                        rebalanced_for |= set(mw.degraded_nodes())
-                        rebalance_events += 1
-                        rebalance_ms += reb_ms
-                        total_ms += reb_ms
-                        breakdown["engine"] += reb_ms
-                        if detector is not None:
-                            detector = SkipDetector(self.pgraph)
-                yield StepEvent("rollback", iteration,
-                                total_ms - step_ms0)
+                if (mw.config.rebalance_on_degrade
+                        and set(mw.degraded_nodes()) - rebalanced_for):
+                    # Lemma 2 holds for whatever coefficients the cluster
+                    # currently has, so after a node falls back to its
+                    # host path the optimal shares shift away from it
+                    # (§III-C): recompute them with the degraded node's
+                    # accelerators written off.
+                    repartition(rebalanced_shares(self.cluster.nodes,
+                                                  mw.degraded_nodes()))
+                    rebalanced_for |= set(mw.degraded_nodes())
+                    run.rebalance_events += 1
+                yield StepEvent("rollback", run.iterations,
+                                run.total_ms - step_ms0)
                 continue
-            it_stats, values, active, changed_total, changed_ids = step
+            st, run.values, active, changed_ids = step
             after = self._fault_counters()
             net_after = self._net_counters()
-            it_stats.faults_injected = faults
-            it_stats.retries = after[0] - before[0]
-            it_stats.recoveries = after[1] - before[1]
-            it_stats.retransmits = net_after[0] - net_before[0]
-            it_stats.dup_drops = net_after[1] - net_before[1]
-            it_stats.net_wasted_ms = net_after[2] - net_before[2]
-            stats.append(it_stats)
-            iteration += 1
+            st.faults_injected = faults
+            st.retries = after[0] - before[0]
+            st.recoveries = after[1] - before[1]
+            st.retransmits = net_after[0] - net_before[0]
+            st.dup_drops = net_after[1] - net_before[1]
+            st.net_wasted_ms = net_after[2] - net_before[2]
+            run.stats.append(st)
+            run.iterations += 1
             if pending_ckpt_ms:
                 # drain the previous superstep's speculative delta
                 # against this superstep's compute window
-                hidden = min(pending_ckpt_ms, it_stats.compute_ms)
-                hidden_ckpt_ms += hidden
-                it_stats.checkpoint_ms += pending_ckpt_ms - hidden
+                hidden = min(pending_ckpt_ms, st.compute_ms)
+                run.checkpoint_hidden_ms += hidden
+                st.checkpoint_ms += pending_ckpt_ms - hidden
                 pending_ckpt_ms = 0.0
             if changed_ids.size:
                 changed_accum.append(changed_ids)
-            took_checkpoint = store is not None and store.due(iteration)
+            took_checkpoint = store is not None and store.due(run.iterations)
             if took_checkpoint:
-                changed = (np.concatenate(changed_accum) if changed_accum
-                           else np.empty(0, dtype=np.int64))
-                save_ms = store.save(
-                    iteration, values, active, changed=changed)
+                save_ms = store.save(run.iterations, run.values, active,
+                                     changed=_concat_ids(changed_accum))
                 if speculative and store.last_save_was_delta:
                     pending_ckpt_ms += save_ms
                 else:
-                    it_stats.checkpoint_ms += save_ms
+                    st.checkpoint_ms += save_ms
                 changed_accum = []
-            total_ms += it_stats.total_ms
-            if (reestimate and it_stats.active_edges > 0
-                    and it_stats.retries == 0
-                    and it_stats.recoveries == 0
+            run.total_ms += st.total_ms
+            if (reestimate and st.active_edges > 0
+                    and st.retries == 0 and st.recoveries == 0
                     and not mw.degraded_nodes()
-                    and getattr(mw, "straggler", None) is not None
                     and (mw.straggler.flagged
                          or mw.straggler.flagged_links)):
                 # fold this superstep's observed (d_j, T_j) pairs into
@@ -535,117 +558,56 @@ class IterativeEngine:
                 # benign coefficient noise (cache warmth, frontier
                 # shape) must never repartition a healthy run, which
                 # is what keeps the fault-free path bit-identical.
-                obs = {part.node_id: (e, t) for part, t, e in
-                       zip(self.pgraph.parts, it_stats.node_compute_ms,
-                           it_stats.node_entities)}
-                coeff_est = estimate_coefficients(obs, coeff_est,
-                                                  alpha=scfg.ewma_alpha)
-                coeff_updates += sum(1 for e, t in obs.values()
-                                     if e > 0 and t > 0)
-                if fold_links:
-                    # fold each node's wire slope, inflated by the
-                    # detector's per-link EWMA for flagged uplinks, so
-                    # a slow cross-rack link shifts the optimum exactly
-                    # the way a slow daemon does.  The bytes-per-entity
-                    # conversion uses this superstep's *observed* sync
-                    # payload, so locality / lazy uploading / combined
-                    # iterations keep the wire slope honest.
-                    bytes_per_entity = (
-                        it_stats.uploads * width * BYTES_PER_CELL
-                        / max(it_stats.active_edges, 1))
-                    link_net = network_coefficients(
-                        self.cluster.topology, bytes_per_entity)
-                    sdet = mw.straggler
-                    inflations = np.array(
-                        [sdet.link_inflation(j) if sdet.is_slow_link(j)
-                         else 1.0
-                         for j in range(self.cluster.num_nodes)],
-                        dtype=np.float64)
-                    est_shares = balancing_factors(
-                        link_adjusted_coefficients(
-                            coeff_est, link_net, inflations))
-                else:
-                    est_shares = balancing_factors(coeff_est)
-                sizes = np.zeros(self.cluster.num_nodes)
-                for part in self.pgraph.parts:
-                    sizes[part.node_id] = part.src.size
-                if sizes.sum() > 0:
-                    current = sizes / sizes.sum()
-                    divergence = 0.5 * float(
-                        np.abs(est_shares - current).sum())
-                    if (divergence > scfg.share_divergence
-                            and iteration - last_online_reb
-                            >= scfg.rebalance_cooldown):
-                        # Lemma 2 says the optimum moved: repartition to
-                        # the estimated shares (shifting load *off* the
-                        # straggling node) without writing anyone off
-                        reb_ms = self._repartition_to(est_shares, width)
-                        last_online_reb = iteration
-                        online_rebalances += 1
-                        rebalance_ms += reb_ms
-                        total_ms += reb_ms
-                        breakdown["engine"] += reb_ms
-                        if detector is not None:
-                            detector = SkipDetector(self.pgraph)
-            if algorithm.is_converged(changed_total, iteration):
-                converged = True
-            yield StepEvent("superstep", iteration, total_ms - step_ms0,
-                            converged, checkpointed=took_checkpoint)
-            if converged:
+                coeff_est, folded, shares, divergence = \
+                    self._reestimate_shares(st, coeff_est, width)
+                run.coeff_updates += folded
+                if (divergence > scfg.share_divergence
+                        and run.iterations - last_online_reb
+                        >= scfg.rebalance_cooldown):
+                    # Lemma 2 says the optimum moved: repartition to
+                    # the estimated shares (shifting load *off* the
+                    # straggling node) without writing anyone off
+                    repartition(shares)
+                    last_online_reb = run.iterations
+                    run.online_rebalances += 1
+            if algorithm.is_converged(st.changed_vertices, run.iterations):
+                run.converged = True
+            yield StepEvent("superstep", run.iterations,
+                            run.total_ms - step_ms0, run.converged,
+                            checkpointed=took_checkpoint)
+            if run.converged:
                 break
 
         if pending_ckpt_ms:
             # the job is over: the last speculative write has no compute
             # window left to hide behind and charges in full.
-            if stats:
-                stats[-1].checkpoint_ms += pending_ckpt_ms
-            total_ms += pending_ckpt_ms
-        net_totals = self._net_counters()
-        det = getattr(mw, "straggler", None) if mw is not None else None
-        sched_counters = (mw.scheduler_counters() if mw is not None
-                          and hasattr(mw, "scheduler_counters")
-                          else {})
-        return RunResult(
-            values=values,
-            iterations=iteration,
-            total_ms=total_ms,
-            setup_ms=setup_ms,
-            converged=converged,
-            stats=stats,
-            breakdown=breakdown,
-            engine_name=self.name,
-            algorithm_name=algorithm.name,
-            skipped_iterations=(
-                sum(1 for s in stats if s.skipped)
-                + sum(s.local_iterations - 1 for s in stats)),
-            rollbacks=rollbacks,
-            wasted_ms=wasted_ms,
-            degraded_nodes=(mw.degraded_nodes() if mw is not None else []),
-            rebalance_events=rebalance_events,
-            rebalance_ms=rebalance_ms,
-            retransmits=net_totals[0],
-            dup_drops=net_totals[1],
-            net_wasted_ms=net_totals[2],
-            checkpoint_hidden_ms=hidden_ckpt_ms,
-            straggler_verdicts=len(det.verdicts) if det else 0,
-            speculative_wins=det.speculative_wins if det else 0,
-            speculative_losses=det.speculative_losses if det else 0,
-            speculative_wasted_ms=(det.speculative_wasted_ms
-                                   if det else 0.0),
-            budget_overruns=det.budget_overruns if det else 0,
-            coeff_updates=coeff_updates,
-            online_rebalances=online_rebalances,
-            link_verdicts=det.link_verdicts if det else 0,
-            link_slow_ms=(mw.transport.link_slow_ms
-                          if mw is not None and mw.transport is not None
-                          else 0.0),
-            wall_total_s=perf_counter() - wall_start,
-            wall_s=dict(self.wall_s),
-            sched_events=sched_counters.get("sched_events", 0),
-            sched_batches=sched_counters.get("sched_batches", 0),
-            sched_max_batch=sched_counters.get("sched_max_batch", 0),
-            sched_heap_peak=sched_counters.get("sched_heap_peak", 0),
-        )
+            if run.stats:
+                run.stats[-1].checkpoint_ms += pending_ckpt_ms
+            run.total_ms += pending_ckpt_ms
+        # what is only known at the end: transport, straggler and
+        # scheduler totals
+        run.skipped_iterations = (
+            sum(1 for s in run.stats if s.skipped)
+            + sum(s.local_iterations - 1 for s in run.stats))
+        run.retransmits, run.dup_drops, run.net_wasted_ms = \
+            self._net_counters()
+        if mw is not None:
+            run.degraded_nodes = mw.degraded_nodes()
+            if mw.transport is not None:
+                run.link_slow_ms = mw.transport.link_slow_ms
+            det = mw.straggler
+            if det is not None:
+                run.straggler_verdicts = len(det.verdicts)
+                run.speculative_wins = det.speculative_wins
+                run.speculative_losses = det.speculative_losses
+                run.speculative_wasted_ms = det.speculative_wasted_ms
+                run.budget_overruns = det.budget_overruns
+                run.link_verdicts = det.link_verdicts
+            for name, total in mw.scheduler_counters().items():
+                setattr(run, name, total)  # the four ``sched_*`` fields
+        run.wall_total_s = perf_counter() - wall_start
+        run.wall_s = dict(self.wall_s)
+        return run
 
     # -- fault tolerance ---------------------------------------------------------------
 
@@ -676,17 +638,50 @@ class IterativeEngine:
         t = mw.transport
         return (t.retransmits, t.dup_drops, t.net_wasted_ms)
 
-    def _rebalance(self, width: int) -> float:
-        """Repartition for the cluster's post-degradation capacities.
+    def _reestimate_shares(self, st: IterationStats, coeff_est: np.ndarray,
+                           width: int):
+        """Fold one superstep's observed ``(d_j, T_j)`` pairs into the
+        EWMA coefficient estimate.
 
-        Lemma 2 holds for whatever coefficients the cluster currently
-        has, so after a node falls back to its host path the optimal
-        shares shift away from it (§III-C).  Recomputes the shares with
-        the degraded node's accelerators written off and repartitions.
+        Returns ``(coeff_est, folded, shares, divergence)``: the new
+        estimate, how many observations it took in, the Lemma-2 optimal
+        shares under it, and their total-variation distance from the
+        shares the current partition realises.
         """
-        shares = rebalanced_shares(self.cluster.nodes,
-                                   self.middleware.degraded_nodes())
-        return self._repartition_to(shares, width)
+        mw = self.middleware
+        num_nodes = self.cluster.num_nodes
+        obs = {part.node_id: (e, t) for part, t, e in
+               zip(self.pgraph.parts, st.node_compute_ms, st.node_entities)}
+        coeff_est = estimate_coefficients(
+            obs, coeff_est, alpha=mw.config.straggler.ewma_alpha)
+        folded = sum(1 for e, t in obs.values() if e > 0 and t > 0)
+        if self.cluster.topology is not None:
+            # fold each node's wire slope, inflated by the detector's
+            # per-link EWMA for flagged uplinks, so a slow cross-rack
+            # link shifts the optimum exactly the way a slow daemon
+            # does.  The bytes-per-entity conversion uses this
+            # superstep's *observed* sync payload, so locality / lazy
+            # uploading / combined iterations keep the wire slope honest.
+            bytes_per_entity = (st.uploads * width * BYTES_PER_CELL
+                                / max(st.active_edges, 1))
+            link_net = network_coefficients(self.cluster.topology,
+                                            bytes_per_entity)
+            sdet = mw.straggler
+            inflations = np.array(
+                [sdet.link_inflation(j) if sdet.is_slow_link(j) else 1.0
+                 for j in range(num_nodes)], dtype=np.float64)
+            shares = balancing_factors(link_adjusted_coefficients(
+                coeff_est, link_net, inflations))
+        else:
+            shares = balancing_factors(coeff_est)
+        sizes = np.zeros(num_nodes)
+        for part in self.pgraph.parts:
+            sizes[part.node_id] = part.src.size
+        divergence = 0.0
+        if sizes.sum() > 0:
+            divergence = 0.5 * float(
+                np.abs(shares - sizes / sizes.sum()).sum())
+        return coeff_est, folded, shares, divergence
 
     def _repartition_to(self, shares, width: int) -> float:
         """Repartition the graph to new Lemma-2 ``shares`` mid-run.
@@ -719,418 +714,33 @@ class IterativeEngine:
             moved * width * BYTES_PER_CELL, network=self._network(),
             moved_by_node=moved_by_node)
 
-    def _rollback(self, store: Optional[CheckpointStore], origin,
-                  failure: AcceleratorsExhausted):
-        """Restore the last consistent superstep after a node degraded.
+    def _rollback(self, store: Optional[CheckpointStore],
+                  origin: Optional[Checkpoint],
+                  failure: AcceleratorsExhausted) -> Checkpoint:
+        """Restore the last consistent superstep after a node degraded:
+        the newest checkpoint, else the state the run started from.
 
-        Returns ``(target_iteration, values, active, restore_ms)``.  Agent
-        caches are flushed — they hold values from the discarded future.
+        Returns it with fresh arrays and ``cost_ms`` the restore cost.
+        Agent caches are flushed — they hold values from the discarded
+        future.
         """
         if store is not None and store.latest is not None:
             ckpt = store.restore()
-            target, vals, act = ckpt.iteration, ckpt.values, ckpt.active
-            restore_ms = ckpt.cost_ms
         elif origin is not None:
-            target, restore_ms = 0, 0.0
-            vals, act = origin[0].copy(), origin[1].copy()
+            ckpt = replace(origin, values=origin.values.copy(),
+                           active=origin.active.copy())
         else:  # pragma: no cover - degrade_to_host always records origin
             raise failure
         for agent in self.middleware.agents.values():
             agent.flush_cache()
-        return target, vals, act, restore_ms
+        return ckpt
 
     def _node_accelerated(self, node_id: int) -> bool:
         """Does this node still compute through its agent's accelerators?"""
         mw = self.middleware
         return mw is not None and not mw.agent_for(node_id).degraded
 
-    # -- one iteration ---------------------------------------------------------------------
-
-    def _run_iteration(self, index: int, algorithm: AlgorithmTemplate,
-                       values: np.ndarray, active: np.ndarray, width: int,
-                       detector: Optional[SkipDetector], use_lazy: bool,
-                       breakdown: Dict[str, float]):
-        g = self.graph
-        n = g.num_vertices
-        mw = self.middleware
-
-        # -- 1. per-node edge computation (parallel: pay the max) ------------
-        partials: Dict[int, MessageSet] = {}
-        node_ms: List[float] = []
-        node_entities: List[int] = []
-        hits = misses = evictions = writebacks = 0
-        active_edges = 0
-        crit_mw_ms = 0.0      # middleware share on the critical node
-        crit_dev_ms = 0.0     # device share on the critical node
-        crit_host_ms = 0.0    # host share (degraded nodes) on it
-        crit_total = -1.0
-        force_frontier = algorithm.requires_frontier_scan
-        wall0 = perf_counter()
-        for part in self.pgraph.parts:
-            src, dst, w = self._select_edges(part, active, force_frontier)
-            d = int(src.size)
-            active_edges += d
-            node_entities.append(d)
-            if self._node_accelerated(part.node_id):
-                agent = mw.agent_for(part.node_id)
-                res = agent.edge_pass(src, dst, w, values, algorithm)
-                partials[part.node_id] = res.partial
-                node_ms.append(res.elapsed_ms)
-                hits += res.cache_hits
-                misses += res.cache_misses
-                evictions += res.cache_evictions
-                writebacks += res.cache_writebacks
-                if res.elapsed_ms > crit_total:
-                    crit_total = res.elapsed_ms
-                    mw_busy = (
-                        res.breakdown.get("middleware.download", 0.0)
-                        + res.breakdown.get("middleware.upload", 0.0)
-                        + res.breakdown.get("middleware.init", 0.0))
-                    crit_mw_ms = min(mw_busy, res.elapsed_ms)
-                    crit_dev_ms = res.elapsed_ms - crit_mw_ms
-                    crit_host_ms = 0.0
-            else:
-                # no middleware, or the node degraded to its CPU baseline
-                # path after exhausting its accelerators
-                partial, host_ms = self._host_edge_pass(
-                    part.node_id, src, dst, w, values, algorithm)
-                partials[part.node_id] = partial
-                node_ms.append(host_ms)
-                if mw is not None and host_ms > crit_total:
-                    crit_total = host_ms
-                    crit_mw_ms = crit_dev_ms = 0.0
-                    crit_host_ms = host_ms
-        self.wall_s["gen"] += perf_counter() - wall0
-        compute_ms = max(node_ms) if node_ms else 0.0
-        if mw is not None:
-            breakdown["middleware"] += max(crit_mw_ms, 0.0)
-            breakdown["device"] += max(crit_dev_ms, 0.0)
-            breakdown["engine"] += crit_host_ms
-        else:
-            breakdown["engine"] += compute_ms
-
-        # -- 2. global merge ---------------------------------------------------
-        wall0 = perf_counter()
-        combined = algorithm.combine_many(
-            [partials[node_id] for node_id in sorted(partials)])
-        self.wall_s["merge"] += perf_counter() - wall0
-
-        # -- 3. apply at masters (parallel) --------------------------------------
-        wall0 = perf_counter()
-        apply_times: List[float] = []
-        changed_by_node: Dict[int, np.ndarray] = {}
-        new_values = values
-        for part in self.pgraph.parts:
-            own = self._master_sets[part.node_id]
-            if combined.size:
-                sel = own[combined.ids]
-                merged_here = MessageSet(combined.ids[sel],
-                                         combined.data[sel])
-            else:
-                merged_here = algorithm.empty_messages()
-            if self._node_accelerated(part.node_id):
-                agent = mw.agent_for(part.node_id)
-                cand, changed, cost = agent.request_apply(
-                    new_values, merged_here, algorithm)
-            else:
-                cand, changed = algorithm.msg_apply(new_values, merged_here)
-                cost = self._host_apply_ms(part.node_id, merged_here.size)
-            changed = changed[own[changed]] if changed.size else changed
-            if changed.size:
-                new_values = new_values.copy() if new_values is values \
-                    else new_values
-                new_values[changed] = cand[changed]
-            changed_by_node[part.node_id] = changed
-            if mw is not None:
-                cost += self._scatter_cost_ms(part.node_id, changed.size)
-            apply_times.append(cost)
-        apply_ms = max(apply_times) if apply_times else 0.0
-        values = new_values
-        self.wall_s["apply"] += perf_counter() - wall0
-        if mw is not None:
-            # apply is dominated by transfer bookkeeping; split half/half
-            breakdown["middleware"] += apply_ms * 0.5
-            breakdown["device"] += apply_ms * 0.5
-            wall0 = perf_counter()
-            for part in self.pgraph.parts:
-                agent = mw.agent_for(part.node_id)
-                if not agent.degraded:
-                    agent.note_master_updates(changed_by_node[part.node_id])
-            self.wall_s["cache"] += perf_counter() - wall0
-        else:
-            breakdown["engine"] += apply_ms
-
-        all_changed = (np.concatenate(list(changed_by_node.values()))
-                       if changed_by_node else np.empty(0, dtype=np.int64))
-        changed_total = int(all_changed.size)
-
-        # -- 4. frontier for the next iteration -----------------------------------
-        active = algorithm.next_active(g, all_changed, n)
-
-        # -- 5. synchronization (or skip) --------------------------------------------
-        skipped = False
-        sync_ms = 0.0
-        uploads = 0
-        if detector is not None and detector.can_skip(partials,
-                                                      changed_by_node):
-            skipped = True
-        else:
-            wall0 = perf_counter()
-            try:
-                sync_ms, uploads, needed_by_node = self._sync_cost(
-                    changed_by_node, active, width, use_lazy)
-            except NodeUnreachable as verdict:
-                # the whole superstep is discarded with the failed sync
-                verdict.elapsed_ms = (compute_ms + apply_ms
-                                      + verdict.wasted_ms)
-                raise
-            finally:
-                self.wall_s["sync"] += perf_counter() - wall0
-            breakdown["engine"] += sync_ms
-            if mw is not None:
-                wall0 = perf_counter()
-                self._settle_caches(changed_by_node, needed_by_node)
-                self.wall_s["cache"] += perf_counter() - wall0
-
-        return (IterationStats(
-            index=index,
-            active_edges=active_edges,
-            compute_ms=compute_ms,
-            apply_ms=apply_ms,
-            sync_ms=sync_ms,
-            skipped=skipped,
-            changed_vertices=changed_total,
-            uploads=uploads,
-            cache_hits=hits,
-            cache_misses=misses,
-            cache_evictions=evictions,
-            cache_writebacks=writebacks,
-            node_compute_ms=node_ms,
-            node_entities=node_entities,
-        ), values, active, changed_total, all_changed)
-
-    # -- combined local iterations (synchronization skipping, §III-B3) ---------------
-
-    def _run_superstep_combined(self, index: int,
-                                algorithm: AlgorithmTemplate,
-                                values: np.ndarray, active: np.ndarray,
-                                width: int, use_lazy: bool,
-                                breakdown: Dict[str, float]):
-        """One superstep where every node iterates locally to quiescence.
-
-        The §III-B3 mechanism for monotone algorithms: a node applies the
-        messages addressed to its own masters immediately and keeps
-        iterating ("multiple computation iterations can be equivalent to
-        a logically combined iteration"); messages addressed to foreign
-        masters are buffered and delivered at one global synchronization
-        when all nodes are locally quiescent.
-        """
-        g = self.graph
-        n = g.num_vertices
-        mw = self.middleware
-        node_ms: List[float] = []
-        node_apply_ms: List[float] = []
-        node_entities: List[int] = []
-        hits = misses = evictions = writebacks = 0
-        active_edges = 0
-        max_sub = 0
-        crit_mw_ms = crit_dev_ms = 0.0
-        crit_total = -1.0
-        foreign_parts: List[MessageSet] = []
-        foreign_cells = [0] * self.cluster.num_nodes
-        local_changed_parts: List[np.ndarray] = []
-        pending_parts: List[np.ndarray] = []
-        new_values = values.copy()
-
-        for part in self.pgraph.parts:
-            own = self._master_sets[part.node_id]
-            agent = mw.agent_for(part.node_id)
-            local_active = active.copy()
-            t_compute = 0.0
-            t_apply = 0.0
-            t_entities = 0
-            sub = 0
-            changed_accum: List[np.ndarray] = []
-            mw_ms = dev_ms = 0.0
-            depth_cap = max(1, mw.config.skip_max_local_iterations)
-            pending: np.ndarray = np.empty(0, dtype=np.int64)
-            while True:
-                # combined local iterations always run frontier-driven:
-                # the upper system (and its full triplet view) is not
-                # involved between skipped syncs — nodes iterate from
-                # agent-local data (§III-B3)
-                sel = local_active[part.src]
-                src = part.src[sel]
-                if src.size == 0:
-                    break
-                dst = part.dst[sel]
-                w = part.weights[sel]
-                if sub == 0:
-                    active_edges += int(src.size)
-                t_entities += int(src.size)
-                wall0 = perf_counter()
-                res = agent.edge_pass(src, dst, w, new_values, algorithm)
-                self.wall_s["gen"] += perf_counter() - wall0
-                t_compute += res.elapsed_ms
-                hits += res.cache_hits
-                misses += res.cache_misses
-                evictions += res.cache_evictions
-                writebacks += res.cache_writebacks
-                mw_busy = (res.breakdown.get("middleware.download", 0.0)
-                           + res.breakdown.get("middleware.upload", 0.0)
-                           + res.breakdown.get("middleware.init", 0.0))
-                mw_busy = min(mw_busy, res.elapsed_ms)
-                mw_ms += mw_busy
-                dev_ms += res.elapsed_ms - mw_busy
-                sub += 1
-                partial = res.partial
-                if partial.size == 0:
-                    break
-                own_sel = own[partial.ids]
-                local_part = MessageSet(partial.ids[own_sel],
-                                        partial.data[own_sel])
-                foreign_part = MessageSet(partial.ids[~own_sel],
-                                          partial.data[~own_sel])
-                if foreign_part.size:
-                    foreign_parts.append(foreign_part)
-                    foreign_cells[part.node_id] += int(foreign_part.size)
-                if local_part.size == 0:
-                    break
-                wall0 = perf_counter()
-                cand, changed, cost = agent.request_apply(
-                    new_values, local_part, algorithm)
-                self.wall_s["apply"] += perf_counter() - wall0
-                t_apply += cost
-                changed = changed[own[changed]] if changed.size else changed
-                if changed.size == 0:
-                    break
-                new_values[changed] = cand[changed]
-                wall0 = perf_counter()
-                agent.note_master_updates(changed)
-                self.wall_s["cache"] += perf_counter() - wall0
-                changed_accum.append(changed)
-                if sub >= depth_cap:
-                    # depth bound reached: hand the unfinished frontier to
-                    # the next superstep instead of fast-forwarding on
-                    pending = changed
-                    break
-                local_active = np.zeros(n, dtype=bool)
-                local_active[changed] = True
-            if pending.size:
-                pending_parts.append(pending)
-            node_ms.append(t_compute)
-            node_apply_ms.append(t_apply)
-            node_entities.append(t_entities)
-            max_sub = max(max_sub, sub)
-            if t_compute + t_apply > crit_total:
-                crit_total = t_compute + t_apply
-                crit_dev_ms = dev_ms
-                crit_mw_ms = mw_ms
-            if changed_accum:
-                local_changed_parts.append(np.concatenate(changed_accum))
-
-        compute_ms = max(node_ms) if node_ms else 0.0
-        apply_ms = max(node_apply_ms) if node_apply_ms else 0.0
-        breakdown["middleware"] += max(crit_mw_ms, 0.0) + apply_ms * 0.5
-        breakdown["device"] += max(crit_dev_ms, 0.0) + apply_ms * 0.5
-
-        # -- global sync: deliver the buffered foreign messages -------------
-        sync_changed: List[np.ndarray] = []
-        changed_by_node: Dict[int, np.ndarray] = {}
-        sync_ms = 0.0
-        uploads = 0
-        wall0 = perf_counter()
-        foreign_buffer = algorithm.combine_many(foreign_parts)
-        self.wall_s["merge"] += perf_counter() - wall0
-        skipped = foreign_buffer.size == 0
-        if not skipped:
-            wall1 = perf_counter()
-            uploads = foreign_buffer.size
-            payload_bytes = (uploads * width * BYTES_PER_CELL
-                             + self._mirror_sync_cells(
-                                 foreign_buffer.ids, width)
-                             * BYTES_PER_CELL)
-            try:
-                sync_ms = self._network().sync_ms(
-                    self.cluster.num_nodes, payload_bytes,
-                    bytes_by_node=[c * width * BYTES_PER_CELL
-                                   for c in foreign_cells])
-            except NodeUnreachable as verdict:
-                # the whole superstep is discarded with the failed sync
-                verdict.elapsed_ms = (compute_ms + apply_ms
-                                      + verdict.wasted_ms)
-                raise
-            sync_ms += max(node.runtime.sync_fixed_ms
-                           for node in self.cluster.nodes)
-            apply_sync: List[float] = []
-            for part in self.pgraph.parts:
-                own = self._master_sets[part.node_id]
-                sel = own[foreign_buffer.ids]
-                merged_here = MessageSet(foreign_buffer.ids[sel],
-                                         foreign_buffer.data[sel])
-                if merged_here.size == 0:
-                    changed_by_node[part.node_id] = np.empty(
-                        0, dtype=np.int64)
-                    continue
-                agent = mw.agent_for(part.node_id)
-                cand, changed, cost = agent.request_apply(
-                    new_values, merged_here, algorithm)
-                apply_sync.append(cost)
-                changed = changed[own[changed]] if changed.size else changed
-                if changed.size:
-                    new_values[changed] = cand[changed]
-                    agent.note_master_updates(changed)
-                    sync_changed.append(changed)
-                changed_by_node[part.node_id] = changed
-            if apply_sync:
-                sync_ms += max(apply_sync)
-            breakdown["engine"] += sync_ms
-            self.wall_s["sync"] += perf_counter() - wall1
-            wall1 = perf_counter()
-            self._invalidate_foreign(changed_by_node)
-            for part in self.pgraph.parts:
-                agent = mw.agent_for(part.node_id)
-                if not agent.degraded:
-                    agent.settle_dirty()
-            self.wall_s["cache"] += perf_counter() - wall1
-
-        # frontier: vertices changed by the sync, frontiers left
-        # unfinished by the depth bound, plus local changes whose
-        # out-edges are stored on other nodes (vertex-cut replicas)
-        frontier_parts = list(sync_changed) + pending_parts
-        for changed in local_changed_parts:
-            cross = changed[~self._stored_local[changed]]
-            if cross.size:
-                frontier_parts.append(cross)
-        all_changed = (np.concatenate(frontier_parts) if frontier_parts
-                       else np.empty(0, dtype=np.int64))
-        active = algorithm.next_active(g, all_changed, n)
-        if all_changed.size == 0:
-            active = np.zeros(n, dtype=bool)
-
-        changed_total = int(all_changed.size)
-        # every vertex whose value actually moved this superstep (the
-        # frontier above is a subset) — what a delta checkpoint must cover
-        ckpt_parts = local_changed_parts + sync_changed
-        ckpt_changed = (np.concatenate(ckpt_parts) if ckpt_parts
-                        else np.empty(0, dtype=np.int64))
-        return (IterationStats(
-            index=index,
-            active_edges=active_edges,
-            compute_ms=compute_ms,
-            apply_ms=apply_ms,
-            sync_ms=sync_ms,
-            skipped=skipped,
-            changed_vertices=changed_total,
-            uploads=uploads,
-            cache_hits=hits,
-            cache_misses=misses,
-            cache_evictions=evictions,
-            cache_writebacks=writebacks,
-            node_compute_ms=node_ms,
-            node_entities=node_entities,
-            local_iterations=max(max_sub, 1),
-        ), new_values, active, changed_total, ckpt_changed)
+    # -- the phases: every rule of a superstep, written once -------------------------
 
     def _select_edges(self, part, active: np.ndarray,
                       force_frontier: bool = False):
@@ -1140,11 +750,329 @@ class IterativeEngine:
         a node whose partition is entirely quiescent does no work.
         Event-message algorithms force frontier scans everywhere.
         """
+        wall0 = perf_counter()
         sel = active[part.src]
         if (self.edge_scan == "full" and not force_frontier
                 and sel.any()):
-            return part.src, part.dst, part.weights
-        return part.src[sel], part.dst[sel], part.weights[sel]
+            edges = part.src, part.dst, part.weights
+        else:
+            edges = part.src[sel], part.dst[sel], part.weights[sel]
+        self.wall_s["gen"] += perf_counter() - wall0
+        return edges
+
+    def _edge_phase(self, node_id: int, src: np.ndarray, dst: np.ndarray,
+                    w: np.ndarray, values: np.ndarray,
+                    algorithm: AlgorithmTemplate, st: IterationStats):
+        """One node's pass (MSGGen + MSGMerge) over its selected
+        triplets, on its agent — or on its host runtime when there is
+        no middleware or the node degraded to its CPU baseline after
+        exhausting its accelerators.
+
+        Tallies the pass's cache counters into ``st`` and returns
+        ``(partial, elapsed_ms, middleware_ms)``; ``middleware_ms`` is
+        the transfer + init share of an agent pass (the rest is device
+        time) and ``None`` for a host pass.
+        """
+        wall0 = perf_counter()
+        if self._node_accelerated(node_id):
+            res = self.middleware.agent_for(node_id).edge_pass(
+                src, dst, w, values, algorithm)
+            st.cache_hits += res.cache_hits
+            st.cache_misses += res.cache_misses
+            st.cache_evictions += res.cache_evictions
+            st.cache_writebacks += res.cache_writebacks
+            busy = (res.breakdown.get("middleware.download", 0.0)
+                    + res.breakdown.get("middleware.upload", 0.0)
+                    + res.breakdown.get("middleware.init", 0.0))
+            out = res.partial, res.elapsed_ms, min(busy, res.elapsed_ms)
+        else:
+            partial, ms = self._host_edge_pass(node_id, src, dst, w, values,
+                                               algorithm)
+            out = partial, ms, None
+        self.wall_s["gen"] += perf_counter() - wall0
+        return out
+
+    def _combine(self, algorithm: AlgorithmTemplate,
+                 parts: List[MessageSet]) -> MessageSet:
+        """Global merge of per-node (or per-pass) partial message sets."""
+        wall0 = perf_counter()
+        combined = algorithm.combine_many(parts)
+        self.wall_s["merge"] += perf_counter() - wall0
+        return combined
+
+    def _addressed_to(self, node_id: int, messages: MessageSet
+                      ) -> MessageSet:
+        """The messages whose destination this node is the master of."""
+        if messages.size == 0:
+            return messages
+        return _take(messages, self._master_sets[node_id][messages.ids])
+
+    def _apply_phase(self, node_id: int, messages: MessageSet,
+                     values: np.ndarray, algorithm: AlgorithmTemplate
+                     ) -> Tuple[np.ndarray, float]:
+        """MSGApply of ``messages`` at one node, restricted to its
+        masters and written into ``values`` (the superstep's working
+        copy); the updated masters are written through to the agent's
+        cache, resident and dirty until the next synchronization.
+
+        Returns ``(changed_ids, cost_ms)``.
+        """
+        wall0 = perf_counter()
+        agent = (self.middleware.agent_for(node_id)
+                 if self._node_accelerated(node_id) else None)
+        if agent is not None:
+            cand, changed, cost = agent.request_apply(values, messages,
+                                                      algorithm)
+        else:
+            cand, changed = algorithm.msg_apply(values, messages)
+            cost = self._host_apply_ms(node_id, messages.size)
+        if changed.size:
+            changed = changed[self._master_sets[node_id][changed]]
+            values[changed] = cand[changed]
+        wall1 = perf_counter()
+        self.wall_s["apply"] += wall1 - wall0
+        if agent is not None:
+            agent.note_master_updates(changed)
+            self.wall_s["cache"] += perf_counter() - wall1
+        return changed, cost
+
+    def _synchronize(self, st: IterationStats, collective):
+        """Run the sync ``collective`` (a thunk pricing it) for the
+        superstep ``st`` describes.  When the transport's watchdog
+        gives a node up mid-collective, the whole superstep is
+        discarded with the failed sync."""
+        wall0 = perf_counter()
+        try:
+            return collective()
+        except NodeUnreachable as verdict:
+            verdict.elapsed_ms = (st.compute_ms + st.apply_ms
+                                  + verdict.wasted_ms)
+            raise
+        finally:
+            self.wall_s["sync"] += perf_counter() - wall0
+
+    # -- the strict order: pass, combine, apply, sync --------------------------------
+
+    def _run_iteration(self, index: int, algorithm: AlgorithmTemplate,
+                       values: np.ndarray, active: np.ndarray, width: int,
+                       detector: Optional[SkipDetector], use_lazy: bool,
+                       breakdown: Dict[str, float]):
+        """One superstep in the strict order.  Returns ``(stats,
+        values, active, changed_ids)``."""
+        mw = self.middleware
+        st = IterationStats(index)
+
+        # per-node edge computation (parallel: pay the max)
+        partials: Dict[int, MessageSet] = {}
+        crit_ms, crit_mw_ms = -1.0, None
+        force_frontier = algorithm.requires_frontier_scan
+        for part in self.pgraph.parts:
+            src, dst, w = self._select_edges(part, active, force_frontier)
+            st.active_edges += int(src.size)
+            st.node_entities.append(int(src.size))
+            partials[part.node_id], ms, mw_ms = self._edge_phase(
+                part.node_id, src, dst, w, values, algorithm, st)
+            st.node_compute_ms.append(ms)
+            if ms > crit_ms:
+                # the critical node is the first slowest pass; its
+                # split is the superstep's
+                crit_ms, crit_mw_ms = ms, mw_ms
+        st.compute_ms = max(st.node_compute_ms, default=0.0)
+        if crit_mw_ms is None:
+            # host compute: no middleware, or the critical node degraded
+            breakdown["engine"] += st.compute_ms
+        else:
+            breakdown["middleware"] += max(crit_mw_ms, 0.0)
+            breakdown["device"] += max(crit_ms - crit_mw_ms, 0.0)
+
+        combined = self._combine(
+            algorithm, [partials[node_id] for node_id in sorted(partials)])
+
+        # apply at masters (parallel).  Every node applies, even an
+        # empty message set: the request still pays device init.
+        values = values.copy()
+        node_apply_ms: List[float] = []
+        changed_by_node: Dict[int, np.ndarray] = {}
+        for part in self.pgraph.parts:
+            changed, cost = self._apply_phase(
+                part.node_id, self._addressed_to(part.node_id, combined),
+                values, algorithm)
+            changed_by_node[part.node_id] = changed
+            if mw is not None:
+                # the GAS scatter step is charged in this order only
+                cost += self._scatter_cost_ms(part.node_id, changed.size)
+            node_apply_ms.append(cost)
+        st.apply_ms = max(node_apply_ms, default=0.0)
+        if mw is not None:
+            # apply is dominated by transfer bookkeeping; split half/half
+            breakdown["middleware"] += st.apply_ms * 0.5
+            breakdown["device"] += st.apply_ms * 0.5
+        else:
+            breakdown["engine"] += st.apply_ms
+
+        all_changed = _concat_ids(list(changed_by_node.values()))
+        st.changed_vertices = int(all_changed.size)
+        active = algorithm.next_active(self.graph, all_changed,
+                                       self.graph.num_vertices)
+
+        # synchronization (or skip), priced from the query lists
+        if detector is not None and detector.can_skip(partials,
+                                                      changed_by_node):
+            st.skipped = True
+        else:
+            st.sync_ms, st.uploads, needed_by_node = self._synchronize(
+                st, lambda: self._sync_cost(changed_by_node, active, width,
+                                            use_lazy))
+            breakdown["engine"] += st.sync_ms
+            if mw is not None:
+                self._settle_caches(changed_by_node, needed_by_node)
+        return st, values, active, all_changed
+
+    # -- the combined order (synchronization skipping, §III-B3) ----------------------
+
+    def _run_superstep_combined(self, index: int,
+                                algorithm: AlgorithmTemplate,
+                                values: np.ndarray, active: np.ndarray,
+                                width: int, breakdown: Dict[str, float]):
+        """One superstep where every node iterates locally to quiescence.
+
+        The §III-B3 mechanism for monotone algorithms: a node applies the
+        messages addressed to its own masters immediately and keeps
+        iterating ("multiple computation iterations can be equivalent to
+        a logically combined iteration"); messages addressed to foreign
+        masters are buffered and delivered at one global synchronization
+        when all nodes are locally quiescent.  Runs inside the agents:
+        a degraded node sends the run back to the strict order.
+        Returns ``(stats, values, active, changed_ids)``.
+        """
+        n = self.graph.num_vertices
+        st = IterationStats(index)
+        values = values.copy()
+        depth_cap = max(1, self.middleware.config.skip_max_local_iterations)
+        node_apply_ms: List[float] = []
+        crit_ms, crit_mw_ms, crit_dev_ms = -1.0, 0.0, 0.0
+        foreign_parts: List[MessageSet] = []
+        foreign_cells = [0] * self.cluster.num_nodes
+        local_changed_parts: List[np.ndarray] = []
+        pending_parts: List[np.ndarray] = []
+
+        for part in self.pgraph.parts:
+            node = part.node_id
+            frontier = active
+            t_compute = t_apply = mw_ms = dev_ms = 0.0
+            entities = sub = 0
+            local_changed: List[np.ndarray] = []
+            while True:
+                # combined local iterations always run frontier-driven:
+                # the upper system (and its full triplet view) is not
+                # involved between skipped syncs — nodes iterate from
+                # agent-local data (§III-B3)
+                src, dst, w = self._select_edges(part, frontier,
+                                                 force_frontier=True)
+                if src.size == 0:
+                    break
+                if sub == 0:
+                    st.active_edges += int(src.size)
+                entities += int(src.size)
+                partial, ms, pass_mw_ms = self._edge_phase(
+                    node, src, dst, w, values, algorithm, st)
+                t_compute += ms
+                mw_ms += pass_mw_ms
+                dev_ms += ms - pass_mw_ms
+                sub += 1
+                if partial.size == 0:
+                    break
+                here = self._master_sets[node][partial.ids]
+                foreign = _take(partial, ~here)
+                if foreign.size:
+                    foreign_parts.append(foreign)
+                    foreign_cells[node] += foreign.size
+                local = _take(partial, here)
+                if local.size == 0:
+                    break
+                changed, cost = self._apply_phase(node, local, values,
+                                                  algorithm)
+                t_apply += cost
+                if changed.size == 0:
+                    break
+                local_changed.append(changed)
+                if sub >= depth_cap:
+                    # depth bound reached: hand the unfinished frontier to
+                    # the next superstep instead of fast-forwarding on
+                    pending_parts.append(changed)
+                    break
+                frontier = np.zeros(n, dtype=bool)
+                frontier[changed] = True
+            st.node_compute_ms.append(t_compute)
+            st.node_entities.append(entities)
+            node_apply_ms.append(t_apply)
+            st.local_iterations = max(st.local_iterations, sub)
+            if t_compute + t_apply > crit_ms:
+                # the critical node is the slowest pass + apply summed
+                # over its local iterations
+                crit_ms = t_compute + t_apply
+                crit_mw_ms, crit_dev_ms = mw_ms, dev_ms
+            if local_changed:
+                local_changed_parts.append(np.concatenate(local_changed))
+
+        st.compute_ms = max(st.node_compute_ms, default=0.0)
+        st.apply_ms = max(node_apply_ms, default=0.0)
+        breakdown["middleware"] += max(crit_mw_ms, 0.0) + st.apply_ms * 0.5
+        breakdown["device"] += max(crit_dev_ms, 0.0) + st.apply_ms * 0.5
+
+        # global sync: deliver the buffered foreign messages, priced
+        # from the buffer's payload with apply-at-sync folded in
+        sync_changed: List[np.ndarray] = []
+        foreign_buffer = self._combine(algorithm, foreign_parts)
+        st.skipped = foreign_buffer.size == 0
+        if not st.skipped:
+            st.uploads = foreign_buffer.size
+            payload_bytes = (st.uploads * width * BYTES_PER_CELL
+                             + self._mirror_sync_cells(
+                                 foreign_buffer.ids, width)
+                             * BYTES_PER_CELL)
+            st.sync_ms = self._synchronize(
+                st, lambda: self._network().sync_ms(
+                    self.cluster.num_nodes, payload_bytes,
+                    bytes_by_node=[c * width * BYTES_PER_CELL
+                                   for c in foreign_cells]))
+            st.sync_ms += max(node.runtime.sync_fixed_ms
+                              for node in self.cluster.nodes)
+            apply_sync: List[float] = []
+            changed_by_node: Dict[int, np.ndarray] = {}
+            for part in self.pgraph.parts:
+                merged_here = self._addressed_to(part.node_id,
+                                                 foreign_buffer)
+                if merged_here.size == 0:
+                    continue  # nothing delivered here: no request made
+                changed, cost = self._apply_phase(
+                    part.node_id, merged_here, values, algorithm)
+                apply_sync.append(cost)
+                changed_by_node[part.node_id] = changed
+                if changed.size:
+                    sync_changed.append(changed)
+            if apply_sync:
+                st.sync_ms += max(apply_sync)
+            breakdown["engine"] += st.sync_ms
+            self._settle_caches(changed_by_node, {})
+
+        # frontier: vertices changed by the sync, frontiers left
+        # unfinished by the depth bound, plus local changes whose
+        # out-edges are stored on other nodes (vertex-cut replicas)
+        frontier_parts = sync_changed + pending_parts
+        for changed in local_changed_parts:
+            cross = changed[~self._stored_local[changed]]
+            if cross.size:
+                frontier_parts.append(cross)
+        frontier = _concat_ids(frontier_parts)
+        st.changed_vertices = int(frontier.size)
+        active = algorithm.next_active(self.graph, frontier, n)
+        if frontier.size == 0:
+            active = np.zeros(n, dtype=bool)
+        # every vertex whose value actually moved this superstep (the
+        # frontier above is a subset) — what a delta checkpoint must cover
+        return (st, values, active,
+                _concat_ids(local_changed_parts + sync_changed))
 
     # -- host-mode cost hooks --------------------------------------------------------
 
@@ -1221,8 +1149,7 @@ class IterativeEngine:
 
         payload_cells = upload_total * width
         payload_cells += self._mirror_sync_cells(
-            np.concatenate(list(changed_by_node.values()))
-            if changed_by_node else np.empty(0, dtype=np.int64), width)
+            _concat_ids(list(changed_by_node.values())), width)
         payload_bytes = payload_cells * BYTES_PER_CELL
 
         sync_ms = network.sync_ms(num_nodes, payload_bytes,
@@ -1242,19 +1169,20 @@ class IterativeEngine:
         each agent the queried vertices' fresh values, so foreign changes
         the node asked for stay resident (their delivery was already
         charged as sync payload); foreign changes it did not query are
-        invalidated and will be re-downloaded on demand.
+        invalidated and will be re-downloaded on demand.  With no query
+        lists — an eager sync, or the combined order, whose sync ships
+        buffered messages rather than queried values — every foreign
+        change is invalidated.
         """
+        wall0 = perf_counter()
         mw = self.middleware
         for part in self.pgraph.parts:
             agent = mw.agent_for(part.node_id)
             if agent.degraded:
                 continue
             agent.settle_dirty()
-            foreign = [ids for node, ids in changed_by_node.items()
-                       if node != part.node_id]
-            if not foreign:
-                continue
-            stale = np.concatenate(foreign)
+            stale = _concat_ids([ids for node, ids in changed_by_node.items()
+                                 if node != part.node_id])
             if stale.size == 0:
                 continue
             needed = needed_by_node.get(part.node_id)
@@ -1271,16 +1199,4 @@ class IterativeEngine:
                 remaining = stale
             if remaining.size:
                 agent.invalidate_cache(remaining)
-
-    def _invalidate_foreign(self, changed_by_node: Dict[int, np.ndarray]
-                            ) -> None:
-        """Foreign updates stale out the other agents' cache entries."""
-        mw = self.middleware
-        for part in self.pgraph.parts:
-            foreign = [ids for node, ids in changed_by_node.items()
-                       if node != part.node_id]
-            if not foreign:
-                continue
-            stale = np.concatenate(foreign)
-            if stale.size and not mw.agent_for(part.node_id).degraded:
-                mw.agent_for(part.node_id).invalidate_cache(stale)
+        self.wall_s["cache"] += perf_counter() - wall0

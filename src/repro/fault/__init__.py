@@ -56,7 +56,7 @@ from .inject import (
     FaultInjector,
     FaultPlan,
 )
-from .monitor import CAT_MONITOR, CollectiveMonitor, HeartbeatMonitor
+from .monitor import CollectiveMonitor, HeartbeatMonitor
 from .report import FaultReport, fault_report
 from .retry import RetryPolicy
 from .straggler import PHASES, StragglerDetector
@@ -97,7 +97,6 @@ __all__ = [
     "STALL_KINDS",
     "TO_AGENT",
     "TO_DAEMON",
-    "CAT_MONITOR",
     "StragglerDetector",
     "PHASES",
 ]

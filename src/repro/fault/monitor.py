@@ -31,10 +31,6 @@ from typing import Dict, Generator, Optional
 from ..errors import DaemonDead, NodeUnreachable, SimulationError
 from ..ipc.scheduler import Now, Sleep
 
-#: Accounting category for watchdog bookkeeping time (kept at zero cost;
-#: heartbeats piggyback on protocol messages).
-CAT_MONITOR = "fault.monitor"
-
 
 class HeartbeatMonitor:
     """Per-daemon liveness tracking with busy leases."""

@@ -53,21 +53,6 @@ class RetryPolicy:
             backoff_factor=config.retry_backoff_factor,
         )
 
-    @classmethod
-    def for_network(cls, config) -> "RetryPolicy":
-        """The retransmission policy of the resilient transport.
-
-        Shares the config's attempt budget (``max_retry_attempts`` bounds
-        retransmits exactly like daemon-pass retries) but backs off from
-        the network's own base delay, which tracks the interconnect
-        round-trip rather than a daemon respawn.
-        """
-        return cls(
-            max_attempts=config.max_retry_attempts,
-            base_delay_ms=config.net_retransmit_base_ms,
-            backoff_factor=config.retry_backoff_factor,
-        )
-
     def backoff_ms(self, attempt: int) -> float:
         """Simulated delay before retry number ``attempt`` (1-based)."""
         if attempt < 1:

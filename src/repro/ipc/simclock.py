@@ -39,11 +39,5 @@ class SimClock:
             )
         self._now = float(t)
 
-    def advance_by(self, dt: float) -> None:
-        """Move the clock forward by a non-negative delta ``dt``."""
-        if dt < 0:
-            raise SimulationError(f"negative clock delta {dt}")
-        self._now += float(dt)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SimClock(now={self._now:.6f})"

@@ -29,7 +29,6 @@ from .job import (
     PENDING,
     QUARANTINED,
     RUNNING,
-    STATES,
     Job,
     JobSpec,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "Job",
     "JOB_ALGORITHMS",
     "JOB_ENGINES",
-    "STATES",
     "PENDING",
     "RUNNING",
     "DONE",

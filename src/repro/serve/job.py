@@ -58,7 +58,6 @@ FAILED = "failed"
 CANCELLED = "cancelled"
 #: exhausted its retry budget: poison — recorded reason, never retried
 QUARANTINED = "quarantined"
-STATES = (PENDING, RUNNING, DONE, FAILED, CANCELLED, QUARANTINED)
 
 
 @dataclass(frozen=True)

@@ -71,9 +71,6 @@ RECORD_KINDS = (
     "cancelled", "shed", "idempotency", "shutdown",
 )
 
-#: Terminal job record kinds — replay stops tracking a job after one.
-TERMINAL_KINDS = ("finished", "failed", "quarantined", "cancelled")
-
 
 def _jsonify(value: Any) -> Any:
     """Recursively coerce a value into plain JSON types.

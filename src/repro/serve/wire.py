@@ -107,11 +107,6 @@ FRAME_SCHEMA: Dict[str, Dict[str, Tuple[tuple, bool]]] = {
     "drain": {"session": (_STR, True), "mode": (_STR, False)},
 }
 
-#: ops a client may retry blindly after a dropped connection (submit
-#: joins them only when it carries an idempotency key).
-RETRY_SAFE_OPS = frozenset(
-    ("hello", "ping", "poll", "watch", "cancel", "stats", "drain"))
-
 
 def validate_frame(doc: Any) -> str:
     """Eagerly validate one request frame; returns its op.

@@ -1,13 +1,16 @@
 """Mask-algebra ``_sync_cost`` / ``_settle_caches`` against the sorted
-set operations they replaced.
+set operations they replaced, and ``_settle_caches`` with no query
+lists against the combined order's retired settle path.
 
 The oracle engine below keeps the ``np.unique`` / ``np.intersect1d`` /
-``np.setdiff1d`` bodies the engine had before PR 21.  Over random
-change sets (duplicates included, not confined to masters) and random
-frontiers, the mask forms must price the synchronization identically
-and leave every agent's cache in the identical state: same slot tables,
-same hit and eviction counts — which requires handing the cache the
-same batches in the same order.
+``np.setdiff1d`` bodies the engine had before PR 21, and the
+``_invalidate_foreign`` + ``settle_dirty`` loop the combined superstep
+ran after its sync before PR 22.  Over random change sets (duplicates
+included, not confined to masters) and random frontiers, the production
+forms must price the synchronization identically and leave every
+agent's cache in the identical state: same slot tables, same free
+list, same hit and eviction counts — which requires handing the cache
+the same batches in the same order.
 """
 
 from typing import Dict
@@ -99,6 +102,29 @@ class SortedSetOracle:
             if remaining.size:
                 agent.invalidate_cache(remaining)
 
+    # the combined order's post-sync maintenance before PR 22, verbatim
+    # (two methods' worth: the helper, then the caller's loop)
+
+    def _invalidate_foreign(self, changed_by_node):
+        """Foreign updates stale out the other agents' cache entries."""
+        mw = self.middleware
+        for part in self.pgraph.parts:
+            foreign = [ids for node, ids in changed_by_node.items()
+                       if node != part.node_id]
+            if not foreign:
+                continue
+            stale = np.concatenate(foreign)
+            if stale.size and not mw.agent_for(part.node_id).degraded:
+                mw.agent_for(part.node_id).invalidate_cache(stale)
+
+    def _settle_combined(self, changed_by_node):
+        mw = self.middleware
+        self._invalidate_foreign(changed_by_node)
+        for part in self.pgraph.parts:
+            agent = mw.agent_for(part.node_id)
+            if not agent.degraded:
+                agent.settle_dirty()
+
 
 class OracleGraphX(SortedSetOracle, GraphXEngine):
     pass
@@ -152,9 +178,24 @@ def cache_state(engine):
     for node in range(NODES):
         cache = engine.middleware.agent_for(node).cache
         state.append((cache._ids.tobytes(), cache._weights.tobytes(),
-                      cache._dirty.tobytes(), cache.hits, cache.evictions,
-                      cache.writebacks, len(cache)))
+                      cache._dirty.tobytes(), tuple(cache._free),
+                      cache.hits, cache.evictions, cache.writebacks,
+                      len(cache)))
     return state
+
+
+def warm_caches(rng, *sides):
+    """Warm every side's caches the way a superstep does: a pass
+    downloads some sources, apply marks some masters dirty."""
+    n = GRAPH.num_vertices
+    for node in range(NODES):
+        fetched = rng.integers(0, n, int(rng.integers(1, 120)))
+        updated = rng.integers(0, n, int(rng.integers(0, 40)))
+        for side in sides:
+            agent = side.middleware.agent_for(node)
+            agent.cache.tick()
+            agent.cache.insert_many(fetched)
+            agent.note_master_updates(updated)
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
@@ -165,16 +206,7 @@ def test_sync_and_settle_equal_the_sorted_set_forms(engine, config, seed):
     fast, oracle = twin_engines(engine, config)
     n = GRAPH.num_vertices
     for round_ in range(8):
-        # warm both sides' caches the way a superstep does: a pass
-        # downloads some sources, apply marks some masters dirty
-        for node in range(NODES):
-            fetched = rng.integers(0, n, int(rng.integers(1, 120)))
-            updated = rng.integers(0, n, int(rng.integers(0, 40)))
-            for side in (fast, oracle):
-                agent = side.middleware.agent_for(node)
-                agent.cache.tick()
-                agent.cache.insert_many(fetched)
-                agent.note_master_updates(updated)
+        warm_caches(rng, fast, oracle)
         changed = random_change_sets(rng, dense=round_ % 2 == 0)
         next_active = rng.random(n) < rng.choice([0.0, 0.05, 0.5, 1.0])
         for use_lazy in (True, False):
@@ -191,6 +223,29 @@ def test_sync_and_settle_equal_the_sorted_set_forms(engine, config, seed):
         needed = got[2] if round_ % 3 else {}
         fast._settle_caches(changed, needed)
         oracle._settle_caches(changed, want[2] if round_ % 3 else {})
+        assert cache_state(fast) == cache_state(oracle), \
+            f"round {round_}"
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("seed", range(6))
+def test_settle_without_queries_equals_the_combined_settle(engine, config,
+                                                           seed):
+    """``_settle_caches(changed, {})`` is what the combined order now
+    calls after its sync; per agent, clearing dirty bits and dropping
+    foreign-changed entries commute, so it must leave the caches as the
+    retired invalidate-everyone-then-settle-everyone loop did.  Nodes
+    that received nothing are absent from the map, as the combined
+    order leaves them."""
+    rng = np.random.default_rng(100 + seed)
+    fast, oracle = twin_engines(engine, config)
+    for round_ in range(8):
+        warm_caches(rng, fast, oracle)
+        changed = {node: ids for node, ids in random_change_sets(
+            rng, dense=round_ % 2 == 0).items() if round_ % 4 or ids.size}
+        fast._settle_caches(changed, {})
+        oracle._settle_combined(changed)
         assert cache_state(fast) == cache_state(oracle), \
             f"round {round_}"
 

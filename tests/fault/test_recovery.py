@@ -195,3 +195,87 @@ def test_fault_errors_subclass_the_repro_hierarchy():
     assert err.daemon_id == 3 and err.silent_ms == 7.5
     exhausted = AcceleratorsExhausted("dead node", node_id=2)
     assert exhausted.node_id == 2
+
+
+# -- rollback on a resumed run -------------------------------------------------
+#
+# ``RunResult.stats`` of a resumed run starts at the resume point, not at
+# superstep 0, and a run resumed without a checkpoint store falls back
+# to the resume point — two places where "absolute iteration" and
+# "position in this run" must not be confused.
+
+RESUME_CAP = 12
+
+
+def resume_point(graph, iteration):
+    """The durable state a fault-free run holds after ``iteration``
+    supersteps."""
+    cluster = make_cluster(NUM_NODES, gpus_per_node=1)
+    plug = GXPlug(cluster, RESILIENT.with_(checkpoint_interval=1))
+    engine = PowerGraphEngine.build(graph, cluster, middleware=plug)
+    stepper = engine.run_stepwise(PageRank(), max_iterations=RESUME_CAP)
+    for _ in range(iteration):
+        next(stepper)
+    ckpt = engine.checkpoint_store.peek()
+    assert ckpt.iteration == iteration
+    return ckpt
+
+
+def run_resumed(graph, config, ckpt, cap=RESUME_CAP):
+    """(result, step events) of a run resumed from ``ckpt``."""
+    cluster = make_cluster(NUM_NODES, gpus_per_node=1)
+    plug = GXPlug(cluster, config)
+    engine = PowerGraphEngine.build(graph, cluster, middleware=plug)
+    stepper = engine.run_stepwise(PageRank(), max_iterations=cap,
+                                  resume_from=ckpt)
+    events = []
+    while True:
+        try:
+            events.append(next(stepper))
+        except StopIteration as stop:
+            return stop.value, events
+
+
+def test_rollback_on_a_resumed_run_trims_stats_by_position(graph):
+    plan = FaultPlan.single(CRASH, 9, repeat=10)       # outlives the budget
+    result, events = run_resumed(graph, RESILIENT.with_(fault_plan=plan),
+                                 resume_point(graph, 6))
+    assert result.rollbacks == 1 and result.degraded_nodes == [0]
+    # superstep 8 ran twice (discarded, then replayed from the
+    # iteration-8 checkpoint) and is reported once
+    assert [s.index for s in result.stats] == list(range(6, RESUME_CAP))
+    assert result.iterations == RESUME_CAP
+    # everything the rollback threw away is booked as wasted: the
+    # discarded supersteps and the failed attempt + restore
+    at = next(i for i, e in enumerate(events) if e.kind == "rollback")
+    rollback = events[at]
+    discarded = [e for e in events[:at] if e.iteration > rollback.iteration]
+    assert [e.iteration for e in discarded] == [9]
+    assert result.wasted_ms == pytest.approx(
+        sum(e.sim_ms for e in discarded) + rollback.sim_ms, abs=1e-9)
+    # and the resumed tail is the uninterrupted faulty run's tail
+    cluster = make_cluster(NUM_NODES, gpus_per_node=1)
+    plug = GXPlug(cluster, RESILIENT.with_(fault_plan=plan))
+    whole = PowerGraphEngine.build(graph, cluster, middleware=plug).run(
+        PageRank(), max_iterations=RESUME_CAP)
+    np.testing.assert_array_equal(result.values, whole.values)
+
+
+def test_resumed_run_without_a_store_falls_back_to_its_resume_point(graph):
+    """No checkpoint store (``checkpoint_interval=0``): the rollback
+    fallback is the state the run *started* from — for a resumed run
+    that is the resume point and its iteration, not iteration 0."""
+    cap = 8
+    config = RESILIENT.with_(checkpoint_interval=0)
+    cluster = make_cluster(NUM_NODES, gpus_per_node=1)
+    whole = PowerGraphEngine.build(
+        graph, cluster, middleware=GXPlug(cluster, config)).run(
+            PageRank(), max_iterations=cap)
+    plan = FaultPlan.single(CRASH, 5, repeat=10)
+    result, events = run_resumed(graph, config.with_(fault_plan=plan),
+                                 resume_point(graph, 3), cap=cap)
+    assert result.rollbacks == 1 and result.degraded_nodes == [0]
+    assert [e.iteration for e in events if e.kind == "rollback"] == [3]
+    assert result.iterations == cap
+    assert [s.index for s in result.stats] == list(range(3, cap))
+    np.testing.assert_array_equal(result.values, whole.values)
