@@ -49,6 +49,8 @@ from .wire import (
     PROTOCOL_VERSION,
     GraphServiceServer,
     WireCounters,
+    decode_values,
+    encode_values,
     validate_frame,
 )
 
@@ -86,6 +88,8 @@ __all__ = [
     "GraphClient",
     "WireCounters",
     "PROTOCOL_VERSION",
+    "encode_values",
+    "decode_values",
     "FRAME_SCHEMA",
     "validate_frame",
 ]

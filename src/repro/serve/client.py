@@ -42,7 +42,8 @@ import numpy as np
 from ..errors import (ServeError, WireError, WireProtocolError, WireShed,
                       WireTimeout, WireUnavailable)
 from .job import JobSpec
-from .wire import MAX_FRAME_BYTES, PROTOCOL_VERSION, encode_frame
+from .wire import (MAX_FRAME_BYTES, PROTOCOL_VERSION, decode_values,
+                   encode_frame)
 
 
 class GraphClient:
@@ -208,17 +209,24 @@ class GraphClient:
                 raise ConnectionResetError("server closed the connection")
             self._rbuf += data
             if len(self._rbuf) > MAX_FRAME_BYTES:
-                raise WireProtocolError("oversized frame from server")
+                raise self._desynced("oversized frame from server")
         line, self._rbuf = self._rbuf.split(b"\n", 1)
         try:
             frame = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise WireProtocolError(
+            raise self._desynced(
                 f"unparseable frame from server: {exc}") from None
         if not isinstance(frame, dict):
-            raise WireProtocolError(
+            raise self._desynced(
                 f"non-object frame from server: {frame!r}")
         return frame
+
+    def _desynced(self, message: str) -> WireProtocolError:
+        """The stream can't be trusted past this frame: drop the socket
+        so the next op reconnects and re-hellos instead of re-reading
+        the same bytes."""
+        self._teardown_socket()
+        return WireProtocolError(message)
 
     def _roundtrip_once(self, op: str, fields: Dict[str, Any]
                         ) -> Dict[str, Any]:
@@ -374,12 +382,17 @@ class GraphClient:
                 self._sleep(max(exc.retry_after_ms, 1.0) / 1000.0)
 
     def poll(self, job_id: int, *, values: bool = False) -> Dict[str, Any]:
-        """One job's state doc; ``values=True`` adds result values."""
+        """One job's state doc; ``values=True`` adds a done job's
+        result as an ndarray under ``"values"``."""
         resp = self._request("poll", {"session": self.session_id,
                                       "job_id": job_id,
                                       "values": values},
                              retry_safe=True)
-        return resp["job"]
+        doc = resp["job"]
+        if "values_b64" in doc:
+            doc["values"] = decode_values(doc)
+            del doc["values_b64"]
+        return doc
 
     def result_values(self, job_id: int) -> np.ndarray:
         """A done job's values as the dtype they were computed in."""
@@ -387,8 +400,7 @@ class GraphClient:
         if doc["state"] != "done":
             raise ServeError(f"job {job_id} is {doc['state']!r}, "
                              f"not done")
-        return np.asarray(doc["values"],
-                          dtype=doc.get("values_dtype", "float64"))
+        return doc["values"]
 
     def wait(self, job_id: int, *, poll_interval_s: float = 0.02,
              timeout_s: Optional[float] = None) -> Dict[str, Any]:

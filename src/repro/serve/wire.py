@@ -21,7 +21,7 @@ Request ops::
     ping     {session}                      heartbeat: renew the lease
     submit   {session, job, idempotency_key?}   queue a job
     mutate   {session, graph, batch, idempotency_key?}  mutate a graph
-    poll     {session, job_id, values?}     job state (+ values if done)
+    poll     {session, job_id, values?}     job state (+ values, as bytes, if done)
     watch    {session, job_id}              stream state-change events
     cancel   {session, job_id}              cancel pending/running job
     stats    {session}                      service metrics + wire counters
@@ -34,6 +34,18 @@ error, ...}``; overload refusals use ``code: "shed"`` and carry
 socket.  The server also pushes unsolicited ``{"event": ...}`` frames:
 ``job`` state changes to watchers, ``draining`` to everyone when a
 graceful shutdown starts, ``expired`` when a session's lease lapses.
+
+**Values are bytes.**  A done job's result crosses the wire the way
+GX-Plug moves every block of vertex data between processes — as one
+buffer, not element by element: :func:`encode_values` puts the base64
+of the array's little-endian C-order bytes, its ``dtype.str`` and its
+shape *inside* the job doc, so the frame is still one JSON line under
+every guard below, and :func:`decode_values` is the client's inverse.
+Bit patterns (``nan`` payloads, ``-0.0``, ``inf``) survive because no
+float is ever printed.  No response exceeds ``max_frame_bytes``: an
+answer that would is replaced by ``code: "too-large"`` (``bytes``,
+``limit``), so a result too big for one frame costs one refused poll,
+not the connection.
 
 **Sessions and leases.**  A client opens a session with ``hello`` and
 keeps it alive by heartbeating (any valid frame renews the lease, but
@@ -59,19 +71,24 @@ suspended at their last checkpoint and resume after restart +
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import selectors
 import socket
 import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..errors import AdmissionError, ReproError, ServeError, WireProtocolError
 from .job import JobSpec
 from .service import GraphService
 
-#: Wire protocol version; ``hello`` negotiates it eagerly.
-PROTOCOL_VERSION = 1
+#: Wire protocol version, checked on every frame.  v2 carries result
+#: values as bytes (:func:`encode_values`); a v1 frame is refused.
+PROTOCOL_VERSION = 2
 
 #: Fallback resubmit hint (ms) when the service has no latency history.
 DEFAULT_RETRY_AFTER_MS = 100.0
@@ -80,8 +97,9 @@ DEFAULT_RETRY_AFTER_MS = 100.0
 #: of its connections) is reaped as half-open.
 DEFAULT_LEASE_MS = 30_000.0
 
-#: Hard cap on one frame's length — a peer that streams an unbounded
-#: line is cut off instead of ballooning the read buffer.
+#: Hard cap on one frame's length, either direction — a peer that
+#: streams an unbounded line is cut off instead of ballooning the read
+#: buffer, and the server refuses (``too-large``) to send a longer one.
 MAX_FRAME_BYTES = 4 * 1024 * 1024
 
 _STR = (str,)
@@ -150,6 +168,47 @@ def validate_frame(doc: Any) -> str:
 
 def encode_frame(doc: Dict[str, Any]) -> bytes:
     return (json.dumps(doc) + "\n").encode("utf-8")
+
+
+def encode_values(values: np.ndarray) -> Dict[str, Any]:
+    """A result array as job-doc fields: its bytes, not its digits.
+
+    ``values_b64`` is the base64 of the C-contiguous little-endian
+    buffer, ``values_dtype`` the ``dtype.str`` naming that byte order,
+    ``values_shape`` the shape as a list.
+    """
+    dtype = values.dtype.newbyteorder("<")
+    data = np.ascontiguousarray(values, dtype=dtype)
+    return {"values_b64": base64.b64encode(data).decode("ascii"),
+            "values_dtype": dtype.str,
+            "values_shape": list(values.shape)}
+
+
+def decode_values(doc: Dict[str, Any]) -> np.ndarray:
+    """Inverse of :func:`encode_values`: a writable array owning its
+    memory, native byte order, dtype and shape as computed.
+
+    Anything but a bool/int/float buffer of exactly the stated size
+    raises :class:`~repro.errors.WireProtocolError`.
+    """
+    try:
+        name, shape = doc["values_dtype"], doc["values_shape"]
+        if not isinstance(name, str):
+            raise TypeError(f"dtype {name!r} is not a string")
+        dtype = np.dtype(name)
+        if dtype.kind not in "biuf":
+            raise TypeError(f"dtype {name!r} is not bool/int/float")
+        if not isinstance(shape, list) or not all(
+                type(dim) is int and dim >= 0 for dim in shape):
+            raise TypeError(f"shape {shape!r} is not a list of sizes")
+        raw = base64.b64decode(doc["values_b64"], validate=True)
+        if len(raw) != math.prod(shape) * dtype.itemsize:
+            raise ValueError(
+                f"{len(raw)} bytes for shape {shape} of {dtype.str}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WireProtocolError(f"malformed values: {exc!r}") from None
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(
+        dtype.newbyteorder("="))
 
 
 class _UnknownSession(ServeError):
@@ -510,10 +569,7 @@ class GraphServiceServer:
         doc = job.describe()
         if include_values and job.state == "done" \
                 and job.values is not None:
-            # json round-trips float64 exactly (repr is shortest-
-            # roundtrip), so values survive the wire bit-identically
-            doc["values"] = job.values.tolist()
-            doc["values_dtype"] = str(job.values.dtype)
+            doc.update(encode_values(job.values))
         return doc
 
     def _op_poll(self, conn: _Conn, doc: Dict[str, Any]
@@ -647,7 +703,17 @@ class GraphServiceServer:
     def _send(self, conn: _Conn, doc: Dict[str, Any]) -> None:
         if conn.sock not in self._conns:
             return
-        conn.wbuf += encode_frame(doc)
+        frame = encode_frame(doc)
+        if len(frame) > self.max_frame_bytes:
+            # the peer's reader cuts off at the same cap and could
+            # never resynchronise: refuse by name, keep the connection
+            frame = encode_frame({
+                "re": doc.get("re"), "ok": False, "code": "too-large",
+                "error": f"response of {len(frame)} bytes exceeds the "
+                         f"{self.max_frame_bytes}-byte frame cap",
+                "bytes": len(frame), "limit": self.max_frame_bytes,
+                "v": PROTOCOL_VERSION})
+        conn.wbuf += frame
         self.counters.frames_out += 1
         self._flush(conn)
         if conn.sock in self._conns and conn.wbuf:

@@ -1,5 +1,6 @@
 """GraphClient robustness: timeouts, backoff, reconnects, retry safety."""
 
+import json
 import socket
 import threading
 import time
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 from repro.api import ClusterSpec, GraphService, JobSpec
-from repro.errors import (ServeError, WireError, WireTimeout,
-                          WireUnavailable)
+from repro.errors import (ServeError, WireError, WireProtocolError,
+                          WireTimeout, WireUnavailable)
 from repro.serve import GraphClient, GraphServiceServer
 
 SPEC = ClusterSpec(nodes=2, gpus_per_node=1)
@@ -224,3 +225,91 @@ def test_wait_times_out_on_stuck_job():
     finally:
         server.crash()
         thread.join(timeout=10)
+
+
+# -- one oversized frame must not cost the connection -------------------------
+
+def test_oversized_answer_is_refused_by_name_and_client_survives():
+    svc = make_service()
+    server = GraphServiceServer(svc, max_frame_bytes=20_000)
+    thread = server.serve_in_thread()
+    try:
+        with GraphClient(*server.address, jitter_seed=4) as client:
+            job_id = client.submit(pagerank_spec(tenant="big"))["job_id"]
+            assert client.wait(job_id, timeout_s=30)["state"] == "done"
+            with pytest.raises(ServeError, match=r"\[too-large\]") as info:
+                client.result_values(job_id)
+            assert "20000" in str(info.value)
+            # refused by name, nothing torn down: same socket, same session
+            assert client.ping()["session"] == client.session_id
+            assert client.reconnects == 0
+            assert client.poll(job_id)["state"] == "done"
+    finally:
+        server.crash()
+        thread.join(timeout=10)
+
+
+def test_client_drops_the_socket_after_an_oversized_frame(monkeypatch):
+    svc = make_service()
+    server = GraphServiceServer(svc)
+    thread = server.serve_in_thread()
+    try:
+        with GraphClient(*server.address, jitter_seed=4,
+                         heartbeat=False) as client:
+            job_id = client.submit(pagerank_spec(tenant="big"))["job_id"]
+            assert client.wait(job_id, timeout_s=30)["state"] == "done"
+            session = client.session_id
+            monkeypatch.setattr("repro.serve.client.MAX_FRAME_BYTES", 20_000)
+            with pytest.raises(WireProtocolError, match="oversized"):
+                client.result_values(job_id)
+            assert client._rbuf == b""
+            # the next op reconnects and resumes the session
+            assert client.ping()["session"] == session
+            assert client.reconnects == 1
+            monkeypatch.undo()
+            values = client.result_values(job_id)
+        assert np.array_equal(values, svc.job(job_id).values)
+    finally:
+        server.crash()
+        thread.join(timeout=10)
+
+
+def test_client_drops_the_socket_after_an_unparseable_frame():
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(2)
+    done = threading.Event()
+
+    def answer(conn, reader, **fields):
+        req = json.loads(reader.readline())
+        conn.sendall(json.dumps(
+            dict(fields, re=req["req"], ok=True)).encode() + b"\n")
+
+    def serve_two_connections():
+        first, _ = listener.accept()
+        reader = first.makefile("rb")
+        answer(first, reader, session="s1")
+        reader.readline()                      # the ping ...
+        first.sendall(b"{not json\n")          # ... answered with garbage
+        second, _ = listener.accept()          # first stays open, silent
+        reader = second.makefile("rb")
+        answer(second, reader, session="s1", resumed=True)
+        answer(second, reader, session="s1")
+        done.wait(5)
+        first.close()
+        second.close()
+
+    thread = threading.Thread(target=serve_two_connections, daemon=True)
+    thread.start()
+    try:
+        with GraphClient(*listener.getsockname(), heartbeat=False,
+                         timeout_s=2.0) as client:
+            with pytest.raises(WireProtocolError, match="unparseable"):
+                client.ping()
+            # not one more byte is read from the garbled stream
+            assert client.ping()["session"] == "s1"
+            assert client.reconnects == 1 and client.timeouts == 0
+    finally:
+        done.set()
+        thread.join(timeout=5)
+        listener.close()

@@ -6,12 +6,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import ClusterSpec, GraphService, JobSpec
 from repro.errors import WireProtocolError
-from repro.serve import GraphClient, GraphServiceServer, replay_journal
+from repro.serve import (JOB_ALGORITHMS, GraphClient, GraphServiceServer,
+                         decode_values, encode_values, replay_journal)
 from repro.serve.journal import read_journal
-from repro.serve.wire import PROTOCOL_VERSION, validate_frame
+from repro.serve.wire import PROTOCOL_VERSION, encode_frame, validate_frame
 
 SPEC = ClusterSpec(nodes=2, gpus_per_node=1)
 
@@ -145,7 +148,7 @@ def test_hello_submit_poll_values_bit_identical(served):
         done = client.wait(resp["job_id"], timeout_s=30)
         assert done["state"] == "done"
         values = client.result_values(resp["job_id"])
-    # JSON must round-trip float64 exactly: repr is shortest-roundtrip
+    # the client's array is the server's buffer, not its digits
     assert values.dtype == np.float64
     assert np.array_equal(values, svc.job(resp["job_id"]).values)
 
@@ -450,3 +453,208 @@ def test_mutate_shed_while_draining():
     finally:
         server.crash()
         thread.join(timeout=10)
+
+
+# -- values cross the wire as bytes (protocol v2) -----------------------------
+
+def via_frame(values: np.ndarray) -> np.ndarray:
+    line = encode_frame({"job": encode_values(values)})
+    return decode_values(json.loads(line)["job"])
+
+
+VALUE_DTYPES = ["<f8", ">f8", "<f4", ">f4", "<i8", ">i8", "<i4", ">i4", "|b1"]
+
+
+@st.composite
+def value_arrays(draw):
+    dtype = np.dtype(draw(st.sampled_from(VALUE_DTYPES)))
+    shape = draw(st.one_of(
+        st.tuples(st.integers(0, 40)),
+        st.tuples(st.integers(0, 12), st.integers(1, 4))))
+    # arbitrary bit patterns: nan payloads, -0.0, +-inf, denormals
+    raw = draw(st.binary(min_size=dtype.itemsize * int(np.prod(shape)),
+                         max_size=dtype.itemsize * int(np.prod(shape))))
+    if dtype.kind == "b":
+        raw = bytes(b & 1 for b in raw)
+    array = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    if draw(st.booleans()):
+        # non-contiguous view of the same elements
+        wide = np.zeros(shape[:-1] + (2 * shape[-1],), dtype=dtype)
+        wide[..., ::2] = array
+        array = wide[..., ::2]
+        assert not array.flags.c_contiguous or array.size <= 1
+    return array
+
+
+@given(value_arrays())
+@settings(max_examples=150, deadline=None)
+def test_values_round_trip_bit_for_bit(array):
+    got = via_frame(array)
+    native = array.dtype.newbyteorder("=")
+    assert got.dtype == native and got.dtype.isnative
+    assert got.shape == array.shape
+    assert got.tobytes() == array.astype(native).tobytes()
+    assert got.flags.writeable and got.flags.owndata
+
+
+def test_values_special_floats_keep_their_bits():
+    quiet = np.frombuffer(np.uint64(0x7FF8_0000_DEAD_BEEF).tobytes(),
+                          dtype=np.float64)[0]
+    array = np.array([quiet, -0.0, 0.0, np.inf, -np.inf, 5e-324])
+    got = via_frame(array)
+    assert got.tobytes() == array.tobytes()
+    assert np.signbit(got[1]) and not np.signbit(got[2])
+    got[0] = 1.0                            # writable, owns its memory
+    assert via_frame(np.empty((0, 3), dtype=np.float32)).shape == (0, 3)
+
+
+GOOD_VALUES = {"values_b64": "AAAAAAAA8D8=", "values_dtype": "<f8",
+               "values_shape": [1]}
+
+
+def test_good_values_doc_decodes():
+    assert decode_values(GOOD_VALUES).tolist() == [1.0]
+
+
+@pytest.mark.parametrize("patch", [
+    {"values_b64": "AAAA*AAA8D8="},          # not base64
+    {"values_b64": "AAAAAAAA8D8"},           # bad padding
+    {"values_b64": None},
+    {"values_shape": [2]},                   # length != prod(shape) * 8
+    {"values_shape": [1, 0]},
+    {"values_shape": [-1]},
+    {"values_shape": [1.0]},
+    {"values_shape": [True]},
+    {"values_shape": 1},
+    {"values_dtype": "<f4"},                 # would reshape silently to 2
+    {"values_dtype": "float65"},
+    {"values_dtype": "|O"},
+    {"values_dtype": "|S8"},
+    {"values_dtype": "<M8[s]"},
+    {"values_dtype": [["a", "<f8"]]},
+    {"values_dtype": None},
+], ids=repr)
+def test_malformed_values_doc_raises_wire_protocol_error(patch):
+    with pytest.raises(WireProtocolError, match="malformed values"):
+        decode_values(dict(GOOD_VALUES, **patch))
+
+
+@pytest.mark.parametrize("missing", sorted(GOOD_VALUES))
+def test_values_doc_missing_a_field_names_it(missing):
+    doc = dict(GOOD_VALUES)
+    del doc[missing]
+    with pytest.raises(WireProtocolError, match=missing):
+        decode_values(doc)
+
+
+def every_algorithm_spec(algorithm, engine):
+    params = {"kcore": {"k": 2}, "sssp-bf": {"sources": [0, 5]}}
+    return JobSpec(graph="g", algorithm=algorithm, engine=engine,
+                   params=params.get(algorithm, {}), max_iterations=6,
+                   tenant="t")
+
+
+def assert_same_array(got: np.ndarray, want: np.ndarray, what):
+    assert got.dtype == want.dtype, what
+    assert got.shape == want.shape, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+def test_every_algorithm_arrives_bit_identical(tmp_path):
+    """Computed, cache hit, and after crash + recover(): the client's
+    array is the service's array, byte for byte."""
+    jpath = str(tmp_path / "svc.jsonl")
+    svc = GraphService(SPEC, cache_entries=32, journal=jpath)
+    svc.load_graph("g", dataset="wrn")
+    server = GraphServiceServer(svc)
+    thread = server.serve_in_thread()
+    cells = [(a, e) for a in sorted(JOB_ALGORITHMS)
+             for e in ("powergraph", "graphx")]
+    computed = {}
+    with connect(server) as client:
+        for cell in cells:
+            spec = every_algorithm_spec(*cell)
+            first = client.submit(spec)["job_id"]
+            assert client.wait(first, timeout_s=60)["state"] == "done"
+            assert_same_array(client.result_values(first),
+                              svc.job(first).values, cell)
+            hit = client.submit(spec)["job_id"]
+            doc = client.wait(hit, timeout_s=60)
+            assert doc["state"] == "done" and doc["from_cache"], cell
+            assert_same_array(client.result_values(hit),
+                              svc.job(first).values, cell)
+            computed[cell] = (first, svc.job(first).values)
+        assert computed[("sssp-bf", "graphx")][1].shape[1] == 2
+        server.crash()
+        thread.join(timeout=10)
+        svc2 = GraphService.recover(jpath)
+        server2 = GraphServiceServer(svc2, *server.address)
+        thread2 = server2.serve_in_thread()
+        try:
+            for cell, (job_id, values) in computed.items():
+                assert_same_array(client.result_values(job_id), values,
+                                  cell)
+                assert_same_array(svc2.job(job_id).values, values, cell)
+        finally:
+            server2.crash()
+            thread2.join(timeout=10)
+
+
+def test_v1_frame_refused_by_name_and_connection_stays_usable(served):
+    _, server = served
+    assert PROTOCOL_VERSION == 2
+    with socket.create_connection(server.address, timeout=5) as sock:
+        reader = sock.makefile("rb")
+        sock.sendall(b'{"op": "hello", "v": 1, "req": 1, "client": "old"}\n')
+        refused = json.loads(reader.readline())
+        assert refused["ok"] is False and refused["code"] == "bad-frame"
+        assert refused["re"] == 1 and refused["v"] == 2
+        assert "frame says 1" in refused["error"]
+        assert "server speaks 2" in refused["error"]
+        sock.sendall(b'{"op": "hello", "v": 2, "req": 2, "client": "new"}\n')
+        hello = json.loads(reader.readline())
+        assert hello["ok"] is True and hello["re"] == 2
+
+
+def test_every_frame_is_strict_json(served):
+    """SSSP distances to unreachable vertices are ``inf``: as digits
+    that is the bare token ``Infinity``, which is not JSON."""
+    svc, server = served
+
+    def refuse(token):
+        raise AssertionError(f"non-JSON constant {token!r} on the wire")
+
+    frames = []
+    with socket.create_connection(server.address, timeout=10) as sock:
+        reader = sock.makefile("rb")
+
+        def ask(*requests):
+            """Pipeline the requests; return the last one's answer."""
+            sock.sendall(b"".join(
+                encode_frame(dict(fields, v=PROTOCOL_VERSION, req=rid))
+                for rid, fields in enumerate(requests)))
+            while True:
+                frame = json.loads(reader.readline(),
+                                   parse_constant=refuse)
+                frames.append(frame)
+                if frame.get("re") == len(requests) - 1:
+                    assert frame["ok"], frame
+                    return frame
+
+        session = ask({"op": "hello", "client": "strict"})["session"]
+        spec = JobSpec(graph="g", algorithm="sssp-bf", tenant="t",
+                       params={"sources": [0]}, max_iterations=6)
+        # one write: the watch is armed before the job's first slice
+        watch = ask({"op": "submit", "session": session,
+                     "job": spec.to_doc()},
+                    {"op": "watch", "session": session, "job_id": 1})
+        assert watch["terminal"] is False
+        poll = {"op": "poll", "session": session, "job_id": 1}
+        while ask(poll)["job"]["state"] != "done":
+            time.sleep(0.01)
+        answer = ask(dict(poll, values=True))
+        ask({"op": "stats", "session": session})
+    values = decode_values(answer["job"])
+    assert np.isinf(values).any(), "test graph lost its unreachable part"
+    assert np.array_equal(values, svc.job(1).values)
+    assert any(f.get("event") == "job" and f["terminal"] for f in frames)
