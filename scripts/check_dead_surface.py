@@ -110,16 +110,6 @@ TESTS_ONLY = {
         "paper API surface: the agent's MSGMerge request (docs/protocol.md)",
     "repro.core.agent.MAX_RECOVERY_ATTEMPTS":
         "API surface: documented default retry budget (docs/protocol.md)",
-    "repro.core.config.RuntimeConfig.with_faults":
-        "API surface: RuntimeConfig builder step (repro.api)",
-    "repro.core.config.RuntimeConfig.with_network":
-        "API surface: RuntimeConfig builder step (repro.api)",
-    "repro.core.config.RuntimeConfig.with_pipeline":
-        "API surface: RuntimeConfig builder step (repro.api)",
-    "repro.core.config.RuntimeConfig.with_straggler":
-        "API surface: RuntimeConfig builder step (repro.api, README)",
-    "repro.core.config.RuntimeConfig.with_sync":
-        "API surface: RuntimeConfig builder step (repro.api)",
     "repro.engines.graphx.jvm_runtime_for":
         "API surface: a JVM host runtime for a given JNI configuration",
     "repro.fault.inject.FaultPlan.for_superstep":

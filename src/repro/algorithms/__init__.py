@@ -15,17 +15,26 @@ from .kcore import KCore
 from .widest_path import WidestPath
 
 
-def paper_workloads():
-    """The three workloads of §V-A, paper-default parameters.
+#: Every algorithm by wire name — the one table the CLI, the serving
+#: layer and the benches look names up in; keys are each class's ``name``.
+ALGORITHMS = {cls.name: cls for cls in (
+    PageRank, MultiSourceSSSP, LabelPropagation, BFS,
+    ConnectedComponents, KCore, WidestPath)}
 
-    SSSP-BF uses 4 simultaneous sources; LP is capped at 15 iterations
-    (via its ``default_max_iterations``).
-    """
-    return {
-        "sssp-bf": MultiSourceSSSP(sources=(0, 1, 2, 3)),
-        "pagerank": PageRank(),
-        "lp": LabelPropagation(),
-    }
+#: The three workloads of §V-A in figure order: wire name ->
+#: (paper-default parameters, the figures' iteration budget).  SSSP-BF
+#: uses 4 simultaneous sources and runs to convergence.
+PAPER_WORKLOADS = {
+    "pagerank": ({}, 10),
+    "sssp-bf": ({"sources": (0, 1, 2, 3)}, None),
+    "lp": ({}, 15),
+}
+
+
+def paper_workloads():
+    """Fresh instances of §V-A's workloads, paper-default parameters."""
+    return {name: ALGORITHMS[name](**params)
+            for name, (params, _cap) in PAPER_WORKLOADS.items()}
 
 
 __all__ = [
@@ -36,5 +45,7 @@ __all__ = [
     "ConnectedComponents",
     "KCore",
     "WidestPath",
+    "ALGORITHMS",
+    "PAPER_WORKLOADS",
     "paper_workloads",
 ]

@@ -18,32 +18,8 @@ from .hotpath import (
     write_bench_json,
 )
 from .schedbench import format_scheduler_report, run_scheduler_bench
-from .runner import (
-    algorithm_factories,
-    paper_fig15_analysis,
-    run_fig8,
-    run_fig9a,
-    run_fig9b,
-    run_fig9c,
-    run_fig9d,
-    run_fig10,
-    run_fig11a,
-    run_fig11b,
-    run_fig12a,
-    run_fig12b,
-    run_fault_overhead,
-    run_fault_soak,
-    run_mutation_soak,
-    run_serve_chaos,
-    run_serve_soak,
-    run_wire_chaos,
-    run_straggler_soak,
-    run_topology_soak,
-    run_fig13,
-    run_fig14,
-    run_fig15,
-    run_table1,
-)
+from . import figures
+from .figures import *  # noqa: F401,F403
 
 __all__ = [
     "format_table",
@@ -55,30 +31,7 @@ __all__ = [
     "write_csv",
     "write_json",
     "read_json",
-    "algorithm_factories",
-    "run_table1",
-    "run_fig8",
-    "run_fig9a",
-    "run_fig9b",
-    "run_fig9c",
-    "run_fig9d",
-    "run_fig10",
-    "run_fig11a",
-    "run_fig11b",
-    "run_fig12a",
-    "run_fig12b",
-    "run_fig13",
-    "run_fig14",
-    "run_fig15",
-    "run_fault_overhead",
-    "run_fault_soak",
-    "run_mutation_soak",
-    "run_serve_chaos",
-    "run_wire_chaos",
-    "run_serve_soak",
-    "run_straggler_soak",
-    "run_topology_soak",
-    "paper_fig15_analysis",
+    *figures.__all__,
     "run_hotpath_bench",
     "format_report",
     "write_bench_json",

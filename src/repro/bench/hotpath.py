@@ -23,7 +23,7 @@ import platform
 import time
 from typing import Dict, List, Optional, Sequence
 
-from ..algorithms import ConnectedComponents, MultiSourceSSSP, PageRank
+from ..algorithms import ALGORITHMS, PAPER_WORKLOADS
 from ..cluster import NATIVE_RUNTIME, make_cluster
 from ..core import GXPlug, MiddlewareConfig
 from ..engines import PowerGraphEngine
@@ -65,14 +65,12 @@ ITERATION_CAPS = {"pagerank": 5, "sssp-bf": 10, "cc": 10}
 
 
 def _algorithm(name: str):
-    if name == "pagerank":
-        return PageRank()
-    if name == "sssp-bf":
-        return MultiSourceSSSP(sources=(0, 1, 2, 3))
-    if name == "cc":
-        return ConnectedComponents()
-    raise BenchmarkError(f"unknown bench algorithm {name!r} "
-                         f"(choose from {', '.join(DEFAULT_ALGORITHMS)})")
+    if name not in DEFAULT_ALGORITHMS:
+        raise BenchmarkError(
+            f"unknown bench algorithm {name!r} "
+            f"(choose from {', '.join(DEFAULT_ALGORITHMS)})")
+    params, _cap = PAPER_WORKLOADS.get(name, ({}, None))
+    return ALGORITHMS[name](**params)
 
 
 def run_hotpath_bench(vertices: int = DEFAULT_VERTICES,

@@ -1,1401 +1,5 @@
-"""Experiment runners: one function per table/figure of the evaluation.
-
-Each ``run_*`` function builds the paper's experimental setup from scratch
-(cluster, partitioning, middleware config), executes it on the simulated
-substrate, and returns structured rows; the ``benchmarks/`` suite prints
-them and asserts the paper's qualitative shapes (who wins, by what factor,
-where crossovers and OOMs fall).
-
-All returned times are simulated milliseconds and fully deterministic.
-"""
-
-from __future__ import annotations
-
-import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
-
-from ..algorithms import LabelPropagation, MultiSourceSSSP, PageRank
-from ..baselines import GunrockSystem, LuxSystem, distributed_gpu_fits
-from ..cluster import (
-    JVM_RUNTIME,
-    NATIVE_RUNTIME,
-    Topology,
-    make_cluster,
-    make_heterogeneous_cluster,
-)
-from ..core import (
-    FULL,
-    NETWORK_RESILIENT,
-    RESILIENT,
-    ClusterSpec,
-    GXPlug,
-    MiddlewareConfig,
-    StragglerConfig,
-    balancing_factors,
-    cluster_coefficients,
-    optimal_makespan,
-)
-from ..core.pipeline import PAPER_FIG15_COEFFICIENTS
-from ..engines import GraphXEngine, PowerGraphEngine
-from ..errors import DeviceMemoryError
-from ..fault import (LINK_SLOW, NET_DELAY, NET_DROP, NET_DUP, SLOWDOWN,
-                     SYNC_FAIL, FaultPlan)
-from ..graph import (
-    DATASETS,
-    clustering_partition,
-    hash_partition,
-    load_dataset,
-    load_synthetic_clustered,
-    load_synthetic_uniform,
-)
-
-ENGINES = {
-    "graphx": (GraphXEngine, JVM_RUNTIME),
-    "powergraph": (PowerGraphEngine, NATIVE_RUNTIME),
-}
-
-
-def algorithm_factories() -> Dict[str, Tuple[Callable, Optional[int]]]:
-    """The paper's three workloads with their iteration budgets."""
-    return {
-        "pagerank": (lambda: PageRank(), 10),
-        "sssp-bf": (lambda: MultiSourceSSSP(sources=(0, 1, 2, 3)), None),
-        "lp": (lambda: LabelPropagation(), 15),
-    }
-
-
-def _run(engine_cls, graph, cluster, algorithm, max_iter,
-         config: Optional[MiddlewareConfig] = None):
-    """One engine run; ``config=None`` means host-only (no middleware)."""
-    middleware = GXPlug(cluster, config) if config is not None else None
-    engine = engine_cls.build(graph, cluster, middleware=middleware)
-    return engine.run(algorithm, max_iterations=max_iter)
-
-
-# ---------------------------------------------------------------------------
-# Table I
-# ---------------------------------------------------------------------------
-
-def run_table1() -> List[Tuple]:
-    """Dataset inventory: paper sizes and the synthetic twins' sizes."""
-    rows = []
-    for name, spec in DATASETS.items():
-        twin = load_dataset(name)
-        rows.append((name, spec.paper_vertices, spec.paper_edges, spec.kind,
-                     twin.num_vertices, twin.num_edges,
-                     round(twin.average_degree(), 2)))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Fig. 8 — engine x accelerator speedups
-# ---------------------------------------------------------------------------
-
-def run_fig8(datasets: Sequence[str] = ("orkut",),
-             num_nodes: int = 4) -> List[Tuple]:
-    """Rows: (dataset, engine, algorithm, variant, total_ms, speedup).
-
-    Variants: bare engine, CPU+engine, GPU+engine — the Fig. 8 bars.
-    """
-    rows = []
-    for ds in datasets:
-        graph = load_dataset(ds)
-        for engine_name, (engine_cls, runtime) in ENGINES.items():
-            for alg_name, (factory, cap) in algorithm_factories().items():
-                base = _run(engine_cls, graph,
-                            make_cluster(num_nodes, runtime=runtime),
-                            factory(), cap)
-                cpu_cluster = make_cluster(num_nodes,
-                                           cpu_accels_per_node=1,
-                                           runtime=runtime)
-                cpu = _run(engine_cls, graph, cpu_cluster, factory(), cap,
-                           config=FULL)
-                gpu_cluster = make_cluster(num_nodes, gpus_per_node=1,
-                                           runtime=runtime)
-                gpu = _run(engine_cls, graph, gpu_cluster, factory(), cap,
-                           config=FULL)
-                assert np.allclose(base.values, gpu.values, equal_nan=True)
-                rows.append((ds, engine_name, alg_name, "none",
-                             base.total_ms, 1.0))
-                rows.append((ds, engine_name, alg_name, "cpu+",
-                             cpu.total_ms, base.total_ms / cpu.total_ms))
-                rows.append((ds, engine_name, alg_name, "gpu+",
-                             gpu.total_ms, base.total_ms / gpu.total_ms))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Fig. 9 — scalability vs Gunrock / Lux
-# ---------------------------------------------------------------------------
-
-def _gxplug_run_ms(graph, num_gpus: int, algorithm, max_iter) -> float:
-    """PowerGraph+GX-Plug with ``num_gpus`` nodes of one GPU each."""
-    cluster = make_cluster(num_gpus, gpus_per_node=1,
-                           runtime=NATIVE_RUNTIME)
-    plug = GXPlug(cluster, FULL)
-    engine = PowerGraphEngine.build(graph, cluster, middleware=plug)
-    return engine.run(algorithm, max_iterations=max_iter).total_ms
-
-
-def run_fig9a(dataset: str = "orkut",
-              gpu_counts: Sequence[int] = (1, 2, 3, 4)) -> List[Tuple]:
-    """Rows: (system, gpus, total_ms | None).  Orkut PageRank."""
-    graph = load_dataset(dataset)
-    rows = []
-    for g in gpu_counts:
-        rows.append(("gx-plug", g,
-                     _gxplug_run_ms(graph, g, PageRank(), 10)))
-        try:
-            lux = LuxSystem(graph, num_gpus=g).run(PageRank(),
-                                                   max_iterations=10)
-            rows.append(("lux", g, lux.total_ms))
-        except DeviceMemoryError:
-            rows.append(("lux", g, None))
-        if g == 1:
-            try:
-                gr = GunrockSystem(graph).run(PageRank(), max_iterations=10)
-                rows.append(("gunrock", g, gr.total_ms))
-            except DeviceMemoryError:
-                rows.append(("gunrock", g, None))
-    return rows
-
-
-def run_fig9b(datasets: Sequence[str] = ("twitter", "uk-2007-02"),
-              gpu_counts: Sequence[int] = (2, 3, 4)) -> List[Tuple]:
-    """Rows: (dataset, system, gpus, total_ms | None).
-
-    SSSP-BF on the two large twins — the regime where the paper credits
-    GX-Plug's synchronization optimizations ("e.g., synchronization
-    skipping, which may become more critical for the scalability on
-    large datasets").  Gunrock overflows outright; UK-2007 stops fitting
-    every distributed system at 4 GPUs.
-    """
-    def sssp():
-        return MultiSourceSSSP(sources=(0, 1, 2, 3))
-
-    rows = []
-    for ds in datasets:
-        graph = load_dataset(ds)
-        gunrock = GunrockSystem(graph)
-        rows.append((ds, "gunrock", 1,
-                     None if not gunrock.fits() else
-                     gunrock.run(sssp()).total_ms))
-        for g in gpu_counts:
-            if distributed_gpu_fits(graph, g):
-                rows.append((ds, "gx-plug", g,
-                             _gxplug_run_ms(graph, g, sssp(), None)))
-                lux = LuxSystem(graph, num_gpus=g)
-                rows.append((ds, "lux", g, lux.run(sssp()).total_ms))
-            else:
-                rows.append((ds, "gx-plug", g, None))
-                rows.append((ds, "lux", g, None))
-    return rows
-
-
-def run_fig9c(dataset: str = "orkut",
-              gpu_counts: Sequence[int] = (1, 2, 3, 4)) -> List[Tuple]:
-    """Rows: (algorithm, gpus, total_ms).  GX-Plug across workloads."""
-    graph = load_dataset(dataset)
-    rows = []
-    for alg_name, (factory, cap) in algorithm_factories().items():
-        for g in gpu_counts:
-            rows.append((alg_name, g,
-                         _gxplug_run_ms(graph, g, factory(), cap)))
-    return rows
-
-
-MIXES_9D = (
-    ("1cpu", [["cpu"], ["cpu"]]),
-    ("1gpu", [["gpu"], ["gpu"]]),
-    ("1gpu+1cpu", [["gpu", "cpu"], ["gpu", "cpu"]]),
-    ("2gpu", [["gpu", "gpu"], ["gpu", "gpu"]]),
-    ("2gpu+1cpu", [["gpu", "gpu", "cpu"], ["gpu", "gpu", "cpu"]]),
-)
-
-
-def run_fig9d(dataset: str = "orkut") -> List[Tuple]:
-    """Rows: (mix, capacity_factor, total_ms).  Mixing accelerators."""
-    graph = load_dataset(dataset)
-    rows = []
-    for label, spec in MIXES_9D:
-        cluster = make_heterogeneous_cluster(spec, runtime=NATIVE_RUNTIME)
-        plug = GXPlug(cluster, FULL)
-        engine = PowerGraphEngine.build(graph, cluster, middleware=plug)
-        res = engine.run(PageRank(), max_iterations=10)
-        capacity = sum(cluster.capacity_factors())
-        rows.append((label, capacity, res.total_ms))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Fault-tolerance overhead (fault-free runs, monitor + checkpoints on)
-# ---------------------------------------------------------------------------
-
-def run_fault_overhead(dataset: str = "orkut",
-                       num_nodes: int = 4) -> List[Tuple]:
-    """Rows: (algorithm, variant, total_ms, overhead).
-
-    The Fig. 8 GPU+PowerGraph configuration run fault-free twice: with
-    the fault-tolerance layer off (``FULL``) and on (``RESILIENT``:
-    heartbeat monitoring, checkpoints every 2 supersteps, host
-    degradation armed).  The enabled path's budget is < 10% overhead —
-    heartbeats piggyback on protocol messages, so the cost is just the
-    periodic vertex-table snapshots.
-    """
-    graph = load_dataset(dataset)
-    rows = []
-    for alg_name, (factory, cap) in algorithm_factories().items():
-        cluster = make_cluster(num_nodes, gpus_per_node=1,
-                               runtime=NATIVE_RUNTIME)
-        base = _run(PowerGraphEngine, graph, cluster, factory(), cap,
-                    config=FULL)
-        ft_cluster = make_cluster(num_nodes, gpus_per_node=1,
-                                  runtime=NATIVE_RUNTIME)
-        ft = _run(PowerGraphEngine, graph, ft_cluster, factory(), cap,
-                  config=RESILIENT)
-        assert np.allclose(base.values, ft.values, equal_nan=True)
-        overhead = (ft.total_ms / base.total_ms - 1.0
-                    if base.total_ms else 0.0)
-        rows.append((alg_name, "full", base.total_ms, 0.0))
-        rows.append((alg_name, "resilient", ft.total_ms, overhead))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Fault soak: seeded random campaigns at increasing rates
-# ---------------------------------------------------------------------------
-
-#: The recoverable network kinds the soak sweeps over.  ``node_partition``
-#: is excluded on purpose: it permanently degrades a node, so its cost is
-#: a step function (rollback + rebalance + slower tail), not the
-#: per-fault recovery overhead whose linear growth the soak measures.
-SOAK_KINDS = (NET_DROP, NET_DELAY, NET_DUP, SYNC_FAIL)
-
-
-def run_fault_soak(dataset: str = "wrn", num_nodes: int = 2,
-                   seed: int = 17,
-                   rates: Sequence[float] = (0.0, 0.1, 0.2, 0.4),
-                   kinds: Sequence[str] = SOAK_KINDS,
-                   max_iter: int = 10,
-                   topology: Optional[str] = None) -> List[Tuple]:
-    """Rows: (rate, injected, total_ms, overhead_ms, retransmits,
-    net_wasted_ms, rollbacks).
-
-    One :meth:`FaultPlan.random` campaign per rate, all from the same
-    seed, on the NETWORK_RESILIENT stack.  Results must match the
-    rate-0 run exactly; the recovery overhead (total beyond the rate-0
-    cost) is reported per campaign so the suite can assert it scales
-    linearly with the number of injected faults.
-
-    ``topology`` — optional rack spec (``"rack:RxN"``); link-level
-    fault kinds (``link_slow`` / ``link_flaky``) need one, since a flat
-    network has no concrete links to inflate.
-    """
-    graph = load_dataset(dataset)
-    baseline = None
-    rows = []
-    for rate in rates:
-        plan = FaultPlan.random(seed, supersteps=max_iter,
-                                num_nodes=num_nodes, rate=rate,
-                                kinds=tuple(kinds))
-        cluster = ClusterSpec(nodes=num_nodes, gpus_per_node=1,
-                              runtime="native",
-                              topology=topology).build()
-        result = _run(PowerGraphEngine, graph, cluster, PageRank(),
-                      max_iter,
-                      config=NETWORK_RESILIENT.with_(fault_plan=plan))
-        if baseline is None:
-            baseline = result
-        assert np.allclose(result.values, baseline.values, atol=1e-9)
-        injected = sum(s.faults_injected for s in result.stats)
-        rows.append((rate, injected, result.total_ms,
-                     result.total_ms - baseline.total_ms,
-                     result.retransmits, result.net_wasted_ms,
-                     result.rollbacks))
-    return rows
-
-
-def run_straggler_soak(dataset: str = "wrn", num_nodes: int = 2,
-                       gpus_per_node: int = 2, factor: float = 4.0,
-                       passes: int = 6,
-                       max_iter: int = 8) -> List[Tuple]:
-    """Rows: (variant, total_ms, lost_ms, verdicts, speculation,
-    coeff_updates, online_rebalances).
-
-    Gray-failure soak: PageRank on the RESILIENT stack, clean and with
-    one daemon slowed ``factor``x for ``passes`` passes, each with the
-    gray responses off (no detection) and on (detection + speculative
-    re-execution + online Lemma-2 re-estimation).  Invariants asserted
-    here, shape asserted by the suite:
-
-    * detection alone is free — the clean on/off pair is bit-identical
-      in values *and* simulated time;
-    * the slowdown never corrupts values — detect-off matches clean
-      bit-for-bit, detect-on to 1e-9 (the online repartition regroups
-      floating-point merges, exactly like degradation rebalancing).
-    """
-    graph = load_dataset(dataset)
-    plan = FaultPlan.single(SLOWDOWN, 1, node_id=0, daemon_index=0,
-                            factor=factor, passes=passes)
-
-    def one(fault_plan, scfg):
-        cluster = make_cluster(num_nodes, gpus_per_node=gpus_per_node,
-                               runtime=NATIVE_RUNTIME)
-        config = RESILIENT.with_(fault_plan=fault_plan, straggler=scfg)
-        return _run(PowerGraphEngine, graph, cluster, PageRank(),
-                    max_iter, config=config)
-
-    detect_off = StragglerConfig()
-    detect_on = StragglerConfig(enabled=True, speculate=True,
-                                reestimate=True)
-    clean_off = one(None, detect_off)
-    clean_on = one(None, detect_on)
-    slow_off = one(plan, detect_off)
-    slow_on = one(plan, detect_on)
-
-    assert np.array_equal(clean_on.values, clean_off.values)
-    assert clean_on.total_ms == clean_off.total_ms
-    assert np.array_equal(slow_off.values, clean_off.values)
-    assert np.allclose(slow_on.values, clean_off.values, atol=1e-9)
-
-    base = clean_off.total_ms
-    rows = []
-    for label, res in (("clean/detect-off", clean_off),
-                       ("clean/detect-on", clean_on),
-                       ("slowdown/detect-off", slow_off),
-                       ("slowdown/detect-on", slow_on)):
-        rows.append((label, res.total_ms, res.total_ms - base,
-                     res.straggler_verdicts,
-                     f"{res.speculative_wins}W/"
-                     f"{res.speculative_losses}L",
-                     res.coeff_updates, res.online_rebalances))
-    return rows
-
-
-def run_topology_soak(dataset: str = "wrn", topology: str = "rack:2x1",
-                      factor: float = 4.0, passes: int = 60,
-                      ms_per_byte: float = 2e-4,
-                      max_iter: int = 12) -> List[Tuple]:
-    """Rows: (variant, total_ms, lost_ms, link_verdicts, link_slow_ms,
-    coeff_updates, online_rebalances).
-
-    Link gray-failure soak: PageRank over a two-rack topology whose
-    cross-rack uplink is inflated ``factor``x for ``passes`` collectives
-    (a congested spine: fragments arrive late, values never corrupt),
-    with the topology-aware response off ("blind": detection only) and
-    on ("aware": per-link detection + link-adjusted Lemma-2 online
-    repartitioning).  The interconnect is deliberately thin
-    (``ms_per_byte``) and synchronization strict (no skipping, no lazy
-    trim): the regime where per-link bandwidth, not node compute,
-    decides the makespan.  Invariants asserted here, the >=2x recovery
-    floor asserted by the suite:
-
-    * link detection alone is free — the clean blind/aware pair is
-      bit-identical in values *and* simulated time;
-    * a slow link never corrupts values — every variant matches the
-      clean run to 1e-9 (repartitioning regroups floating-point
-      merges, exactly like the straggler soak).
-    """
-    graph = load_dataset(dataset)
-    racks = len(Topology.parse_spec(topology))
-    num_nodes = sum(len(r) for r in Topology.parse_spec(topology))
-    assert racks >= 2, "the soak needs a cross-rack uplink to inflate"
-    # the slowed uplink: the last node's path crosses racks
-    plan = FaultPlan.single(LINK_SLOW, 1, node_id=num_nodes - 1,
-                            factor=factor, passes=passes)
-    spec = ClusterSpec(nodes=num_nodes, gpus_per_node=1,
-                       topology=topology, ms_per_byte=ms_per_byte)
-
-    def one(fault_plan, aware):
-        scfg = StragglerConfig(enabled=True, reestimate=aware)
-        config = NETWORK_RESILIENT.with_(fault_plan=fault_plan,
-                                         straggler=scfg,
-                                         sync_skip=False,
-                                         lazy_upload=False)
-        return _run(PowerGraphEngine, graph, spec.build(), PageRank(),
-                    max_iter, config=config)
-
-    clean_blind = one(None, False)
-    clean_aware = one(None, True)
-    slow_blind = one(plan, False)
-    slow_aware = one(plan, True)
-
-    assert np.array_equal(clean_aware.values, clean_blind.values)
-    assert clean_aware.total_ms == clean_blind.total_ms
-    assert np.allclose(slow_blind.values, clean_blind.values, atol=1e-9)
-    assert np.allclose(slow_aware.values, clean_blind.values, atol=1e-9)
-
-    rows = []
-    for label, res, base in (
-            ("clean/topology-blind", clean_blind, clean_blind),
-            ("clean/topology-aware", clean_aware, clean_aware),
-            ("link-slow/topology-blind", slow_blind, clean_blind),
-            ("link-slow/topology-aware", slow_aware, clean_aware)):
-        rows.append((label, res.total_ms, res.total_ms - base.total_ms,
-                     res.link_verdicts, res.link_slow_ms,
-                     res.coeff_updates, res.online_rebalances))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Fig. 10 — pipeline shuffle
-# ---------------------------------------------------------------------------
-
-FIXED_BLOCK_SIZE = 1024  # the non-adaptive "Pipeline" setting
-
-
-def run_fig10(dataset: str = "orkut", num_nodes: int = 2) -> List[Tuple]:
-    """Rows: (algorithm, variant, total_ms).
-
-    Variants: pipeline* (Lemma-1 optimal block size), pipeline (fixed
-    block size), without (the 5-step sequential flow with its two extra
-    agent<->daemon copies).  Caching stays on, as in the full system.
-    """
-    graph = load_dataset(dataset)
-    cached = dict(sync_cache=True, lazy_upload=True, sync_skip=False)
-    variants = {
-        "pipeline*": MiddlewareConfig(pipeline=True, block_size=None,
-                                      **cached),
-        "pipeline": MiddlewareConfig(pipeline=True,
-                                     block_size=FIXED_BLOCK_SIZE,
-                                     **cached),
-        "without": MiddlewareConfig(pipeline=False,
-                                    block_size=FIXED_BLOCK_SIZE,
-                                    **cached),
-    }
-    rows = []
-    for alg_name, (factory, cap) in algorithm_factories().items():
-        for label, config in variants.items():
-            cluster = make_cluster(num_nodes, gpus_per_node=1,
-                                   runtime=NATIVE_RUNTIME)
-            res = _run(PowerGraphEngine, graph, cluster, factory(), cap,
-                       config=config)
-            rows.append((alg_name, label, res.total_ms))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Fig. 11 — synchronization caching & skipping
-# ---------------------------------------------------------------------------
-
-def _fig11_graphs():
-    return {
-        "synthetic": load_synthetic_uniform(),
-        "real": load_dataset("orkut"),
-    }
-
-
-def run_fig11a(num_nodes: int = 4) -> List[Tuple]:
-    """Rows: (engine, dataset, cache, total_ms, steady_ms, hit_rate).
-
-    SSSP-BF with caching+lazy-upload toggled.  ``steady_ms`` is the
-    per-iteration cost once the cache is warm (mean of the iterations
-    after the first), the regime the paper's long cluster runs measure.
-    """
-    rows = []
-    for ds_name, graph in _fig11_graphs().items():
-        for engine_name, (engine_cls, runtime) in ENGINES.items():
-            for cache_on in (False, True):
-                config = MiddlewareConfig(
-                    sync_cache=cache_on, lazy_upload=cache_on,
-                    sync_skip=False)
-                cluster = make_cluster(num_nodes, gpus_per_node=1,
-                                       runtime=runtime)
-                res = _run(engine_cls, graph, cluster,
-                           MultiSourceSSSP(sources=(0, 1, 2, 3)), None,
-                           config=config)
-                hits = sum(s.cache_hits for s in res.stats)
-                misses = sum(s.cache_misses for s in res.stats)
-                rate = hits / (hits + misses) if hits + misses else 0.0
-                warm = [s.total_ms for s in res.stats[1:] if s.active_edges]
-                steady = sum(warm) / len(warm) if warm else 0.0
-                rows.append((engine_name, ds_name,
-                             "on" if cache_on else "off",
-                             res.total_ms, steady, rate))
-    return rows
-
-
-def run_fig11b(num_nodes: int = 4) -> List[Tuple]:
-    """Rows: (dataset, iters_no_skip, iters_with_skip, decrease).
-
-    SSSP-BF; the paper "count[s] the number of iterations skipped ...
-    and compare[s] the result with the number of iterations when
-    synchronization skipping mechanism is disabled".  Real graphs use the
-    locality-preserving clustering partitioner (the paper's 'better
-    partitioning results that trigger synchronization skipping'); the
-    synthetic uniform graph uses a hash partition.
-    """
-    cases = {
-        "synthetic": (load_synthetic_uniform(),
-                      lambda g: hash_partition(g, num_nodes)),
-        "real-wrn": (load_dataset("wrn"),
-                     lambda g: clustering_partition(g, num_nodes, seed=3)),
-        "real-clustered": (load_synthetic_clustered(16, 200),
-                           lambda g: clustering_partition(g, num_nodes,
-                                                          seed=3)),
-    }
-    rows = []
-    for label, (graph, parter) in cases.items():
-        iters = {}
-        for skip in (False, True):
-            cluster = make_cluster(num_nodes, gpus_per_node=1,
-                                   runtime=NATIVE_RUNTIME)
-            config = FULL if skip else MiddlewareConfig(sync_skip=False)
-            plug = GXPlug(cluster, config)
-            engine = PowerGraphEngine(parter(graph), cluster,
-                                      middleware=plug)
-            res = engine.run(MultiSourceSSSP(sources=(0, 1, 2, 3)))
-            iters[skip] = res.iterations
-        decrease = 1.0 - iters[True] / iters[False] if iters[False] else 0.0
-        rows.append((label, iters[False], iters[True], decrease))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Fig. 12 — workload balancing
-# ---------------------------------------------------------------------------
-
-def run_fig12a(dataset: str = "orkut") -> List[Tuple]:
-    """Case 1 (fixed hardware, tuned partitioning).
-
-    Two nodes — 1 GPU + 1 CPU vs 3 GPU + 1 CPU; rows:
-    (strategy, total_ms) for even/balanced plus the model's optimum
-    estimate of the dominant compute term.
-    """
-    graph = load_dataset(dataset)
-    spec = [["gpu", "cpu"], ["gpu", "gpu", "gpu", "cpu"]]
-
-    def run_with(shares):
-        cluster = make_heterogeneous_cluster(spec, runtime=NATIVE_RUNTIME)
-        plug = GXPlug(cluster, FULL)
-        engine = PowerGraphEngine.build(graph, cluster, middleware=plug,
-                                        shares=shares)
-        return engine.run(PageRank(), max_iterations=10)
-
-    even = run_with([0.5, 0.5])
-    probe_cluster = make_heterogeneous_cluster(spec, runtime=NATIVE_RUNTIME)
-    # compute-bound regime (warm caches): c_j ~ 1 / aggregate capacity
-    coeffs = [1.0 / node.capacity_factor() for node in probe_cluster.nodes]
-    balanced = run_with(balancing_factors(coeffs).tolist())
-    # theoretical optimum: Lemma-2 compute makespan per iteration plus the
-    # measured non-compute portion of the balanced run
-    d_total = graph.num_edges
-    per_iter_opt = optimal_makespan(d_total, coeffs)
-    non_compute = sum(s.sync_ms + s.apply_ms for s in balanced.stats)
-    theoretical = (balanced.setup_ms + non_compute
-                   + per_iter_opt * balanced.iterations)
-    return [("not-balanced", even.total_ms),
-            ("balanced", balanced.total_ms),
-            ("theoretical", theoretical)]
-
-
-def run_fig12b(dataset: str = "orkut",
-               load_splits: Sequence[Tuple[float, float]] = (
-                   (0.5, 0.5), (0.6, 0.4), (0.7, 0.3), (0.8, 0.2))
-               ) -> List[Tuple]:
-    """Case 2 (fixed partitioning, tuned hardware).
-
-    Rows: (split, variant, gpus_per_node, total_ms).  "not balanced" keeps
-    1 GPU per node; "balanced" allocates GPUs per Lemma 3.
-    """
-    from ..core import accelerators_for_load
-    from ..accel import V100
-
-    graph = load_dataset(dataset)
-    rows = []
-    for split in load_splits:
-        # fixed hardware: 1 GPU each
-        cluster = make_cluster(2, gpus_per_node=1, runtime=NATIVE_RUNTIME)
-        plug = GXPlug(cluster, FULL)
-        engine = PowerGraphEngine.build(graph, cluster, middleware=plug,
-                                        shares=list(split))
-        not_bal = engine.run(PageRank(), max_iterations=10)
-        rows.append((split, "not-balanced", (1, 1), not_bal.total_ms))
-
-        # Lemma 3: give the heavy node proportionally more GPUs
-        loads = [split[0] * graph.num_edges, split[1] * graph.num_edges]
-        unit = V100.capacity_factor()
-        counts = accelerators_for_load(loads, max_factor=4 * unit,
-                                       unit_factor=unit)
-        spec = [["gpu"] * max(1, c) for c in counts]
-        bal_cluster = make_heterogeneous_cluster(spec,
-                                                 runtime=NATIVE_RUNTIME)
-        bal_plug = GXPlug(bal_cluster, FULL)
-        bal_engine = PowerGraphEngine.build(graph, bal_cluster,
-                                            middleware=bal_plug,
-                                            shares=list(split))
-        bal = bal_engine.run(PageRank(), max_iterations=10)
-        rows.append((split, "balanced", tuple(max(1, c) for c in counts),
-                     bal.total_ms))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Fig. 13 — runtime isolation
-# ---------------------------------------------------------------------------
-
-def run_fig13(iterations: int = 11, dataset: str = "orkut") -> List[Tuple]:
-    """Rows: (variant, total_ms, device_inits).
-
-    Daemon-agent (init once) vs direct GPU call (re-init per request).
-    """
-    graph = load_dataset(dataset)
-    rows = []
-    for label, isolated in (("daemon-agent", True), ("direct-call", False)):
-        cluster = make_cluster(1, gpus_per_node=1, runtime=NATIVE_RUNTIME)
-        config = MiddlewareConfig(runtime_isolation=isolated,
-                                  sync_cache=False, lazy_upload=False,
-                                  sync_skip=False)
-        plug = GXPlug(cluster, config)
-        engine = PowerGraphEngine.build(graph, cluster, middleware=plug)
-        res = engine.run(PageRank(), max_iterations=iterations)
-        inits = sum(d.accelerator.init_count
-                    for a in plug.agents.values() for d in a.daemons)
-        rows.append((label, res.total_ms, inits))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Fig. 14 — middleware cost ratio
-# ---------------------------------------------------------------------------
-
-def run_fig14(node_counts: Sequence[int] = (1, 2, 4, 8, 16, 32),
-              dataset: str = "orkut",
-              engines: Sequence[str] = ("powergraph", "graphx")
-              ) -> List[Tuple]:
-    """Rows: (engine, algorithm, nodes, middleware_ratio)."""
-    graph = load_dataset(dataset)
-    rows = []
-    for engine_name in engines:
-        engine_cls, runtime = ENGINES[engine_name]
-        for alg_name, (factory, cap) in algorithm_factories().items():
-            for n in node_counts:
-                cluster = make_cluster(n, gpus_per_node=1, runtime=runtime)
-                plug = GXPlug(cluster, FULL)
-                engine = engine_cls.build(graph, cluster, middleware=plug)
-                res = engine.run(factory(), max_iterations=cap)
-                rows.append((engine_name, alg_name, n,
-                             res.middleware_ratio))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Fig. 15 — block size selection
-# ---------------------------------------------------------------------------
-
-def run_fig15(dataset: str = "orkut",
-              s_values: Sequence[int] = (1, 2, 5, 10, 20, 50, 100, 200,
-                                         500, 1000)) -> Dict[str, Dict]:
-    """Measured-vs-estimated pipeline time over the block count s.
-
-    For each workload: sweep s on a single agent-daemon pair with the
-    iteration the paper uses (first iteration for PR/LP, the peak-work
-    iteration for SSSP), measure the mechanism's makespan, and compare
-    with the Eq. 1 estimate and the estimated s_opt.
-    """
-    from ..core.agent import Agent
-    from ..ipc.shm import ShmRegistry
-    from ..cluster import DistributedNode
-    from ..accel import make_gpu
-
-    graph = load_dataset(dataset)
-    out: Dict[str, Dict] = {}
-    for alg_name, (factory, cap) in algorithm_factories().items():
-        algorithm = factory()
-        state = algorithm.init_state(graph)
-        values, active = state.values, state.active
-        if alg_name == "sssp-bf":
-            # use the heaviest iteration's frontier (the paper uses the
-            # 6th iteration, "since the computation workload is the
-            # maximum during the entire execution")
-            best_active = active
-            best_work = int(active[graph.src].sum())
-            for _ in range(8):
-                sel = active[graph.src]
-                if not sel.any():
-                    break
-                msgs = algorithm.msg_gen(graph.src[sel], graph.dst[sel],
-                                         graph.weights[sel], values)
-                merged = algorithm.msg_merge(graph.dst[sel], msgs)
-                values, changed = algorithm.msg_apply(values, merged)
-                active = algorithm.next_active(graph, changed,
-                                               graph.num_vertices)
-                work = int(active[graph.src].sum())
-                if work > best_work:
-                    best_active, best_work = active.copy(), work
-            active = best_active
-        sel = active[graph.src]
-        src, dst, w = graph.src[sel], graph.dst[sel], graph.weights[sel]
-        d = int(src.size)
-
-        # warm-cache steady state: the pipeline's stage slopes are then
-        # exactly the effective Eq. 2 coefficients, so the measured curve
-        # is directly comparable to the Eq. 1 estimate
-        measured = []
-        coeffs = None
-        for s in s_values:
-            if s > d:
-                continue
-            block = max(1, math.ceil(d / s))
-            node = DistributedNode(0, NATIVE_RUNTIME, [make_gpu()])
-            agent = Agent(node, ShmRegistry(), MiddlewareConfig(
-                block_size=block, sync_cache=True, lazy_upload=True,
-                sync_skip=False))
-            agent.connect()
-            agent.edge_pass(src, dst, w, values, algorithm)  # warm cache
-            res = agent.edge_pass(src, dst, w, values, algorithm)
-            measured.append((s, res.elapsed_ms))
-            if coeffs is None:
-                coeffs = agent.coefficients_for(agent.daemons[0])
-
-        estimated = [(s, coeffs.total_time(d, s)) for s, _ in measured]
-        s_opt = coeffs.choose_num_blocks(d)
-        out[alg_name] = {
-            "d": d,
-            "measured": measured,
-            "estimated": estimated,
-            "s_opt": s_opt,
-            "t_opt_estimate": coeffs.total_time(d, s_opt),
-        }
-    return out
-
-
-def paper_fig15_analysis(d: int = 635_000_000) -> List[Tuple]:
-    """s_opt for the paper's own coefficient sets (footnote 6)."""
-    rows = []
-    for name, coeffs in PAPER_FIG15_COEFFICIENTS.items():
-        b_opt, t_min = coeffs.lemma1_optimal(d)
-        rows.append((name, coeffs.k1, coeffs.k2, coeffs.k3, coeffs.a,
-                     round(b_opt), round(d / b_opt, 1)))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Serving soak (multi-tenant GraphService vs one-shot deploys)
-# ---------------------------------------------------------------------------
-
-#: The serving soak's per-tenant query mix: (algorithm, params).
-SERVE_MIX = (
-    ("pagerank", {}),
-    ("cc", {}),
-    ("sssp-bf", {"sources": (0, 1, 2, 3)}),
-)
-
-
-def run_serve_soak(dataset: str = "wrn", num_nodes: int = 2,
-                   tenants: int = 3, waves: int = 2,
-                   max_iter: int = 8,
-                   crash: bool = True) -> List[Tuple]:
-    """Rows: (variant, jobs, done, failed, cache_hits, hit_rate,
-    coalesced, p50_ms, p99_ms, makespan_ms, cached_speedup, isolated).
-
-    ``tenants`` tenants each submit their :data:`SERVE_MIX` query
-    (tenant ``i`` gets ``SERVE_MIX[i % 3]``) once per wave; waves are
-    submitted back to back, so wave >= 2 repeats are answered from the
-    result cache.  Three variants:
-
-    * ``serial`` — the pre-serving baseline: every query is a one-shot
-      deploy (reload + repartition + full engine run), latencies are
-      cumulative because jobs queue behind each other;
-    * ``served`` — one :class:`~repro.serve.GraphService` sharing the
-      graph and partitions, fair-share time slicing, result cache on;
-    * ``served+crash`` — same, plus a chaos tenant whose job carries a
-      repeated daemon-crash fault plan on the resilient stack.
-
-    ``cached_speedup`` is the worst repeated-query speedup observed:
-    min over cached jobs of (that query's recompute cost / the cached
-    job's consumed service time).  ``isolated`` is True iff every
-    non-chaos job's values are byte-identical to a solo one-shot run
-    of the same query — the multi-tenant isolation invariant, asserted
-    under injected faults by the suite.
-    """
-    from ..fault import CRASH
-    from ..core.config import RuntimeConfig
-    from ..serve import GraphService, JobSpec
-    from ..serve.job import ALGORITHMS as SERVE_ALGORITHMS
-
-    graph = load_dataset(dataset)
-    spec = ClusterSpec(nodes=num_nodes, gpus_per_node=1)
-
-    def query_for(tenant: int):
-        return SERVE_MIX[tenant % len(SERVE_MIX)]
-
-    # solo one-shot baselines, one per distinct query in the mix
-    solo = {}
-    for algorithm, params in SERVE_MIX[:max(tenants, 1)]:
-        cluster = spec.build()
-        result = _run(PowerGraphEngine, graph, cluster,
-                      SERVE_ALGORITHMS[algorithm](**params), max_iter,
-                      config=RuntimeConfig())
-        solo[algorithm] = result
-
-    rows = []
-
-    # -- serial: every job a fresh deploy, latencies queue up -----------------------
-    latencies, clock = [], 0.0
-    total_jobs = tenants * waves
-    for _ in range(waves):
-        for tenant in range(tenants):
-            algorithm, params = query_for(tenant)
-            cluster = spec.build()
-            result = _run(PowerGraphEngine, graph, cluster,
-                          SERVE_ALGORITHMS[algorithm](**params),
-                          max_iter, config=RuntimeConfig())
-            clock += result.total_ms
-            latencies.append(clock)
-    arr = np.asarray(latencies)
-    rows.append(("serial", total_jobs, total_jobs, 0, 0, 0.0, 0,
-                 float(np.percentile(arr, 50)),
-                 float(np.percentile(arr, 99)), clock, 1.0, True))
-
-    # -- served (and served+crash) ------------------------------------------------
-    variants = [("served", False)]
-    if crash:
-        variants.append(("served+crash", True))
-    for name, with_crash in variants:
-        svc = GraphService(spec, cache_entries=32)
-        svc.load_graph(dataset, graph)
-        jobs, chaos_jobs = [], []
-        for wave in range(waves):
-            submitted = []
-            for tenant in range(tenants):
-                algorithm, params = query_for(tenant)
-                submitted.append(svc.submit(JobSpec(
-                    graph=dataset, algorithm=algorithm, params=params,
-                    tenant=f"t{tenant}", max_iterations=max_iter)))
-            if with_crash and wave == 0:
-                plan = FaultPlan.single(CRASH, superstep=1, node_id=0,
-                                        repeat=3)
-                chaos_jobs.append(svc.submit(JobSpec(
-                    graph=dataset, algorithm="pagerank",
-                    tenant="chaos", max_iterations=max_iter,
-                    runtime=(RuntimeConfig.preset("resilient")
-                             .with_(fault_plan=plan)),
-                    use_cache=False)))
-            svc.run()
-            jobs.extend(submitted)
-        done = sum(j.state == "done" for j in jobs)
-        failed = sum(j.state == "failed" for j in jobs)
-        hits = sum(j.from_cache for j in jobs)
-        isolated = all(
-            np.array_equal(j.values, solo[j.spec.algorithm].values)
-            for j in jobs if j.state == "done")
-        speedups = [solo[j.spec.algorithm].total_ms / j.consumed_ms
-                    for j in jobs if j.from_cache]
-        arr = np.asarray([j.latency_ms for j in jobs
-                          if j.state == "done"])
-        rows.append((name, len(jobs), done, failed, hits,
-                     svc.cache.hit_rate, svc.coalesced,
-                     float(np.percentile(arr, 50)),
-                     float(np.percentile(arr, 99)), svc.now_ms,
-                     min(speedups) if speedups else 1.0, isolated))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Serve chaos: crash at random points, recover, demand bit-identity
-# ---------------------------------------------------------------------------
-
-def run_serve_chaos(dataset: str = "wrn", num_nodes: int = 2,
-                    seeds: Sequence[int] = (11, 23, 47),
-                    max_iter: int = 10,
-                    journal_dir: Optional[str] = None) -> List[Tuple]:
-    """Rows: (seed, killed_at, jobs, pre_crash_done, resumed,
-    identical, steps_saved, replay_noop).
-
-    The crash-safety soak.  Per seed: a journaled no-crash baseline
-    serves the :data:`SERVE_MIX`; then an identical journaled run is
-    killed after a seeded-random number of scheduling rounds (the
-    process state is simply dropped — nothing is flushed beyond what
-    the write-ahead journal already holds); then
-    :meth:`~repro.serve.GraphService.recover` rebuilds the service
-    from the journal and drives it to completion.
-
-    * ``identical`` — every job's final values are byte-identical to
-      the no-crash baseline's (finished jobs restored from their
-      journaled sidecars, in-flight jobs resumed from checkpoints and
-      re-run);
-    * ``steps_saved`` — supersteps the checkpoint resumes avoided,
-      summed over resumed jobs (each must recompute *strictly fewer*
-      supersteps than its cold baseline run);
-    * ``replay_noop`` — recovering the finished journal a second time
-      re-queues nothing, preserves every terminal state, and appends
-      not a single record.
-    """
-    import os
-    import random
-    import tempfile
-
-    from ..serve import GraphService, JobSpec
-    from ..serve.journal import read_journal
-
-    graph = load_dataset(dataset)
-    spec = ClusterSpec(nodes=num_nodes, gpus_per_node=1)
-    base_dir = journal_dir or tempfile.mkdtemp(prefix="serve_chaos_")
-
-    def submit_mix(svc):
-        return [svc.submit(JobSpec(
-            graph=dataset, algorithm=algorithm, params=params,
-            tenant=f"t{tenant}", max_iterations=max_iter))
-            for tenant, (algorithm, params) in enumerate(SERVE_MIX)]
-
-    rows = []
-    for seed in seeds:
-        jdir = os.path.join(base_dir, f"seed{seed}")
-        os.makedirs(jdir, exist_ok=True)
-
-        # no-crash baseline, journaled too: journaling (and the forced
-        # checkpoint interval that rides with it) must never move values
-        base = GraphService(spec,
-                            journal=os.path.join(jdir, "base.jsonl"))
-        base.load_graph(dataset, graph)
-        bjobs = submit_mix(base)
-        base.run()
-        base_vals = {j.job_id: j.values.copy() for j in bjobs}
-        cold_steps = {j.job_id: len(j.result.stats) for j in bjobs}
-
-        # the crash run: a seeded-random number of scheduling rounds,
-        # then the process "dies" — the abandoned service is never
-        # drained, so the journal ends mid-flight
-        jpath = os.path.join(jdir, "crash.jsonl")
-        svc = GraphService(spec, journal=jpath)
-        svc.load_graph(dataset, graph)
-        submit_mix(svc)
-        kill_at = random.Random(seed).randrange(3, 15)
-        killed_at = 0
-        for _ in range(kill_at):
-            if not svc.step():
-                break
-            killed_at += 1
-        del svc
-
-        rec = GraphService.recover(jpath, graphs={dataset: graph})
-        resumed_ids = {j.job_id for j in rec.queue.jobs()
-                       if j.resume_from is not None}
-        pre_crash_done = len(bjobs) - rec.recovered_jobs
-        rec.run()
-
-        identical = True
-        steps_saved = 0
-        for job_id, expect in base_vals.items():
-            job = rec.job(job_id)
-            if job.state != "done" or not np.array_equal(job.values,
-                                                         expect):
-                identical = False
-            if job_id in resumed_ids and job.result is not None:
-                recomputed = len(job.result.stats)
-                if recomputed >= cold_steps[job_id]:
-                    identical = False  # resume bought nothing: a bug
-                steps_saved += cold_steps[job_id] - recomputed
-
-        before = len(read_journal(jpath))
-        rec2 = GraphService.recover(jpath, graphs={dataset: graph})
-        replay_noop = (rec2.recovered_jobs == 0
-                       and len(read_journal(jpath)) == before
-                       and all(rec2.job(i).state == "done"
-                               for i in base_vals))
-
-        rows.append((seed, killed_at, len(bjobs), pre_crash_done,
-                     len(resumed_ids), identical, steps_saved,
-                     replay_noop))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Wire chaos: kill the socket server mid-stream, clients reconnect
-# ---------------------------------------------------------------------------
-
-def run_wire_chaos(dataset: str = "wrn", num_nodes: int = 2,
-                   seeds: Sequence[int] = (5, 17, 29),
-                   max_iter: int = 10, kills: int = 3,
-                   journal_dir: Optional[str] = None) -> List[Tuple]:
-    """Rows: (seed, kills, generations, jobs, resumed, deduped,
-    reconnects, identical, exactly_once, strictly_fewer, steps_saved).
-
-    The wire protocol's end-to-end robustness soak: everything a
-    client observes must survive the server being killed out from
-    under it.  Per seed:
-
-    * a journaled **baseline** generation serves the
-      :data:`SERVE_MIX` over a real socket, uninterrupted, and the
-      client records every job's values as received over the wire;
-    * then a fresh journal is stream-served with the server **killed**
-      after a seeded number of scheduling rounds, ``kills`` times
-      (abrupt: no drain, no goodbye — the journal ends mid-flight);
-      after each kill the service is rebuilt with
-      :meth:`~repro.serve.GraphService.recover`, a new server
-      generation binds the *same* port, and the client reconnects and
-      resubmits every job under its original idempotency key.
-
-    Checks (one boolean each per row):
-
-    * ``identical`` — every job's final wire-delivered values are
-      bit-identical to the uninterrupted baseline's;
-    * ``exactly_once`` — the journal holds exactly one ``submitted``
-      record per idempotency key (resubmits deduped, never re-ran);
-    * ``strictly_fewer`` — every checkpoint-resumed job recomputed
-      strictly fewer supersteps than its cold baseline run
-      (``steps_saved`` totals the supersteps the resumes avoided).
-    """
-    import os
-    import random
-    import tempfile
-    import time as _time
-
-    from ..errors import WireError
-    from ..serve import GraphService, JobSpec
-    from ..serve.client import GraphClient
-    from ..serve.journal import read_journal
-    from ..serve.wire import GraphServiceServer
-
-    graph = load_dataset(dataset)
-    spec = ClusterSpec(nodes=num_nodes, gpus_per_node=1)
-    base_dir = journal_dir or tempfile.mkdtemp(prefix="wire_chaos_")
-
-    mix = [(f"k{i}", algorithm, params)
-           for i, (algorithm, params) in enumerate(SERVE_MIX)]
-
-    def spec_for(key, algorithm, params):
-        return JobSpec(graph=dataset, algorithm=algorithm,
-                       params=params, tenant=f"t:{key}",
-                       max_iterations=max_iter)
-
-    def submit_all(client, ids=None):
-        """(Re)submit the whole mix under stable keys: key -> job id.
-
-        Tolerates the server dying mid-stream (the soak's kills land
-        wherever they land, including between two submits): already-
-        acknowledged ids are kept and the missing keys are simply
-        resubmitted by the next generation's call — idempotency keys
-        make the replay safe either way.
-        """
-        ids = dict(ids or {})
-        for key, algorithm, params in mix:
-            try:
-                resp = client.submit(spec_for(key, algorithm, params),
-                                     idempotency_key=key)
-            except (WireError, OSError):
-                break  # server died; the next generation resubmits
-            ids[key] = resp["job_id"]
-        return ids
-
-    def wait_all(client, ids):
-        vals = {}
-        for key, job_id in ids.items():
-            doc = client.wait(job_id, timeout_s=60)
-            if doc["state"] != "done":
-                raise WireError(f"job for {key} ended {doc['state']!r}")
-            vals[key] = client.result_values(job_id)
-        return vals
-
-    rows = []
-    for seed in seeds:
-        jdir = os.path.join(base_dir, f"seed{seed}")
-        os.makedirs(jdir, exist_ok=True)
-        rng = random.Random(seed)
-
-        # -- baseline: one uninterrupted socket-served generation ---------------
-        base_svc = GraphService(spec,
-                                journal=os.path.join(jdir, "base.jsonl"))
-        base_svc.load_graph(dataset, graph)
-        base_server = GraphServiceServer(base_svc)
-        base_thread = base_server.serve_in_thread()
-        host, port = base_server.address
-        with GraphClient(host, port, client_name="wire-chaos-base",
-                         jitter_seed=seed) as client:
-            base_ids = submit_all(client)
-            base_vals = wait_all(client, base_ids)
-            cold_steps = {key: len(base_svc.job(job_id).result.stats)
-                          for key, job_id in base_ids.items()}
-            client.drain()
-        base_thread.join(timeout=30)
-
-        # -- chaos: same mix, server killed `kills` times mid-stream ------------
-        jpath = os.path.join(jdir, "crash.jsonl")
-        kill_after = [rng.randrange(3, 9) for _ in range(kills)]
-        svc = GraphService(spec, journal=jpath)
-        svc.load_graph(dataset, graph)
-        server = GraphServiceServer(svc, host, 0,
-                                    crash_after_steps=kill_after[0])
-        thread = server.serve_in_thread()
-        chaos_port = server.address[1]
-
-        client = GraphClient(host, chaos_port,
-                             client_name="wire-chaos", jitter_seed=seed,
-                             connect_attempts=8, backoff_base_s=0.01,
-                             timeout_s=10.0)
-        resumed_keys = set()      # keys checkpoint-resumed at least once
-        outstanding = set()       # resumed, not yet finished+accounted
-        strictly_fewer = True
-        steps_saved = 0
-        deduped = 0
-        generations = 1
-
-        def settle_resumes(service, ids):
-            """Credit resumes that finished in ``service``'s lifetime.
-
-            A resumed job's ``result.stats`` covers only the slices it
-            recomputed after its checkpoint, so its length against the
-            cold baseline is exactly the resume's savings.  Settled
-            keys leave ``outstanding`` so later generations (where the
-            job is a sidecar-restored terminal) never recount them.
-            """
-            nonlocal steps_saved, strictly_fewer
-            for key in sorted(outstanding):
-                job = service._jobs.get(ids.get(key))
-                if job is None or job.state != "done" \
-                        or job.result is None or job.from_cache:
-                    continue
-                recomputed = len(job.result.stats)
-                steps_saved += cold_steps[key] - recomputed
-                if recomputed >= cold_steps[key]:
-                    strictly_fewer = False
-                outstanding.discard(key)
-
-        def await_kill(server, thread):
-            """Wait for the seeded kill; if the mix finished before
-            the threshold, the idle server would never die — kill it
-            cold (recovery then restores only terminals, also valid)."""
-            deadline = _time.monotonic() + 60
-            while thread.is_alive() and _time.monotonic() < deadline:
-                thread.join(timeout=0.02)
-                if thread.is_alive() and not server._service_busy():
-                    server.crash()
-            thread.join(timeout=30)
-
-        try:
-            ids = submit_all(client)
-
-            for gen in range(kills):
-                await_kill(server, thread)
-                settle_resumes(svc, ids)
-
-                # next generation: recover from the torn journal and
-                # rebind the same port; the client reconnects into it
-                id_to_key = {job_id: key for key, job_id in ids.items()}
-                svc = GraphService.recover(jpath,
-                                           graphs={dataset: graph})
-                resumed_now = {
-                    id_to_key[j.job_id] for j in svc.queue.jobs()
-                    if j.resume_from is not None
-                    and j.job_id in id_to_key}
-                resumed_keys |= resumed_now
-                outstanding |= resumed_now
-                server = GraphServiceServer(
-                    svc, host, chaos_port,
-                    crash_after_steps=(kill_after[gen + 1]
-                                       if gen + 1 < kills else None))
-                thread = server.serve_in_thread()
-                generations += 1
-
-                before = dict(ids)
-                ids = submit_all(client, ids)
-                deduped += sum(ids[key] == before[key]
-                               for key in ids if key in before)
-
-            final_vals = wait_all(client, ids)
-            settle_resumes(svc, ids)
-            client.drain()
-            thread.join(timeout=30)
-        finally:
-            client.close()
-
-        identical = all(key in final_vals
-                        and np.array_equal(final_vals[key],
-                                           base_vals[key])
-                        for key in base_vals)
-        submitted_by_key: Dict[int, str] = {}
-        submits = 0
-        for doc in read_journal(jpath):
-            if doc.get("rec") == "submitted":
-                submits += 1
-            if doc.get("rec") == "idempotency":
-                submitted_by_key[int(doc["job_id"])] = str(doc["key"])
-        exactly_once = (submits == len(mix)
-                        and len(set(ids.values())) == len(mix)
-                        and all(submitted_by_key.get(job_id) == key
-                                for key, job_id in ids.items()))
-
-        rows.append((seed, kills, generations, len(mix),
-                     len(resumed_keys), deduped, client.reconnects,
-                     identical, exactly_once, strictly_fewer,
-                     steps_saved))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Mutation soak: streaming churn + incremental recompute vs cold restart
-# ---------------------------------------------------------------------------
-
-def _two_cycles(big: int, small: int) -> "Graph":
-    """Two disjoint directed cycles (0..big-1 and big..big+small-1)."""
-    from ..graph import Graph
-    src = np.concatenate([np.arange(big), big + np.arange(small)])
-    dst = np.concatenate([(np.arange(big) + 1) % big,
-                          big + (np.arange(small) + 1) % small])
-    return Graph.from_edges(big + small, src, dst,
-                            name=f"cycles-{big}+{small}")
-
-
-def run_mutation_soak(num_nodes: int = 2,
-                      scenarios: Optional[Sequence[str]] = None,
-                      journal_dir: Optional[str] = None) -> List[Tuple]:
-    """Rows: (algorithm, churn, cold_steps, warm_steps, step_ratio,
-    cold_ms, warm_ms, ms_ratio, warm, identical, replay_noop).
-
-    The streaming-mutation soak: converge a query, mutate ~1% of the
-    graph through :meth:`~repro.serve.GraphService.mutate`, resubmit
-    the same query, and compare the incremental re-convergence against
-    a cold restart of a fresh (equally journaled) service on the
-    mutated graph.  Three warm scenarios — one per ``incremental``
-    policy worth exercising — plus one deliberate fallback:
-
-    * ``pagerank`` — 1% of edges re-weighted.  PageRank's messages
-      weigh by out-degree, not edge weight, so the old fixpoint *is*
-      the new one; the warm run re-verifies it in one superstep where
-      the cold run contracts from uniform all over again
-      (``incremental = "fixpoint"`` re-seeds every vertex).
-    * ``cc`` — edge additions splice a small component onto a large
-      one.  The warm frontier is the handful of touched vertices and
-      re-convergence is bounded by the *small* component's diameter;
-      cold propagation re-walks the large one.
-    * ``sssp-bf`` — heavyweight edge additions that improve almost no
-      distance: the warm frontier dies out in a few relaxations.
-    * ``cc-shrink`` — the fallback row: the batch *removes* an edge,
-      min-label propagation cannot retract monotonically, so the
-      planner refuses the warm start and the service silently runs
-      cold.  ``warm`` must be False and the values still identical.
-
-    Every row asserts three things downstream: the warm run beats the
-    cold restart ≥5x in supersteps *and* simulated ms (fallback row
-    exempt), final values are bit-identical to the cold run on the
-    mutated graph, and recovering the journal replays the mutation
-    exactly once (version preserved, resubmitted batch dedupes,
-    nothing re-queued).
-    """
-    import os
-    import tempfile
-
-    from ..graph import road_network, uniform_random
-    from ..graph.mutations import MutationBatch
-    from ..serve import GraphService, JobSpec
-    from ..serve.journal import read_journal
-
-    spec = ClusterSpec(nodes=num_nodes, gpus_per_node=1)
-    base_dir = journal_dir or tempfile.mkdtemp(prefix="mutation_soak_")
-
-    def reweight_batch(graph, fraction=0.01, seed=11):
-        rng = np.random.default_rng(seed)
-        m = max(1, int(graph.num_edges * fraction))
-        eids = rng.choice(graph.num_edges, size=m, replace=False)
-        # strictly *lower* weights: keeps the batch monotone-safe, and
-        # PageRank ignores weights anyway
-        return MutationBatch(
-            update_src=graph.src[eids], update_dst=graph.dst[eids],
-            update_weights=graph.weights[eids] * 0.5)
-
-    def splice_batch(graph, big=600, seed=13):
-        # connect the small trailing cycle into the big one, both ways
-        return MutationBatch(
-            add_src=np.asarray([0, big], dtype=np.int64),
-            add_dst=np.asarray([big, 0], dtype=np.int64),
-            add_weights=np.asarray([1.0, 1.0]))
-
-    def heavy_edges_batch(graph, count=12, seed=17):
-        rng = np.random.default_rng(seed)
-        n = graph.num_vertices
-        src = rng.integers(0, n, size=count)
-        dst = (src + 1 + rng.integers(0, n - 1, size=count)) % n
-        heavy = np.full(count, 1e6)   # improves (almost) nothing
-        return MutationBatch(add_src=src, add_dst=dst,
-                             add_weights=heavy)
-
-    def drop_edge_batch(graph):
-        return MutationBatch(
-            remove_src=graph.src[:1].copy(),
-            remove_dst=graph.dst[:1].copy())
-
-    catalog = {
-        "pagerank": dict(
-            algorithm="pagerank", params={"tolerance": 0.0},
-            max_iter=2000, churn="reweight 1% of edges",
-            graph=lambda: uniform_random(3000, 24000, seed=7),
-            batch=reweight_batch, expect_warm=True),
-        "cc": dict(
-            algorithm="cc", params={}, max_iter=2000,
-            churn="splice small component into big",
-            graph=lambda: _two_cycles(600, 12),
-            batch=splice_batch, expect_warm=True),
-        "sssp-bf": dict(
-            algorithm="sssp-bf", params={"sources": (0, 1)},
-            max_iter=2000, churn="add 12 heavyweight edges",
-            graph=lambda: road_network(40, 40, seed=3),
-            batch=heavy_edges_batch, expect_warm=True),
-        "cc-shrink": dict(
-            algorithm="cc", params={}, max_iter=2000,
-            churn="remove an edge (warm start refused)",
-            graph=lambda: _two_cycles(120, 8),
-            batch=drop_edge_batch, expect_warm=False),
-    }
-    chosen = scenarios if scenarios is not None else tuple(catalog)
-
-    rows = []
-    for name in chosen:
-        sc = catalog[name]
-        graph = sc["graph"]()
-        key = f"g-{name}"
-        jdir = os.path.join(base_dir, name)
-        os.makedirs(jdir, exist_ok=True)
-        jspec = dict(graph=key, algorithm=sc["algorithm"],
-                     params=sc["params"], tenant="t0",
-                     max_iterations=sc["max_iter"])
-
-        # warm side: converge once, mutate, resubmit the same query
-        jpath = os.path.join(jdir, "warm.jsonl")
-        svc = GraphService(spec, journal=jpath)
-        svc.load_graph(key, graph)
-        svc.submit(JobSpec(**jspec))
-        svc.run()
-        batch = sc["batch"](graph)
-        summary = svc.mutate(key, batch)
-        warm_job = svc.submit(JobSpec(**jspec))
-        svc.run()
-        warm_steps = len(warm_job.result.stats)
-        warm_ms = warm_job.result.total_ms
-
-        # cold side: a fresh, equally journaled service loads the
-        # already-mutated graph and computes from scratch
-        mutated = svc.store.get(key).graph
-        cold = GraphService(
-            spec, journal=os.path.join(jdir, "cold.jsonl"))
-        cold.load_graph(key, mutated)
-        cold_job = cold.submit(JobSpec(**jspec))
-        cold.run()
-        cold_steps = len(cold_job.result.stats)
-        cold_ms = cold_job.result.total_ms
-
-        identical = np.array_equal(warm_job.values, cold_job.values)
-
-        # crash + recover the warm journal: the mutation replays
-        # exactly once (version preserved), the resubmitted batch
-        # dedupes, and nothing is re-queued or appended
-        before = len(read_journal(jpath))
-        rec = GraphService.recover(jpath, graphs={key: graph})
-        redo = rec.mutate(key, batch,
-                          idempotency_key=summary["batch_id"])
-        replay_noop = (
-            rec.store.get(key).version == summary["version"]
-            and redo["deduped"] and rec.recovered_jobs == 0
-            and len(read_journal(jpath)) == before)
-
-        step_ratio = cold_steps / max(warm_steps, 1)
-        ms_ratio = cold_ms / max(warm_ms, 1e-9)
-        rows.append((sc["algorithm"], sc["churn"], cold_steps,
-                     warm_steps, round(step_ratio, 2),
-                     round(cold_ms, 3), round(warm_ms, 3),
-                     round(ms_ratio, 2), warm_job.warm_started,
-                     identical, replay_noop))
-    return rows
+"""Old home of the experiment runners: every name re-exported from
+:mod:`repro.bench.figures`, where the bodies now live."""
+
+from .figures import *  # noqa: F401,F403
+from .figures.common import ENGINES  # noqa: F401

@@ -1,0 +1,5 @@
+import sys
+
+from . import main
+
+sys.exit(main())

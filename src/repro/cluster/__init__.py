@@ -1,7 +1,8 @@
 """Simulated distributed cluster: nodes, host runtimes, interconnect."""
 
 from .network import DEFAULT_NETWORK, NetworkModel, ResilientTransport
-from .node import JVM_RUNTIME, NATIVE_RUNTIME, DistributedNode, HostRuntime
+from .node import (HOST_RUNTIMES, JVM_RUNTIME, NATIVE_RUNTIME,
+                   DistributedNode, HostRuntime)
 from .topology import (DEFAULT_CROSS_BYTE_FACTOR,
                        DEFAULT_CROSS_LATENCY_FACTOR, LinkModel, Topology)
 from .cluster import Cluster, make_cluster, make_heterogeneous_cluster
@@ -15,6 +16,7 @@ __all__ = [
     "DEFAULT_CROSS_LATENCY_FACTOR",
     "DEFAULT_CROSS_BYTE_FACTOR",
     "HostRuntime",
+    "HOST_RUNTIMES",
     "JVM_RUNTIME",
     "NATIVE_RUNTIME",
     "DistributedNode",

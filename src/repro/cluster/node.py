@@ -63,6 +63,10 @@ NATIVE_RUNTIME = HostRuntime(
     sync_fixed_ms=0.8,
 )
 
+#: Host runtimes by name — what ``ClusterSpec.runtime`` and an engine
+#: class's ``host_runtime`` are looked up in.
+HOST_RUNTIMES = {rt.name: rt for rt in (NATIVE_RUNTIME, JVM_RUNTIME)}
+
 
 @dataclass
 class DistributedNode:

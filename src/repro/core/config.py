@@ -6,7 +6,6 @@ evaluates, so each figure's bench is an ablation of exactly one knob:
 * ``pipeline`` / ``block_size``      — §III-A  (Fig. 10, Fig. 15)
 * ``sync_cache`` / ``lazy_upload``   — §III-B2 (Fig. 11(a))
 * ``sync_skip``                      — §III-B3 (Fig. 11(b))
-* ``balance``                        — §III-C  (Fig. 12)
 * ``runtime_isolation``              — §IV-C   (Fig. 13)
 
 plus the fault-tolerance subsystem's knobs (``fault_plan``,
@@ -153,10 +152,6 @@ class MiddlewareConfig:
     #: re-work on long-diameter graphs); a moderate bound keeps most of
     #: the synchronization savings without the ping-pong.
     skip_max_local_iterations: int = 10
-
-    #: Capacity-aware workload balancing (§III-C) applied when the runner
-    #: partitions the graph / allocates accelerators.
-    balance: bool = True
 
     #: Keep daemons alive between iterations (§IV-C).  When off, devices
     #: re-initialize on every request — the "direct GPU call" side of
@@ -357,7 +352,6 @@ BASELINE = MiddlewareConfig(
     sync_cache=False,
     lazy_upload=False,
     sync_skip=False,
-    balance=False,
 )
 
 #: FULL plus the fault-tolerance layer: heartbeat monitoring, periodic
@@ -480,11 +474,10 @@ class ClusterSpec:
     def build(self):
         """Materialize the :class:`~repro.cluster.cluster.Cluster`."""
         from ..cluster.cluster import Cluster, make_cluster
-        from ..cluster.node import JVM_RUNTIME, NATIVE_RUNTIME
-        runtime = JVM_RUNTIME if self.runtime == "jvm" else NATIVE_RUNTIME
+        from ..cluster.node import HOST_RUNTIMES
         cluster = make_cluster(self.nodes, gpus_per_node=self.gpus_per_node,
                                cpu_accels_per_node=self.cpus_per_node,
-                               runtime=runtime)
+                               runtime=HOST_RUNTIMES[self.runtime])
         return Cluster(cluster.nodes, self.network_model(),
                        topology=self.build_topology())
 

@@ -11,7 +11,13 @@ from .jni import (
 )
 from .powergraph import PowerGraphEngine
 
+#: Every upper system by wire name; keys are each class's ``name``, and
+#: each class states the ``host_runtime`` its nodes run (§IV-B1).
+ENGINES = {cls.name: cls for cls in (
+    PowerGraphEngine, GraphXEngine, AsyncEngine)}
+
 __all__ = [
+    "ENGINES",
     "IterativeEngine",
     "IterationStats",
     "RunResult",

@@ -250,6 +250,10 @@ class IterativeEngine:
     model = "bsp"
     name = "engine"
 
+    #: The runtime environment this upper system's nodes run (§IV-B1):
+    #: a :data:`~repro.cluster.HOST_RUNTIMES` key, ``"jvm"``/``"native"``.
+    host_runtime = "native"
+
     #: Asynchronous engines force the combined-local-iteration path for
     #: every (monotone) run, independent of the skip toggle.
     force_async = False

@@ -35,6 +35,7 @@ class GraphXEngine(IterativeEngine):
 
     model = "bsp"
     name = "graphx"
+    host_runtime = "jvm"
     edge_scan = "full"  # Spark materializes the full triplet view
 
     def __init__(self, pgraph: PartitionedGraph, cluster: Cluster,

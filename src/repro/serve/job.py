@@ -17,38 +17,12 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
-from ..algorithms import (
-    BFS,
-    ConnectedComponents,
-    KCore,
-    LabelPropagation,
-    MultiSourceSSSP,
-    PageRank,
-    WidestPath,
-)
+from ..algorithms import ALGORITHMS
 from ..core.config import MiddlewareConfig, RuntimeConfig, StragglerConfig
-from ..engines import AsyncEngine, GraphXEngine, PowerGraphEngine
+from ..engines import ENGINES
 from ..errors import ServeError
 from ..fault import FaultPlan
 from ..fault.inject import FaultEvent
-
-#: Submittable algorithms, by wire name.
-ALGORITHMS = {
-    "pagerank": PageRank,
-    "sssp-bf": MultiSourceSSSP,
-    "lp": LabelPropagation,
-    "bfs": BFS,
-    "cc": ConnectedComponents,
-    "kcore": KCore,
-    "widest-path": WidestPath,
-}
-
-#: Submittable engines, by wire name.
-ENGINES = {
-    "powergraph": PowerGraphEngine,
-    "graphx": GraphXEngine,
-    "async": AsyncEngine,
-}
 
 # Job lifecycle states.
 PENDING = "pending"

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import ALGORITHMS
 from repro.core import MessageSet, scatter_reduce
 from repro.graph import Graph
-from repro.serve.job import ALGORITHMS
 
 from .test_properties import registered_algorithms, small_graphs
 

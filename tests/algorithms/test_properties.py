@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import (
+    ALGORITHMS,
     BFS,
     ConnectedComponents,
     LabelPropagation,
@@ -27,7 +28,6 @@ from repro.algorithms import (
     PageRank,
 )
 from repro.graph import Graph
-from repro.serve.job import ALGORITHMS
 
 N_VERTICES = 12
 

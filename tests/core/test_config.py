@@ -8,7 +8,7 @@ from repro.errors import MiddlewareError
 
 def test_full_default_everything_on():
     assert FULL.pipeline and FULL.sync_cache and FULL.lazy_upload
-    assert FULL.sync_skip and FULL.balance and FULL.runtime_isolation
+    assert FULL.sync_skip and FULL.runtime_isolation
     assert FULL.block_size is None  # Pipeline*: Lemma-1 optimal
 
 

@@ -134,9 +134,10 @@ def test_to_doc_from_doc_roundtrip_is_lossless():
 
 def test_from_doc_reads_journals_written_before_fields_were_retired():
     """A journal outlives the code that wrote it: PR <= 14 journals carry
-    ``validate`` / ``batch_events`` in every submitted spec's runtime;
-    replay must drop retired fields, not fail the recover."""
+    ``validate`` / ``batch_events`` in every submitted spec's runtime,
+    PR <= 23 journals ``balance``; replay must drop retired fields, not
+    fail the recover."""
     spec = JobSpec.from_dict({"graph": "g", "preset": "resilient"})
     doc = spec.to_doc()
-    doc["runtime"].update(validate=False, batch_events=True)
+    doc["runtime"].update(validate=False, batch_events=True, balance=True)
     assert JobSpec.from_doc(doc) == spec

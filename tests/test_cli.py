@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.cli import ALGORITHMS, FIGURES, build_parser, main
+from repro.cli import (ALGORITHMS, FIGURES, build_parser, main,
+                       runtime_from_args)
+from repro.core import MiddlewareConfig, StragglerConfig
+from repro.fault import ALL_KINDS, FaultPlan
 
 
 def test_version(capsys):
@@ -87,13 +90,22 @@ def test_figure_rejects_unknown():
         main(["figure", "fig99"])
 
 
+def test_figure_fault_overhead(capsys):
+    """The runner, its benchmark and its oracle row always existed; the
+    CLI's own figure list had simply never gained the name."""
+    assert main(["figure", "fault_overhead"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("resilient") == 3  # one row per paper workload
+
+
 def test_all_figures_registered():
     assert set(FIGURES) == {
         "table1", "fig8", "fig9a", "fig9b", "fig9c", "fig9d", "fig10",
         "fig11a", "fig11b", "fig12a", "fig12b", "fig13", "fig14", "fig15",
-        "fault_soak", "straggler_soak", "topology_soak", "serve_soak",
-        "serve_chaos", "wire_chaos", "mutation_soak",
+        "fault_overhead", "fault_soak", "straggler_soak", "topology_soak",
+        "serve_soak", "serve_chaos", "wire_chaos", "mutation_soak",
     }
+    assert len(FIGURES) == 22
 
 
 def test_fault_kinds_unknown_rejected_eagerly(capsys):
@@ -156,6 +168,36 @@ def test_run_gray_campaign_with_speculation(capsys, tmp_path):
     assert doc["fault_campaign"]["kinds"] == ["slowdown"]
     assert "straggler_verdicts" in doc["summary"]
     assert "speculative_wins" in doc["summary"]
+
+
+RUN_LITERALS = [
+    ([], {}),
+    (["--no-cache"],
+     dict(sync_cache=False, lazy_upload=False, sync_skip=False)),
+    (["--no-skip", "--block-size", "64"],
+     dict(sync_skip=False, block_size=64)),
+    (["--fault-seed", "3", "--speculate", "--straggler-ratio", "2.5",
+      "--link-slow-ratio", "2"],
+     dict(fault_plan=FaultPlan.random(3, supersteps=10, num_nodes=4,
+                                      rate=0.05, kinds=ALL_KINDS),
+          monitor_heartbeats=True, checkpoint_interval=2,
+          degrade_to_host=True, rebalance_on_degrade=True,
+          network_resilient=True,
+          straggler=StragglerConfig(enabled=True, ratio=2.5,
+                                    link_ratio=2.0, speculate=True,
+                                    reestimate=True))),
+]
+
+
+@pytest.mark.parametrize("flags,literal", RUN_LITERALS,
+                         ids=["defaults", "no-cache", "no-skip+block",
+                              "campaign"])
+def test_runtime_from_args_matches_the_literal_config(flags, literal):
+    """``run`` assembles its config through the RuntimeConfig builder;
+    the result is field-for-field the config the flags spell."""
+    args = build_parser().parse_args(["run", *flags])
+    assert runtime_from_args(args).middleware() == \
+        MiddlewareConfig(**literal)
 
 
 def test_parser_defaults():
