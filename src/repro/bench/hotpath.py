@@ -44,7 +44,10 @@ DEFAULT_EDGES = 120_000
 #: event-loop bench (:mod:`repro.bench.schedbench`) instead of the
 #: numeric hot path: ``scheduler`` is the 1000-node acceptance twin,
 #: ``sched-smoke`` the trimmed shape the ``sched-bench-smoke`` CI job
-#: gates on.
+#: gates on.  The ``partition`` profiles time set-up's greedy vertex
+#: cut (:mod:`repro.bench.partbench`): ``partition`` on the batch
+#: workloads' 30k/240k graph over 4 nodes, ``partition-smoke`` on the
+#: hot-path graph over 2 nodes for the ``partition-bench-smoke`` CI job.
 PROFILES = {
     "default": {"vertices": DEFAULT_VERTICES, "edges": DEFAULT_EDGES},
     "smoke": {"vertices": 2_000, "edges": 10_000},
@@ -52,6 +55,10 @@ PROFILES = {
                   "rounds": 5},
     "sched-smoke": {"kind": "scheduler", "nodes": 120, "fragments": 16,
                     "rounds": 4},
+    "partition": {"kind": "partition", "vertices": 30_000,
+                  "edges": 240_000, "nodes": 4},
+    "partition-smoke": {"kind": "partition", "vertices": DEFAULT_VERTICES,
+                        "edges": DEFAULT_EDGES, "nodes": 2},
 }
 
 #: The acceptance workloads (§V-A's compute-intensive trio, minus LP
@@ -200,8 +207,9 @@ def write_bench_json(doc: Dict, path: str) -> None:
 
 def _throughput(aggregate: Dict) -> tuple:
     """The ``(metric key, value)`` of a bench aggregate: edges/s for the
-    hot-path bench, events/s for the scheduler bench."""
-    for key in ("edges_per_sec", "events_per_sec"):
+    hot-path bench, events/s for the scheduler bench, placed edges/s
+    for the partition bench."""
+    for key in ("edges_per_sec", "events_per_sec", "placed_edges_per_sec"):
         if key in aggregate:
             return key, aggregate[key]
     raise BenchmarkError(
@@ -234,8 +242,9 @@ def check_regression(doc: Dict, name: str, payload: Dict,
 
     Returns a human-readable verdict; raises :class:`BenchmarkError`
     when aggregate throughput regressed by more than ``max_regression``
-    (a fraction, e.g. 0.3 = 30%).  Works for both bench families —
-    the metric (edges/s or events/s) is taken from the committed entry.
+    (a fraction, e.g. 0.3 = 30%).  Works for every bench family — the
+    metric (edges/s, events/s or placed edges/s) is taken from the
+    committed entry.
     """
     entries = doc.get("entries", {})
     if name not in entries:

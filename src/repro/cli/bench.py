@@ -1,4 +1,5 @@
-"""``repro-gxplug bench``: the wall-clock hot-path and scheduler benches."""
+"""``repro-gxplug bench``: the wall-clock hot-path, scheduler and
+partition benches."""
 
 import argparse
 import sys
@@ -6,6 +7,7 @@ import sys
 from ..bench.hotpath import (DEFAULT_ALGORITHMS, PROFILES, check_regression,
                              format_report, load_bench_json, merge_entry,
                              run_hotpath_bench, write_bench_json)
+from ..bench.partbench import format_partition_report, run_partition_bench
 from ..bench.schedbench import format_scheduler_report, run_scheduler_bench
 from ..errors import BenchmarkError
 
@@ -16,8 +18,9 @@ def add_parser(sub) -> None:
     bench.add_argument("--profile", choices=sorted(PROFILES),
                        default="default",
                        help="named bench shape: R-MAT hot path "
-                            "(default/smoke) or event-loop twin "
-                            "(scheduler/sched-smoke)")
+                            "(default/smoke), event-loop twin "
+                            "(scheduler/sched-smoke) or greedy vertex "
+                            "cut (partition/partition-smoke)")
     bench.add_argument("--vertices", type=int, default=None,
                        help="override the profile's |V|")
     bench.add_argument("--edges", type=int, default=None,
@@ -25,7 +28,9 @@ def add_parser(sub) -> None:
     bench.add_argument("--algorithms", nargs="+", metavar="ALG",
                        choices=DEFAULT_ALGORITHMS,
                        default=list(DEFAULT_ALGORITHMS))
-    bench.add_argument("--nodes", type=int, default=2)
+    bench.add_argument("--nodes", type=int, default=None,
+                       help="override the profile's node count "
+                            "(2 on the hot-path profiles)")
     bench.add_argument("--gpus", type=int, default=1)
     bench.add_argument("--cache-fraction", type=float, default=0.1,
                        help="vertex-cache capacity as a fraction of |V| "
@@ -51,21 +56,27 @@ def add_parser(sub) -> None:
 def cmd_bench(args: argparse.Namespace) -> int:
     profile = PROFILES[args.profile]
     kind = profile.get("kind", "hotpath")
+    vertices = args.vertices if args.vertices is not None \
+        else profile.get("vertices")
+    edges = args.edges if args.edges is not None else profile.get("edges")
+    nodes = args.nodes if args.nodes is not None \
+        else profile.get("nodes", 2)
     try:
         if kind == "scheduler":
             payload = run_scheduler_bench(
                 nodes=profile["nodes"], fragments=profile["fragments"],
                 rounds=profile["rounds"], repeats=args.repeats)
             report = format_scheduler_report(payload)
+        elif kind == "partition":
+            payload = run_partition_bench(
+                vertices=vertices, edges=edges, nodes=nodes,
+                seed=args.seed, repeats=args.repeats)
+            report = format_partition_report(payload)
         else:
-            vertices = args.vertices if args.vertices is not None \
-                else profile["vertices"]
-            edges = args.edges if args.edges is not None \
-                else profile["edges"]
             payload = run_hotpath_bench(
                 vertices=vertices, edges=edges,
                 algorithms=tuple(args.algorithms),
-                nodes=args.nodes, gpus=args.gpus,
+                nodes=nodes, gpus=args.gpus,
                 cache_fraction=args.cache_fraction,
                 seed=args.seed, repeats=args.repeats)
             report = format_report(payload)

@@ -159,9 +159,13 @@ def _normalize_shares(num_partitions: int,
         raise PartitionError(
             f"{arr.size} shares given for {num_partitions} partitions"
         )
-    if (arr < 0).any() or arr.sum() <= 0:
-        raise PartitionError("shares must be non-negative and sum > 0")
-    return arr / arr.sum()
+    with np.errstate(over="ignore"):    # an overflowing sum is refused
+        total = arr.sum()
+    if not (np.isfinite(arr).all() and np.isfinite(total)
+            and (arr >= 0).all() and total > 0):
+        raise PartitionError(
+            "shares must be finite and non-negative, with a finite sum > 0")
+    return arr / total
 
 
 def _build_edge_cut(graph: Graph, master_of: np.ndarray,
@@ -314,40 +318,85 @@ def greedy_vertex_cut(graph: Graph, num_partitions: int, *,
     Gonzalez et al. [3].  Vertex masters are then assigned to the node
     holding most of the vertex's edges.  ``shares`` scale the load metric
     so heterogeneous nodes can take proportionally more edges.
+
+    Edge e goes to the first node p with the largest
+    ``[p hosts src] + [p hosts dst] - 3 * (scaled[p] - lo) / span``,
+    where ``scaled = load / capacity``, ``lo``/``hi`` are its min/max and
+    ``span = hi - lo`` (1.0 when they are equal).  The balance weight 3
+    exceeds the largest replica reward, so a node a full span ahead of
+    the least-loaded one always loses, which bounds the imbalance
+    (HDRF-style, lambda = 3).
+
+    The loop makes exactly those decisions with exactly those float
+    operations, but scores only nodes that can win.  A node at ``lo``
+    scores its replica reward (0, 1 or 2); a node at ``hi > lo`` scores
+    ``reward - 3 < 0`` (``3 * span / span`` rounds to exactly 3.0).  So
+    while every node sits at ``lo`` or ``hi`` the winner is the first
+    node at ``lo`` with the largest reward, found by bitmask arithmetic;
+    equal shares never leave that state, as their loads stay within one
+    edge of each other.  Otherwise only the endpoints' replicas and the
+    first non-replica at ``lo`` (score 0) are scored: every other node
+    is a non-replica that scores < 0, or 0 at a higher index.
     """
     _check_parts(graph, num_partitions)
-    n, m = graph.num_vertices, graph.num_edges
+    n = graph.num_vertices
     shares_arr = _normalize_shares(num_partitions, shares)
-    capacity = np.maximum(shares_arr, 1e-12)
+    capacity = np.maximum(shares_arr, 1e-12).tolist()
 
-    replicas = [set() for _ in range(n)]        # nodes each vertex touches
-    load = np.zeros(num_partitions, dtype=np.float64)
-    owner_of_edge = np.zeros(m, dtype=np.int64)
+    everyone = (1 << num_partitions) - 1
+    node_of_bit = {1 << p: p for p in range(num_partitions)}
+    replicas = [0] * n                  # bitmask of the nodes v touches
+    load = [0.0] * num_partitions
+    scaled = [0.0] * num_partitions     # load / capacity
+    lo = hi = 0.0
+    at_lo = at_hi = everyone            # bitmasks of the nodes at lo, hi
+    owner_of_edge = []
+    place = owner_of_edge.append
 
     src_arr, dst_arr = graph.src, graph.dst
-    for e in range(m):
-        s, d = int(src_arr[e]), int(dst_arr[e])
+    for s, d in zip(src_arr.tolist(), dst_arr.tolist()):
         rs, rd = replicas[s], replicas[d]
-        # PowerGraph greedy objective: reward reusing existing replicas,
-        # penalize relative (capacity-scaled) load so no node starves.
-        scaled = load / capacity
-        lo, hi = scaled.min(), scaled.max()
-        span = (hi - lo) if hi > lo else 1.0
-        best_node, best_score = 0, -np.inf
-        for p in range(num_partitions):
-            score = (1.0 if p in rs else 0.0) + (1.0 if p in rd else 0.0)
-            # balance weight > max replica reward (2.0) so a node that runs
-            # a full span ahead of the least-loaded node always loses the
-            # placement, which bounds the imbalance (HDRF-style, lambda=3).
-            score -= 3.0 * (scaled[p] - lo) / span
-            if score > best_score:
-                best_node, best_score = p, score
-        node = best_node
-        owner_of_edge[e] = node
+        if at_lo | at_hi == everyone:
+            # reward 2, else 1, else 0 among the nodes at lo; lowest bit
+            best = rs & rd & at_lo or (rs | rd) & at_lo or at_lo
+            bit = best & -best
+        else:
+            span = hi - lo
+            hosts = rs | rd
+            free = at_lo & ~hosts
+            candidates = hosts | (free & -free)
+            best_score = -np.inf
+            while candidates:
+                cand = candidates & -candidates
+                candidates ^= cand
+                p = node_of_bit[cand]
+                # the float operations and their order are the score's
+                score = ((1.0 if rs & cand else 0.0)
+                         + (1.0 if rd & cand else 0.0))
+                score -= 3.0 * (scaled[p] - lo) / span
+                if score > best_score:
+                    bit, best_score = cand, score
+        node = node_of_bit[bit]
+        place(node)
+        replicas[s] = rs | bit
+        replicas[d] |= bit
         load[node] += 1.0
-        rs.add(node)
-        rd.add(node)
+        value = scaled[node] = load[node] / capacity[node]
+        if value > hi:
+            hi, at_hi = value, bit
+        elif value == hi:
+            at_hi |= bit
+        if at_lo & bit:                 # the node left lo (loads only grow)
+            at_lo ^= bit
+            if not at_lo:
+                if at_hi == everyone:   # no rescan: k = 1 ends here always
+                    lo, at_lo = hi, everyone
+                else:
+                    lo = min(scaled)
+                    at_lo = sum(1 << p for p, v in enumerate(scaled)
+                                if v == lo)
 
+    owner_of_edge = np.array(owner_of_edge, dtype=np.int64)
     # master = node with the most incident edges for the vertex
     incidence = np.zeros((num_partitions, n), dtype=np.int64)
     np.add.at(incidence, (owner_of_edge, src_arr), 1)

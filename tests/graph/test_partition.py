@@ -1,6 +1,7 @@
 """Tests for graph partitioners."""
 
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -97,6 +98,19 @@ def test_shares_validation(g):
         range_partition(g, 2, shares=[0.0, 0.0])
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("shares", [
+    [float("nan"), 1.0], [float("inf"), 1.0], [1.0, float("-inf")],
+    [1e308, 1e308],                     # each finite, the sum is not
+], ids=["nan", "inf", "-inf", "sum-overflows"])
+def test_non_finite_shares_are_refused(g, strategy, shares):
+    """NaN used to slip through every comparison: greedy put every edge
+    on node 0, range returned one part for two nodes, hash raised
+    numpy's ValueError."""
+    with pytest.raises(PartitionError, match="finite"):
+        partition(g, 2, strategy=strategy, shares=shares)
+
+
 def test_clustering_beats_hash_on_locality():
     g = clustered_communities(8, 64, seed=3)
     hash_pg = hash_partition(g, 8)
@@ -153,18 +167,29 @@ def _parts_digest(pg):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("graph, nodes, shares, expected", [
-    (rmat(512, 4096, seed=5), 4, None,
+@pytest.mark.parametrize("make_graph, nodes, shares, expected", [
+    (partial(rmat, 512, 4096, seed=5), 4, None,
      "d3666e254bcdd75c68e12989516bb1b285e1da34c288e65fb378316e2f6e1be9"),
-    (uniform_random(300, 2000, seed=11), 3, [0.5, 0.3, 0.2],
+    (partial(uniform_random, 300, 2000, seed=11), 3, [0.5, 0.3, 0.2],
      "f2410f4b995195b3c5e887a2261524a10e14a220258e29273469ce6660a0eedb"),
-], ids=["rmat", "uniform-shares"])
-def test_vertex_cut_parts_equal_the_hand_assembled_ones(graph, nodes, shares,
-                                                        expected):
+    (partial(rmat, 30000, 240000, seed=3), 4, None,
+     "38a4a811852d35f176554557d85888f8ebfdda5f4ced4aed88ced746b0bda223"),
+    (partial(rmat, 20000, 120000, seed=7), 2, None,
+     "f46117a3c027ca204fbe8af5851cdb6246e8c6e2f8ab16e695ef44a4403edafc"),
+    (partial(rmat, 30000, 240000, seed=3), 4, [0.4, 0.3, 0.2, 0.1],
+     "9039c0ae42d9485bd7aac8854801c946f935b4ad63b2b487418f0ec96463e331"),
+], ids=["rmat", "uniform-shares", "rmat-30k-4", "rmat-20k-2",
+        "rmat-30k-4-shares"])
+def test_vertex_cut_parts_equal_the_hand_assembled_ones(make_graph, nodes,
+                                                        shares, expected):
     """greedy_vertex_cut assembles its parts through the shared
-    _build_from_edge_owners; the digests were taken at commit 63802eb,
-    whose greedy_vertex_cut built every Subgraph array by hand."""
-    pg = greedy_vertex_cut(graph, nodes, shares=shares)
+    _build_from_edge_owners; the first two digests were taken at commit
+    63802eb, whose greedy_vertex_cut built every Subgraph array by hand.
+    The three at benchmark scale (the batch workloads' 30k/240k on 4
+    nodes, the hot-path bench's 20k/120k on 2, and a Lemma-2 unequal
+    split) were taken at 6ae3f0a, whose placement loop scored every
+    node on every edge."""
+    pg = greedy_vertex_cut(make_graph(), nodes, shares=shares)
     assert _parts_digest(pg) == expected
 
 
