@@ -17,10 +17,21 @@ plus the fault-tolerance subsystem's knobs (``fault_plan``,
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Optional
 
 from ..errors import MiddlewareError
 from ..fault.inject import FaultPlan
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """Refuse a count that is not an integer ``>= minimum``: ``bool``
+    and floats included, so a bad value fails here rather than deep
+    inside numpy mid-run.  ``np.int64`` and friends are integers."""
+    if (not isinstance(value, Integral) or isinstance(value, bool)
+            or value < minimum):
+        raise MiddlewareError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -237,19 +248,14 @@ class MiddlewareConfig:
     straggler: StragglerConfig = StragglerConfig()
 
     def __post_init__(self) -> None:
-        if self.block_size is not None and self.block_size < 1:
-            raise MiddlewareError(
-                f"block_size must be >= 1, got {self.block_size}"
-            )
-        if self.cache_capacity is not None and self.cache_capacity < 1:
-            raise MiddlewareError(
-                f"cache_capacity must be >= 1, got {self.cache_capacity}"
-            )
-        if self.skip_max_local_iterations < 1:
-            raise MiddlewareError(
-                f"skip_max_local_iterations must be >= 1, got "
-                f"{self.skip_max_local_iterations}"
-            )
+        if self.block_size is not None:
+            check_count("block_size", self.block_size, 1)
+        if self.cache_capacity is not None:
+            check_count("cache_capacity", self.cache_capacity, 1)
+        check_count("skip_max_local_iterations",
+                    self.skip_max_local_iterations, 1)
+        check_count("checkpoint_interval", self.checkpoint_interval, 0)
+        check_count("max_retry_attempts", self.max_retry_attempts, 0)
         if self.lazy_upload and not self.sync_cache:
             raise MiddlewareError(
                 "lazy_upload requires sync_cache (updates are held in the "
@@ -275,18 +281,8 @@ class MiddlewareConfig:
                 "monitor_heartbeats requires the pipelined protocol: "
                 "heartbeats ride on the Algorithm 1-2 message exchange"
             )
-        if self.checkpoint_interval < 0:
-            raise MiddlewareError(
-                f"checkpoint_interval must be >= 0, got "
-                f"{self.checkpoint_interval}"
-            )
         if min(self.checkpoint_ms_per_cell, self.checkpoint_fixed_ms) < 0:
             raise MiddlewareError("negative checkpoint cost model")
-        if self.max_retry_attempts < 0:
-            raise MiddlewareError(
-                f"max_retry_attempts must be >= 0, got "
-                f"{self.max_retry_attempts}"
-            )
         if self.retry_base_delay_ms < 0:
             raise MiddlewareError(
                 f"retry_base_delay_ms must be >= 0, got "

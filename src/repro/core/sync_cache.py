@@ -25,7 +25,10 @@ O(batch) or O(resident), never O(capacity).  Whole id arrays move
 through :meth:`contains_many` / :meth:`insert_many` / :meth:`touch` /
 :meth:`invalidate_many` / :meth:`take_dirty`; the per-vertex
 ``insert``/``update`` are the sequential semantics the bulk forms are
-tested against.
+tested against.  A batch is a set of vertex ids, so :meth:`insert_many`
+takes it in ascending id order; a batch too large for the cache to
+absorb evicts exactly as ``insert``/``update`` over that order would,
+computed over arrays rather than vertex by vertex (:meth:`_plan_thrash`).
 
 Lazy uploading (Algorithm 3) — agents announce the vertices they need
 next iteration, and each uploads only its updated vertices that some
@@ -36,13 +39,13 @@ the "updated, not yet uploaded" half of that contract.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import MiddlewareError
 from ..graph import distinct_ids
+from .config import check_count
 
 #: Starting size of the dense ``id -> slot`` index; grows geometrically
 #: to cover the largest vertex id seen.
@@ -61,6 +64,29 @@ def _extended(arr: np.ndarray, size: int, fill) -> np.ndarray:
     return out
 
 
+def _later_smaller(seq: np.ndarray) -> np.ndarray:
+    """For each ``seq[i]``, how many later entries are smaller (distinct
+    non-negative ints).  A bottom-up merge count over the ascending
+    runs of ``seq``: O(n log n) per run-pair level, one level per
+    doubling of the run count."""
+    out = np.zeros(seq.size, dtype=np.int64)
+    if seq.size < 2:
+        return out
+    block = np.zeros(seq.size, dtype=np.int64)
+    np.cumsum(seq[1:] < seq[:-1], out=block[1:])
+    span = int(seq.max()) + 1
+    while block[-1] > 0:
+        pair = block >> 1
+        right = (block & 1).astype(bool)
+        key = pair * span + seq
+        later = np.sort(key[right])
+        left = ~right
+        out[left] += (np.searchsorted(later, key[left])
+                      - np.searchsorted(later, pair[left] * span))
+        block = pair
+    return out
+
+
 class LRUVertexCache:
     """Weight-decayed LRU index of the vertices resident on an agent.
 
@@ -72,9 +98,7 @@ class LRUVertexCache:
     """
 
     def __init__(self, capacity: int, writeback: bool = False) -> None:
-        if capacity < 1:
-            raise MiddlewareError(f"cache capacity must be >= 1, got "
-                                  f"{capacity}")
+        check_count("cache capacity", capacity, 1)
         self.capacity = capacity
         #: with write-back, a cache full of dirty entries evicts the
         #: stalest dirty entry (its update counts as eagerly uploaded)
@@ -155,14 +179,18 @@ class LRUVertexCache:
 
     def insert_many(self, ids: np.ndarray, dirty: bool = False
                     ) -> np.ndarray:
-        """Bulk insert/update of ``ids`` in one shot.
+        """Bulk insert/update of the vertex set ``ids`` in one shot.
 
-        Returns the evicted vertex ids.  Entries already resident get a
-        recency bump (no hit is counted); new entries claim vacant
-        slots, evicting the stalest clean pre-batch entries when the
-        cache is full (batch members never evict each other — when a
-        batch outsizes what the pre-batch state can absorb, the exact
-        sequential semantics run instead, see :meth:`_plan_thrash`).
+        The batch is a set: duplicates count once, and it is taken in
+        ascending id order whatever order it arrives in (every in-tree
+        caller passes ascending ids already).  Returns the evicted
+        vertex ids.  Entries already resident get a recency bump (no hit
+        is counted); new entries claim vacant slots, evicting the
+        stalest clean pre-batch entries when the cache is full (batch
+        members never evict each other).  When a batch outsizes what the
+        pre-batch state can absorb, it evicts exactly as
+        ``insert()``/``update()`` over the ascending ids would instead,
+        full-of-dirty error included (:meth:`_plan_thrash`).
         ``dirty=True`` marks every written entry dirty; ``dirty=False``
         leaves existing dirty flags alone (refresh semantics, matching
         ``update(..., dirty=False)``).
@@ -170,14 +198,10 @@ class LRUVertexCache:
         ids = np.asarray(ids, dtype=np.int64).ravel()
         if ids.size == 0:
             return np.empty(0, dtype=np.int64)
-        if ids.size > 1:
-            ordered = np.sort(ids)
-            repeat = ordered[1:] == ordered[:-1]
-            if repeat.any():  # duplicate ids count once
-                ids = np.concatenate((ordered[:1], ordered[1:][~repeat]))
-        if bool((ids < 0).any()):
+        ids = distinct_ids(ids)  # a set: duplicates count once
+        if ids[0] < 0:
             raise MiddlewareError("vertex ids must be >= 0")
-        self._ensure_index(int(ids.max()))
+        self._ensure_index(int(ids[-1]))
         slots = self._index[ids]
         present = slots >= 0
         n_new = int(ids.size - int(present.sum()))
@@ -201,8 +225,8 @@ class LRUVertexCache:
                 evicted = self._ids[victims].copy()
                 self._drop_slots(victims)
             else:
-                # batch outsizes the evictable pre-batch state: replay
-                # the exact one-at-a-time semantics (thrash, or the
+                # batch outsizes the evictable pre-batch state: the
+                # exact one-at-a-time semantics (thrash, or the
                 # historical full-of-dirty error).
                 evicted, kept, writebacks = self._plan_thrash(
                     ids, slots, dirty)
@@ -301,83 +325,149 @@ class LRUVertexCache:
 
     def _plan_thrash(self, ids: np.ndarray, slots: np.ndarray, mark: bool
                      ) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Plan the per-vertex ``insert()``/``update()`` fold over a
-        batch, without touching the tables.
+        """Plan the per-vertex ``insert()``/``update()`` fold over an
+        ascending batch, without touching the tables.
 
         Every eviction of that fold takes the minimum of ``(dirty,
         weight, id)`` over the residents, and every key the batch writes
         is ``(dirty, generation, id)`` with ``generation`` the largest
         weight there is.  So the residents split into four pools that
         empty strictly in turn — stale clean, fresh clean, stale dirty,
-        fresh dirty (fresh: weight == generation) — where the stale
-        pools only shrink (one sort up front orders them) and the fresh
-        pools are min-heaps of bare ids.  A resident batch member that
-        is evicted before its turn simply becomes a miss; one that is
-        still resident at its turn moves to a fresh pool, leaving a dead
-        copy behind that ``moved`` lets the pops skip.
+        fresh dirty (fresh: weight == generation) — and one sort lays
+        them out in that order.  The batch writes into one fresh pool
+        (clean or dirty, by ``mark``); the pools before it only shrink,
+        so the fold runs in two phases, each in closed form:
 
-        Returns ``(evicted, kept, writebacks)``: the evicted ids in fold
-        order, a mask over the processed prefix ``ids[:kept.size]`` of
-        the batch members resident at the end, and how many evictions
-        were dirty write-backs.  The prefix is shorter than the batch
-        when the fold wedges on a cache full of pinned dirty entries.
+        * *static*: each miss evicts the next entry of the shrinking
+          pools that was not rewritten first.  A resident member is
+          evicted before its turn iff the misses ahead of it outrun its
+          position (a count, below).
+        * *heap*: the written pool is a min-heap fed ascending ids, one
+          push after each pop, so which entry each pop takes is a merge
+          of the heap's content with the pushes (also below).
+
+        A resident member evicted before its turn becomes a miss; one
+        evicted after it is lost.  Returns ``(evicted, kept,
+        writebacks)``: the evicted ids in fold order, a mask over the
+        processed prefix ``ids[:kept.size]`` of the members resident at
+        the end, and how many evictions were dirty write-backs.  The
+        prefix is shorter than the batch when the fold wedges on a cache
+        full of pinned dirty entries.
         """
         occ = np.flatnonzero(self._ids >= 0)
         order = occ[np.lexsort((self._ids[occ], self._weights[occ],
                                 self._dirty[occ]))]
-        pool_of = 2 * self._dirty + (self._weights == self._generation)
-        cuts = np.cumsum(np.bincount(pool_of[occ], minlength=4))[:3]
-        stale_clean, fresh_clean, stale_dirty, fresh_dirty = (
-            part.tolist() for part in np.split(self._ids[order], cuts))
-        stale_clean.reverse()  # pop() then takes the stalest
-        stale_dirty.reverse()
-        pools = (stale_clean, fresh_clean, stale_dirty, fresh_dirty)
+        pool_of = 2 * self._dirty[order] + (self._weights[order]
+                                            == self._generation)
+        n0, n1, n2, _ = np.bincount(pool_of, minlength=4).tolist()
+        ranked = self._ids[order]  # residents in eviction-key order
+        writeback = self.writeback
+        # the pools that only shrink, and the range of the one written
+        if mark:
+            static = n0 + n1 + (n2 if writeback else 0)
+            heap = (static, order.size) if writeback else None
+        else:
+            static, heap = n0, (n0, n0 + n1)
         resident = slots >= 0
-        #: resident batch members whose turn is still to come -> pool
-        pending = dict(zip(ids[resident].tolist(),
-                           pool_of[slots[resident]].tolist()))
-        moved: Dict[int, int] = {}  # id -> pool its in-place update chose
-        evicted: List[int] = []
-        lost: List[int] = []  # evicted with no turn left to re-enter
-        writebacks = 0
-        size, capacity, writeback = self._size, self.capacity, self.writeback
-        fresh = pools[3 if mark else 1]  # where the batch's new ids land
-        done = 0
-        for vertex in ids.tolist():
-            home = pending.pop(vertex, None)
-            if home is not None:
-                pool = 3 if (mark or home >= 2) else 1
-                if pool != home:
-                    moved[vertex] = pool
-                    heappush(pools[pool], vertex)
-            else:
-                if size < capacity:
-                    size += 1
-                else:
-                    while True:  # smallest live (dirty, weight, id)
-                        if stale_clean:
-                            pool, victim = 0, stale_clean.pop()
-                        elif fresh_clean:
-                            pool, victim = 1, heappop(fresh_clean)
-                        elif not writeback:
-                            pool = -1  # only pinned dirty ids remain
-                            break
-                        elif stale_dirty:
-                            pool, victim = 2, stale_dirty.pop()
-                        else:
-                            pool, victim = 3, heappop(fresh_dirty)
-                        if moved.get(victim, pool) == pool:
-                            break
-                    if pool < 0:
-                        break
-                    evicted.append(victim)
-                    writebacks += pool >= 2
-                    if pending.pop(victim, None) is None:
-                        lost.append(victim)
-                heappush(fresh, vertex)
-            done += 1
-        kept = ~np.isin(ids[:done], np.asarray(lost, dtype=np.int64))
-        return np.asarray(evicted, dtype=np.int64), kept, writebacks
+        rank = np.empty(self._ids.size, dtype=np.int64)
+        rank[order] = np.arange(order.size)
+        pos = rank[slots[resident]]
+        turn_at = np.full(order.size, -1, dtype=np.int64)  # pos -> turn
+        turn_at[pos] = np.flatnonzero(resident)
+        spos = np.flatnonzero(turn_at[:static] >= 0)
+        sturn = turn_at[spos]  # static members, in position order
+        other = resident.copy()  # members outside the static pools
+        other[sturn] = False
+        vacant = self.capacity - self._size
+        # The static member at position l with turn t is evicted first
+        # iff the evicting misses before t outnumber the live entries up
+        # to l.  The misses before t are t less the members outside the
+        # static pools and the static members kept, and the kept ones
+        # ahead of l are not live, so the count comes down to the kept
+        # earlier-turn members behind l.  Taking all earlier-turn members
+        # behind l (``_later_smaller``) is exact: had one been evicted,
+        # the pointer passed l before it did, and the sum stays positive.
+        gone = (sturn - vacant - np.cumsum(other)[sturn] - spos
+                - _later_smaller(sturn)) > 0
+        miss = ~resident
+        miss[sturn[gone]] = True
+        # the static pools' live entries: all but members rewritten in
+        # place before the pointer reached them
+        live = np.ones(static, dtype=bool)
+        live[spos[~gone]] = False
+        live = np.flatnonzero(live)
+        evicting = int(miss.sum()) - vacant
+        victims = live[:max(evicting, 0)]
+        evicted = [ranked[victims]]
+        # victims past the clean pools are write-backs
+        writebacks = int((victims >= n0 + n1).sum())
+        kept = np.ones(ids.size, dtype=bool)
+        if evicting <= live.size:
+            return evicted[0], kept, writebacks
+        # the heap phase starts at the miss that finds no live entry left
+        start = int(np.searchsorted(np.cumsum(miss),
+                                    vacant + live.size + 1))
+        if heap is None:
+            return np.concatenate(evicted), kept[:start], writebacks
+        # the heap at that miss: the written pool's residents plus every
+        # earlier member not parked elsewhere, ascending
+        early = np.flatnonzero(~other[:start])
+        content = np.concatenate((ranked[heap[0]:heap[1]], ids[early]))
+        by_id = np.argsort(content, kind="stable")
+        heap_ids = content[by_id]
+        heap_turn = np.concatenate((turn_at[heap[0]:heap[1]], early))[by_id]
+        first, ahead = start, False
+        if heap_ids.size == 0:
+            # clean batch, no clean entry anywhere: this one miss evicts
+            # from the dirty pools, then seeds the clean heap
+            if not writeback:
+                return np.concatenate(evicted), kept[:start], writebacks
+            # the stalest stale dirty entry not yet rewritten; failing
+            # that, the fresh dirty heap's minimum, every stale dirty
+            # entry having moved into it
+            dirty_turn = turn_at[n0 + n1:]
+            stale = np.flatnonzero(~((dirty_turn[:n2] >= 0)
+                                     & (dirty_turn[:n2] < start)))
+            at = (stale[0] if stale.size
+                  else int(np.argmin(ranked[n0 + n1:])))
+            evicted.append(ranked[n0 + n1 + at:n0 + n1 + at + 1])
+            writebacks += 1
+            victim_turn = int(dirty_turn[at])
+            if victim_turn > start:
+                miss[victim_turn] = True  # re-enters at its turn
+            elif victim_turn >= 0:
+                kept[victim_turn] = False
+            heap_ids, heap_turn = ids[start:start + 1], np.array([start])
+            first = start + 1
+        elif heap_turn[0] > start:
+            # the heap's minimum is a member still to come: the phase's
+            # first pop takes it, so its turn is a miss
+            miss[heap_turn[0]] = True
+            ahead = True
+        # pop k precedes push k, and every push is larger than the ones
+        # before it; so push k is popped at pop k + max(1, #heap below
+        # it) when there are that many, and the heap's content, in
+        # order, takes the pops left over.  After the first push the
+        # heap always holds a smaller id than any member still to come,
+        # so only pop 0 can take one (``ahead``).
+        push_turn = first + np.flatnonzero(miss[first:])
+        pops = push_turn.size
+        when = np.arange(pops) + np.maximum(
+            np.searchsorted(heap_ids, ids[push_turn]), 1)
+        popped = when < pops
+        when, push_turn = when[popped], push_turn[popped]
+        rest = np.ones(pops, dtype=bool)
+        rest[when] = False
+        out = np.empty(pops, dtype=np.int64)
+        out[when] = ids[push_turn]
+        out[rest] = heap_ids[:pops - when.size]
+        evicted.append(out)
+        if mark:
+            writebacks += pops
+        lost = heap_turn[int(ahead):pops - when.size]
+        kept[lost[lost >= 0]] = False
+        kept[push_turn] = False
+        return np.concatenate(evicted), kept, writebacks
 
     def _pick_stalest(self, slots: np.ndarray, k: int) -> np.ndarray:
         """The ``k`` slots with the smallest ``(weight, id)`` among

@@ -1,5 +1,6 @@
 """Tests for MiddlewareConfig."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import BASELINE, FULL, MiddlewareConfig
@@ -49,3 +50,44 @@ def test_sync_skip_requires_cache():
 def test_frozen():
     with pytest.raises(Exception):
         FULL.pipeline = False
+
+
+COUNTS = {"block_size": 1, "cache_capacity": 1,
+          "skip_max_local_iterations": 1, "checkpoint_interval": 0,
+          "max_retry_attempts": 0}
+
+
+@pytest.mark.parametrize("field", sorted(COUNTS))
+@pytest.mark.parametrize("bad", [2.5, True, "10", 1.0])
+def test_counts_must_be_integers(field, bad):
+    """A float, bool or string count is refused at construction, not
+    mid-run inside numpy."""
+    with pytest.raises(MiddlewareError, match=field):
+        MiddlewareConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("field", sorted(COUNTS))
+def test_counts_below_their_minimum_are_refused(field):
+    with pytest.raises(MiddlewareError, match=field):
+        MiddlewareConfig(**{field: COUNTS[field] - 1})
+
+
+@pytest.mark.parametrize("field", sorted(COUNTS))
+def test_numpy_integer_counts_are_accepted(field):
+    value = np.int64(COUNTS[field] + 2)
+    assert getattr(MiddlewareConfig(**{field: value}), field) == value
+
+
+def test_cache_capacity_of_a_numpy_integer_runs():
+    """A bounded cache sized by an ``np.int64`` builds and evicts."""
+    from repro.core.sync_cache import LRUVertexCache
+    cache = LRUVertexCache(np.int64(2))
+    evicted = cache.insert_many(np.arange(4))
+    assert evicted.tolist() == [0, 1] and len(cache) == 2
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "10", 0])
+def test_cache_refuses_a_bad_capacity(bad):
+    from repro.core.sync_cache import LRUVertexCache
+    with pytest.raises(MiddlewareError, match="capacity"):
+        LRUVertexCache(bad)

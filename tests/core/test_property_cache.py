@@ -308,9 +308,9 @@ def test_thrashing_insert_many_equals_the_per_vertex_fold(
         ops, capacity, writeback):
     """With capacity below the id universe, a batch larger than the
     cache takes the exact sequential order: the bulk cache must equal a
-    twin driven one vertex at a time through insert()/update() on every
-    observable, including the full-of-dirty error and the state it
-    leaves behind."""
+    twin driven one vertex at a time, in ascending id order (a batch is
+    a set), through insert()/update() on every observable, including
+    the full-of-dirty error and the state it leaves behind."""
     bulk = LRUVertexCache(capacity, writeback=writeback)
     twin = LRUVertexCache(capacity, writeback=writeback)
     for op in ops:
@@ -343,7 +343,7 @@ def test_thrashing_insert_many_equals_the_per_vertex_fold(
                 ids = np.sort(ids)
             expected, error = [], None
             try:
-                for v in ids.tolist():
+                for v in np.sort(ids).tolist():
                     out = twin.update(v) if dirty else twin.insert(v)
                     if out is not None:
                         expected.append(out)
