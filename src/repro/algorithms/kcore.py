@@ -59,8 +59,9 @@ class KCore(AlgorithmTemplate):
 
     def msg_gen(self, src_ids: np.ndarray, dst_ids: np.ndarray,
                 weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """A removed source decrements each out-neighbour by one."""
-        return values[src_ids][:, _OUT][:, None]
+        """A removed source decrements each out-neighbour by one (only
+        the flag column moves, not whole rows)."""
+        return np.take(values[:, _OUT], src_ids)[:, None]
 
     def msg_merge(self, dst_ids: np.ndarray,
                   messages: np.ndarray) -> MessageSet:

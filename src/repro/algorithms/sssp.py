@@ -50,8 +50,14 @@ class MultiSourceSSSP(AlgorithmTemplate):
 
     def msg_gen(self, src_ids: np.ndarray, dst_ids: np.ndarray,
                 weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Relax: candidate distance through each edge, per source."""
-        return values[src_ids] + weights[:, None]
+        """Relax: candidate distance through each edge, per source.
+
+        ``np.take`` moves the rows (~5x a 2-D fancy index on numpy 2.4)
+        and the add lands in them, with no second ``(edges, k)`` array.
+        """
+        candidates = np.take(values, src_ids, axis=0)
+        candidates += weights[:, None]
+        return candidates
 
     def msg_merge(self, dst_ids: np.ndarray,
                   messages: np.ndarray) -> MessageSet:
@@ -60,13 +66,21 @@ class MultiSourceSSSP(AlgorithmTemplate):
 
     def msg_apply(self, values: np.ndarray, merged: MessageSet
                   ) -> Tuple[np.ndarray, np.ndarray]:
+        """Keep the shorter distance per source; a vertex changed when
+        any of its columns improved, and only changed rows are written
+        back.  The test ORs whole columns: numpy's ``any(axis=1)``
+        reduces each short row apart, ~10x slower at k = 4."""
         new_values = values.copy()
         if merged.size == 0:
             return new_values, np.empty(0, dtype=np.int64)
-        old_rows = new_values[merged.ids]
+        old_rows = np.take(values, merged.ids, axis=0)
         improved = merged.data < old_rows
-        new_values[merged.ids] = np.where(improved, merged.data, old_rows)
-        changed = merged.ids[improved.any(axis=1)]
+        moved = improved[:, 0].copy()
+        for col in range(1, improved.shape[1]):
+            moved |= improved[:, col]
+        changed = merged.ids[moved]
+        new_values[changed] = np.compress(
+            moved, np.where(improved, merged.data, old_rows), axis=0)
         return new_values, changed
 
     def payload_width(self) -> int:

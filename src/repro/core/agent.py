@@ -33,7 +33,6 @@ from ..errors import (
 from ..fault.monitor import HeartbeatMonitor
 from ..fault.retry import RetryPolicy
 from ..fault.straggler import StragglerDetector
-from ..graph import distinct_ids
 from ..ipc import (BatchedScheduler, Channel, Join, Now, Recv, Send, Sleep,
                    Spawn)
 from ..ipc.shm import ShmRegistry
@@ -79,6 +78,42 @@ NAIVE_COPY_FACTOR = 0.35
 #: ComputeFinished — scheduler (time, seq) order is the deterministic
 #: tie-break (the earlier *send* wins an exact tie).
 MSG_SPECULATED = "SpeculativeResult"
+
+
+def _block_runs(src_ids: np.ndarray, block_size: int, ascending: bool
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct source vertices of each block of a pass, in one
+    sweep over the pass.
+
+    Block ``k`` covers triplets ``[k * block_size, (k + 1) *
+    block_size)``, and its distinct sources are the runs of equal ids
+    in its sorted sources.  An ascending ``src_ids`` is sorted within
+    every block already, so the runs are read off directly; any other
+    order sorts the ``(block, source)`` keys once.  Returns ``(ids,
+    counts, bounds, first)``: block ``k``'s distinct sources, ascending,
+    are ``ids[bounds[k]:bounds[k + 1]]`` with ``counts`` triplets each,
+    and ``first`` marks each id's earliest run in the pass.
+    """
+    d = src_ids.size
+    starts = np.arange(0, d, block_size)
+    src = src_ids
+    if not ascending:
+        src = src_ids[np.lexsort((src_ids, np.arange(d) // block_size))]
+    run = np.empty(d, dtype=bool)
+    run[0] = True
+    np.not_equal(src[1:], src[:-1], out=run[1:])
+    run[starts] = True
+    at = np.flatnonzero(run)
+    ids = src[at]
+    counts = np.diff(at, append=d)
+    bounds = np.append(np.searchsorted(at, starts), at.size)
+    # an ascending pass repeats an id only where its run straddles a
+    # block edge, so its earliest run is the one after a different id
+    order = slice(None) if ascending else np.argsort(ids, kind="stable")
+    ordered = ids[order]
+    first = np.empty(ids.size, dtype=bool)
+    first[order] = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    return ids, counts, bounds, first
 
 
 @dataclass
@@ -331,11 +366,22 @@ class Agent:
         values" exact at the bit level; checkpoint-resume recovery (a
         fresh agent re-executing a warmed agent's superstep) depends on
         that.
+
+        Raises :class:`~repro.errors.MiddlewareError` when the arrays do
+        not pair up into triplets or an endpoint does not index
+        ``values``.
         """
         self._require_connected()
         d = int(src_ids.size)
+        if dst_ids.size != d or weights.size != d:
+            raise MiddlewareError(
+                f"agent {self.node.node_id}: {d} sources, {dst_ids.size} "
+                f"destinations and {weights.size} weights do not pair up "
+                f"into triplets")
         if d == 0:
             return EdgePassResult(algorithm.empty_messages(), 0.0, 0, 0)
+        ascending = not bool((src_ids[1:] < src_ids[:-1]).any())
+        self._check_endpoints(src_ids, dst_ids, len(values), ascending)
 
         if self.cache is not None:
             self.cache.tick()
@@ -352,7 +398,8 @@ class Agent:
         while True:
             try:
                 elapsed, total_blocks, breakdown, hits_misses = \
-                    self._attempt_pass(src_ids, dst_ids, msgs, algorithm)
+                    self._attempt_pass(src_ids, dst_ids, msgs, algorithm,
+                                       ascending)
                 break
             except (DeviceFailure, FaultError) as failure:
                 attempts += 1
@@ -394,8 +441,24 @@ class Agent:
             self._last_fetch_ratio = result.cache_misses / d
         return result
 
+    def _check_endpoints(self, src_ids: np.ndarray, dst_ids: np.ndarray,
+                         n: int, ascending: bool) -> None:
+        """Refuse triplets whose endpoints do not index the ``n`` vertex
+        values: numpy would wrap a negative id around, and an id past
+        the end would surface later as a message to no vertex.  Ascending
+        sources are bounded by their first and last."""
+        src_lo, src_hi = ((src_ids[0], src_ids[-1]) if ascending
+                          else (src_ids.min(), src_ids.max()))
+        for role, lo, hi in (("source", src_lo, src_hi),
+                             ("destination", dst_ids.min(), dst_ids.max())):
+            if lo < 0 or hi >= n:
+                raise MiddlewareError(
+                    f"agent {self.node.node_id}: {role} ids span "
+                    f"[{lo}, {hi}], outside the {n} vertices [0, {n})")
+
     def _attempt_pass(self, src_ids: np.ndarray, dst_ids: np.ndarray,
-                      msgs: np.ndarray, algorithm: AlgorithmTemplate):
+                      msgs: np.ndarray, algorithm: AlgorithmTemplate,
+                      ascending: bool):
         """One attempt at timing the (pipelined) pass; raises
         DeviceFailure (or a FaultError) with the simulated time burned so
         far attached."""
@@ -428,7 +491,7 @@ class Agent:
             init_ms = max(init_ms, daemon.init_cost_ms())
             blocks = self._build_blocks(
                 daemon, algorithm, src_ids[lo:hi], dst_ids[lo:hi],
-                msgs[lo:hi], hits_misses)
+                msgs[lo:hi], hits_misses, ascending)
             total_blocks += len(blocks)
             if monitor is not None and self.config.straggler.enabled \
                     and blocks:
@@ -597,29 +660,72 @@ class Agent:
 
     def _build_blocks(self, daemon: Daemon, algorithm: AlgorithmTemplate,
                       src_ids: np.ndarray, dst_ids: np.ndarray,
-                      msgs: np.ndarray, hits_misses: List[int]
-                      ) -> List[TripletBlock]:
-        """Slice triplets into blocks, tagging cache-miss fetch volumes."""
+                      msgs: np.ndarray, hits_misses: List[int],
+                      ascending: bool) -> List[TripletBlock]:
+        """Slice triplets into blocks, tagging cache-miss fetch volumes.
+
+        Each block fetches its distinct source vertices (its paired
+        vertex block, §II-B) that miss the cache, and those become
+        resident before the next block looks (§III-B2).  The accounting
+        runs once per pass: a block's distinct sources are the runs of
+        its sources in order (:func:`_block_runs`), read off with no
+        sort when ``src_ids`` is ascending, as every in-tree caller
+        passes it.  The cache then sees them through
+        :meth:`_fetch_misses`.
+        """
         block_size = self._block_size_for(daemon, int(src_ids.size))
         blocks = list(build_blocks(dst_ids, msgs, block_size, algorithm))
-        for block in blocks:
-            lo = block.index * block_size
-            src = src_ids[lo:lo + block_size]
-            if self.cache is None:
-                # no cache: each block still builds its paired vertex
-                # block, fetching each distinct source vertex once per
-                # block (§II-B)
-                block.fetched_entities = int(distinct_ids(src).size)
-                hits_misses[1] += block.fetched_entities
-                continue
-            in_cache = self.cache.contains_many(src)
-            self.cache.touch(distinct_ids(src[in_cache]))
-            miss_ids = distinct_ids(src[~in_cache])
-            block.fetched_entities = int(miss_ids.size)
-            hits_misses[0] += int(in_cache.sum())
-            hits_misses[1] += int(miss_ids.size)
-            self.cache.insert_many(miss_ids)
+        ids, counts, bounds, first = _block_runs(src_ids, block_size,
+                                                 ascending)
+        if self.cache is None:
+            # no cache: every block fetches each of its distinct sources
+            fetched = np.diff(bounds)
+            hits_misses[1] += int(ids.size)
+        else:
+            fetched = self._fetch_misses(ids, counts, bounds, first,
+                                         hits_misses)
+        for block, count in zip(blocks, fetched.tolist()):
+            block.fetched_entities = count
         return blocks
+
+    def _fetch_misses(self, ids: np.ndarray, counts: np.ndarray,
+                      bounds: np.ndarray, first: np.ndarray,
+                      hits_misses: List[int]) -> np.ndarray:
+        """Walk the blocks' distinct sources (:func:`_block_runs`)
+        through the cache in block order: a resident source is a hit
+        for each of its triplets and gets its weight bumped; the misses
+        are fetched, then inserted.  Returns each block's fetch count.
+
+        When the pass's new vertices fit the cache's vacancy no insert
+        can evict, so a source misses exactly in the first block that
+        sees it unless it was resident before the pass, and every
+        weight the walk writes is the current generation.  One
+        ``contains_many`` + ``insert_many`` + ``touch`` then leave the
+        resident set, weights, dirty bits and hit count the walk would.
+        """
+        cache = self.cache
+        new = first & ~cache.contains_many(ids)
+        n_new = int(np.count_nonzero(new))
+        if n_new <= cache.capacity - len(cache):
+            cache.insert_many(ids[new])
+            hit = ~new
+            cache.touch(ids[hit])
+            hits_misses[0] += int(counts[hit].sum())
+            hits_misses[1] += n_new
+            # every block has a run, so no reduceat segment is empty
+            return np.add.reduceat(new, bounds[:-1], dtype=np.int64)
+        fetched = np.empty(bounds.size - 1, dtype=np.int64)
+        edges = bounds.tolist()
+        for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            block_ids = ids[lo:hi]
+            in_cache = cache.contains_many(block_ids)
+            cache.touch(block_ids[in_cache])
+            miss_ids = block_ids[~in_cache]
+            fetched[k] = miss_ids.size
+            hits_misses[0] += int(counts[lo:hi][in_cache].sum())
+            hits_misses[1] += int(miss_ids.size)
+            cache.insert_many(miss_ids)
+        return fetched
 
     def refresh_cache(self, vertex_ids: np.ndarray) -> None:
         """Keep vertices delivered at synchronization warm.

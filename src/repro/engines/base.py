@@ -77,8 +77,11 @@ def _concat_ids(parts: List[np.ndarray]) -> np.ndarray:
 
 
 def _take(messages: MessageSet, mask: np.ndarray) -> MessageSet:
-    """The messages ``mask`` selects."""
-    return MessageSet(messages.ids[mask], messages.data[mask])
+    """The messages ``mask`` selects (``np.compress`` measures several
+    times faster than boolean indexing on these masks, ids and rows
+    alike)."""
+    return MessageSet(np.compress(mask, messages.ids),
+                      np.compress(mask, messages.data, axis=0))
 
 
 @dataclass
@@ -832,7 +835,7 @@ class IterativeEngine:
             cost = self._host_apply_ms(node_id, messages.size)
         if changed.size:
             changed = changed[self._master_sets[node_id][changed]]
-            values[changed] = cand[changed]
+            values[changed] = np.take(cand, changed, axis=0)
         wall1 = perf_counter()
         self.wall_s["apply"] += wall1 - wall0
         if agent is not None:

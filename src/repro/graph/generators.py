@@ -44,12 +44,19 @@ def rmat(num_vertices: int, num_edges: int, *, a: float = 0.57,
 
     src = np.zeros(num_edges, dtype=np.int64)
     dst = np.zeros(num_edges, dtype=np.int64)
+    quad = np.empty(num_edges, dtype=np.int8)
     for level in range(scale):
         r = rng.random(num_edges)
-        quad = np.searchsorted(cum, r)
+        # the quadrant is np.searchsorted(cum, r), i.e. how many of the
+        # four bounds lie below r: four compares beat a binary search
+        np.greater(r, cum[0], out=quad)
+        for bound in cum[1:]:
+            quad += r > bound
         # quadrant bit decomposition: bit0 -> dst half, bit1 -> src half
-        src = (src << 1) | (quad >> 1)
-        dst = (dst << 1) | (quad & 1)
+        src <<= 1
+        src |= quad >> 1
+        dst <<= 1
+        dst |= quad & 1
     src %= num_vertices
     dst %= num_vertices
     weights = (rng.uniform(1.0, 10.0, num_edges) if weighted

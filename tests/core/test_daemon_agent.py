@@ -139,6 +139,46 @@ def test_empty_edge_pass_is_free(graph):
     assert result.partial.size == 0
 
 
+def malformed_pass(src, dst, weights, **config):
+    alg = MultiSourceSSSP(sources=(0,))
+    agent = make_agent(**config)
+    agent.connect()
+    with pytest.raises(MiddlewareError) as caught:
+        agent.edge_pass(np.asarray(src), np.asarray(dst),
+                        np.asarray(weights, dtype=float), np.zeros((5, 1)),
+                        alg)
+    return str(caught.value)
+
+
+def test_edge_pass_refuses_a_negative_destination():
+    """numpy would wrap -2 around and merge its message into vertex 3."""
+    assert "destination" in malformed_pass([0, 1, 2], [1, -2, 3],
+                                           [1, 1, 1])
+
+
+def test_edge_pass_refuses_a_destination_past_the_values():
+    """Vertex 5 of five would come back as a message id and fail in
+    apply, a phase later."""
+    assert "destination" in malformed_pass([0, 1, 2], [1, 5, 3], [1, 1, 1])
+
+
+@pytest.mark.parametrize("src, dst, weights", [
+    ([0, 1, 2], [1, 2], [1, 1, 1]),
+    ([0, 1, 2], [1, 2, 3], [1, 1]),
+    ([0, 1], [1, 2, 3], [1, 1, 1]),
+])
+def test_edge_pass_refuses_triplets_that_do_not_pair_up(src, dst, weights):
+    assert "pair up" in malformed_pass(src, dst, weights)
+
+
+@pytest.mark.parametrize("src", [[-1, 0, 2], [2, -1, 0], [0, 1, 5]])
+def test_edge_pass_refuses_a_source_outside_the_values(src):
+    """Without a cache nothing else looks at the sources: -1 would read
+    the last vertex's value.  Ascending or not, the pass is refused."""
+    assert "source" in malformed_pass(src, [1, 2, 3], [1, 1, 1],
+                                      **no_opt())
+
+
 def test_connect_required(graph):
     alg = PageRank()
     values = alg.init_state(graph).values

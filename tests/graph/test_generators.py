@@ -1,5 +1,7 @@
 """Tests for synthetic graph generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.graph import (
     clustered_communities,
     complete,
     cycle,
+    load_dataset,
     path,
     rmat,
     road_network,
@@ -34,6 +37,26 @@ def test_rmat_is_skewed():
     deg = np.sort(g.out_degrees())[::-1]
     top_share = deg[: len(deg) // 20].sum() / deg.sum()  # top 5% of vertices
     assert top_share > 0.25
+
+
+def _arrays_digest(g):
+    h = hashlib.sha256()
+    for arr in (g.indptr, g.src, g.dst, g.weights):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda: rmat(30_000, 240_000, seed=7),
+     "fa05cd7690b57c4167cb65881b9b3a9744cb54f5a30eb4d774cf39da7d6b230c"),
+    (lambda: load_dataset("twitter"),
+     "8eeece8721a79deb4ba25758ae9913bf8d0c2a7f94310dc8837fd98211f7fbec"),
+], ids=["rmat-30k-240k", "twitter-twin"])
+def test_rmat_arrays_are_pinned(build, digest):
+    """Every dataset twin and bench graph is an R-MAT draw: the
+    quadrant compares must keep ``searchsorted``'s answer, bit for bit
+    (digests of the CSR arrays taken before the compares replaced it)."""
+    assert _arrays_digest(build()) == digest
 
 
 def test_uniform_is_not_skewed():
