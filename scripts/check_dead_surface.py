@@ -23,6 +23,12 @@ Matching is by bare name, not by resolved object: a reference to any
 ``.name`` keeps every definition called ``name`` alive.  That errs
 toward silence — what this gate reports has no user under any reading.
 
+The same holds for configuration: every field of the
+``CONFIG_CLASSES`` dataclasses must be passed by keyword (``field=``,
+to any call) somewhere under those roots, or be listed in
+``UNSET_FIELDS`` with a reason.  A field nothing sets only ever holds
+its default; that value belongs to the class that uses it.
+
 Usage: python scripts/check_dead_surface.py
 """
 
@@ -108,8 +114,6 @@ TESTS_ONLY = {
         "paper API surface: the agent's MSGGen request (docs/protocol.md)",
     "repro.core.agent.Agent.request_merge":
         "paper API surface: the agent's MSGMerge request (docs/protocol.md)",
-    "repro.core.agent.MAX_RECOVERY_ATTEMPTS":
-        "API surface: documented default retry budget (docs/protocol.md)",
     "repro.engines.graphx.jvm_runtime_for":
         "API surface: a JVM host runtime for a given JNI configuration",
     "repro.fault.inject.FaultPlan.for_superstep":
@@ -132,6 +136,16 @@ TESTS_ONLY = {
         "API surface: point a client at a restarted server",
     "repro.serve.service.GraphService.unload_graph":
         "API surface: documented service call (docs/streaming.md)",
+}
+
+#: The configuration dataclasses of ``repro.core.config`` whose every
+#: field needs a setter outside tests/.
+CONFIG_CLASSES = ("MiddlewareConfig", "StragglerConfig", "ClusterSpec")
+
+#: qualified field -> why no code outside tests/ sets it
+UNSET_FIELDS = {
+    "repro.core.config.MiddlewareConfig.speculative_checkpoint":
+        "a behaviour, not a tunable: only its own tests turn it on",
 }
 
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -213,6 +227,30 @@ def references(path: Path):
                 yield word, node.lineno
 
 
+def config_fields():
+    """``{qualified name: (field, file, line)}`` for every field of the
+    ``CONFIG_CLASSES``."""
+    path = PACKAGE / "core" / "config.py"
+    found = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef) and node.name in CONFIG_CLASSES:
+            for member in node.body:
+                if isinstance(member, ast.AnnAssign):
+                    name = member.target.id
+                    found[f"repro.core.config.{node.name}.{name}"] = (
+                        name, path, member.lineno)
+    return found
+
+
+def keywords(roots):
+    """Every keyword name passed to a call in a ``*.py`` under
+    ``roots``."""
+    return {node.arg
+            for root in roots for path in (ROOT / root).rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.keyword) and node.arg}
+
+
 def reference_index(roots):
     """``{word: [(file, line), ...]}`` over every ``*.py`` under
     ``roots``."""
@@ -258,22 +296,34 @@ def main() -> int:
             dead.append(qualified)
     stale += sorted(set(TESTS_ONLY) - set(defs))
 
+    fields = config_fields()
+    passed = keywords(USER_ROOTS)
+    unset = [q for q, (name, *_) in sorted(fields.items())
+             if name not in passed and q not in UNSET_FIELDS]
+    stale += [q for q in sorted(UNSET_FIELDS)
+              if q not in fields or fields[q][0] in passed]
+
     for title, names in (
             ("no reference anywhere — delete, or give it a caller", dead),
             ("referenced only from tests/ and not in TESTS_ONLY", untabled),
-            ("TESTS_ONLY entries no longer needed — remove them", stale)):
+            ("config fields nothing outside tests/ sets by keyword — "
+             "retire them into the class that uses them", unset),
+            ("TESTS_ONLY / UNSET_FIELDS entries no longer needed — "
+             "remove them", stale)):
         if names:
             print(f"{title}:")
             for qualified in names:
                 where = "not defined"
-                if qualified in defs:
-                    _, path, line, *_ = defs[qualified]
+                if qualified in defs or qualified in fields:
+                    _, path, line, *_ = (defs.get(qualified)
+                                         or fields[qualified])
                     where = f"{path.relative_to(ROOT)}:{line}"
                 print(f"  {qualified}  [{where}]")
-    if dead or untabled or stale:
+    if dead or untabled or unset or stale:
         return 1
     print(f"{len(defs)} public names in src/repro, "
-          f"{len(TESTS_ONLY)} kept for tests only, none dead")
+          f"{len(TESTS_ONLY)} kept for tests only, none dead; "
+          f"{len(fields)} config fields, {len(UNSET_FIELDS)} unset")
     return 0
 
 

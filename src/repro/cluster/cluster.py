@@ -13,7 +13,6 @@ from typing import List, Optional, Sequence
 
 from ..accel import make_cpu_accelerator, make_gpu
 from ..errors import SimulationError
-from ..fault.retry import RetryPolicy
 from .network import DEFAULT_NETWORK, NetworkModel, ResilientTransport
 from .node import NATIVE_RUNTIME, DistributedNode, HostRuntime
 from .topology import Topology
@@ -62,23 +61,16 @@ class Cluster:
         """Per-node 1/c_j values (§III-C) for workload balancing."""
         return [n.capacity_factor() for n in self.nodes]
 
-    def resilient_transport(self, *, max_retransmits: int = 3,
-                            ack_timeout_ms: float = 1.0,
-                            retransmit_base_ms: float = 0.5,
-                            backoff_factor: float = 2.0
-                            ) -> ResilientTransport:
+    def resilient_transport(self) -> ResilientTransport:
         """A resilient delivery layer over this cluster's interconnect.
 
         The transport wraps :attr:`network` with acks, sequence-number
-        dedupe, and bounded retransmission; engines swap it in for the
-        bare model when ``MiddlewareConfig.network_resilient`` is set.
+        dedupe, and bounded retransmission (the default
+        :class:`~repro.fault.retry.RetryPolicy`, the budget daemon
+        passes get); engines swap it in for the bare model when
+        ``MiddlewareConfig.network_resilient`` is set.
         """
-        policy = RetryPolicy(max_attempts=max_retransmits,
-                             base_delay_ms=retransmit_base_ms,
-                             backoff_factor=backoff_factor)
-        return ResilientTransport(self.network, policy,
-                                  ack_timeout_ms=ack_timeout_ms,
-                                  topology=self.topology)
+        return ResilientTransport(self.network, topology=self.topology)
 
     def repartition_cost_ms(self, nbytes: int, network=None,
                             moved_by_node=None) -> float:

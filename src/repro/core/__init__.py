@@ -35,7 +35,6 @@ from .middleware import GXPlug
 from .pipeline import (
     PAPER_FIG15_COEFFICIENTS,
     PipelineCoefficients,
-    coefficients_for,
     pipeline_makespan_from_stage_times,
 )
 from .sync_cache import LRUVertexCache
@@ -67,7 +66,6 @@ __all__ = [
     "build_blocks",
     "PipelineCoefficients",
     "PAPER_FIG15_COEFFICIENTS",
-    "coefficients_for",
     "pipeline_makespan_from_stage_times",
     "LRUVertexCache",
     "SkipDetector",

@@ -17,7 +17,8 @@ middleware-cost-ratio accounting consumes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Iterator, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, Generator, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from ..errors import (
     MiddlewareError,
     ProtocolError,
 )
-from ..fault.monitor import HeartbeatMonitor
+from ..fault.monitor import HEARTBEAT_INTERVAL_MS, HeartbeatMonitor
 from ..fault.retry import RetryPolicy
 from ..fault.straggler import StragglerDetector
 from ..ipc import (BatchedScheduler, Channel, Join, Now, Recv, Send, Sleep,
@@ -62,11 +63,6 @@ LOCAL_ACCESS_FACTOR = 0.05
 #: only says where eviction starts on a graph larger than this.
 DEFAULT_CACHE_CAPACITY = 1_000_000
 
-#: Default retry budget: a pass survives at most this many faults before
-#: the failure propagates (or the node degrades to its host path).
-#: Mirrors ``MiddlewareConfig.max_retry_attempts``.
-MAX_RECOVERY_ATTEMPTS = 3
-
 #: The two data-transfer steps the shared-memory design eliminates
 #: (agent->daemon and daemon->agent copies of the 5-step flow, §III-A1),
 #: as a fraction of the download/upload per-entity costs.
@@ -78,6 +74,10 @@ NAIVE_COPY_FACTOR = 0.35
 #: ComputeFinished — scheduler (time, seq) order is the deterministic
 #: tie-break (the earlier *send* wins an exact tie).
 MSG_SPECULATED = "SpeculativeResult"
+
+#: How many expected durations a flagged pair's block may run before its
+#: speculative copy launches; it also widens the monitor's phase budgets.
+SPECULATION_HEADROOM = 2.0
 
 
 def _block_runs(src_ids: np.ndarray, block_size: int, ascending: bool
@@ -159,16 +159,13 @@ class Agent:
         self._last_fetch_ratio = 1.0
         self.connected = False
         # fault tolerance: retry policy, degradation state
-        self._retry = RetryPolicy.from_config(config)
+        self._retry = RetryPolicy()
         self.degraded = False
         # gray-failure tolerance: the straggler detector (replaced by the
         # middleware's shared, cluster-wide instance when one exists)
         self.straggler: Optional[StragglerDetector] = None
         if config.straggler.enabled:
-            self.straggler = StragglerDetector(
-                ratio=config.straggler.ratio,
-                patience=config.straggler.patience,
-                alpha=config.straggler.ewma_alpha)
+            self.straggler = StragglerDetector(ratio=config.straggler.ratio)
         self._bind_detector()
         # speculative re-execution bookkeeping for the current pass
         self._spec_pending: List[dict] = []
@@ -469,9 +466,7 @@ class Agent:
         sched = BatchedScheduler()
         monitor: Optional[HeartbeatMonitor] = None
         if self.config.pipeline and self.config.monitor_heartbeats:
-            monitor = HeartbeatMonitor(self.config.heartbeat_interval_ms,
-                                       self.config.heartbeat_timeout_ms,
-                                       detector=self.straggler)
+            monitor = HeartbeatMonitor(detector=self.straggler)
         self._spec_pending = []
         self._abandoned = []
         hits_misses = [0, 0]
@@ -502,8 +497,7 @@ class Agent:
                 # DaemonDead
                 coeffs = self.coefficients_for(daemon)
                 b = max(bl.num_entities for bl in blocks)
-                h = self.config.straggler.speculation_headroom
-                t = self.config.heartbeat_timeout_ms
+                h, t = SPECULATION_HEADROOM, monitor.timeout_ms
                 monitor.set_budgets(daemon.daemon_id, {
                     "download": max(t, coeffs.t_n(b) * h),
                     "compute": max(t, coeffs.t_c(b) * h),
@@ -519,7 +513,7 @@ class Agent:
                     name=f"agent{self.node.node_id}->d{daemon.daemon_id}")
             else:
                 sched.spawn(
-                    self._sequential_process(daemon, blocks),
+                    self._run_blocks(daemon, blocks, copies=True),
                     name=f"agent{self.node.node_id}-seq")
             lo = hi
         if monitor is not None and monitor.tracked:
@@ -602,14 +596,9 @@ class Agent:
         (healthy daemons observe exactly 1.0, so fault-free selection
         is unchanged — ties keep breaking toward the lowest id).
         """
-        def effective(d: Daemon):
-            per = d.accelerator.model.per_entity_ms
-            if (self.straggler is not None
-                    and self.config.straggler.reestimate):
-                per *= max(1.0, self.straggler.inflation(d.daemon_id,
-                                                         "compute"))
-            return (per, d.daemon_id)
-        return min(self.daemons, key=effective)
+        return min(self.daemons, key=lambda d: (
+            d.accelerator.model.per_entity_ms * self._inflation(d),
+            d.daemon_id))
 
     def _daemon_shares(self) -> np.ndarray:
         """Per-daemon work split, Lemma 2 applied inside the node.
@@ -622,14 +611,17 @@ class Agent:
         1.0, so the fault-free split is untouched.
         """
         caps = np.array([d.accelerator.model.capacity_factor()
-                         for d in self.daemons])
-        if (self.straggler is not None
-                and self.config.straggler.reestimate):
-            infl = np.array([
-                max(1.0, self.straggler.inflation(d.daemon_id, "compute"))
-                for d in self.daemons])
-            caps = caps / infl
+                         / self._inflation(d) for d in self.daemons])
         return caps / caps.sum()
+
+    def _inflation(self, daemon: Daemon) -> float:
+        """The observed compute inflation online re-estimation discounts
+        ``daemon`` by: 1.0 without re-estimation (scaling by exactly 1.0
+        is exact), and at least 1.0 with it."""
+        if self.straggler is None or not self.config.straggler.reestimate:
+            return 1.0
+        return max(1.0, self.straggler.inflation(daemon.daemon_id,
+                                                 "compute"))
 
     def coefficients_for(self, daemon: Daemon) -> PipelineCoefficients:
         """Effective Eq. 2 coefficients of this agent-daemon pair.
@@ -757,39 +749,37 @@ class Agent:
             return
         self.cache.invalidate_many(np.asarray(vertex_ids).ravel())
 
-    def _download_ms(self, block: TripletBlock,
-                     daemon: Optional[Daemon] = None) -> float:
-        """Download stage cost: one fetch per distinct missing source
-        vertex (the paper's vertex block) plus a cheap local join per
-        triplet.  With ``daemon`` given, an armed ``shm_slow`` gray
-        fault inflates the pair's transfer cost."""
-        k1 = self.node.runtime.download_ms_per_entity
-        cost = (k1 * block.fetched_entities
-                + k1 * LOCAL_ACCESS_FACTOR * block.num_entities)
-        if daemon is not None:
-            cost *= daemon.transfer_inflation
-        return cost
+    def _stage(self, daemon: Daemon, block: TripletBlock, stage: str,
+               lease: bool = False) -> Generator:
+        """One transfer stage of ``block`` on ``daemon``: price it, lease
+        it on the pair's heartbeat (``lease``), sleep it out, and feed
+        the straggler detector observed against expected.
 
-    def _upload_ms(self, block: TripletBlock,
-                   daemon: Optional[Daemon] = None) -> float:
-        """Upload stage cost: the block-local merge's entries."""
-        k3 = self.node.runtime.upload_ms_per_entity
-        if self.cache is not None and self.config.lazy_upload:
-            # results land in the agent cache; the real upload happens
-            # lazily at synchronization time for queried vertices only.
-            cost = k3 * LOCAL_ACCESS_FACTOR * block.merged_size
+        A download fetches each distinct missing source vertex (the
+        paper's vertex block) plus a cheap local join per triplet; an
+        upload ships the block-local merge's entries, into the agent
+        cache when uploads are lazy (the real upload happens at
+        synchronization, for queried vertices only).  An armed
+        ``shm_slow`` gray fault inflates the pair's transfer cost.
+        """
+        if stage == "download":
+            k1 = self.node.runtime.download_ms_per_entity
+            expected = (k1 * block.fetched_entities
+                        + k1 * LOCAL_ACCESS_FACTOR * block.num_entities)
+            entities, category = block.num_entities, CAT_DOWNLOAD
         else:
-            cost = k3 * block.merged_size
-        if daemon is not None:
-            cost *= daemon.transfer_inflation
-        return cost
-
-    def _observe_transfer(self, daemon: Daemon, entities: int,
-                          observed_ms: float, expected_ms: float) -> None:
-        """Feed one transfer duration into the straggler detector."""
+            k3 = self.node.runtime.upload_ms_per_entity
+            if self.cache is not None and self.config.lazy_upload:
+                k3 *= LOCAL_ACCESS_FACTOR
+            expected = k3 * block.merged_size
+            entities, category = block.merged_size, CAT_UPLOAD
+        cost = expected * daemon.transfer_inflation
+        if lease:
+            yield from self._beat(daemon, busy_ms=cost, phase=stage)
+        yield Sleep(cost, category)
         if self.straggler is not None and entities > 0:
             self.straggler.observe(daemon.daemon_id, "transfer",
-                                   entities, observed_ms, expected_ms)
+                                   entities, cost, expected)
 
     # -- Algorithm 2 (agent side of the pipeline) ------------------------------------------
 
@@ -811,16 +801,10 @@ class Agent:
                           blocks: List[TripletBlock]) -> Generator:
         areas = daemon.areas
         block_iter = iter(blocks)
-        first = next(block_iter, None)
-        if first is None:
+        if not blocks:
             daemon.pass_idle = True
             return
-        cost = self._download_ms(first, daemon)
-        yield from self._beat(daemon, busy_ms=cost, phase="download")
-        yield Sleep(cost, CAT_DOWNLOAD)
-        self._observe_transfer(daemon, first.num_entities, cost,
-                               self._download_ms(first))
-        areas.n.block = first
+        yield from self._download_thread(daemon, block_iter)
         yield Send(daemon.to_daemon, MSG_EXCHANGE_FINISHED)
         upload_h = download_h = None
         expect_rotate = True
@@ -888,27 +872,16 @@ class Agent:
 
     def _upload_thread(self, daemon: Daemon) -> Generator:
         area = daemon.areas.u
-        result = area.result
-        if result is None:
-            return
-        cost = self._upload_ms(result, daemon)
-        yield from self._beat(daemon, busy_ms=cost, phase="upload")
-        yield Sleep(cost, CAT_UPLOAD)
-        self._observe_transfer(daemon, result.merged_size, cost,
-                               self._upload_ms(result))
-        area.clear()
+        if area.result is not None:
+            yield from self._stage(daemon, area.result, "upload", lease=True)
+            area.clear()
 
     def _download_thread(self, daemon: Daemon,
                          block_iter: Iterator[TripletBlock]) -> Generator:
         block = next(block_iter, None)
-        if block is None:
-            return
-        cost = self._download_ms(block, daemon)
-        yield from self._beat(daemon, busy_ms=cost, phase="download")
-        yield Sleep(cost, CAT_DOWNLOAD)
-        self._observe_transfer(daemon, block.num_entities, cost,
-                               self._download_ms(block))
-        daemon.areas.n.block = block
+        if block is not None:
+            yield from self._stage(daemon, block, "download", lease=True)
+            daemon.areas.n.block = block
 
     # -- speculative block re-execution (gray-failure response) ---------------------------------
 
@@ -951,8 +924,7 @@ class Agent:
         if block is None:
             return
         coeffs = self.coefficients_for(daemon)
-        budget = (coeffs.t_c(block.num_entities)
-                  * self.config.straggler.speculation_headroom)
+        budget = coeffs.t_c(block.num_entities) * SPECULATION_HEADROOM
         yield Sleep(budget)
         backup = None
         while True:
@@ -961,7 +933,7 @@ class Agent:
             backup = self._fastest_idle_daemon(exclude=daemon)
             if backup is not None:
                 break
-            yield Sleep(self.config.heartbeat_interval_ms)
+            yield Sleep(HEARTBEAT_INTERVAL_MS)
         backup.pass_idle = False
         duration = backup.compute_block(block)
         start = yield Now()
@@ -1000,41 +972,13 @@ class Agent:
             yield Join(upload_h)
         if download_h is not None:
             yield Join(download_h)
-        cost = self._upload_ms(result, backup)
-        yield Sleep(cost, CAT_UPLOAD)
-        self._observe_transfer(backup, result.merged_size, cost,
-                               self._upload_ms(result))
-        # the download thread already paid for the n-area block (if any);
-        # the backup picks it up from shared memory for free
-        yield from self._drain_blocks(backup, daemon.areas.n.block,
-                                      block_iter)
-
-    def _drain_blocks(self, backup: Daemon,
-                      first_block: Optional[TripletBlock],
-                      block_iter: Iterator[TripletBlock]) -> Generator:
-        """Finish the abandoned pair's remaining blocks on the backup.
-
-        Sequential (the backup's own pipeline already ran), but a healthy
-        device beats a gray-failed one's inflated pace.  The first block
-        skips the download charge when the straggler's download thread
-        already staged it.
-        """
-        block = first_block
-        paid_download = first_block is not None
-        while block is not None:
-            if not paid_download:
-                cost = self._download_ms(block, backup)
-                yield Sleep(cost, CAT_DOWNLOAD)
-                self._observe_transfer(backup, block.num_entities, cost,
-                                       self._download_ms(block))
-            duration = backup.compute_block(block)
-            yield Sleep(duration, CAT_COMPUTE)
-            cost = self._upload_ms(block, backup)
-            yield Sleep(cost, CAT_UPLOAD)
-            self._observe_transfer(backup, block.merged_size, cost,
-                                   self._upload_ms(block))
-            block = next(block_iter, None)
-            paid_download = False
+        yield from self._stage(backup, result, "upload")
+        # the rest of the abandoned pair's blocks run on the backup, one
+        # after another (its own pipeline already ran; a healthy device
+        # still beats a gray-failed one's pace).  The download thread
+        # already paid for the n-area block (if any): the backup picks
+        # it up from shared memory for free.
+        yield from self._run_blocks(backup, block_iter, daemon.areas.n.block)
         backup.pass_idle = True
 
     def _settle_speculation(self, now: float) -> None:
@@ -1050,28 +994,27 @@ class Agent:
             daemon.reset_protocol()
         self._abandoned = []
 
-    # -- the 5-step sequential flow (pipeline disabled) -----------------------------------------
+    # -- blocks one after another (pipeline disabled; speculative drains) ------------------------
 
-    def _sequential_process(self, daemon: Daemon,
-                            blocks: List[TripletBlock]) -> Generator:
-        """Download -> copy in -> compute -> copy out -> upload, per block.
-
-        The two extra copies are the agent<->daemon transfers the shared
-        memory design eliminates (§III-A2); nothing overlaps.
-        """
+    def _run_blocks(self, daemon: Daemon, blocks: Iterable[TripletBlock],
+                    staged: Optional[TripletBlock] = None,
+                    copies: bool = False) -> Generator:
+        """Download -> compute -> upload, block after block, nothing
+        overlapping.  ``staged`` runs first and is already downloaded.
+        With ``copies`` (the naive 5-step flow) each block also pays the
+        agent<->daemon copies in and out that the shared-memory design
+        eliminates (§III-A2)."""
         runtime = self.node.runtime
         copy_in = runtime.download_ms_per_entity * NAIVE_COPY_FACTOR
         copy_out = runtime.upload_ms_per_entity * NAIVE_COPY_FACTOR
+        if staged is not None:
+            blocks = chain((staged,), blocks)
         for block in blocks:
-            down = self._download_ms(block, daemon)
-            yield Sleep(down, CAT_DOWNLOAD)
-            self._observe_transfer(daemon, block.num_entities, down,
-                                   self._download_ms(block))
-            yield Sleep(copy_in * block.num_entities, CAT_DOWNLOAD)
-            duration = daemon.compute_block(block)
-            yield Sleep(duration, CAT_COMPUTE)
-            yield Sleep(copy_out * block.merged_size, CAT_UPLOAD)
-            up = self._upload_ms(block, daemon)
-            yield Sleep(up, CAT_UPLOAD)
-            self._observe_transfer(daemon, block.merged_size, up,
-                                   self._upload_ms(block))
+            if block is not staged:
+                yield from self._stage(daemon, block, "download")
+            if copies:
+                yield Sleep(copy_in * block.num_entities, CAT_DOWNLOAD)
+            yield Sleep(daemon.compute_block(block), CAT_COMPUTE)
+            if copies:
+                yield Sleep(copy_out * block.merged_size, CAT_UPLOAD)
+            yield from self._stage(daemon, block, "upload")

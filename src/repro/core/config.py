@@ -8,10 +8,9 @@ evaluates, so each figure's bench is an ablation of exactly one knob:
 * ``sync_skip``                      — §III-B3 (Fig. 11(b))
 * ``runtime_isolation``              — §IV-C   (Fig. 13)
 
-plus the fault-tolerance subsystem's knobs (``fault_plan``,
-``monitor_heartbeats``, ``checkpoint_interval``, the retry policy and
-``degrade_to_host``) — see :mod:`repro.fault` and
-``docs/fault_tolerance.md``.
+plus the fault tiers' switches (``fault_plan``, ``monitor_heartbeats``,
+``checkpoint_interval``, ``degrade_to_host``, ...); their timing
+constants live with the classes that use them (docs/fault_tolerance.md).
 """
 
 from __future__ import annotations
@@ -51,33 +50,14 @@ class StragglerConfig:
     #: this multiple is slow enough to flag.
     ratio: float = 3.0
 
-    #: Consecutive over-ratio observations before the verdict (and
-    #: consecutive healthy ones before the flag clears).
-    patience: int = 3
-
-    #: EWMA smoothing of the per-block inflation observations.
-    ewma_alpha: float = 0.5
-
     #: Re-issue a flagged straggler's pending block to the fastest idle
     #: daemon; first finisher wins (deterministic tie-break), the
     #: loser's result is discarded and its time charged as waste.
     speculate: bool = False
 
-    #: How many expected-durations a flagged pair's block may run before
-    #: the speculative copy launches (also scales the monitor's
-    #: per-phase deadline budgets).
-    speculation_headroom: float = 2.0
-
     #: Feed observed per-node times back into the Lemma-2 coefficient
     #: estimates and repartition when the estimated shares drift.
     reestimate: bool = False
-
-    #: Total-variation distance between estimated and current partition
-    #: shares that triggers an online repartition.
-    share_divergence: float = 0.10
-
-    #: Supersteps to wait between online repartitions.
-    rebalance_cooldown: int = 2
 
     #: Flag threshold for per-*link* inflation (uplink fragments over a
     #: rack topology, judged against the other links' median); ``None``
@@ -92,29 +72,6 @@ class StragglerConfig:
         if self.ratio <= 1.0:
             raise MiddlewareError(
                 f"straggler ratio must be > 1, got {self.ratio}"
-            )
-        if self.patience < 1:
-            raise MiddlewareError(
-                f"straggler patience must be >= 1, got {self.patience}"
-            )
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise MiddlewareError(
-                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}"
-            )
-        if self.speculation_headroom < 1.0:
-            raise MiddlewareError(
-                f"speculation_headroom must be >= 1, got "
-                f"{self.speculation_headroom}"
-            )
-        if not 0.0 < self.share_divergence < 1.0:
-            raise MiddlewareError(
-                f"share_divergence must be in (0, 1), got "
-                f"{self.share_divergence}"
-            )
-        if self.rebalance_cooldown < 1:
-            raise MiddlewareError(
-                f"rebalance_cooldown must be >= 1, got "
-                f"{self.rebalance_cooldown}"
             )
         if (self.speculate or self.reestimate) and not self.enabled:
             raise MiddlewareError(
@@ -180,23 +137,10 @@ class MiddlewareConfig:
     #: messages); off by default so fault-free deployments pay nothing.
     monitor_heartbeats: bool = False
 
-    #: Watchdog wake period on the simulated clock.
-    heartbeat_interval_ms: float = 2.0
-
-    #: Silence (past any busy lease) tolerated before a daemon is
-    #: declared dead.  Detection latency for a stalled pass is at most
-    #: ``timeout + interval`` simulated ms.
-    heartbeat_timeout_ms: float = 12.0
-
     #: Checkpoint the vertex tables every N supersteps (0 disables).
     #: With checkpoints, unrecoverable faults roll back to the last
     #: consistent superstep instead of restarting from iteration 0.
     checkpoint_interval: int = 0
-
-    #: Checkpoint cost model: per-cell and fixed simulated cost of one
-    #: vertex-table snapshot (and of reading it back on rollback).
-    checkpoint_ms_per_cell: float = 2e-5
-    checkpoint_fixed_ms: float = 0.5
 
     #: Speculative checkpointing: *delta* snapshot writes are issued
     #: behind the superstep barrier and overlap the next superstep's
@@ -205,11 +149,6 @@ class MiddlewareConfig:
     #: synchronously — they gate the consistency point.  Off by default:
     #: every committed figure keeps the synchronous accounting.
     speculative_checkpoint: bool = False
-
-    #: Transient-fault retry policy (exponential backoff).
-    max_retry_attempts: int = 3
-    retry_base_delay_ms: float = 0.5
-    retry_backoff_factor: float = 2.0
 
     #: When a node's accelerators stay broken past the retry budget,
     #: degrade that node to the host (CPU baseline) compute path instead
@@ -225,15 +164,6 @@ class MiddlewareConfig:
     #: off by default — the fault-free path pays zero overhead either
     #: way, but the bare model keeps the original behaviour exactly.
     network_resilient: bool = False
-
-    #: Silence tolerated before a collective fragment is presumed lost
-    #: and retransmitted.
-    net_ack_timeout_ms: float = 1.0
-
-    #: Base backoff before the first retransmission; later attempts grow
-    #: by ``retry_backoff_factor``.  The attempt budget is shared with
-    #: daemon-pass retries (``max_retry_attempts``).
-    net_retransmit_base_ms: float = 0.5
 
     #: Recompute Lemma-2 partition shares and repartition the graph when
     #: a node degrades to its host path, so the degraded node stops
@@ -255,7 +185,6 @@ class MiddlewareConfig:
         check_count("skip_max_local_iterations",
                     self.skip_max_local_iterations, 1)
         check_count("checkpoint_interval", self.checkpoint_interval, 0)
-        check_count("max_retry_attempts", self.max_retry_attempts, 0)
         if self.lazy_upload and not self.sync_cache:
             raise MiddlewareError(
                 "lazy_upload requires sync_cache (updates are held in the "
@@ -265,33 +194,10 @@ class MiddlewareConfig:
             raise MiddlewareError(
                 "sync_skip builds on synchronization caching (§III-B3)"
             )
-        if self.heartbeat_interval_ms <= 0:
-            raise MiddlewareError(
-                f"heartbeat_interval_ms must be > 0, got "
-                f"{self.heartbeat_interval_ms}"
-            )
-        if self.heartbeat_timeout_ms < self.heartbeat_interval_ms:
-            raise MiddlewareError(
-                f"heartbeat_timeout_ms ({self.heartbeat_timeout_ms}) must "
-                f"be >= heartbeat_interval_ms "
-                f"({self.heartbeat_interval_ms})"
-            )
         if self.monitor_heartbeats and not self.pipeline:
             raise MiddlewareError(
                 "monitor_heartbeats requires the pipelined protocol: "
                 "heartbeats ride on the Algorithm 1-2 message exchange"
-            )
-        if min(self.checkpoint_ms_per_cell, self.checkpoint_fixed_ms) < 0:
-            raise MiddlewareError("negative checkpoint cost model")
-        if self.retry_base_delay_ms < 0:
-            raise MiddlewareError(
-                f"retry_base_delay_ms must be >= 0, got "
-                f"{self.retry_base_delay_ms}"
-            )
-        if self.retry_backoff_factor < 1.0:
-            raise MiddlewareError(
-                f"retry_backoff_factor must be >= 1, got "
-                f"{self.retry_backoff_factor}"
             )
         if self.speculative_checkpoint and self.checkpoint_interval < 1:
             raise MiddlewareError(
@@ -303,16 +209,6 @@ class MiddlewareConfig:
             raise MiddlewareError(
                 "the fault plan contains stall faults (hang / message "
                 "drop); detecting them requires monitor_heartbeats=True"
-            )
-        if self.net_ack_timeout_ms <= 0:
-            raise MiddlewareError(
-                f"net_ack_timeout_ms must be > 0, got "
-                f"{self.net_ack_timeout_ms}"
-            )
-        if self.net_retransmit_base_ms < 0:
-            raise MiddlewareError(
-                f"net_retransmit_base_ms must be >= 0, got "
-                f"{self.net_retransmit_base_ms}"
             )
         if (self.fault_plan is not None
                 and self.fault_plan.requires_transport
@@ -412,10 +308,9 @@ class ClusterSpec:
     cross_byte_factor: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.nodes < 1:
-            raise MiddlewareError(f"need >=1 nodes, got {self.nodes}")
-        if self.gpus_per_node < 0 or self.cpus_per_node < 0:
-            raise MiddlewareError("accelerator counts must be >= 0")
+        check_count("nodes", self.nodes, 1)
+        check_count("gpus_per_node", self.gpus_per_node, 0)
+        check_count("cpus_per_node", self.cpus_per_node, 0)
         if self.runtime not in ("native", "jvm"):
             raise MiddlewareError(
                 f"unknown runtime {self.runtime!r} (want 'native'/'jvm')")
@@ -552,19 +447,15 @@ class RuntimeConfig:
                           degrade_to_host=degrade_to_host,
                           rebalance_on_degrade=rebalance_on_degrade)
 
-    def with_network(self, resilient: bool = True, *,
-                     ack_timeout_ms: float = 1.0,
-                     retransmit_base_ms: float = 0.5) -> "RuntimeConfig":
+    def with_network(self, resilient: bool = True) -> "RuntimeConfig":
         """The resilient-transport tier (required for network and
         link fault kinds)."""
-        return self.with_(network_resilient=resilient,
-                          net_ack_timeout_ms=ack_timeout_ms,
-                          net_retransmit_base_ms=retransmit_base_ms)
+        return self.with_(network_resilient=resilient)
 
     def with_straggler(self, enabled: bool = True,
                        **knobs) -> "RuntimeConfig":
         """The gray-failure tier; ``knobs`` are
-        :class:`StragglerConfig` fields (``ratio``, ``patience``,
-        ``speculate``, ``reestimate``, ``link_ratio``, ...)."""
+        :class:`StragglerConfig` fields (``ratio``, ``speculate``,
+        ``reestimate``, ``link_ratio``)."""
         return self.with_(
             straggler=self.config.straggler.with_(enabled=enabled, **knobs))

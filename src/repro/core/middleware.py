@@ -56,8 +56,6 @@ class GXPlug:
         if self.config.straggler.enabled:
             self.straggler = StragglerDetector(
                 ratio=self.config.straggler.ratio,
-                patience=self.config.straggler.patience,
-                alpha=self.config.straggler.ewma_alpha,
                 link_ratio=self.config.straggler.link_ratio)
             for agent in self.agents.values():
                 agent.set_straggler_detector(self.straggler)
@@ -66,12 +64,7 @@ class GXPlug:
         # resilient transport so armed network faults have a place to go
         self.transport = None
         if self.config.network_resilient:
-            self.transport = cluster.resilient_transport(
-                max_retransmits=self.config.max_retry_attempts,
-                ack_timeout_ms=self.config.net_ack_timeout_ms,
-                retransmit_base_ms=self.config.net_retransmit_base_ms,
-                backoff_factor=self.config.retry_backoff_factor,
-            )
+            self.transport = cluster.resilient_transport()
             # per-link gray-failure detection: the transport reports
             # every topology collective's fragment times to the detector
             if self.straggler is not None:

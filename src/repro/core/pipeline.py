@@ -203,19 +203,6 @@ def pipeline_makespan_from_stage_times(
     return total
 
 
-def coefficients_for(download_ms_per_entity: float,
-                     device_call_ms: float,
-                     device_ms_per_entity: float,
-                     upload_ms_per_entity: float) -> PipelineCoefficients:
-    """Assemble Eq. 2 coefficients from a host runtime and a device model."""
-    return PipelineCoefficients(
-        k1=download_ms_per_entity,
-        k2=device_ms_per_entity,
-        k3=upload_ms_per_entity,
-        a=device_call_ms,
-    )
-
-
 #: The measured coefficient sets of the paper's Fig. 15 experiment
 #: (footnote 6) — used verbatim by the Fig. 15 bench.
 PAPER_FIG15_COEFFICIENTS = {

@@ -65,6 +65,12 @@ BYTES_PER_ID = 8
 #: effective limit is ``max(MAX_ROLLBACKS, num_nodes)``).
 MAX_ROLLBACKS = 8
 
+#: Online re-estimation repartitions when the estimated Lemma-2 shares
+#: are this far (total variation) from the current partition's ...
+SHARE_DIVERGENCE = 0.10
+#: ... and at least this many supersteps after the previous one.
+REBALANCE_COOLDOWN = 2
+
 #: The hot-path phases whose wall-clock time the engine accounts
 #: (``time.perf_counter`` deltas; see ``repro.bench.hotpath``).
 WALL_PHASES = ("gen", "merge", "apply", "sync", "cache")
@@ -402,10 +408,7 @@ class IterativeEngine:
         origin: Optional[Checkpoint] = None
         if mw is not None:
             if mw.config.checkpoint_interval > 0:
-                store = CheckpointStore(
-                    mw.config.checkpoint_interval,
-                    ms_per_cell=mw.config.checkpoint_ms_per_cell,
-                    fixed_ms=mw.config.checkpoint_fixed_ms)
+                store = CheckpointStore(mw.config.checkpoint_interval)
                 if resume_from is not None:
                     # the resume point is already durable: install it as
                     # the free full base so a mid-run rollback can reach
@@ -424,9 +427,8 @@ class IterativeEngine:
         # EWMA estimate of the per-node c_j from observed (d_j, T_j)
         # pairs; when the estimated optimal shares drift far enough from
         # the current partition, repartition without degrading anyone.
-        scfg = mw.config.straggler if mw is not None else None
-        reestimate = bool(scfg is not None and scfg.enabled
-                          and scfg.reestimate)
+        # (StragglerConfig refuses reestimate without enabled)
+        reestimate = mw is not None and mw.config.straggler.reestimate
         coeff_est: Optional[np.ndarray] = None
         if reestimate:
             coeff_est = np.asarray(
@@ -568,9 +570,9 @@ class IterativeEngine:
                 coeff_est, folded, shares, divergence = \
                     self._reestimate_shares(st, coeff_est, width)
                 run.coeff_updates += folded
-                if (divergence > scfg.share_divergence
+                if (divergence > SHARE_DIVERGENCE
                         and run.iterations - last_online_reb
-                        >= scfg.rebalance_cooldown):
+                        >= REBALANCE_COOLDOWN):
                     # Lemma 2 says the optimum moved: repartition to
                     # the estimated shares (shifting load *off* the
                     # straggling node) without writing anyone off
@@ -659,8 +661,7 @@ class IterativeEngine:
         num_nodes = self.cluster.num_nodes
         obs = {part.node_id: (e, t) for part, t, e in
                zip(self.pgraph.parts, st.node_compute_ms, st.node_entities)}
-        coeff_est = estimate_coefficients(
-            obs, coeff_est, alpha=mw.config.straggler.ewma_alpha)
+        coeff_est = estimate_coefficients(obs, coeff_est)
         folded = sum(1 for e, t in obs.values() if e > 0 and t > 0)
         if self.cluster.topology is not None:
             # fold each node's wire slope, inflated by the detector's

@@ -31,11 +31,19 @@ from typing import Dict, Generator, Optional
 from ..errors import DaemonDead, NodeUnreachable, SimulationError
 from ..ipc.scheduler import Now, Sleep
 
+#: Watchdog wake period on the simulated clock.
+HEARTBEAT_INTERVAL_MS = 2.0
+
+#: Silence (past any busy lease) tolerated before a daemon is declared
+#: dead; a stalled pass is detected within ``timeout + interval`` ms.
+HEARTBEAT_TIMEOUT_MS = 12.0
+
 
 class HeartbeatMonitor:
     """Per-daemon liveness tracking with busy leases."""
 
-    def __init__(self, interval_ms: float, timeout_ms: float,
+    def __init__(self, interval_ms: float = HEARTBEAT_INTERVAL_MS,
+                 timeout_ms: float = HEARTBEAT_TIMEOUT_MS,
                  detector=None) -> None:
         if interval_ms <= 0:
             raise SimulationError(

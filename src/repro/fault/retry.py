@@ -44,15 +44,6 @@ class RetryPolicy:
                 f"base_delay_ms {self.base_delay_ms}"
             )
 
-    @classmethod
-    def from_config(cls, config) -> "RetryPolicy":
-        """The policy a :class:`~repro.core.config.MiddlewareConfig` asks for."""
-        return cls(
-            max_attempts=config.max_retry_attempts,
-            base_delay_ms=config.retry_base_delay_ms,
-            backoff_factor=config.retry_backoff_factor,
-        )
-
     def backoff_ms(self, attempt: int) -> float:
         """Simulated delay before retry number ``attempt`` (1-based)."""
         if attempt < 1:

@@ -226,13 +226,11 @@ def runtime_to_doc(runtime: RuntimeConfig) -> Dict[str, Any]:
 
 def runtime_from_doc(doc: Mapping[str, Any]) -> RuntimeConfig:
     """Inverse of :func:`runtime_to_doc`."""
-    # a journal outlives the code that wrote it: fields MiddlewareConfig
-    # has since retired are dropped on replay
-    known = {f.name for f in dataclasses.fields(MiddlewareConfig)}
-    fields = {k: v for k, v in doc.items() if k in known}
+    fields = _known_fields(MiddlewareConfig, doc)
     straggler = fields.pop("straggler", None)
     if straggler is not None:
-        fields["straggler"] = StragglerConfig(**straggler)
+        fields["straggler"] = StragglerConfig(
+            **_known_fields(StragglerConfig, straggler))
     plan = fields.pop("fault_plan", None)
     if plan is not None:
         fields["fault_plan"] = FaultPlan(events=tuple(
@@ -242,6 +240,15 @@ def runtime_from_doc(doc: Mapping[str, Any]) -> RuntimeConfig:
     except TypeError as exc:
         raise ServeError(
             f"bad journaled runtime config: {exc}") from None
+
+
+def _known_fields(cls, doc: Mapping[str, Any]) -> Dict[str, Any]:
+    """``doc``'s entries that name a field of the dataclass ``cls``.  A
+    journal outlives the code that wrote it: a field the config has
+    since retired is dropped on replay, and its value is whatever the
+    class that now owns it uses."""
+    known = {f.name for f in dataclasses.fields(cls)}
+    return {k: v for k, v in doc.items() if k in known}
 
 
 class Job:

@@ -48,7 +48,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..bench.trace import write_json
-from ..core.config import ClusterSpec
+from ..core.config import ClusterSpec, check_count
 from ..core.middleware import GXPlug
 from ..engines.base import RunResult
 from ..errors import GraphError, ReproError, ServeError
@@ -85,6 +85,17 @@ class GraphService:
                  waiter_timeout_ms: Optional[float] = None,
                  journal: Optional[str] = None,
                  journal_checkpoint_interval: int = 2) -> None:
+        # counts fail here, not at the first dispatch
+        check_count("cache_entries", cache_entries, 1)
+        check_count("journal_checkpoint_interval",
+                    journal_checkpoint_interval, 0)
+        for name, count in (("daemon_budget", daemon_budget),
+                            ("max_running", max_running),
+                            ("max_queue_depth", max_queue_depth),
+                            ("max_pending_per_tenant",
+                             max_pending_per_tenant)):
+            if count is not None:
+                check_count(name, count, 1)
         self.spec = spec if spec is not None else ClusterSpec()
         self.store = GraphStore()
         self.cache = ResultCache(cache_entries)

@@ -72,11 +72,10 @@ def test_runtime_config_is_immutable_chain():
 
 def test_runtime_config_grouped_builders():
     cfg = (RuntimeConfig.preset("full")
-           .with_network(resilient=True, ack_timeout_ms=2.0)
+           .with_network(resilient=True)
            .with_straggler(True, reestimate=True, link_ratio=2.5)
            .with_faults(checkpoint_interval=3)).middleware()
     assert cfg.network_resilient
-    assert cfg.net_ack_timeout_ms == 2.0
     assert cfg.straggler.enabled and cfg.straggler.reestimate
     assert cfg.straggler.link_ratio == 2.5
     assert cfg.monitor_heartbeats and cfg.checkpoint_interval == 3
@@ -140,6 +139,12 @@ def test_cluster_spec_topology_resolution():
     dict(nodes=2, cross_byte_factor=0.5),
     dict(nodes=4, topology="rack:2x4"),        # span mismatch
     dict(nodes=4, topology="mesh:4"),          # malformed spec
+    # counts are integers: a float used to fail inside build(), and
+    # nodes=True to build a one-node cluster
+    dict(nodes=2.5),
+    dict(nodes=True),
+    dict(nodes=2, gpus_per_node=1.5),
+    dict(nodes=2, cpus_per_node=True),
 ])
 def test_cluster_spec_validation(kwargs):
     # span mismatches raise MiddlewareError; a malformed topology spec

@@ -53,8 +53,7 @@ def test_frozen():
 
 
 COUNTS = {"block_size": 1, "cache_capacity": 1,
-          "skip_max_local_iterations": 1, "checkpoint_interval": 0,
-          "max_retry_attempts": 0}
+          "skip_max_local_iterations": 1, "checkpoint_interval": 0}
 
 
 @pytest.mark.parametrize("field", sorted(COUNTS))

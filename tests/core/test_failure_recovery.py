@@ -7,9 +7,10 @@ from repro.accel import Accelerator, make_gpu
 from repro.algorithms import MultiSourceSSSP, PageRank
 from repro.cluster import NATIVE_RUNTIME, DistributedNode, make_cluster
 from repro.core import GXPlug, MiddlewareConfig
-from repro.core.agent import Agent, MAX_RECOVERY_ATTEMPTS
+from repro.core.agent import Agent
 from repro.engines import PowerGraphEngine
 from repro.errors import DeviceError, DeviceFailure
+from repro.fault import RetryPolicy
 from repro.graph import rmat
 from repro.ipc import ShmRegistry
 
@@ -89,7 +90,7 @@ def test_recovery_gives_up_after_max_attempts(graph):
     accel.shutdown()
     with pytest.raises(DeviceFailure):
         agent.edge_pass(graph.src, graph.dst, graph.weights, values, alg)
-    assert agent.recoveries == MAX_RECOVERY_ATTEMPTS + 1
+    assert agent.recoveries == RetryPolicy().max_attempts + 1
 
 
 def test_protocol_reset_clears_state(graph):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.core.pipeline import (
     PAPER_FIG15_COEFFICIENTS,
     PipelineCoefficients,
-    coefficients_for,
     pipeline_makespan_from_stage_times,
 )
 from repro.errors import MiddlewareError
@@ -177,11 +176,6 @@ def test_paper_fig15_coefficients_present():
     assert set(PAPER_FIG15_COEFFICIENTS) == {"sssp-bf", "pagerank", "lp"}
     sssp = PAPER_FIG15_COEFFICIENTS["sssp-bf"]
     assert (sssp.k1, sssp.k2, sssp.k3, sssp.a) == (0.03, 0.51, 0.09, 84671.0)
-
-
-def test_coefficients_for_helper():
-    c = coefficients_for(0.1, 5.0, 0.2, 0.3)
-    assert (c.k1, c.k2, c.k3, c.a) == (0.1, 0.2, 0.3, 5.0)
 
 
 def test_coefficient_validation():

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import MiddlewareConfig
 from repro.errors import FaultError
 from repro.fault import RetryPolicy
 
@@ -37,17 +36,3 @@ def test_delays_schedule():
     assert policy.delays() == (0.5, 1.0, 2.0)
     assert RetryPolicy(max_attempts=0).delays() == ()
 
-
-def test_from_config_reads_middleware_knobs():
-    config = MiddlewareConfig(max_retry_attempts=5,
-                              retry_base_delay_ms=1.5,
-                              retry_backoff_factor=3.0)
-    policy = RetryPolicy.from_config(config)
-    assert policy.max_attempts == 5
-    assert policy.base_delay_ms == 1.5
-    assert policy.backoff_factor == 3.0
-    # defaults mirror MiddlewareConfig's defaults
-    default = RetryPolicy.from_config(MiddlewareConfig())
-    assert default.max_attempts == 3
-    assert default.base_delay_ms == 0.5
-    assert default.backoff_factor == 2.0

@@ -13,7 +13,7 @@ from repro.api import (
 )
 from repro.bench.trace import read_json
 from repro.engines import PowerGraphEngine
-from repro.errors import AdmissionError, ServeError
+from repro.errors import AdmissionError, MiddlewareError, ServeError
 from repro.fault import CRASH, FaultPlan
 from repro.graph import load_dataset
 
@@ -50,6 +50,23 @@ def test_served_job_matches_solo_run_exactly(svc):
     assert job.result.total_ms == solo.total_ms
     assert job.consumed_ms == solo.total_ms   # full cost charged
     assert job.fault_report.clean
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("journal_checkpoint_interval", 1.5),
+    ("journal_checkpoint_interval", -1),
+    ("cache_entries", 2.5),
+    ("daemon_budget", 2.5),
+    ("max_running", True),
+    ("max_queue_depth", 1.5),
+    ("max_pending_per_tenant", True),
+])
+def test_service_counts_are_checked_at_construction(field, bad):
+    """A bad count fails the constructor, not the first dispatch (a
+    float checkpoint interval) or silently (a negative one gave
+    journaled jobs no resume point)."""
+    with pytest.raises(MiddlewareError, match=field):
+        GraphService(SPEC, **{field: bad})
 
 
 def test_unknown_graph_rejected_at_submit(svc):
