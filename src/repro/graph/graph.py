@@ -24,10 +24,57 @@ def distinct_ids(ids: np.ndarray) -> np.ndarray:
     numpy 2.4 hashes instead, which measures ~13x slower on the int64
     id arrays this package moves around (docs/performance.md).
     """
-    ordered = np.sort(ids, axis=None)
-    keep = np.ones(ordered.size, dtype=bool)
-    keep[1:] = ordered[1:] != ordered[:-1]
-    return ordered[keep]
+    return _run_heads(np.sort(ids, axis=None))
+
+
+def _run_heads(ascending: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending array: the head of each run."""
+    heads = np.ones(ascending.size, dtype=bool)
+    np.not_equal(ascending[1:], ascending[:-1], out=heads[1:])
+    return ascending[heads]
+
+
+#: keys with fewer descents than one per _NEARLY_SORTED keys sort faster
+#: by timsort than by radix passes (docs/performance.md, "Set-up:
+#: building CSR and parts")
+_NEARLY_SORTED = 32
+
+
+def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in
+    ``[0, bound)``: the one permutation that sorts them and keeps equal
+    keys in input order.
+
+    numpy radix-sorts 8- and 16-bit keys and timsorts wider ones.
+    Timsort merges the ascending runs it finds, so it wins on keys that
+    are nearly sorted already (a mutation's kept edges with a few
+    additions appended); those sort as given.  Any other keys are
+    narrowed to the smallest width the bound allows.  Below 2**32 that
+    is two 16-bit LSD passes: the low halves first, then the high halves
+    gathered through that order, whose stability keeps equal high halves
+    in low-half order.  Wider bounds sort as given.
+    """
+    descents = np.count_nonzero(keys[1:] < keys[:-1])
+    if descents * _NEARLY_SORTED < keys.size or bound > 1 << 32:
+        return np.argsort(keys, kind="stable")
+    if bound <= 1 << 8:
+        return np.argsort(keys.astype(np.uint8), kind="stable")
+    if bound <= 1 << 16:
+        return np.argsort(keys.astype(np.uint16), kind="stable")
+    low = np.argsort(keys.astype(np.uint16), kind="stable")
+    high = (keys >> 16).astype(np.uint16)[low]
+    return low[np.argsort(high, kind="stable")]
+
+
+def _as_ids(ids: Iterable[int], label: str) -> np.ndarray:
+    """``ids`` as a 1-D int64 array; anything but integers is refused
+    rather than truncated (an empty sequence has no dtype to check)."""
+    arr = ids if isinstance(ids, np.ndarray) else np.asarray(list(ids))
+    if arr.ndim != 1:
+        raise GraphError(f"{label} must be 1-D, got shape {arr.shape}")
+    if arr.size and arr.dtype.kind not in "iu":
+        raise GraphError(f"{label} ids must be integers, got {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
 
 
 class Graph:
@@ -69,10 +116,8 @@ class Graph:
         Edges are sorted by source (stable), so edge ids in the CSR layout
         may differ from input order; weights follow their edges.
         """
-        src_arr = np.asarray(list(src) if not isinstance(src, np.ndarray) else src,
-                             dtype=np.int64)
-        dst_arr = np.asarray(list(dst) if not isinstance(dst, np.ndarray) else dst,
-                             dtype=np.int64)
+        src_arr = _as_ids(src, "src")
+        dst_arr = _as_ids(dst, "dst")
         if src_arr.shape != dst_arr.shape:
             raise GraphError(
                 f"src/dst length mismatch: {src_arr.size} vs {dst_arr.size}"
@@ -97,7 +142,7 @@ class Graph:
                 raise GraphError(
                     f"weights length mismatch: {w_arr.size} vs {src_arr.size}"
                 )
-        order = np.argsort(src_arr, kind="stable")
+        order = stable_order(src_arr, num_vertices)
         src_sorted = src_arr[order]
         dst_sorted = dst_arr[order]
         w_sorted = w_arr[order]

@@ -52,7 +52,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import GraphError
-from .graph import Graph
+from .graph import Graph, distinct_ids, stable_order
 
 
 def _as_ids(values, label: str) -> np.ndarray:
@@ -315,14 +315,15 @@ class MutationBatch:
                                      name=graph.name)
         # Provenance of each CSR edge in the new graph: the edge id it
         # had before the mutation, or -1 for a freshly added edge.
-        # Mirrors the stable source sort inside Graph.from_edges so
-        # partition deltas can carry edge placement forward exactly.
+        # Graph.from_edges orders its edges by the same stable_order
+        # call, so partition deltas can carry edge placement forward
+        # exactly.
         origin = np.concatenate([
             np.nonzero(keep)[0],
             np.full(self.add_src.size, -1, dtype=np.int64)])
-        edge_origin = origin[np.argsort(new_src, kind="stable")]
+        edge_origin = origin[stable_order(new_src, n_new)]
 
-        touched = np.unique(np.concatenate([
+        touched = distinct_ids(np.concatenate([
             self.add_src, self.add_dst, dec_src, dec_dst,
             np.arange(n_old, n_new, dtype=np.int64)]))
         effect = MutationEffect(

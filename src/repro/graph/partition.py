@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..errors import PartitionError
-from .graph import Graph, distinct_ids
+from .graph import Graph, _run_heads, stable_order
 
 
 @dataclass
@@ -75,8 +75,10 @@ class PartitionIndex:
         n = g.num_vertices
         #: per part: the distinct source ids of its edges, ascending —
         #: the vertices whose out-edges the node holds, so the query
-        #: list of a frontier is ``sources[active[sources]]``
-        self.sources = [distinct_ids(part.src) for part in pgraph.parts]
+        #: list of a frontier is ``sources[active[sources]]``.  A
+        #: part's ``src`` is already ascending (its edge ids ascend and
+        #: the graph's ``src`` is CSR-sorted), so they are its runs.
+        self.sources = [_run_heads(part.src) for part in pgraph.parts]
         #: per part: ``is_master[p][v]`` — does node p own vertex v?
         self.is_master = [master_of == part.node_id
                           for part in pgraph.parts]
@@ -168,42 +170,50 @@ def _normalize_shares(num_partitions: int,
     return arr / total
 
 
-def _build_edge_cut(graph: Graph, master_of: np.ndarray,
-                    strategy: str) -> PartitionedGraph:
-    """Assemble subgraphs with each edge on its source's master node."""
-    return _build_from_edge_owners(graph, master_of,
-                                   master_of[graph.src], strategy)
+def _slices_by(ids: np.ndarray, bound: int) -> List[np.ndarray]:
+    """Per value ``p`` in ``[0, bound)``: the ascending positions where
+    ``ids == p``, as slices of one stable order."""
+    order = stable_order(ids, bound)
+    cuts = np.zeros(bound + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=bound), out=cuts[1:])
+    return [order[cuts[p]:cuts[p + 1]] for p in range(bound)]
 
 
 def _build_from_edge_owners(graph: Graph, master_of: np.ndarray,
                             owner_of_edge: np.ndarray,
                             strategy: str,
-                            num_partitions: Optional[int] = None
-                            ) -> PartitionedGraph:
+                            num_partitions: int) -> PartitionedGraph:
     """Assemble subgraphs from an explicit per-edge placement.
 
     The generic assembler behind every placement policy: edge-cut
     passes ``master_of[src]``, partition deltas pass the surviving
     edges' previous owners so float summation order is preserved
-    across a mutation.  ``num_partitions`` pins the part count; when
-    omitted it is inferred from the highest master id — callers whose
-    high nodes may hold no masters (a delta over a sparse or empty
-    graph) must pass it explicitly or the part count collapses.
+    across a mutation.  Every owner and master must be a node id in
+    ``[0, num_partitions)``; one that is not would lose its edge or
+    vertex, so it is refused.
     """
-    if num_partitions is None:
-        num_partitions = (int(master_of.max()) + 1 if master_of.size
-                          else 1)
+    for label, ids in (("edge owner", owner_of_edge),
+                       ("master", master_of)):
+        if ids.size and (ids.min() < 0 or ids.max() >= num_partitions):
+            raise PartitionError(
+                f"{label} ids span [{int(ids.min())}, {int(ids.max())}], "
+                f"outside the {num_partitions} partitions")
+    edge_ids_of = _slices_by(owner_of_edge, num_partitions)
+    masters_of = _slices_by(master_of, num_partitions)
+    seen = np.zeros(graph.num_vertices, dtype=bool)
     parts: List[Subgraph] = []
     for node_id in range(num_partitions):
-        edge_ids = np.nonzero(owner_of_edge == node_id)[0]
-        src = graph.src[edge_ids]
-        dst = graph.dst[edge_ids]
-        weights = graph.weights[edge_ids]
-        masters = np.flatnonzero(master_of == node_id)
-        referenced = distinct_ids(np.concatenate([src, dst]))
+        edge_ids = edge_ids_of[node_id]
+        src = np.take(graph.src, edge_ids)
+        dst = np.take(graph.dst, edge_ids)
+        weights = np.take(graph.weights, edge_ids)
+        seen[src] = True
+        seen[dst] = True
+        referenced = np.flatnonzero(seen)
+        seen[referenced] = False
         mirrors = referenced[master_of[referenced] != node_id]
         parts.append(Subgraph(node_id, edge_ids, src, dst, weights,
-                              masters, referenced, mirrors))
+                              masters_of[node_id], referenced, mirrors))
     return PartitionedGraph(graph, strategy, master_of, parts)
 
 
@@ -225,7 +235,9 @@ def hash_partition(graph: Graph, num_partitions: int, *,
     else:
         rng = np.random.default_rng(seed)
         master_of = rng.choice(num_partitions, size=n, p=shares_arr)
-    return _build_edge_cut(graph, master_of.astype(np.int64), "hash")
+    master_of = master_of.astype(np.int64)
+    return _build_from_edge_owners(graph, master_of, master_of[graph.src],
+                                   "hash", num_partitions)
 
 
 def range_partition(graph: Graph, num_partitions: int, *,
@@ -251,7 +263,8 @@ def range_partition(graph: Graph, num_partitions: int, *,
             end = max(start, min(end, n))
         master_of[start:end] = node_id
         start = end
-    return _build_edge_cut(graph, master_of, "range")
+    return _build_from_edge_owners(graph, master_of, master_of[graph.src],
+                                   "range", num_partitions)
 
 
 def clustering_partition(graph: Graph, num_partitions: int, *,
@@ -305,7 +318,8 @@ def clustering_partition(graph: Graph, num_partitions: int, *,
                 break
     # any stragglers go to the last node
     master_of[master_of == -1] = num_partitions - 1
-    return _build_edge_cut(graph, master_of, "clustering")
+    return _build_from_edge_owners(graph, master_of, master_of[graph.src],
+                                   "clustering", num_partitions)
 
 
 def greedy_vertex_cut(graph: Graph, num_partitions: int, *,
@@ -332,17 +346,71 @@ def greedy_vertex_cut(graph: Graph, num_partitions: int, *,
     scores its replica reward (0, 1 or 2); a node at ``hi > lo`` scores
     ``reward - 3 < 0`` (``3 * span / span`` rounds to exactly 3.0).  So
     while every node sits at ``lo`` or ``hi`` the winner is the first
-    node at ``lo`` with the largest reward, found by bitmask arithmetic;
-    equal shares never leave that state, as their loads stay within one
-    edge of each other.  Otherwise only the endpoints' replicas and the
-    first non-replica at ``lo`` (score 0) are scored: every other node
-    is a non-replica that scores < 0, or 0 at a higher index.
+    node at ``lo`` with the largest reward, found by bitmask arithmetic.
+    Otherwise only the endpoints' replicas and the first non-replica at
+    ``lo`` (score 0) are scored: every other node is a non-replica that
+    scores < 0, or 0 at a higher index.
+
+    Equal capacities never leave the ``lo``/``hi`` state: every node is
+    chosen once per round of ``num_partitions`` edges, so the nodes at
+    ``lo`` are those not yet chosen in the current round, and no load
+    needs tracking (:func:`_place_in_rounds`).
     """
     _check_parts(graph, num_partitions)
     n = graph.num_vertices
     shares_arr = _normalize_shares(num_partitions, shares)
     capacity = np.maximum(shares_arr, 1e-12).tolist()
+    src_arr, dst_arr = graph.src, graph.dst
+    if capacity.count(capacity[0]) == num_partitions:
+        owner_of_edge = _place_in_rounds(src_arr, dst_arr, n,
+                                         num_partitions)
+    else:
+        owner_of_edge = _place_by_score(src_arr, dst_arr, n, capacity)
 
+    # master = node with the most incident edges for the vertex (the
+    # first such node on a tie)
+    incident = owner_of_edge * n
+    size = num_partitions * n
+    incidence = (np.bincount(incident + src_arr, minlength=size)
+                 + np.bincount(incident + dst_arr, minlength=size))
+    master_of = incidence.reshape(num_partitions, n).argmax(axis=0)
+
+    return _build_from_edge_owners(graph, master_of, owner_of_edge,
+                                   "greedy-vertex-cut", num_partitions)
+
+
+def _place_in_rounds(src_arr: np.ndarray, dst_arr: np.ndarray, n: int,
+                     num_partitions: int) -> np.ndarray:
+    """Greedy placement under equal capacities: the node per edge.
+
+    ``at_lo`` is the bitmask of the nodes not yet chosen in the current
+    round; the winner is its lowest node hosting both endpoints, else
+    one, else any.
+    """
+    everyone = (1 << num_partitions) - 1
+    replicas = [0] * n                  # bitmask of the nodes v touches
+    at_lo = everyone
+    bits = []
+    place = bits.append
+    for s, d in zip(src_arr.tolist(), dst_arr.tolist()):
+        rs, rd = replicas[s], replicas[d]
+        best = rs & rd & at_lo or (rs | rd) & at_lo or at_lo
+        bit = best & -best
+        place(bit)
+        replicas[s] = rs | bit
+        replicas[d] |= bit
+        at_lo ^= bit
+        if not at_lo:
+            at_lo = everyone
+    return np.fromiter(map(int.bit_length, bits), np.int64, len(bits)) - 1
+
+
+def _place_by_score(src_arr: np.ndarray, dst_arr: np.ndarray, n: int,
+                    capacity: List[float]) -> np.ndarray:
+    """Greedy placement under unequal capacities: the node per edge,
+    scoring only the nodes that can win (see :func:`greedy_vertex_cut`).
+    """
+    num_partitions = len(capacity)
     everyone = (1 << num_partitions) - 1
     node_of_bit = {1 << p: p for p in range(num_partitions)}
     replicas = [0] * n                  # bitmask of the nodes v touches
@@ -353,7 +421,6 @@ def greedy_vertex_cut(graph: Graph, num_partitions: int, *,
     owner_of_edge = []
     place = owner_of_edge.append
 
-    src_arr, dst_arr = graph.src, graph.dst
     for s, d in zip(src_arr.tolist(), dst_arr.tolist()):
         rs, rd = replicas[s], replicas[d]
         if at_lo | at_hi == everyone:
@@ -389,22 +456,13 @@ def greedy_vertex_cut(graph: Graph, num_partitions: int, *,
         if at_lo & bit:                 # the node left lo (loads only grow)
             at_lo ^= bit
             if not at_lo:
-                if at_hi == everyone:   # no rescan: k = 1 ends here always
+                if at_hi == everyone:
                     lo, at_lo = hi, everyone
                 else:
                     lo = min(scaled)
                     at_lo = sum(1 << p for p, v in enumerate(scaled)
                                 if v == lo)
-
-    owner_of_edge = np.array(owner_of_edge, dtype=np.int64)
-    # master = node with the most incident edges for the vertex
-    incidence = np.zeros((num_partitions, n), dtype=np.int64)
-    np.add.at(incidence, (owner_of_edge, src_arr), 1)
-    np.add.at(incidence, (owner_of_edge, dst_arr), 1)
-    master_of = np.asarray(incidence.argmax(axis=0), dtype=np.int64)
-
-    return _build_from_edge_owners(graph, master_of, owner_of_edge,
-                                   "greedy-vertex-cut", num_partitions)
+    return np.array(owner_of_edge, dtype=np.int64)
 
 
 PARTITIONERS = {

@@ -17,8 +17,9 @@ def two_island_graph():
 def island_partition():
     g = two_island_graph()
     master_of = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-    from repro.graph.partition import _build_edge_cut
-    return _build_edge_cut(g, master_of, "manual")
+    from repro.graph.partition import _build_from_edge_owners
+    return _build_from_edge_owners(g, master_of, master_of[g.src],
+                                   "manual", 2)
 
 
 def ms(ids, width=1):

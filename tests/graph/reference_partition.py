@@ -1,17 +1,24 @@
-"""The per-edge greedy vertex-cut loop ``greedy_vertex_cut`` ran until it
-was re-expressed over replica bitmasks: every node scored on every edge,
-with the load bounds recomputed from a numpy array each time.  Kept
-verbatim as the oracle the re-expression must match placement for
-placement.
+"""Oracles for ``repro.graph.partition``: the code it ran before each
+re-expression, kept verbatim so the new forms can be held to it.
+
+* :func:`reference_greedy_vertex_cut` — the per-edge greedy loop that
+  scored every node on every edge, with the load bounds recomputed from
+  a numpy array each time, and masters elected over an ``np.add.at``
+  incidence table.
+* :func:`reference_build_from_edge_owners` — the part assembler that
+  scanned the owner array once per part and sorted every part's
+  endpoints for ``referenced``.
+* :class:`ReferencePartitionIndex` — ``PartitionIndex`` with each
+  part's distinct sources found by sorting.
 """
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.graph import Graph
-from repro.graph.partition import (PartitionedGraph, _build_from_edge_owners,
-                                   _check_parts, _normalize_shares)
+from repro.graph import Graph, distinct_ids
+from repro.graph.partition import (PartitionedGraph, Subgraph, _check_parts,
+                                   _normalize_shares)
 
 
 def reference_greedy_vertex_cut(graph: Graph, num_partitions: int, *,
@@ -56,5 +63,44 @@ def reference_greedy_vertex_cut(graph: Graph, num_partitions: int, *,
     np.add.at(incidence, (owner_of_edge, dst_arr), 1)
     master_of = np.asarray(incidence.argmax(axis=0), dtype=np.int64)
 
-    return _build_from_edge_owners(graph, master_of, owner_of_edge,
-                                   "greedy-vertex-cut", num_partitions)
+    return reference_build_from_edge_owners(graph, master_of, owner_of_edge,
+                                            "greedy-vertex-cut",
+                                            num_partitions)
+
+
+def reference_build_from_edge_owners(graph: Graph, master_of: np.ndarray,
+                                     owner_of_edge: np.ndarray,
+                                     strategy: str,
+                                     num_partitions: int
+                                     ) -> PartitionedGraph:
+    parts: List[Subgraph] = []
+    for node_id in range(num_partitions):
+        edge_ids = np.nonzero(owner_of_edge == node_id)[0]
+        src = graph.src[edge_ids]
+        dst = graph.dst[edge_ids]
+        weights = graph.weights[edge_ids]
+        masters = np.flatnonzero(master_of == node_id)
+        referenced = distinct_ids(np.concatenate([src, dst]))
+        mirrors = referenced[master_of[referenced] != node_id]
+        parts.append(Subgraph(node_id, edge_ids, src, dst, weights,
+                              masters, referenced, mirrors))
+    return PartitionedGraph(graph, strategy, master_of, parts)
+
+
+class ReferencePartitionIndex:
+
+    def __init__(self, pgraph: "PartitionedGraph") -> None:
+        g, master_of = pgraph.graph, pgraph.master_of
+        n = g.num_vertices
+        self.sources = [distinct_ids(part.src) for part in pgraph.parts]
+        self.is_master = [master_of == part.node_id
+                          for part in pgraph.parts]
+        counts = np.zeros(n, dtype=np.int64)
+        self.stored_local = np.ones(n, dtype=bool)
+        for part in pgraph.parts:
+            counts[part.referenced] += 1
+            self.stored_local[
+                part.src[master_of[part.src] != part.node_id]] = False
+        self.replica_count = np.maximum(counts, 1)
+        self.out_local = np.ones(n, dtype=bool)
+        self.out_local[g.src[master_of[g.src] != master_of[g.dst]]] = False

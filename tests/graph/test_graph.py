@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graph import Graph, distinct_ids
+from repro.graph.graph import stable_order
 
 
 def small_graph():
@@ -85,6 +86,39 @@ def test_input_validation():
         Graph.from_edges(2, [0], [1], [1.0, 2.0])  # weights mismatch
 
 
+@pytest.mark.parametrize("ids", [
+    [0.7, 1.2],                                 # truncated to [0, 1]
+    np.array([0.7, 1.2]),
+    np.array([0.0, 1.0]),                       # integral, still floats
+], ids=["float-list", "float-array", "integral-float-array"])
+def test_non_integer_ids_are_refused(ids):
+    with pytest.raises(GraphError, match="integers"):
+        Graph.from_edges(3, ids, [1, 2])
+    with pytest.raises(GraphError, match="integers"):
+        Graph.from_edges(3, [1, 2], ids)
+
+
+def test_bool_ids_are_refused():
+    with pytest.raises(GraphError, match="integers"):
+        Graph.from_edges(3, [True, False], [1, 2])
+    with pytest.raises(GraphError, match="integers"):
+        Graph.from_edges(3, np.array([0, 1]), np.array([True, True]))
+
+
+def test_two_dimensional_ids_are_refused():
+    ids = np.array([[0, 1], [1, 2]])
+    with pytest.raises(GraphError, match="1-D"):
+        Graph.from_edges(3, ids, ids)
+
+
+def test_integer_ids_of_any_width_are_accepted():
+    for dtype in (np.int8, np.uint16, np.int32, np.uint64):
+        g = Graph.from_edges(3, np.array([2, 0], dtype=dtype),
+                             np.array([1, 2], dtype=dtype))
+        assert g.src.dtype == np.int64
+        assert g.src.tolist() == [0, 2]
+
+
 def test_empty_graph():
     g = Graph.empty(5)
     assert g.num_vertices == 5
@@ -160,3 +194,61 @@ def test_distinct_ids_equals_np_unique(ids):
     assert_is_np_unique(arr)
     assert_is_np_unique(np.sort(arr))
     assert np.array_equal(arr, before)      # the input is not sorted in place
+
+
+# -- stable_order: np.argsort(kind="stable") through the narrowest key ------------
+
+#: a bound at each key-width edge: 8-bit, 16-bit, two 16-bit passes, int64
+BOUNDS = [1, 2, 2**8 - 1, 2**8, 2**8 + 1, 2**16 - 1, 2**16, 2**16 + 1,
+          2**32 - 1, 2**32, 2**32 + 1, 2**40]
+
+
+def assert_is_stable_argsort(keys, bound):
+    got, want = stable_order(keys, bound), np.argsort(keys, kind="stable")
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@st.composite
+def keys_below(draw):
+    """Keys below a bound at a width edge, crowded so that equal keys,
+    equal 16-bit halves and the largest keys all occur."""
+    bound = draw(st.sampled_from(BOUNDS))
+    near_top = st.integers(max(0, bound - 3), bound - 1)
+    # few distinct high and low 16-bit halves, so both passes see ties
+    halves = st.tuples(st.sampled_from([0, 1, (bound - 1) >> 16]),
+                       st.integers(0, 3)).map(
+        lambda hl: min(bound - 1, (hl[0] << 16) | hl[1]))
+    key = st.one_of(st.integers(0, bound - 1), near_top, halves,
+                    st.just(0))
+    return np.asarray(draw(st.lists(key, max_size=60)), dtype=np.int64), \
+        bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=keys_below())
+def test_stable_order_equals_stable_argsort(case):
+    keys, bound = case
+    assert_is_stable_argsort(keys, bound)
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_stable_order_edge_inputs(bound):
+    top = bound - 1
+    for keys in ([], [top], [0], [top] * 7, [0] * 7,
+                 [top, 0, top, 0, top], list(range(min(bound, 5)))[::-1]):
+        assert_is_stable_argsort(np.asarray(keys, dtype=np.int64), bound)
+
+
+@pytest.mark.parametrize("bound", [2**8, 2**16, 2**32])
+@pytest.mark.parametrize("tail", [0.0, 0.01, 0.2, 1.0])
+def test_stable_order_on_sorted_keys_with_a_shuffled_tail(tail, bound):
+    """A short unsorted tail (a mutation's appended edges) keeps the
+    keys nearly sorted and takes timsort; a long one takes the radix
+    passes.  Both give the stable argsort."""
+    rng = np.random.default_rng(0)
+    m = 4000
+    k = int(tail * m)
+    keys = np.concatenate([np.sort(rng.integers(0, bound, m - k)),
+                           rng.integers(0, bound, k)])
+    assert_is_stable_argsort(keys, bound)

@@ -18,6 +18,7 @@ from repro.graph import (
     rmat,
     uniform_random,
 )
+from repro.graph.partition import _build_from_edge_owners
 
 STRATEGIES = ["hash", "range", "clustering", "greedy-vertex-cut"]
 
@@ -109,6 +110,42 @@ def test_non_finite_shares_are_refused(g, strategy, shares):
     numpy's ValueError."""
     with pytest.raises(PartitionError, match="finite"):
         partition(g, 2, strategy=strategy, shares=shares)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("shares", [
+    [1.0, 0.0], [0.5, 0.5, 0.0], [0.3, 0.3, 0.4, 0.0, 0.0],
+], ids=["2-one-zero", "3-one-zero", "5-two-zeros"])
+def test_trailing_zero_shares_keep_every_part(strategy, shares):
+    """Edge-cut partitioners used to infer the part count from the
+    highest master id, so nodes given no vertices vanished: hash with
+    [1, 0] returned one part."""
+    g = rmat(200, 1000, seed=1)
+    pg = partition(g, len(shares), strategy=strategy, shares=shares)
+    assert pg.num_partitions == len(shares)
+    assert [p.node_id for p in pg.parts] == list(range(len(shares)))
+    all_ids = np.concatenate([p.edge_ids for p in pg.parts])
+    assert np.sort(all_ids).tolist() == list(range(g.num_edges))
+
+
+def test_clustering_keeps_a_part_that_grew_no_region():
+    """Region growing can use up the vertices before the last node:
+    nine parts on 200 vertices came back as eight."""
+    pg = clustering_partition(rmat(200, 1000, seed=1), 9)
+    assert pg.num_partitions == 9
+    assert pg.parts[8].num_masters == 0
+
+
+@pytest.mark.parametrize("owner, master_of", [
+    ([0, 1, 2, 5], [0, 1, 0]),          # kept 2 of 4 edges on 2 parts
+    ([0, 1, -1, 0], [0, 1, 0]),
+    ([0, 1, 1, 0], [0, 2, 0]),          # a master no part would list
+], ids=["owner-too-high", "owner-negative", "master-too-high"])
+def test_out_of_range_placements_are_refused(owner, master_of):
+    g = Graph.from_edges(3, [0, 1, 2, 0], [1, 2, 0, 2])
+    with pytest.raises(PartitionError, match="outside the 2 partitions"):
+        _build_from_edge_owners(g, np.array(master_of), np.array(owner),
+                                "manual", 2)
 
 
 def test_clustering_beats_hash_on_locality():

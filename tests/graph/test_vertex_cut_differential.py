@@ -10,6 +10,7 @@ masters and assemble byte-identical parts.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -61,6 +62,23 @@ def test_vertex_cut_equals_the_every_node_loop(data):
     oracle = reference_greedy_vertex_cut(graph, k, shares=shares)
     np.testing.assert_array_equal(_owners(fast), _owners(oracle))
     np.testing.assert_array_equal(fast.master_of, oracle.master_of)
+    assert _parts_digest(fast) == _parts_digest(oracle)
+
+
+@pytest.mark.parametrize("shares", [None, [2, 2, 2], [0.5], [7.0] * 8],
+                         ids=["none-3", "equal-3", "k1", "equal-8"])
+def test_vertex_cut_equals_the_every_node_loop_on_equal_shares(shares):
+    """Equal capacities take the round-robin loop; self-loops and
+    parallel edges included."""
+    rng = np.random.default_rng(1)
+    n, m = 300, 4000
+    src = rng.integers(0, n, m) ** 2 // n
+    dst = np.where(rng.random(m) < 0.1, src, rng.integers(0, n, m))
+    graph = Graph.from_edges(n, src, dst)
+    k = 3 if shares is None else len(shares)
+    fast = greedy_vertex_cut(graph, k, shares=shares)
+    oracle = reference_greedy_vertex_cut(graph, k, shares=shares)
+    np.testing.assert_array_equal(_owners(fast), _owners(oracle))
     assert _parts_digest(fast) == _parts_digest(oracle)
 
 
