@@ -143,10 +143,7 @@ TESTS_ONLY = {
 CONFIG_CLASSES = ("MiddlewareConfig", "StragglerConfig", "ClusterSpec")
 
 #: qualified field -> why no code outside tests/ sets it
-UNSET_FIELDS = {
-    "repro.core.config.MiddlewareConfig.speculative_checkpoint":
-        "a behaviour, not a tunable: only its own tests turn it on",
-}
+UNSET_FIELDS = {}
 
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 

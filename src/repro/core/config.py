@@ -142,14 +142,6 @@ class MiddlewareConfig:
     #: consistent superstep instead of restarting from iteration 0.
     checkpoint_interval: int = 0
 
-    #: Speculative checkpointing: *delta* snapshot writes are issued
-    #: behind the superstep barrier and overlap the next superstep's
-    #: compute window, so only their overflow (a write longer than the
-    #: window) shows up as overhead.  Full snapshots still charge
-    #: synchronously — they gate the consistency point.  Off by default:
-    #: every committed figure keeps the synchronous accounting.
-    speculative_checkpoint: bool = False
-
     #: When a node's accelerators stay broken past the retry budget,
     #: degrade that node to the host (CPU baseline) compute path instead
     #: of failing the job.  Off by default: exhaustion re-raises, which
@@ -198,11 +190,6 @@ class MiddlewareConfig:
             raise MiddlewareError(
                 "monitor_heartbeats requires the pipelined protocol: "
                 "heartbeats ride on the Algorithm 1-2 message exchange"
-            )
-        if self.speculative_checkpoint and self.checkpoint_interval < 1:
-            raise MiddlewareError(
-                "speculative_checkpoint overlaps delta snapshot writes "
-                "with compute; it requires checkpoint_interval >= 1"
             )
         if (self.fault_plan is not None and self.fault_plan.requires_monitor
                 and not self.monitor_heartbeats):

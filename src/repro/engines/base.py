@@ -148,7 +148,10 @@ class StepEvent:
     sim_ms: float              # simulated ms this quantum charged
     converged: bool = False    # True on the final superstep of a run
     #: True when this quantum saved a checkpoint — the signal the
-    #: serving layer uses to externalize a fresh durable resume point
+    #: serving layer uses to externalize a fresh durable resume point.
+    #: A *converged* superstep's checkpoint is not a resume point: a run
+    #: resumed from it would execute one more superstep than the
+    #: uninterrupted run, so resume from the checkpoint before it.
     checkpointed: bool = False
 
 
@@ -180,9 +183,6 @@ class RunResult:
     retransmits: int = 0
     dup_drops: int = 0
     net_wasted_ms: float = 0.0
-    #: delta-snapshot cost hidden inside compute windows by speculative
-    #: checkpointing (0 unless ``speculative_checkpoint`` is on)
-    checkpoint_hidden_ms: float = 0.0
     # gray-failure tolerance (repro.fault.straggler)
     #: soft straggler verdicts issued by the detector during the run
     straggler_verdicts: int = 0
@@ -250,6 +250,40 @@ class RunResult:
                 f"{self.iterations} iterations, "
                 f"{self.total_ms:.1f} ms simulated "
                 f"({self.skipped_iterations} syncs skipped)")
+
+
+@dataclass
+class _Run:
+    """One run's state, shared by the transitions of ``run_stepwise``."""
+
+    algorithm: AlgorithmTemplate
+    result: RunResult            # the record the run returns, accumulating
+    active: np.ndarray
+    width: int
+    use_async: bool              # the combined order (else the strict one)
+    use_lazy: bool
+    detector: Optional[SkipDetector]
+    wall_start: float
+    first: int = 0               # ``result.stats[k]`` is superstep first + k
+    #: periodic checkpoints, and the state the run started from: an
+    #: unrecoverable node fault rolls back to the newer of the two
+    store: Optional[CheckpointStore] = None
+    origin: Optional[Checkpoint] = None
+    #: online Lemma-2 re-estimation (gray-failure response): an EWMA
+    #: estimate of the per-node c_j from observed (d_j, T_j) pairs; when
+    #: its optimal shares drift far enough from the current partition,
+    #: the run repartitions without degrading anyone (None: off)
+    coeff_est: Optional[np.ndarray] = None
+    last_online_reb: int = -(10 ** 9)
+    rebalanced_for: set = field(default_factory=set)
+    #: vertices touched since the last checkpoint, for delta snapshots
+    changed_accum: List[np.ndarray] = field(default_factory=list)
+
+    def charge(self, ms: float) -> None:
+        """Simulated time the driver spends outside any superstep:
+        restores and repartitions."""
+        self.result.total_ms += ms
+        self.result.breakdown["engine"] += ms
 
 
 class IterativeEngine:
@@ -353,270 +387,236 @@ class IterativeEngine:
         iteration)``, a resumed run reproduces the tail of the original
         bit-for-bit; ``RunResult.iterations`` stays absolute while
         ``stats`` covers only the supersteps actually re-executed.
+
+        A run is four transitions on one :class:`_Run` record: _start,
+        then _commit or _roll_back per superstep, then _finish.
         """
+        run = self._start(algorithm, resume_from)
+        res, mw = run.result, self.middleware
+        cap = max_iterations if max_iterations is not None \
+            else algorithm.default_max_iterations
+        while res.iterations < cap:
+            faults = mw.arm_faults(res.iterations) if mw is not None else 0
+            before = self._fault_counters() + self._net_counters()
+            try:
+                if run.use_async:
+                    step = self._run_superstep_combined(
+                        res.iterations, algorithm, res.values, run.active,
+                        run.width, res.breakdown)
+                else:
+                    step = self._run_iteration(
+                        res.iterations, algorithm, res.values, run.active,
+                        run.width, run.detector, run.use_lazy,
+                        res.breakdown)
+            except (AcceleratorsExhausted, NodeUnreachable) as failure:
+                event = self._roll_back(run, failure)
+            else:
+                event = self._commit(run, step, faults, before)
+            yield event
+            if event.converged:
+                break
+        return self._finish(run)
+
+    def _start(self, algorithm: AlgorithmTemplate, resume_from) -> _Run:
+        """The first transition: seed the state (from
+        ``algorithm.init_state`` or ``resume_from``), connect the
+        middleware, and set up the checkpoint store and rollback origin."""
         wall_start = perf_counter()
         self.wall_s = dict.fromkeys(WALL_PHASES, 0.0)
         state = algorithm.init_state(self.graph)
-        width = state.values.shape[1] if state.values.ndim > 1 else 1
-        cap = max_iterations if max_iterations is not None \
-            else algorithm.default_max_iterations
-
         mw = self.middleware
         use_skip = bool(mw and mw.config.sync_skip)
-        use_lazy = bool(mw and mw.config.lazy_upload)
         # monotone algorithms get the combined-local-iteration form of
         # synchronization skipping; others keep the strict detector.
         # An asynchronous engine forces the combined path outright.
         use_async = (use_skip or self.force_async) and algorithm.monotone
-        detector = SkipDetector(self.pgraph) if (use_skip and
-                                                 not use_async) else None
-
-        # the record this run returns; the loop below accumulates in it
-        run = RunResult(
+        res = RunResult(
             values=state.values, iterations=0, total_ms=0.0, setup_ms=0.0,
             converged=False, stats=[],
             breakdown={"middleware": 0.0, "device": 0.0, "engine": 0.0,
                        "setup": 0.0},
             engine_name=self.name, algorithm_name=algorithm.name)
-        active = state.active
+        run = _Run(
+            algorithm, res, state.active,
+            width=state.values.shape[1] if state.values.ndim > 1 else 1,
+            use_async=use_async, use_lazy=bool(mw and mw.config.lazy_upload),
+            detector=(SkipDetector(self.pgraph)
+                      if use_skip and not use_async else None),
+            wall_start=wall_start)
         if mw is not None and not mw.connected:
             # setup (daemon spawn + device init) is a one-time deployment
             # cost; it gets its own bucket so the Fig. 14 ratio reflects
             # the iterative processing the paper measures on
             # long-running jobs.
-            run.setup_ms = run.total_ms = run.breakdown["setup"] = \
+            res.setup_ms = res.total_ms = res.breakdown["setup"] = \
                 mw.connect_all()
         if resume_from is not None:
-            seeded = np.asarray(resume_from.values)
-            if seeded.shape != run.values.shape:
+            seeded = np.array(resume_from.values, copy=True)
+            if seeded.shape != res.values.shape:
                 # a checkpoint or warm start from a different graph
                 # version (or algorithm arity) can never be resumed —
                 # better to refuse than to compute garbage
                 raise EngineError(
                     f"resume_from values shape {seeded.shape} does not "
-                    f"match the graph's state shape {run.values.shape}")
-            run.values = np.array(resume_from.values, copy=True)
-            active = np.array(resume_from.active, copy=True)
-            run.iterations = int(resume_from.iteration)
-        first = run.iterations  # ``run.stats[k]`` is superstep ``first + k``
-
-        # fault tolerance: periodic vertex-table checkpoints plus the
-        # state the run started from, so an unrecoverable node fault
-        # rolls the run back to the last consistent superstep instead
-        # of failing it.
-        store: Optional[CheckpointStore] = None
-        origin: Optional[Checkpoint] = None
+                    f"match the graph's state shape {res.values.shape}")
+            res.values = seeded
+            run.active = np.array(resume_from.active, copy=True)
+            res.iterations = run.first = int(resume_from.iteration)
         if mw is not None:
             if mw.config.checkpoint_interval > 0:
-                store = CheckpointStore(mw.config.checkpoint_interval)
+                run.store = CheckpointStore(mw.config.checkpoint_interval)
                 if resume_from is not None:
                     # the resume point is already durable: install it as
                     # the free full base so a mid-run rollback can reach
                     # it before the first own checkpoint falls due
-                    store.seed(first, run.values, active)
+                    run.store.seed(run.first, res.values, run.active)
             if mw.config.degrade_to_host:
-                origin = Checkpoint(first, run.values.copy(), active.copy(),
-                                    cost_ms=0.0)
+                run.origin = Checkpoint(run.first, res.values.copy(),
+                                        run.active.copy(), cost_ms=0.0)
             if any(a.degraded for a in mw.agents.values()):
-                use_async = False  # degraded nodes force the strict path
+                run.use_async = False  # degraded nodes force the strict path
+            if mw.config.straggler.reestimate:
+                run.coeff_est = np.asarray(
+                    cluster_coefficients(self.cluster.nodes),
+                    dtype=np.float64)
         # external resume/peek handle for the serving layer (journal,
         # checkpoint-resume retries); None when checkpointing is off
-        self.checkpoint_store = store
-        rebalanced_for: set = set()
-        # online Lemma-2 re-estimation (gray-failure response): track an
-        # EWMA estimate of the per-node c_j from observed (d_j, T_j)
-        # pairs; when the estimated optimal shares drift far enough from
-        # the current partition, repartition without degrading anyone.
-        # (StragglerConfig refuses reestimate without enabled)
-        reestimate = mw is not None and mw.config.straggler.reestimate
-        coeff_est: Optional[np.ndarray] = None
-        if reestimate:
-            coeff_est = np.asarray(
-                cluster_coefficients(self.cluster.nodes),
-                dtype=np.float64)
-        last_online_reb = -(10 ** 9)
-        # vertices touched since the last checkpoint, for delta snapshots
-        changed_accum: List[np.ndarray] = []
-        # speculative checkpointing: delta writes issued behind the
-        # barrier ride the next superstep's compute window; only their
-        # overflow is charged (full snapshots stay synchronous).
-        speculative = bool(mw is not None and store is not None
-                           and mw.config.speculative_checkpoint)
-        pending_ckpt_ms = 0.0
+        self.checkpoint_store = run.store
+        return run
 
-        def charge(ms: float) -> None:
-            """Simulated time the driver itself spends, outside any
-            superstep: restores, repartitions, stranded checkpoints."""
-            run.total_ms += ms
-            run.breakdown["engine"] += ms
+    def _roll_back(self, run: _Run, failure) -> StepEvent:
+        """The transition out of a failed superstep: write the node off,
+        restore the newest checkpoint (else the state the run started
+        from), book the discarded supersteps as waste and, with
+        ``rebalance_on_degrade``, repartition around the degraded nodes."""
+        mw, res = self.middleware, run.result
+        ms0 = res.total_ms
+        if isinstance(failure, NodeUnreachable):
+            if not mw.config.degrade_to_host:
+                raise failure
+            # the watchdog's partition verdict: write the node's
+            # accelerators off and fall back to its host path
+            mw.agent_for(failure.node_id).degraded = True
+        res.rollbacks += 1
+        if res.rollbacks > max(MAX_ROLLBACKS, self.cluster.num_nodes):
+            raise EngineError(
+                f"{res.rollbacks} rollbacks without progress") from failure
+        failed_ms = getattr(failure, "elapsed_ms", 0.0)
+        if not failed_ms and failure.__cause__ is not None:
+            failed_ms = getattr(failure.__cause__, "elapsed_ms", 0.0)
+        if run.store is not None and run.store.latest is not None:
+            ckpt = run.store.restore()  # fresh arrays, restore cost
+        else:  # degrade_to_host, which every rollback needs, set origin
+            ckpt = replace(run.origin, values=run.origin.values.copy(),
+                           active=run.origin.active.copy())
+        for agent in mw.agents.values():
+            agent.flush_cache()  # cached values from the discarded future
+        res.values, run.active = ckpt.values, ckpt.active
+        # ckpt.iteration is absolute; ``stats`` starts at ``first``
+        discarded = res.stats[ckpt.iteration - run.first:]
+        res.wasted_ms += (sum(s.total_ms for s in discarded)
+                          + failed_ms + ckpt.cost_ms)
+        del res.stats[ckpt.iteration - run.first:]
+        run.charge(failed_ms + ckpt.cost_ms)
+        res.iterations = ckpt.iteration
+        run.use_async = False  # the degraded node computes host-side
+        run.changed_accum = []  # the store forces a full snapshot next
+        if (mw.config.rebalance_on_degrade
+                and set(mw.degraded_nodes()) - run.rebalanced_for):
+            # Lemma 2 holds for whatever coefficients the cluster
+            # currently has, so after a node falls back to its host path
+            # the optimal shares shift away from it (§III-C): recompute
+            # them with the degraded node's accelerators written off.
+            self._repartition(run, rebalanced_shares(self.cluster.nodes,
+                                                     mw.degraded_nodes()))
+            run.rebalanced_for |= set(mw.degraded_nodes())
+            res.rebalance_events += 1
+        return StepEvent("rollback", res.iterations, res.total_ms - ms0)
 
-        def repartition(shares) -> None:
-            """Move to new Lemma-2 shares mid-run (both rebalance
-            triggers); the strict detector reads the partition, so it
-            is rebuilt on the new one."""
-            nonlocal detector
-            ms = self._repartition_to(shares, width)
-            run.rebalance_ms += ms
-            charge(ms)
-            if detector is not None:
-                detector = SkipDetector(self.pgraph)
+    def _commit(self, run: _Run, step, faults: int, before) -> StepEvent:
+        """The transition out of a completed superstep: record its fault
+        and transport counter deltas, save the checkpoint that falls
+        due, fold it into the online Lemma-2 estimate and test
+        convergence."""
+        mw, res = self.middleware, run.result
+        ms0 = res.total_ms
+        st, res.values, run.active, changed_ids = step
+        after = self._fault_counters() + self._net_counters()
+        st.faults_injected = faults
+        (st.retries, st.recoveries, st.retransmits, st.dup_drops,
+         st.net_wasted_ms) = (a - b for a, b in zip(after, before))
+        res.stats.append(st)
+        res.iterations += 1
+        if changed_ids.size:
+            run.changed_accum.append(changed_ids)
+        checkpointed = run.store is not None and run.store.due(res.iterations)
+        if checkpointed:
+            st.checkpoint_ms += run.store.save(
+                res.iterations, res.values, run.active,
+                changed=_concat_ids(run.changed_accum))
+            run.changed_accum = []
+        res.total_ms += st.total_ms
+        if (run.coeff_est is not None and st.active_edges > 0
+                and st.retries == 0 and st.recoveries == 0
+                and not mw.degraded_nodes()
+                and (mw.straggler.flagged or mw.straggler.flagged_links)):
+            # fold this superstep's (d_j, T_j) pairs into the estimate,
+            # but not a contaminated superstep (retries, recoveries), a
+            # degraded cluster (it has its own rebalance path) or one
+            # with no flagged straggler: benign coefficient noise must
+            # never repartition a healthy, fault-free run.
+            run.coeff_est, folded, shares, divergence = \
+                self._reestimate_shares(st, run.coeff_est, run.width)
+            res.coeff_updates += folded
+            if (divergence > SHARE_DIVERGENCE
+                    and res.iterations - run.last_online_reb
+                    >= REBALANCE_COOLDOWN):
+                # Lemma 2 says the optimum moved: repartition to the
+                # estimated shares (shifting load *off* the straggling
+                # node) without writing anyone off
+                self._repartition(run, shares)
+                run.last_online_reb = res.iterations
+                res.online_rebalances += 1
+        res.converged = bool(run.algorithm.is_converged(
+            st.changed_vertices, res.iterations))
+        return StepEvent("superstep", res.iterations, res.total_ms - ms0,
+                         res.converged, checkpointed=checkpointed)
 
-        while run.iterations < cap:
-            step_ms0 = run.total_ms
-            faults = mw.arm_faults(run.iterations) if mw is not None else 0
-            before = self._fault_counters()
-            net_before = self._net_counters()
-            try:
-                if use_async:
-                    step = self._run_superstep_combined(
-                        run.iterations, algorithm, run.values, active,
-                        width, run.breakdown)
-                else:
-                    step = self._run_iteration(
-                        run.iterations, algorithm, run.values, active,
-                        width, detector, use_lazy, run.breakdown)
-            except (AcceleratorsExhausted, NodeUnreachable) as failure:
-                if (isinstance(failure, NodeUnreachable)
-                        and not mw.config.degrade_to_host):
-                    raise
-                if isinstance(failure, NodeUnreachable):
-                    # the watchdog's partition verdict: write the node's
-                    # accelerators off and fall back to its host path
-                    mw.agent_for(failure.node_id).degraded = True
-                run.rollbacks += 1
-                if run.rollbacks > max(MAX_ROLLBACKS,
-                                       self.cluster.num_nodes):
-                    raise EngineError(
-                        f"{run.rollbacks} rollbacks without progress"
-                    ) from failure
-                if pending_ckpt_ms:
-                    # the in-flight speculative delta must land before the
-                    # restore can replay it; its window is gone, so the
-                    # write charges in full.
-                    charge(pending_ckpt_ms)
-                    pending_ckpt_ms = 0.0
-                failed_ms = getattr(failure, "elapsed_ms", 0.0)
-                if not failed_ms and failure.__cause__ is not None:
-                    failed_ms = getattr(failure.__cause__, "elapsed_ms",
-                                        0.0)
-                ckpt = self._rollback(store, origin, failure)
-                run.values, active = ckpt.values, ckpt.active
-                # ckpt.iteration is absolute; ``stats`` starts at ``first``
-                discarded = run.stats[ckpt.iteration - first:]
-                run.wasted_ms += (sum(s.total_ms for s in discarded)
-                                  + failed_ms + ckpt.cost_ms)
-                del run.stats[ckpt.iteration - first:]
-                charge(failed_ms + ckpt.cost_ms)
-                run.iterations = ckpt.iteration
-                use_async = False  # the degraded node computes host-side
-                changed_accum = []  # the store forces a full snapshot next
-                if (mw.config.rebalance_on_degrade
-                        and set(mw.degraded_nodes()) - rebalanced_for):
-                    # Lemma 2 holds for whatever coefficients the cluster
-                    # currently has, so after a node falls back to its
-                    # host path the optimal shares shift away from it
-                    # (§III-C): recompute them with the degraded node's
-                    # accelerators written off.
-                    repartition(rebalanced_shares(self.cluster.nodes,
-                                                  mw.degraded_nodes()))
-                    rebalanced_for |= set(mw.degraded_nodes())
-                    run.rebalance_events += 1
-                yield StepEvent("rollback", run.iterations,
-                                run.total_ms - step_ms0)
-                continue
-            st, run.values, active, changed_ids = step
-            after = self._fault_counters()
-            net_after = self._net_counters()
-            st.faults_injected = faults
-            st.retries = after[0] - before[0]
-            st.recoveries = after[1] - before[1]
-            st.retransmits = net_after[0] - net_before[0]
-            st.dup_drops = net_after[1] - net_before[1]
-            st.net_wasted_ms = net_after[2] - net_before[2]
-            run.stats.append(st)
-            run.iterations += 1
-            if pending_ckpt_ms:
-                # drain the previous superstep's speculative delta
-                # against this superstep's compute window
-                hidden = min(pending_ckpt_ms, st.compute_ms)
-                run.checkpoint_hidden_ms += hidden
-                st.checkpoint_ms += pending_ckpt_ms - hidden
-                pending_ckpt_ms = 0.0
-            if changed_ids.size:
-                changed_accum.append(changed_ids)
-            took_checkpoint = store is not None and store.due(run.iterations)
-            if took_checkpoint:
-                save_ms = store.save(run.iterations, run.values, active,
-                                     changed=_concat_ids(changed_accum))
-                if speculative and store.last_save_was_delta:
-                    pending_ckpt_ms += save_ms
-                else:
-                    st.checkpoint_ms += save_ms
-                changed_accum = []
-            run.total_ms += st.total_ms
-            if (reestimate and st.active_edges > 0
-                    and st.retries == 0 and st.recoveries == 0
-                    and not mw.degraded_nodes()
-                    and (mw.straggler.flagged
-                         or mw.straggler.flagged_links)):
-                # fold this superstep's observed (d_j, T_j) pairs into
-                # the coefficient estimate.  Contaminated supersteps
-                # (retries, recoveries) and degraded clusters are
-                # skipped — degradation has its own rebalance path —
-                # and so are supersteps with no flagged straggler:
-                # benign coefficient noise (cache warmth, frontier
-                # shape) must never repartition a healthy run, which
-                # is what keeps the fault-free path bit-identical.
-                coeff_est, folded, shares, divergence = \
-                    self._reestimate_shares(st, coeff_est, width)
-                run.coeff_updates += folded
-                if (divergence > SHARE_DIVERGENCE
-                        and run.iterations - last_online_reb
-                        >= REBALANCE_COOLDOWN):
-                    # Lemma 2 says the optimum moved: repartition to
-                    # the estimated shares (shifting load *off* the
-                    # straggling node) without writing anyone off
-                    repartition(shares)
-                    last_online_reb = run.iterations
-                    run.online_rebalances += 1
-            if algorithm.is_converged(st.changed_vertices, run.iterations):
-                run.converged = True
-            yield StepEvent("superstep", run.iterations,
-                            run.total_ms - step_ms0, run.converged,
-                            checkpointed=took_checkpoint)
-            if run.converged:
-                break
-
-        if pending_ckpt_ms:
-            # the job is over: the last speculative write has no compute
-            # window left to hide behind and charges in full.
-            if run.stats:
-                run.stats[-1].checkpoint_ms += pending_ckpt_ms
-            run.total_ms += pending_ckpt_ms
-        # what is only known at the end: transport, straggler and
-        # scheduler totals
-        run.skipped_iterations = (
-            sum(1 for s in run.stats if s.skipped)
-            + sum(s.local_iterations - 1 for s in run.stats))
-        run.retransmits, run.dup_drops, run.net_wasted_ms = \
+    def _finish(self, run: _Run) -> RunResult:
+        """The last transition: the totals only known at the end of the
+        run (transport, straggler, scheduler, wall clock)."""
+        mw, res = self.middleware, run.result
+        res.skipped_iterations = (
+            sum(1 for s in res.stats if s.skipped)
+            + sum(s.local_iterations - 1 for s in res.stats))
+        res.retransmits, res.dup_drops, res.net_wasted_ms = \
             self._net_counters()
         if mw is not None:
-            run.degraded_nodes = mw.degraded_nodes()
+            res.degraded_nodes = mw.degraded_nodes()
             if mw.transport is not None:
-                run.link_slow_ms = mw.transport.link_slow_ms
+                res.link_slow_ms = mw.transport.link_slow_ms
             det = mw.straggler
             if det is not None:
-                run.straggler_verdicts = len(det.verdicts)
-                run.speculative_wins = det.speculative_wins
-                run.speculative_losses = det.speculative_losses
-                run.speculative_wasted_ms = det.speculative_wasted_ms
-                run.budget_overruns = det.budget_overruns
-                run.link_verdicts = det.link_verdicts
+                res.straggler_verdicts = len(det.verdicts)
+                for name in ("speculative_wins", "speculative_losses",
+                             "speculative_wasted_ms", "budget_overruns",
+                             "link_verdicts"):
+                    setattr(res, name, getattr(det, name))
             for name, total in mw.scheduler_counters().items():
-                setattr(run, name, total)  # the four ``sched_*`` fields
-        run.wall_total_s = perf_counter() - wall_start
-        run.wall_s = dict(self.wall_s)
-        return run
+                setattr(res, name, total)  # the four ``sched_*`` fields
+        res.wall_total_s = perf_counter() - run.wall_start
+        res.wall_s = dict(self.wall_s)
+        return res
+
+    def _repartition(self, run: _Run, shares) -> None:
+        """Move ``run`` to new Lemma-2 ``shares`` (both rebalance
+        triggers) and charge the exchange; the strict detector reads the
+        partition, so it is rebuilt on the new one."""
+        ms = self._repartition_to(shares, run.width)
+        run.result.rebalance_ms += ms
+        run.charge(ms)
+        if run.detector is not None:
+            run.detector = SkipDetector(self.pgraph)
 
     # -- fault tolerance ---------------------------------------------------------------
 
@@ -721,27 +721,6 @@ class IterativeEngine:
         return self.cluster.repartition_cost_ms(
             moved * width * BYTES_PER_CELL, network=self._network(),
             moved_by_node=moved_by_node)
-
-    def _rollback(self, store: Optional[CheckpointStore],
-                  origin: Optional[Checkpoint],
-                  failure: AcceleratorsExhausted) -> Checkpoint:
-        """Restore the last consistent superstep after a node degraded:
-        the newest checkpoint, else the state the run started from.
-
-        Returns it with fresh arrays and ``cost_ms`` the restore cost.
-        Agent caches are flushed — they hold values from the discarded
-        future.
-        """
-        if store is not None and store.latest is not None:
-            ckpt = store.restore()
-        elif origin is not None:
-            ckpt = replace(origin, values=origin.values.copy(),
-                           active=origin.active.copy())
-        else:  # pragma: no cover - degrade_to_host always records origin
-            raise failure
-        for agent in self.middleware.agents.values():
-            agent.flush_cache()
-        return ckpt
 
     def _node_accelerated(self, node_id: int) -> bool:
         """Does this node still compute through its agent's accelerators?"""

@@ -96,10 +96,6 @@ class CheckpointStore:
         self.delta_saves = 0
         self.restores = 0
         self.total_checkpoint_ms = 0.0
-        #: whether the most recent :meth:`save` stored a delta (vs a full
-        #: snapshot) — what speculative checkpointing keys off, since
-        #: only delta writes may ride the next superstep's compute window
-        self.last_save_was_delta = False
 
     # -- schedule ----------------------------------------------------------
 
@@ -156,7 +152,6 @@ class CheckpointStore:
             self._deltas = []
             self._force_full = False
         self._last_active = np.array(active, copy=True)
-        self.last_save_was_delta = bool(use_delta)
         self.saves += 1
         self.total_checkpoint_ms += cost
         return cost
@@ -198,18 +193,7 @@ class CheckpointStore:
         failure or into a durable journal.  Returns ``None`` before the
         first save.
         """
-        if not self._checkpoints:
-            return None
-        base = self._checkpoints[-1]
-        values = np.array(base.values, copy=True)
-        active = np.array(base.active, copy=True)
-        iteration = base.iteration
-        for delta in self._deltas:
-            values[delta.ids] = delta.rows
-            active[delta.active_flips] = ~active[delta.active_flips]
-            iteration = delta.iteration
-        return Checkpoint(iteration=iteration, values=values,
-                          active=active, cost_ms=0.0)
+        return self._rebuild(0.0) if self._checkpoints else None
 
     def seed(self, iteration: int, values: np.ndarray,
              active: np.ndarray) -> None:
@@ -245,21 +229,22 @@ class CheckpointStore:
         """
         if not self._checkpoints:
             raise CheckpointError("restore before any checkpoint was saved")
+        self.restores += 1
+        self._force_full = True
+        cells = (self._checkpoints[-1].cells
+                 + sum(delta.cells for delta in self._deltas))
+        return self._rebuild(self.snapshot_cost_ms(cells))
+
+    def _rebuild(self, cost_ms: float) -> Checkpoint:
+        """The last full snapshot with every delta replayed on top, in
+        fresh arrays."""
         base = self._checkpoints[-1]
         values = np.array(base.values, copy=True)
         active = np.array(base.active, copy=True)
         iteration = base.iteration
-        delta_cells = 0
         for delta in self._deltas:
             values[delta.ids] = delta.rows
             active[delta.active_flips] = ~active[delta.active_flips]
             iteration = delta.iteration
-            delta_cells += delta.cells
-        self.restores += 1
-        self._force_full = True
-        return Checkpoint(
-            iteration=iteration,
-            values=values,
-            active=active,
-            cost_ms=self.snapshot_cost_ms(base.cells + delta_cells),
-        )
+        return Checkpoint(iteration=iteration, values=values,
+                          active=active, cost_ms=cost_ms)

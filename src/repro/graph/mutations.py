@@ -52,16 +52,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import GraphError
-from .graph import Graph, distinct_ids, stable_order
-
-
-def _as_ids(values, label: str) -> np.ndarray:
-    arr = np.asarray(values if values is not None else [], dtype=np.int64)
-    if arr.ndim != 1:
-        raise GraphError(f"{label} must be 1-D, got shape {arr.shape}")
-    if arr.size and arr.min() < 0:
-        raise GraphError(f"{label} contains negative ids")
-    return arr
+from .graph import Graph, _as_ids, distinct_ids, stable_order
 
 
 def _as_weights(values, size: int, label: str) -> np.ndarray:
@@ -104,14 +95,12 @@ class MutationBatch:
 
     def __post_init__(self) -> None:
         set_ = object.__setattr__
-        set_(self, "add_src", _as_ids(self.add_src, "add_src"))
-        set_(self, "add_dst", _as_ids(self.add_dst, "add_dst"))
-        set_(self, "remove_src", _as_ids(self.remove_src, "remove_src"))
-        set_(self, "remove_dst", _as_ids(self.remove_dst, "remove_dst"))
-        set_(self, "update_src", _as_ids(self.update_src, "update_src"))
-        set_(self, "update_dst", _as_ids(self.update_dst, "update_dst"))
-        set_(self, "remove_vertices",
-             _as_ids(self.remove_vertices, "remove_vertices"))
+        for label in ("add_src", "add_dst", "remove_src", "remove_dst",
+                      "update_src", "update_dst", "remove_vertices"):
+            ids = _as_ids(getattr(self, label), label)
+            if ids.size and ids.min() < 0:
+                raise GraphError(f"{label} contains negative ids")
+            set_(self, label, ids)
         if self.add_src.size != self.add_dst.size:
             raise GraphError(
                 f"add_src has {self.add_src.size} ids but add_dst has "

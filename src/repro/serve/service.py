@@ -833,7 +833,10 @@ class GraphService:
         job.slices += 1
         self._journal_append("slice", job_id=job.job_id,
                              iteration=event.iteration)
-        if event.checkpointed and self.journal is not None:
+        if (event.checkpointed and not event.converged
+                and self.journal is not None):
+            # a converged superstep's checkpoint is no resume point: the
+            # run resumed from it would take one superstep too many
             self._journal_checkpoint(rj)
         if self._deadline_blown(job):
             # terminal, never retried: the budget is gone either way
@@ -843,16 +846,16 @@ class GraphService:
                 f" ms elapsed of {job.spec.deadline_ms:g} ms budget"),
                 retryable=False)
 
-    def _journal_checkpoint(self, rj: RunningJob) -> None:
-        """Externalize the engine's newest checkpoint as the job's
-        durable resume point."""
+    def _journal_checkpoint(self, rj: RunningJob):
+        """The engine's newest checkpoint (None without one), journaled
+        as the job's durable resume point when the service journals."""
         store = getattr(rj.engine, "checkpoint_store", None)
         ckpt = store.peek() if store is not None else None
-        if ckpt is None:
-            return
-        name = self.journal.save_checkpoint(rj.job.job_id, ckpt)
-        self._journal_append("checkpointed", job_id=rj.job.job_id,
-                             iteration=ckpt.iteration, file=name)
+        if ckpt is not None and self.journal is not None:
+            name = self.journal.save_checkpoint(rj.job.job_id, ckpt)
+            self._journal_append("checkpointed", job_id=rj.job.job_id,
+                                 iteration=ckpt.iteration, file=name)
+        return ckpt
 
     def _check_waiter_timeouts(self) -> None:
         """Hung-leader handoff: a waiter group that has been parked
@@ -959,15 +962,9 @@ class GraphService:
             self.retries += 1
             backoff = (job.spec.retry_backoff_ms
                        * (2 ** (job.retries - 1)))
-            store = getattr(rj.engine, "checkpoint_store", None)
-            ckpt = store.peek() if store is not None else None
+            ckpt = self._journal_checkpoint(rj)
             if ckpt is not None:
                 job.resume_from = ckpt
-                if self.journal is not None:
-                    name = self.journal.save_checkpoint(job.job_id, ckpt)
-                    self._journal_append(
-                        "checkpointed", job_id=job.job_id,
-                        iteration=ckpt.iteration, file=name)
             job.state = PENDING
             job.not_before_ms = self.now_ms + backoff
             self._journal_append(

@@ -12,6 +12,7 @@ from repro import (
     FULL,
     RESILIENT,
     GXPlug,
+    MultiSourceSSSP,
     PageRank,
     PowerGraphEngine,
     load_dataset,
@@ -148,6 +149,25 @@ def test_checkpoints_bound_the_rollback_distance(graph):
                                atol=1e-9)
     assert sum(s.checkpoint_ms for s in with_ckpt.stats) > 0
     assert sum(s.checkpoint_ms for s in without_ckpt.stats) == 0
+
+
+def test_rollback_through_delta_checkpoints_keeps_fault_free_values(graph):
+    """Checkpointing every superstep, a frontier algorithm saves deltas;
+    the rollback restores base + deltas and the run converges to the
+    fault-free answer exactly (in more supersteps: the degraded node
+    sends the run back to the strict order)."""
+    config = RESILIENT.with_(checkpoint_interval=1)
+    plan = FaultPlan.single(CRASH, 4, repeat=10)      # outlives the budget
+    runs = []
+    for cfg in (config, config.with_(fault_plan=plan)):
+        cluster = make_cluster(NUM_NODES, gpus_per_node=1)
+        engine = PowerGraphEngine.build(graph, cluster,
+                                        middleware=GXPlug(cluster, cfg))
+        runs.append(engine.run(MultiSourceSSSP(sources=(0, 1))))
+    clean, faulty = runs
+    assert clean.rollbacks == 0 and faulty.rollbacks == 1
+    assert clean.converged and faulty.converged
+    np.testing.assert_array_equal(faulty.values, clean.values)
 
 
 def test_exhaustion_without_degrade_reraises(graph):

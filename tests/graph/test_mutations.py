@@ -74,6 +74,9 @@ def test_doc_round_trip_preserves_fingerprint():
      "unknown field"),
     ({"add_vertices": "two"}, "must be an integer"),
     ({"add_vertices": True}, "must be an integer"),
+    ({"add": {"src": [0.7], "dst": [1]}}, "add_src ids must be integers"),
+    ({"remove_vertices": [1.5]}, "remove_vertices ids must be integers"),
+    ({"remove": {"src": [-1], "dst": [1]}}, "remove_src contains negative"),
 ])
 def test_from_doc_rejects_malformed(doc, match):
     with pytest.raises(GraphError, match=match):

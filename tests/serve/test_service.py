@@ -15,7 +15,7 @@ from repro.bench.trace import read_json
 from repro.engines import PowerGraphEngine
 from repro.errors import AdmissionError, MiddlewareError, ServeError
 from repro.fault import CRASH, FaultPlan
-from repro.graph import load_dataset
+from repro.graph import load_dataset, rmat
 
 SPEC = ClusterSpec(nodes=2, gpus_per_node=1)
 
@@ -400,6 +400,43 @@ def test_recover_resumes_inflight_jobs_bit_identically(tmp_path):
         assert np.array_equal(job.values, base_job.values)
         if job.job_id in resumed:
             assert len(job.result.stats) < steps
+
+
+def test_recover_after_the_converged_slice_ends_where_the_run_did(tmp_path):
+    """Killed after the converged superstep but before ``finished``: the
+    converged superstep's checkpoint was never journaled, so recovery
+    resumes one superstep earlier and re-runs the last one instead of
+    running one superstep past convergence."""
+    graph = rmat(300, 2400, seed=5)
+
+    def service(name):
+        svc = GraphService(SPEC, journal=str(tmp_path / name),
+                           journal_checkpoint_interval=1)
+        svc.load_graph("g", graph)
+        return svc
+
+    spec = JobSpec(graph="g", algorithm="sssp-bf", use_cache=False)
+    base = service("base.jsonl")
+    whole = base.submit(spec)
+    base.run()
+
+    svc = service("crash.jsonl")
+    job = svc.submit(spec)
+    while job.slices < whole.result.iterations:
+        svc.step()
+    assert job.state == "running"               # converged, not finished
+    del svc
+
+    rec = GraphService.recover(str(tmp_path / "crash.jsonl"),
+                               graphs={"g": graph})
+    assert rec.resumed_from_checkpoint == 1
+    rec.run()
+    resumed = rec.job(job.job_id)
+    assert resumed.result.iterations == whole.result.iterations
+    assert resumed.result.converged
+    assert resumed.values.tobytes() == whole.values.tobytes()
+    assert [s.index for s in resumed.result.stats] == \
+        [whole.result.iterations - 1]
 
 
 def test_recover_restores_terminal_jobs_and_cache(tmp_path):

@@ -439,6 +439,16 @@ def test_mutate_bad_batch_answered_not_closed(served):
         assert client.ping()
 
 
+def test_mutate_refuses_non_integer_ids(served):
+    """A fractional id is refused, not truncated onto vertex 0."""
+    from repro.errors import ServeError
+    svc, server = served
+    with connect(server) as client:
+        with pytest.raises(ServeError, match=r"\[bad-batch\].*integers"):
+            client.mutate("g", {"add": {"src": [0.7], "dst": [5]}})
+    assert svc.store.get("g").version == 1
+
+
 def test_mutate_shed_while_draining():
     from repro.errors import WireShed
     svc = make_service()
