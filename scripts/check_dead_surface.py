@@ -29,6 +29,14 @@ to any call) somewhere under those roots, or be listed in
 ``UNSET_FIELDS`` with a reason.  A field nothing sets only ever holds
 its default; that value belongs to the class that uses it.
 
+Constructors get the same rule, with ``tests/`` counted as a caller:
+a defaulted parameter of a public class's ``__init__`` (a *knob*) must
+be passed somewhere under those roots or ``tests/`` — by keyword, or
+by position in a call named after the class with more positional
+arguments than the knob's index.  A knob only tests pass is the
+class's home for a test-tuned value and stays; a knob no call passes
+only ever holds its default, which belongs inside the class.
+
 Usage: python scripts/check_dead_surface.py
 """
 
@@ -54,13 +62,13 @@ TESTS_ONLY = {
         "test oracle: closed-form makespan the simulated pipeline equals",
     "repro.core.sync_cache.LRUVertexCache.invalidate":
         "test oracle: per-vertex twin of invalidate_many (property model)",
+    "repro.engines.jni.JNIConfig.ms_per_entity":
+        "test oracle: the boundary slope JVM_RUNTIME's k1/k3 are pinned to",
     "repro.ipc.scheduler.run_process":
         "test fixture: one process on a fresh scheduler",
     "repro.graph.generators.complete":
         "test fixture: the complete graph (LP, k-core ground truth)",
     # -- inspection hooks: read-only views tests assert state through
-    "repro.accel.device.Accelerator.resident_bytes":
-        "inspection hook: device memory accounting",
     "repro.algorithms.kcore.KCore.core_members":
         "inspection hook: decodes a finished k-core value table",
     "repro.cluster.cluster.Cluster.total_gpu_count":
@@ -98,42 +106,6 @@ TESTS_ONLY = {
     "repro.serve.scheduler.FairShareLedger.share_of":
         "inspection hook: a tenant's realised fair share",
     # -- API surface: the paper's or a user's, with no in-repo caller yet
-    "repro.accel.costmodel.BYTES_PER_EDGE":
-        "API surface: device footprint constant exported by repro.accel",
-    "repro.accel.costmodel.BYTES_PER_VERTEX":
-        "API surface: device footprint constant exported by repro.accel",
-    "repro.accel.device.Accelerator.allocate":
-        "API surface: resident-memory reservation (pairs with free)",
-    "repro.bench.reporting.bar_chart":
-        "API surface: text bar chart of figure rows (repro.bench export)",
-    "repro.bench.trace.read_json":
-        "API surface: reader for write_json trace documents",
-    "repro.cluster.topology.Topology.single_rack":
-        "API surface: the degenerate topology constructor",
-    "repro.core.agent.Agent.request_gen":
-        "paper API surface: the agent's MSGGen request (docs/protocol.md)",
-    "repro.core.agent.Agent.request_merge":
-        "paper API surface: the agent's MSGMerge request (docs/protocol.md)",
-    "repro.engines.graphx.jvm_runtime_for":
-        "API surface: a JVM host runtime for a given JNI configuration",
-    "repro.fault.inject.FaultPlan.for_superstep":
-        "API surface: FaultPlan query",
-    "repro.fault.inject.FaultPlan.with_events":
-        "API surface: FaultPlan composition",
-    "repro.graph.datasets.DEFAULT_DATASET":
-        "API surface: the paper's default dataset name",
-    "repro.graph.gio.load_edge_list":
-        "API surface: user graph I/O",
-    "repro.graph.gio.load_npz":
-        "API surface: user graph I/O",
-    "repro.graph.gio.save_edge_list":
-        "API surface: user graph I/O",
-    "repro.graph.gio.save_npz":
-        "API surface: user graph I/O",
-    "repro.ipc.shm.SharedMemorySegment.detach":
-        "API surface: System-V detach (pairs with attach)",
-    "repro.serve.client.GraphClient.retarget":
-        "API surface: point a client at a restarted server",
     "repro.serve.service.GraphService.unload_graph":
         "API surface: documented service call (docs/streaming.md)",
 }
@@ -248,6 +220,60 @@ def keywords(roots):
             if isinstance(node, ast.keyword) and node.arg}
 
 
+def knobs():
+    """``{qualified name: (knob, file, line, positional index or None,
+    class)}`` for every defaulted ``__init__`` parameter of a public
+    module-level class in ``src/repro``; keyword-only knobs have no
+    positional index."""
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE.parent)
+                          .with_suffix("").parts).removesuffix(".__init__")
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef) or \
+                    node.name.startswith("_"):
+                continue
+            for member in node.body:
+                if not (isinstance(member, ast.FunctionDef)
+                        and member.name == "__init__"):
+                    continue
+                args = member.args
+                positional = (args.posonlyargs + args.args)[1:]  # no self
+                defaulted = positional[len(positional)
+                                       - len(args.defaults):]
+                params = [(a, positional.index(a)) for a in defaulted]
+                params += [(a, None) for a, d in zip(args.kwonlyargs,
+                                                     args.kw_defaults)
+                           if d is not None]
+                for arg, index in params:
+                    found[f"{module}.{node.name}.{arg.arg}"] = (
+                        arg.arg, path, arg.lineno, index, node.name)
+    return found
+
+
+def positional_calls(roots):
+    """``{callee name: most positional arguments passed}`` over every
+    call in a ``*.py`` under ``roots``, the callee named by its bare
+    name or attribute; a ``*args`` argument counts as passing all."""
+    widest = {}
+    for root in roots:
+        for path in (ROOT / root).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute)
+                        else None)
+                if name is None:
+                    continue
+                count = (sys.maxsize if any(isinstance(a, ast.Starred)
+                                            for a in node.args)
+                         else len(node.args))
+                widest[name] = max(widest.get(name, 0), count)
+    return widest
+
+
 def reference_index(roots):
     """``{word: [(file, line), ...]}`` over every ``*.py`` under
     ``roots``."""
@@ -300,27 +326,53 @@ def main() -> int:
     stale += [q for q in sorted(UNSET_FIELDS)
               if q not in fields or fields[q][0] in passed]
 
+    params = knobs()
+    test_passed = keywords(("tests",))
+    widest, test_widest = (positional_calls(USER_ROOTS),
+                           positional_calls(("tests",)))
+
+    def passes(kw, wide, name, index, cls):
+        return name in kw or (index is not None
+                              and wide.get(cls, 0) > index)
+
+    unpassed, test_only_knobs = [], 0
+    for qualified, (name, _, _, index, cls) in sorted(params.items()):
+        if passes(passed, widest, name, index, cls):
+            continue
+        if passes(test_passed, test_widest, name, index, cls):
+            test_only_knobs += 1
+        else:
+            unpassed.append(qualified)
+    test_only_fields = sum(1 for name, *_ in fields.values()
+                           if name not in passed and name in test_passed)
+    print(f"settable values: {len(fields)} config fields "
+          f"({test_only_fields} set only by tests), {len(params)} "
+          f"constructor knobs ({test_only_knobs} passed only by tests)")
+
     for title, names in (
             ("no reference anywhere — delete, or give it a caller", dead),
             ("referenced only from tests/ and not in TESTS_ONLY", untabled),
             ("config fields nothing outside tests/ sets by keyword — "
              "retire them into the class that uses them", unset),
+            ("constructor knobs no call passes, tests included — "
+             "retire them into the class", unpassed),
             ("TESTS_ONLY / UNSET_FIELDS entries no longer needed — "
              "remove them", stale)):
         if names:
             print(f"{title}:")
             for qualified in names:
                 where = "not defined"
-                if qualified in defs or qualified in fields:
-                    _, path, line, *_ = (defs.get(qualified)
-                                         or fields[qualified])
+                found = (defs.get(qualified) or fields.get(qualified)
+                         or params.get(qualified))
+                if found:
+                    _, path, line, *_ = found
                     where = f"{path.relative_to(ROOT)}:{line}"
                 print(f"  {qualified}  [{where}]")
-    if dead or untabled or unset or stale:
+    if dead or untabled or unset or unpassed or stale:
         return 1
     print(f"{len(defs)} public names in src/repro, "
           f"{len(TESTS_ONLY)} kept for tests only, none dead; "
-          f"{len(fields)} config fields, {len(UNSET_FIELDS)} unset")
+          f"{len(UNSET_FIELDS)} config fields unset, no knob unpassed")
     return 0
 
 

@@ -28,7 +28,6 @@ class Accelerator:
         self.model = model
         self.device_id = device_id
         self._initialized = False
-        self._resident_bytes = 0
         self._fail_after: Optional[int] = None
         # instrumentation
         self.init_count = 0
@@ -58,7 +57,6 @@ class Accelerator:
             return
         self._fail_after = None
         self._initialized = False
-        self._resident_bytes = 0
         self.failure_count += 1
         raise DeviceFailure(
             f"{self.model.name}[{self.device_id}]: device fault injected"
@@ -79,7 +77,6 @@ class Accelerator:
     def shutdown(self) -> None:
         """Release the device context (forces re-init before next use)."""
         self._initialized = False
-        self._resident_bytes = 0
 
     # -- memory ---------------------------------------------------------------
 
@@ -96,26 +93,6 @@ class Accelerator:
                 f"{self.model.name}[{self.device_id}]: working set "
                 f"{nbytes} B exceeds device memory {self.model.memory_bytes} B"
             )
-
-    def allocate(self, nbytes: int) -> None:
-        """Reserve resident device memory (graph blocks, frontier, ...)."""
-        self.ensure_capacity(self._resident_bytes + nbytes)
-        self._resident_bytes += nbytes
-
-    def free(self, nbytes: Optional[int] = None) -> None:
-        """Release ``nbytes`` (or everything) of resident memory."""
-        if nbytes is None:
-            self._resident_bytes = 0
-            return
-        if nbytes < 0 or nbytes > self._resident_bytes:
-            raise DeviceError(
-                f"cannot free {nbytes} B of {self._resident_bytes} B resident"
-            )
-        self._resident_bytes -= nbytes
-
-    @property
-    def resident_bytes(self) -> int:
-        return self._resident_bytes
 
     # -- execution --------------------------------------------------------------
 

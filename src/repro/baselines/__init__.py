@@ -7,8 +7,6 @@ and memory models.
 """
 
 from .common import (
-    DEVICE_BYTES_PER_EDGE,
-    DEVICE_BYTES_PER_VERTEX,
     BaselineResult,
     global_iteration,
     run_global_loop,
@@ -24,6 +22,4 @@ __all__ = [
     "run_global_loop",
     "distributed_gpu_fits",
     "distributed_gpu_fit_bytes",
-    "DEVICE_BYTES_PER_EDGE",
-    "DEVICE_BYTES_PER_VERTEX",
 ]

@@ -10,11 +10,6 @@ import numpy as np
 from ..core.template import AlgorithmTemplate
 from ..graph.graph import Graph
 
-#: bytes per edge resident on a device (src, dst, weight packed)
-DEVICE_BYTES_PER_EDGE = 16
-#: bytes per vertex attribute entry resident on a device
-DEVICE_BYTES_PER_VERTEX = 8
-
 
 @dataclass
 class BaselineResult:

@@ -12,17 +12,12 @@ from __future__ import annotations
 from typing import Optional
 
 from ..accel import make_gpu
-from ..accel.device import Accelerator
+from ..accel.costmodel import BYTES_PER_EDGE, BYTES_PER_VERTEX
 from ..algorithms import MultiSourceSSSP  # noqa: F401 (doc example)
 from ..core.template import AlgorithmTemplate
 from ..errors import DeviceMemoryError
 from ..graph.graph import Graph
-from .common import (
-    DEVICE_BYTES_PER_EDGE,
-    DEVICE_BYTES_PER_VERTEX,
-    BaselineResult,
-    run_global_loop,
-)
+from .common import BaselineResult, run_global_loop
 
 #: host->device staging cost of the initial bulk graph load (ms per byte)
 H2D_MS_PER_BYTE = 0.0000002
@@ -37,12 +32,11 @@ class GunrockSystem:
 
     name = "gunrock"
 
-    def __init__(self, graph: Graph,
-                 gpu: Optional[Accelerator] = None) -> None:
+    def __init__(self, graph: Graph) -> None:
         self.graph = graph
-        self.gpu = gpu if gpu is not None else make_gpu()
-        self._footprint = graph.memory_footprint(
-            DEVICE_BYTES_PER_EDGE, DEVICE_BYTES_PER_VERTEX)
+        self.gpu = make_gpu()
+        self._footprint = graph.memory_footprint(BYTES_PER_EDGE,
+                                                 BYTES_PER_VERTEX)
 
     def fits(self) -> bool:
         """Can the whole graph live in device memory?"""

@@ -17,16 +17,11 @@ import math
 from typing import Optional
 
 from ..cluster.network import DEFAULT_NETWORK, NetworkModel
-from ..accel.costmodel import V100
+from ..accel.costmodel import BYTES_PER_VERTEX, V100
 from ..core.template import AlgorithmTemplate
 from ..errors import DeviceMemoryError, SimulationError
 from ..graph.graph import Graph
-from .common import (
-    DEVICE_BYTES_PER_EDGE,
-    DEVICE_BYTES_PER_VERTEX,
-    BaselineResult,
-    run_global_loop,
-)
+from .common import BaselineResult, run_global_loop
 
 #: Lux's hand-tuned GPU kernels are a bit faster than general daemons.
 KERNEL_EFFICIENCY = 0.85
@@ -59,7 +54,7 @@ def distributed_gpu_fit_bytes(graph: Graph, num_gpus: int) -> int:
     if num_gpus < 1:
         raise SimulationError(f"need >=1 GPUs, got {num_gpus}")
     edge_bytes = graph.num_edges * DIST_BYTES_PER_EDGE // num_gpus
-    mirror_bytes = graph.num_vertices * DEVICE_BYTES_PER_VERTEX
+    mirror_bytes = graph.num_vertices * BYTES_PER_VERTEX
     buffer_bytes = int(mirror_bytes * 2.0 * (num_gpus - 1) ** 2)
     return edge_bytes + mirror_bytes + buffer_bytes
 

@@ -1,9 +1,8 @@
 """Benchmark harness: experiment runners + text reporting."""
 
-from .reporting import bar_chart, format_table, print_table, speedup
+from .reporting import format_table, print_table, speedup
 from .trace import (
     iteration_records,
-    read_json,
     run_summary,
     write_csv,
     write_json,
@@ -25,12 +24,10 @@ __all__ = [
     "format_table",
     "print_table",
     "speedup",
-    "bar_chart",
     "iteration_records",
     "run_summary",
     "write_csv",
     "write_json",
-    "read_json",
     *figures.__all__,
     "run_hotpath_bench",
     "format_report",

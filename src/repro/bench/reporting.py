@@ -55,24 +55,3 @@ def speedup(baseline_ms: float, other_ms: float) -> float:
     if other_ms <= 0:
         return float("inf")
     return baseline_ms / other_ms
-
-
-def bar_chart(rows: Sequence[Sequence[Any]], width: int = 40,
-              title: Optional[str] = None) -> str:
-    """Render ``(label, value)`` rows as a horizontal ASCII bar chart.
-
-    ``None`` values render as an OOM marker (the Fig. 9(b) convention).
-    """
-    labeled = [(str(label), value) for label, value in rows]
-    numeric = [v for _label, v in labeled if v is not None]
-    top = max(numeric) if numeric else 1.0
-    label_w = max((len(label) for label, _v in labeled), default=0)
-    lines = [] if title is None else [title]
-    for label, value in labeled:
-        if value is None:
-            lines.append(f"{label.ljust(label_w)} | {'x' * 3} OOM")
-            continue
-        length = 0 if top <= 0 else int(round(width * value / top))
-        bar = "#" * max(length, 1 if value > 0 else 0)
-        lines.append(f"{label.ljust(label_w)} | {bar} {_fmt(value)}")
-    return "\n".join(lines)

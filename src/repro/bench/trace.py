@@ -130,9 +130,3 @@ def write_json(result: RunResult, path, campaign: Dict = None,
         doc["fault_campaign"] = campaign
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2)
-
-
-def read_json(path) -> Dict:
-    """Load a document written by :func:`write_json`."""
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)

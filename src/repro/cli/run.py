@@ -12,7 +12,7 @@ from ..core import ClusterSpec, GXPlug, RuntimeConfig
 from ..engines import ENGINES
 from ..errors import SimulationError
 from ..fault import ALL_KINDS, FaultPlan
-from ..graph import dataset_names, load_dataset
+from ..graph import DEFAULT_DATASET, dataset_names, load_dataset
 
 #: Which ``run`` flags feed which constructor arguments, by wire name;
 #: an algorithm not listed takes none.
@@ -29,7 +29,7 @@ def add_parser(sub) -> None:
     run.add_argument("--algorithm", choices=sorted(ALGORITHMS),
                      default="pagerank")
     run.add_argument("--dataset", choices=dataset_names(),
-                     default="orkut")
+                     default=DEFAULT_DATASET)
     run.add_argument("--engine", choices=sorted(ENGINES),
                      default="powergraph")
     run.add_argument("--nodes", type=int, default=4)

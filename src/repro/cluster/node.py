@@ -16,7 +16,7 @@ middleware must cross:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List
 
 from ..accel.costmodel import HOST_JVM, HOST_NATIVE, DeviceCostModel
@@ -42,8 +42,9 @@ class HostRuntime:
 
 
 #: GraphX on Spark: JVM compute, JNI-crossing transfer costs.
-#: k1/k3 assume the JNI transmitter + data packager are enabled; see
-#: repro.engines.jni for the naive-invocation comparison.
+#: k1/k3 assume the JNI transmitter + data packager are enabled: they
+#: are repro.engines.jni's OPTIMIZED_JNI.ms_per_entity() (0.001805 ms)
+#: rounded; see that module for the naive-invocation comparison.
 JVM_RUNTIME = HostRuntime(
     name="jvm",
     compute=HOST_JVM,

@@ -476,14 +476,6 @@ class Topology:
                    cross_latency_factor=cross_latency_factor,
                    cross_byte_factor=cross_byte_factor)
 
-    @classmethod
-    def single_rack(cls, num_nodes: int, *,
-                    base: Optional[NetworkModel] = None) -> "Topology":
-        """The degenerate single-rack topology (== NetworkModel costs)."""
-        if num_nodes < 1:
-            raise SimulationError(f"need >=1 nodes, got {num_nodes}")
-        return cls([list(range(num_nodes))], base=base)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         sizes = "+".join(str(len(r)) for r in self.racks)
         return f"Topology({self.num_racks} racks: {sizes})"

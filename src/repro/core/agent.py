@@ -5,8 +5,10 @@ tables, builds triplet blocks, runs the pipeline-shuffle protocol against
 each attached daemon (Algorithm 2), and carries the synchronization
 cache.  (The §II-B vertex-edge mapping table is a constant of the
 partition: :class:`~repro.graph.partition.PartitionIndex`.)  Its operation interfaces are the
-paper's: ``connect`` / ``update`` / ``request_gen`` / ``request_merge`` /
-``request_apply`` / ``disconnect``.
+paper's: ``connect`` / ``update`` / ``requestX`` / ``disconnect``, where
+the ``requestX`` family is :meth:`Agent.edge_pass` (MSGGen fused with the
+node-local MSGMerge), :meth:`Agent.request_apply` (MSGApply) and
+:meth:`Agent.request_scatter` (GAS scatter).
 
 Timing: every data movement and kernel charges simulated milliseconds;
 an :class:`EdgePassResult` reports both the pipeline makespan (what the
@@ -266,24 +268,6 @@ class Agent:
                 f"agent {self.node.node_id}: no daemon #{daemon_index}"
             )
         self.daemons[daemon_index].segment.put(region, data, nbytes=nbytes)
-
-    def request_gen(self, src_ids: np.ndarray, dst_ids: np.ndarray,
-                    weights: np.ndarray, values: np.ndarray,
-                    algorithm: AlgorithmTemplate) -> EdgePassResult:
-        """MSGGen over the node's active triplets (pipelined edge pass),
-        fused with the node-local MSGMerge — "MSGMerge delivers the
-        initial messages to corresponding graph partitions"."""
-        return self.edge_pass(src_ids, dst_ids, weights, values, algorithm)
-
-    def request_merge(self, partials: List[MessageSet],
-                      algorithm: AlgorithmTemplate
-                      ) -> Tuple[MessageSet, float]:
-        """MSGMerge across partials (block/daemon-level combine)."""
-        self._require_connected()
-        merged = algorithm.combine_many(partials)
-        cost = self.node.runtime.apply_ms_per_entity * merged.size
-        self.total_middleware_ms += cost
-        return merged, cost
 
     def request_apply(self, values: np.ndarray, merged: MessageSet,
                       algorithm: AlgorithmTemplate

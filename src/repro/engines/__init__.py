@@ -2,7 +2,7 @@
 
 from .async_engine import AsyncEngine
 from .base import IterationStats, IterativeEngine, RunResult, StepEvent
-from .graphx import GraphXEngine, jvm_runtime_for
+from .graphx import GraphXEngine
 from .jni import (
     NAIVE_JNI,
     OPTIMIZED_JNI,
@@ -29,5 +29,4 @@ __all__ = [
     "NAIVE_JNI",
     "OPTIMIZED_JNI",
     "improvement_factor",
-    "jvm_runtime_for",
 ]

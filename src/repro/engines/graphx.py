@@ -8,26 +8,13 @@ simulation (§IV-B1).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from ..cluster.cluster import Cluster
-from ..cluster.node import JVM_RUNTIME, HostRuntime
 from ..core.middleware import GXPlug
 from ..graph.graph import Graph
-from ..graph.partition import PartitionedGraph, hash_partition
+from ..graph.partition import hash_partition
 from .base import IterativeEngine
-from .jni import JNIConfig, OPTIMIZED_JNI
-
-
-def jvm_runtime_for(jni: JNIConfig) -> HostRuntime:
-    """A JVM host runtime whose k1/k3 reflect the given JNI configuration."""
-    per_entity = jni.ms_per_entity()
-    return replace(
-        JVM_RUNTIME,
-        download_ms_per_entity=per_entity,
-        upload_ms_per_entity=per_entity,
-    )
 
 
 class GraphXEngine(IterativeEngine):
@@ -37,12 +24,6 @@ class GraphXEngine(IterativeEngine):
     name = "graphx"
     host_runtime = "jvm"
     edge_scan = "full"  # Spark materializes the full triplet view
-
-    def __init__(self, pgraph: PartitionedGraph, cluster: Cluster,
-                 middleware: Optional[GXPlug] = None,
-                 jni: JNIConfig = OPTIMIZED_JNI) -> None:
-        super().__init__(pgraph, cluster, middleware)
-        self.jni = jni
 
     @classmethod
     def build(cls, graph: Graph, cluster: Cluster,

@@ -59,8 +59,8 @@ derives a plan from a seed deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -202,12 +202,6 @@ class FaultPlan:
         link gray-faults); arming it needs the resilient transport
         (``network_resilient=True``)."""
         return any(e.kind in TRANSPORT_KINDS for e in self.events)
-
-    def for_superstep(self, superstep: int) -> List[FaultEvent]:
-        return [e for e in self.events if e.superstep == superstep]
-
-    def with_events(self, *extra: FaultEvent) -> "FaultPlan":
-        return replace(self, events=self.events + tuple(extra))
 
     # -- convenience constructors ------------------------------------------
 

@@ -328,8 +328,8 @@ class Scheduler:
     is the bit-identity oracle for :class:`BatchedScheduler`.
     """
 
-    def __init__(self, clock: Optional[SimClock] = None) -> None:
-        self.clock = clock if clock is not None else SimClock()
+    def __init__(self) -> None:
+        self.clock = SimClock()
         self._heap: List[Tuple[float, int, ProcessHandle, Any]] = []
         self._seq = 0
         self._live = 0          # non-daemon processes not yet done
@@ -700,8 +700,8 @@ class BatchedScheduler(Scheduler):
     every agent pass runs on.
     """
 
-    def __init__(self, clock: Optional[SimClock] = None) -> None:
-        super().__init__(clock)
+    def __init__(self) -> None:
+        super().__init__()
         self._events = EventHeap()
 
     def run(self, until: Optional[float] = None) -> float:

@@ -17,7 +17,7 @@ This module reproduces those semantics in-process:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List
 
 from ..errors import ShmCorruption, ShmError
 
@@ -54,11 +54,6 @@ class SharedMemorySegment:
             raise ShmError(f"attach to destroyed segment key={self.key}")
         self._attached.append(who)
         return self
-
-    def detach(self, who: str) -> None:
-        if who not in self._attached:
-            raise ShmError(f"{who!r} is not attached to segment key={self.key}")
-        self._attached.remove(who)
 
     @property
     def attached(self) -> List[str]:

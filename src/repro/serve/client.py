@@ -45,6 +45,9 @@ from .job import JobSpec
 from .wire import (MAX_FRAME_BYTES, PROTOCOL_VERSION, decode_values,
                    encode_frame)
 
+#: Ceiling (s) of one reconnect backoff delay before jitter.
+BACKOFF_MAX_S = 2.0
+
 
 class GraphClient:
     """Fault-tolerant client for a :class:`GraphServiceServer`.
@@ -58,8 +61,8 @@ class GraphClient:
     def __init__(self, host: str, port: int, *, client_name: str = "client",
                  timeout_s: float = 5.0, lease_ms: float = 30_000.0,
                  connect_attempts: int = 5, backoff_base_s: float = 0.05,
-                 backoff_max_s: float = 2.0, jitter_seed: int = 0,
-                 heartbeat: bool = True, sleep=time.sleep) -> None:
+                 jitter_seed: int = 0, heartbeat: bool = True,
+                 sleep=time.sleep) -> None:
         if timeout_s <= 0:
             raise ServeError(f"timeout_s must be positive, got {timeout_s}")
         if connect_attempts < 1:
@@ -72,7 +75,6 @@ class GraphClient:
         self.lease_ms = float(lease_ms)
         self.connect_attempts = int(connect_attempts)
         self.backoff_base_s = float(backoff_base_s)
-        self.backoff_max_s = float(backoff_max_s)
         self._jitter = random.Random(jitter_seed)
         self._sleep = sleep
         self._lock = threading.RLock()
@@ -130,7 +132,7 @@ class GraphClient:
                     if attempt + 1 >= self.connect_attempts:
                         break
                     delay = min(self.backoff_base_s * (2 ** attempt),
-                                self.backoff_max_s)
+                                BACKOFF_MAX_S)
                     # full jitter: decorrelates a reconnect stampede
                     delay *= 0.5 + self._jitter.random()
                     schedule.append(delay)
@@ -176,13 +178,6 @@ class GraphClient:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def retarget(self, host: str, port: int) -> None:
-        """Point the client at a restarted/moved server and reconnect."""
-        with self._lock:
-            self.host = host
-            self.port = port
-            self.connect()
 
     # -- framing -------------------------------------------------------------------------
 

@@ -82,6 +82,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.config import check_count
 from ..errors import AdmissionError, ReproError, ServeError, WireProtocolError
 from .job import JobSpec
 from .service import GraphService
@@ -286,17 +287,21 @@ class GraphServiceServer:
                  step_burst: int = 8, select_interval_s: float = 0.02,
                  auto_step: bool = True,
                  max_frame_bytes: int = MAX_FRAME_BYTES,
-                 crash_after_steps: Optional[int] = None,
-                 clock=time.monotonic) -> None:
-        if lease_ms <= 0:
-            raise ServeError(f"lease_ms must be positive, got {lease_ms}")
+                 crash_after_steps: Optional[int] = None) -> None:
+        for name, value in (("lease_ms", lease_ms),
+                            ("select_interval_s", select_interval_s)):
+            if not value > 0:
+                raise ServeError(f"{name} must be positive, got {value}")
+        check_count("step_burst", step_burst, 1)
+        check_count("max_frame_bytes", max_frame_bytes, 1)
+        if crash_after_steps is not None:
+            check_count("crash_after_steps", crash_after_steps, 1)
         self.service = service
         self.lease_ms = float(lease_ms)
         self.step_burst = int(step_burst)
         self.select_interval_s = float(select_interval_s)
         self.auto_step = auto_step
         self.max_frame_bytes = int(max_frame_bytes)
-        self.clock = clock
         #: chaos hook: die (as :meth:`crash`) after exactly this many
         #: successful scheduling rounds — the soak's deterministic kill
         self.crash_after_steps = crash_after_steps
@@ -394,7 +399,7 @@ class GraphServiceServer:
             except OSError:  # pragma: no cover - listener closed
                 return
             sock.setblocking(False)
-            conn = _Conn(sock, addr, self.clock())
+            conn = _Conn(sock, addr, time.monotonic())
             self._conns[sock] = conn
             self._sel.register(sock, selectors.EVENT_READ)
             self.counters.connections_accepted += 1
@@ -427,7 +432,7 @@ class GraphServiceServer:
 
     def _handle_line(self, conn: _Conn, line: bytes) -> None:
         self.counters.frames_in += 1
-        conn.last_seen = self.clock()
+        conn.last_seen = time.monotonic()
         try:
             doc = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -467,7 +472,7 @@ class GraphServiceServer:
             raise _UnknownSession(
                 f"unknown session {doc['session']!r} (lease expired "
                 f"or server restarted; hello again)")
-        sess.last_seen = self.clock()
+        sess.last_seen = time.monotonic()
         conn.session = sess
         return sess
 
@@ -481,14 +486,14 @@ class GraphServiceServer:
         resumed = wanted is not None and wanted in self._sessions
         if resumed:
             sess = self._sessions[wanted]
-            sess.last_seen = self.clock()
+            sess.last_seen = time.monotonic()
             sess.lease_ms = lease_ms
             self.counters.sessions_resumed += 1
         else:
             session_id = f"s{self._next_session}"
             self._next_session += 1
             sess = _Session(session_id, doc["client"], lease_ms,
-                            self.clock())
+                            time.monotonic())
             self._sessions[session_id] = sess
             self.counters.sessions_opened += 1
         conn.session = sess
@@ -658,10 +663,10 @@ class GraphServiceServer:
                 if conn.session is not None:
                     # a live watch is a heartbeat: the client is
                     # blocked reading, not gone
-                    conn.session.last_seen = self.clock()
+                    conn.session.last_seen = time.monotonic()
 
     def _reap_half_open(self) -> None:
-        now = self.clock()
+        now = time.monotonic()
         expired = [sid for sid, sess in self._sessions.items()
                    if sess.expired(now)]
         for sid in expired:

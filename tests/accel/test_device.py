@@ -60,27 +60,9 @@ def test_memory_admission(dev):
         dev.ensure_capacity(1001)
 
 
-def test_allocate_accumulates_and_frees(dev):
-    dev.allocate(600)
-    dev.allocate(400)
-    assert dev.resident_bytes == 1000
-    with pytest.raises(DeviceMemoryError):
-        dev.allocate(1)
-    dev.free(500)
-    assert dev.resident_bytes == 500
-    dev.free()
-    assert dev.resident_bytes == 0
-
-
-def test_free_more_than_resident_raises(dev):
-    dev.allocate(100)
-    with pytest.raises(DeviceError):
-        dev.free(200)
-
-
 def test_negative_allocation_rejected(dev):
     with pytest.raises(DeviceError):
-        dev.allocate(-5)
+        dev.ensure_capacity(-5)
 
 
 def test_factories():

@@ -98,23 +98,3 @@ def test_format_table_alignment():
 def test_speedup_helper():
     assert speedup(100.0, 50.0) == 2.0
     assert speedup(100.0, 0.0) == float("inf")
-
-
-def test_bar_chart_rendering():
-    from repro.bench import bar_chart
-
-    text = bar_chart([("gx-plug", 100.0), ("lux", 200.0),
-                      ("gunrock", None)], width=10, title="t")
-    lines = text.splitlines()
-    assert lines[0] == "t"
-    assert "OOM" in lines[3]
-    # lux bar is twice gx-plug's
-    assert lines[2].count("#") == 2 * lines[1].count("#")
-
-
-def test_bar_chart_zero_and_empty():
-    from repro.bench import bar_chart
-
-    assert bar_chart([]) == ""
-    text = bar_chart([("a", 0.0)])
-    assert "#" not in text

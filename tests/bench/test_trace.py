@@ -8,7 +8,6 @@ import pytest
 from repro.algorithms import PageRank
 from repro.bench import (
     iteration_records,
-    read_json,
     run_summary,
     write_csv,
     write_json,
@@ -89,7 +88,7 @@ def test_csv_roundtrip(result, tmp_path):
 def test_json_roundtrip(result, tmp_path):
     path = tmp_path / "run.json"
     write_json(result, path)
-    doc = read_json(path)
+    doc = json.loads(path.read_text())
     assert doc["summary"]["iterations"] == result.iterations
     assert len(doc["iterations"]) == result.iterations
     # valid JSON end to end
@@ -128,7 +127,7 @@ def test_fault_counters_recorded_and_roundtrip(faulty_result, tmp_path):
     # every FIELDS column survives both export formats
     jpath = tmp_path / "run.json"
     write_json(faulty_result, jpath)
-    doc = read_json(jpath)
+    doc = json.loads(jpath.read_text())
     assert doc["iterations"] == records
     cpath = tmp_path / "run.csv"
     write_csv(faulty_result, cpath)

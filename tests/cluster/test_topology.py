@@ -83,7 +83,7 @@ NETS = [
 def test_single_rack_equals_network_model_grid(net):
     """Exhaustive: every cost method bit-identical across a small grid."""
     for n in range(1, 17):
-        topo = Topology.single_rack(n, base=net)
+        topo = Topology.from_spec(f"flat:{n}", base=net)
         for nbytes in (0, 1, 17, 4096, 1_000_003):
             assert topo.sync_ms(n, nbytes) == net.sync_ms(n, nbytes)
             assert topo.broadcast_ms(n, nbytes) == net.broadcast_ms(n, nbytes)
@@ -101,7 +101,7 @@ def test_single_rack_equals_network_model_property(n, nbytes, latency,
                                                    mspb, coord):
     net = NetworkModel(latency_ms=latency, ms_per_byte=mspb,
                        coord_ms_per_node=coord)
-    topo = Topology.single_rack(n, base=net)
+    topo = Topology.from_spec(f"flat:{n}", base=net)
     assert topo.sync_ms(n, nbytes) == net.sync_ms(n, nbytes)
     assert topo.broadcast_ms(n, nbytes) == net.broadcast_ms(n, nbytes)
     assert topo.p2p_fallback_ms(n, nbytes) == net.p2p_fallback_ms(n, nbytes)
@@ -110,7 +110,7 @@ def test_single_rack_equals_network_model_property(n, nbytes, latency,
 def test_single_rack_weighted_sync_matches_uniform():
     """Uniform weights are the same split as no weights — bit-exact."""
     net = NetworkModel()
-    topo = Topology.single_rack(4, base=net)
+    topo = Topology.from_spec("flat:4", base=net)
     assert (topo.sync_ms(4, 8192, bytes_by_node=[1.0] * 4)
             == topo.sync_ms(4, 8192))
     # all-zero weights fall back to the uniform split
@@ -141,7 +141,7 @@ def test_link_resolution_intra_vs_cross_vs_override():
 
 def test_multi_rack_sync_costs_more_than_flat():
     net = NetworkModel()
-    flat = Topology.single_rack(8, base=net)
+    flat = Topology.from_spec("flat:8", base=net)
     racked = Topology.from_spec("rack:2x4", base=net)
     for nbytes in (1024, 65536, 10**6):
         assert racked.sync_ms(8, nbytes) > flat.sync_ms(8, nbytes)

@@ -265,22 +265,6 @@ def test_request_apply_matches_direct(graph):
     assert cost > 0
 
 
-def test_request_merge_combines_partials(graph):
-    alg = PageRank()
-    values = alg.init_state(graph).values
-    m = graph.num_edges // 2
-    p1 = alg.msg_merge(graph.dst[:m],
-                       alg.msg_gen(graph.src[:m], graph.dst[:m],
-                                   graph.weights[:m], values))
-    p2 = alg.msg_merge(graph.dst[m:],
-                       alg.msg_gen(graph.src[m:], graph.dst[m:],
-                                   graph.weights[m:], values))
-    agent = make_agent(**no_opt())
-    agent.connect()
-    merged, cost = agent.request_merge([p1, p2], alg)
-    assert canonical(merged) == canonical(direct_partial(alg, graph, values))
-
-
 def test_disconnect_releases_devices():
     agent = make_agent(**no_opt())
     agent.connect()

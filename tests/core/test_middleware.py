@@ -154,7 +154,8 @@ def test_transfer_bad_daemon_index(connected_agent):
 
 
 def test_paper_call_sequence_end_to_end():
-    """connect -> update -> requestGen/Merge/Apply -> update -> disconnect."""
+    """connect -> update -> requestX (edge_pass, request_apply) -> update
+    -> disconnect."""
     g = rmat(64, 512, seed=9)
     alg = PageRank()
     values = alg.init_state(g).values
@@ -164,9 +165,8 @@ def test_paper_call_sequence_end_to_end():
     agent.connect()
     agent.update(np.arange(g.num_vertices), values, alg,
                  direction="download")
-    gen = agent.request_gen(g.src, g.dst, g.weights, values, alg)
-    merged, _ = agent.request_merge([gen.partial], alg)
-    new_values, changed, _ = agent.request_apply(values, merged, alg)
+    gen = agent.edge_pass(g.src, g.dst, g.weights, values, alg)
+    new_values, changed, _ = agent.request_apply(values, gen.partial, alg)
     agent.update(changed, new_values, alg, direction="upload")
     agent.disconnect()
 

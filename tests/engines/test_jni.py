@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.cluster import JVM_RUNTIME
 from repro.engines import NAIVE_JNI, OPTIMIZED_JNI, JNIConfig, improvement_factor
-from repro.engines.graphx import jvm_runtime_for
 from repro.errors import EngineError
 
 
@@ -43,10 +43,11 @@ def test_validation():
         NAIVE_JNI.transfer_ms(-1)
 
 
-def test_jvm_runtime_for_derives_transfer_slopes():
-    runtime = jvm_runtime_for(OPTIMIZED_JNI)
-    naive_runtime = jvm_runtime_for(NAIVE_JNI)
-    assert runtime.download_ms_per_entity < \
-        naive_runtime.download_ms_per_entity
-    assert runtime.download_ms_per_entity == pytest.approx(
-        OPTIMIZED_JNI.ms_per_entity())
+def test_jvm_runtime_is_calibrated_to_the_optimized_transmitter():
+    """JVM_RUNTIME's k1/k3 are the optimized JNI slope, rounded: within
+    0.5 % of it, and well below the naive one."""
+    slope = OPTIMIZED_JNI.ms_per_entity()
+    for k in (JVM_RUNTIME.download_ms_per_entity,
+              JVM_RUNTIME.upload_ms_per_entity):
+        assert k == pytest.approx(slope, rel=0.005)
+        assert k < NAIVE_JNI.ms_per_entity()

@@ -8,9 +8,10 @@ family (daemon-edge crash, network drop, gray slowdown) keeps the
 regression cheap while covering all three injection paths.
 """
 
+import json
+
 import pytest
 
-from repro.bench.trace import read_json
 from repro.cli import main
 
 
@@ -32,7 +33,7 @@ def test_same_seed_same_trace_bytes(tmp_path, capsys, kind):
     second = _trace(tmp_path, "b.json", kind)
     capsys.readouterr()
     # the campaign actually injected something, else this proves nothing
-    doc = read_json(first)
+    doc = json.loads(first.read_text())
     assert doc["fault_campaign"]["events"] >= 1
     assert first.read_bytes() == second.read_bytes()
 
@@ -44,7 +45,7 @@ def test_topology_link_slow_trace_bytes(tmp_path, capsys):
     first = _trace(tmp_path, "a.json", "link_slow", extra=extra)
     second = _trace(tmp_path, "b.json", "link_slow", extra=extra)
     capsys.readouterr()
-    doc = read_json(first)
+    doc = json.loads(first.read_text())
     assert doc["fault_campaign"]["events"] >= 1
     assert doc["summary"]["link_slow_ms"] > 0
     assert doc["summary"]["cluster_spec"]["topology"] == "rack:2x1"
@@ -55,5 +56,5 @@ def test_different_seeds_draw_different_campaigns(tmp_path, capsys):
     first = _trace(tmp_path, "a.json", "crash", seed=11)
     second = _trace(tmp_path, "b.json", "crash", seed=12)
     capsys.readouterr()
-    a, b = read_json(first), read_json(second)
+    a, b = (json.loads(p.read_text()) for p in (first, second))
     assert a["fault_campaign"]["seed"] != b["fault_campaign"]["seed"]

@@ -1,5 +1,7 @@
 """Unit tests for fault plans, events, and the injector."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import make_cluster
@@ -36,11 +38,14 @@ def test_event_validation():
 def test_plan_is_immutable_and_extendable():
     plan = FaultPlan.single(CRASH, 2)
     assert len(plan.events) == 1
-    bigger = plan.with_events(FaultEvent(kind=HANG, superstep=4))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.events = ()
+    bigger = dataclasses.replace(
+        plan, events=plan.events + (FaultEvent(kind=HANG, superstep=4),))
     assert len(plan.events) == 1            # original untouched
-    assert len(bigger.events) == 2
-    assert bigger.for_superstep(4)[0].kind == HANG
-    assert bigger.for_superstep(3) == []
+    assert [e.kind for e in bigger.events] == [CRASH, HANG]
+    with pytest.raises(FaultPlanError):     # an extension is validated
+        dataclasses.replace(plan, events=plan.events + ("crash",))
 
 
 def test_requires_monitor_only_for_stall_kinds():

@@ -51,13 +51,13 @@ def assert_assembles_like_the_reference(graph, master_of, owner, k):
 def test_assembly_equals_the_per_part_scans(data):
     graph = data.draw(multigraphs())
     k = data.draw(st.integers(1, 8))
-    ids = st.integers(0, k - 1)
-    owner = np.asarray(data.draw(st.lists(
-        ids, min_size=graph.num_edges, max_size=graph.num_edges)),
-        dtype=np.int64)
-    master_of = np.asarray(data.draw(st.lists(
-        ids, min_size=graph.num_vertices, max_size=graph.num_vertices)),
-        dtype=np.int64)
+
+    def node_ids(size):
+        raw = data.draw(st.binary(min_size=size, max_size=size))
+        return np.frombuffer(raw, dtype=np.uint8).astype(np.int64) % k
+
+    owner = node_ids(graph.num_edges)
+    master_of = node_ids(graph.num_vertices)
     assert_assembles_like_the_reference(graph, master_of, owner, k)
 
 

@@ -1,6 +1,5 @@
-"""Tests for graph metrics and the IO formats."""
+"""Tests for graph metrics."""
 
-import numpy as np
 import pytest
 
 from repro.errors import GraphError
@@ -13,13 +12,9 @@ from repro.graph import (
     edge_cut,
     edge_cut_fraction,
     hash_partition,
-    load_edge_list,
     load_imbalance,
-    load_npz,
     partition_report,
     rmat,
-    save_edge_list,
-    save_npz,
     skip_potential,
     uniform_random,
     weighted_imbalance,
@@ -103,60 +98,3 @@ def test_partition_report_keys():
         "partitions", "edge_cut_fraction", "local_edge_fraction",
         "replication_factor", "load_imbalance", "skip_potential",
     }
-
-
-# -- IO --------------------------------------------------------------------------
-
-
-def test_edge_list_roundtrip(tmp_path):
-    g = rmat(64, 256, seed=7)
-    path = tmp_path / "g.txt"
-    save_edge_list(g, path)
-    loaded = load_edge_list(path, num_vertices=64, name="g")
-    assert loaded.num_edges == g.num_edges
-    assert np.array_equal(loaded.src, g.src)
-    assert np.array_equal(loaded.dst, g.dst)
-    assert np.allclose(loaded.weights, g.weights, rtol=1e-5)
-
-
-def test_edge_list_unweighted(tmp_path):
-    g = rmat(32, 128, seed=8, weighted=False)
-    path = tmp_path / "g.txt"
-    save_edge_list(g, path, write_weights=False)
-    loaded = load_edge_list(path)
-    assert np.all(loaded.weights == 1.0)
-
-
-def test_edge_list_malformed(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("0 1\nnot numbers\n")
-    with pytest.raises(GraphError):
-        load_edge_list(path)
-    path.write_text("0\n")
-    with pytest.raises(GraphError):
-        load_edge_list(path)
-    path.write_text("0 1 zap\n")
-    with pytest.raises(GraphError):
-        load_edge_list(path)
-
-
-def test_npz_roundtrip_exact(tmp_path):
-    g = rmat(128, 1024, seed=9)
-    path = tmp_path / "g.npz"
-    save_npz(g, path)
-    loaded = load_npz(path)
-    assert loaded == g
-    assert loaded.name == g.name
-
-
-def test_npz_missing_field(tmp_path):
-    path = tmp_path / "bad.npz"
-    np.savez(path, src=np.array([0]))
-    with pytest.raises(GraphError):
-        load_npz(path)
-
-
-def test_empty_graph_roundtrips(tmp_path):
-    g = Graph.empty(5, name="empty5")
-    save_npz(g, tmp_path / "e.npz")
-    assert load_npz(tmp_path / "e.npz").num_vertices == 5

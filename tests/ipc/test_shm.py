@@ -55,15 +55,6 @@ def test_contains_and_regions(registry):
     assert sorted(seg.regions()) == ["a", "b"]
 
 
-def test_detach_unknown_party_raises(registry):
-    seg = registry.shmget(1)
-    seg.attach("agent")
-    with pytest.raises(ShmError):
-        seg.detach("daemon")
-    seg.detach("agent")
-    assert seg.attached == []
-
-
 def test_byte_accounting(registry):
     seg = registry.shmget(1)
     seg.put("x", b"abc", nbytes=3)

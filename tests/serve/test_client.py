@@ -168,32 +168,6 @@ def test_closed_client_refuses_requests():
         thread.join(timeout=10)
 
 
-def test_retarget_follows_a_moved_server():
-    svc = make_service()
-    server = GraphServiceServer(svc)
-    thread = server.serve_in_thread()
-    client = GraphClient(*server.address, jitter_seed=6)
-    try:
-        client.ping()
-        server.crash()
-        thread.join(timeout=10)
-
-        svc2 = make_service()
-        server2 = GraphServiceServer(svc2)
-        thread2 = server2.serve_in_thread()
-        try:
-            client.retarget(*server2.address)
-            resp = client.submit(pagerank_spec(tenant="m"),
-                                 idempotency_key="moved")
-            assert client.wait(resp["job_id"],
-                               timeout_s=30)["state"] == "done"
-        finally:
-            server2.crash()
-            thread2.join(timeout=10)
-    finally:
-        client.close()
-
-
 def test_client_stats_counters():
     svc = make_service()
     server = GraphServiceServer(svc)

@@ -1,5 +1,7 @@
 """GraphService end to end: identity, coalescing, isolation, budgets."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from repro.api import (
     RuntimeConfig,
     deploy,
 )
-from repro.bench.trace import read_json
 from repro.engines import PowerGraphEngine
 from repro.errors import AdmissionError, MiddlewareError, ServeError
 from repro.fault import CRASH, FaultPlan
@@ -215,13 +216,15 @@ def test_per_job_traces_written(tmp_path, svc_factory=None):
     warm = svc.submit(JobSpec(graph="g", algorithm="pagerank",
                               tenant="bob", max_iterations=4))
     svc.run()
-    cold_doc = read_json(tmp_path / f"job-{cold.job_id}.json")
+    cold_doc = json.loads(
+        (tmp_path / f"job-{cold.job_id}.json").read_text())
     assert cold_doc["job"]["tenant"] == "alice"
     assert cold_doc["job"]["from_cache"] is False
     assert cold_doc["summary"]["algorithm"] == "pagerank"
     assert len(cold_doc["iterations"]) == cold.result.iterations
     assert cold_doc["summary"]["cluster_spec"]["nodes"] == 2
-    warm_doc = read_json(tmp_path / f"job-{warm.job_id}.json")
+    warm_doc = json.loads(
+        (tmp_path / f"job-{warm.job_id}.json").read_text())
     assert warm_doc["job"]["from_cache"] is True
     assert "summary" not in warm_doc       # no engine run to record
 

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ClusterSpec, GraphService, JobSpec
-from repro.errors import WireProtocolError
+from repro.errors import ReproError, WireProtocolError
+from repro.graph import rmat
 from repro.serve import (JOB_ALGORITHMS, GraphClient, GraphServiceServer,
                          decode_values, encode_values, replay_journal)
 from repro.serve.journal import read_journal
@@ -46,6 +47,19 @@ def connect(server, **kw):
     host, port = server.address
     kw.setdefault("jitter_seed", 7)
     return GraphClient(host, port, **kw)
+
+
+@pytest.mark.parametrize("knob,value", [
+    ("step_burst", 0),                  # answers frames, never steps
+    ("max_frame_bytes", 0),             # every frame is frame-too-large
+    ("max_frame_bytes", -1),
+    ("crash_after_steps", 0),           # would still run one step
+    ("select_interval_s", 0.0),         # the idle loop would spin
+    ("select_interval_s", -0.5),
+])
+def test_server_refuses_knobs_that_break_it(knob, value):
+    with pytest.raises(ReproError, match=knob):
+        GraphServiceServer(GraphService(SPEC), **{knob: value})
 
 
 # -- frame validation ---------------------------------------------------------
@@ -575,7 +589,8 @@ def test_every_algorithm_arrives_bit_identical(tmp_path):
     array is the service's array, byte for byte."""
     jpath = str(tmp_path / "svc.jsonl")
     svc = GraphService(SPEC, cache_entries=32, journal=jpath)
-    svc.load_graph("g", dataset="wrn")
+    graph = rmat(512, 4096, seed=3)
+    svc.load_graph("g", graph)
     server = GraphServiceServer(svc)
     thread = server.serve_in_thread()
     cells = [(a, e) for a in sorted(JOB_ALGORITHMS)
@@ -597,7 +612,7 @@ def test_every_algorithm_arrives_bit_identical(tmp_path):
         assert computed[("sssp-bf", "graphx")][1].shape[1] == 2
         server.crash()
         thread.join(timeout=10)
-        svc2 = GraphService.recover(jpath)
+        svc2 = GraphService.recover(jpath, graphs={"g": graph})
         server2 = GraphServiceServer(svc2, *server.address)
         thread2 = server2.serve_in_thread()
         try:
