@@ -99,7 +99,6 @@ from .core import (
     MessageSet,
     MiddlewareConfig,
     PipelineCoefficients,
-    RuntimeConfig,
     StragglerConfig,
 )
 from .engines import (AsyncEngine, GraphXEngine,
@@ -144,7 +143,7 @@ __all__ = [
     "NATIVE_RUNTIME", "make_cluster", "make_heterogeneous_cluster",
     # middleware
     "GXPlug", "MiddlewareConfig", "StragglerConfig", "ClusterSpec",
-    "RuntimeConfig", "FULL", "BASELINE",
+    "FULL", "BASELINE",
     "RESILIENT", "NETWORK_RESILIENT", "PRESETS",
     "AlgorithmTemplate",
     "MessageSet", "PipelineCoefficients",

@@ -2,21 +2,21 @@
 
 Import from here and nothing breaks when internals move::
 
-    from repro.api import ClusterSpec, RuntimeConfig, GXPlug, deploy
+    from repro.api import ClusterSpec, MiddlewareConfig, GXPlug, deploy
 
     cluster = ClusterSpec(nodes=8, gpus_per_node=1,
                           topology="rack:2x4").build()
-    config = (RuntimeConfig.preset("network-resilient")
-              .with_straggler(link_ratio=2.5))
+    config = MiddlewareConfig.preset("network-resilient")
+    config = config.with_(straggler=config.straggler.with_(link_ratio=2.5))
     plug = GXPlug(cluster, config)
 
-The two builders are the blessed way to describe a deployment:
+Two frozen dataclasses describe a deployment, each checking its own
+fields at construction:
 
 * :class:`ClusterSpec` — the hardware: node/accelerator counts, host
   runtime, interconnect overrides and the rack :class:`Topology`;
-* :class:`RuntimeConfig` — the behaviour: a named preset
-  (:data:`PRESETS`) refined by chained ``with_*`` methods, resolving
-  to a :class:`MiddlewareConfig`.
+* :class:`MiddlewareConfig` — the behaviour: a named preset
+  (:data:`PRESETS`) refined by ``with_(field=value, ...)``.
 
 Everything else re-exported here (engines, algorithms, graph loaders,
 fault plans) is the same object the subpackages define; this module
@@ -60,7 +60,6 @@ from .core import (
     GXPlug,
     MessageSet,
     MiddlewareConfig,
-    RuntimeConfig,
     StragglerConfig,
     accelerators_for_load,
     balancing_factors,
@@ -71,6 +70,7 @@ from .core import (
     optimal_partition_sizes,
     scatter_reduce,
 )
+from .core.config import RuntimeConfig  # the old name; perfbench imports it
 from .engines import AsyncEngine, GraphXEngine, PowerGraphEngine, RunResult
 from .fault import (
     ALL_KINDS,
@@ -121,10 +121,9 @@ from .serve import (
 )
 
 
-def deploy(spec: ClusterSpec,
-           config: RuntimeConfig = RuntimeConfig()) -> GXPlug:
+def deploy(spec: ClusterSpec, config: MiddlewareConfig = FULL) -> GXPlug:
     """Build the cluster described by ``spec`` and plug the middleware
-    configured by ``config`` into it — the two-builder quickstart."""
+    configured by ``config`` into it — the two-line quickstart."""
     return GXPlug(spec.build(), config)
 
 
@@ -145,13 +144,12 @@ def mutate(graph: Graph, batch):
 
 
 __all__ = [
-    # the blessed builders
+    # the deployment description
     "ClusterSpec",
-    "RuntimeConfig",
+    "MiddlewareConfig",
     "deploy",
     # middleware + presets
     "GXPlug",
-    "MiddlewareConfig",
     "StragglerConfig",
     "PRESETS",
     "FULL",

@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ...algorithms import ALGORITHMS, PAPER_WORKLOADS
-from ...core import ClusterSpec
+from ...core import FULL, RESILIENT, ClusterSpec
 from ...engines import PowerGraphEngine
 from ...fault import FaultPlan
 from ...graph import load_dataset
@@ -59,7 +59,6 @@ def run_serve_soak(dataset: str = "wrn", num_nodes: int = 2,
     under injected faults by the suite.
     """
     from ...fault import CRASH
-    from ...core.config import RuntimeConfig
     from ...serve import GraphService, JobSpec
 
     graph = load_dataset(dataset)
@@ -74,7 +73,7 @@ def run_serve_soak(dataset: str = "wrn", num_nodes: int = 2,
         cluster = spec.build()
         result = _run(PowerGraphEngine, graph, cluster,
                       ALGORITHMS[algorithm](**params), max_iter,
-                      config=RuntimeConfig())
+                      config=FULL)
         solo[algorithm] = result
 
     rows = []
@@ -88,7 +87,7 @@ def run_serve_soak(dataset: str = "wrn", num_nodes: int = 2,
             cluster = spec.build()
             result = _run(PowerGraphEngine, graph, cluster,
                           ALGORITHMS[algorithm](**params),
-                          max_iter, config=RuntimeConfig())
+                          max_iter, config=FULL)
             clock += result.total_ms
             latencies.append(clock)
     arr = np.asarray(latencies)
@@ -117,8 +116,7 @@ def run_serve_soak(dataset: str = "wrn", num_nodes: int = 2,
                 chaos_jobs.append(svc.submit(JobSpec(
                     graph=dataset, algorithm="pagerank",
                     tenant="chaos", max_iterations=max_iter,
-                    runtime=(RuntimeConfig.preset("resilient")
-                             .with_(fault_plan=plan)),
+                    runtime=RESILIENT.with_(fault_plan=plan),
                     use_cache=False)))
             svc.run()
             jobs.extend(submitted)

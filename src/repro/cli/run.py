@@ -7,10 +7,9 @@ from typing import Optional
 from ..algorithms import ALGORITHMS
 from ..bench.reporting import print_table
 from ..bench.trace import write_csv, write_json
-from ..cluster import Topology
-from ..core import ClusterSpec, GXPlug, RuntimeConfig
+from ..core import ClusterSpec, GXPlug, MiddlewareConfig, StragglerConfig
 from ..engines import ENGINES
-from ..errors import SimulationError
+from ..errors import ReproError
 from ..fault import ALL_KINDS, FaultPlan
 from ..graph import DEFAULT_DATASET, dataset_names, load_dataset
 
@@ -104,142 +103,81 @@ def campaign_from_args(args: argparse.Namespace) -> Optional[dict]:
         kinds=tuple(args.fault_kinds) if args.fault_kinds else ALL_KINDS)
 
 
-def runtime_from_args(args: argparse.Namespace) -> RuntimeConfig:
+def runtime_from_args(args: argparse.Namespace) -> MiddlewareConfig:
     """The deployment the ``run`` flags describe.  Pure: the campaign is
-    a function of its seed.  Every builder argument is passed, since the
-    builder's defaults are not the CLI's."""
+    a function of its seed, and a seeded campaign arms the whole
+    resilient stack."""
     cache = not args.no_cache
-    runtime = (RuntimeConfig()
-               .with_pipeline(not args.no_pipeline,
-                              block_size=args.block_size)
-               .with_sync(cache=cache, lazy_upload=cache,
-                          skip=cache and not args.no_skip))
-    if args.fault_seed is None:
-        return runtime
-    # a seeded campaign arms the whole resilient stack; the transport
-    # goes first because a plan with network faults is refused without it
-    ratio = 3.0 if args.straggler_ratio is None else args.straggler_ratio
-    return (runtime
-            .with_network(True)
-            .with_straggler(True, ratio=ratio,
-                            link_ratio=args.link_slow_ratio,
-                            speculate=args.speculate, reestimate=True)
-            .with_faults(FaultPlan.random(**campaign_from_args(args)),
-                         monitor=not args.no_pipeline,
-                         checkpoint_interval=2, degrade_to_host=True,
-                         rebalance_on_degrade=True))
+    config = MiddlewareConfig(pipeline=not args.no_pipeline,
+                              block_size=args.block_size,
+                              sync_cache=cache, lazy_upload=cache,
+                              sync_skip=cache and not args.no_skip)
+    campaign = campaign_from_args(args)
+    if campaign is None:
+        return config
+    return config.with_(
+        fault_plan=FaultPlan.random(**campaign),
+        monitor_heartbeats=not args.no_pipeline, checkpoint_interval=2,
+        degrade_to_host=True, network_resilient=True,
+        rebalance_on_degrade=True,
+        straggler=StragglerConfig(
+            enabled=True,
+            ratio=(StragglerConfig.ratio if args.straggler_ratio is None
+                   else args.straggler_ratio),
+            link_ratio=args.link_slow_ratio, speculate=args.speculate,
+            reestimate=True))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    # fault-flag validation happens eagerly, before any graph loading or
-    # cluster construction, so a typo fails in milliseconds.
-    if args.fault_kinds is not None:
-        unknown = sorted(set(args.fault_kinds) - set(ALL_KINDS))
-        if unknown:
-            print("error: unknown fault kind(s): "
-                  + ", ".join(unknown) + "; valid kinds: "
-                  + ", ".join(sorted(ALL_KINDS)), file=sys.stderr)
-            return 2
-        if args.fault_seed is None:
-            print("error: --fault-kinds selects kinds for the seeded "
-                  "campaign; it needs --fault-seed", file=sys.stderr)
-            return 2
-    if (args.straggler_ratio is not None or args.speculate
-            or args.link_slow_ratio is not None) \
-            and args.fault_seed is None:
-        print("error: --straggler-ratio/--speculate/--link-slow-ratio "
-              "tune the gray-failure stack of a seeded campaign; they "
-              "need --fault-seed", file=sys.stderr)
-        return 2
-    if args.straggler_ratio is not None and args.straggler_ratio <= 1.0:
-        print(f"error: --straggler-ratio must be > 1 (a pair is flagged "
-              f"when it runs RATIO times slower than the median), got "
-              f"{args.straggler_ratio}", file=sys.stderr)
-        return 2
-    if args.link_slow_ratio is not None and args.link_slow_ratio <= 1.0:
-        print(f"error: --link-slow-ratio must be > 1 (a link is flagged "
-              f"when its fragments run RATIO times slower than the "
-              f"cross-link median), got {args.link_slow_ratio}",
-              file=sys.stderr)
-        return 2
-    if args.topology is not None:
-        try:
-            racks = Topology.parse_spec(args.topology)
-            link_overrides = Topology.parse_link_overrides(args.topology)
-        except SimulationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        spanned = sum(len(r) for r in racks)
-        if spanned != args.nodes:
-            print(f"error: --topology {args.topology!r} spans {spanned} "
-                  f"node(s) but --nodes is {args.nodes}", file=sys.stderr)
-            return 2
-        bad_ends = sorted({end for pair in link_overrides for end in pair
-                           if not 0 <= end < args.nodes})
-        if bad_ends:
-            print(f"error: --topology {args.topology!r} overrides links "
-                  f"on node(s) {bad_ends} outside 0..{args.nodes - 1}",
-                  file=sys.stderr)
-            return 2
-    if args.speculate and args.no_pipeline:
-        print("error: speculative re-execution rides the pipelined "
-              "protocol; drop --no-pipeline", file=sys.stderr)
-        return 2
+    # only flag combinations no config sees are checked here; every
+    # value is checked by the config it builds, before any graph loads
+    if args.fault_seed is None and (
+            args.fault_kinds is not None or args.speculate
+            or args.straggler_ratio is not None
+            or args.link_slow_ratio is not None):
+        return _usage_error(
+            "--fault-kinds/--straggler-ratio/--link-slow-ratio/"
+            "--speculate shape the seeded campaign; they need "
+            "--fault-seed")
+    if args.no_middleware and args.engine == "async":
+        return _usage_error("the async engine requires the middleware")
+    if args.no_middleware and args.fault_seed is not None:
+        return _usage_error("--fault-seed targets the middleware fault "
+                            "subsystem; drop --no-middleware")
+    if not args.no_middleware and args.gpus == 0 and args.cpus == 0:
+        return _usage_error("middleware needs accelerators "
+                            "(--gpus/--cpus) or use --no-middleware")
+    engine_cls = ENGINES[args.engine]
+    try:
+        spec = ClusterSpec(
+            nodes=args.nodes,
+            gpus_per_node=0 if args.no_middleware else args.gpus,
+            cpus_per_node=0 if args.no_middleware else args.cpus,
+            runtime=engine_cls.host_runtime, topology=args.topology)
+        config = None if args.no_middleware else runtime_from_args(args)
+        flags = ALGORITHM_FLAGS.get(args.algorithm)
+        algorithm = ALGORITHMS[args.algorithm](
+            **(flags(args) if flags else {}))
+    except ReproError as exc:
+        return _usage_error(str(exc))
 
     graph = load_dataset(args.dataset)
-    engine_cls = ENGINES[args.engine]
-    flags = ALGORITHM_FLAGS.get(args.algorithm)
-    algorithm = ALGORITHMS[args.algorithm](**(flags(args) if flags else {}))
-
-    if args.engine == "async" and args.no_middleware:
-        print("error: the async engine requires the middleware",
-              file=sys.stderr)
-        return 2
-    if args.fault_seed is not None and args.no_middleware:
-        print("error: --fault-seed targets the middleware fault "
-              "subsystem; drop --no-middleware", file=sys.stderr)
-        return 2
-
+    cluster = spec.build()
+    middleware = None if config is None else GXPlug(cluster, config)
     campaign = None
-    middleware = None
-    if not args.no_middleware:
-        if args.gpus == 0 and args.cpus == 0:
-            print("error: middleware needs accelerators "
-                  "(--gpus/--cpus) or use --no-middleware",
-                  file=sys.stderr)
-            return 2
-        spec = ClusterSpec(nodes=args.nodes, gpus_per_node=args.gpus,
-                           cpus_per_node=args.cpus,
-                           runtime=engine_cls.host_runtime,
-                           topology=args.topology)
-        cluster = spec.build()
-        seeded = campaign_from_args(args)
-        if seeded is not None and args.no_pipeline \
-                and FaultPlan.random(**seeded).requires_monitor:
-            print("error: the campaign drew stall faults "
-                  "(hang/drop); detecting them needs the pipelined "
-                  "protocol — drop --no-pipeline or restrict "
-                  "--fault-kinds", file=sys.stderr)
-            return 2
-        config = runtime_from_args(args).middleware()
-        if seeded is not None:
-            # everything needed to replay this exact campaign later
-            campaign = {
-                "seed": seeded["seed"],
-                "rate": seeded["rate"],
-                "kinds": sorted(seeded["kinds"]),
-                "supersteps": seeded["supersteps"],
-                "nodes": seeded["num_nodes"],
-                "events": len(config.fault_plan.events),
-                "straggler_ratio": config.straggler.ratio,
-                "speculate": config.straggler.speculate,
-            }
-        middleware = GXPlug(cluster, config)
-    else:
-        spec = ClusterSpec(nodes=args.nodes, gpus_per_node=0,
-                           runtime=engine_cls.host_runtime,
-                           topology=args.topology)
-        cluster = spec.build()
+    seeded = campaign_from_args(args)
+    if seeded is not None:
+        # everything needed to replay this exact campaign later
+        campaign = {
+            "seed": seeded["seed"],
+            "rate": seeded["rate"],
+            "kinds": sorted(seeded["kinds"]),
+            "supersteps": seeded["supersteps"],
+            "nodes": seeded["num_nodes"],
+            "events": len(config.fault_plan.events),
+            "straggler_ratio": config.straggler.ratio,
+            "speculate": config.straggler.speculate,
+        }
 
     engine = engine_cls.build(graph, cluster, middleware=middleware)
     result = engine.run(algorithm, max_iterations=args.max_iterations)
@@ -275,3 +213,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         write_csv(result, args.trace_csv)
         print(f"trace written: {args.trace_csv}")
     return 0
+
+
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2

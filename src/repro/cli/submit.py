@@ -30,7 +30,7 @@ def add_parser(sub) -> None:
                              "faster)")
     submit.add_argument("--max-iterations", type=int, default=None)
     submit.add_argument("--preset", default="full",
-                        help="RuntimeConfig preset for the job "
+                        help="MiddlewareConfig preset for the job "
                              "(full/baseline/resilient/network-resilient)")
     submit.add_argument("--no-cache", action="store_true",
                         help="bypass the result cache for this job")

@@ -28,8 +28,7 @@ from .balance import (
 )
 from .blocks import AreaSet, BlockArea, TripletBlock, build_blocks
 from .config import (BASELINE, FULL, NETWORK_RESILIENT, PRESETS, RESILIENT,
-                     ClusterSpec, MiddlewareConfig, RuntimeConfig,
-                     StragglerConfig)
+                     ClusterSpec, MiddlewareConfig, StragglerConfig)
 from .daemon import Daemon
 from .middleware import GXPlug
 from .pipeline import (
@@ -47,7 +46,6 @@ __all__ = [
     "MiddlewareConfig",
     "StragglerConfig",
     "ClusterSpec",
-    "RuntimeConfig",
     "FULL",
     "BASELINE",
     "RESILIENT",

@@ -191,6 +191,11 @@ class MiddlewareConfig:
                 "monitor_heartbeats requires the pipelined protocol: "
                 "heartbeats ride on the Algorithm 1-2 message exchange"
             )
+        if self.straggler.speculate and not self.pipeline:
+            raise MiddlewareError(
+                "speculative block re-execution rides the pipelined "
+                "protocol (Algorithms 1-2); it requires pipeline=True"
+            )
         if (self.fault_plan is not None and self.fault_plan.requires_monitor
                 and not self.monitor_heartbeats):
             raise MiddlewareError(
@@ -211,15 +216,21 @@ class MiddlewareConfig:
                 "rebalance_on_degrade rebalances at degradation rollback "
                 "time; it requires degrade_to_host=True"
             )
-        if self.straggler.speculate and not self.pipeline:
-            raise MiddlewareError(
-                "speculative block re-execution rides the pipelined "
-                "protocol (Algorithms 1-2); it requires pipeline=True"
-            )
 
     def with_(self, **changes) -> "MiddlewareConfig":
         """A copy with the given fields replaced."""
         return replace(self, **changes)
+
+    @classmethod
+    def preset(cls, name: str) -> "MiddlewareConfig":
+        """The named preset (``"full"`` / ``"baseline"`` /
+        ``"resilient"`` / ``"network-resilient"``)."""
+        try:
+            return PRESETS[name]
+        except KeyError:
+            raise MiddlewareError(
+                f"unknown preset {name!r}; expected one of "
+                f"{sorted(PRESETS)}") from None
 
 
 #: Everything on — the full GX-Plug as evaluated in Fig. 8/9.
@@ -258,14 +269,17 @@ NETWORK_RESILIENT = MiddlewareConfig(
                               reestimate=True),
 )
 
-#: Named presets resolvable through :meth:`RuntimeConfig.preset`.
+#: Named presets resolvable through :meth:`MiddlewareConfig.preset`.
 PRESETS = {
     "full": FULL,
     "baseline": BASELINE,
     "resilient": RESILIENT,
     "network-resilient": NETWORK_RESILIENT,
-    "network_resilient": NETWORK_RESILIENT,
 }
+
+#: The old name of the one config type, still imported by
+#: ``perfbench/batch.py``.
+RuntimeConfig = MiddlewareConfig
 
 
 @dataclass(frozen=True)
@@ -377,72 +391,3 @@ class ClusterSpec:
     def with_(self, **changes) -> "ClusterSpec":
         """A copy with the given fields replaced."""
         return replace(self, **changes)
-
-
-@dataclass(frozen=True)
-class RuntimeConfig:
-    """Composable builder over :class:`MiddlewareConfig` — the blessed
-    way to assemble a deployment (:mod:`repro.api`).
-
-    Start from a named preset and chain grouped ``with_*`` methods; each
-    returns a new immutable builder.  :meth:`middleware` yields the
-    underlying :class:`MiddlewareConfig`, and builder equality is config
-    equality — ``RuntimeConfig.preset("full").middleware() == FULL``
-    bit-for-bit, which is what keeps the legacy preset constants and the
-    16 figure benches byte-identical under the new surface.
-    """
-
-    config: MiddlewareConfig = MiddlewareConfig()
-
-    @classmethod
-    def preset(cls, name: str) -> "RuntimeConfig":
-        """A builder seeded from a named preset (``"full"`` /
-        ``"baseline"`` / ``"resilient"`` / ``"network-resilient"``)."""
-        try:
-            return cls(PRESETS[name])
-        except KeyError:
-            raise MiddlewareError(
-                f"unknown preset {name!r}; expected one of "
-                f"{sorted(set(PRESETS))}") from None
-
-    def middleware(self) -> MiddlewareConfig:
-        """The resolved :class:`MiddlewareConfig`."""
-        return self.config
-
-    def with_(self, **changes) -> "RuntimeConfig":
-        """Replace arbitrary :class:`MiddlewareConfig` fields."""
-        return RuntimeConfig(self.config.with_(**changes))
-
-    def with_pipeline(self, enabled: bool = True, *,
-                      block_size: Optional[int] = None) -> "RuntimeConfig":
-        """§III-A pipelining: on/off and the triplet block size."""
-        return self.with_(pipeline=enabled, block_size=block_size)
-
-    def with_sync(self, *, cache: bool = True, lazy_upload: bool = True,
-                  skip: bool = True) -> "RuntimeConfig":
-        """§III-B synchronization optimizations."""
-        return self.with_(sync_cache=cache, lazy_upload=lazy_upload,
-                          sync_skip=skip)
-
-    def with_faults(self, plan: Optional[FaultPlan] = None, *,
-                    monitor: bool = True, checkpoint_interval: int = 2,
-                    degrade_to_host: bool = True,
-                    rebalance_on_degrade: bool = False) -> "RuntimeConfig":
-        """The daemon-edge fault-tolerance tier."""
-        return self.with_(fault_plan=plan, monitor_heartbeats=monitor,
-                          checkpoint_interval=checkpoint_interval,
-                          degrade_to_host=degrade_to_host,
-                          rebalance_on_degrade=rebalance_on_degrade)
-
-    def with_network(self, resilient: bool = True) -> "RuntimeConfig":
-        """The resilient-transport tier (required for network and
-        link fault kinds)."""
-        return self.with_(network_resilient=resilient)
-
-    def with_straggler(self, enabled: bool = True,
-                       **knobs) -> "RuntimeConfig":
-        """The gray-failure tier; ``knobs`` are
-        :class:`StragglerConfig` fields (``ratio``, ``speculate``,
-        ``reestimate``, ``link_ratio``)."""
-        return self.with_(
-            straggler=self.config.straggler.with_(enabled=enabled, **knobs))

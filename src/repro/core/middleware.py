@@ -21,7 +21,7 @@ from ..fault.report import FaultReport, fault_report
 from ..fault.straggler import StragglerDetector
 from ..ipc.shm import ShmRegistry
 from .agent import Agent
-from .config import MiddlewareConfig, RuntimeConfig
+from .config import MiddlewareConfig
 
 
 class GXPlug:
@@ -29,8 +29,6 @@ class GXPlug:
 
     def __init__(self, cluster: Cluster,
                  config: Optional[MiddlewareConfig] = None) -> None:
-        if isinstance(config, RuntimeConfig):
-            config = config.middleware()
         self.cluster = cluster
         self.config = config if config is not None else MiddlewareConfig()
         self.registry = ShmRegistry()

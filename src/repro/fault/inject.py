@@ -233,9 +233,11 @@ class FaultPlan:
                 f"bad plan shape: supersteps={supersteps}, "
                 f"nodes={num_nodes}, daemons={daemons_per_node}"
             )
-        for kind in kinds:
-            if kind not in ALL_KINDS:
-                raise FaultPlanError(f"unknown fault kind {kind!r}")
+        unknown = sorted(set(kinds) - set(ALL_KINDS))
+        if unknown:
+            raise FaultPlanError(
+                f"unknown fault kind(s): {', '.join(unknown)}; valid "
+                f"kinds: {', '.join(sorted(ALL_KINDS))}")
         rng = np.random.default_rng(seed)
         events: List[FaultEvent] = []
         for step in range(supersteps):

@@ -2,8 +2,8 @@
 
 A :class:`JobSpec` is what a tenant submits: which stored graph, which
 algorithm with which parameters, which engine, and how the run should
-be configured — the :class:`~repro.core.config.RuntimeConfig` front
-door carries presets and fault plans exactly as it does for one-shot
+be configured — the :class:`~repro.core.config.MiddlewareConfig`
+carries presets and fault plans exactly as it does for one-shot
 ``deploy()`` runs, so a tenant can (deliberately) submit a chaos job.
 
 A :class:`Job` is the service-side record: queue timestamps, consumed
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 from ..algorithms import ALGORITHMS
-from ..core.config import MiddlewareConfig, RuntimeConfig, StragglerConfig
+from ..core.config import MiddlewareConfig, StragglerConfig
 from ..engines import ENGINES
 from ..errors import ServeError
 from ..fault import FaultPlan
@@ -46,7 +46,7 @@ class JobSpec:
     #: fair-share weight; higher priority drains faster (must be >= 1)
     priority: int = 1
     max_iterations: Optional[int] = None
-    runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
+    runtime: MiddlewareConfig = MiddlewareConfig()
     use_cache: bool = True
     #: submit-to-finish budget on the service clock; a job that blows
     #: it fails terminally with "deadline exceeded" (None = no deadline)
@@ -135,17 +135,13 @@ class JobSpec:
         :class:`~repro.errors.ServeError` here — a bad jobs-file line
         fails at submit, not mid-serve.
         """
-        doc = dict(doc)
-        unknown = set(doc) - {"graph", "algorithm", "params", "engine",
-                              "tenant", "priority", "max_iterations",
-                              "use_cache", "preset", "fault",
-                              "deadline_ms", "max_retries",
-                              "retry_backoff_ms"}
+        keys = {f.name for f in dataclasses.fields(cls)} - {"runtime"}
+        unknown = set(doc) - keys - {"preset", "fault"}
         if unknown:
             raise ServeError(f"unknown job keys: {sorted(unknown)}")
         if "graph" not in doc:
             raise ServeError("job record needs a 'graph' key")
-        runtime = RuntimeConfig.preset(doc.get("preset", "full"))
+        runtime = MiddlewareConfig.preset(doc.get("preset", "full"))
         fault = doc.get("fault")
         if fault is not None:
             fault = dict(fault)
@@ -156,18 +152,7 @@ class JobSpec:
             except (KeyError, TypeError) as exc:
                 raise ServeError(f"bad fault shorthand: {exc}") from None
             runtime = runtime.with_(fault_plan=plan)
-        return cls(graph=doc["graph"],
-                   algorithm=doc.get("algorithm", "pagerank"),
-                   params=doc.get("params", {}),
-                   engine=doc.get("engine", "powergraph"),
-                   tenant=doc.get("tenant", "default"),
-                   priority=doc.get("priority", 1),
-                   max_iterations=doc.get("max_iterations"),
-                   runtime=runtime,
-                   use_cache=doc.get("use_cache", True),
-                   deadline_ms=doc.get("deadline_ms"),
-                   max_retries=doc.get("max_retries", 0),
-                   retry_backoff_ms=doc.get("retry_backoff_ms", 1.0))
+        return cls(**_known_fields(cls, doc), runtime=runtime)
 
     # -- journal round-trip ------------------------------------------------
 
@@ -175,7 +160,7 @@ class JobSpec:
         """Lossless plain-dict form for the durable job journal.
 
         Unlike :meth:`from_dict`'s jobs-file shorthand, this captures
-        the *resolved* :class:`~repro.core.config.RuntimeConfig` (every
+        the *resolved* :class:`~repro.core.config.MiddlewareConfig` (every
         middleware knob plus the full fault plan), so a recovered
         service re-runs the job under exactly the submitted
         configuration.
@@ -192,40 +177,21 @@ class JobSpec:
             "deadline_ms": self.deadline_ms,
             "max_retries": self.max_retries,
             "retry_backoff_ms": self.retry_backoff_ms,
-            "runtime": runtime_to_doc(self.runtime),
+            "runtime": dataclasses.asdict(self.runtime),
         }
 
     @classmethod
     def from_doc(cls, doc: Mapping[str, Any]) -> "JobSpec":
         """Inverse of :meth:`to_doc` (journal recovery path)."""
-        doc = dict(doc)
-        runtime = runtime_from_doc(doc.get("runtime") or {})
-        return cls(graph=doc["graph"],
-                   algorithm=doc.get("algorithm", "pagerank"),
-                   params=doc.get("params", {}),
-                   engine=doc.get("engine", "powergraph"),
-                   tenant=doc.get("tenant", "default"),
-                   priority=doc.get("priority", 1),
-                   max_iterations=doc.get("max_iterations"),
-                   runtime=runtime,
-                   use_cache=doc.get("use_cache", True),
-                   deadline_ms=doc.get("deadline_ms"),
-                   max_retries=doc.get("max_retries", 0),
-                   retry_backoff_ms=doc.get("retry_backoff_ms", 1.0))
+        fields = _known_fields(cls, doc)
+        fields["runtime"] = runtime_from_doc(doc.get("runtime") or {})
+        return cls(**fields)
 
 
-def runtime_to_doc(runtime: RuntimeConfig) -> Dict[str, Any]:
-    """Serialize a :class:`RuntimeConfig` to plain JSON types.
-
-    ``dataclasses.asdict`` flattens the nested frozen dataclasses
-    (:class:`StragglerConfig`, :class:`FaultPlan` and its events) into
-    dicts of scalars; :func:`runtime_from_doc` rebuilds them.
-    """
-    return dataclasses.asdict(runtime.config)
-
-
-def runtime_from_doc(doc: Mapping[str, Any]) -> RuntimeConfig:
-    """Inverse of :func:`runtime_to_doc`."""
+def runtime_from_doc(doc: Mapping[str, Any]) -> MiddlewareConfig:
+    """Inverse of ``dataclasses.asdict`` on a :class:`MiddlewareConfig`:
+    rebuilds the nested :class:`StragglerConfig` and :class:`FaultPlan`
+    (and its events) from their dicts of scalars."""
     fields = _known_fields(MiddlewareConfig, doc)
     straggler = fields.pop("straggler", None)
     if straggler is not None:
@@ -236,7 +202,7 @@ def runtime_from_doc(doc: Mapping[str, Any]) -> RuntimeConfig:
         fields["fault_plan"] = FaultPlan(events=tuple(
             FaultEvent(**event) for event in plan.get("events", ())))
     try:
-        return RuntimeConfig(config=MiddlewareConfig(**fields))
+        return MiddlewareConfig(**fields)
     except TypeError as exc:
         raise ServeError(
             f"bad journaled runtime config: {exc}") from None

@@ -40,6 +40,7 @@ lifecycle round out the resilience story.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import threading
@@ -439,7 +440,8 @@ class GraphService:
             job.release_snapshot()
             self._journal_append("cancelled", job_id=job_id)
             self._teardown(rj)
-            self._redispatch_waiters(rj.cache_key)
+            if self._leads_waiters(rj):
+                self._redispatch_waiters(rj.cache_key)
             return True
         # a coalesced waiter: parked behind an in-flight identical query
         for ckey, waiters in self._waiters.items():
@@ -467,6 +469,7 @@ class GraphService:
         """
         if self._drain_result is not None:
             return False
+        self._check_waiter_timeouts()
         while True:
             job = self.queue.pop_admissible(self._usage(),
                                             self._graph_bytes(),
@@ -478,7 +481,6 @@ class GraphService:
                                              "queued")
                 continue
             self._dispatch(job)
-        self._check_waiter_timeouts()
         rj = self.scheduler.pick()
         if rj is not None:
             self._slice(rj)
@@ -597,20 +599,13 @@ class GraphService:
         if meta is None:
             raise ServeError(
                 f"journal {journal_path!r} has no service_start record")
-        svc = cls(
-            ClusterSpec(**meta["cluster"]),
-            memory_budget_mb=meta.get("memory_budget_mb"),
-            daemon_budget=meta.get("daemon_budget"),
-            max_running=meta.get("max_running"),
-            cache_entries=meta.get("cache_entries", 64),
-            trace_dir=(trace_dir if trace_dir is not None
-                       else meta.get("trace_dir")),
-            max_queue_depth=meta.get("max_queue_depth"),
-            max_pending_per_tenant=meta.get("max_pending_per_tenant"),
-            waiter_timeout_ms=meta.get("waiter_timeout_ms"),
-            journal=None,
-            journal_checkpoint_interval=meta.get(
-                "journal_checkpoint_interval", 2))
+        # journaled settings that name a constructor parameter; one a
+        # journal lacks takes the constructor's default
+        params = inspect.signature(cls).parameters
+        settings = {k: v for k, v in meta.items() if k in params}
+        if trace_dir is not None:
+            settings["trace_dir"] = trace_dir
+        svc = cls(ClusterSpec(**meta["cluster"]), **settings)
         jrn = JobJournal(journal_path)   # append mode: writes nothing
         mutated_keys = set()
         for kind, doc in state.graph_events:
@@ -781,7 +776,7 @@ class GraphService:
                 return
         runtime = spec.runtime
         if (self.journal is not None
-                and runtime.config.checkpoint_interval == 0
+                and runtime.checkpoint_interval == 0
                 and self.journal_checkpoint_interval > 0):
             # journaling needs periodic checkpoints to have a durable
             # resume point; the override changes simulated cost only,
@@ -859,8 +854,11 @@ class GraphService:
 
     def _check_waiter_timeouts(self) -> None:
         """Hung-leader handoff: a waiter group that has been parked
-        longer than ``waiter_timeout_ms`` abandons its leader and
-        recomputes (the first waiter becomes the new leader)."""
+        longer than ``waiter_timeout_ms`` abandons its leader and goes
+        back to the queue to recompute (the first waiter admitted
+        becomes the new leader).  The abandoned leader keeps running,
+        so the group is re-admitted rather than dispatched past
+        ``max_running``."""
         if self.waiter_timeout_ms is None:
             return
         for ckey in list(self._waiters):
@@ -873,7 +871,11 @@ class GraphService:
             if leader is not None:
                 leader.coalesce = False
             self.handoffs += 1
-            self._redispatch_waiters(ckey)
+            del self._waiter_parked_ms[ckey]
+            for waiter in self._waiters.pop(ckey):
+                self.store._detach(waiter.spec.graph)
+                waiter.state = PENDING
+                self.queue.push(waiter)
 
     def _charge(self, rj: RunningJob, ms: float) -> None:
         rj.charged_ms += ms
@@ -939,10 +941,11 @@ class GraphService:
                            else None),
                 file=name, consumed_ms=job.consumed_ms)
         self._write_trace(job)
-        for waiter in self._waiters.pop(rj.cache_key, []):
-            hit = self.cache.get(rj.cache_key)
-            self._serve_from_cache(waiter, hit)
-        self._waiter_parked_ms.pop(rj.cache_key, None)
+        if job.spec.use_cache:
+            # the answer is published: serve the query's parked waiters
+            for waiter in self._waiters.pop(rj.cache_key, []):
+                self._serve_from_cache(waiter, self.cache.get(rj.cache_key))
+            self._waiter_parked_ms.pop(rj.cache_key, None)
 
     def _fail(self, rj: RunningJob, exc: ReproError, *,
               retryable: bool = True) -> None:
@@ -995,7 +998,15 @@ class GraphService:
         job.release_snapshot()
         self._teardown(rj)
         self._write_trace(job)
-        self._redispatch_waiters(rj.cache_key)
+        if self._leads_waiters(rj):
+            self._redispatch_waiters(rj.cache_key)
+
+    @staticmethod
+    def _leads_waiters(rj: RunningJob) -> bool:
+        """Only a query's coalescing leader owns its parked waiters: a
+        cache-bypassing run of the same query, or a leader its waiters
+        already abandoned, ends without touching them."""
+        return rj.coalesce and rj.job.spec.use_cache
 
     def _redispatch_waiters(self, cache_key) -> None:
         """The leader died; its coalesced waiters compute themselves.

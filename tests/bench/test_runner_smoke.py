@@ -71,7 +71,8 @@ def test_fig13_runner_param():
 
 
 def test_fig14_runner_small():
-    rows = run_fig14(node_counts=(1, 2), engines=("powergraph",))
+    rows = run_fig14(node_counts=(1, 2), engines=("powergraph",),
+                     dataset="wiki-topcats")
     assert len(rows) == 6  # 3 algorithms x 2 node counts
     assert all(0 <= r[3] <= 1 for r in rows)
 

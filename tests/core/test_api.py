@@ -1,9 +1,9 @@
 """Tests for the unified public configuration API (:mod:`repro.api`).
 
 Two contracts: the blessed surface is complete and importable; and the
-builders (:class:`ClusterSpec` / :class:`RuntimeConfig`) resolve to
-exactly the objects the plain constructors build, with bit-identical
-run results either way.
+deployment description (:class:`ClusterSpec` / :class:`MiddlewareConfig`
+presets) resolves to exactly the objects the plain constructors build,
+with bit-identical run results either way.
 """
 
 import numpy as np
@@ -18,9 +18,9 @@ from repro.api import (
     PRESETS,
     ClusterSpec,
     GXPlug,
+    MiddlewareConfig,
     PageRank,
     PowerGraphEngine,
-    RuntimeConfig,
     deploy,
     load_synthetic_uniform,
     make_cluster,
@@ -42,51 +42,44 @@ def test_api_all_names_resolve():
 
 
 def test_api_exports_the_blessed_builders():
-    for name in ("ClusterSpec", "RuntimeConfig", "deploy", "GXPlug",
+    for name in ("ClusterSpec", "MiddlewareConfig", "deploy", "GXPlug",
                  "Topology", "LinkModel", "FaultPlan", "LINK_SLOW",
                  "LINK_FLAKY", "PRESETS"):
         assert name in api.__all__
 
 
-# -- RuntimeConfig presets and builder methods -------------------------------
+# -- MiddlewareConfig presets ------------------------------------------------
 
 
 @pytest.mark.parametrize("name,constant", sorted(
     PRESETS.items(), key=lambda kv: kv[0]))
 def test_preset_builders_equal_legacy_constants(name, constant):
-    assert RuntimeConfig.preset(name).middleware() == constant
+    assert MiddlewareConfig.preset(name) == constant
 
 
 def test_preset_unknown_name():
     with pytest.raises(MiddlewareError):
-        RuntimeConfig.preset("turbo")
+        MiddlewareConfig.preset("turbo")
 
 
 def test_runtime_config_is_immutable_chain():
-    base = RuntimeConfig.preset("full")
-    tuned = base.with_pipeline(block_size=64).with_sync(skip=False)
-    assert base.middleware() == FULL            # original untouched
-    assert tuned.middleware().block_size == 64
-    assert not tuned.middleware().sync_skip
-
-
-def test_runtime_config_grouped_builders():
-    cfg = (RuntimeConfig.preset("full")
-           .with_network(resilient=True)
-           .with_straggler(True, reestimate=True, link_ratio=2.5)
-           .with_faults(checkpoint_interval=3)).middleware()
-    assert cfg.network_resilient
-    assert cfg.straggler.enabled and cfg.straggler.reestimate
-    assert cfg.straggler.link_ratio == 2.5
-    assert cfg.monitor_heartbeats and cfg.checkpoint_interval == 3
+    base = MiddlewareConfig.preset("full")
+    tuned = base.with_(block_size=64).with_(sync_skip=False)
+    assert base == FULL                         # original untouched
+    assert tuned.block_size == 64
+    assert not tuned.sync_skip
+    # a later with_ keeps every field an earlier one set
+    resilient = MiddlewareConfig.preset("network-resilient")
+    assert resilient.with_(block_size=64).rebalance_on_degrade
 
 
 def test_gxplug_accepts_runtime_config_directly():
     cluster = ClusterSpec(nodes=2, gpus_per_node=1).build()
     plug = deploy(ClusterSpec(nodes=2, gpus_per_node=1),
-                  RuntimeConfig.preset("resilient"))
+                  MiddlewareConfig.preset("resilient"))
     assert plug.config == RESILIENT
-    assert GXPlug(cluster, RuntimeConfig.preset("full")).config == FULL
+    assert GXPlug(cluster, MiddlewareConfig.preset("full")).config == FULL
+    assert deploy(ClusterSpec(nodes=2, gpus_per_node=1)).config == FULL
 
 
 # -- ClusterSpec -------------------------------------------------------------
@@ -173,7 +166,7 @@ def test_cluster_spec_with_():
 
 def test_old_and_new_surface_runs_bit_identical():
     """A run built from ``make_cluster`` + ``GXPlug(cluster, config)``
-    equals the ClusterSpec/RuntimeConfig run bit-for-bit."""
+    equals the ClusterSpec/MiddlewareConfig.preset run bit-for-bit."""
     graph = small_graph()
     legacy_cluster = make_cluster(2, gpus_per_node=1)
     legacy = PowerGraphEngine.build(
@@ -181,7 +174,7 @@ def test_old_and_new_surface_runs_bit_identical():
         middleware=GXPlug(legacy_cluster, FULL)).run(
             PageRank(), max_iterations=8)
     plug = deploy(ClusterSpec(nodes=2, gpus_per_node=1),
-                  RuntimeConfig.preset("full"))
+                  MiddlewareConfig.preset("full"))
     blessed = PowerGraphEngine.build(
         graph, plug.cluster, middleware=plug).run(
             PageRank(), max_iterations=8)

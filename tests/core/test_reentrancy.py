@@ -9,14 +9,14 @@ simulated costs and values must all come out identical run over run.
 import numpy as np
 
 from repro.algorithms import PageRank
-from repro.api import ClusterSpec, RuntimeConfig, deploy
+from repro.api import FULL, ClusterSpec, MiddlewareConfig, deploy
 from repro.core.daemon import DAEMON_KEY_BASE
 from repro.engines import PowerGraphEngine
 from repro.fault import CRASH, FaultPlan
 from repro.graph import load_dataset
 
 
-def _deploy_and_run(config=RuntimeConfig()):
+def _deploy_and_run(config=FULL):
     plug = deploy(ClusterSpec(nodes=2, gpus_per_node=2), config)
     engine = PowerGraphEngine.build(load_dataset("wrn"), plug.cluster,
                                     middleware=plug)
@@ -52,7 +52,7 @@ def test_back_to_back_runs_are_bit_identical():
 def test_faulted_run_does_not_perturb_the_next_deploy():
     _, clean_before = _deploy_and_run()
     plan = FaultPlan.single(CRASH, superstep=1, node_id=0, repeat=5)
-    faulted_cfg = (RuntimeConfig.preset("resilient")
+    faulted_cfg = (MiddlewareConfig.preset("resilient")
                    .with_(fault_plan=plan))
     plug, faulted = _deploy_and_run(faulted_cfg)
     assert not plug.fault_report(faulted).clean

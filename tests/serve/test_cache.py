@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.algorithms import PageRank
-from repro.api import ClusterSpec, GraphService, JobSpec, RuntimeConfig, deploy
+from repro.api import (ClusterSpec, GraphService, JobSpec, MiddlewareConfig,
+                       deploy)
 from repro.engines import PowerGraphEngine
 from repro.errors import ServeError
 from repro.graph import load_dataset
@@ -12,7 +13,7 @@ from repro.serve import ResultCache, params_fingerprint
 
 
 def run_result(max_iter=4):
-    plug = deploy(ClusterSpec(nodes=2, gpus_per_node=1), RuntimeConfig())
+    plug = deploy(ClusterSpec(nodes=2, gpus_per_node=1))
     engine = PowerGraphEngine.build(load_dataset("wrn"), plug.cluster,
                                     middleware=plug)
     return engine.run(PageRank(), max_iterations=max_iter)
@@ -201,7 +202,7 @@ def test_hung_leader_times_out_and_waiters_recompute():
     leader = svc.submit(JobSpec(
         graph="g", algorithm="pagerank", tenant="slow",
         max_iterations=6,
-        runtime=RuntimeConfig.preset("resilient").with_(
+        runtime=MiddlewareConfig.preset("resilient").with_(
             fault_plan=hang)))
     waiter = svc.submit(_query("b"))
     svc.run()

@@ -64,7 +64,7 @@ def test_from_dict_roundtrip_and_defaults():
         "fault": {"kind": "crash", "superstep": 2, "node": 1,
                   "repeat": 3}})
     assert spec.priority == 2 and not spec.use_cache
-    assert spec.runtime.middleware().fault_plan is not None
+    assert spec.runtime.fault_plan is not None
 
 
 def test_from_dict_rejects_unknown_keys_and_missing_graph():
@@ -125,7 +125,7 @@ def test_to_doc_from_doc_roundtrip_is_lossless():
     assert back == spec
     # the resolved runtime survives, fault plan included
     assert back.runtime == spec.runtime
-    assert back.runtime.middleware().fault_plan is not None
+    assert back.runtime.fault_plan is not None
     # and the doc is JSON-clean (journal lines are json.dumps'd)
     import json
     assert JobSpec.from_doc(

@@ -49,7 +49,7 @@ def test_old_journal_recovers_to_uninterrupted_values(tmp_path, name):
     assert rec.recovered_jobs == 2
     assert rec.resumed_from_checkpoint == 2
     assert rec.recovered_terminal == 1
-    assert rec.job(1).spec.runtime.middleware() == RESILIENT
+    assert rec.job(1).spec.runtime == RESILIENT
     rec.run()
 
     base = GraphService(SPEC)

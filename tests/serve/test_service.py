@@ -10,7 +10,7 @@ from repro.api import (
     ClusterSpec,
     GraphService,
     JobSpec,
-    RuntimeConfig,
+    MiddlewareConfig,
     deploy,
 )
 from repro.engines import PowerGraphEngine
@@ -22,7 +22,7 @@ SPEC = ClusterSpec(nodes=2, gpus_per_node=1)
 
 
 def solo_run(algorithm, max_iter=8):
-    plug = deploy(SPEC, RuntimeConfig())
+    plug = deploy(SPEC)
     engine = PowerGraphEngine.build(load_dataset("wrn"), plug.cluster,
                                     middleware=plug)
     return engine.run(algorithm, max_iterations=max_iter)
@@ -127,7 +127,7 @@ def test_crash_in_one_tenant_never_perturbs_the_others(svc):
     plan = FaultPlan.single(CRASH, superstep=1, node_id=0, repeat=3)
     chaos = svc.submit(pagerank_spec(
         tenant="chaos", use_cache=False,
-        runtime=RuntimeConfig.preset("resilient").with_(
+        runtime=MiddlewareConfig.preset("resilient").with_(
             fault_plan=plan)))
     clean_pr = svc.submit(pagerank_spec(tenant="alice"))
     clean_cc = svc.submit(JobSpec(graph="g", algorithm="cc",
@@ -148,7 +148,7 @@ def test_unrecoverable_job_fails_alone(svc):
     plan = FaultPlan.single(CRASH, superstep=1, node_id=0, repeat=50)
     doomed = svc.submit(pagerank_spec(
         tenant="chaos", use_cache=False,
-        runtime=RuntimeConfig.preset("baseline").with_(
+        runtime=MiddlewareConfig.preset("baseline").with_(
             fault_plan=plan)))
     bystander = svc.submit(pagerank_spec(tenant="alice"))
     svc.run()
@@ -309,7 +309,7 @@ def test_overload_sheds_on_queue_depth_and_tenant_cap():
 
 
 def test_transient_failure_retries_from_checkpoint(svc):
-    runtime = RuntimeConfig().with_(checkpoint_interval=2)
+    runtime = MiddlewareConfig(checkpoint_interval=2)
     job = svc.submit(pagerank_spec(tenant="alice", use_cache=False,
                                    max_retries=2, retry_backoff_ms=4.0,
                                    runtime=runtime))
@@ -334,7 +334,7 @@ def test_poison_job_quarantined_after_retry_budget(svc):
     plan = FaultPlan.single(CRASH, superstep=1, node_id=0, repeat=50)
     doomed = svc.submit(pagerank_spec(
         tenant="chaos", use_cache=False, max_retries=2,
-        runtime=RuntimeConfig.preset("baseline").with_(
+        runtime=MiddlewareConfig.preset("baseline").with_(
             fault_plan=plan)))
     bystander = svc.submit(pagerank_spec(tenant="alice"))
     svc.run()
@@ -631,3 +631,22 @@ def test_recovery_stats_counts_terminal_and_inflight(tmp_path):
     fresh = GraphService(SPEC)
     assert fresh.recovery_stats() == {"recovered": 0, "requeued": 0,
                                       "resumed": 0, "handoffs": 0}
+
+
+def test_recover_defaults_settings_the_journal_lacks(tmp_path):
+    """A ``service_start`` record without a setting (an older writer)
+    recovers with the constructor's default, not ``None``."""
+    jpath = tmp_path / "svc.jsonl"
+    service = GraphService(SPEC, journal=str(jpath), cache_entries=8)
+    service.load_graph("g", dataset="wrn")
+    del service
+    lines = jpath.read_text().splitlines()
+    start = json.loads(lines[0])
+    assert start["rec"] == "service_start"
+    del start["max_running"]
+    jpath.write_text("\n".join([json.dumps(start, sort_keys=True),
+                                *lines[1:]]) + "\n")
+
+    rec = GraphService.recover(str(jpath))
+    assert rec.admission.max_running == 4
+    assert rec.cache.capacity == 8      # journaled settings still apply

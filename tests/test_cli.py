@@ -90,9 +90,17 @@ def test_figure_rejects_unknown():
         main(["figure", "fig99"])
 
 
-def test_figure_fault_overhead(capsys):
+def test_figure_fault_overhead(capsys, monkeypatch):
     """The runner, its benchmark and its oracle row always existed; the
-    CLI's own figure list had simply never gained the name."""
+    CLI's own figure list had simply never gained the name.  Run here
+    at the figure's CI size on the smaller wiki-topcats twin."""
+    import dataclasses
+    from functools import partial
+
+    figure = FIGURES["fault_overhead"]
+    monkeypatch.setitem(FIGURES, "fault_overhead", dataclasses.replace(
+        figure, run=partial(figure.run, dataset="wiki-topcats",
+                            **figure.quick)))
     assert main(["figure", "fault_overhead"]) == 0
     out = capsys.readouterr().out
     assert out.count("resilient") == 3  # one row per paper workload
@@ -193,11 +201,34 @@ RUN_LITERALS = [
                          ids=["defaults", "no-cache", "no-skip+block",
                               "campaign"])
 def test_runtime_from_args_matches_the_literal_config(flags, literal):
-    """``run`` assembles its config through the RuntimeConfig builder;
-    the result is field-for-field the config the flags spell."""
+    """``run`` assembles its config from its flags; the result is
+    field-for-field the config the flags spell."""
     args = build_parser().parse_args(["run", *flags])
-    assert runtime_from_args(args).middleware() == \
-        MiddlewareConfig(**literal)
+    assert runtime_from_args(args) == MiddlewareConfig(**literal)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--fault-seed", "3", "--fault-rate", "2"],
+    ["--block-size", "0"],
+    ["--nodes", "0"],
+    ["--gpus", "-1"],
+    ["--nodes", "2", "--topology", "rack:2x2"],
+    ["--nodes", "4", "--topology", "rack:2x2;link=0-7:5.0:0.02"],
+], ids=["fault-rate", "block-size", "nodes", "gpus", "topology-nodes",
+        "link-node"])
+def test_run_reports_config_errors(flags, capsys, monkeypatch):
+    """A value a config refuses is a usage error, reported before any
+    graph loads: exit 2, one ``error:`` line, no traceback."""
+    import repro.cli.run as run_mod
+
+    def no_load(name):
+        raise AssertionError("the graph loaded before the config check")
+    monkeypatch.setattr(run_mod, "load_dataset", no_load)
+    rc = main(["run", "--dataset", "wiki-topcats", *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_parser_defaults():
