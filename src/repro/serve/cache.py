@@ -17,18 +17,31 @@ The key is ``(graph key, graph version, algorithm, params hash)``:
   the answer), order-independent and tuple/list-agnostic so the same
   query spelled differently still hits.
 
-Entries are LRU-evicted at a fixed capacity and every get/put deep-
-copies the value array, so cached answers are immune to caller-side
-mutation — a cache hit is byte-identical to the recompute, always.
+Capacity is fixed, and eviction keeps what hits save.  Every lookup,
+hit or miss, counts for its key; when a new key enters a full cache,
+the resident entry with the smallest ``lookups x compute_ms`` goes
+(the least recently used among ties), and the newcomer is always
+admitted.  The count table is bounded: every
+:data:`COUNT_WINDOW_PER_ENTRY` x capacity lookups halve every count and
+drop the zeros (TinyLFU's reset, so old popularity fades), and an
+invalidation drops the counts of the versions it drops.  The rule is
+deterministic, so served runs stay functions of their inputs.
+
+Every get/put deep-copies the value array, so cached answers are
+immune to caller-side mutation — a cache hit is byte-identical to the
+recompute, always.  An entry also names the journal sidecar holding
+its answer (when the service journals), so a hit's ``finished``
+record can point at that file instead of writing a copy.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +52,12 @@ from ..errors import ServeError
 #: the serving layer's "fast path" cost, orders of magnitude below any
 #: real engine run.
 CACHE_LOOKUP_MS = 0.05
+
+#: Lookups between two halvings of every lookup count, per entry of
+#: capacity.  Sized on serve-read's request stream (Zipf 1.1 over 48
+#: queries, 16 entries): 20 x capacity kept every compute the counts
+#: save, 10 x capacity cost 4 more.
+COUNT_WINDOW_PER_ENTRY = 20
 
 #: (graph key, graph version, algorithm name, params fingerprint)
 CacheKey = Tuple[str, int, str, str]
@@ -74,7 +93,9 @@ class CachedResult:
     """A memoized answer: the values plus enough provenance to report.
 
     ``compute_ms`` is the simulated cost of the run that produced the
-    entry — what a cache hit just saved.
+    entry — what a cache hit just saved.  ``file`` names the journal's
+    result sidecar of that run (None when the service keeps no
+    journal).
     """
 
     values: np.ndarray
@@ -83,16 +104,30 @@ class CachedResult:
     compute_ms: float
     engine: str
     algorithm: str
+    file: Optional[str] = None
+
+    def copy(self) -> "CachedResult":
+        """The same entry over a private copy of the values."""
+        return dataclasses.replace(self, values=self.values.copy())
 
 
 class ResultCache:
-    """LRU cache of :class:`CachedResult` with hit/miss accounting."""
+    """Fixed-capacity cache of :class:`CachedResult` that evicts the
+    entry whose hits save least, with hit/miss accounting."""
 
     def __init__(self, capacity: int = 64) -> None:
         if capacity < 1:
             raise ServeError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
+        #: resident entries, least- to most-recently used
         self._entries: "OrderedDict[CacheKey, CachedResult]" = OrderedDict()
+        #: lookups per key, resident or not (halved every ``_window``)
+        self._lookups: Dict[CacheKey, int] = {}
+        self._window = COUNT_WINDOW_PER_ENTRY * capacity
+        self._since_halving = 0
+        #: graph key -> the versions its last keep-set invalidation
+        #: dropped (:meth:`dead_counts` checks none is counted again)
+        self._dropped: Dict[str, FrozenSet[int]] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -105,27 +140,29 @@ class ResultCache:
                 params_fingerprint(params))
 
     def get(self, key: CacheKey) -> Optional[CachedResult]:
-        """Look up, refresh recency, and return a defensive copy."""
+        """Count the lookup; on a hit refresh recency and return a
+        defensive copy."""
+        self._lookups[key] = self._lookups.get(key, 0) + 1
+        self._since_halving += 1
+        if self._since_halving >= self._window:
+            self._since_halving = 0
+            self._lookups = {k: n >> 1 for k, n in self._lookups.items()
+                             if n > 1}
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        return CachedResult(entry.values.copy(), entry.iterations,
-                            entry.converged, entry.compute_ms,
-                            entry.engine, entry.algorithm)
+        return entry.copy()
 
-    def put(self, key: CacheKey, result: RunResult) -> None:
-        """Memoize a finished run, evicting least-recently-used entries."""
-        entry = CachedResult(result.values.copy(), result.iterations,
-                             result.converged, result.total_ms,
-                             result.engine_name, result.algorithm_name)
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
+    def put(self, key: CacheKey, result: RunResult,
+            file: Optional[str] = None) -> None:
+        """Memoize a finished run (its journal sidecar is ``file``)."""
+        self._install(key, CachedResult(
+            result.values.copy(), result.iterations, result.converged,
+            result.total_ms, result.engine_name, result.algorithm_name,
+            file))
 
     def put_entry(self, key: CacheKey, entry: CachedResult) -> bool:
         """Install an already-built entry if the key is absent.
@@ -137,14 +174,21 @@ class ResultCache:
         """
         if key in self._entries:
             return False
-        self._entries[key] = CachedResult(
-            entry.values.copy(), entry.iterations, entry.converged,
-            entry.compute_ms, entry.engine, entry.algorithm)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
+        self._install(key, entry.copy())
         return True
+
+    def _install(self, key: CacheKey, entry: CachedResult) -> None:
+        """Store ``entry`` as the most recent, first evicting, when a
+        new key enters a full cache, the smallest ``lookups x
+        compute_ms`` (``min`` keeps the first of equals: the least
+        recent)."""
+        if key not in self._entries and len(self._entries) >= self.capacity:
+            victim = min(self._entries, key=lambda k: self._lookups.get(
+                k, 0) * self._entries[k].compute_ms)
+            del self._entries[victim]
+            self.evictions += 1
+        self._entries[key] = entry
+        self._entries.move_to_end(key)
 
     def invalidate_graph(self, graph_key: str, *,
                          keep_versions=None) -> int:
@@ -152,7 +196,8 @@ class ResultCache:
 
         Version-miss alone is not enough: dead-version entries could
         never be hit again (the version is part of the key), so leaving
-        them to LRU churn fills the cache with garbage.  Called on
+        them to eviction fills the cache with garbage.  The dropped
+        versions' lookup counts go too.  Called on
         reload (drop everything) and on mutation, where
         ``keep_versions`` preserves entries still reachable — the new
         latest version and any version pinned by an in-flight
@@ -164,7 +209,25 @@ class ResultCache:
         for k in stale:
             del self._entries[k]
         self.invalidations += len(stale)
+        dead = [k for k in self._lookups
+                if k[0] == graph_key and k[1] not in keep]
+        for k in dead:
+            del self._lookups[k]
+        if keep_versions is None:
+            # a reload or unload: pinned old versions may still be
+            # looked up, and an unload restarts versioning at 1
+            self._dropped.pop(graph_key, None)
+        else:
+            self._dropped[graph_key] = frozenset(
+                k[1] for k in stale + dead)
         return len(stale)
+
+    def dead_counts(self):
+        """Counted keys of a version the last keep-set invalidation of
+        its graph dropped — none, unless a lookup named a version no
+        snapshot can pin any more."""
+        return [k for k in self._lookups
+                if k[1] in self._dropped.get(k[0], ())]
 
     def entries_for(self, graph_key: str, version: int):
         """Live ``(key, entry)`` pairs for one graph version.

@@ -234,6 +234,9 @@ class Job:
         self.slices = 0
         #: RunResult (engine run) or CachedResult (cache hit)
         self.result = None
+        #: the journal sidecar holding the answer (None unjournaled);
+        #: a cache hit names the sidecar of the run it reuses
+        self.result_file: Optional[str] = None
         self.error: Optional[str] = None
         self.from_cache = False
         self.fault_report = None

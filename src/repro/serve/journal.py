@@ -22,7 +22,8 @@ Record kinds (one JSON object per line, ``rec`` discriminates)::
     admitted        {job_id, resume_iteration}
     slice           {job_id, iteration} — one per superstep quantum
     checkpointed    {job_id, iteration, file} — durable resume point
-    finished        {job_id, from_cache, cache_key, file}
+    finished        {job_id, from_cache, cache_key, file} — a cache
+                    hit's file is the sidecar of the run it reuses
     failed          {job_id, error, reason}
     retry           {job_id, attempt, backoff_ms, resume_iteration}
     quarantined     {job_id, reason}
@@ -70,6 +71,10 @@ RECORD_KINDS = (
     "slice", "checkpointed", "finished", "failed", "retry", "quarantined",
     "cancelled", "shed", "idempotency", "shutdown",
 )
+
+
+def _result_name(job_id: int) -> str:
+    return f"job-{job_id}-result.npz"
 
 
 def _jsonify(value: Any) -> Any:
@@ -169,7 +174,7 @@ class JobJournal:
                     engine: str, algorithm: str) -> str:
         """Persist a finished job's answer for replay re-serving."""
         return self._write_npz(
-            f"job-{job_id}-result.npz",
+            _result_name(job_id),
             {"values": np.asarray(values),
              "iterations": np.asarray(int(iterations), dtype=np.int64),
              "converged": np.asarray(bool(converged)),
@@ -211,11 +216,14 @@ class JobJournal:
                 add_vertices=int(doc["add_vertices"]),
                 remove_vertices=doc["remove_vertices"])
 
-    def load_result(self, job_id: int):
+    def load_result(self, job_id: int, name: Optional[str] = None):
         """The journaled answer as a :class:`~repro.serve.cache
-        .CachedResult` (None if the sidecar is missing)."""
+        .CachedResult` carrying its sidecar's name (None if the sidecar
+        is missing).  ``name`` is the ``finished`` record's ``file``; a
+        record without one reads the job's own sidecar."""
         from .cache import CachedResult
-        path = os.path.join(self.state_dir, f"job-{job_id}-result.npz")
+        name = name or _result_name(job_id)
+        path = os.path.join(self.state_dir, name)
         if not os.path.exists(path):
             return None
         with np.load(path) as doc:
@@ -224,7 +232,8 @@ class JobJournal:
                                 converged=bool(doc["converged"]),
                                 compute_ms=float(doc["compute_ms"]),
                                 engine=str(doc["engine"]),
-                                algorithm=str(doc["algorithm"]))
+                                algorithm=str(doc["algorithm"]),
+                                file=name)
 
 
 def read_journal(path: str) -> List[Dict[str, Any]]:

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 import os
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Tuple
@@ -651,14 +652,18 @@ class GraphService:
             svc._next_job_id = max(svc._next_job_id, jr.job_id + 1)
             job.retries = jr.retries
             if jr.state == "done":
-                result = jrn.load_result(jr.job_id)
+                result = jrn.load_result(jr.job_id, jr.result_file)
                 if result is not None:
                     job.state = DONE
                     job.result = result
+                    job.result_file = result.file
                     job.from_cache = jr.from_cache
                     job.finished_ms = jr.finished_ms
                     job.consumed_ms = jr.consumed_ms
                     job.slices = jr.slices
+                    svc.ledger.charge(spec.tenant, jr.consumed_ms,
+                                      slices=jr.slices)
+                    svc.ledger.finish(spec.tenant, from_cache=jr.from_cache)
                     if (spec.use_cache and jr.cache_key is not None
                             and not jr.from_cache):
                         svc.cache.put_entry(jr.cache_key, result)
@@ -708,7 +713,61 @@ class GraphService:
             svc.cache.invalidate_graph(key, keep_versions=keep)
         svc.store.gc()   # drop retained versions no recovered job pins
         svc.journal = jrn
+        svc.check_invariants()
         return svc
+
+    def check_invariants(self) -> None:
+        """Raise :class:`ServeError` naming the first broken invariant.
+
+        * store pins balance the snapshots jobs hold, per version;
+        * running jobs hold unreleased snapshots;
+        * each tenant's ledger ms is the sum of its jobs' consumed ms;
+        * every done job's journaled sidecar exists;
+        * the cache counts no key of a version it dropped.
+
+        :meth:`recover` ends with it; a violation there means the
+        journal rebuilt a service the live one could never have been.
+        """
+        held: Dict[Tuple[str, int], int] = {}
+        for job in self._jobs.values():
+            snap = job.snapshot
+            if snap is not None and not snap.released:
+                pin = (snap.key, snap.version)
+                held[pin] = held.get(pin, 0) + 1
+        if held != self.store._pins:
+            raise ServeError(f"store pins {self.store._pins} do not "
+                             f"balance the jobs' snapshots {held}")
+        for rj in self.scheduler.running:
+            snap = rj.job.snapshot
+            if snap is None or snap.released:
+                raise ServeError(f"running job #{rj.job.job_id} holds "
+                                 f"no live snapshot")
+        consumed: Dict[str, float] = {}
+        for job in self._jobs.values():
+            tenant = job.spec.tenant
+            consumed[tenant] = consumed.get(tenant, 0.0) + job.consumed_ms
+        charged = {tenant: row["consumed_ms"]
+                   for tenant, row in self.ledger.snapshot().items()}
+        for tenant in sorted(set(consumed) | set(charged)):
+            if not math.isclose(charged.get(tenant, 0.0),
+                                consumed.get(tenant, 0.0),
+                                rel_tol=1e-9, abs_tol=1e-5):
+                raise ServeError(
+                    f"tenant {tenant!r}: the ledger charged "
+                    f"{charged.get(tenant, 0.0)} ms, its jobs consumed "
+                    f"{consumed.get(tenant, 0.0)} ms")
+        if self.journal is not None:
+            for job in self._jobs.values():
+                if job.state == DONE and (
+                        job.result_file is None or not os.path.exists(
+                            os.path.join(self.journal.state_dir,
+                                         job.result_file))):
+                    raise ServeError(f"done job #{job.job_id}'s sidecar "
+                                     f"{job.result_file!r} is missing")
+        dead = self.cache.dead_counts()
+        if dead:
+            raise ServeError(f"the cache still counts keys of dropped "
+                             f"versions: {dead}")
 
     # -- internals ----------------------------------------------------------------------
 
@@ -893,21 +952,18 @@ class GraphService:
         job.slices += 1
         job.from_cache = True
         job.result = hit
+        job.result_file = hit.file
         job.state = DONE
         job.finished_ms = self.now_ms
         job.release_snapshot()
         self.ledger.finish(job.spec.tenant, from_cache=True)
         self.store._detach(job.spec.graph)
-        if self.journal is not None:
-            # the sidecar makes the job self-contained on recovery even
-            # if the shared cache entry is evicted before a crash
-            name = self.journal.save_result(
-                job.job_id, hit.values, hit.iterations, hit.converged,
-                hit.compute_ms, hit.engine, hit.algorithm)
-            self._journal_append("finished", job_id=job.job_id,
-                                 from_cache=True, cache_key=None,
-                                 file=name,
-                                 consumed_ms=job.consumed_ms)
+        # the hit names the sidecar its answer already lives in: the
+        # job recovers from that file even after the entry is evicted
+        # (sidecars are never deleted), so no copy is written
+        self._journal_append("finished", job_id=job.job_id,
+                             from_cache=True, cache_key=None,
+                             file=hit.file, consumed_ms=job.consumed_ms)
         self._write_trace(job)
 
     def _finish(self, rj: RunningJob, result) -> None:
@@ -923,23 +979,24 @@ class GraphService:
         job.state = DONE
         job.finished_ms = self.now_ms
         job.release_snapshot()
+        if self.journal is not None:
+            # before the cache entry: its hits journal this file
+            job.result_file = self.journal.save_result(
+                job.job_id, result.values, result.iterations,
+                result.converged, result.total_ms, result.engine_name,
+                result.algorithm_name)
         if job.spec.use_cache:
-            self.cache.put(rj.cache_key, result)
+            self.cache.put(rj.cache_key, result, job.result_file)
         self.ledger.finish(job.spec.tenant)
         ewma = self._ewma_service_ms
         self._ewma_service_ms = (result.total_ms if ewma is None
                                  else 0.5 * result.total_ms + 0.5 * ewma)
         self._teardown(rj)
-        if self.journal is not None:
-            name = self.journal.save_result(
-                job.job_id, result.values, result.iterations,
-                result.converged, result.total_ms, result.engine_name,
-                result.algorithm_name)
-            self._journal_append(
-                "finished", job_id=job.job_id, from_cache=False,
-                cache_key=(list(rj.cache_key) if job.spec.use_cache
-                           else None),
-                file=name, consumed_ms=job.consumed_ms)
+        self._journal_append(
+            "finished", job_id=job.job_id, from_cache=False,
+            cache_key=(list(rj.cache_key) if job.spec.use_cache
+                       else None),
+            file=job.result_file, consumed_ms=job.consumed_ms)
         self._write_trace(job)
         if job.spec.use_cache:
             # the answer is published: serve the query's parked waiters

@@ -1,4 +1,5 @@
-"""Result-cache key semantics: hashing, invalidation, LRU, identity."""
+"""Result-cache key semantics: hashing, invalidation, eviction by
+expected saving, identity."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from repro.api import (ClusterSpec, GraphService, JobSpec, MiddlewareConfig,
 from repro.engines import PowerGraphEngine
 from repro.errors import ServeError
 from repro.graph import load_dataset
-from repro.serve import ResultCache, params_fingerprint
+from repro.serve import CachedResult, ResultCache, params_fingerprint
+from repro.serve.cache import COUNT_WINDOW_PER_ENTRY
 
 
 def run_result(max_iter=4):
@@ -104,6 +106,94 @@ def test_lru_put_refreshes_recency():
     cache.put(ka, result)              # re-put refreshes a
     cache.put(kc, result)              # evicts b, not a
     assert ka in cache and kb not in cache
+
+
+# -- eviction by expected saving --------------------------------------------------------
+
+def entry(compute_ms):
+    return CachedResult(np.zeros(2), 1, True, compute_ms, "powergraph",
+                        "pagerank")
+
+
+def test_eviction_weighs_lookups_by_compute_cost():
+    cache = ResultCache(2)
+    ka, kb, kc = (ResultCache.key("g", 1, n, {}) for n in "abc")
+    cache.put_entry(ka, entry(10.0))
+    cache.put_entry(kb, entry(1.0))
+    cache.get(ka)
+    for _ in range(3):
+        cache.get(kb)                  # more lookups, but 3 x 1 < 1 x 10
+    cache.put_entry(kc, entry(1.0))
+    assert ka in cache and kb not in cache
+
+    cache = ResultCache(2)
+    cache.put_entry(ka, entry(10.0))
+    cache.put_entry(kb, entry(5.0))
+    cache.get(ka)
+    for _ in range(3):
+        cache.get(kb)                  # now 3 x 5 > 1 x 10
+    cache.put_entry(kc, entry(1.0))
+    assert kb in cache and ka not in cache
+
+
+def test_misses_before_the_put_count():
+    """Three misses then a put outrank one hit, though the missed key
+    is the least recently used entry."""
+    cache = ResultCache(2)
+    ka, kb, kc = (ResultCache.key("g", 1, n, {}) for n in "abc")
+    for _ in range(3):
+        assert cache.get(kb) is None
+    cache.put_entry(kb, entry(1.0))
+    cache.put_entry(ka, entry(1.0))
+    assert cache.get(ka) is not None
+    assert cache.keys() == [kb, ka]
+    cache.put_entry(kc, entry(1.0))
+    assert cache.keys() == [kb, kc]
+    assert cache.evictions == 1
+
+
+def test_ties_evict_the_least_recently_used():
+    cache = ResultCache(2)
+    ka, kb, kc = (ResultCache.key("g", 1, n, {}) for n in "abc")
+    cache.put_entry(ka, entry(2.0))
+    cache.put_entry(kb, entry(1.0))
+    cache.get(ka)
+    cache.get(kb)
+    cache.get(kb)                      # 1 x 2 == 2 x 1; a is older
+    cache.put_entry(kc, entry(1.0))
+    assert cache.keys() == [kb, kc]
+
+
+def test_invalidation_prunes_the_counts_of_dead_versions():
+    cache = ResultCache(4)
+    old, new, other = (ResultCache.key("g", 1, "pagerank", {}),
+                       ResultCache.key("g", 2, "pagerank", {}),
+                       ResultCache.key("h", 1, "pagerank", {}))
+    cache.put_entry(old, entry(1.0))
+    for key in (old, new, other):
+        cache.get(key)
+    assert cache.invalidate_graph("g", keep_versions={2}) == 1
+    assert set(cache._lookups) == {new, other}
+    assert cache.dead_counts() == []
+    cache.get(old)                     # a lookup of a dropped version
+    assert cache.dead_counts() == [old]
+    cache.invalidate_graph("g")        # a reload drops every count
+    assert set(cache._lookups) == {other}
+    assert cache.dead_counts() == []
+
+
+def test_the_count_table_stays_bounded():
+    cache = ResultCache(4)
+    window = COUNT_WINDOW_PER_ENTRY * cache.capacity
+    hot = ResultCache.key("g", 1, "hot", {})
+    largest = 0
+    for i in range(10_000):
+        cache.get(ResultCache.key("g", 1, "pagerank", {"i": i}))
+        cache.get(hot)
+        largest = max(largest, len(cache._lookups))
+    assert largest <= window
+    # the hot key survives every halving; its count stays bounded too
+    assert 0 < cache._lookups[hot] <= window
 
 
 def test_capacity_must_be_positive():

@@ -3,8 +3,13 @@ admission, each against a plain model.
 
 ``CacheMachine`` drives one :class:`ResultCache` through random
 put / put_entry / get / invalidate sequences and checks it, after every
-step, against an ``OrderedDict`` kept in LRU order with its own
-hit / miss / eviction / invalidation counts.
+step, against a model of its eviction rule: entries in recency order,
+a lookup count per key (every get, hit or miss, resident or not),
+each entry's ``compute_ms``, eviction of the smallest
+``lookups x compute_ms`` with the least recent first among ties, every
+count halved once per window of lookups, and the counts of invalidated
+versions dropped — with its own hit / miss / eviction / invalidation
+counts.
 
 ``SingleflightMachine`` drives a :class:`GraphService` through random
 submit / step / cancel sequences of two identical-query groups, where a
@@ -12,14 +17,16 @@ job's runtime either finishes, fails (no recovery stack under repeated
 crashes) or hangs (recovered, but slow enough for the waiter timeout
 to hand its group off), with and without the result cache.  The model
 replays every cache publish and hit in service-clock order on its own
-LRU dict, and checks that:
+recency-ordered dict (one entry, so the eviction rule has one choice),
+and checks that:
 
 * the cache holds the model's keys in the model's order, and its hit,
   miss and eviction counts are the ones the served jobs account for;
 * every parked waiter has a live, coalescing leader for its query;
 * admission never runs more than ``max_running`` jobs at once;
 * every waiter ends served from the cache, redispatched to compute
-  itself, or cancelled, and every answer equals a solo run's bytes.
+  itself, or cancelled, and every answer equals a solo run's bytes;
+* :meth:`GraphService.check_invariants` passes after every rule.
 
 The three service bugs the machine found are pinned at the end as
 plain tests.
@@ -41,13 +48,17 @@ from repro.engines import PowerGraphEngine
 from repro.fault import CRASH, HANG, FaultPlan
 from repro.graph import rmat
 from repro.serve import CachedResult, ResultCache
+from repro.serve.cache import COUNT_WINDOW_PER_ENTRY
 
 # -- the cache alone --------------------------------------------------------------
 
 CAPACITY = 3
+#: lookups between two halvings of every count
+WINDOW = COUNT_WINDOW_PER_ENTRY * CAPACITY
 CACHE_KEYS = st.builds(ResultCache.key, st.sampled_from(["a", "b"]),
                        st.integers(1, 2), st.just("pagerank"),
                        st.fixed_dictionaries({"k": st.integers(0, 1)}))
+COSTS = st.sampled_from([1.0, 5.0, 25.0])
 
 
 class CacheMachine(RuleBasedStateMachine):
@@ -55,47 +66,65 @@ class CacheMachine(RuleBasedStateMachine):
     @initialize()
     def start(self):
         self.cache = ResultCache(CAPACITY)
-        #: key -> value, least- to most-recently used
+        #: key -> (value, compute_ms), least- to most-recently used
         self.model = OrderedDict()
+        #: key -> lookups, and lookups since the last halving
+        self.lookups = {}
+        self.since_halving = 0
         self.counts = dict(hits=0, misses=0, evictions=0, invalidations=0)
 
-    def insert(self, key, value):
-        self.model[key] = value
-        self.model.move_to_end(key)
-        while len(self.model) > CAPACITY:
-            self.model.popitem(last=False)
+    def insert(self, key, value, cost):
+        if key not in self.model and len(self.model) == CAPACITY:
+            # smallest saving first, then the least recently used
+            saving = {k: self.lookups.get(k, 0) * c
+                      for k, (_, c) in self.model.items()}
+            recency = {k: i for i, k in enumerate(self.model)}
+            victim = sorted(self.model,
+                            key=lambda k: (saving[k], recency[k]))[0]
+            del self.model[victim]
             self.counts["evictions"] += 1
+        self.model[key] = (value, cost)
+        self.model.move_to_end(key)
 
-    @rule(key=CACHE_KEYS, value=st.floats(0, 9))
-    def put(self, key, value):
+    @rule(key=CACHE_KEYS, value=st.floats(0, 9), cost=COSTS)
+    def put(self, key, value, cost):
         result = SimpleNamespace(values=np.array([value]), iterations=1,
-                                 converged=True, total_ms=1.0,
+                                 converged=True, total_ms=cost,
                                  engine_name="powergraph",
                                  algorithm_name="pagerank")
         self.cache.put(key, result)
         result.values[0] = -1.0             # the cache kept its own copy
-        self.insert(key, value)
+        self.insert(key, value, cost)
 
-    @rule(key=CACHE_KEYS, value=st.floats(0, 9))
-    def put_entry(self, key, value):
-        entry = CachedResult(np.array([value]), 1, True, 1.0,
+    @rule(key=CACHE_KEYS, value=st.floats(0, 9), cost=COSTS)
+    def put_entry(self, key, value, cost):
+        entry = CachedResult(np.array([value]), 1, True, cost,
                              "powergraph", "pagerank")
         installed = self.cache.put_entry(key, entry)
         assert installed == (key not in self.model)    # first write wins
         if installed:
-            self.insert(key, value)
+            self.insert(key, value, cost)
 
-    @rule(key=CACHE_KEYS)
-    def get(self, key):
-        hit = self.cache.get(key)
-        if key not in self.model:
-            assert hit is None
-            self.counts["misses"] += 1
-            return
-        assert hit.values.tolist() == [self.model[key]]
-        hit.values[0] = -1.0                # a defensive copy
-        self.model.move_to_end(key)
-        self.counts["hits"] += 1
+    @rule(key=CACHE_KEYS, times=st.integers(1, 25))
+    def get(self, key, times):
+        """``times`` lookups in a row, so windows fill and halve."""
+        for _ in range(times):
+            hit = self.cache.get(key)
+            self.lookups[key] = self.lookups.get(key, 0) + 1
+            self.since_halving += 1
+            if self.since_halving == WINDOW:
+                self.since_halving = 0
+                self.lookups = {k: n // 2 for k, n in self.lookups.items()
+                                if n // 2}
+            if key not in self.model:
+                assert hit is None
+                self.counts["misses"] += 1
+                continue
+            assert hit.values.tolist() == [self.model[key][0]]
+            assert hit.compute_ms == self.model[key][1]
+            hit.values[0] = -1.0            # a defensive copy
+            self.model.move_to_end(key)
+            self.counts["hits"] += 1
 
     @rule(graph=st.sampled_from(["a", "b"]),
           keep=st.sets(st.integers(1, 2)))
@@ -103,6 +132,8 @@ class CacheMachine(RuleBasedStateMachine):
         stale = [k for k in self.model if k[0] == graph and k[1] not in keep]
         for key in stale:
             del self.model[key]
+        self.lookups = {k: n for k, n in self.lookups.items()
+                        if k[0] != graph or k[1] in keep}
         assert self.cache.invalidate_graph(graph, keep_versions=keep) == \
             len(stale)
         self.counts["invalidations"] += len(stale)
@@ -110,15 +141,16 @@ class CacheMachine(RuleBasedStateMachine):
     @invariant()
     def matches_the_model(self):
         assert self.cache.keys() == list(self.model)
+        assert self.cache._lookups == self.lookups
         stats = self.cache.stats()
         assert {k: stats[k] for k in self.counts} == self.counts
         assert stats["entries"] == len(self.model) <= CAPACITY
 
 
-CacheMachine.TestCase.settings = settings(max_examples=30,
-                                          stateful_step_count=20,
+CacheMachine.TestCase.settings = settings(max_examples=40,
+                                          stateful_step_count=25,
                                           deadline=None)
-test_cache_matches_the_lru_model = CacheMachine.TestCase
+test_cache_matches_the_model = CacheMachine.TestCase
 
 # -- singleflight and admission in the service ------------------------------------
 
@@ -249,6 +281,10 @@ class SingleflightMachine(RuleBasedStateMachine):
         assert cache.evictions == self.evictions
 
     @invariant()
+    def service_invariants(self):
+        self.svc.check_invariants()
+
+    @invariant()
     def outcomes(self):
         for job in self.jobs:
             cancelled = job.job_id in self.cancelled
@@ -271,6 +307,7 @@ class SingleflightMachine(RuleBasedStateMachine):
             self.step()
             self.admission_and_groups()
             self.cache_matches_the_model()
+            self.service_invariants()
             self.outcomes()
         assert not self.unfinished()
         for job_id in self.parked:

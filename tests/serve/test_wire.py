@@ -486,7 +486,8 @@ def via_frame(values: np.ndarray) -> np.ndarray:
     return decode_values(json.loads(line)["job"])
 
 
-VALUE_DTYPES = ["<f8", ">f8", "<f4", ">f4", "<i8", ">i8", "<i4", ">i4", "|b1"]
+VALUE_DTYPES = ["<f8", ">f8", "<f4", ">f4", "<i8", ">i8", "<i4", ">i4", "|b1",
+                "|i1", "<u8", ">u8", ">u2", "|u1"]
 
 
 @st.composite
@@ -519,6 +520,33 @@ def test_values_round_trip_bit_for_bit(array):
     assert got.shape == array.shape
     assert got.tobytes() == array.astype(native).tobytes()
     assert got.flags.writeable and got.flags.owndata
+
+
+#: text that could confuse a splice: the field's own name, a quoted
+#: key, the splice placeholder, escapes and non-ASCII
+NASTY_TEXT = st.one_of(st.text(), st.sampled_from([
+    "values_b64", '"values_b64": "', "\0values_b64\0", '"\\u0000values_b64',
+    "\\", '"', "\0", "caf\u00e9 \u2603 \U0001d11e"]))
+
+
+@given(value_arrays(),
+       st.dictionaries(st.sampled_from(["tenant", "graph", "error"]),
+                       NASTY_TEXT),
+       NASTY_TEXT, st.integers(0, 5))
+@settings(max_examples=100, deadline=None)
+def test_spliced_frames_are_json_dumps_bytes(array, fields, note, at):
+    """A values frame's bytes are ``json.dumps``'s, wherever the values
+    fields sit in the job doc and whatever the other strings hold."""
+    items = list(dict(job_id=7, state="done", **fields).items())
+    items[at:at] = encode_values(array).items()
+    doc = {"re": 3, "ok": True, "job": dict(items), "note": note,
+           "v": PROTOCOL_VERSION}
+    frame = encode_frame(doc)
+    assert frame == (json.dumps(doc) + "\n").encode("utf-8")
+    got = decode_values(json.loads(frame)["job"])
+    assert got.shape == array.shape
+    assert got.tobytes() == array.astype(
+        array.dtype.newbyteorder("=")).tobytes()
 
 
 def test_values_special_floats_keep_their_bits():
