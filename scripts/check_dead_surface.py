@@ -101,8 +101,6 @@ TESTS_ONLY = {
         "inspection hook: simulated ms charged to one category",
     "repro.ipc.shm.SharedMemorySegment.corrupted_regions":
         "inspection hook: what a shm-corruption fault hit",
-    "repro.serve.journal.JournalState.unfinished":
-        "inspection hook: jobs a replayed journal left in flight",
     "repro.serve.scheduler.FairShareLedger.share_of":
         "inspection hook: a tenant's realised fair share",
     # -- API surface: the paper's or a user's, with no in-repo caller yet

@@ -35,7 +35,6 @@ from .job import (
 from .journal import (
     JOURNAL_VERSION,
     JobJournal,
-    JournalState,
     read_journal,
     replay_journal,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "CANCELLED",
     "QUARANTINED",
     "JobJournal",
-    "JournalState",
     "JOURNAL_VERSION",
     "read_journal",
     "replay_journal",

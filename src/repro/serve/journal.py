@@ -5,13 +5,15 @@ and in-flight job in process memory: a crash of the serving loop lost
 the queue, the running steppers and the result cache all at once.  This
 module gives the service a **write-ahead journal** in the
 recovery-by-replay shape GraphX uses for lineage (PAPERS.md): every job
-lifecycle transition is appended to a JSONL log *before* the service
-acts on it, bulk state (delta checkpoints of in-flight vertex tables,
-finished results) lands in an npz sidecar directory next to the log,
-and ``GraphService.recover()`` rebuilds the whole service by idempotent
-replay — finished jobs re-serve from the result cache, in-flight jobs
-resume from their last durable checkpoint instead of recomputing from
-iteration 0.
+lifecycle transition is appended to a JSONL log, bulk state (delta
+checkpoints of in-flight vertex tables, finished results, mutation
+batches) lands in an npz sidecar directory next to the log, and
+``GraphService.recover()`` rebuilds the service by event sourcing —
+:func:`replay_journal` feeds each record to the very transition method
+the live service ran when it appended it, with the sidecars supplying
+what the live path held in memory.  Finished jobs re-serve from the
+result cache; in-flight jobs resume from their last durable checkpoint
+instead of recomputing from iteration 0.
 
 Record kinds (one JSON object per line, ``rec`` discriminates)::
 
@@ -22,11 +24,12 @@ Record kinds (one JSON object per line, ``rec`` discriminates)::
     admitted        {job_id, resume_iteration}
     slice           {job_id, iteration} — one per superstep quantum
     checkpointed    {job_id, iteration, file} — durable resume point
-    finished        {job_id, from_cache, cache_key, file} — a cache
-                    hit's file is the sidecar of the run it reuses
-    failed          {job_id, error, reason}
+    finished        {job_id, from_cache, cache_key, file, consumed_ms} —
+                    a cache hit's file is the sidecar of the run it
+                    reuses
+    failed          {job_id, error}
     retry           {job_id, attempt, backoff_ms, resume_iteration}
-    quarantined     {job_id, reason}
+    quarantined     {job_id, reason, error}
     cancelled       {job_id}
     shed            {tenant, reason} — overload/deadline admission refusals
     idempotency     {key, job_id} — client-supplied exactly-once submit key
@@ -38,6 +41,12 @@ The ``idempotency`` record is appended immediately *before* its job's
 submit never took effect, so a client resubmitting under that key must
 run, not dedupe against a ghost.
 
+Replay runs no engine: ``admitted`` and ``slice`` only record progress
+(the job's state and slice count), and ``checkpointed``, ``shed`` and
+``shutdown`` change nothing a replay restores.  When the records run
+out, every job the journal left unfinished is re-queued at its newest
+durable checkpoint.
+
 Every record also carries ``now_ms`` (the service clock at append time)
 so a replay can restore clock continuity.  Appends are flushed line by
 line and sidecar files are written via ``os.replace`` so a kill between
@@ -47,11 +56,9 @@ trailing line is detected and ignored by :func:`read_journal`.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -62,7 +69,8 @@ from ..fault.checkpoint import Checkpoint
 #: v2 added the ``idempotency`` record and the shutdown ``reason``
 #: field; v3 added ``mutation`` records (with npz batch sidecars) and
 #: the ``snapshot_version`` field on ``submitted``.  v1/v2 journals
-#: replay unchanged — every addition is optional.
+#: replay unchanged — every addition is optional; a newer journal is
+#: refused.
 JOURNAL_VERSION = 3
 
 #: Record kinds a journal may contain (the wire vocabulary).
@@ -71,6 +79,20 @@ RECORD_KINDS = (
     "slice", "checkpointed", "finished", "failed", "retry", "quarantined",
     "cancelled", "shed", "idempotency", "shutdown",
 )
+
+#: The kinds that name a job by its integer ``job_id``.
+_JOB_KINDS = frozenset((
+    "submitted", "admitted", "slice", "checkpointed", "finished", "failed",
+    "retry", "quarantined", "cancelled", "idempotency"))
+
+#: Fields replay reads without a default, and the type each must have.
+_REQUIRED = {
+    "graph_loaded": {"key": str},
+    "mutation": {"key": str, "batch_id": str, "file": str},
+    "submitted": {"spec": dict},
+    "retry": {"attempt": int},
+    "idempotency": {"key": str},
+}
 
 
 def _result_name(job_id: int) -> str:
@@ -241,7 +263,11 @@ def read_journal(path: str) -> List[Dict[str, Any]]:
 
     A torn trailing line (the service was killed mid-append) is
     silently dropped; a torn line anywhere *else* is corruption and
-    raises — replay must never skip committed history.
+    raises — replay must never skip committed history.  So does a
+    record of an unknown kind, a job record without an integer
+    ``job_id``, a record lacking a field replay reads, and a
+    ``service_start`` of a format newer than :data:`JOURNAL_VERSION`:
+    each :class:`ServeError` names the line.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -263,152 +289,43 @@ def read_journal(path: str) -> List[Dict[str, Any]]:
         if not isinstance(doc, dict) or "rec" not in doc:
             raise ServeError(
                 f"journal {path!r} line {i + 1} is not a record")
+        problem = _malformed(doc)
+        if problem is not None:
+            raise ServeError(f"journal {path!r} line {i + 1}: {problem}")
         records.append(doc)
     return records
 
 
-@dataclass
-class JobReplay:
-    """Everything replay learned about one journaled job."""
-
-    job_id: int
-    spec_doc: Dict[str, Any]
-    submitted_ms: float = 0.0
-    state: str = "pending"
-    error: Optional[str] = None
-    quarantine_reason: Optional[str] = None
-    from_cache: bool = False
-    cache_key: Optional[Tuple] = None
-    retries: int = 0
-    #: highest journaled superstep (the progress watermark)
-    last_iteration: int = 0
-    #: superstep of the newest durable checkpoint (None = none taken)
-    checkpoint_iteration: Optional[int] = None
-    result_file: Optional[str] = None
-    finished_ms: Optional[float] = None
-    consumed_ms: float = 0.0
-    slices: int = 0
-    #: graph version the job was pinned to at submit (None: pre-v3)
-    snapshot_version: Optional[int] = None
-
-    @property
-    def terminal(self) -> bool:
-        return self.state in ("done", "failed", "quarantined", "cancelled")
+def _malformed(doc: Dict[str, Any]) -> Optional[str]:
+    """Why ``doc`` is no record this reader can replay (None: it is)."""
+    kind = doc["rec"]
+    if kind not in RECORD_KINDS:
+        return f"unknown record kind {kind!r}"
+    if kind in _JOB_KINDS and type(doc.get("job_id")) is not int:
+        return (f"{kind!r} record needs an integer job_id, "
+                f"got {doc.get('job_id')!r}")
+    for field, kind_of in _REQUIRED.get(kind, {}).items():
+        if not isinstance(doc.get(field), kind_of):
+            return (f"{kind!r} record needs a {kind_of.__name__} "
+                    f"{field!r}, got {doc.get(field)!r}")
+    version = doc.get("version", 1)
+    if kind == "service_start" and not (
+            type(version) is int and 1 <= version <= JOURNAL_VERSION):
+        return (f"journal format version {version!r} is not one this "
+                f"reader replays (1 to {JOURNAL_VERSION})")
+    return None
 
 
-@dataclass
-class JournalState:
-    """The outcome of replaying a journal: service + per-job state."""
+def replay_journal(records: List[Dict[str, Any]], service,
+                   graphs: Optional[Dict[str, Any]] = None) -> None:
+    """Re-apply ``records`` to ``service``, oldest first.
 
-    meta: Optional[Dict[str, Any]] = None
-    #: (key, dataset) graph loads in journal order (reloads repeat)
-    graph_loads: List[Tuple[str, Optional[str]]] = field(
-        default_factory=list)
-    #: interleaved graph history in journal order: ("load", doc) and
-    #: ("mutation", doc) events — recovery replays these in sequence so
-    #: store versions land exactly where the journal says they were
-    graph_events: List[Tuple[str, Dict[str, Any]]] = field(
-        default_factory=list)
-    #: mutation records in journal order (a subset of graph_events)
-    mutations: List[Dict[str, Any]] = field(default_factory=list)
-    jobs: Dict[int, JobReplay] = field(default_factory=dict)
-    clean_shutdown: bool = False
-    #: why the clean shutdown happened ("drain", "sigterm", ...)
-    shutdown_reason: Optional[str] = None
-    now_ms: float = 0.0
-    sheds: int = 0
-    #: client idempotency key -> job id (exactly-once submit dedupe)
-    idempotency: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def unfinished(self) -> List[JobReplay]:
-        """Jobs the crash left pending or in flight, submit order."""
-        return [j for j in sorted(self.jobs.values(),
-                                  key=lambda j: j.job_id)
-                if not j.terminal]
-
-
-def replay_journal(records: List[Dict[str, Any]]) -> JournalState:
-    """Fold a record stream into the final per-job lifecycle state.
-
-    Replay is a pure fold — no service is touched — and idempotent by
-    construction: the same records always produce the same state.
+    Each record goes through the transition the live service ran when
+    it appended it (:meth:`GraphService._replay
+    <repro.serve.service.GraphService._replay>`); ``graphs`` supplies
+    graph objects for keys journaled without a dataset name.  The
+    records come from :func:`read_journal`, which refused any record
+    lacking a field replay reads.
     """
-    state = JournalState()
     for doc in records:
-        rec = doc["rec"]
-        state.now_ms = max(state.now_ms, float(doc.get("now_ms", 0.0)))
-        if rec == "service_start":
-            state.meta = doc
-            continue
-        if rec == "graph_loaded":
-            state.graph_loads.append((doc["key"], doc.get("dataset")))
-            state.graph_events.append(("load", doc))
-            continue
-        if rec == "mutation":
-            state.mutations.append(doc)
-            state.graph_events.append(("mutation", doc))
-            continue
-        if rec == "shutdown":
-            state.clean_shutdown = bool(doc.get("clean", False))
-            state.shutdown_reason = doc.get("reason")
-            continue
-        if rec == "shed":
-            state.sheds += 1
-            continue
-        if rec == "idempotency":
-            state.idempotency[str(doc["key"])] = int(doc["job_id"])
-            continue
-        job_id = int(doc["job_id"])
-        if rec == "submitted":
-            sv = doc.get("snapshot_version")
-            state.jobs[job_id] = JobReplay(
-                job_id=job_id, spec_doc=doc["spec"],
-                submitted_ms=float(doc.get("submitted_ms", 0.0)),
-                snapshot_version=int(sv) if sv is not None else None)
-            continue
-        job = state.jobs.get(job_id)
-        if job is None:
-            raise ServeError(
-                f"journal records {rec!r} for job #{job_id} before its "
-                f"submitted record")
-        if rec == "admitted":
-            job.state = "running"
-        elif rec == "slice":
-            job.last_iteration = max(job.last_iteration,
-                                     int(doc["iteration"]))
-            job.slices += 1
-        elif rec == "checkpointed":
-            job.checkpoint_iteration = int(doc["iteration"])
-        elif rec == "retry":
-            job.retries = int(doc["attempt"])
-            job.state = "pending"
-        elif rec == "finished":
-            job.state = "done"
-            job.from_cache = bool(doc.get("from_cache", False))
-            key = doc.get("cache_key")
-            job.cache_key = tuple(key) if key is not None else None
-            job.result_file = doc.get("file")
-            job.finished_ms = float(doc["now_ms"])
-            job.consumed_ms = float(doc.get("consumed_ms", 0.0))
-        elif rec == "failed":
-            job.state = "failed"
-            job.error = doc.get("error")
-            job.finished_ms = float(doc["now_ms"])
-        elif rec == "quarantined":
-            job.state = "quarantined"
-            job.quarantine_reason = doc.get("reason")
-            job.error = doc.get("error", doc.get("reason"))
-            job.finished_ms = float(doc["now_ms"])
-        elif rec == "cancelled":
-            job.state = "cancelled"
-            job.finished_ms = float(doc["now_ms"])
-        else:  # pragma: no cover - read_journal validated kinds
-            raise ServeError(f"unknown journal record kind {rec!r}")
-    # a crash between an idempotency append and its submitted append
-    # leaves an orphan key: the submit never took effect, so the key
-    # must not dedupe a resubmit against a job that does not exist
-    state.idempotency = {key: job_id
-                         for key, job_id in state.idempotency.items()
-                         if job_id in state.jobs}
-    return state
+        service._replay(doc, graphs)

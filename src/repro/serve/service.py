@@ -28,10 +28,11 @@ untouched.
 
 The service itself is crash-safe when given a ``journal`` path: every
 lifecycle transition is appended to a write-ahead journal
-(:mod:`repro.serve.journal`) *before* the service acts on it, and
-:meth:`GraphService.recover` rebuilds a crashed service by idempotent
-replay — finished jobs re-serve from the result cache, in-flight jobs
-resume from their last durable checkpoint via the engines'
+(:mod:`repro.serve.journal`) and applied through one transition method
+per record kind, and :meth:`GraphService.recover` rebuilds a crashed
+service by applying the same methods to the records it reads —
+finished jobs re-serve from the result cache, in-flight jobs resume
+from their last durable checkpoint via the engines'
 ``run_stepwise(resume_from=...)`` entry point instead of recomputing
 from iteration 0.  Per-job deadlines, bounded checkpoint-resume
 retries with quarantine, overload shedding and a :meth:`drain`
@@ -139,14 +140,17 @@ class GraphService:
         self.deduped_submits = 0
         #: warm-start seeds harvested from cached fixpoints at mutation
         #: time: (graph key, algorithm, params fingerprint) ->
-        #: (seed version, CachedResult).  In-memory only — a crash
-        #: loses the seeds and the recovered service falls back to
-        #: cold starts; values are unaffected either way.  Bounded as a
+        #: (seed version, CachedResult).  Not journaled: replaying a
+        #: ``mutation`` harvests them again from the cache entries the
+        #: journal restored.  Bounded as a
         #: small LRU (see :meth:`_warm_put`) and pruned whenever a
         #: key's mutation history is severed, so stale seeds can never
         #: chain-match a reloaded incarnation of the key.
         self._warm: Dict[Tuple[str, str, str], Tuple[int, Any]] = {}
         self._warm_cap = max(cache_entries, 8)
+        #: graph key -> the engine classes jobs asked for since its
+        #: last load: a mutation carries each one's partition forward
+        self._engines: Dict[str, set] = {}
         #: jobs dispatched seeded from a previous fixpoint
         self.warm_starts = 0
         #: mutation batches applied (fresh) / answered from the log
@@ -210,17 +214,9 @@ class GraphService:
         their pinned snapshot, later submits see the new graph, and
         cached answers for the key are invalidated.
         """
-        place = self.store.replace if key in self.store else self.store.load
-        entry = place(key, graph, dataset=dataset)
-        # every load severs the key's warm-start history: a reload
-        # replaces the graph wholesale, and a fresh load after an
-        # unload restarts versioning at 1 — a stale seed left behind
-        # could chain-match the new incarnation's mutation log and
-        # warm-start a monotone algorithm from an unrelated fixpoint
-        # (an invalid bound it can never recover from)
-        self._prune_warm(key)
-        if entry.version > 1:
-            self.cache.invalidate_graph(key)
+        # applied before it is journaled: the record carries the
+        # version the apply produced
+        entry = self._graph_loaded(key, self.store._resolve(graph, dataset))
         self._journal_append("graph_loaded", key=key, dataset=dataset,
                              version=entry.version)
         return entry
@@ -239,6 +235,7 @@ class GraphService:
         self.store.unload(key)
         self.cache.invalidate_graph(key)
         self._prune_warm(key)
+        self._engines.pop(key, None)
 
     def _warm_put(self, wkey: Tuple[str, str, str], version: int,
                   entry: Any) -> None:
@@ -293,36 +290,22 @@ class GraphService:
                     "version": prior.to_version,
                     "changes": prior.batch.num_changes,
                     "deduped": True}
-        pre_version = self.store.get(key).version
         # apply first, journal second: store.mutate() runs apply-time
         # validation (out-of-range ids, remove/update of a nonexistent
         # edge raise GraphError), and a batch that cannot apply must
         # never reach the journal — a journaled unappliable batch would
         # re-raise on every recover() replay and wedge recovery forever
-        record = self.store.mutate(key, batch, bid)
+        record = self._mutated(key, batch, bid)
         self.mutations_applied += 1
-        # harvest the pre-version's cached fixpoints as warm-start
-        # seeds before invalidating them: a cached answer for version N
-        # is exactly the seed an incremental re-run on N+1 wants
-        for ckey, entry in self.cache.entries_for(key, pre_version):
-            self._warm_put((key, ckey[2], ckey[3]), pre_version, entry)
         if self.journal is not None and not self.journal.closed:
             # the applied batch lands durably before the success
             # response reaches the caller; a crash in the gap loses an
             # apply the client was never told about, so its idempotent
             # resubmit re-applies cleanly after recover()
-            self._mutation_seq += 1
             name = self.journal.save_mutation(self._mutation_seq, batch)
             self._journal_append("mutation", key=key, batch_id=bid,
                                  from_version=record.from_version,
                                  to_version=record.to_version, file=name)
-        # eager invalidation: dead-version entries could never be hit
-        # again, so evict them now instead of letting them squat in the
-        # LRU — keeping only versions still reachable (the new latest
-        # plus anything pinned by an in-flight snapshot)
-        keep = {record.to_version}
-        keep.update(self.store.pinned_versions(key))
-        self.cache.invalidate_graph(key, keep_versions=keep)
         return {"graph": key, "batch_id": bid,
                 "from_version": record.from_version,
                 "version": record.to_version,
@@ -385,15 +368,12 @@ class GraphService:
             self._journal_append("idempotency", key=idempotency_key,
                                  job_id=job.job_id)
             self._idempotency[idempotency_key] = job.job_id
-        # snapshot isolation: pin the graph version this job will
-        # compute against for its whole lifetime — mutations landing
-        # after this instant go into versions the job never sees
-        job.snapshot = self.store.snapshot(spec.graph)
-        self._jobs[job.job_id] = job
+        version = self.store.get(spec.graph).version
         self._journal_append("submitted", job_id=job.job_id,
                              spec=spec.to_doc(),
                              submitted_ms=job.submitted_ms,
-                             snapshot_version=job.snapshot.version)
+                             snapshot_version=version)
+        self._submitted(job, version)
         self.queue.push(job)
         return job
 
@@ -425,39 +405,30 @@ class GraphService:
             raise ServeError(f"unknown job id {job_id}")
         if job.finished:
             return False
-        if job.state == PENDING:
-            pulled = self.queue.cancel(job_id)
-            if pulled is not None:
-                pulled.finished_ms = self.now_ms
-                pulled.release_snapshot()
-                self._journal_append("cancelled", job_id=job_id)
-                return True
-            return False
         rj = self.scheduler.find(job_id)
-        if rj is not None:
+        if job.state == PENDING:        # a pending job is always queued
+            self.queue.cancel(job_id)
+        elif rj is not None:
             rj.stepper.close()
-            job.state = CANCELLED
-            job.finished_ms = self.now_ms
-            job.release_snapshot()
-            self._journal_append("cancelled", job_id=job_id)
+        else:
+            # a coalesced waiter: parked behind an in-flight identical
+            # query (none: a job a suspending drain left in flight)
+            ckey = next((k for k, waiters in self._waiters.items()
+                         if job in waiters), None)
+            if ckey is None:
+                return False
+            self._waiters[ckey].remove(job)
+            if not self._waiters[ckey]:
+                del self._waiters[ckey]
+                self._waiter_parked_ms.pop(ckey, None)
+            self.store._detach(job.spec.graph)
+        self._journal_append("cancelled", job_id=job_id)
+        self._ended(job, CANCELLED)
+        if rj is not None:
             self._teardown(rj)
             if self._leads_waiters(rj):
                 self._redispatch_waiters(rj.cache_key)
-            return True
-        # a coalesced waiter: parked behind an in-flight identical query
-        for ckey, waiters in self._waiters.items():
-            if job in waiters:
-                waiters.remove(job)
-                if not waiters:
-                    del self._waiters[ckey]
-                    self._waiter_parked_ms.pop(ckey, None)
-                job.state = CANCELLED
-                job.finished_ms = self.now_ms
-                job.release_snapshot()
-                self._journal_append("cancelled", job_id=job_id)
-                self.store._detach(job.spec.graph)
-                return True
-        return False  # pragma: no cover - state machine guard
+        return True
 
     # -- the scheduling loop ------------------------------------------------------------
 
@@ -542,18 +513,15 @@ class GraphService:
                 return self._drain_result
             self.draining = True
             if finish_running:
-                for job in list(self.queue.jobs()):
-                    pulled = self.queue.cancel(job.job_id)
-                    if pulled is None:  # pragma: no cover - race guard
-                        continue
-                    job.error = "shed: service draining"
-                    job.finished_ms = self.now_ms
-                    job.release_snapshot()
+                for job in self.queue.jobs():
                     self.admission.sheds += 1
                     self.admission.shed_reasons.append(
                         f"job #{job.job_id} ({job.spec.tenant}): "
                         f"pending at drain")
                     self._journal_append("cancelled", job_id=job.job_id)
+                    self.queue.cancel(job.job_id)
+                    self._ended(job, CANCELLED,
+                                error="shed: service draining")
                 finished = self.run()
             else:
                 # suspend: close the live steppers (releasing daemons
@@ -579,14 +547,16 @@ class GraphService:
                 trace_dir: Optional[str] = None) -> "GraphService":
         """Rebuild a crashed service by replaying its journal.
 
-        Reconstructs the service (cluster spec and budgets come from
-        the journal's ``service_start`` record), reloads every graph in
-        journal order, restores terminal jobs verbatim — finished jobs'
-        answers re-enter the result cache from their npz sidecars, with
-        no duplicate entries and no trace rewrites — and re-queues
-        unfinished jobs seeded with their last durable checkpoint, so
-        :meth:`run` continues them from the last journaled superstep
-        instead of iteration 0.
+        Constructs the service from the journal's ``service_start``
+        record (cluster spec and budgets), then applies every record
+        through the transition the live service ran when it appended
+        it (:func:`~repro.serve.journal.replay_journal`): graphs load
+        and mutate in journal order, jobs pin their journaled snapshot
+        versions, finished answers re-enter the result cache from their
+        npz sidecars.  When the records run out, every job the journal
+        left unfinished is re-queued seeded with its newest durable
+        checkpoint, so :meth:`run` continues it from the last journaled
+        superstep instead of iteration 0.
 
         Replay appends nothing to the journal, so recovering the same
         journal twice (or recovering a cleanly drained one) is a no-op:
@@ -595,11 +565,11 @@ class GraphService:
         ``trace_dir`` overrides the journaled one.
         """
         records = read_journal(journal_path)
-        state = replay_journal(records)
-        meta = state.meta
-        if meta is None:
+        starts = [doc for doc in records if doc["rec"] == "service_start"]
+        if not starts:
             raise ServeError(
                 f"journal {journal_path!r} has no service_start record")
+        meta = starts[-1]
         # journaled settings that name a constructor parameter; one a
         # journal lacks takes the constructor's default
         params = inspect.signature(cls).parameters
@@ -607,28 +577,43 @@ class GraphService:
         if trace_dir is not None:
             settings["trace_dir"] = trace_dir
         svc = cls(ClusterSpec(**meta["cluster"]), **settings)
-        jrn = JobJournal(journal_path)   # append mode: writes nothing
-        mutated_keys = set()
-        for kind, doc in state.graph_events:
-            key = doc["key"]
-            if kind == "mutation":
-                # journaled batches replay exactly once (the store
-                # dedupes by batch id); old versions are retained until
-                # the re-queued jobs below re-pin what they still need
-                batch = jrn.load_mutation(doc["file"])
-                try:
-                    svc.store.mutate(key, batch, doc["batch_id"],
-                                     retain=True)
-                except GraphError:
-                    # defense in depth: the live path only journals
-                    # batches that already applied, but a record from
-                    # an older journal (or one straddling an unjournaled
-                    # replace) may no longer fit the graph — skipping it
-                    # beats wedging every future recover(); jobs pinned
-                    # to unreachable versions fall back to latest below
-                    svc.skipped_mutations += 1
-                mutated_keys.add(key)
+        svc.journal = JobJournal(journal_path)  # append mode: writes nothing
+        replay_journal(records, svc, graphs)
+        # a key whose submitted record the crash cut off is an orphan:
+        # that submit never took effect
+        svc._idempotency = {key: job_id
+                            for key, job_id in svc._idempotency.items()
+                            if job_id in svc._jobs}
+        for job in svc.jobs():
+            if job.state != DONE:
+                # only a finished record carries a job's service time:
+                # every other account restarts at zero
+                svc._charge(job, -job.consumed_ms, -job.slices)
+            if job.finished:
+                svc.recovered_terminal += 1
                 continue
+            job.state = PENDING
+            job.resume_from = svc.journal.load_checkpoint(job.job_id)
+            if job.resume_from is not None:
+                svc.resumed_from_checkpoint += 1
+            svc.recovered_jobs += 1
+            svc.queue.push(job)
+        svc.check_invariants()
+        return svc
+
+    def _replay(self, doc: Dict[str, Any],
+                graphs: Optional[Dict[str, Any]]) -> None:
+        """Apply one journal record through its live transition.
+
+        The sidecars supply what the live path held in memory: the
+        graph (``graphs`` or the dataset name), the mutation batch, the
+        finished answer.  Engine work is no transition, so ``admitted``
+        and ``slice`` only record progress.
+        """
+        rec = doc["rec"]
+        self.now_ms = max(self.now_ms, float(doc.get("now_ms", 0.0)))
+        if rec == "graph_loaded":
+            key = doc["key"]
             if graphs is not None and key in graphs:
                 graph = graphs[key]
             elif doc.get("dataset") is not None:
@@ -637,91 +622,191 @@ class GraphService:
                 raise ServeError(
                     f"graph {key!r} was journaled without a dataset "
                     f"name; pass it via graphs={{{key!r}: <Graph>}}")
-            if key in svc.store:
-                svc.store.replace(key, graph)  # a journaled reload
-                svc.cache.invalidate_graph(key)
-            else:
-                svc.store.load(key, graph)
-        svc._mutation_seq = len(state.mutations)
-        svc.now_ms = state.now_ms
-        svc._idempotency = dict(state.idempotency)
-        for jr in sorted(state.jobs.values(), key=lambda j: j.job_id):
-            spec = JobSpec.from_doc(jr.spec_doc)
-            job = Job(jr.job_id, spec, submitted_ms=jr.submitted_ms)
-            svc._jobs[job.job_id] = job
-            svc._next_job_id = max(svc._next_job_id, jr.job_id + 1)
-            job.retries = jr.retries
-            if jr.state == "done":
-                result = jrn.load_result(jr.job_id, jr.result_file)
-                if result is not None:
-                    job.state = DONE
-                    job.result = result
-                    job.result_file = result.file
-                    job.from_cache = jr.from_cache
-                    job.finished_ms = jr.finished_ms
-                    job.consumed_ms = jr.consumed_ms
-                    job.slices = jr.slices
-                    svc.ledger.charge(spec.tenant, jr.consumed_ms,
-                                      slices=jr.slices)
-                    svc.ledger.finish(spec.tenant, from_cache=jr.from_cache)
-                    if (spec.use_cache and jr.cache_key is not None
-                            and not jr.from_cache):
-                        svc.cache.put_entry(jr.cache_key, result)
-                    svc.recovered_terminal += 1
-                    continue
-                # finished record without its sidecar (should not
-                # happen: the sidecar lands first) — recompute
-                jr.state = "pending"
-            elif jr.state == "failed":
-                job.state = FAILED
-                job.error = jr.error
-                job.finished_ms = jr.finished_ms
-                svc.recovered_terminal += 1
-                continue
-            elif jr.state == "quarantined":
-                job.state = QUARANTINED
-                job.error = jr.error
-                job.quarantine_reason = jr.quarantine_reason
-                job.finished_ms = jr.finished_ms
-                svc.recovered_terminal += 1
-                continue
-            elif jr.state == "cancelled":
-                job.state = CANCELLED
-                job.finished_ms = jr.finished_ms
-                svc.recovered_terminal += 1
-                continue
-            # pending or in flight at the crash: re-queue, seeded with
-            # the last durable checkpoint if one was journaled, and
-            # re-pinned to the graph version it was submitted against
+            self._graph_loaded(key, graph)
+        elif rec == "mutation":
+            batch = self.journal.load_mutation(doc["file"])
             try:
-                job.snapshot = svc.store.snapshot(
-                    spec.graph, version=jr.snapshot_version)
+                self._mutated(doc["key"], batch, doc["batch_id"])
+            except GraphError:
+                # defense in depth: the live path only journals batches
+                # that already applied, but a record from an older
+                # journal (or one straddling an unjournaled replace) may
+                # no longer fit the graph — skipping it beats wedging
+                # every future recover()
+                self.skipped_mutations += 1
+                self._mutation_seq += 1
+        elif rec == "idempotency":
+            self._idempotency[doc["key"]] = doc["job_id"]
+        elif rec == "submitted":
+            if doc["job_id"] in self._jobs:
+                raise ServeError(
+                    f"journal submits job #{doc['job_id']} twice")
+            job = Job(doc["job_id"], JobSpec.from_doc(doc["spec"]),
+                      submitted_ms=float(doc.get("submitted_ms", 0.0)))
+            try:
+                self._submitted(job, doc.get("snapshot_version"))
             except ServeError:
-                # pre-v3 journal, or a version the graph history can
-                # no longer prove — fall back to the latest version
-                job.snapshot = svc.store.snapshot(spec.graph)
-            job.resume_from = jrn.load_checkpoint(jr.job_id)
-            if job.resume_from is not None:
-                svc.resumed_from_checkpoint += 1
-            svc.recovered_jobs += 1
-            svc.queue.push(job)
-        for key in mutated_keys:
-            # replayed ``finished`` records may have re-installed cache
-            # entries for versions nothing can reach anymore
-            keep = {svc.store.get(key).version}
-            keep.update(svc.store.pinned_versions(key))
-            svc.cache.invalidate_graph(key, keep_versions=keep)
-        svc.store.gc()   # drop retained versions no recovered job pins
-        svc.journal = jrn
-        svc.check_invariants()
-        return svc
+                # a version the graph history can no longer prove (a
+                # skipped mutation) — fall back to the latest
+                self._submitted(job, None)
+        elif rec in ("service_start", "checkpointed", "shed", "shutdown"):
+            pass
+        else:
+            job = self._jobs.get(doc["job_id"])
+            if job is None:
+                raise ServeError(
+                    f"journal records {rec!r} for job #{doc['job_id']} "
+                    f"before its submitted record")
+            if rec == "admitted":
+                self._admitted(job)
+            elif rec == "slice":
+                self._charge(job, 0.0, 1)
+            elif rec == "retry":
+                self._retried(job, int(doc["attempt"]))
+            elif rec == "finished":
+                from_cache = bool(doc.get("from_cache", False))
+                result = self.journal.load_result(job.job_id,
+                                                  doc.get("file"))
+                key = doc.get("cache_key")
+                if result is not None:  # no sidecar: the job recomputes
+                    self._finished(
+                        job, result, result.file, from_cache=from_cache,
+                        cache_key=(tuple(key) if key is not None
+                                   and job.spec.use_cache
+                                   and not from_cache else None),
+                        consumed_ms=float(doc.get("consumed_ms", 0.0)))
+            elif rec == "failed":
+                self._ended(job, FAILED, error=doc.get("error"))
+            elif rec == "quarantined":
+                self._ended(job, QUARANTINED,
+                            error=doc.get("error", doc.get("reason")),
+                            quarantine_reason=doc.get("reason"))
+            elif rec == "cancelled":
+                self._ended(job, CANCELLED)
+            else:
+                raise ServeError(f"unknown journal record kind {rec!r}")
+
+    # -- transitions --------------------------------------------------------------------
+    #
+    # One method per state-changing journal record.  The live path
+    # appends the record, then applies it here — except graph_loaded
+    # and mutation, which carry the version their apply produced and
+    # must never journal a graph that failed to load or a batch that
+    # failed to apply.  recover() applies the same methods to the
+    # records it reads (:meth:`_replay`).
+
+    def _graph_loaded(self, key: str, graph):
+        """``graph_loaded``: load, or replace a resident graph."""
+        place = self.store.replace if key in self.store else self.store.load
+        entry = place(key, graph)
+        # every load severs the key's warm-start history: a reload
+        # replaces the graph wholesale, and a fresh load after an
+        # unload restarts versioning at 1 — a stale seed left behind
+        # could chain-match the new incarnation's mutation log and
+        # warm-start a monotone algorithm from an unrelated fixpoint
+        # (an invalid bound it can never recover from)
+        self._prune_warm(key)
+        self._engines[key] = set()
+        if entry.version > 1:
+            self.cache.invalidate_graph(key)
+        return entry
+
+    def _mutated(self, key: str, batch: MutationBatch, batch_id: str):
+        """``mutation``: apply copy-on-write, harvest warm seeds, and
+        drop the cached answers no snapshot can reach any more."""
+        pre_version = self.store.get(key).version
+        # every engine a job asked for gets its partition carried
+        # forward, built first if no job built it yet: the new version's
+        # placement then follows from the journal (which engines were
+        # asked for), not from which jobs ran before the mutation, and
+        # replay derives the placement the live service did
+        cluster = self.spec.build()
+        for engine_cls in sorted(self._engines.get(key, ()),
+                                 key=lambda c: c.name):
+            self.store.ensure_partition(key, engine_cls, cluster)
+        record = self.store.mutate(key, batch, batch_id)
+        self._mutation_seq += 1
+        # harvest the pre-version's cached fixpoints as warm-start
+        # seeds before invalidating them: a cached answer for version N
+        # is exactly the seed an incremental re-run on N+1 wants
+        for ckey, entry in self.cache.entries_for(key, pre_version):
+            self._warm_put((key, ckey[2], ckey[3]), pre_version, entry)
+        # eager invalidation: dead-version entries could never be hit
+        # again, so evict them now instead of letting them squat in the
+        # LRU — keeping only versions still reachable (the new latest
+        # plus anything pinned by an in-flight snapshot)
+        keep = {record.to_version}
+        keep.update(self.store.pinned_versions(key))
+        self.cache.invalidate_graph(key, keep_versions=keep)
+        return record
+
+    def _submitted(self, job: Job, version: Optional[int]) -> None:
+        """``submitted``: register the job and pin its graph version.
+
+        Snapshot isolation: the job computes against this version for
+        its whole lifetime — mutations landing after it go into
+        versions the job never sees.
+        """
+        job.snapshot = self.store.snapshot(job.spec.graph, version=version)
+        self._engines.setdefault(job.spec.graph, set()).add(
+            job.spec.engine_cls())
+        self._jobs[job.job_id] = job
+        self._next_job_id = max(self._next_job_id, job.job_id + 1)
+
+    def _admitted(self, job: Job) -> None:
+        """``admitted``: the job left the queue."""
+        job.state = RUNNING
+        if job.started_ms is None:
+            job.started_ms = self.now_ms
+
+    def _charge(self, job: Job, ms: float, slices: int) -> None:
+        """``slice``: the one method that charges a job's account and
+        its tenant's ledger row (replay charges a slice 0 ms until the
+        ``finished`` record settles the account)."""
+        job.consumed_ms += ms
+        job.slices += slices
+        self.ledger.charge(job.spec.tenant, ms, slices=slices)
+
+    def _retried(self, job: Job, attempt: int) -> None:
+        """``retry``: the failed job goes back to pending."""
+        job.retries = attempt
+        job.state = PENDING
+
+    def _finished(self, job: Job, result, file: Optional[str], *,
+                  from_cache: bool, cache_key, consumed_ms: float) -> None:
+        """``finished``: settle the account to the journaled ms (live,
+        a computed job already holds them), publish the answer."""
+        self._charge(job, consumed_ms - job.consumed_ms, int(from_cache))
+        job.result = result
+        job.result_file = file
+        job.from_cache = from_cache
+        job.state = DONE
+        job.finished_ms = self.now_ms
+        job.release_snapshot()
+        self.ledger.finish(job.spec.tenant, from_cache=from_cache)
+        if cache_key is None:
+            return
+        if isinstance(result, RunResult):
+            self.cache.put(cache_key, result, file)
+        else:  # replayed: the answer its sidecar holds
+            self.cache.put_entry(cache_key, result)
+
+    def _ended(self, job: Job, state: str, *, error: Optional[str] = None,
+               quarantine_reason: Optional[str] = None) -> None:
+        """``failed`` / ``quarantined`` / ``cancelled``."""
+        job.state = state
+        if error is not None:
+            job.error = error
+        job.quarantine_reason = quarantine_reason
+        job.finished_ms = self.now_ms
+        job.release_snapshot()
 
     def check_invariants(self) -> None:
         """Raise :class:`ServeError` naming the first broken invariant.
 
         * store pins balance the snapshots jobs hold, per version;
         * running jobs hold unreleased snapshots;
-        * each tenant's ledger ms is the sum of its jobs' consumed ms;
+        * each tenant's ledger ms and slices are the sums of its jobs';
         * every done job's journaled sidecar exists;
         * the cache counts no key of a version it dropped.
 
@@ -742,20 +827,21 @@ class GraphService:
             if snap is None or snap.released:
                 raise ServeError(f"running job #{rj.job.job_id} holds "
                                  f"no live snapshot")
-        consumed: Dict[str, float] = {}
+        spent: Dict[str, List[float]] = {}
         for job in self._jobs.values():
-            tenant = job.spec.tenant
-            consumed[tenant] = consumed.get(tenant, 0.0) + job.consumed_ms
-        charged = {tenant: row["consumed_ms"]
-                   for tenant, row in self.ledger.snapshot().items()}
-        for tenant in sorted(set(consumed) | set(charged)):
-            if not math.isclose(charged.get(tenant, 0.0),
-                                consumed.get(tenant, 0.0),
-                                rel_tol=1e-9, abs_tol=1e-5):
+            row = spent.setdefault(job.spec.tenant, [0.0, 0])
+            row[0] += job.consumed_ms
+            row[1] += job.slices
+        ledger = self.ledger.snapshot()
+        for tenant in sorted(set(spent) | set(ledger)):
+            ms, slices = spent.get(tenant, (0.0, 0))
+            row = ledger.get(tenant, {"consumed_ms": 0.0, "slices": 0})
+            if row["slices"] != slices or not math.isclose(
+                    row["consumed_ms"], ms, rel_tol=1e-9, abs_tol=1e-5):
                 raise ServeError(
                     f"tenant {tenant!r}: the ledger charged "
-                    f"{charged.get(tenant, 0.0)} ms, its jobs consumed "
-                    f"{consumed.get(tenant, 0.0)} ms")
+                    f"{row['consumed_ms']} ms over {row['slices']} "
+                    f"slices, its jobs consumed {ms} ms over {slices}")
         if self.journal is not None:
             for job in self._jobs.values():
                 if job.state == DONE and (
@@ -791,32 +877,22 @@ class GraphService:
 
     def _fail_before_start(self, job: Job, reason: str) -> None:
         """Terminal failure of a job that never (re)dispatched."""
-        job.state = FAILED
-        job.error = reason
-        job.finished_ms = self.now_ms
-        job.release_snapshot()
         self._journal_append("failed", job_id=job.job_id, error=reason)
+        self._ended(job, FAILED, error=reason)
         self._write_trace(job)
 
     def _dispatch(self, job: Job) -> None:
         """Start an admitted job: cache fast path or engine stepper."""
         spec = job.spec
-        job.state = RUNNING
-        if job.started_ms is None:
-            job.started_ms = self.now_ms
-        self.store._attach(spec.graph)
-        if job.snapshot is None or job.snapshot.released:
-            # jobs submitted before the snapshot API (or whose handle
-            # was released by an earlier terminal path) pin late, at
-            # the latest version — the pre-snapshot behavior
-            job.snapshot = self.store.snapshot(spec.graph)
-        snap = job.snapshot
-        ckey = self.cache.key(spec.graph, snap.version, spec.algorithm,
-                              spec.cache_params())
         self._journal_append(
             "admitted", job_id=job.job_id,
             resume_iteration=(job.resume_from.iteration
                               if job.resume_from is not None else 0))
+        self._admitted(job)
+        self.store._attach(spec.graph)
+        snap = job.snapshot
+        ckey = self.cache.key(spec.graph, snap.version, spec.algorithm,
+                              spec.cache_params())
         if spec.use_cache:
             hit = self.cache.get(ckey)
             if hit is not None:
@@ -883,8 +959,7 @@ class GraphService:
         except ReproError as exc:
             self._fail(rj, exc)
             return
-        self._charge(rj, event.sim_ms)
-        job.slices += 1
+        self._run_for(rj, event.sim_ms)
         self._journal_append("slice", job_id=job.job_id,
                              iteration=event.iteration)
         if (event.checkpointed and not event.converged
@@ -936,34 +1011,27 @@ class GraphService:
                 waiter.state = PENDING
                 self.queue.push(waiter)
 
-    def _charge(self, rj: RunningJob, ms: float) -> None:
+    def _run_for(self, rj: RunningJob, ms: float, slices: int = 1) -> None:
+        """Charge engine time: the job's account, its stride-scheduling
+        clock and the service clock."""
         rj.charged_ms += ms
         rj.virtual_ms += ms
-        self._charge_job(rj.job, ms)
-
-    def _charge_job(self, job: Job, ms: float) -> None:
-        job.consumed_ms += ms
-        self.ledger.charge(job.spec.tenant, ms)
         self.now_ms += ms
+        self._charge(rj.job, ms, slices)
 
     def _serve_from_cache(self, job: Job, hit) -> None:
         """Complete an admitted job from a cached answer."""
-        self._charge_job(job, CACHE_LOOKUP_MS)
-        job.slices += 1
-        job.from_cache = True
-        job.result = hit
-        job.result_file = hit.file
-        job.state = DONE
-        job.finished_ms = self.now_ms
-        job.release_snapshot()
-        self.ledger.finish(job.spec.tenant, from_cache=True)
+        self.now_ms += CACHE_LOOKUP_MS
+        consumed = job.consumed_ms + CACHE_LOOKUP_MS
         self.store._detach(job.spec.graph)
         # the hit names the sidecar its answer already lives in: the
         # job recovers from that file even after the entry is evicted
         # (sidecars are never deleted), so no copy is written
         self._journal_append("finished", job_id=job.job_id,
                              from_cache=True, cache_key=None,
-                             file=hit.file, consumed_ms=job.consumed_ms)
+                             file=hit.file, consumed_ms=consumed)
+        self._finished(job, hit, hit.file, from_cache=True, cache_key=None,
+                       consumed_ms=consumed)
         self._write_trace(job)
 
     def _finish(self, rj: RunningJob, result) -> None:
@@ -973,30 +1041,26 @@ class GraphService:
         # after the last — job.consumed_ms must equal result.total_ms
         extra = result.total_ms - rj.charged_ms
         if extra > 0:
-            self._charge(rj, extra)
-        job.result = result
+            # part of the last slice, not a slice of its own
+            self._run_for(rj, extra, slices=0)
         job.fault_report = rj.middleware.fault_report(result)
-        job.state = DONE
-        job.finished_ms = self.now_ms
-        job.release_snapshot()
+        file = None
         if self.journal is not None:
             # before the cache entry: its hits journal this file
-            job.result_file = self.journal.save_result(
+            file = self.journal.save_result(
                 job.job_id, result.values, result.iterations,
                 result.converged, result.total_ms, result.engine_name,
                 result.algorithm_name)
-        if job.spec.use_cache:
-            self.cache.put(rj.cache_key, result, job.result_file)
-        self.ledger.finish(job.spec.tenant)
         ewma = self._ewma_service_ms
         self._ewma_service_ms = (result.total_ms if ewma is None
                                  else 0.5 * result.total_ms + 0.5 * ewma)
         self._teardown(rj)
-        self._journal_append(
-            "finished", job_id=job.job_id, from_cache=False,
-            cache_key=(list(rj.cache_key) if job.spec.use_cache
-                       else None),
-            file=job.result_file, consumed_ms=job.consumed_ms)
+        cache_key = rj.cache_key if job.spec.use_cache else None
+        self._journal_append("finished", job_id=job.job_id,
+                             from_cache=False, cache_key=cache_key,
+                             file=file, consumed_ms=job.consumed_ms)
+        self._finished(job, result, file, from_cache=False,
+                       cache_key=cache_key, consumed_ms=job.consumed_ms)
         self._write_trace(job)
         if job.spec.use_cache:
             # the answer is published: serve the query's parked waiters
@@ -1018,41 +1082,35 @@ class GraphService:
         reason = f"{type(exc).__name__}: {exc}"
         job.fault_report = rj.middleware.fault_report()
         if retryable and job.retries < job.spec.max_retries:
-            job.retries += 1
+            attempt = job.retries + 1
             self.retries += 1
-            backoff = (job.spec.retry_backoff_ms
-                       * (2 ** (job.retries - 1)))
+            backoff = job.spec.retry_backoff_ms * (2 ** (attempt - 1))
             ckpt = self._journal_checkpoint(rj)
             if ckpt is not None:
                 job.resume_from = ckpt
-            job.state = PENDING
             job.not_before_ms = self.now_ms + backoff
             self._journal_append(
-                "retry", job_id=job.job_id, attempt=job.retries,
+                "retry", job_id=job.job_id, attempt=attempt,
                 backoff_ms=backoff, error=reason,
                 resume_iteration=(ckpt.iteration if ckpt is not None
                                   else 0))
+            self._retried(job, attempt)
             self._teardown(rj)
             self.queue.push(job)
             # coalesced waiters stay parked: the retry is still the
             # one in-flight computation of their query
             return
         if retryable and job.spec.max_retries > 0:
-            job.state = QUARANTINED
-            job.quarantine_reason = (
+            state, poison = QUARANTINED, (
                 f"poison: failed {job.retries + 1} times "
                 f"(budget {job.spec.max_retries}); last error: {reason}")
-            job.error = reason
             self._journal_append("quarantined", job_id=job.job_id,
-                                 reason=job.quarantine_reason,
-                                 error=reason)
+                                 reason=poison, error=reason)
         else:
-            job.state = FAILED
-            job.error = reason
+            state, poison = FAILED, None
             self._journal_append("failed", job_id=job.job_id,
                                  error=reason)
-        job.finished_ms = self.now_ms
-        job.release_snapshot()
+        self._ended(job, state, error=reason, quarantine_reason=poison)
         self._teardown(rj)
         self._write_trace(job)
         if self._leads_waiters(rj):

@@ -204,17 +204,13 @@ class GraphStore:
 
     def mutate(self, key: str,
                batch: Union[MutationBatch, Mapping[str, Any]],
-               batch_id: Optional[str] = None, *,
-               retain: bool = False) -> MutationRecord:
+               batch_id: Optional[str] = None) -> MutationRecord:
         """Apply a mutation batch copy-on-write; returns the record.
 
         Idempotent by ``batch_id`` (defaulting to the batch's content
         fingerprint): re-applying an already-applied id returns the
         original record without touching the graph — the exactly-once
-        guarantee journal replay and wire retries lean on.  With
-        ``retain=True`` the pre-mutation graph is kept even when
-        nothing pins it yet (journal recovery pins jobs *after*
-        replaying mutations).
+        guarantee journal replay and wire retries lean on.
         """
         entry = self.get(key)
         if isinstance(batch, Mapping):
@@ -230,7 +226,7 @@ class GraphStore:
         record = MutationRecord(batch_id=bid, from_version=old_version,
                                 to_version=old_version + 1, batch=batch,
                                 effect=effect)
-        if retain or self._pins.get((key, old_version), 0) > 0:
+        if self._pins.get((key, old_version), 0) > 0:
             self._retained[(key, old_version)] = old_graph
         entry.graph = new_graph
         entry.version += 1
@@ -328,11 +324,6 @@ class GraphStore:
                      if k[0] == key and k[1] == version]:
             del self._partitions[pkey]
 
-    def gc(self) -> None:
-        """Drop every unpinned superseded version (post-recovery sweep)."""
-        for key, version in list(self._retained):
-            self._maybe_gc(key, version)
-
     def _drop_unpinned_partitions(self, key: str) -> None:
         self._partitions = {
             k: v for k, v in self._partitions.items()
@@ -414,6 +405,15 @@ class GraphStore:
         self._partitions[pkey] = engine.pgraph
         self.partition_builds += 1
         return engine
+
+    def ensure_partition(self, key: str, engine_cls,
+                         cluster: Cluster) -> None:
+        """Memoize the latest version's partition for ``engine_cls``, as
+        the first :meth:`build_engine` for it would."""
+        pkey = (key, self.get(key).version, engine_cls.name,
+                cluster.num_nodes)
+        if pkey not in self._partitions:
+            self.build_engine(key, engine_cls, cluster)
 
     def stats(self) -> Dict[str, Any]:
         return {

@@ -6,6 +6,8 @@ the same policy (decaying recency weights, dirty pinning, lowest-weight
 eviction).
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -276,24 +278,48 @@ def test_cache_matches_model(ops, capacity):
 # -- thrash regime: capacity below the id universe ------------------------------
 
 UNIVERSE = 24
-THRASH_IDS = st.lists(st.integers(0, UNIVERSE - 1), min_size=0, max_size=8)
 
-THRASH_OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("tick")),
-        st.tuples(st.just("touch"), THRASH_IDS),
-        st.tuples(st.just("clear_dirty")),
-        st.tuples(st.just("invalidate_many"), THRASH_IDS),
-        st.tuples(st.just("update"), st.integers(0, UNIVERSE - 1),
-                  st.booleans()),
-        # a permutation of the universe; the op keeps a prefix longer
-        # than the capacity, so the batch always outsizes the cache
-        st.tuples(st.just("insert_many"),
-                  st.permutations(range(UNIVERSE)),
-                  st.integers(1, UNIVERSE), st.booleans(), st.booleans()),
-    ),
-    min_size=1, max_size=30,
-)
+
+def thrash_ops(raw):
+    """The op sequence a byte string spells: one draw per example, not
+    dozens (hypothesis's per-element draws cost more than the caches
+    they drive).  An op is a kind byte and its argument bytes: id lists
+    (a length byte, then an id per byte), an ``update`` id and dirty
+    bit, or an ``insert_many`` permutation of the universe (a 4-byte
+    seed), its surplus over the capacity and its dirty / ascending
+    bits; a string that runs out reads as zeros."""
+    ops, pos = [], 0
+
+    def take(k):
+        nonlocal pos
+        chunk = raw[pos:pos + k]
+        pos += k
+        return chunk + bytes(k - len(chunk))
+
+    while pos < len(raw) and len(ops) < 30:
+        kind = take(1)[0] % 6
+        if kind == 0:
+            ops.append(("tick",))
+        elif kind == 1:
+            ops.append(("clear_dirty",))
+        elif kind in (2, 3):
+            ids = [b % UNIVERSE for b in take(take(1)[0] % 9)]
+            ops.append(("touch" if kind == 2 else "invalidate_many", ids))
+        elif kind == 4:
+            vertex, dirty = take(2)
+            ops.append(("update", vertex % UNIVERSE, bool(dirty & 1)))
+        else:
+            perm = random.Random(int.from_bytes(take(4), "little")).sample(
+                range(UNIVERSE), UNIVERSE)
+            # the op keeps a prefix longer than the capacity, so the
+            # batch always outsizes the cache
+            extra, flags = take(2)
+            ops.append(("insert_many", perm, extra % UNIVERSE + 1,
+                        bool(flags & 1), bool(flags & 2)))
+    return ops
+
+
+THRASH_OPS = st.binary(min_size=16, max_size=160).map(thrash_ops)
 
 
 def counters(cache):

@@ -155,7 +155,7 @@ test_cache_matches_the_model = CacheMachine.TestCase
 # -- singleflight and admission in the service ------------------------------------
 
 GRAPH = rmat(48, 192, seed=5)
-SPEC = ClusterSpec(nodes=2, gpus_per_node=1)
+SPEC = ClusterSpec(nodes=1, gpus_per_node=1)
 MAX_RUNNING = 3
 #: every query's answer, from a solo run outside the service
 ANSWERS = {}
@@ -318,7 +318,7 @@ class SingleflightMachine(RuleBasedStateMachine):
 
 
 SingleflightMachine.TestCase.settings = settings(max_examples=25,
-                                                 stateful_step_count=20,
+                                                 stateful_step_count=15,
                                                  deadline=None)
 test_singleflight_matches_the_model = SingleflightMachine.TestCase
 

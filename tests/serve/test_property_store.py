@@ -1,12 +1,11 @@
 """Model-based property test: GraphStore vs a dict-of-version-lists model.
 
 A hypothesis state machine drives one store through random
-load / replace / mutate / snapshot / release / unload / gc sequences
+load / replace / mutate / snapshot / release / unload sequences
 over two keys and checks it, after every step, against a plain model:
 ``key -> [[version, graph, pins], ...]``, oldest first, the last entry
 the latest version.  A superseded entry stays in the list exactly while
-the store must retain it: pinned by a live snapshot, or kept by
-``mutate(retain=True)`` until a release or ``gc()`` finds it unpinned.
+the store must retain it: while a live snapshot pins it.
 """
 
 import hashlib
@@ -60,11 +59,6 @@ class StoreMachine(RuleBasedStateMachine):
     def entry(self, key, version):
         return next(e for e in self.model[key] if e[0] == version)
 
-    def collect(self, key):
-        """Drop every unpinned superseded version of ``key``."""
-        versions = self.model[key]
-        self.model[key] = [e for e in versions[:-1] if e[2]] + versions[-1:]
-
     # -- rules ---------------------------------------------------------------------
 
     @rule(key=KEYS, graph=GRAPHS)
@@ -87,8 +81,7 @@ class StoreMachine(RuleBasedStateMachine):
         outgoing = self.model[key][-1]
         version = outgoing[0] + 1
         assert self.store.replace(key, graph).version == version
-        # only the outgoing version is dropped when unpinned; versions
-        # kept by mutate(retain=True) wait for a release or gc()
+        # the outgoing version is dropped when unpinned
         if not outgoing[2]:
             self.model[key].remove(outgoing)
         self.model[key].append([version, graph, 0])
@@ -96,9 +89,8 @@ class StoreMachine(RuleBasedStateMachine):
         self.applied[key] = set()
 
     @rule(key=KEYS, new_vertices=st.integers(0, 2),
-          edge=st.tuples(st.integers(0, 9), st.integers(0, 9)),
-          retain=st.booleans())
-    def mutate(self, key, new_vertices, edge, retain):
+          edge=st.tuples(st.integers(0, 9), st.integers(0, 9)))
+    def mutate(self, key, new_vertices, edge):
         if key not in self.model:
             with pytest.raises(ServeError, match="unknown graph"):
                 self.store.mutate(key, MutationBatch(add_vertices=1))
@@ -107,7 +99,7 @@ class StoreMachine(RuleBasedStateMachine):
         n = latest[1].num_vertices + new_vertices
         batch = MutationBatch(add_src=[edge[0] % n], add_dst=[edge[1] % n],
                               add_vertices=new_vertices)
-        record = self.store.mutate(key, batch, retain=retain)
+        record = self.store.mutate(key, batch)
         if batch.fingerprint() in self.applied[key]:
             # a replayed batch id changes nothing (exactly-once)
             assert record.to_version <= latest[0]
@@ -119,9 +111,8 @@ class StoreMachine(RuleBasedStateMachine):
         assert graph.num_vertices == n
         assert graph.num_edges == latest[1].num_edges + 1
         self.model[key].append([latest[0] + 1, graph, 0])
-        if not retain:
-            self.model[key] = [e for e in self.model[key]
-                               if e is not latest or e[2]]
+        self.model[key] = [e for e in self.model[key]
+                           if e is not latest or e[2]]
 
     @rule(key=KEYS, back=st.integers(0, 3))
     def snapshot(self, key, back):
@@ -169,12 +160,6 @@ class StoreMachine(RuleBasedStateMachine):
             return
         self.store.unload(key)
         del self.model[key], self.chain_start[key], self.applied[key]
-
-    @rule()
-    def gc(self):
-        self.store.gc()
-        for key in self.model:
-            self.collect(key)
 
     # -- invariants ----------------------------------------------------------------
 

@@ -364,10 +364,13 @@ def test_drain_finishes_running_sheds_pending(tmp_path):
     with pytest.raises(AdmissionError, match="draining"):
         svc.submit(pagerank_spec(tenant="late"))
     assert svc.journal.closed
-    from repro.serve import replay_journal, read_journal
-    state = replay_journal(read_journal(jpath))
-    assert state.clean_shutdown
-    assert state.unfinished == []
+    from repro.serve import read_journal
+    assert read_journal(jpath)[-1]["rec"] == "shutdown"
+    assert read_journal(jpath)[-1]["clean"]
+    rec = GraphService.recover(jpath)
+    assert rec.recovered_jobs == 0              # nothing left unfinished
+    assert rec.job(running.job_id).state == "done"
+    assert rec.job(pending.job_id).state == "cancelled"
 
 
 def test_recover_resumes_inflight_jobs_bit_identically(tmp_path):
@@ -595,13 +598,13 @@ def test_drain_suspend_mode_keeps_jobs_resumable(tmp_path):
     service.drain(reason="sigterm", finish_running=False)
     assert job.state != "done"          # suspended, not completed
 
-    from repro.serve import read_journal, replay_journal
-    state = replay_journal(read_journal(jpath))
-    assert state.clean_shutdown and state.shutdown_reason == "sigterm"
-    assert state.unfinished             # nothing terminal was forged
+    from repro.serve import read_journal
+    marker = read_journal(jpath)[-1]
+    assert marker["rec"] == "shutdown" and marker["clean"]
+    assert marker["reason"] == "sigterm"
 
     rec = GraphService.recover(jpath)
-    assert rec.recovered_jobs == 1
+    assert rec.recovered_jobs == 1      # nothing terminal was forged
     assert rec.resumed_from_checkpoint == 1
     rec.run()
     resumed = rec.job(job.job_id)
