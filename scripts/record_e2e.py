@@ -19,7 +19,11 @@ HEAD~1; from a dirty tree the change has no hash yet, so ``commit`` is
 
 ``record_e2e.py --check`` (CI) fails on a schema error, a workload or
 metric ``BENCHMARK.json`` does not name, or a ``pr`` sequence that
-ever steps down.
+ever steps down.  On a valid file it also prints, per workload and
+metric, the chained change/parent median ratio since the first
+record's parent: levels move with the host, but each record's ratio
+is measured on one host, so their product reads the trajectory across
+hosts.
 
 Usage: python scripts/record_e2e.py RUNS_A RUNS_B --pr N
        python scripts/record_e2e.py --check
@@ -103,6 +107,19 @@ def check(records, manifest):
     return problems
 
 
+def chained(records):
+    """``{(workload, metric): (product of change/parent medians, PRs)}``
+    over every record whose parent median is not zero."""
+    out = {}
+    for rec in records:
+        parent, change = rec["parent"][1], rec["change"][1]
+        if parent:
+            key = (rec["workload"], rec["metric"])
+            ratio, prs = out.get(key, (1.0, 0))
+            out[key] = (ratio * change / parent, prs + 1)
+    return out
+
+
 def record(runs_a, runs_b, pr, parent_commit, commit, manifest):
     a, b = load_runs(runs_a), load_runs(runs_b)
     out = []
@@ -136,6 +153,13 @@ def main(argv=None) -> int:
             print(f"BENCH_e2e.json: {problem}")
         if not problems:
             print(f"BENCH_e2e.json: {len(records)} records OK")
+            if records:
+                print(f"change/parent median, chained since pr "
+                      f"{records[0]['pr']}'s parent:")
+            for (workload, metric), (ratio, prs) in sorted(
+                    chained(records).items()):
+                print(f"  {workload:<18} {metric:<12} {ratio:6.3f}x "
+                      f"over {prs} PRs")
         return 1 if problems else 0
     if len(args.runs) != 2 or args.pr is None:
         parser.error("recording needs RUNS_A RUNS_B --pr N")

@@ -32,6 +32,16 @@ immune to caller-side mutation — a cache hit is byte-identical to the
 recompute, always.  An entry also names the journal sidecar holding
 its answer (when the service journals), so a hit's ``finished``
 record can point at that file instead of writing a copy.
+
+Two tiers.  Capacity bounds the *resident* entries, the ones holding
+values.  An evicted entry that names a sidecar is *spilled*, not
+dropped: its metadata stays in an index with no values array, and a
+lookup of its key reads the sidecar back through the caller's ``load``
+and re-installs the entry as resident — a hit one file read away
+instead of an engine run.  A sidecar that is gone, unreadable or not
+the answer the index describes is a miss, and the key leaves the
+index.  Entries without a sidecar (no journal) are dropped on eviction
+as before, so the spill tier exists exactly when the service journals.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ import hashlib
 import json
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -95,7 +105,8 @@ class CachedResult:
     ``compute_ms`` is the simulated cost of the run that produced the
     entry — what a cache hit just saved.  ``file`` names the journal's
     result sidecar of that run (None when the service keeps no
-    journal).
+    journal).  A spilled entry's ``values`` is None: the answer is in
+    ``file``.
     """
 
     values: np.ndarray
@@ -113,7 +124,8 @@ class CachedResult:
 
 class ResultCache:
     """Fixed-capacity cache of :class:`CachedResult` that evicts the
-    entry whose hits save least, with hit/miss accounting."""
+    entry whose hits save least, spilling it to its sidecar when it
+    names one, with hit/miss accounting."""
 
     def __init__(self, capacity: int = 64) -> None:
         if capacity < 1:
@@ -121,6 +133,9 @@ class ResultCache:
         self.capacity = capacity
         #: resident entries, least- to most-recently used
         self._entries: "OrderedDict[CacheKey, CachedResult]" = OrderedDict()
+        #: spilled entries: evicted answers that name a sidecar, held
+        #: without their values (never resident at the same time)
+        self._spilled: Dict[CacheKey, CachedResult] = {}
         #: lookups per key, resident or not (halved every ``_window``)
         self._lookups: Dict[CacheKey, int] = {}
         self._window = COUNT_WINDOW_PER_ENTRY * capacity
@@ -132,6 +147,8 @@ class ResultCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
+        #: spilled entries read back by a lookup (each one also a hit)
+        self.reloads = 0
 
     @staticmethod
     def key(graph_key: str, graph_version: int, algorithm: str,
@@ -139,9 +156,18 @@ class ResultCache:
         return (graph_key, graph_version, algorithm,
                 params_fingerprint(params))
 
-    def get(self, key: CacheKey) -> Optional[CachedResult]:
+    def get(self, key: CacheKey,
+            load: Optional[Callable[[CachedResult],
+                                    Optional[CachedResult]]] = None
+            ) -> Optional[CachedResult]:
         """Count the lookup; on a hit refresh recency and return a
-        defensive copy."""
+        defensive copy.
+
+        A spilled key hits when ``load`` reads its sidecar back (spilled
+        entry -> the full entry, or None when the file is gone or
+        unreadable) as the answer the index describes; the entry is
+        resident again, which may spill another.  Otherwise the lookup
+        is a miss and the key leaves the spilled index."""
         self._lookups[key] = self._lookups.get(key, 0) + 1
         self._since_halving += 1
         if self._since_halving >= self._window:
@@ -149,12 +175,25 @@ class ResultCache:
             self._lookups = {k: n >> 1 for k, n in self._lookups.items()
                              if n > 1}
         entry = self._entries.get(key)
+        if entry is None and key in self._spilled:
+            entry = self._reload(key, load)
         if entry is None:
             self.misses += 1
             return None
         self._entries.move_to_end(key)
         self.hits += 1
         return entry.copy()
+
+    def _reload(self, key: CacheKey, load) -> Optional[CachedResult]:
+        """Re-install a spilled entry from its sidecar (None: a miss)."""
+        spilled = self._spilled.pop(key)
+        entry = load(spilled) if load is not None else None
+        if entry is None or dataclasses.replace(entry,
+                                                values=None) != spilled:
+            return None
+        self.reloads += 1
+        self._install(key, entry)
+        return entry
 
     def put(self, key: CacheKey, result: RunResult,
             file: Optional[str] = None) -> None:
@@ -165,12 +204,13 @@ class ResultCache:
             file))
 
     def put_entry(self, key: CacheKey, entry: CachedResult) -> bool:
-        """Install an already-built entry if the key is absent.
+        """Install an already-built entry unless the key is resident.
 
         The journal-recovery path: replaying a ``finished`` record must
-        be idempotent, so an entry that is already present (an earlier
-        replay, or a fresher recompute) is left untouched.  Returns
-        True if the entry was installed.
+        be idempotent, so an entry that is already resident (an earlier
+        replay, or a fresher recompute) is left untouched; a spilled one
+        is replaced, as a live recompute replaces it.  Returns True if
+        the entry was installed.
         """
         if key in self._entries:
             return False
@@ -181,18 +221,23 @@ class ResultCache:
         """Store ``entry`` as the most recent, first evicting, when a
         new key enters a full cache, the smallest ``lookups x
         compute_ms`` (``min`` keeps the first of equals: the least
-        recent)."""
+        recent).  A victim that names a sidecar spills."""
+        self._spilled.pop(key, None)
         if key not in self._entries and len(self._entries) >= self.capacity:
             victim = min(self._entries, key=lambda k: self._lookups.get(
                 k, 0) * self._entries[k].compute_ms)
-            del self._entries[victim]
+            evicted = self._entries.pop(victim)
             self.evictions += 1
+            if evicted.file is not None:
+                self._spilled[victim] = dataclasses.replace(evicted,
+                                                            values=None)
         self._entries[key] = entry
         self._entries.move_to_end(key)
 
     def invalidate_graph(self, graph_key: str, *,
                          keep_versions=None) -> int:
-        """Drop entries for ``graph_key``, eagerly freeing capacity.
+        """Drop entries for ``graph_key`` (resident and spilled),
+        eagerly freeing capacity.
 
         Version-miss alone is not enough: dead-version entries could
         never be hit again (the version is part of the key), so leaving
@@ -204,10 +249,11 @@ class ResultCache:
         snapshot.  Every drop counts as an invalidation.
         """
         keep = frozenset(keep_versions or ())
-        stale = [k for k in self._entries
+        stale = [k for tier in (self._entries, self._spilled) for k in tier
                  if k[0] == graph_key and k[1] not in keep]
         for k in stale:
-            del self._entries[k]
+            self._entries.pop(k, None)
+            self._spilled.pop(k, None)
         self.invalidations += len(stale)
         dead = [k for k in self._lookups
                 if k[0] == graph_key and k[1] not in keep]
@@ -230,7 +276,7 @@ class ResultCache:
                 if k[1] in self._dropped.get(k[0], ())]
 
     def entries_for(self, graph_key: str, version: int):
-        """Live ``(key, entry)`` pairs for one graph version.
+        """Resident ``(key, entry)`` pairs for one graph version.
 
         The mutation path harvests these as warm-start seeds before
         invalidating the version: a cached fixpoint for version N is
@@ -240,8 +286,23 @@ class ResultCache:
                 if k[0] == graph_key and k[1] == version]
 
     def keys(self):
-        """Current keys, least- to most-recently used."""
+        """Resident keys, least- to most-recently used."""
         return list(self._entries)
+
+    def check_invariants(self) -> None:
+        """Raise :class:`ServeError` unless no key is both resident and
+        spilled, the resident tier fits the capacity, and no spilled
+        entry holds values."""
+        both = self._entries.keys() & self._spilled.keys()
+        if both:
+            raise ServeError(f"cache keys both resident and spilled: "
+                             f"{sorted(both)}")
+        if len(self._entries) > self.capacity:
+            raise ServeError(f"{len(self._entries)} resident cache "
+                             f"entries over capacity {self.capacity}")
+        held = [k for k, e in self._spilled.items() if e.values is not None]
+        if held:
+            raise ServeError(f"spilled cache entries hold values: {held}")
 
     @property
     def hit_rate(self) -> float:
@@ -257,6 +318,8 @@ class ResultCache:
             "hit_rate": round(self.hit_rate, 6),
             "evictions": self.evictions,
             "invalidations": self.invalidations,
+            "spilled": len(self._spilled),
+            "reloads": self.reloads,
         }
 
     def __len__(self) -> int:

@@ -58,7 +58,9 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional
+import zipfile
+import zlib
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -79,6 +81,12 @@ RECORD_KINDS = (
     "slice", "checkpointed", "finished", "failed", "retry", "quarantined",
     "cancelled", "shed", "idempotency", "shutdown",
 )
+
+#: What numpy and zipfile raise on a truncated, emptied or flipped
+#: sidecar, or one lacking a member (``NotImplementedError``, a flipped
+#: compression method, is a ``RuntimeError``).
+_UNREADABLE = (OSError, EOFError, KeyError, RuntimeError, TypeError,
+               ValueError, zipfile.BadZipFile, zlib.error)
 
 #: The kinds that name a job by its integer ``job_id``.
 _JOB_KINDS = frozenset((
@@ -170,6 +178,31 @@ class JobJournal:
         os.replace(tmp, final)
         return name
 
+    def _load_npz(self, name: str, build: Callable[[Dict[str, np.ndarray]],
+                                                  Any]) -> Any:
+        """``build`` over a sidecar's arrays by member name; None if the
+        file is missing.
+
+        Every member's CRC-32 is checked before any array is decoded:
+        numpy reads only the bytes a member's header asks for, and
+        zipfile checks a CRC only at a member's end, so a damaged header
+        could otherwise decode to a shorter array.  A truncated, emptied
+        or flipped file, or one lacking a member ``build`` reads, raises
+        :class:`ServeError` naming it.
+        """
+        path = os.path.join(self.state_dir, name)
+        if not os.path.exists(path):
+            return None
+        try:
+            with np.load(path) as doc:
+                bad = doc.zip.testzip()
+                if bad is not None:
+                    raise ValueError(f"bad CRC-32 for member {bad!r}")
+                return build({member: doc[member] for member in doc.files})
+        except _UNREADABLE as exc:
+            raise ServeError(f"sidecar {name!r} is unreadable: "
+                             f"{type(exc).__name__}: {exc}") from None
+
     def save_checkpoint(self, job_id: int, ckpt: Checkpoint) -> str:
         """Persist a job's latest delta-reconstructed checkpoint.
 
@@ -182,14 +215,10 @@ class JobJournal:
              "values": ckpt.values, "active": ckpt.active})
 
     def load_checkpoint(self, job_id: int) -> Optional[Checkpoint]:
-        path = os.path.join(self.state_dir, f"job-{job_id}-ckpt.npz")
-        if not os.path.exists(path):
-            return None
-        with np.load(path) as doc:
-            return Checkpoint(iteration=int(doc["iteration"]),
-                              values=doc["values"].copy(),
-                              active=doc["active"].copy(),
-                              cost_ms=0.0)
+        """A job's newest durable checkpoint (None if it has none)."""
+        return self._load_npz(f"job-{job_id}-ckpt.npz", lambda d: Checkpoint(
+            iteration=int(d["iteration"]), values=d["values"],
+            active=d["active"], cost_ms=0.0))
 
     def save_result(self, job_id: int, values: np.ndarray,
                     iterations: int, converged: bool, compute_ms: float,
@@ -222,40 +251,32 @@ class JobJournal:
     def load_mutation(self, name: str):
         """Rehydrate a journaled mutation batch sidecar."""
         from ..graph.mutations import MutationBatch
-        path = os.path.join(self.state_dir, name)
-        if not os.path.exists(path):
+        batch = self._load_npz(name, lambda d: MutationBatch(
+            add_src=d["add_src"], add_dst=d["add_dst"],
+            add_weights=d["add_weights"],
+            remove_src=d["remove_src"], remove_dst=d["remove_dst"],
+            update_src=d["update_src"], update_dst=d["update_dst"],
+            update_weights=d["update_weights"],
+            add_vertices=int(d["add_vertices"]),
+            remove_vertices=d["remove_vertices"]))
+        if batch is None:
             raise ServeError(
                 f"journal references missing mutation sidecar {name!r}")
-        with np.load(path) as doc:
-            return MutationBatch(
-                add_src=doc["add_src"], add_dst=doc["add_dst"],
-                add_weights=doc["add_weights"],
-                remove_src=doc["remove_src"],
-                remove_dst=doc["remove_dst"],
-                update_src=doc["update_src"],
-                update_dst=doc["update_dst"],
-                update_weights=doc["update_weights"],
-                add_vertices=int(doc["add_vertices"]),
-                remove_vertices=doc["remove_vertices"])
+        return batch
 
     def load_result(self, job_id: int, name: Optional[str] = None):
         """The journaled answer as a :class:`~repro.serve.cache
         .CachedResult` carrying its sidecar's name (None if the sidecar
-        is missing).  ``name`` is the ``finished`` record's ``file``; a
-        record without one reads the job's own sidecar."""
+        is missing).  ``name`` is the ``finished`` record's ``file`` (or
+        a spilled cache entry's); without one the job's own sidecar is
+        read, and only then is ``job_id`` used."""
         from .cache import CachedResult
         name = name or _result_name(job_id)
-        path = os.path.join(self.state_dir, name)
-        if not os.path.exists(path):
-            return None
-        with np.load(path) as doc:
-            return CachedResult(values=doc["values"].copy(),
-                                iterations=int(doc["iterations"]),
-                                converged=bool(doc["converged"]),
-                                compute_ms=float(doc["compute_ms"]),
-                                engine=str(doc["engine"]),
-                                algorithm=str(doc["algorithm"]),
-                                file=name)
+        return self._load_npz(name, lambda d: CachedResult(
+            values=d["values"], iterations=int(d["iterations"]),
+            converged=bool(d["converged"]),
+            compute_ms=float(d["compute_ms"]), engine=str(d["engine"]),
+            algorithm=str(d["algorithm"]), file=name))
 
 
 def read_journal(path: str) -> List[Dict[str, Any]]:

@@ -665,10 +665,10 @@ class GraphService:
                 self._retried(job, int(doc["attempt"]))
             elif rec == "finished":
                 from_cache = bool(doc.get("from_cache", False))
-                result = self.journal.load_result(job.job_id,
-                                                  doc.get("file"))
+                result = self._read_answer(job.job_id, doc.get("file"),
+                                           job.snapshot.graph)
                 key = doc.get("cache_key")
-                if result is not None:  # no sidecar: the job recomputes
+                if result is not None:  # no answer: the job recomputes
                     self._finished(
                         job, result, result.file, from_cache=from_cache,
                         cache_key=(tuple(key) if key is not None
@@ -808,7 +808,9 @@ class GraphService:
         * running jobs hold unreleased snapshots;
         * each tenant's ledger ms and slices are the sums of its jobs';
         * every done job's journaled sidecar exists;
-        * the cache counts no key of a version it dropped.
+        * the cache counts no key of a version it dropped;
+        * no cache key is both resident and spilled, the resident tier
+          fits the capacity, and no spilled entry holds values.
 
         :meth:`recover` ends with it; a violation there means the
         journal rebuilt a service the live one could never have been.
@@ -854,6 +856,7 @@ class GraphService:
         if dead:
             raise ServeError(f"the cache still counts keys of dropped "
                              f"versions: {dead}")
+        self.cache.check_invariants()
 
     # -- internals ----------------------------------------------------------------------
 
@@ -894,7 +897,9 @@ class GraphService:
         ckey = self.cache.key(spec.graph, snap.version, spec.algorithm,
                               spec.cache_params())
         if spec.use_cache:
-            hit = self.cache.get(ckey)
+            # a spilled answer is one sidecar read away
+            hit = self.cache.get(ckey, lambda spilled: self._read_answer(
+                job.job_id, spilled.file, snap.graph))
             if hit is not None:
                 self._serve_from_cache(job, hit)
                 return
@@ -1018,6 +1023,20 @@ class GraphService:
         rj.virtual_ms += ms
         self.now_ms += ms
         self._charge(rj.job, ms, slices)
+
+    def _read_answer(self, job_id: int, file: Optional[str], graph):
+        """A journaled answer read back from its result sidecar, or None
+        when the file is gone, unreadable, or holds no answer for
+        ``graph`` (a values array of another length): the job, or the
+        lookup, recomputes instead."""
+        try:
+            answer = self.journal.load_result(job_id, file)
+        except ServeError:
+            return None
+        if answer is None or answer.values.shape[:1] != (
+                graph.num_vertices,):
+            return None
+        return answer
 
     def _serve_from_cache(self, job: Job, hit) -> None:
         """Complete an admitted job from a cached answer."""

@@ -9,9 +9,10 @@ from repro.api import (ClusterSpec, GraphService, JobSpec, MiddlewareConfig,
                        deploy)
 from repro.engines import PowerGraphEngine
 from repro.errors import ServeError
-from repro.graph import load_dataset
+from repro.graph import load_dataset, rmat
 from repro.serve import CachedResult, ResultCache, params_fingerprint
-from repro.serve.cache import COUNT_WINDOW_PER_ENTRY
+from repro.serve.cache import CACHE_LOOKUP_MS, COUNT_WINDOW_PER_ENTRY
+from repro.serve.journal import read_journal
 
 
 def run_result(max_iter=4):
@@ -194,6 +195,134 @@ def test_the_count_table_stays_bounded():
     assert largest <= window
     # the hot key survives every halving; its count stays bounded too
     assert 0 < cache._lookups[hot] <= window
+
+
+# -- the spill tier ---------------------------------------------------------------------
+
+def answer(compute_ms, file, value=0.0):
+    return CachedResult(np.full(2, value), 1, True, compute_ms,
+                        "powergraph", "pagerank", file)
+
+
+def on_disk(*answers):
+    """Sidecars as a dict (file -> answer) and the ``load`` reading it."""
+    disk = {a.file: a for a in answers}
+    return disk, lambda spilled: disk.get(spilled.file)
+
+
+def test_an_evicted_answer_with_a_sidecar_spills_without_its_values():
+    cache = ResultCache(1)
+    ka, kb, kc, kd = (ResultCache.key("g", 1, n, {}) for n in "abcd")
+    cache.put_entry(ka, answer(1.0, "a.npz", 7.0))
+    cache.put_entry(kb, answer(1.0, "b.npz"))
+    assert cache.keys() == [kb] and ka not in cache
+    spilled = cache._spilled[ka]
+    assert spilled.values is None and spilled.file == "a.npz"
+    assert spilled.compute_ms == 1.0 and spilled.engine == "powergraph"
+    # an answer without a sidecar (no journal) is forgotten
+    cache.put_entry(kc, entry(1.0))
+    cache.put_entry(kd, answer(1.0, "d.npz"))
+    assert set(cache._spilled) == {ka, kb}
+    stats = cache.stats()
+    assert (stats["entries"], stats["spilled"], stats["evictions"]) == \
+        (1, 2, 3)
+    cache.check_invariants()
+
+
+def test_a_spilled_lookup_reloads_as_a_hit_and_spills_another():
+    cache = ResultCache(1)
+    ka, kb = (ResultCache.key("g", 1, n, {}) for n in "ab")
+    a, b = answer(1.0, "a.npz", 7.0), answer(1.0, "b.npz")
+    _, load = on_disk(a, b)
+    cache.put_entry(ka, a)
+    cache.put_entry(kb, b)
+    hit = cache.get(ka, load)
+    assert hit.values.tolist() == [7.0, 7.0] and hit.file == "a.npz"
+    assert cache.keys() == [ka] and set(cache._spilled) == {kb}
+    hit.values[:] = -1.0               # a defensive copy, as any hit
+    assert cache.get(ka).values.tolist() == [7.0, 7.0]
+    stats = cache.stats()
+    assert (stats["hits"], stats["misses"], stats["reloads"]) == (2, 0, 1)
+
+
+def test_a_spilled_lookup_that_cannot_reload_is_a_miss_that_drops_the_key():
+    cache = ResultCache(1)
+    ka, kb, kc = (ResultCache.key("g", 1, n, {}) for n in "abc")
+    disk, load = on_disk(answer(1.0, "a.npz"), answer(1.0, "b.npz"))
+    for key, name in ((ka, "a.npz"), (kb, "b.npz"), (kc, "c.npz")):
+        cache.put_entry(key, answer(1.0, name))
+    del disk["a.npz"]                  # the sidecar is gone
+    disk["b.npz"] = answer(2.0, "b.npz")   # another run's answer
+    assert cache.get(ka, load) is None
+    assert cache.get(kb, load) is None
+    assert cache.get(kc) is not None and not cache._spilled
+    stats = cache.stats()
+    assert (stats["hits"], stats["misses"], stats["reloads"]) == (1, 2, 0)
+
+
+def test_invalidation_drops_both_tiers_and_warm_seeds_come_from_residents():
+    cache = ResultCache(1)
+    old, new = (ResultCache.key("g", v, "pagerank", {}) for v in (1, 2))
+    other = ResultCache.key("g", 1, "cc", {})
+    cache.put_entry(old, answer(1.0, "old.npz"))
+    cache.put_entry(other, answer(1.0, "other.npz"))
+    assert [k for k, _ in cache.entries_for("g", 1)] == [other]
+    cache.put_entry(new, answer(1.0, "new.npz"))
+    assert cache.invalidate_graph("g", keep_versions={2}) == 2
+    assert cache.keys() == [new] and not cache._spilled
+    assert cache.invalidations == 2
+
+
+def test_check_invariants_names_each_broken_tier_rule():
+    ka, kb = (ResultCache.key("g", 1, n, {}) for n in "ab")
+    for breaks, problem in (
+            (lambda c: c._spilled.update({kb: c._spilled[ka]}),
+             "both resident and spilled"),
+            (lambda c: c._entries.update({ka: c._spilled.pop(ka)}),
+             "over capacity"),
+            (lambda c: c._spilled.update({ka: answer(1.0, "a.npz")}),
+             "hold values")):
+        cache = ResultCache(1)
+        cache.put_entry(ka, answer(1.0, "a.npz"))
+        cache.put_entry(kb, answer(1.0, "b.npz"))
+        cache.check_invariants()
+        breaks(cache)
+        with pytest.raises(ServeError, match=problem):
+            cache.check_invariants()
+
+
+def test_a_journaled_service_reloads_an_evicted_answer(tmp_path):
+    """The second PageRank is a hit on the first one's sidecar, charged
+    a lookup, and journaled with that file; without a journal the
+    same schedule recomputes."""
+    specs = [JobSpec(graph="g", algorithm="pagerank", max_iterations=4),
+             JobSpec(graph="g", algorithm="cc")]
+
+    def serve(**kw):
+        svc = GraphService(ClusterSpec(nodes=2, gpus_per_node=1),
+                           cache_entries=1, **kw)
+        svc.load_graph("g", rmat(48, 192, seed=5))
+        jobs = []
+        for spec in specs + specs[:1]:
+            jobs.append(svc.submit(spec))
+            svc.run()
+        return svc, jobs
+
+    svc, (first, _, again) = serve(journal=str(tmp_path / "svc.jsonl"))
+    assert again.from_cache and again.result_file == first.result_file
+    assert again.values.tobytes() == first.values.tobytes()
+    assert again.consumed_ms == CACHE_LOOKUP_MS
+    stats = svc.cache.stats()
+    assert (stats["reloads"], stats["spilled"], stats["hits"]) == (1, 1, 1)
+    finished = [r for r in read_journal(str(tmp_path / "svc.jsonl"))
+                if r["rec"] == "finished"]
+    assert finished[-1]["from_cache"]
+    assert finished[-1]["file"] == first.result_file
+    svc.check_invariants()
+
+    plain, (first, _, again) = serve()
+    assert not again.from_cache and plain.cache.stats()["spilled"] == 0
+    assert again.values.tobytes() == first.values.tobytes()
 
 
 def test_capacity_must_be_positive():

@@ -2,7 +2,10 @@
 recovered service."""
 
 import json
+import os
 import re
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -498,6 +501,66 @@ def test_missing_sidecars(jpath):
             {"rec": "mutation", "now_ms": 4.0, "key": "g",
              "batch_id": "b", "from_version": 1, "to_version": 2,
              "file": "mutation-1.npz"}])
+
+
+# -- unreadable sidecars: one test per failure class -------------------------
+
+DAMAGE = ("truncated", "empty", "flipped")
+
+
+def damage(path, how):
+    """Truncate ``path`` mid-file, empty it, or flip the last payload
+    byte of its first member."""
+    with open(path, "rb") as f:
+        data = bytearray(f.read())
+    if how == "truncated":
+        data = data[:len(data) // 2]
+    elif how == "empty":
+        data = bytearray()
+    else:
+        with zipfile.ZipFile(path) as zf:
+            info = zf.infolist()[0]
+        name_len, extra_len = struct.unpack_from(
+            "<HH", data, info.header_offset + 26)
+        data[info.header_offset + 30 + name_len + extra_len
+             + info.compress_size - 1] ^= 0xFF
+    with open(path, "wb") as f:
+        f.write(bytes(data))
+
+
+@pytest.mark.parametrize("how", DAMAGE)
+def test_an_unreadable_sidecar_raises_a_serve_error_naming_it(jpath, how):
+    """Not ``BadZipFile`` or ``EOFError``: all three readers raise the
+    service's own error, naming the file."""
+    _sidecars(jpath)
+    jrn = JobJournal(jpath)
+    for name, load in (
+            ("job-1-result.npz", lambda: jrn.load_result(1)),
+            ("job-1-ckpt.npz", lambda: jrn.load_checkpoint(1)),
+            ("mutation-1.npz", lambda: jrn.load_mutation("mutation-1.npz"))):
+        damage(os.path.join(jrn.state_dir, name), how)
+        with pytest.raises(ServeError, match=re.escape(repr(name))):
+            load()
+    jrn.close()
+
+
+@pytest.mark.parametrize("how", DAMAGE)
+def test_recover_recomputes_a_job_whose_result_sidecar_is_unreadable(
+        jpath, how):
+    jrn = JobJournal(jpath)
+    jrn.save_result(1, np.zeros(GRAPH.num_vertices), iterations=9,
+                    converged=True, compute_ms=8.5, engine="powergraph",
+                    algorithm="pagerank")
+    jrn.close()
+    damage(os.path.join(jrn.state_dir, "job-1-result.npz"), how)
+    rec = _recover(jpath, _submit_records(("k", 1, False)) + [
+        {"rec": "finished", "now_ms": 3.0, "job_id": 1,
+         "from_cache": False, "cache_key": None,
+         "file": "job-1-result.npz", "consumed_ms": 3.0}])
+    assert rec.job(1).state == "pending"
+    assert rec.recovery_stats()["requeued"] == 1
+    rec.run()
+    assert rec.job(1).state == "done" and not rec.job(1).from_cache
 
 
 def test_a_submit_pinned_past_a_skipped_mutation_pins_the_latest(jpath):

@@ -2,14 +2,21 @@
 admission, each against a plain model.
 
 ``CacheMachine`` drives one :class:`ResultCache` through random
-put / put_entry / get / invalidate sequences and checks it, after every
-step, against a model of its eviction rule: entries in recency order,
-a lookup count per key (every get, hit or miss, resident or not),
-each entry's ``compute_ms``, eviction of the smallest
+put / put_entry / get / invalidate sequences, plus losing and tampering
+with the sidecars its spilled entries name, and checks it, after every
+step, against a model of its two tiers: resident entries in recency
+order, a lookup count per key (every get, hit or miss, resident or
+not), each entry's ``compute_ms``, eviction of the smallest
 ``lookups x compute_ms`` with the least recent first among ties, every
 count halved once per window of lookups, and the counts of invalidated
-versions dropped — with its own hit / miss / eviction / invalidation
-counts.
+versions dropped.  An evicted entry that names a sidecar spills; a
+lookup of a spilled key reloads it (a hit) when its sidecar still holds
+the answer the index describes, and is otherwise a miss that drops the
+key; invalidation drops both tiers.  The model keeps its own hit /
+miss / eviction / invalidation / reload counts, and both the model and
+:meth:`ResultCache.check_invariants` hold resident and spilled keys
+disjoint, the resident tier within capacity and no spilled entry
+holding values.
 
 ``SingleflightMachine`` drives a :class:`GraphService` through random
 submit / step / cancel sequences of two identical-query groups, where a
@@ -59,6 +66,13 @@ CACHE_KEYS = st.builds(ResultCache.key, st.sampled_from(["a", "b"]),
                        st.integers(1, 2), st.just("pagerank"),
                        st.fixed_dictionaries({"k": st.integers(0, 1)}))
 COSTS = st.sampled_from([1.0, 5.0, 25.0])
+#: whether a put's answer has a sidecar (mostly: spills need one)
+JOURNALED = st.sampled_from([True, True, True, False])
+
+
+def answer(value, cost, file):
+    return CachedResult(np.array([value]), 1, True, cost, "powergraph",
+                        "pagerank", file)
 
 
 class CacheMachine(RuleBasedStateMachine):
@@ -66,72 +80,115 @@ class CacheMachine(RuleBasedStateMachine):
     @initialize()
     def start(self):
         self.cache = ResultCache(CAPACITY)
-        #: key -> (value, compute_ms), least- to most-recently used
+        #: resident key -> (value, compute_ms, file), least- to
+        #: most-recently used; spilled key -> the same
         self.model = OrderedDict()
+        self.spilled = {}
+        #: the sidecars: file -> (value, compute_ms) (None: no sidecar)
+        self.disk = {}
         #: key -> lookups, and lookups since the last halving
         self.lookups = {}
         self.since_halving = 0
-        self.counts = dict(hits=0, misses=0, evictions=0, invalidations=0)
+        self.counts = dict(hits=0, misses=0, evictions=0, invalidations=0,
+                           reloads=0)
 
-    def insert(self, key, value, cost):
+    def insert(self, key, value, cost, file):
+        self.spilled.pop(key, None)
         if key not in self.model and len(self.model) == CAPACITY:
             # smallest saving first, then the least recently used
-            saving = {k: self.lookups.get(k, 0) * c
-                      for k, (_, c) in self.model.items()}
+            saving = {k: self.lookups.get(k, 0) * e[1]
+                      for k, e in self.model.items()}
             recency = {k: i for i, k in enumerate(self.model)}
             victim = sorted(self.model,
                             key=lambda k: (saving[k], recency[k]))[0]
-            del self.model[victim]
+            evicted = self.model.pop(victim)
             self.counts["evictions"] += 1
-        self.model[key] = (value, cost)
+            if evicted[2] is not None:
+                self.spilled[victim] = evicted
+        self.model[key] = (value, cost, file)
         self.model.move_to_end(key)
 
-    @rule(key=CACHE_KEYS, value=st.floats(0, 9), cost=COSTS)
-    def put(self, key, value, cost):
+    def sidecar(self, value, cost, journaled):
+        """A file holding the answer, when the service journals."""
+        if not journaled:
+            return None
+        file = f"job-{len(self.disk) + 1}-result.npz"
+        self.disk[file] = (value, cost)
+        return file
+
+    def load(self, spilled):
+        """What reading ``spilled``'s sidecar back returns."""
+        on_disk = self.disk.get(spilled.file)
+        return None if on_disk is None else answer(*on_disk, spilled.file)
+
+    @rule(key=CACHE_KEYS, value=st.floats(0, 9), cost=COSTS,
+          journaled=JOURNALED)
+    def put(self, key, value, cost, journaled):
+        file = self.sidecar(value, cost, journaled)
         result = SimpleNamespace(values=np.array([value]), iterations=1,
                                  converged=True, total_ms=cost,
                                  engine_name="powergraph",
                                  algorithm_name="pagerank")
-        self.cache.put(key, result)
+        self.cache.put(key, result, file)
         result.values[0] = -1.0             # the cache kept its own copy
-        self.insert(key, value, cost)
+        self.insert(key, value, cost, file)
 
-    @rule(key=CACHE_KEYS, value=st.floats(0, 9), cost=COSTS)
-    def put_entry(self, key, value, cost):
-        entry = CachedResult(np.array([value]), 1, True, cost,
-                             "powergraph", "pagerank")
-        installed = self.cache.put_entry(key, entry)
-        assert installed == (key not in self.model)    # first write wins
+    @rule(key=CACHE_KEYS, value=st.floats(0, 9), cost=COSTS,
+          journaled=JOURNALED)
+    def put_entry(self, key, value, cost, journaled):
+        file = self.sidecar(value, cost, journaled)
+        installed = self.cache.put_entry(key, answer(value, cost, file))
+        # first resident write wins; a spilled key is replaced
+        assert installed == (key not in self.model)
         if installed:
-            self.insert(key, value, cost)
+            self.insert(key, value, cost, file)
 
     @rule(key=CACHE_KEYS, times=st.integers(1, 25))
     def get(self, key, times):
         """``times`` lookups in a row, so windows fill and halve."""
         for _ in range(times):
-            hit = self.cache.get(key)
+            hit = self.cache.get(key, self.load)
             self.lookups[key] = self.lookups.get(key, 0) + 1
             self.since_halving += 1
             if self.since_halving == WINDOW:
                 self.since_halving = 0
                 self.lookups = {k: n // 2 for k, n in self.lookups.items()
                                 if n // 2}
+            if key in self.spilled:
+                entry = self.spilled.pop(key)
+                if self.disk.get(entry[2]) == entry[:2]:
+                    self.counts["reloads"] += 1
+                    self.insert(key, *entry)
             if key not in self.model:
                 assert hit is None
                 self.counts["misses"] += 1
                 continue
             assert hit.values.tolist() == [self.model[key][0]]
             assert hit.compute_ms == self.model[key][1]
+            assert hit.file == self.model[key][2]
             hit.values[0] = -1.0            # a defensive copy
             self.model.move_to_end(key)
             self.counts["hits"] += 1
 
+    @precondition(lambda self: self.spilled)
+    @rule(data=st.data(), tamper=st.booleans())
+    def lose_sidecar(self, data, tamper):
+        """A spilled entry's sidecar goes missing, or now holds another
+        run's cost: either way its next lookup is a miss."""
+        key = data.draw(st.sampled_from(sorted(self.spilled)))
+        file = self.spilled[key][2]
+        on_disk = self.disk[file]
+        self.disk[file] = (None if not tamper or on_disk is None
+                           else (on_disk[0], on_disk[1] + 1.0))
+
     @rule(graph=st.sampled_from(["a", "b"]),
           keep=st.sets(st.integers(1, 2)))
     def invalidate(self, graph, keep):
-        stale = [k for k in self.model if k[0] == graph and k[1] not in keep]
+        stale = [k for tier in (self.model, self.spilled) for k in tier
+                 if k[0] == graph and k[1] not in keep]
         for key in stale:
-            del self.model[key]
+            self.model.pop(key, None)
+            self.spilled.pop(key, None)
         self.lookups = {k: n for k, n in self.lookups.items()
                         if k[0] != graph or k[1] in keep}
         assert self.cache.invalidate_graph(graph, keep_versions=keep) == \
@@ -141,14 +198,19 @@ class CacheMachine(RuleBasedStateMachine):
     @invariant()
     def matches_the_model(self):
         assert self.cache.keys() == list(self.model)
+        assert set(self.cache._spilled) == set(self.spilled)
         assert self.cache._lookups == self.lookups
         stats = self.cache.stats()
         assert {k: stats[k] for k in self.counts} == self.counts
         assert stats["entries"] == len(self.model) <= CAPACITY
+        assert stats["spilled"] == len(self.spilled)
+        assert not self.model.keys() & self.spilled.keys()
+        assert all(e.values is None for e in self.cache._spilled.values())
+        self.cache.check_invariants()
 
 
 CacheMachine.TestCase.settings = settings(max_examples=40,
-                                          stateful_step_count=25,
+                                          stateful_step_count=35,
                                           deadline=None)
 test_cache_matches_the_model = CacheMachine.TestCase
 

@@ -22,6 +22,12 @@ directory, write by write, and recovered (``recover()`` itself ends in
 * so must every position between a sidecar write and the record that
   names it (a newer checkpoint than the journal says, an orphan result
   or mutation batch).
+
+A second script runs the same check on a two-entry result cache, so
+answers spill to their sidecars, lookups of spilled keys reload them,
+and a mutation drops both tiers, at every prefix.  Which answers are
+resident and which spilled depends on lookup counts, which are not
+journaled, so :func:`view` compares the union of the two tiers.
 """
 
 import dataclasses
@@ -97,7 +103,7 @@ def view(svc):
     return {
         "jobs": jobs,
         "ledger": ledger,
-        "cache": sorted(svc.cache.keys()),
+        "cache": sorted([*svc.cache.keys(), *svc.cache._spilled]),
         "versions": {k: svc.store.get(k).version for k in svc.store.keys()},
         "pins": dict(svc.store._pins),
         "idempotency": {k: v for k, v in svc._idempotency.items()
@@ -222,11 +228,28 @@ def workload(tape, svc):
     tape.op(svc.drain)
 
 
-def run_live(tmp_path):
+def spill_workload(tape, svc):
+    """For a two-entry cache: computes spill, repeated queries reload
+    (spilling another), and a mutation drops every entry of the old
+    version.  After the mutation only algorithms without a warm start
+    run, since which answers were resident to harvest seeds from
+    depends on the lookup counts."""
+    tape.op(svc.load_graph, "g", G)
+    for name in ("cc", "kcore", "lp", "cc", "widest-path", "kcore", "cc",
+                 "lp"):
+        tape.op(svc.submit, job(name))
+        drive(tape, svc)
+    tape.op(svc.mutate, "g", GROW)
+    for name in ("lp", "kcore", "widest-path", "lp", "kcore"):
+        tape.op(svc.submit, job(name, tenant="after"))
+        drive(tape, svc)
+
+
+def run_live(tmp_path, script=workload, **kwargs):
     svc = GraphService(SPEC, journal=str(tmp_path / "live.jsonl"),
-                       max_running=2)
+                       max_running=2, **kwargs)
     tape = Tape(svc)
-    workload(tape, svc)
+    script(tape, svc)
     tape.settle()
     finals = {j.job_id: (j.values.tobytes(), j.result.iterations)
               for j in svc.jobs(state="done")}
@@ -283,7 +306,25 @@ def test_every_journal_prefix_recovers_to_the_live_state(tmp_path,
         doc["rec"] for doc in parsed}
     assert live.coalesced == 1 and live.warm_starts >= 2
     assert live.cache.hits >= 2 and live.retries == 2
+    recover_every_prefix(tmp_path, monkeypatch, tape, finals)
 
+
+def test_every_prefix_of_a_spilling_cache_recovers_to_the_live_state(
+        tmp_path, monkeypatch):
+    live, tape, finals = run_live(tmp_path, spill_workload,
+                                  cache_entries=2)
+    stats = live.cache.stats()
+    assert stats["reloads"] >= 2 and stats["evictions"] >= 4
+    assert stats["invalidations"] >= 3      # both tiers of version 1
+    assert stats["spilled"] >= 1
+    recover_every_prefix(tmp_path, monkeypatch, tape, finals)
+
+
+def recover_every_prefix(tmp_path, monkeypatch, tape, finals):
+    """Rebuild every position the journal passed through, write by
+    write, and check each against the live view and run-out values."""
+    lines = [e[1] for e in tape.events if e[0] == "record"]
+    parsed = [json.loads(line) for line in lines]
     load_checkpoint = JobJournal.load_checkpoint
     monkeypatch.setattr(JobJournal, "load_result", decoded_once(
         JobJournal.load_result, "result"))
