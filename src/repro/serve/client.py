@@ -43,7 +43,7 @@ from ..errors import (ServeError, WireError, WireProtocolError, WireShed,
                       WireTimeout, WireUnavailable)
 from .job import JobSpec
 from .wire import (MAX_FRAME_BYTES, PROTOCOL_VERSION, decode_values,
-                   encode_frame)
+                   encode_frame, values_layout)
 
 #: Ceiling (s) of one reconnect backoff delay before jitter.
 BACKOFF_MAX_S = 2.0
@@ -186,35 +186,83 @@ class GraphClient:
         self._sock.sendall(encode_frame(doc))
 
     def _read_frame(self, deadline: float) -> Dict[str, Any]:
-        assert self._sock is not None
-        while b"\n" not in self._rbuf:
-            budget = deadline - time.monotonic()
-            if budget <= 0:
-                self.timeouts += 1
-                raise WireTimeout(
-                    f"no response within {self.timeout_s:.3f}s")
-            self._sock.settimeout(budget)
-            try:
-                data = self._sock.recv(65536)
-            except socket.timeout:
-                self.timeouts += 1
-                raise WireTimeout(
-                    f"no response within {self.timeout_s:.3f}s") from None
-            if not data:
-                raise ConnectionResetError("server closed the connection")
-            self._rbuf += data
-            if len(self._rbuf) > MAX_FRAME_BYTES:
-                raise self._desynced("oversized frame from server")
-        line, self._rbuf = self._rbuf.split(b"\n", 1)
+        """The next frame; a values frame's payload is read (never
+        scanned) and decoded to an ndarray under its job doc's
+        ``values``."""
+        line = self._read_line(deadline)
         try:
             frame = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # bad UTF-8 or bad JSON
             raise self._desynced(
                 f"unparseable frame from server: {exc}") from None
         if not isinstance(frame, dict):
             raise self._desynced(
                 f"non-object frame from server: {frame!r}")
+        job = frame.get("job")
+        if isinstance(job, dict) and "values_bytes" in job:
+            try:
+                values_layout(job)
+            except WireProtocolError as exc:
+                raise self._desynced(str(exc)) from None
+            size = job["values_bytes"]
+            if len(line) + 1 + size > MAX_FRAME_BYTES:
+                raise self._desynced(
+                    f"oversized frame from server: {size}-byte values "
+                    f"after a {len(line) + 1}-byte header")
+            job["values"] = decode_values(job,
+                                          self._read_payload(size, deadline))
         return frame
+
+    def _read_line(self, deadline: float) -> bytes:
+        """The next header line, without its newline; the cap counts
+        only the unterminated remainder, not frames already whole."""
+        end = self._rbuf.find(b"\n")
+        while end < 0:
+            if len(self._rbuf) >= MAX_FRAME_BYTES:
+                raise self._desynced("oversized frame from server")
+            seen = len(self._rbuf)
+            self._rbuf += self._recv(deadline)
+            end = self._rbuf.find(b"\n", seen)
+        if end >= MAX_FRAME_BYTES:
+            raise self._desynced("oversized frame from server")
+        line, self._rbuf = self._rbuf[:end], self._rbuf[end + 1:]
+        return line
+
+    def _recv(self, deadline: float, into: Optional[memoryview] = None):
+        """One read before ``deadline``: the bytes that arrived or,
+        reading ``into`` a buffer, how many landed there.  A timeout or
+        a broken connection drops the socket, so no part of a frame is
+        ever left behind to be read as the next one."""
+        budget = deadline - time.monotonic()
+        try:
+            if budget <= 0:
+                raise socket.timeout
+            self._sock.settimeout(budget)
+            data = (self._sock.recv(65536) if into is None
+                    else self._sock.recv_into(into))
+        except socket.timeout:
+            self.timeouts += 1
+            self._teardown_socket()
+            raise WireTimeout(
+                f"no response within {self.timeout_s:.3f}s") from None
+        except OSError:
+            self._teardown_socket()
+            raise
+        if not data:
+            self._teardown_socket()
+            raise ConnectionResetError("server closed the connection")
+        return data
+
+    def _read_payload(self, size: int, deadline: float) -> bytearray:
+        """Exactly ``size`` bytes, into one buffer allocated up front."""
+        payload = bytearray(size)
+        have = min(size, len(self._rbuf))
+        payload[:have] = self._rbuf[:have]
+        self._rbuf = self._rbuf[have:]
+        view = memoryview(payload)
+        while have < size:
+            have += self._recv(deadline, view[have:])
+        return payload
 
     def _desynced(self, message: str) -> WireProtocolError:
         """The stream can't be trusted past this frame: drop the socket
@@ -240,8 +288,11 @@ class GraphClient:
             if frame.get("re") != req:
                 # stale response from before a timeout; drop it
                 continue
-            if frame.get("ok"):
+            if frame.get("ok") is True:
                 return frame
+            if frame.get("ok") is not False:
+                raise self._desynced(f"{op}: response without a "
+                                     f"boolean 'ok'")
             self._raise_error(frame)
 
     def _raise_error(self, frame: Dict[str, Any]) -> None:
@@ -379,21 +430,25 @@ class GraphClient:
     def poll(self, job_id: int, *, values: bool = False) -> Dict[str, Any]:
         """One job's state doc; ``values=True`` adds a done job's
         result as an ndarray under ``"values"``."""
-        resp = self._request("poll", {"session": self.session_id,
-                                      "job_id": job_id,
-                                      "values": values},
-                             retry_safe=True)
-        doc = resp["job"]
-        if "values_b64" in doc:
-            doc["values"] = decode_values(doc)
-            del doc["values_b64"]
+        with self._lock:
+            resp = self._request("poll", {"session": self.session_id,
+                                          "job_id": job_id,
+                                          "values": values},
+                                 retry_safe=True)
+            doc = resp.get("job")
+            if not isinstance(doc, dict) or values and \
+                    doc.get("state") == "done" and "values" not in doc:
+                # whatever followed the answer cannot be trusted
+                raise self._desynced(
+                    f"poll of job {job_id}: answer without its "
+                    f"{'values' if isinstance(doc, dict) else 'job doc'}")
         return doc
 
     def result_values(self, job_id: int) -> np.ndarray:
         """A done job's values as the dtype they were computed in."""
         doc = self.poll(job_id, values=True)
-        if doc["state"] != "done":
-            raise ServeError(f"job {job_id} is {doc['state']!r}, "
+        if "values" not in doc:
+            raise ServeError(f"job {job_id} is {doc.get('state')!r}, "
                              f"not done")
         return doc["values"]
 

@@ -7,9 +7,10 @@ can evolve — and fail — independently, which is GX-Plug's decoupling
 story applied to the serving boundary.
 
 The protocol is newline-delimited JSON: every frame is one JSON object
-on one line.  Requests carry ``op`` (the verb), ``v`` (the protocol
-version), ``req`` (a client-chosen id echoed back as ``re`` so
-responses can be matched under pipelining), and op-specific fields.
+on one line, and a values answer appends its raw bytes (below).
+Requests carry ``op`` (the verb), ``v`` (the protocol version), ``req``
+(a client-chosen id echoed back as ``re`` so responses can be matched
+under pipelining), and op-specific fields.
 The schema is versioned and **eagerly validated**: an unknown op, a
 missing or mistyped field, an unknown field, or a version mismatch is
 answered with an error frame naming the violation — never a closed
@@ -21,7 +22,7 @@ Request ops::
     ping     {session}                      heartbeat: renew the lease
     submit   {session, job, idempotency_key?}   queue a job
     mutate   {session, graph, batch, idempotency_key?}  mutate a graph
-    poll     {session, job_id, values?}     job state (+ values, as bytes, if done)
+    poll     {session, job_id, values?}     job state (+ raw values, if done)
     watch    {session, job_id}              stream state-change events
     cancel   {session, job_id}              cancel pending/running job
     stats    {session}                      service metrics + wire counters
@@ -37,12 +38,15 @@ graceful shutdown starts, ``expired`` when a session's lease lapses.
 
 **Values are bytes.**  A done job's result crosses the wire the way
 GX-Plug moves every block of vertex data between processes — as one
-buffer, not element by element: :func:`encode_values` puts the base64
-of the array's little-endian C-order bytes, its ``dtype.str`` and its
-shape *inside* the job doc, so the frame is still one JSON line under
-every guard below, and :func:`decode_values` is the client's inverse.
+buffer, not element by element.  A ``poll`` with ``values: true`` on a
+done job is answered by the one frame that is not a single line: the
+JSON header line, whose job doc declares ``values_bytes``,
+``values_dtype`` (``dtype.str``) and ``values_shape``, followed by
+exactly ``values_bytes`` raw little-endian C-order bytes
+(:func:`encode_values`; :func:`decode_values` is the inverse).
 Bit patterns (``nan`` payloads, ``-0.0``, ``inf``) survive because no
-float is ever printed.  No response exceeds ``max_frame_bytes``: an
+float is ever printed, and neither side spends time on text.  No
+response exceeds ``max_frame_bytes``, header and payload together: an
 answer that would is replaced by ``code: "too-large"`` (``bytes``,
 ``limit``), so a result too big for one frame costs one refused poll,
 not the connection.
@@ -71,9 +75,9 @@ suspended at their last checkpoint and resume after restart +
 
 from __future__ import annotations
 
-import base64
 import json
 import math
+import re
 import selectors
 import socket
 import threading
@@ -87,9 +91,10 @@ from ..errors import AdmissionError, ReproError, ServeError, WireProtocolError
 from .job import JobSpec
 from .service import GraphService
 
-#: Wire protocol version, checked on every frame.  v2 carries result
-#: values as bytes (:func:`encode_values`); a v1 frame is refused.
-PROTOCOL_VERSION = 2
+#: Wire protocol version, checked on every frame.  v3 sends result
+#: values as a raw payload after the header line (:func:`encode_frame`);
+#: a v1 or v2 frame is refused.
+PROTOCOL_VERSION = 3
 
 #: Fallback resubmit hint (ms) when the service has no latency history.
 DEFAULT_RETRY_AFTER_MS = 100.0
@@ -98,9 +103,10 @@ DEFAULT_RETRY_AFTER_MS = 100.0
 #: of its connections) is reaped as half-open.
 DEFAULT_LEASE_MS = 30_000.0
 
-#: Hard cap on one frame's length, either direction — a peer that
-#: streams an unbounded line is cut off instead of ballooning the read
-#: buffer, and the server refuses (``too-large``) to send a longer one.
+#: Hard cap on one frame's length (header line plus any payload), either
+#: direction — a peer that streams an unbounded line is cut off instead
+#: of ballooning the read buffer, and the server refuses (``too-large``)
+#: to send a longer one.
 MAX_FRAME_BYTES = 4 * 1024 * 1024
 
 _STR = (str,)
@@ -167,70 +173,93 @@ def validate_frame(doc: Any) -> str:
     return op
 
 
-#: What a job doc's ``values_b64`` reads as while the rest of its
-#: frame is dumped; a frame whose text already holds it is dumped whole
-_SPLICE = "\0values_b64\0"
-
-
 def encode_frame(doc: Dict[str, Any]) -> bytes:
     """``doc`` as one frame: the bytes of ``json.dumps(doc)`` + newline.
 
-    A job doc's ``values_b64`` (base64 text, as :func:`encode_values`
-    writes it) is spliced into the dump of the rest of the frame, so
-    ``json.dumps`` never scans the bulk of a values frame for
-    characters to escape: base64's alphabet has none.
+    A job doc whose ``values`` is an array is a values frame: the
+    header's job doc declares the array (:func:`encode_values`) in
+    place of ``values``, and its raw bytes follow the newline.  The
+    result is the whole frame, header plus payload.
     """
     job = doc.get("job")
-    b64 = job.get("values_b64") if isinstance(job, dict) else None
-    if isinstance(b64, str):
-        parts = json.dumps(dict(doc, job=dict(job, values_b64=_SPLICE))
-                           ).split(json.dumps(_SPLICE))
-        if len(parts) == 2:
-            return b"".join((parts[0].encode("utf-8"), b'"',
-                             b64.encode("ascii"), b'"',
-                             parts[1].encode("utf-8"), b"\n"))
-    return (json.dumps(doc) + "\n").encode("utf-8")
+    values = job.get("values") if isinstance(job, dict) else None
+    if not isinstance(values, np.ndarray):
+        return (json.dumps(doc) + "\n").encode("utf-8")
+    fields, payload = encode_values(values)
+    job = {key: value for key, value in job.items() if key != "values"}
+    job.update(fields)
+    return (json.dumps(dict(doc, job=job)) + "\n").encode("utf-8") \
+        + payload
 
 
-def encode_values(values: np.ndarray) -> Dict[str, Any]:
-    """A result array as job-doc fields: its bytes, not its digits.
+def encode_values(values: np.ndarray) -> Tuple[Dict[str, Any], memoryview]:
+    """A result array as job-doc fields plus its bytes, not its digits.
 
-    ``values_b64`` is the base64 of the C-contiguous little-endian
-    buffer, ``values_dtype`` the ``dtype.str`` naming that byte order,
-    ``values_shape`` the shape as a list.
+    The payload is the C-contiguous little-endian buffer;
+    ``values_bytes`` is its length, ``values_dtype`` the ``dtype.str``
+    naming that byte order, ``values_shape`` the shape as a list.
     """
     dtype = values.dtype.newbyteorder("<")
     data = np.ascontiguousarray(values, dtype=dtype)
-    return {"values_b64": base64.b64encode(data).decode("ascii"),
-            "values_dtype": dtype.str,
-            "values_shape": list(values.shape)}
+    return ({"values_bytes": data.nbytes, "values_dtype": dtype.str,
+             "values_shape": list(values.shape)},
+            memoryview(data.reshape(-1).view(np.uint8)))
 
 
-def decode_values(doc: Dict[str, Any]) -> np.ndarray:
-    """Inverse of :func:`encode_values`: a writable array owning its
-    memory, native byte order, dtype and shape as computed.
+#: the ``dtype.str`` forms a values header may name
+_VALUES_DTYPE = re.compile(r"[<>|][biuf][0-9]{1,2}")
 
-    Anything but a bool/int/float buffer of exactly the stated size
-    raises :class:`~repro.errors.WireProtocolError`.
+
+def values_layout(fields: Dict[str, Any]) -> Tuple[np.dtype, List[int]]:
+    """The dtype and shape a values header declares, checked against
+    its ``values_bytes`` — before a single payload byte is read.
+
+    Anything but a bool/int/float ``dtype.str``, a list of sizes and a
+    length of exactly prod(shape) x itemsize raises
+    :class:`~repro.errors.WireProtocolError`.
     """
     try:
-        name, shape = doc["values_dtype"], doc["values_shape"]
-        if not isinstance(name, str):
-            raise TypeError(f"dtype {name!r} is not a string")
+        name, shape = fields["values_dtype"], fields["values_shape"]
+        size = fields["values_bytes"]
+        # matched before numpy parses it: np.dtype() reads some strings
+        # as Python syntax and raises what it likes
+        if not isinstance(name, str) or not _VALUES_DTYPE.fullmatch(name):
+            raise TypeError(f"dtype {name!r} is not a bool/int/float "
+                            f"dtype.str")
         dtype = np.dtype(name)
-        if dtype.kind not in "biuf":
-            raise TypeError(f"dtype {name!r} is not bool/int/float")
+        if dtype.str != name:
+            raise TypeError(f"dtype {name!r} is not a dtype.str")
         if not isinstance(shape, list) or not all(
                 type(dim) is int and dim >= 0 for dim in shape):
             raise TypeError(f"shape {shape!r} is not a list of sizes")
-        raw = base64.b64decode(doc["values_b64"], validate=True)
-        if len(raw) != math.prod(shape) * dtype.itemsize:
+        if type(size) is not int \
+                or size != math.prod(shape) * dtype.itemsize:
             raise ValueError(
-                f"{len(raw)} bytes for shape {shape} of {dtype.str}")
+                f"{size!r} bytes for shape {shape} of {dtype.str}")
     except (KeyError, TypeError, ValueError) as exc:
         raise WireProtocolError(f"malformed values: {exc!r}") from None
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(
+    return dtype, shape
+
+
+def decode_values(fields: Dict[str, Any], payload) -> np.ndarray:
+    """Inverse of :func:`encode_values`: a writable array owning its
+    memory, native byte order, dtype and shape as computed.
+
+    ``payload`` must hold exactly the ``values_bytes`` the header
+    declares; anything :func:`values_layout` refuses, or a payload of
+    another length, raises :class:`~repro.errors.WireProtocolError`.
+    """
+    dtype, shape = values_layout(fields)
+    if len(payload) != fields["values_bytes"]:
+        raise WireProtocolError(
+            f"malformed values: {len(payload)}-byte payload, header "
+            f"says {fields['values_bytes']}")
+    return np.frombuffer(payload, dtype=dtype).reshape(shape).astype(
         dtype.newbyteorder("="))
+
+
+def _refuse_constant(token: str) -> None:
+    raise ValueError(f"non-JSON constant {token}")
 
 
 class _UnknownSession(ServeError):
@@ -434,29 +463,45 @@ class GraphServiceServer:
             self._close(conn)
             return
         if not data:
+            if conn.rbuf.strip():
+                # the peer half-closed inside a frame: say so before
+                # closing, in case it is still reading
+                self.counters.bad_frames += 1
+                self._send(conn, {"ok": False, "code": "bad-json",
+                                  "error": f"truncated frame: connection "
+                                           f"closed after {len(conn.rbuf)} "
+                                           f"bytes of an unterminated line"})
             self._close(conn)
             return
         conn.rbuf += data
-        if len(conn.rbuf) > self.max_frame_bytes:
-            self.counters.bad_frames += 1
-            self._send(conn, {"ok": False, "code": "frame-too-large",
-                              "error": f"frame exceeds "
-                                       f"{self.max_frame_bytes} bytes"})
-            self._close(conn)
-            return
-        while b"\n" in conn.rbuf:
-            line, conn.rbuf = conn.rbuf.split(b"\n", 1)
-            if line.strip():
-                self._handle_line(conn, line)
-                if conn.sock not in self._conns:
-                    return  # the frame closed the connection
+        if b"\n" in data:
+            *lines, conn.rbuf = conn.rbuf.split(b"\n")
+            for line in lines:
+                if len(line) >= self.max_frame_bytes:
+                    self._refuse_oversized(conn)
+                    return
+                if line.strip():
+                    self._handle_line(conn, line)
+                    if conn.sock not in self._conns:
+                        return  # the frame closed the connection
+        # the cap is per frame: only the unterminated remainder counts
+        if len(conn.rbuf) >= self.max_frame_bytes:
+            self._refuse_oversized(conn)
+
+    def _refuse_oversized(self, conn: _Conn) -> None:
+        self.counters.bad_frames += 1
+        self._send(conn, {"ok": False, "code": "frame-too-large",
+                          "error": f"frame exceeds "
+                                   f"{self.max_frame_bytes} bytes"})
+        self._close(conn)
 
     def _handle_line(self, conn: _Conn, line: bytes) -> None:
         self.counters.frames_in += 1
         conn.last_seen = time.monotonic()
         try:
-            doc = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            doc = json.loads(line.decode("utf-8"),
+                             parse_constant=_refuse_constant)
+        except ValueError as exc:  # bad UTF-8, bad JSON, NaN/Infinity
             self.counters.bad_frames += 1
             self._send(conn, {"ok": False, "code": "bad-json",
                               "error": f"unparseable frame: {exc}"})
@@ -500,9 +545,10 @@ class GraphServiceServer:
     def _op_hello(self, conn: _Conn, doc: Dict[str, Any]
                   ) -> Dict[str, Any]:
         lease_ms = float(doc.get("lease_ms", self.lease_ms))
-        if lease_ms <= 0:
+        if not 0 < lease_ms < math.inf:
             return {"ok": False, "code": "bad-frame",
-                    "error": f"lease_ms must be positive, got {lease_ms}"}
+                    "error": f"lease_ms must be positive and finite, "
+                             f"got {lease_ms}"}
         wanted = doc.get("session")
         resumed = wanted is not None and wanted in self._sessions
         if resumed:
@@ -595,7 +641,7 @@ class GraphServiceServer:
         doc = job.describe()
         if include_values and job.state == "done" \
                 and job.values is not None:
-            doc.update(encode_values(job.values))
+            doc["values"] = job.values      # encode_frame sends its bytes
         return doc
 
     def _op_poll(self, conn: _Conn, doc: Dict[str, Any]

@@ -2,6 +2,8 @@
 
 import json
 import socket
+import struct
+import threading
 import time
 
 import numpy as np
@@ -478,11 +480,18 @@ def test_mutate_shed_while_draining():
         thread.join(timeout=10)
 
 
-# -- values cross the wire as bytes (protocol v2) -----------------------------
+# -- values cross the wire as raw bytes (protocol v3) -------------------------
+
+def split_frame(frame: bytes):
+    """A values frame as (header doc, payload): the header is the first
+    line, and json.dumps never writes a raw newline."""
+    header, payload = frame.split(b"\n", 1)
+    return json.loads(header), payload
+
 
 def via_frame(values: np.ndarray) -> np.ndarray:
-    line = encode_frame({"job": encode_values(values)})
-    return decode_values(json.loads(line)["job"])
+    doc, payload = split_frame(encode_frame({"job": {"values": values}}))
+    return decode_values(doc["job"], payload)
 
 
 VALUE_DTYPES = ["<f8", ">f8", "<f4", ">f4", "<i8", ">i8", "<i4", ">i4", "|b1",
@@ -521,11 +530,11 @@ def test_values_round_trip_bit_for_bit(array):
     assert got.flags.writeable and got.flags.owndata
 
 
-#: text that could confuse a splice: the field's own name, a quoted
-#: key, the splice placeholder, escapes and non-ASCII
+#: header text that must not change the layout: the values fields' own
+#: names, a quoted key, escapes, newlines and non-ASCII
 NASTY_TEXT = st.one_of(st.text(), st.sampled_from([
-    "values_b64", '"values_b64": "', "\0values_b64\0", '"\\u0000values_b64',
-    "\\", '"', "\0", "caf\u00e9 \u2603 \U0001d11e"]))
+    "values_bytes", '"values_bytes": 8', "\n", "\r\n", "\\", '"', "\0",
+    "caf\u00e9 \u2603 \U0001d11e"]))
 
 
 @given(value_arrays(),
@@ -533,18 +542,31 @@ NASTY_TEXT = st.one_of(st.text(), st.sampled_from([
                        NASTY_TEXT),
        NASTY_TEXT, st.integers(0, 5))
 @settings(max_examples=100, deadline=None)
-def test_spliced_frames_are_json_dumps_bytes(array, fields, note, at):
-    """A values frame's bytes are ``json.dumps``'s, wherever the values
-    fields sit in the job doc and whatever the other strings hold."""
+def test_values_frame_is_a_json_line_then_its_bytes(array, fields, note, at):
+    """A values frame is ``json.dumps`` of the doc with the array
+    declared in its place, one newline, then exactly the array's
+    little-endian C-order bytes — wherever ``values`` sits in the job
+    doc and whatever the other strings hold."""
     items = list(dict(job_id=7, state="done", **fields).items())
-    items[at:at] = encode_values(array).items()
+    items[at:at] = [("values", array)]
     doc = {"re": 3, "ok": True, "job": dict(items), "note": note,
            "v": PROTOCOL_VERSION}
     frame = encode_frame(doc)
-    assert frame == (json.dumps(doc) + "\n").encode("utf-8")
-    got = decode_values(json.loads(frame)["job"])
-    assert got.shape == array.shape
-    assert got.tobytes() == array.astype(
+    little = array.astype(array.dtype.newbyteorder("<"))
+    header = dict(doc, job={
+        **{k: v for k, v in items if k != "values"},
+        "values_bytes": little.nbytes, "values_dtype": little.dtype.str,
+        "values_shape": list(array.shape)})
+    want = (json.dumps(header) + "\n").encode("utf-8")
+    assert frame == want + little.tobytes()
+    fields, payload = encode_values(array)
+    assert header["job"] == {**header["job"], **fields}
+    assert bytes(payload) == little.tobytes()
+    got, payload = split_frame(frame)
+    assert got == header and len(payload) == got["job"]["values_bytes"]
+    values = decode_values(got["job"], payload)
+    assert values.shape == array.shape
+    assert values.tobytes() == array.astype(
         array.dtype.newbyteorder("=")).tobytes()
 
 
@@ -559,18 +581,21 @@ def test_values_special_floats_keep_their_bits():
     assert via_frame(np.empty((0, 3), dtype=np.float32)).shape == (0, 3)
 
 
-GOOD_VALUES = {"values_b64": "AAAAAAAA8D8=", "values_dtype": "<f8",
+GOOD_VALUES = {"values_bytes": 8, "values_dtype": "<f8",
                "values_shape": [1]}
+GOOD_PAYLOAD = np.float64(1.0).astype("<f8").tobytes()
 
 
 def test_good_values_doc_decodes():
-    assert decode_values(GOOD_VALUES).tolist() == [1.0]
+    assert decode_values(GOOD_VALUES, GOOD_PAYLOAD).tolist() == [1.0]
 
 
 @pytest.mark.parametrize("patch", [
-    {"values_b64": "AAAA*AAA8D8="},          # not base64
-    {"values_b64": "AAAAAAAA8D8"},           # bad padding
-    {"values_b64": None},
+    {"values_bytes": 16},                    # != prod(shape) * itemsize
+    {"values_bytes": -8},
+    {"values_bytes": 8.0},
+    {"values_bytes": True},
+    {"values_bytes": None},
     {"values_shape": [2]},                   # length != prod(shape) * 8
     {"values_shape": [1, 0]},
     {"values_shape": [-1]},
@@ -579,6 +604,7 @@ def test_good_values_doc_decodes():
     {"values_shape": 1},
     {"values_dtype": "<f4"},                 # would reshape silently to 2
     {"values_dtype": "float65"},
+    {"values_dtype": "float64"},             # a name, not a dtype.str
     {"values_dtype": "|O"},
     {"values_dtype": "|S8"},
     {"values_dtype": "<M8[s]"},
@@ -587,7 +613,14 @@ def test_good_values_doc_decodes():
 ], ids=repr)
 def test_malformed_values_doc_raises_wire_protocol_error(patch):
     with pytest.raises(WireProtocolError, match="malformed values"):
-        decode_values(dict(GOOD_VALUES, **patch))
+        decode_values(dict(GOOD_VALUES, **patch), GOOD_PAYLOAD)
+
+
+@pytest.mark.parametrize("payload", [b"", GOOD_PAYLOAD[:7],
+                                     GOOD_PAYLOAD + b"\0"], ids=len)
+def test_payload_of_another_length_raises_wire_protocol_error(payload):
+    with pytest.raises(WireProtocolError, match="payload, header says 8"):
+        decode_values(GOOD_VALUES, payload)
 
 
 @pytest.mark.parametrize("missing", sorted(GOOD_VALUES))
@@ -595,7 +628,7 @@ def test_values_doc_missing_a_field_names_it(missing):
     doc = dict(GOOD_VALUES)
     del doc[missing]
     with pytest.raises(WireProtocolError, match=missing):
-        decode_values(doc)
+        decode_values(doc, GOOD_PAYLOAD)
 
 
 def every_algorithm_spec(algorithm, engine):
@@ -654,29 +687,49 @@ def test_every_algorithm_arrives_bit_identical(tmp_path):
 
 def test_v1_frame_refused_by_name_and_connection_stays_usable(served):
     _, server = served
-    assert PROTOCOL_VERSION == 2
+    assert PROTOCOL_VERSION == 3
     with socket.create_connection(server.address, timeout=5) as sock:
         reader = sock.makefile("rb")
         sock.sendall(b'{"op": "hello", "v": 1, "req": 1, "client": "old"}\n')
         refused = json.loads(reader.readline())
         assert refused["ok"] is False and refused["code"] == "bad-frame"
-        assert refused["re"] == 1 and refused["v"] == 2
+        assert refused["re"] == 1 and refused["v"] == 3
         assert "frame says 1" in refused["error"]
-        assert "server speaks 2" in refused["error"]
-        sock.sendall(b'{"op": "hello", "v": 2, "req": 2, "client": "new"}\n')
+        assert "server speaks 3" in refused["error"]
+        sock.sendall(b'{"op": "hello", "v": 3, "req": 2, "client": "new"}\n')
+        hello = json.loads(reader.readline())
+        assert hello["ok"] is True and hello["re"] == 2
+
+
+def test_v2_frame_refused_by_name_and_connection_stays_usable(served):
+    """v2 clients expect base64 inside the line: refused, not fed a
+    payload they would read as the next frame."""
+    _, server = served
+    with socket.create_connection(server.address, timeout=5) as sock:
+        reader = sock.makefile("rb")
+        sock.sendall(b'{"op": "hello", "v": 2, "req": 1, "client": "v2"}\n')
+        refused = json.loads(reader.readline())
+        assert refused["ok"] is False and refused["code"] == "bad-frame"
+        assert refused["re"] == 1 and refused["v"] == 3
+        assert "frame says 2" in refused["error"]
+        assert "server speaks 3" in refused["error"]
+        sock.sendall(b'{"op": "hello", "v": 3, "req": 2, "client": "v3"}\n')
         hello = json.loads(reader.readline())
         assert hello["ok"] is True and hello["re"] == 2
 
 
 def test_every_frame_is_strict_json(served):
     """SSSP distances to unreachable vertices are ``inf``: as digits
-    that is the bare token ``Infinity``, which is not JSON."""
+    that is the bare token ``Infinity``, which is not JSON.  Every
+    header line is strict JSON, and a values payload is exactly the
+    bytes its header declares."""
     svc, server = served
 
     def refuse(token):
         raise AssertionError(f"non-JSON constant {token!r} on the wire")
 
     frames = []
+    payloads = {}
     with socket.create_connection(server.address, timeout=10) as sock:
         reader = sock.makefile("rb")
 
@@ -689,9 +742,13 @@ def test_every_frame_is_strict_json(served):
                 frame = json.loads(reader.readline(),
                                    parse_constant=refuse)
                 frames.append(frame)
+                job = frame.get("job", {})
+                if "values_bytes" in job:
+                    payloads[id(frame)] = reader.read(job["values_bytes"])
                 if frame.get("re") == len(requests) - 1:
                     assert frame["ok"], frame
                     return frame
+                assert "values_bytes" not in job, "stray values frame"
 
         session = ask({"op": "hello", "client": "strict"})["session"]
         spec = JobSpec(graph="g", algorithm="sssp-bf", tenant="t",
@@ -706,7 +763,179 @@ def test_every_frame_is_strict_json(served):
             time.sleep(0.01)
         answer = ask(dict(poll, values=True))
         ask({"op": "stats", "session": session})
-    values = decode_values(answer["job"])
+    payload = payloads[id(answer)]
+    assert len(payload) == answer["job"]["values_bytes"]
+    values = decode_values(answer["job"], payload)
     assert np.isinf(values).any(), "test graph lost its unreachable part"
     assert np.array_equal(values, svc.job(1).values)
+    assert list(payloads) == [id(answer)], "only the values poll has bytes"
     assert any(f.get("event") == "job" and f["terminal"] for f in frames)
+
+
+# -- buffered sends and streamed watches -------------------------------------
+
+def read_frame(reader):
+    """One frame off a raw socket: the header doc, and the payload a
+    values frame declares (``b""`` otherwise)."""
+    frame = json.loads(reader.readline())
+    size = frame.get("job", {}).get("values_bytes", 0)
+    return frame, reader.read(size)
+
+
+def raw_request(op, req, **fields):
+    return encode_frame(dict(fields, op=op, v=PROTOCOL_VERSION, req=req))
+
+
+def wait_for(predicate, what, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting: {what}"
+        time.sleep(0.005)
+
+
+def test_queued_values_frames_arrive_whole_and_in_order():
+    """A reader that holds off: the server's shrunken send buffer
+    fills, the rest of several values frames waits in its write buffer
+    while job events join the queue, and everything arrives byte for
+    byte, in order, once the reader reads."""
+    svc = make_service()
+    server = GraphServiceServer(svc, step_burst=1)
+    thread = server.serve_in_thread()
+    try:
+        with connect(server) as client:
+            done = client.submit(pagerank_spec(tenant="a"))["job_id"]
+            assert client.wait(done, timeout_s=30)["state"] == "done"
+            server.auto_step = False
+            pending = client.submit(pagerank_spec(
+                tenant="b", use_cache=False))["job_id"]
+        want = svc.job(done).values.astype("<f8").tobytes()
+        with socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(10)
+            sock.connect(server.address)
+            reader = sock.makefile("rb")
+            sock.sendall(raw_request("hello", 1, client="slow"))
+            session = read_frame(reader)[0]["session"]
+            conn = next(c for c in list(server._conns.values())
+                        if c.session is not None
+                        and c.session.session_id == session)
+            conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            poll = dict(session=session, job_id=done, values=True)
+            sock.sendall(raw_request("watch", 2, session=session,
+                                     job_id=pending)
+                         + b"".join(raw_request("poll", req, **poll)
+                                    for req in (3, 4, 5)))
+            wait_for(lambda: len(conn.wbuf) > len(want),
+                     "values frames queued behind a full send buffer")
+            server.auto_step = True         # job events join the queue
+            wait_for(lambda: svc.job(pending).finished, "the pending job")
+            sock.sendall(b"".join(raw_request("poll", req, **poll)
+                                  for req in (6, 7)))
+            frames = []
+            while len([f for f, _ in frames if "re" in f]) < 6:
+                frames.append(read_frame(reader))
+            if not any(f.get("terminal") for f, _ in frames):
+                frames.append(read_frame(reader))
+        assert [f["re"] for f, _ in frames if "re" in f] == \
+            [2, 3, 4, 5, 6, 7]
+        values = [(f, payload) for f, payload in frames
+                  if f.get("re", 0) >= 3]
+        headers = {json.dumps(dict(f, re=None)) for f, _ in values}
+        assert len(headers) == 1, "one answer, five times"
+        assert all(payload == want for _, payload in values)
+        kinds = ["values" if f.get("re", 0) >= 3 else
+                 "event" if "event" in f else "watch" for f, _ in frames]
+        first, last = kinds.index("event"), len(kinds) - 1 - \
+            kinds[::-1].index("event")
+        assert kinds[:first] == ["watch", "values", "values", "values"]
+        assert set(kinds[first:last + 1]) == {"event"}
+        assert kinds[last + 1:] == ["values", "values"]
+        assert frames[last][0]["terminal"] is True
+    finally:
+        server.crash()
+        thread.join(timeout=10)
+
+
+def test_send_to_a_reset_peer_closes_only_that_connection():
+    svc = make_service()
+    entered, release = threading.Event(), threading.Event()
+    orig_step = svc.step
+
+    def held_step():
+        entered.set()
+        release.wait(10)
+        return orig_step()
+
+    svc.step = held_step
+    server = GraphServiceServer(svc, auto_step=False, step_burst=1)
+    thread = server.serve_in_thread()
+    try:
+        with connect(server, heartbeat=False) as client:
+            job_id = client.submit(pagerank_spec(
+                tenant="r", use_cache=False))["job_id"]
+        sock = socket.create_connection(server.address, timeout=10)
+        reader = sock.makefile("rb")
+        sock.sendall(raw_request("hello", 1, client="gone"))
+        session = read_frame(reader)[0]["session"]
+        sock.sendall(raw_request("watch", 2, session=session,
+                                 job_id=job_id))
+        assert read_frame(reader)[0]["terminal"] is False
+        closed = server.counters.connections_closed
+        server.auto_step = True
+        assert entered.wait(10)
+        # reset (not close) the watcher while the loop is mid-step: the
+        # slice's job event is then sent into a dead socket
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0))
+        reader.close()
+        sock.close()
+        time.sleep(0.05)
+        release.set()
+        wait_for(lambda: server.counters.connections_closed > closed,
+                 "the reset connection closed")
+        with connect(server) as client:
+            assert client.wait(job_id, timeout_s=30)["state"] == "done"
+    finally:
+        release.set()
+        server.crash()
+        thread.join(timeout=10)
+
+
+def test_watch_streams_progress_then_one_terminal_event():
+    """A watch armed on a pending job streams its slices as they run,
+    re-arms across a dropped connection, and ends with exactly one
+    terminal event."""
+    svc = make_service()
+    server = GraphServiceServer(svc, auto_step=False, step_burst=1)
+    thread = server.serve_in_thread()
+
+    def step_once_watched():
+        wait_for(lambda: any(c.watches
+                             for c in list(server._conns.values())),
+                 "the watch registration")
+        server.auto_step = True
+
+    try:
+        with connect(server) as client:
+            job_id = client.submit(pagerank_spec(
+                tenant="w", use_cache=False, max_iterations=10))["job_id"]
+            starter = threading.Thread(target=step_once_watched,
+                                       daemon=True)
+            starter.start()
+            events = []
+            for event in client.watch(job_id, timeout_s=60):
+                events.append(event)
+                if len(events) == 2:
+                    with client._lock:      # the stream breaks mid-job
+                        client._teardown_socket()
+            starter.join(timeout=10)
+            assert client.reconnects == 1
+    finally:
+        server.crash()
+        thread.join(timeout=10)
+    progress = [e["slices"] for e in events if not e["terminal"]]
+    assert len(progress) >= 3, events
+    assert progress == sorted(set(progress)), "slices must rise"
+    assert [e["terminal"] for e in events].count(True) == 1
+    assert events[-1]["terminal"] and events[-1]["state"] == "done"
+    assert all(e["job_id"] == job_id for e in events)
