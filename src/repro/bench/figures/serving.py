@@ -131,7 +131,7 @@ def run_serve_soak(dataset: str = "wrn", num_nodes: int = 2,
         arr = np.asarray([j.latency_ms for j in jobs
                           if j.state == "done"])
         rows.append((name, len(jobs), done, failed, hits,
-                     svc.cache.hit_rate, svc.coalesced,
+                     svc.cache.hit_rate, svc.metrics()["coalesced"],
                      float(np.percentile(arr, 50)),
                      float(np.percentile(arr, 99)), svc.now_ms,
                      min(speedups) if speedups else 1.0, isolated))
@@ -218,7 +218,7 @@ def run_serve_chaos(dataset: str = "wrn", num_nodes: int = 2,
         rec = GraphService.recover(jpath, graphs={dataset: graph})
         resumed_ids = {j.job_id for j in rec.queue.jobs()
                        if j.resume_from is not None}
-        pre_crash_done = len(bjobs) - rec.recovered_jobs
+        pre_crash_done = len(bjobs) - rec.metrics()["recovered_jobs"]
         rec.run()
 
         identical = True
@@ -236,7 +236,7 @@ def run_serve_chaos(dataset: str = "wrn", num_nodes: int = 2,
 
         before = len(read_journal(jpath))
         rec2 = GraphService.recover(jpath, graphs={dataset: graph})
-        replay_noop = (rec2.recovered_jobs == 0
+        replay_noop = (rec2.metrics()["recovered_jobs"] == 0
                        and len(read_journal(jpath)) == before
                        and all(rec2.job(i).state == "done"
                                for i in base_vals))
@@ -463,7 +463,8 @@ def run_wire_chaos(dataset: str = "wrn", num_nodes: int = 2,
                                 for key, job_id in ids.items()))
 
         rows.append((seed, kills, generations, len(mix),
-                     len(resumed_keys), deduped, client.reconnects,
+                     len(resumed_keys), deduped,
+                     client.client_stats()["reconnects"],
                      identical, exactly_once, strictly_fewer,
                      steps_saved))
     return rows
@@ -631,7 +632,8 @@ def run_mutation_soak(num_nodes: int = 2,
                           idempotency_key=summary["batch_id"])
         replay_noop = (
             rec.store.get(key).version == summary["version"]
-            and redo["deduped"] and rec.recovered_jobs == 0
+            and redo["deduped"]
+            and rec.metrics()["recovered_jobs"] == 0
             and len(read_journal(jpath)) == before)
 
         step_ratio = cold_steps / max(warm_steps, 1)

@@ -204,14 +204,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 2
 
     jobs = service.jobs()
+    metrics = service.metrics()
     bad = [j for j in jobs if j.state in ("failed", "quarantined")]
     if args.json:
         payload = {"ok": not bad,
                    "failed_jobs": [j.job_id for j in bad],
                    "shed": shed,
                    "jobs": [j.describe() for j in jobs],
-                   "metrics": service.metrics(),
-                   "recovery": service.recovery_stats()}
+                   "metrics": metrics,
+                   "recovery": metrics["recovery"]}
         if listen_addr is not None:
             payload["wire"] = server.wire_stats()
         print(json.dumps(payload, indent=2))
@@ -225,21 +226,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print_table(["job", "tenant", "algorithm", "graph", "state",
                  "cached", "queue ms", "latency ms", "error"],
                 rows, title="serving session")
-    cache = service.cache.stats()
-    lat = service.latency_percentiles()
+    cache, lat = metrics["cache"], metrics["latency"]
     print(f"\ncache: {cache['hits']}/{cache['hits'] + cache['misses']} "
           f"hits (rate {cache['hit_rate']:.2f}), "
           f"{cache['evictions']} evictions; "
-          f"coalesced {service.coalesced}")
+          f"coalesced {metrics['coalesced']}")
     print(f"latency: p50 {lat['p50']:.3f} ms, p99 {lat['p99']:.3f} ms "
           f"over {lat['count']} completed jobs")
-    for tenant, row in service.ledger.snapshot().items():
+    for tenant, row in metrics["tenants"].items():
         print(f"  {tenant}: {row['consumed_ms']:.3f} ms over "
               f"{row['slices']} slices, {row['jobs_finished']} jobs "
               f"({row['cache_hits']} cached)")
     for line in shed:
         print(f"shed: {line}")
-    recovery = service.recovery_stats()
+    recovery = metrics["recovery"]
     if recovery["recovered"]:
         print(f"recovered: {recovery['recovered']} job(s) from the "
               f"journal ({recovery['requeued']} re-queued, "

@@ -47,7 +47,6 @@ from .wire import (
     FRAME_SCHEMA,
     PROTOCOL_VERSION,
     GraphServiceServer,
-    WireCounters,
     decode_values,
     encode_values,
     validate_frame,
@@ -84,7 +83,6 @@ __all__ = [
     "RunningJob",
     "GraphServiceServer",
     "GraphClient",
-    "WireCounters",
     "PROTOCOL_VERSION",
     "encode_values",
     "decode_values",

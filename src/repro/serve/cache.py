@@ -127,6 +127,11 @@ class ResultCache:
     entry whose hits save least, spilling it to its sidecar when it
     names one, with hit/miss accounting."""
 
+    #: event counts, kept in :attr:`counts`: lookups answered and not,
+    #: resident entries evicted, entries dropped by invalidation, and
+    #: spilled entries read back by a lookup (each one also a hit)
+    COUNTS = ("hits", "misses", "evictions", "invalidations", "reloads")
+
     def __init__(self, capacity: int = 64) -> None:
         if capacity < 1:
             raise ServeError(f"cache capacity must be >= 1, got {capacity}")
@@ -143,12 +148,7 @@ class ResultCache:
         #: graph key -> the versions its last keep-set invalidation
         #: dropped (:meth:`dead_counts` checks none is counted again)
         self._dropped: Dict[str, FrozenSet[int]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-        #: spilled entries read back by a lookup (each one also a hit)
-        self.reloads = 0
+        self.counts = dict.fromkeys(self.COUNTS, 0)
 
     @staticmethod
     def key(graph_key: str, graph_version: int, algorithm: str,
@@ -178,10 +178,10 @@ class ResultCache:
         if entry is None and key in self._spilled:
             entry = self._reload(key, load)
         if entry is None:
-            self.misses += 1
+            self.counts["misses"] += 1
             return None
         self._entries.move_to_end(key)
-        self.hits += 1
+        self.counts["hits"] += 1
         return entry.copy()
 
     def _reload(self, key: CacheKey, load) -> Optional[CachedResult]:
@@ -191,7 +191,7 @@ class ResultCache:
         if entry is None or dataclasses.replace(entry,
                                                 values=None) != spilled:
             return None
-        self.reloads += 1
+        self.counts["reloads"] += 1
         self._install(key, entry)
         return entry
 
@@ -227,7 +227,7 @@ class ResultCache:
             victim = min(self._entries, key=lambda k: self._lookups.get(
                 k, 0) * self._entries[k].compute_ms)
             evicted = self._entries.pop(victim)
-            self.evictions += 1
+            self.counts["evictions"] += 1
             if evicted.file is not None:
                 self._spilled[victim] = dataclasses.replace(evicted,
                                                             values=None)
@@ -254,7 +254,7 @@ class ResultCache:
         for k in stale:
             self._entries.pop(k, None)
             self._spilled.pop(k, None)
-        self.invalidations += len(stale)
+        self.counts["invalidations"] += len(stale)
         dead = [k for k in self._lookups
                 if k[0] == graph_key and k[1] not in keep]
         for k in dead:
@@ -306,20 +306,16 @@ class ResultCache:
 
     @property
     def hit_rate(self) -> float:
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
+        lookups = self.counts["hits"] + self.counts["misses"]
+        return self.counts["hits"] / lookups if lookups else 0.0
 
     def stats(self) -> Dict[str, Any]:
         return {
             "entries": len(self._entries),
             "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
+            **self.counts,
             "hit_rate": round(self.hit_rate, 6),
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
             "spilled": len(self._spilled),
-            "reloads": self.reloads,
         }
 
     def __len__(self) -> int:

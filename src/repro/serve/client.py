@@ -58,6 +58,12 @@ class GraphClient:
     unrelated pushed events in a buffer.
     """
 
+    #: robustness counts, kept in :attr:`counts`: reconnect cycles,
+    #: operations retried after one, re-hellos after a lost session,
+    #: shed answers, and reads or waits that ran out of time
+    COUNTS = ("reconnects", "retried_ops", "rehellos", "sheds_seen",
+              "timeouts")
+
     def __init__(self, host: str, port: int, *, client_name: str = "client",
                  timeout_s: float = 5.0, lease_ms: float = 30_000.0,
                  connect_attempts: int = 5, backoff_base_s: float = 0.05,
@@ -87,12 +93,7 @@ class GraphClient:
         self._events: deque = deque()
         #: delays (s) slept during the most recent reconnect cycle
         self.last_backoff_schedule: Tuple[float, ...] = ()
-        #: client-side robustness counters (mirrors server WireCounters)
-        self.reconnects = 0
-        self.retried_ops = 0
-        self.rehellos = 0
-        self.sheds_seen = 0
-        self.timeouts = 0
+        self.counts = dict.fromkeys(self.COUNTS, 0)
         self._closed = False
         self._hb_stop = threading.Event()
         self._hb_thread: Optional[threading.Thread] = None
@@ -241,7 +242,7 @@ class GraphClient:
             data = (self._sock.recv(65536) if into is None
                     else self._sock.recv_into(into))
         except socket.timeout:
-            self.timeouts += 1
+            self.counts["timeouts"] += 1
             self._teardown_socket()
             raise WireTimeout(
                 f"no response within {self.timeout_s:.3f}s") from None
@@ -299,7 +300,7 @@ class GraphClient:
         code = frame.get("code", "error")
         message = frame.get("error", "request failed")
         if code == "shed":
-            self.sheds_seen += 1
+            self.counts["sheds_seen"] += 1
             raise WireShed(message,
                            retry_after_ms=frame.get("retry_after_ms", 0.0),
                            draining=frame.get("draining", False))
@@ -323,7 +324,7 @@ class GraphClient:
             attempts = 0
             while True:
                 if self._sock is None:
-                    self.reconnects += 1
+                    self.counts["reconnects"] += 1
                     self.connect()
                 try:
                     if "session" in fields:
@@ -332,7 +333,7 @@ class GraphClient:
                 except _SessionLost:
                     # server forgot us (restart / lease lapse): a new
                     # hello is always safe, then replay if allowed
-                    self.rehellos += 1
+                    self.counts["rehellos"] += 1
                     self.session_id = None
                     self._hello()
                     if not retry_safe:
@@ -344,7 +345,7 @@ class GraphClient:
                     if not retry_safe or attempts >= 1:
                         raise
                 attempts += 1
-                self.retried_ops += 1
+                self.counts["retried_ops"] += 1
 
     # -- public ops ----------------------------------------------------------------------
 
@@ -463,7 +464,7 @@ class GraphClient:
                                 "quarantined"):
                 return doc
             if deadline is not None and time.monotonic() > deadline:
-                self.timeouts += 1
+                self.counts["timeouts"] += 1
                 raise WireTimeout(
                     f"job {job_id} not terminal within {timeout_s}s "
                     f"(last state {doc['state']!r})")
@@ -556,11 +557,7 @@ class GraphClient:
 
     def client_stats(self) -> Dict[str, Any]:
         """The client's own robustness counters (for trace JSON)."""
-        return {"reconnects": self.reconnects,
-                "retried_ops": self.retried_ops,
-                "rehellos": self.rehellos,
-                "sheds_seen": self.sheds_seen,
-                "timeouts": self.timeouts,
+        return {**self.counts,
                 "last_backoff_schedule": list(self.last_backoff_schedule)}
 
 

@@ -51,6 +51,11 @@ class ResourceUsage:
 class AdmissionControl:
     """Budget checks; ``None`` budgets are unlimited."""
 
+    #: event counts, kept in :attr:`counts`: jobs that could never run,
+    #: and overload/deadline refusals (their reasons in
+    #: :attr:`shed_reasons`)
+    COUNTS = ("rejections", "sheds")
+
     def __init__(self, memory_budget_bytes: Optional[int] = None,
                  daemon_budget: Optional[int] = None,
                  max_running: Optional[int] = None,
@@ -71,16 +76,13 @@ class AdmissionControl:
         self.daemons_per_job = daemons_per_job
         self.max_queue_depth = max_queue_depth
         self.max_pending_per_tenant = max_pending_per_tenant
-        self.deferrals = 0
-        self.rejections = 0
-        #: overload/deadline refusals, with their recorded reasons
-        self.sheds = 0
+        self.counts = dict.fromkeys(self.COUNTS, 0)
         self.shed_reasons: List[str] = []
 
     def shed(self, job: Job, reason: str) -> AdmissionError:
         """Record an overload refusal and build its error (not raised
         here — the caller journals the shed first)."""
-        self.sheds += 1
+        self.counts["sheds"] += 1
         self.shed_reasons.append(
             f"job #{job.job_id} ({job.spec.tenant}): {reason}")
         del self.shed_reasons[:-50]        # keep the tail bounded
@@ -132,14 +134,14 @@ class AdmissionControl:
         """
         if (self.memory_budget_bytes is not None
                 and graph_bytes > self.memory_budget_bytes):
-            self.rejections += 1
+            self.counts["rejections"] += 1
             raise AdmissionError(
                 f"job #{job.job_id} ({job.spec.tenant}): graph "
                 f"{job.spec.graph!r} needs {graph_bytes} bytes but the "
                 f"memory budget is {self.memory_budget_bytes}")
         if (self.daemon_budget is not None
                 and self.daemons_per_job > self.daemon_budget):
-            self.rejections += 1
+            self.counts["rejections"] += 1
             raise AdmissionError(
                 f"job #{job.job_id} ({job.spec.tenant}): needs "
                 f"{self.daemons_per_job} daemons but the budget is "
@@ -169,8 +171,13 @@ class AdmissionControl:
 class JobQueue:
     """Pending jobs: strict priority, FIFO within a class, backfilled."""
 
+    #: event counts, kept in :attr:`counts`: pending jobs passed over
+    #: because they did not fit at a dispatch
+    COUNTS = ("deferrals",)
+
     def __init__(self, admission: AdmissionControl) -> None:
         self.admission = admission
+        self.counts = dict.fromkeys(self.COUNTS, 0)
         self._pending: List[Job] = []
         self.last_defer_reason: Optional[str] = None
 
@@ -215,7 +222,7 @@ class JobQueue:
                 return job
             if i == 0:
                 self.last_defer_reason = (f"job #{job.job_id}: {reason}")
-            self.admission.deferrals += 1
+            self.counts["deferrals"] += 1
         return None
 
     def next_not_before(self, now_ms: float) -> Optional[float]:
@@ -235,9 +242,8 @@ class JobQueue:
     def stats(self) -> Dict[str, Any]:
         return {
             "pending": len(self._pending),
-            "deferrals": self.admission.deferrals,
-            "rejections": self.admission.rejections,
-            "sheds": self.admission.sheds,
+            **self.counts,
+            **self.admission.counts,
             "shed_reasons": list(self.admission.shed_reasons),
             "last_defer_reason": self.last_defer_reason,
         }

@@ -77,6 +77,18 @@ from .store import GraphStore
 class GraphService:
     """Multi-tenant serving over one simulated cluster description."""
 
+    #: event counts, kept in :attr:`counts`: queries parked behind an
+    #: identical in-flight one, waiter groups that abandoned a hung
+    #: leader, checkpoint-resume retries, submits answered from the
+    #: idempotency map, mutation batches applied / answered from the
+    #: log / that :meth:`recover` could not re-apply, warm-started
+    #: dispatches, and what the last recover() restored: jobs
+    #: re-queued, checkpoint resumes, every job
+    COUNTS = ("coalesced", "handoffs", "retries", "deduped_submits",
+              "mutations", "deduped_mutations", "skipped_mutations",
+              "warm_starts", "recovered_jobs", "resumed_from_checkpoint",
+              "recovered")
+
     def __init__(self, spec: Optional[ClusterSpec] = None, *,
                  memory_budget_mb: Optional[float] = None,
                  daemon_budget: Optional[int] = None,
@@ -126,18 +138,12 @@ class GraphService:
         self._waiters: Dict[Any, List[Job]] = {}
         #: when each waiter group first parked (hung-leader timeout)
         self._waiter_parked_ms: Dict[Any, float] = {}
-        self.coalesced = 0
-        #: singleflight hand-offs after a hung leader timed out
-        self.handoffs = 0
-        #: checkpoint-resume retries performed
-        self.retries = 0
+        self.counts = dict.fromkeys(self.COUNTS, 0)
         #: True once :meth:`drain` started — new submissions are shed
         self.draining = False
         #: client idempotency key -> job id (exactly-once submits);
         #: journaled, so dedupe survives a crash + :meth:`recover`
         self._idempotency: Dict[str, int] = {}
-        #: submits answered from the idempotency map instead of run
-        self.deduped_submits = 0
         #: warm-start seeds harvested from cached fixpoints at mutation
         #: time: (graph key, algorithm, params fingerprint) ->
         #: (seed version, CachedResult).  Not journaled: replaying a
@@ -151,13 +157,6 @@ class GraphService:
         #: graph key -> the engine classes jobs asked for since its
         #: last load: a mutation carries each one's partition forward
         self._engines: Dict[str, set] = {}
-        #: jobs dispatched seeded from a previous fixpoint
-        self.warm_starts = 0
-        #: mutation batches applied (fresh) / answered from the log
-        self.mutations_applied = 0
-        self.deduped_mutations = 0
-        #: journaled mutation batches :meth:`recover` could not re-apply
-        self.skipped_mutations = 0
         self._mutation_seq = 0
         # drain/recover lifecycle guard: drain() must be idempotent and
         # safe to call from a signal handler or a second thread while
@@ -178,11 +177,6 @@ class GraphService:
         #: checkpointing, when journaling — without a checkpoint there
         #: is nothing to resume from (costs change, values never do)
         self.journal_checkpoint_interval = journal_checkpoint_interval
-        #: jobs re-queued by the last :meth:`recover` (observability)
-        self.recovered_jobs = 0
-        self.resumed_from_checkpoint = 0
-        #: terminal jobs the last :meth:`recover` restored verbatim
-        self.recovered_terminal = 0
         self.journal: Optional[JobJournal] = None
         if journal is not None:
             self.journal = JobJournal(journal)
@@ -284,7 +278,7 @@ class GraphService:
         bid = idempotency_key or batch.fingerprint()
         prior = self.store.log.applied(key, bid)
         if prior is not None:
-            self.deduped_mutations += 1
+            self.counts["deduped_mutations"] += 1
             return {"graph": key, "batch_id": bid,
                     "from_version": prior.from_version,
                     "version": prior.to_version,
@@ -296,7 +290,7 @@ class GraphService:
         # never reach the journal — a journaled unappliable batch would
         # re-raise on every recover() replay and wedge recovery forever
         record = self._mutated(key, batch, bid)
-        self.mutations_applied += 1
+        self.counts["mutations"] += 1
         if self.journal is not None and not self.journal.closed:
             # the applied batch lands durably before the success
             # response reaches the caller; a crash in the gap loses an
@@ -339,7 +333,7 @@ class GraphService:
                     f"got {idempotency_key!r}")
             existing = self._idempotency.get(idempotency_key)
             if existing is not None:
-                self.deduped_submits += 1
+                self.counts["deduped_submits"] += 1
                 return self._jobs[existing]
         if spec.graph not in self.store:
             raise ServeError(
@@ -514,10 +508,7 @@ class GraphService:
             self.draining = True
             if finish_running:
                 for job in self.queue.jobs():
-                    self.admission.sheds += 1
-                    self.admission.shed_reasons.append(
-                        f"job #{job.job_id} ({job.spec.tenant}): "
-                        f"pending at drain")
+                    self.admission.shed(job, "pending at drain")
                     self._journal_append("cancelled", job_id=job.job_id)
                     self.queue.cancel(job.job_id)
                     self._ended(job, CANCELLED,
@@ -585,18 +576,18 @@ class GraphService:
                             for key, job_id in svc._idempotency.items()
                             if job_id in svc._jobs}
         for job in svc.jobs():
+            svc.counts["recovered"] += 1
             if job.state != DONE:
                 # only a finished record carries a job's service time:
                 # every other account restarts at zero
                 svc._charge(job, -job.consumed_ms, -job.slices)
             if job.finished:
-                svc.recovered_terminal += 1
                 continue
             job.state = PENDING
             job.resume_from = svc.journal.load_checkpoint(job.job_id)
             if job.resume_from is not None:
-                svc.resumed_from_checkpoint += 1
-            svc.recovered_jobs += 1
+                svc.counts["resumed_from_checkpoint"] += 1
+            svc.counts["recovered_jobs"] += 1
             svc.queue.push(job)
         svc.check_invariants()
         return svc
@@ -633,7 +624,7 @@ class GraphService:
                 # journal (or one straddling an unjournaled replace) may
                 # no longer fit the graph — skipping it beats wedging
                 # every future recover()
-                self.skipped_mutations += 1
+                self.counts["skipped_mutations"] += 1
                 self._mutation_seq += 1
         elif rec == "idempotency":
             self._idempotency[doc["key"]] = doc["job_id"]
@@ -912,7 +903,7 @@ class GraphService:
             if leader is not None:
                 self._waiters.setdefault(ckey, []).append(job)
                 self._waiter_parked_ms.setdefault(ckey, self.now_ms)
-                self.coalesced += 1
+                self.counts["coalesced"] += 1
                 return
         runtime = spec.runtime
         if (self.journal is not None
@@ -946,7 +937,7 @@ class GraphService:
                     if warm is not None:
                         job.resume_from = warm
                         job.warm_started = True
-                        self.warm_starts += 1
+                        self.counts["warm_starts"] += 1
         stepper = engine.run_stepwise(algorithm,
                                       spec.max_iterations,
                                       resume_from=job.resume_from)
@@ -1009,7 +1000,7 @@ class GraphService:
                            if r.cache_key == ckey and r.coalesce), None)
             if leader is not None:
                 leader.coalesce = False
-            self.handoffs += 1
+            self.counts["handoffs"] += 1
             del self._waiter_parked_ms[ckey]
             for waiter in self._waiters.pop(ckey):
                 self.store._detach(waiter.spec.graph)
@@ -1102,7 +1093,7 @@ class GraphService:
         job.fault_report = rj.middleware.fault_report()
         if retryable and job.retries < job.spec.max_retries:
             attempt = job.retries + 1
-            self.retries += 1
+            self.counts["retries"] += 1
             backoff = job.spec.retry_backoff_ms * (2 ** (attempt - 1))
             ckpt = self._journal_checkpoint(rj)
             if ckpt is not None:
@@ -1200,42 +1191,26 @@ class GraphService:
                 "p99": float(np.percentile(arr, 99)),
                 "count": len(lats)}
 
-    def recovery_stats(self) -> Dict[str, int]:
-        """Recovery counters for ``serve --json`` and the wire's
-        ``stats`` frame: jobs restored by the last :meth:`recover`
-        (terminal + re-queued), in-flight jobs re-queued, checkpoint
-        resumes, and singleflight hung-leader handoffs."""
-        return {
-            "recovered": self.recovered_terminal + self.recovered_jobs,
-            "requeued": self.recovered_jobs,
-            "resumed": self.resumed_from_checkpoint,
-            "handoffs": self.handoffs,
-        }
-
     def metrics(self) -> Dict[str, Any]:
+        """The serving layer's one grouped read: the service's counts,
+        the queue, cache and store reads, the tenant ledger, latency
+        percentiles, and the recovery block (``recovered``: jobs the
+        last :meth:`recover` restored, terminal and re-queued)."""
         by_state: Dict[str, int] = {}
         for j in self._jobs.values():
             by_state[j.state] = by_state.get(j.state, 0) + 1
+        counts = dict(self.counts)
         return {
             "now_ms": round(self.now_ms, 6),
             "jobs": by_state,
             "queue": self.queue.stats(),
             "cache": self.cache.stats(),
-            "coalesced": self.coalesced,
-            "handoffs": self.handoffs,
-            "retries": self.retries,
             "draining": self.draining,
-            "deduped_submits": self.deduped_submits,
-            "mutations": self.mutations_applied,
-            "deduped_mutations": self.deduped_mutations,
-            "skipped_mutations": self.skipped_mutations,
-            "warm_starts": self.warm_starts,
-            "recovered_jobs": self.recovered_jobs,
-            "resumed_from_checkpoint": self.resumed_from_checkpoint,
-            # the recovery story in one block: jobs restored from the
-            # journal (terminal + re-queued), re-queued in-flight jobs,
-            # checkpoint resumes, and singleflight hung-leader handoffs
-            "recovery": self.recovery_stats(),
+            "recovery": {"recovered": counts.pop("recovered"),
+                         "requeued": counts["recovered_jobs"],
+                         "resumed": counts["resumed_from_checkpoint"],
+                         "handoffs": counts["handoffs"]},
+            **counts,
             "store": self.store.stats(),
             "tenants": self.ledger.snapshot(),
             "latency": self.latency_percentiles(),

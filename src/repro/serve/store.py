@@ -117,6 +117,12 @@ class GraphSnapshot:
 class GraphStore:
     """Registry of loaded, versioned graphs + memoized partitions."""
 
+    #: event counts, kept in :attr:`counts`: engines built on a
+    #: memoized partition / on a fresh one / partitions carried across
+    #: a mutation as a delta, mutations applied, snapshots taken
+    COUNTS = ("partition_hits", "partition_builds", "partition_deltas",
+              "mutations", "snapshots")
+
     def __init__(self) -> None:
         self._graphs: Dict[str, StoredGraph] = {}
         # (key, version, engine name, num_nodes) -> PartitionedGraph
@@ -127,11 +133,7 @@ class GraphStore:
         #: live snapshot pins per (key, version)
         self._pins: Dict[Tuple[str, int], int] = {}
         self.log = MutationLog()
-        self.partition_hits = 0
-        self.partition_builds = 0
-        self.partition_deltas = 0
-        self.mutations = 0
-        self.snapshots_taken = 0
+        self.counts = dict.fromkeys(self.COUNTS, 0)
 
     # -- loading ------------------------------------------------------------------------
 
@@ -231,7 +233,7 @@ class GraphStore:
         entry.graph = new_graph
         entry.version += 1
         self.log.record(key, record)
-        self.mutations += 1
+        self.counts["mutations"] += 1
 
         # partition delta: carry the old version's memoized partitions
         # forward — surviving edges keep their previous placement (so
@@ -267,7 +269,7 @@ class GraphStore:
                 _build_from_edge_owners(new_graph, master_of, owner,
                                         pg.strategy,
                                         num_partitions=len(pg.parts))
-            self.partition_deltas += 1
+            self.counts["partition_deltas"] += 1
             if (key, old_version) not in self._retained:
                 del self._partitions[pkey]
         return record
@@ -286,7 +288,7 @@ class GraphStore:
         v = entry.version if version is None else int(version)
         graph = self._version_graph(key, v)
         self._pins[(key, v)] = self._pins.get((key, v), 0) + 1
-        self.snapshots_taken += 1
+        self.counts["snapshots"] += 1
         return GraphSnapshot(self, key, v, graph)
 
     def pinned_versions(self, key: str):
@@ -399,11 +401,11 @@ class GraphStore:
         pkey = (key, v, engine_cls.name, cluster.num_nodes)
         pgraph = self._partitions.get(pkey)
         if pgraph is not None:
-            self.partition_hits += 1
+            self.counts["partition_hits"] += 1
             return engine_cls(pgraph, cluster, middleware)
         engine = engine_cls.build(graph, cluster, middleware)
         self._partitions[pkey] = engine.pgraph
-        self.partition_builds += 1
+        self.counts["partition_builds"] += 1
         return engine
 
     def ensure_partition(self, key: str, engine_cls,
@@ -425,10 +427,6 @@ class GraphStore:
             "retained_bytes": self.retained_bytes(),
             "retained_versions": len(self._retained),
             "pinned_snapshots": sum(self._pins.values()),
-            "mutations": self.mutations,
-            "snapshots": self.snapshots_taken,
             "partitions": len(self._partitions),
-            "partition_hits": self.partition_hits,
-            "partition_builds": self.partition_builds,
-            "partition_deltas": self.partition_deltas,
+            **self.counts,
         }

@@ -270,22 +270,6 @@ class _UnknownSession(ServeError):
     """
 
 
-class WireCounters:
-    """Connection/session/frame counters, surfaced in ``stats``."""
-
-    FIELDS = ("connections_accepted", "connections_closed",
-              "sessions_opened", "sessions_resumed", "sessions_reaped",
-              "frames_in", "frames_out", "bad_frames",
-              "deduped_submits", "sheds_sent", "watch_events")
-
-    def __init__(self) -> None:
-        for name in self.FIELDS:
-            setattr(self, name, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self.FIELDS}
-
-
 class _Session:
     """One client's lease-kept identity across reconnects."""
 
@@ -295,8 +279,6 @@ class _Session:
         self.client = client
         self.lease_ms = lease_ms
         self.last_seen = now
-        #: job ids this session submitted (observability only)
-        self.job_ids: List[int] = []
 
     def expired(self, now: float) -> bool:
         return (now - self.last_seen) * 1000.0 > self.lease_ms
@@ -332,6 +314,12 @@ class GraphServiceServer:
     deterministic backlogs (e.g. to exercise overload sheds).
     """
 
+    #: event counts, kept in :attr:`counts` and surfaced in ``stats``
+    COUNTS = ("connections_accepted", "connections_closed",
+              "sessions_opened", "sessions_resumed", "sessions_reaped",
+              "frames_in", "frames_out", "bad_frames", "sheds_sent",
+              "watch_events")
+
     def __init__(self, service: GraphService, host: str = "127.0.0.1",
                  port: int = 0, *, lease_ms: float = DEFAULT_LEASE_MS,
                  step_burst: int = 8, select_interval_s: float = 0.02,
@@ -357,7 +345,7 @@ class GraphServiceServer:
         self.crash_after_steps = crash_after_steps
         #: scheduling rounds this server generation has run
         self.steps_taken = 0
-        self.counters = WireCounters()
+        self.counts = dict.fromkeys(self.COUNTS, 0)
         self._sessions: Dict[str, _Session] = {}
         self._next_session = 1
         self._conns: Dict[socket.socket, _Conn] = {}
@@ -452,7 +440,7 @@ class GraphServiceServer:
             conn = _Conn(sock, addr, time.monotonic())
             self._conns[sock] = conn
             self._sel.register(sock, selectors.EVENT_READ)
-            self.counters.connections_accepted += 1
+            self.counts["connections_accepted"] += 1
 
     def _read(self, conn: _Conn) -> None:
         try:
@@ -466,7 +454,7 @@ class GraphServiceServer:
             if conn.rbuf.strip():
                 # the peer half-closed inside a frame: say so before
                 # closing, in case it is still reading
-                self.counters.bad_frames += 1
+                self.counts["bad_frames"] += 1
                 self._send(conn, {"ok": False, "code": "bad-json",
                                   "error": f"truncated frame: connection "
                                            f"closed after {len(conn.rbuf)} "
@@ -489,20 +477,20 @@ class GraphServiceServer:
             self._refuse_oversized(conn)
 
     def _refuse_oversized(self, conn: _Conn) -> None:
-        self.counters.bad_frames += 1
+        self.counts["bad_frames"] += 1
         self._send(conn, {"ok": False, "code": "frame-too-large",
                           "error": f"frame exceeds "
                                    f"{self.max_frame_bytes} bytes"})
         self._close(conn)
 
     def _handle_line(self, conn: _Conn, line: bytes) -> None:
-        self.counters.frames_in += 1
+        self.counts["frames_in"] += 1
         conn.last_seen = time.monotonic()
         try:
             doc = json.loads(line.decode("utf-8"),
                              parse_constant=_refuse_constant)
         except ValueError as exc:  # bad UTF-8, bad JSON, NaN/Infinity
-            self.counters.bad_frames += 1
+            self.counts["bad_frames"] += 1
             self._send(conn, {"ok": False, "code": "bad-json",
                               "error": f"unparseable frame: {exc}"})
             return
@@ -510,7 +498,7 @@ class GraphServiceServer:
         try:
             op = validate_frame(doc)
         except WireProtocolError as exc:
-            self.counters.bad_frames += 1
+            self.counts["bad_frames"] += 1
             self._send(conn, {"re": req if isinstance(req, int) else None,
                               "ok": False, "code": "bad-frame",
                               "error": str(exc),
@@ -555,14 +543,14 @@ class GraphServiceServer:
             sess = self._sessions[wanted]
             sess.last_seen = time.monotonic()
             sess.lease_ms = lease_ms
-            self.counters.sessions_resumed += 1
+            self.counts["sessions_resumed"] += 1
         else:
             session_id = f"s{self._next_session}"
             self._next_session += 1
             sess = _Session(session_id, doc["client"], lease_ms,
                             time.monotonic())
             self._sessions[session_id] = sess
-            self.counters.sessions_opened += 1
+            self.counts["sessions_opened"] += 1
         conn.session = sess
         return {"session": sess.session_id, "resumed": resumed,
                 "lease_ms": sess.lease_ms,
@@ -582,21 +570,15 @@ class GraphServiceServer:
 
     def _op_submit(self, conn: _Conn, doc: Dict[str, Any]
                    ) -> Dict[str, Any]:
-        sess = self._require_session(conn, doc)
+        self._require_session(conn, doc)
         if self._drain_reason is not None or self.service.draining:
-            self.counters.sheds_sent += 1
+            self.counts["sheds_sent"] += 1
             return {"ok": False, "code": "shed", "draining": True,
                     "retry_after_ms": self._retry_after_ms(),
                     "error": "service is draining"}
         key = doc.get("idempotency_key")
-        if key is not None:
-            existing = self.service.idempotent_job_id(key)
-            if existing is not None:
-                self.service.deduped_submits += 1
-                self.counters.deduped_submits += 1
-                job = self.service.job(existing)
-                return {"job_id": job.job_id, "state": job.state,
-                        "deduped": True}
+        deduped = (key is not None
+                   and self.service.idempotent_job_id(key) is not None)
         try:
             # the wire carries the journal's lossless spec form, so a
             # job means the same thing submitted locally or remotely
@@ -605,21 +587,21 @@ class GraphServiceServer:
             return {"ok": False, "code": "bad-job",
                     "error": f"bad job spec: {exc}"}
         try:
+            # a known key answers with its job, and the service counts it
             job = self.service.submit(spec, idempotency_key=key)
         except AdmissionError as exc:
-            self.counters.sheds_sent += 1
+            self.counts["sheds_sent"] += 1
             return {"ok": False, "code": "shed", "draining": False,
                     "retry_after_ms": self._retry_after_ms(),
                     "error": str(exc)}
-        sess.job_ids.append(job.job_id)
         return {"job_id": job.job_id, "state": job.state,
-                "deduped": False}
+                "deduped": deduped}
 
     def _op_mutate(self, conn: _Conn, doc: Dict[str, Any]
                    ) -> Dict[str, Any]:
-        sess = self._require_session(conn, doc)
+        self._require_session(conn, doc)
         if self._drain_reason is not None or self.service.draining:
-            self.counters.sheds_sent += 1
+            self.counts["sheds_sent"] += 1
             return {"ok": False, "code": "shed", "draining": True,
                     "retry_after_ms": self._retry_after_ms(),
                     "error": "service is draining"}
@@ -633,8 +615,6 @@ class GraphServiceServer:
         except ReproError as exc:
             return {"ok": False, "code": "bad-batch",
                     "error": f"{type(exc).__name__}: {exc}"}
-        if summary["deduped"]:
-            self.counters.deduped_submits += 1
         return dict(summary)
 
     def _job_doc(self, job, include_values: bool) -> Dict[str, Any]:
@@ -670,8 +650,8 @@ class GraphServiceServer:
     def _op_stats(self, conn: _Conn, doc: Dict[str, Any]
                   ) -> Dict[str, Any]:
         self._require_session(conn, doc)
-        return {"metrics": self.service.metrics(),
-                "recovery": self.service.recovery_stats(),
+        metrics = self.service.metrics()
+        return {"metrics": metrics, "recovery": metrics["recovery"],
                 "wire": self.wire_stats()}
 
     def _op_drain(self, conn: _Conn, doc: Dict[str, Any]
@@ -725,7 +705,7 @@ class GraphServiceServer:
                 if job.finished:
                     event["error"] = job.error
                     del conn.watches[job_id]
-                self.counters.watch_events += 1
+                self.counts["watch_events"] += 1
                 self._send(conn, event)
                 if conn.session is not None:
                     # a live watch is a heartbeat: the client is
@@ -738,7 +718,7 @@ class GraphServiceServer:
                    if sess.expired(now)]
         for sid in expired:
             sess = self._sessions.pop(sid)
-            self.counters.sessions_reaped += 1
+            self.counts["sessions_reaped"] += 1
             for conn in [c for c in self._conns.values()
                          if c.session is sess]:
                 self._send(conn, {"event": "expired",
@@ -786,7 +766,7 @@ class GraphServiceServer:
                 "bytes": len(frame), "limit": self.max_frame_bytes,
                 "v": PROTOCOL_VERSION})
         conn.wbuf += frame
-        self.counters.frames_out += 1
+        self.counts["frames_out"] += 1
         self._flush(conn)
         if conn.sock in self._conns and conn.wbuf:
             self._sel.modify(conn.sock,
@@ -817,7 +797,7 @@ class GraphServiceServer:
             conn.sock.close()
         except OSError:  # pragma: no cover
             pass
-        self.counters.connections_closed += 1
+        self.counts["connections_closed"] += 1
 
     def _close_all(self, abrupt: bool) -> None:
         for conn in list(self._conns.values()):
@@ -833,10 +813,11 @@ class GraphServiceServer:
 
     def wire_stats(self) -> Dict[str, Any]:
         """Connection/session counters for ``stats`` and trace JSON."""
-        stats = self.counters.as_dict()
-        stats["sessions_live"] = len(self._sessions)
-        stats["connections_live"] = len(self._conns)
-        stats["protocol_version"] = PROTOCOL_VERSION
-        stats["draining"] = (self._drain_reason is not None
-                             or self.service.draining)
-        return stats
+        return {**self.counts,
+                # the service counts the event, wherever it came from
+                "deduped_submits": self.service.counts["deduped_submits"],
+                "sessions_live": len(self._sessions),
+                "connections_live": len(self._conns),
+                "protocol_version": PROTOCOL_VERSION,
+                "draining": (self._drain_reason is not None
+                             or self.service.draining)}

@@ -137,9 +137,10 @@ def test_partition_delta_gets_a_fresh_index(engine_cls):
         remove_src=GRAPH.src[:25], remove_dst=GRAPH.dst[:25],
         add_vertices=5))
 
-    assert store.partition_deltas == 1
+    assert store.stats()["partition_deltas"] == 1
     new_pg = store.build_engine("g", engine_cls, cluster()).pgraph
-    assert store.partition_builds == 1    # the delta, not a repartition
+    # the delta, not a repartition
+    assert store.stats()["partition_builds"] == 1
     assert new_pg is not old_pg
     assert new_pg.graph.num_vertices == GRAPH.num_vertices + 5
     assert_index_equal(new_pg.index, rebuilt_from_scratch(new_pg))

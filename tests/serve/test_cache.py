@@ -95,7 +95,7 @@ def test_lru_evicts_least_recently_used_first():
     assert cache.get(ka) is not None   # refresh a; b is now LRU
     cache.put(kc, result)              # evicts b
     assert kb not in cache and ka in cache and kc in cache
-    assert cache.evictions == 1
+    assert cache.stats()["evictions"] == 1
 
 
 def test_lru_put_refreshes_recency():
@@ -150,7 +150,7 @@ def test_misses_before_the_put_count():
     assert cache.keys() == [kb, ka]
     cache.put_entry(kc, entry(1.0))
     assert cache.keys() == [kb, kc]
-    assert cache.evictions == 1
+    assert cache.stats()["evictions"] == 1
 
 
 def test_ties_evict_the_least_recently_used():
@@ -270,7 +270,7 @@ def test_invalidation_drops_both_tiers_and_warm_seeds_come_from_residents():
     cache.put_entry(new, answer(1.0, "new.npz"))
     assert cache.invalidate_graph("g", keep_versions={2}) == 2
     assert cache.keys() == [new] and not cache._spilled
-    assert cache.invalidations == 2
+    assert cache.stats()["invalidations"] == 2
 
 
 def test_check_invariants_names_each_broken_tier_rule():
@@ -346,7 +346,7 @@ def test_reload_invalidates_cached_answers():
     cold = svc.submit(spec)
     svc.run()
     assert not cold.from_cache           # recomputed against v2
-    assert svc.cache.invalidations >= 1
+    assert svc.cache.stats()["invalidations"] >= 1
     # and the recompute was still byte-identical (same dataset)
     assert np.array_equal(cold.values, warm.values)
 
@@ -383,7 +383,7 @@ def test_cancelled_leader_with_multiple_waiters_hands_off():
     w2 = svc.submit(_query("c"))
     for _ in range(2):
         svc.step()
-    assert svc.coalesced == 2                   # both parked behind a
+    assert svc.metrics()["coalesced"] == 2      # both parked behind a
     assert svc.cancel(leader.job_id)
     svc.run()
     assert leader.state == "cancelled" and leader.values is None
@@ -391,7 +391,7 @@ def test_cancelled_leader_with_multiple_waiters_hands_off():
     # other coalesced onto it — everyone still gets the answer
     assert w1.state == w2.state == "done"
     assert np.array_equal(w1.values, w2.values)
-    assert w2.from_cache or svc.coalesced >= 2
+    assert w2.from_cache or svc.metrics()["coalesced"] >= 2
 
 
 def test_waiter_cancelled_while_coalesced_leaves_group_intact():
@@ -425,7 +425,7 @@ def test_hung_leader_times_out_and_waiters_recompute():
             fault_plan=hang)))
     waiter = svc.submit(_query("b"))
     svc.run()
-    assert svc.handoffs == 1
+    assert svc.metrics()["handoffs"] == 1
     assert waiter.state == "done" and leader.state == "done"
     assert np.array_equal(waiter.values, leader.values)
     # the waiter abandoned the hung leader and recomputed on its own;

@@ -121,7 +121,7 @@ def test_client_survives_server_restart_and_dedupes(tmp_path):
                                   idempotency_key="restart-key")
             assert again["job_id"] == first["job_id"]
             assert again["deduped"] is True
-            assert client.reconnects >= 1
+            assert client.client_stats()["reconnects"] >= 1
             done = client.wait(first["job_id"], timeout_s=30)
             assert done["state"] == "done"
             values = client.result_values(first["job_id"])
@@ -149,7 +149,7 @@ def test_unsafe_submit_is_not_replayed_after_drop():
         thread.join(timeout=10)
         with pytest.raises((WireError, OSError)):
             client.submit(pagerank_spec(tenant="x"))
-        assert client.retried_ops == 0
+        assert client.client_stats()["retried_ops"] == 0
     finally:
         client.close()
 
@@ -216,7 +216,7 @@ def test_oversized_answer_is_refused_by_name_and_client_survives():
             assert "20000" in str(info.value)
             # refused by name, nothing torn down: same socket, same session
             assert client.ping()["session"] == client.session_id
-            assert client.reconnects == 0
+            assert client.client_stats()["reconnects"] == 0
             assert client.poll(job_id)["state"] == "done"
     finally:
         server.crash()
@@ -239,7 +239,7 @@ def test_client_drops_the_socket_after_an_oversized_frame(monkeypatch):
             assert client._rbuf == b""
             # the next op reconnects and resumes the session
             assert client.ping()["session"] == session
-            assert client.reconnects == 1
+            assert client.client_stats()["reconnects"] == 1
             monkeypatch.undo()
             values = client.result_values(job_id)
         assert np.array_equal(values, svc.job(job_id).values)
@@ -282,7 +282,8 @@ def test_client_drops_the_socket_after_an_unparseable_frame():
                 client.ping()
             # not one more byte is read from the garbled stream
             assert client.ping()["session"] == "s1"
-            assert client.reconnects == 1 and client.timeouts == 0
+            counts = client.client_stats()
+            assert counts["reconnects"] == 1 and counts["timeouts"] == 0
     finally:
         done.set()
         thread.join(timeout=5)

@@ -211,8 +211,9 @@ def test_replay_tracks_progress_and_checkpoints(jpath):
     assert one.resume_from.iteration == 2 and two.resume_from is None
     # an unfinished job's account restarts: the journal holds no ms
     assert one.slices == 0 and one.consumed_ms == 0.0
-    assert rec.recovered_jobs == 2 and rec.resumed_from_checkpoint == 1
-    assert rec.recovered_terminal == 0
+    recovery = rec.metrics()["recovery"]
+    assert recovery["requeued"] == 2 and recovery["resumed"] == 1
+    assert recovery["recovered"] - recovery["requeued"] == 0
     assert rec.ledger.snapshot()["default"]["slices"] == 0
 
 
@@ -243,7 +244,9 @@ def test_replay_terminal_states_and_retry(jpath):
     assert two.state == "quarantined"
     assert two.quarantine_reason == two.error == "poison: failed 3 times"
     assert two.finished_ms == 12.0 and two.consumed_ms == 0.0
-    assert rec.recovered_jobs == 0 and rec.recovered_terminal == 2
+    recovery = rec.metrics()["recovery"]
+    assert recovery["requeued"] == 0
+    assert recovery["recovered"] - recovery["requeued"] == 2
     assert rec.ledger.snapshot()["default"] == {
         "consumed_ms": 8.5, "slices": 2, "jobs_finished": 1,
         "cache_hits": 0}
@@ -403,7 +406,7 @@ def test_orphan_idempotency_key_is_dropped(jpath):
     assert rec.idempotent_job_id("k-orphan") is None
     assert [j.job_id for j in rec.jobs()] == [1]
     rerun = rec.submit(JobSpec(graph="g"), idempotency_key="k-orphan")
-    assert rerun.job_id == 2 and rec.deduped_submits == 0
+    assert rerun.job_id == 2 and rec.metrics()["deduped_submits"] == 0
 
 
 def test_idempotency_last_write_wins(jpath):
@@ -428,7 +431,8 @@ def test_shutdown_reason_replayed(jpath):
          "reason": "sigterm"}]
     rec = _recover(jpath, records)
     assert read_journal(jpath)[-1]["reason"] == "sigterm"
-    assert rec.job(1).state == "pending" and rec.recovered_jobs == 1
+    assert rec.job(1).state == "pending"
+    assert rec.metrics()["recovered_jobs"] == 1
     assert rec.now_ms == 2.0
 
 
@@ -494,7 +498,8 @@ def test_missing_sidecars(jpath):
          "from_cache": False, "cache_key": None,
          "file": "job-1-result.npz", "consumed_ms": 3.0}]
     rec = _recover(jpath, records)
-    assert rec.job(1).state == "pending" and rec.recovered_jobs == 1
+    assert rec.job(1).state == "pending"
+    assert rec.metrics()["recovered_jobs"] == 1
     assert rec.ledger.snapshot()["default"]["consumed_ms"] == 0.0
     with pytest.raises(ServeError, match="missing mutation sidecar"):
         _recover(jpath, records + [
@@ -558,7 +563,7 @@ def test_recover_recomputes_a_job_whose_result_sidecar_is_unreadable(
          "from_cache": False, "cache_key": None,
          "file": "job-1-result.npz", "consumed_ms": 3.0}])
     assert rec.job(1).state == "pending"
-    assert rec.recovery_stats()["requeued"] == 1
+    assert rec.metrics()["recovery"]["requeued"] == 1
     rec.run()
     assert rec.job(1).state == "done" and not rec.job(1).from_cache
 
@@ -576,5 +581,5 @@ def test_a_submit_pinned_past_a_skipped_mutation_pins_the_latest(jpath):
          "spec": {"graph": "g"}, "submitted_ms": 1.0,
          "snapshot_version": 2}]
     rec = _recover(jpath, records)
-    assert rec.skipped_mutations == 1
+    assert rec.metrics()["skipped_mutations"] == 1
     assert rec.job(1).snapshot_version == 1 == rec.store.get("g").version

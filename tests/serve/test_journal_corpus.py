@@ -46,9 +46,10 @@ def test_old_journal_recovers_to_uninterrupted_values(tmp_path, name):
     shutil.copy(DATA / f"{name}.jsonl", jpath)
     shutil.copytree(DATA / f"{name}.jsonl.d", f"{jpath}.d")
     rec = GraphService.recover(str(jpath))
-    assert rec.recovered_jobs == 2
-    assert rec.resumed_from_checkpoint == 2
-    assert rec.recovered_terminal == 1
+    recovery = rec.metrics()["recovery"]
+    assert recovery["requeued"] == 2
+    assert recovery["resumed"] == 2
+    assert recovery["recovered"] - recovery["requeued"] == 1
     assert rec.job(1).spec.runtime == RESILIENT
     rec.run()
 

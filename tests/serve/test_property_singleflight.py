@@ -335,12 +335,13 @@ class SingleflightMachine(RuleBasedStateMachine):
         cache = self.svc.cache
         assert cache.keys() == list(self.model)
         served = sum(j.from_cache for j in self.jobs)
-        assert cache.hits == served
+        assert cache.stats()["hits"] == served
         # every lookup that missed started a leader or parked a waiter
         computed = sum(self.jobs[i - 1].spec.use_cache
                        for i in self.leaders)
-        assert cache.misses == computed + self.svc.coalesced
-        assert cache.evictions == self.evictions
+        coalesced = self.svc.metrics()["coalesced"]
+        assert cache.stats()["misses"] == computed + coalesced
+        assert cache.stats()["evictions"] == self.evictions
 
     @invariant()
     def service_invariants(self):
@@ -402,7 +403,7 @@ def test_a_cache_bypassing_run_never_serves_the_waiters():
     assert waiter.state == "done" and waiter.from_cache
     assert np.array_equal(waiter.values, leader.values)
     assert np.array_equal(waiter.values, bypass.values)
-    assert svc.cache.hits == 1
+    assert svc.cache.stats()["hits"] == 1
 
 
 def test_a_failing_bypass_run_leaves_the_leaders_waiters_parked():
@@ -416,7 +417,7 @@ def test_a_failing_bypass_run_leaves_the_leaders_waiters_parked():
     while doomed.state != "failed":
         svc.step()
     # not re-parked: counted once, its timeout clock not restarted
-    assert svc.coalesced == 1
+    assert svc.metrics()["coalesced"] == 1
     assert svc._waiter_parked_ms == parked
     svc.run()
     assert waiter.state == "done" and waiter.from_cache
@@ -433,5 +434,5 @@ def test_hung_leader_handoff_stays_within_max_running():
     svc.submit(JobSpec(graph="g", max_iterations=2, use_cache=False))
     while svc.step():
         assert len(svc.scheduler.running) <= 2
-    assert svc.handoffs == 1
+    assert svc.metrics()["handoffs"] == 1
     assert waiter.state == "done" and not waiter.from_cache

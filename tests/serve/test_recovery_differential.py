@@ -304,8 +304,9 @@ def test_every_journal_prefix_recovers_to_the_live_state(tmp_path,
     assert {"mutation", "retry", "failed", "quarantined", "cancelled",
             "shutdown", "idempotency", "checkpointed"} <= {
         doc["rec"] for doc in parsed}
-    assert live.coalesced == 1 and live.warm_starts >= 2
-    assert live.cache.hits >= 2 and live.retries == 2
+    counts = live.metrics()
+    assert counts["coalesced"] == 1 and counts["warm_starts"] >= 2
+    assert counts["cache"]["hits"] >= 2 and counts["retries"] == 2
     recover_every_prefix(tmp_path, monkeypatch, tape, finals)
 
 

@@ -105,7 +105,7 @@ def test_identical_inflight_queries_coalesce(svc):
     second = svc.submit(pagerank_spec(tenant="bob"))
     svc.run()
     assert not first.from_cache and second.from_cache
-    assert svc.coalesced == 1
+    assert svc.metrics()["coalesced"] == 1
     assert np.array_equal(first.values, second.values)
     # the follower paid lookup cost, not an engine run
     assert second.consumed_ms < first.consumed_ms / 100
@@ -178,7 +178,7 @@ def test_cancelled_leader_hands_off_to_waiters(svc):
     follower = svc.submit(pagerank_spec(tenant="b"))
     for _ in range(2):
         svc.step()
-    assert svc.coalesced == 1
+    assert svc.metrics()["coalesced"] == 1
     assert svc.cancel(leader.job_id)
     svc.run()
     assert leader.state == "cancelled"
@@ -193,7 +193,7 @@ def test_admission_budgets_serialize_excess_jobs():
     b = svc.submit(pagerank_spec(tenant="b", use_cache=False))
     svc.run()
     assert a.state == b.state == "done"
-    assert svc.admission.deferrals > 0
+    assert svc.queue.stats()["deferrals"] > 0
     # serialized: b waited for a's daemons, so its latency includes
     # a's full run
     assert b.queue_ms >= a.consumed_ms
@@ -288,7 +288,7 @@ def test_unmeetable_deadline_shed_at_admission():
                        use_cache=False))
     with pytest.raises(AdmissionError, match="deadline .* unmeetable"):
         svc.submit(pagerank_spec(tenant="c", deadline_ms=0.001))
-    assert svc.admission.sheds == 1
+    assert svc.queue.stats()["sheds"] == 1
     assert any("unmeetable" in r for r in svc.admission.shed_reasons)
     svc.run()                                   # backlog still drains
 
@@ -304,7 +304,7 @@ def test_overload_sheds_on_queue_depth_and_tenant_cap():
     svc.submit(JobSpec(graph="g", algorithm="cc", tenant="c"))
     with pytest.raises(AdmissionError, match="queue depth 3/3"):
         svc.submit(pagerank_spec(tenant="d", use_cache=False))
-    assert svc.admission.sheds == 2
+    assert svc.queue.stats()["sheds"] == 2
     assert len(svc.queue) == 3                  # sheds left no residue
 
 
@@ -324,7 +324,7 @@ def test_transient_failure_retries_from_checkpoint(svc):
     resumed_at = job.resume_from.iteration
     svc.run()
     assert job.state == "done"
-    assert svc.retries == 1 and svc.metrics()["retries"] == 1
+    assert svc.metrics()["retries"] == 1
     # the retry resumed mid-run, recomputing only the tail
     assert len(job.result.stats) == job.result.iterations - resumed_at
     assert np.array_equal(job.values, solo_run(PageRank()).values)
@@ -360,7 +360,7 @@ def test_drain_finishes_running_sheds_pending(tmp_path):
     assert running.state == "done"
     assert pending.state == "cancelled"
     assert pending.error == "shed: service draining"
-    assert svc.admission.sheds == 1
+    assert svc.queue.stats()["sheds"] == 1
     with pytest.raises(AdmissionError, match="draining"):
         svc.submit(pagerank_spec(tenant="late"))
     assert svc.journal.closed
@@ -368,9 +368,24 @@ def test_drain_finishes_running_sheds_pending(tmp_path):
     assert read_journal(jpath)[-1]["rec"] == "shutdown"
     assert read_journal(jpath)[-1]["clean"]
     rec = GraphService.recover(jpath)
-    assert rec.recovered_jobs == 0              # nothing left unfinished
+    assert rec.metrics()["recovered_jobs"] == 0  # nothing left unfinished
     assert rec.job(running.job_id).state == "done"
     assert rec.job(pending.job_id).state == "cancelled"
+
+
+def test_drain_sheds_through_admission_and_keeps_reasons_bounded():
+    """Every job pending at a drain is one admission shed, and the
+    recorded reasons keep the same bounded tail as any other shed."""
+    svc = GraphService(SPEC)
+    svc.load_graph("g", rmat(64, 256, seed=1))
+    jobs = [svc.submit(pagerank_spec(tenant=f"t{i}", use_cache=False))
+            for i in range(60)]
+    svc.drain()
+    assert all(j.state == "cancelled" for j in jobs)
+    queue = svc.queue.stats()
+    assert queue["sheds"] == 60
+    assert len(queue["shed_reasons"]) == 50
+    assert queue["shed_reasons"][-1] == "job #60 (t59): pending at drain"
 
 
 def test_recover_resumes_inflight_jobs_bit_identically(tmp_path):
@@ -395,8 +410,8 @@ def test_recover_resumes_inflight_jobs_bit_identically(tmp_path):
     del svc                                     # nothing is flushed
 
     rec = GraphService.recover(jpath)
-    assert rec.recovered_jobs == 2
-    assert rec.resumed_from_checkpoint >= 1
+    assert rec.metrics()["recovered_jobs"] == 2
+    assert rec.metrics()["resumed_from_checkpoint"] >= 1
     resumed = {j.job_id for j in rec.queue.jobs()
                if j.resume_from is not None}
     rec.run()
@@ -435,7 +450,7 @@ def test_recover_after_the_converged_slice_ends_where_the_run_did(tmp_path):
 
     rec = GraphService.recover(str(tmp_path / "crash.jsonl"),
                                graphs={"g": graph})
-    assert rec.resumed_from_checkpoint == 1
+    assert rec.metrics()["resumed_from_checkpoint"] == 1
     rec.run()
     resumed = rec.job(job.job_id)
     assert resumed.result.iterations == whole.result.iterations
@@ -460,7 +475,7 @@ def test_recover_restores_terminal_jobs_and_cache(tmp_path):
     rec = GraphService.recover(jpath)
     # replay appended nothing — recovery is idempotent
     assert len(read_journal(jpath)) == before
-    assert rec.recovered_jobs == 0              # nothing to re-queue
+    assert rec.metrics()["recovered_jobs"] == 0  # nothing to re-queue
     assert rec.job(done.job_id).state == "done"
     assert np.array_equal(rec.job(done.job_id).values, done.values)
     assert rec.job(2).state == "failed"
@@ -496,7 +511,7 @@ def test_idempotency_key_dedupes_resubmit(svc):
     first = svc.submit(pagerank_spec(tenant="a"), idempotency_key="k1")
     again = svc.submit(pagerank_spec(tenant="a"), idempotency_key="k1")
     assert again is first
-    assert svc.deduped_submits == 1
+    assert svc.metrics()["deduped_submits"] == 1
     assert svc.metrics()["deduped_submits"] == 1
     assert svc.idempotent_job_id("k1") == first.job_id
     assert svc.idempotent_job_id("other") is None
@@ -537,7 +552,7 @@ def test_idempotency_map_survives_crash_and_recover(tmp_path):
     dedup = rec.submit(pagerank_spec(tenant="a"),
                        idempotency_key="crashkey")
     assert dedup.job_id == job.job_id
-    assert rec.deduped_submits == 1
+    assert rec.metrics()["deduped_submits"] == 1
     rec.run()
     assert dedup.state == "done"
 
@@ -604,8 +619,8 @@ def test_drain_suspend_mode_keeps_jobs_resumable(tmp_path):
     assert marker["reason"] == "sigterm"
 
     rec = GraphService.recover(jpath)
-    assert rec.recovered_jobs == 1      # nothing terminal was forged
-    assert rec.resumed_from_checkpoint == 1
+    assert rec.metrics()["recovered_jobs"] == 1  # nothing terminal forged
+    assert rec.metrics()["resumed_from_checkpoint"] == 1
     rec.run()
     resumed = rec.job(job.job_id)
     assert resumed.state == "done"
@@ -626,14 +641,13 @@ def test_recovery_stats_counts_terminal_and_inflight(tmp_path):
     del service
 
     rec = GraphService.recover(jpath)
-    stats = rec.recovery_stats()
+    stats = rec.metrics()["recovery"]
     assert stats["recovered"] == 2      # one terminal + one re-queued
     assert stats["requeued"] == 1
     assert stats["resumed"] in (0, 1)
-    assert stats == rec.metrics()["recovery"]
     fresh = GraphService(SPEC)
-    assert fresh.recovery_stats() == {"recovered": 0, "requeued": 0,
-                                      "resumed": 0, "handoffs": 0}
+    assert fresh.metrics()["recovery"] == {"recovered": 0, "requeued": 0,
+                                           "resumed": 0, "handoffs": 0}
 
 
 def test_recover_defaults_settings_the_journal_lacks(tmp_path):

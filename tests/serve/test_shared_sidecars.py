@@ -39,14 +39,15 @@ def write_journal(path):
     svc.submit(JOBS[1])
     svc.submit(JOBS[2])
     svc.run()
-    assert svc.coalesced == 1
+    assert svc.metrics()["coalesced"] == 1
     for job_id in (3, 4, 5, 6):
         svc.submit(JOBS[job_id])
     svc.run()
     svc.submit(JOBS[7])
     for _ in range(5):
         svc.step()
-    assert svc.cache.hits == len(HITS) and svc.cache.evictions == 1
+    cache = svc.cache.stats()
+    assert cache["hits"] == len(HITS) and cache["evictions"] == 1
     assert svc.job(7).state == "running"
     svc.journal.close()                  # killed: no drain, no shutdown
 
@@ -62,8 +63,10 @@ def uninterrupted():
 def check_recovery(jpath):
     before = os.path.getsize(jpath)
     rec = GraphService.recover(str(jpath))
-    assert rec.recovered_terminal == len(COMPUTED) + len(HITS)
-    assert rec.recovered_jobs == 1 and rec.resumed_from_checkpoint == 1
+    recovery = rec.metrics()["recovery"]
+    assert recovery["recovered"] - recovery["requeued"] == (
+        len(COMPUTED) + len(HITS))
+    assert recovery["requeued"] == 1 and recovery["resumed"] == 1
     for job_id in HITS:
         job = rec.job(job_id)
         assert job.from_cache and job.result_file == COMPUTED[1]

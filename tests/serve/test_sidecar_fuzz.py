@@ -56,7 +56,7 @@ def golden(tmp_path_factory):
     svc = serve(path)
     svc.submit(ANSWER)
     svc.run()
-    assert svc.cache.reloads == 1
+    assert svc.cache.stats()["reloads"] == 1
     svc.journal.close()
     first = svc.job(1)
     with open(f"{path}.d/{first.result_file}", "rb") as f:
@@ -132,13 +132,14 @@ def test_a_spilled_hit_on_a_damaged_sidecar_serves_it_intact_or_recomputes(
     for label, damaged, tmp in cases(data):
         path = tmp_path / "svc.jsonl.d" / svc.cache._spilled[key].file
         place(path, damaged, tmp)
-        reloads = svc.cache.reloads
+        reloads = svc.cache.stats()["reloads"]
         job = svc.submit(ANSWER)
         svc.run()                      # raises nothing
         assert job.state == "done", label
         assert job.values.tobytes() == ref, label
         assert job.result.iterations == iterations, label
-        assert job.from_cache == (svc.cache.reloads > reloads), label
+        reloaded = svc.cache.stats()["reloads"] > reloads
+        assert job.from_cache == reloaded, label
         outcomes.add(job.from_cache)
         place(path, data, None)
         path.with_name(path.name + ".tmp").unlink(missing_ok=True)
@@ -163,7 +164,7 @@ def test_recover_over_a_damaged_sidecar_serves_it_intact_recomputes_or_refuses(
         except ServeError:
             outcomes.add("refused")
             continue
-        outcomes.add(rec.recovered_jobs > 0)
+        outcomes.add(rec.metrics()["recovered_jobs"] > 0)
         rec.submit(ANSWER)             # through the recovered cache too
         rec.run()
         answers = rec.jobs(state="done")

@@ -256,15 +256,16 @@ def test_mutation_invalidates_cache_for_stale_versions():
     svc.submit(pr_spec())
     svc.run()
     assert len(svc.cache) == 1
-    evictions_before = svc.cache.evictions
+    evictions_before = svc.cache.stats()["evictions"]
     svc.mutate("g", add_edge_batch(0, 8))
     assert len(svc.cache) == 0                 # stale entry really gone
-    assert svc.cache.invalidations == 1
-    assert svc.cache.evictions == evictions_before   # not an eviction
+    assert svc.cache.stats()["invalidations"] == 1
+    # not an eviction
+    assert svc.cache.stats()["evictions"] == evictions_before
     # the fresh version recomputes, it does not hit the stale answer
     svc.submit(pr_spec())
     svc.run()
-    assert svc.cache.hits == 0
+    assert svc.cache.stats()["hits"] == 0
     assert len(svc.cache) == 1
 
 
@@ -411,7 +412,7 @@ def test_rejected_mutation_is_not_journaled(tmp_path):
     del svc
     rec = GraphService.recover(jpath, graphs={"g": g})
     assert rec.store.get("g").version == 1
-    assert rec.skipped_mutations == 0
+    assert rec.metrics()["skipped_mutations"] == 0
     job = rec.submit(pr_spec())
     rec.run()
     assert job.state == "done"
@@ -433,7 +434,7 @@ def test_recover_skips_unappliable_journaled_mutation(tmp_path):
                        to_version=3, file=name)
     del svc
     rec = GraphService.recover(jpath, graphs={"g": g})
-    assert rec.skipped_mutations == 1
+    assert rec.metrics()["skipped_mutations"] == 1
     assert rec.metrics()["skipped_mutations"] == 1
     assert rec.store.get("g").version == 2     # good batch replayed
     assert rec.store.get("g").graph.num_edges == 17
@@ -453,7 +454,7 @@ def test_recovered_jobs_repin_their_journaled_version(tmp_path):
 
     rec = GraphService.recover(jpath, graphs={"g": g})
     jobs = {j.spec.tenant: j for j in rec.jobs()}
-    assert rec.recovered_jobs == 1
+    assert rec.metrics()["recovered_jobs"] == 1
     replayed = jobs["t0"]
     assert replayed.snapshot_version == 1      # not silently re-pinned
     rec.run()

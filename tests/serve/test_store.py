@@ -92,14 +92,15 @@ def test_partitions_are_memoized_per_engine_and_nodes(store):
     e2 = store.build_engine("g", PowerGraphEngine, cluster)
     assert e2.pgraph is e1.pgraph          # shared immutable partition
     assert e2 is not e1                    # fresh engine state
-    assert store.partition_builds == 1 and store.partition_hits == 1
+    stats = store.stats()
+    assert stats["partition_builds"] == 1 and stats["partition_hits"] == 1
 
     # different strategy or node count -> its own partition
     store.build_engine("g", GraphXEngine, cluster)
     four = ClusterSpec(nodes=4, gpus_per_node=1).build()
     e4 = store.build_engine("g", PowerGraphEngine, four)
     assert e4.pgraph is not e1.pgraph
-    assert store.partition_builds == 3
+    assert store.stats()["partition_builds"] == 3
 
 
 def test_reload_drops_memoized_partitions(store):
@@ -108,7 +109,7 @@ def test_reload_drops_memoized_partitions(store):
     store.replace("g", dataset="wrn")
     e2 = store.build_engine("g", PowerGraphEngine, cluster)
     assert e2.pgraph is not e1.pgraph
-    assert store.partition_builds == 2
+    assert store.stats()["partition_builds"] == 2
 
 
 def test_unload(store):

@@ -134,7 +134,7 @@ def test_unknown_op_answered_with_bad_frame(served):
     resp = raw_roundtrip(server, json.dumps(frame).encode() + b"\n")
     assert resp["ok"] is False and resp["code"] == "bad-frame"
     assert resp["re"] == 3
-    assert server.counters.bad_frames >= 1
+    assert server.wire_stats()["bad_frames"] >= 1
 
 
 def test_version_mismatch_named_in_error(served):
@@ -178,7 +178,7 @@ def test_idempotent_resubmit_dedupes(served):
                               idempotency_key="k1")
     assert again["job_id"] == first["job_id"]
     assert again["deduped"] is True
-    assert server.counters.deduped_submits == 1
+    assert server.wire_stats()["deduped_submits"] == 1
 
 
 def test_session_resume_on_reconnect(served):
@@ -189,7 +189,7 @@ def test_session_resume_on_reconnect(served):
         client.ping()                   # transparently reconnects
         assert client.session_id == sid
         assert client.session_resumed is True
-    assert server.counters.sessions_resumed == 1
+    assert server.wire_stats()["sessions_resumed"] == 1
 
 
 def test_watch_streams_terminal_event(served):
@@ -257,7 +257,7 @@ def test_overload_answered_with_retry_after_not_a_reset():
             assert shed.draining is False
             # the connection survived the refusal
             assert client.ping()["ok"]
-        assert server.counters.sheds_sent == 1
+        assert server.wire_stats()["sheds_sent"] == 1
     finally:
         server.crash()
         thread.join(timeout=10)
@@ -297,13 +297,14 @@ def test_half_open_session_reaped_after_lease_lapses():
         client = connect(server, heartbeat=False, lease_ms=120.0)
         sid = client.session_id
         deadline = time.monotonic() + 10
-        while server.counters.sessions_reaped == 0 \
+        while server.wire_stats()["sessions_reaped"] == 0 \
                 and time.monotonic() < deadline:
             time.sleep(0.02)
-        assert server.counters.sessions_reaped == 1
+        assert server.wire_stats()["sessions_reaped"] == 1
         # the client recovers by transparently re-helloing
         client.ping()
-        assert client.session_id != sid or client.rehellos >= 1
+        assert (client.session_id != sid
+                or client.client_stats()["rehellos"] >= 1)
         client.close()
     finally:
         server.crash()
@@ -318,9 +319,9 @@ def test_heartbeat_keeps_idle_session_alive():
     try:
         with connect(server, lease_ms=300.0) as client:
             time.sleep(1.2)             # several lease periods idle
-            assert server.counters.sessions_reaped == 0
+            assert server.wire_stats()["sessions_reaped"] == 0
             client.ping()               # still the same live session
-            assert client.rehellos == 0
+            assert client.client_stats()["rehellos"] == 0
     finally:
         server.crash()
         thread.join(timeout=10)
@@ -370,7 +371,7 @@ def test_drain_now_suspends_and_recovery_resumes(tmp_path):
     marker = read_journal(jpath)[-1]
     assert marker["rec"] == "shutdown" and marker["clean"]
     rec = GraphService.recover(jpath)    # clean *and* mid-flight:
-    assert rec.recovered_jobs == 1       # jobs suspended, not lost
+    assert rec.metrics()["recovered_jobs"] == 1  # suspended, not lost
     rec.run()
     job = rec.job(resp["job_id"])
     assert job.state == "done"
@@ -439,6 +440,8 @@ def test_mutate_replay_applies_exactly_once(served):
     assert svc.store.get("g").version == 2
     assert svc.metrics()["mutations"] == 1
     assert svc.metrics()["deduped_mutations"] == 1
+    # a replayed mutation is no replayed submit
+    assert server.wire_stats()["deduped_submits"] == 0
 
 
 def test_mutate_bad_batch_answered_not_closed(served):
@@ -880,7 +883,7 @@ def test_send_to_a_reset_peer_closes_only_that_connection():
         sock.sendall(raw_request("watch", 2, session=session,
                                  job_id=job_id))
         assert read_frame(reader)[0]["terminal"] is False
-        closed = server.counters.connections_closed
+        closed = server.wire_stats()["connections_closed"]
         server.auto_step = True
         assert entered.wait(10)
         # reset (not close) the watcher while the loop is mid-step: the
@@ -891,7 +894,7 @@ def test_send_to_a_reset_peer_closes_only_that_connection():
         sock.close()
         time.sleep(0.05)
         release.set()
-        wait_for(lambda: server.counters.connections_closed > closed,
+        wait_for(lambda: server.wire_stats()["connections_closed"] > closed,
                  "the reset connection closed")
         with connect(server) as client:
             assert client.wait(job_id, timeout_s=30)["state"] == "done"
@@ -929,7 +932,7 @@ def test_watch_streams_progress_then_one_terminal_event():
                     with client._lock:      # the stream breaks mid-job
                         client._teardown_socket()
             starter.join(timeout=10)
-            assert client.reconnects == 1
+            assert client.client_stats()["reconnects"] == 1
     finally:
         server.crash()
         thread.join(timeout=10)

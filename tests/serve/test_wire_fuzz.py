@@ -352,7 +352,7 @@ def test_server_cap_counts_frames_not_the_receive_buffer():
             assert [(a["re"], a["ok"]) for a in answers] == \
                 [(2, True), (3, True)]
             hello(sock, reader, req=4)      # the connection stayed open
-        assert server.counters.bad_frames == 0
+        assert server.wire_stats()["bad_frames"] == 0
     finally:
         server.crash()
         thread.join(timeout=10)

@@ -439,6 +439,20 @@ def test_serve_journal_then_recover_is_a_noop(tmp_path, capsys):
     assert jpath.read_text() == before
 
 
+def test_serve_recover_text_summary_names_the_recovery(tmp_path, capsys):
+    jobs = tmp_path / "jobs.jsonl"
+    jpath = tmp_path / "svc.jsonl"
+    submit(jobs, "--tenant", "alice")
+    assert main(["serve", "--jobs-file", str(jobs), "--nodes", "2",
+                 "--journal", str(jpath)]) == 0
+    capsys.readouterr()
+    assert main(["serve", "--recover", "--journal", str(jpath)]) == 0
+    out = capsys.readouterr().out
+    assert ("recovered: 1 job(s) from the journal (0 re-queued, "
+            "0 resumed from a checkpoint, 0 handoffs)") in out
+    assert "coalesced 0" in out and "alice:" in out
+
+
 def test_serve_drain_after_sheds_pending_jobs(tmp_path, capsys):
     jobs = tmp_path / "jobs.jsonl"
     submit(jobs, "--tenant", "alice")
