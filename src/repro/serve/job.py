@@ -244,6 +244,8 @@ class Job:
         self.retries = 0
         #: Checkpoint to seed the next dispatch from (retry / recovery)
         self.resume_from = None
+        #: the journal sidecar of its newest durable checkpoint
+        self.checkpoint_file: Optional[str] = None
         #: service-clock instant before which a retry must not dispatch
         #: (exponential backoff); None = dispatchable immediately
         self.not_before_ms: Optional[float] = None

@@ -1,51 +1,33 @@
 """Durable write-ahead journal for the serving layer's job lifecycle.
 
-The :class:`~repro.serve.service.GraphService` of PR 6 kept every queued
-and in-flight job in process memory: a crash of the serving loop lost
-the queue, the running steppers and the result cache all at once.  This
-module gives the service a **write-ahead journal** in the
-recovery-by-replay shape GraphX uses for lineage (PAPERS.md): every job
-lifecycle transition is appended to a JSONL log, bulk state (delta
-checkpoints of in-flight vertex tables, finished results, mutation
-batches) lands in an npz sidecar directory next to the log, and
-``GraphService.recover()`` rebuilds the service by event sourcing —
-:func:`replay_journal` feeds each record to the very transition method
-the live service ran when it appended it, with the sidecars supplying
-what the live path held in memory.  Finished jobs re-serve from the
-result cache; in-flight jobs resume from their last durable checkpoint
-instead of recomputing from iteration 0.
+Without it the :class:`~repro.serve.service.GraphService` keeps every
+queued and in-flight job in process memory, and a crash of the serving
+loop loses the queue, the running steppers and the result cache at
+once.  The journal is recovery by replay, the shape GraphX uses for
+lineage (PAPERS.md): every lifecycle transition is one JSON line here,
+bulk state (delta checkpoints of in-flight vertex tables, finished
+results, mutation batches) lands in an npz sidecar directory next to
+the log, and ``GraphService.recover()`` rebuilds the service by event
+sourcing.
 
-Record kinds (one JSON object per line, ``rec`` discriminates)::
+The record is the transition's argument.  The live service builds each
+record once and hands it to ``GraphService._apply``, which writes it
+and runs its kind's transition from one table
+(``GraphService._TRANSITIONS``); :func:`replay_journal` folds the
+records :func:`read_journal` returns through that same ``_apply`` with
+writing off, the transitions reading back from the sidecars what the
+live path held in memory.  A transition's keyword parameters are its
+record's fields (docs/serving.md tabulates them): one without a default
+is a field every record of the kind carries, of its annotated type, and
+:func:`read_journal` refuses a record lacking it or carrying a field no
+parameter names.
 
-    service_start   cluster spec + service budgets (first line)
-    graph_loaded    {key, dataset, version}; reloads append again
-    mutation        {key, batch_id, from_version, to_version, file}
-    submitted       {job_id, spec, submitted_ms, snapshot_version}
-    admitted        {job_id, resume_iteration}
-    slice           {job_id, iteration} — one per superstep quantum
-    checkpointed    {job_id, iteration, file} — durable resume point
-    finished        {job_id, from_cache, cache_key, file, consumed_ms} —
-                    a cache hit's file is the sidecar of the run it
-                    reuses
-    failed          {job_id, error}
-    retry           {job_id, attempt, backoff_ms, resume_iteration}
-    quarantined     {job_id, reason, error}
-    cancelled       {job_id}
-    shed            {tenant, reason} — overload/deadline admission refusals
-    idempotency     {key, job_id} — client-supplied exactly-once submit key
-    shutdown        {clean: true, reason} — drain() clean-shutdown marker
-
-The ``idempotency`` record is appended immediately *before* its job's
-``submitted`` record, so a crash between the two leaves an orphan key
-(a key whose job was never submitted); replay drops orphans — the
-submit never took effect, so a client resubmitting under that key must
-run, not dedupe against a ghost.
-
-Replay runs no engine: ``admitted`` and ``slice`` only record progress
-(the job's state and slice count), and ``checkpointed``, ``shed`` and
-``shutdown`` change nothing a replay restores.  When the records run
-out, every job the journal left unfinished is re-queued at its newest
-durable checkpoint.
+Replay runs no engine: ``admitted`` and ``slice`` only record progress,
+and ``service_start``, ``shed`` and ``shutdown`` change nothing a replay
+restores.  When the records run out, every job the journal left
+unfinished is re-queued at the checkpoint its newest ``checkpointed``
+record names.  An ``idempotency`` record lands just before its job's
+``submitted`` record; a key whose job the crash cut off is dropped.
 
 Every record also carries ``now_ms`` (the service clock at append time)
 so a replay can restore clock continuity.  Appends are flushed line by
@@ -56,11 +38,14 @@ trailing line is detected and ignored by :func:`read_journal`.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import os
 import zipfile
 import zlib
-from typing import Any, Callable, Dict, List, Optional
+from typing import (Any, Callable, Dict, List, Optional, Tuple,
+                    get_type_hints)
 
 import numpy as np
 
@@ -88,19 +73,6 @@ RECORD_KINDS = (
 _UNREADABLE = (OSError, EOFError, KeyError, RuntimeError, TypeError,
                ValueError, zipfile.BadZipFile, zlib.error)
 
-#: The kinds that name a job by its integer ``job_id``.
-_JOB_KINDS = frozenset((
-    "submitted", "admitted", "slice", "checkpointed", "finished", "failed",
-    "retry", "quarantined", "cancelled", "idempotency"))
-
-#: Fields replay reads without a default, and the type each must have.
-_REQUIRED = {
-    "graph_loaded": {"key": str},
-    "mutation": {"key": str, "batch_id": str, "file": str},
-    "submitted": {"spec": dict},
-    "retry": {"attempt": int},
-    "idempotency": {"key": str},
-}
 
 
 def _result_name(job_id: int) -> str:
@@ -214,9 +186,13 @@ class JobJournal:
             {"iteration": np.asarray(ckpt.iteration, dtype=np.int64),
              "values": ckpt.values, "active": ckpt.active})
 
-    def load_checkpoint(self, job_id: int) -> Optional[Checkpoint]:
-        """A job's newest durable checkpoint (None if it has none)."""
-        return self._load_npz(f"job-{job_id}-ckpt.npz", lambda d: Checkpoint(
+    def load_checkpoint(self, job_id: int,
+                        name: Optional[str] = None) -> Optional[Checkpoint]:
+        """A job's newest durable checkpoint (None if it has none), read
+        from ``name`` (a ``checkpointed`` record's ``file``) or else the
+        job's own sidecar."""
+        name = name or f"job-{job_id}-ckpt.npz"
+        return self._load_npz(name, lambda d: Checkpoint(
             iteration=int(d["iteration"]), values=d["values"],
             active=d["active"], cost_ms=0.0))
 
@@ -282,17 +258,18 @@ class JobJournal:
 def read_journal(path: str) -> List[Dict[str, Any]]:
     """Parse a journal file into its records, oldest first.
 
-    A torn trailing line (the service was killed mid-append) is
-    silently dropped; a torn line anywhere *else* is corruption and
-    raises — replay must never skip committed history.  So does a
-    record of an unknown kind, a job record without an integer
-    ``job_id``, a record lacking a field replay reads, and a
-    ``service_start`` of a format newer than :data:`JOURNAL_VERSION`:
-    each :class:`ServeError` names the line.
+    A torn final line (the service was killed mid-append, so it lacks
+    its newline) is silently dropped; any other line that does not
+    parse is corruption and raises — replay must never skip committed
+    history.  So does a
+    record of an unknown kind, one lacking a field its transition
+    needs (or carrying one it does not take), and a ``service_start``
+    of a format newer than :data:`JOURNAL_VERSION`: each
+    :class:`ServeError` names the line.
     """
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.readlines()
+        with open(path, "rb") as f:
+            lines = f.read().split(b"\n")
     except OSError as exc:
         raise ServeError(f"cannot read journal {path!r}: {exc}") from None
     records: List[Dict[str, Any]] = []
@@ -301,10 +278,10 @@ def read_journal(path: str) -> List[Dict[str, Any]]:
         if not line:
             continue
         try:
-            doc = json.loads(line)
-        except json.JSONDecodeError:
+            doc = json.loads(line.decode("utf-8"))
+        except ValueError:
             if i == len(lines) - 1:
-                break  # torn trailing append from the crash
+                break  # torn trailing append (no newline) from the crash
             raise ServeError(
                 f"journal {path!r} is corrupt at line {i + 1}")
         if not isinstance(doc, dict) or "rec" not in doc:
@@ -317,18 +294,38 @@ def read_journal(path: str) -> List[Dict[str, Any]]:
     return records
 
 
+@functools.lru_cache(maxsize=None)
+def _fields(kind: str) -> Tuple[Dict[str, type], Optional[frozenset]]:
+    """The keyword parameters of ``kind``'s transition: the fields every
+    record carries (no default) with their types, and every field a
+    record may carry (None: any)."""
+    from .service import GraphService
+    transition = GraphService._TRANSITIONS[kind]
+    params = inspect.signature(transition).parameters.values()
+    hints = get_type_hints(transition)
+    known = frozenset(p.name for p in params if p.kind is p.KEYWORD_ONLY)
+    needed = {p.name: hints[p.name] for p in params
+              if p.name in known and p.default is p.empty}
+    if any(p.kind is p.VAR_KEYWORD for p in params):
+        known = None
+    return needed, known
+
+
 def _malformed(doc: Dict[str, Any]) -> Optional[str]:
     """Why ``doc`` is no record this reader can replay (None: it is)."""
     kind = doc["rec"]
     if kind not in RECORD_KINDS:
         return f"unknown record kind {kind!r}"
-    if kind in _JOB_KINDS and type(doc.get("job_id")) is not int:
-        return (f"{kind!r} record needs an integer job_id, "
-                f"got {doc.get('job_id')!r}")
-    for field, kind_of in _REQUIRED.get(kind, {}).items():
-        if not isinstance(doc.get(field), kind_of):
-            return (f"{kind!r} record needs a {kind_of.__name__} "
-                    f"{field!r}, got {doc.get(field)!r}")
+    needed, known = _fields(kind)
+    for field, kind_of in needed.items():
+        value = doc.get(field)
+        if type(value) is not kind_of:
+            what = ("an integer job_id" if field == "job_id"
+                    else f"a {kind_of.__name__} {field!r}")
+            return f"{kind!r} record needs {what}, got {value!r}"
+    if known is not None:
+        for field in sorted(set(doc) - known - {"rec", "now_ms"}):
+            return f"{kind!r} record has no field {field!r}"
     version = doc.get("version", 1)
     if kind == "service_start" and not (
             type(version) is int and 1 <= version <= JOURNAL_VERSION):
@@ -339,14 +336,13 @@ def _malformed(doc: Dict[str, Any]) -> Optional[str]:
 
 def replay_journal(records: List[Dict[str, Any]], service,
                    graphs: Optional[Dict[str, Any]] = None) -> None:
-    """Re-apply ``records`` to ``service``, oldest first.
-
-    Each record goes through the transition the live service ran when
-    it appended it (:meth:`GraphService._replay
-    <repro.serve.service.GraphService._replay>`); ``graphs`` supplies
-    graph objects for keys journaled without a dataset name.  The
-    records come from :func:`read_journal`, which refused any record
-    lacking a field replay reads.
-    """
+    """Fold ``records`` (from :func:`read_journal`) through
+    ``service``'s ``_apply``, oldest first, with writing off.  The
+    transitions read back from the sidecars what the live path held in
+    memory; ``graphs`` supplies what no sidecar holds: graph objects for
+    keys journaled without a dataset name."""
+    graphs = graphs or {}
     for doc in records:
-        service._replay(doc, graphs)
+        graph = graphs.get(doc["key"]) if doc["rec"] == "graph_loaded" \
+            else None
+        service._apply(doc, graph, replayed=True)

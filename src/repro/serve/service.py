@@ -27,10 +27,11 @@ time through its own rollback path; everyone else's values are
 untouched.
 
 The service itself is crash-safe when given a ``journal`` path: every
-lifecycle transition is appended to a write-ahead journal
-(:mod:`repro.serve.journal`) and applied through one transition method
-per record kind, and :meth:`GraphService.recover` rebuilds a crashed
-service by applying the same methods to the records it reads —
+lifecycle transition is one record of a write-ahead journal
+(:mod:`repro.serve.journal`), built once and handed to ``_apply``, which
+writes it and runs its kind's transition from one table.
+:meth:`GraphService.recover` rebuilds a crashed service by handing the
+records it reads to the same ``_apply`` with writing off —
 finished jobs re-serve from the result cache, in-flight jobs resume
 from their last durable checkpoint via the engines'
 ``run_stepwise(resume_from=...)`` entry point instead of recomputing
@@ -180,23 +181,16 @@ class GraphService:
         self.journal: Optional[JobJournal] = None
         if journal is not None:
             self.journal = JobJournal(journal)
-            self.journal.append(
-                "service_start", self.now_ms,
-                version=JOURNAL_VERSION,
-                cluster=self.spec.to_dict(),
-                memory_budget_mb=memory_budget_mb,
-                daemon_budget=daemon_budget,
-                max_running=max_running,
-                cache_entries=cache_entries,
-                trace_dir=trace_dir,
-                max_queue_depth=max_queue_depth,
-                max_pending_per_tenant=max_pending_per_tenant,
-                waiter_timeout_ms=waiter_timeout_ms,
-                journal_checkpoint_interval=journal_checkpoint_interval)
-
-    def _journal_append(self, rec: str, **fields: Any) -> None:
-        if self.journal is not None and not self.journal.closed:
-            self.journal.append(rec, self.now_ms, **fields)
+            self._apply({
+                "rec": "service_start", "version": JOURNAL_VERSION,
+                "cluster": self.spec.to_dict(),
+                "memory_budget_mb": memory_budget_mb,
+                "daemon_budget": daemon_budget, "max_running": max_running,
+                "cache_entries": cache_entries, "trace_dir": trace_dir,
+                "max_queue_depth": max_queue_depth,
+                "max_pending_per_tenant": max_pending_per_tenant,
+                "waiter_timeout_ms": waiter_timeout_ms,
+                "journal_checkpoint_interval": journal_checkpoint_interval})
 
     # -- graphs -------------------------------------------------------------------------
 
@@ -208,12 +202,9 @@ class GraphService:
         their pinned snapshot, later submits see the new graph, and
         cached answers for the key are invalidated.
         """
-        # applied before it is journaled: the record carries the
-        # version the apply produced
-        entry = self._graph_loaded(key, self.store._resolve(graph, dataset))
-        self._journal_append("graph_loaded", key=key, dataset=dataset,
-                             version=entry.version)
-        return entry
+        self._apply({"rec": "graph_loaded", "key": key, "dataset": dataset},
+                    self.store._resolve(graph, dataset))
+        return self.store.get(key)
 
     def unload_graph(self, key: str) -> None:
         """Evict a graph plus the service state that references it.
@@ -284,26 +275,18 @@ class GraphService:
                     "version": prior.to_version,
                     "changes": prior.batch.num_changes,
                     "deduped": True}
-        # apply first, journal second: store.mutate() runs apply-time
-        # validation (out-of-range ids, remove/update of a nonexistent
-        # edge raise GraphError), and a batch that cannot apply must
-        # never reach the journal — a journaled unappliable batch would
-        # re-raise on every recover() replay and wedge recovery forever
-        record = self._mutated(key, batch, bid)
+        # the applied batch lands durably before the success response
+        # reaches the caller; a crash in the gap loses an apply the
+        # client was never told about, so its idempotent resubmit
+        # re-applies cleanly after recover().  The file is named once
+        # the batch applied.
+        made = self._apply({"rec": "mutation", "key": key, "batch_id": bid,
+                            "file": None}, batch)
         self.counts["mutations"] += 1
-        if self.journal is not None and not self.journal.closed:
-            # the applied batch lands durably before the success
-            # response reaches the caller; a crash in the gap loses an
-            # apply the client was never told about, so its idempotent
-            # resubmit re-applies cleanly after recover()
-            name = self.journal.save_mutation(self._mutation_seq, batch)
-            self._journal_append("mutation", key=key, batch_id=bid,
-                                 from_version=record.from_version,
-                                 to_version=record.to_version, file=name)
         return {"graph": key, "batch_id": bid,
-                "from_version": record.from_version,
-                "version": record.to_version,
-                "changes": record.batch.num_changes,
+                "from_version": made["from_version"],
+                "version": made["to_version"],
+                "changes": batch.num_changes,
                 "deduped": False}
 
     # -- submission ---------------------------------------------------------------------
@@ -342,32 +325,29 @@ class GraphService:
         job = Job(self._next_job_id, spec, submitted_ms=self.now_ms)
         self._next_job_id += 1
         if self.draining:
-            err = self.admission.shed(job, "service is draining")
-            self._journal_append("shed", tenant=spec.tenant,
-                                 reason="service is draining")
-            raise err
-        self.admission.check_feasible(job, self.store.get(spec.graph).nbytes)
-        reason = self.admission.overload_reason(
-            job, self.queue.jobs(), running=len(self.scheduler))
-        if reason is None:
-            reason = self.admission.deadline_reason(
-                job, self._estimate_wait_ms())
+            reason = "service is draining"
+        else:
+            self.admission.check_feasible(
+                job, self.store.get(spec.graph).nbytes)
+            reason = self.admission.overload_reason(
+                job, self.queue.jobs(), running=len(self.scheduler))
+            if reason is None:
+                reason = self.admission.deadline_reason(
+                    job, self._estimate_wait_ms())
         if reason is not None:
             err = self.admission.shed(job, reason)
-            self._journal_append("shed", tenant=spec.tenant, reason=reason)
+            self._apply({"rec": "shed", "tenant": spec.tenant,
+                         "reason": reason})
             raise err
         if idempotency_key is not None:
             # write-ahead: the key lands before the submitted record;
             # replay drops the key if the crash split the pair
-            self._journal_append("idempotency", key=idempotency_key,
-                                 job_id=job.job_id)
-            self._idempotency[idempotency_key] = job.job_id
-        version = self.store.get(spec.graph).version
-        self._journal_append("submitted", job_id=job.job_id,
-                             spec=spec.to_doc(),
-                             submitted_ms=job.submitted_ms,
-                             snapshot_version=version)
-        self._submitted(job, version)
+            self._apply({"rec": "idempotency", "key": idempotency_key,
+                         "job_id": job.job_id})
+        self._apply({"rec": "submitted", "job_id": job.job_id,
+                     "spec": spec.to_doc(), "submitted_ms": job.submitted_ms,
+                     "snapshot_version": self.store.get(spec.graph).version},
+                    job)
         self.queue.push(job)
         return job
 
@@ -416,8 +396,7 @@ class GraphService:
                 del self._waiters[ckey]
                 self._waiter_parked_ms.pop(ckey, None)
             self.store._detach(job.spec.graph)
-        self._journal_append("cancelled", job_id=job_id)
-        self._ended(job, CANCELLED)
+        self._apply({"rec": "cancelled", "job_id": job_id})
         if rj is not None:
             self._teardown(rj)
             if self._leads_waiters(rj):
@@ -443,8 +422,9 @@ class GraphService:
             if job is None:
                 break
             if self._deadline_blown(job):
-                self._fail_before_start(job, "deadline exceeded while "
-                                             "queued")
+                self._apply({"rec": "failed", "job_id": job.job_id,
+                             "error": "deadline exceeded while queued"})
+                self._write_trace(job)
                 continue
             self._dispatch(job)
         rj = self.scheduler.pick()
@@ -509,10 +489,9 @@ class GraphService:
             if finish_running:
                 for job in self.queue.jobs():
                     self.admission.shed(job, "pending at drain")
-                    self._journal_append("cancelled", job_id=job.job_id)
+                    self._apply({"rec": "cancelled", "job_id": job.job_id})
                     self.queue.cancel(job.job_id)
-                    self._ended(job, CANCELLED,
-                                error="shed: service draining")
+                    job.error = "shed: service draining"
                 finished = self.run()
             else:
                 # suspend: close the live steppers (releasing daemons
@@ -523,9 +502,8 @@ class GraphService:
                     rj.stepper.close()
                     self._teardown(rj)
                 finished = [j for j in self._jobs.values() if j.finished]
-            if self.journal is not None and not self.journal.closed:
-                self.journal.append("shutdown", self.now_ms, clean=True,
-                                    reason=reason)
+            self._apply({"rec": "shutdown", "clean": True, "reason": reason})
+            if self.journal is not None:
                 self.journal.close()
             self._drain_result = finished
             return finished
@@ -539,20 +517,14 @@ class GraphService:
         """Rebuild a crashed service by replaying its journal.
 
         Constructs the service from the journal's ``service_start``
-        record (cluster spec and budgets), then applies every record
-        through the transition the live service ran when it appended
-        it (:func:`~repro.serve.journal.replay_journal`): graphs load
-        and mutate in journal order, jobs pin their journaled snapshot
-        versions, finished answers re-enter the result cache from their
-        npz sidecars.  When the records run out, every job the journal
-        left unfinished is re-queued seeded with its newest durable
-        checkpoint, so :meth:`run` continues it from the last journaled
-        superstep instead of iteration 0.
-
-        Replay appends nothing to the journal, so recovering the same
-        journal twice (or recovering a cleanly drained one) is a no-op:
-        identical state, untouched file.  ``graphs`` supplies graph
-        objects for keys that were loaded without a dataset name;
+        record, then hands every record to the ``_apply`` the live
+        service wrote it through, with writing off
+        (:func:`~repro.serve.journal.replay_journal`).  When the records
+        run out, every job the journal left unfinished is re-queued
+        seeded with its newest durable checkpoint (from iteration 0 if
+        that sidecar is gone or unreadable).  Replay appends nothing, so
+        recovering a journal twice is a no-op.  ``graphs`` supplies
+        graph objects for keys loaded without a dataset name;
         ``trace_dir`` overrides the journaled one.
         """
         records = read_journal(journal_path)
@@ -568,7 +540,7 @@ class GraphService:
         if trace_dir is not None:
             settings["trace_dir"] = trace_dir
         svc = cls(ClusterSpec(**meta["cluster"]), **settings)
-        svc.journal = JobJournal(journal_path)  # append mode: writes nothing
+        svc.journal = JobJournal(journal_path)  # append mode
         replay_journal(records, svc, graphs)
         # a key whose submitted record the crash cut off is an orphan:
         # that submit never took effect
@@ -584,7 +556,12 @@ class GraphService:
             if job.finished:
                 continue
             job.state = PENDING
-            job.resume_from = svc.journal.load_checkpoint(job.job_id)
+            try:
+                job.resume_from = None if job.checkpoint_file is None \
+                    else svc.journal.load_checkpoint(job.job_id,
+                                                     job.checkpoint_file)
+            except ServeError:  # unreadable: the job restarts at 0
+                job.resume_from = None
             if job.resume_from is not None:
                 svc.counts["resumed_from_checkpoint"] += 1
             svc.counts["recovered_jobs"] += 1
@@ -592,102 +569,52 @@ class GraphService:
         svc.check_invariants()
         return svc
 
-    def _replay(self, doc: Dict[str, Any],
-                graphs: Optional[Dict[str, Any]]) -> None:
-        """Apply one journal record through its live transition.
+    def _apply(self, doc: Dict[str, Any], carry: Any = None, *,
+               replayed: bool = False) -> Optional[Dict[str, Any]]:
+        """Write journal record ``doc`` and apply it through its kind's
+        transition; ``carry`` is what the live path holds beside it.
 
-        The sidecars supply what the live path held in memory: the
-        graph (``graphs`` or the dataset name), the mutation batch, the
-        finished answer.  Engine work is no transition, so ``admitted``
-        and ``slice`` only record progress.
+        A job record is written before it applies; ``graph_loaded`` and
+        ``mutation`` apply first and are written with the fields the
+        apply produced, so a failed load or batch is never journaled.
+        :meth:`recover` passes ``replayed=True``: nothing is written,
+        and the clock catches up to the record's.
         """
-        rec = doc["rec"]
-        self.now_ms = max(self.now_ms, float(doc.get("now_ms", 0.0)))
-        if rec == "graph_loaded":
-            key = doc["key"]
-            if graphs is not None and key in graphs:
-                graph = graphs[key]
-            elif doc.get("dataset") is not None:
-                graph = load_dataset(doc["dataset"])
-            else:
-                raise ServeError(
-                    f"graph {key!r} was journaled without a dataset "
-                    f"name; pass it via graphs={{{key!r}: <Graph>}}")
-            self._graph_loaded(key, graph)
-        elif rec == "mutation":
-            batch = self.journal.load_mutation(doc["file"])
-            try:
-                self._mutated(doc["key"], batch, doc["batch_id"])
-            except GraphError:
-                # defense in depth: the live path only journals batches
-                # that already applied, but a record from an older
-                # journal (or one straddling an unjournaled replace) may
-                # no longer fit the graph — skipping it beats wedging
-                # every future recover()
-                self.counts["skipped_mutations"] += 1
-                self._mutation_seq += 1
-        elif rec == "idempotency":
-            self._idempotency[doc["key"]] = doc["job_id"]
-        elif rec == "submitted":
-            if doc["job_id"] in self._jobs:
-                raise ServeError(
-                    f"journal submits job #{doc['job_id']} twice")
-            job = Job(doc["job_id"], JobSpec.from_doc(doc["spec"]),
-                      submitted_ms=float(doc.get("submitted_ms", 0.0)))
-            try:
-                self._submitted(job, doc.get("snapshot_version"))
-            except ServeError:
-                # a version the graph history can no longer prove (a
-                # skipped mutation) — fall back to the latest
-                self._submitted(job, None)
-        elif rec in ("service_start", "checkpointed", "shed", "shutdown"):
-            pass
-        else:
-            job = self._jobs.get(doc["job_id"])
-            if job is None:
-                raise ServeError(
-                    f"journal records {rec!r} for job #{doc['job_id']} "
-                    f"before its submitted record")
-            if rec == "admitted":
-                self._admitted(job)
-            elif rec == "slice":
-                self._charge(job, 0.0, 1)
-            elif rec == "retry":
-                self._retried(job, int(doc["attempt"]))
-            elif rec == "finished":
-                from_cache = bool(doc.get("from_cache", False))
-                result = self._read_answer(job.job_id, doc.get("file"),
-                                           job.snapshot.graph)
-                key = doc.get("cache_key")
-                if result is not None:  # no answer: the job recomputes
-                    self._finished(
-                        job, result, result.file, from_cache=from_cache,
-                        cache_key=(tuple(key) if key is not None
-                                   and job.spec.use_cache
-                                   and not from_cache else None),
-                        consumed_ms=float(doc.get("consumed_ms", 0.0)))
-            elif rec == "failed":
-                self._ended(job, FAILED, error=doc.get("error"))
-            elif rec == "quarantined":
-                self._ended(job, QUARANTINED,
-                            error=doc.get("error", doc.get("reason")),
-                            quarantine_reason=doc.get("reason"))
-            elif rec == "cancelled":
-                self._ended(job, CANCELLED)
-            else:
-                raise ServeError(f"unknown journal record kind {rec!r}")
+        kind = doc["rec"]
+        fields = {k: v for k, v in doc.items() if k not in ("rec", "now_ms")}
+        transition = self._TRANSITIONS[kind]
+        if replayed:
+            self.now_ms = max(self.now_ms, float(doc.get("now_ms", 0.0)))
+            return transition(self, carry, **fields)
+        writing = self.journal is not None and not self.journal.closed
+        if kind in ("graph_loaded", "mutation"):
+            made = transition(self, carry, **fields)
+            if writing:
+                self.journal.append(kind, self.now_ms, **{**fields, **made})
+            return made
+        if writing:
+            self.journal.append(kind, self.now_ms, **fields)
+        return transition(self, carry, **fields)
 
     # -- transitions --------------------------------------------------------------------
     #
-    # One method per state-changing journal record.  The live path
-    # appends the record, then applies it here — except graph_loaded
-    # and mutation, which carry the version their apply produced and
-    # must never journal a graph that failed to load or a batch that
-    # failed to apply.  recover() applies the same methods to the
-    # records it reads (:meth:`_replay`).
+    # One per journal record kind, reached through _apply's table:
+    # ``carry`` is None on replay, and the keyword parameters are the
+    # record's fields (see repro.serve.journal).
 
-    def _graph_loaded(self, key: str, graph):
-        """``graph_loaded``: load, or replace a resident graph."""
+    def _noted(self, carry, **fields) -> None:
+        """``service_start``, ``shed``, ``shutdown``: nothing a replay
+        restores (recover() reads the newest ``service_start`` itself)."""
+
+    def _graph_loaded(self, graph, *, key: str, dataset=None, version=None):
+        """``graph_loaded``: load, or replace a resident graph (replayed:
+        the ``graphs=`` object recover() was given, else the dataset)."""
+        if graph is None:
+            if dataset is None:
+                raise ServeError(
+                    f"graph {key!r} was journaled without a dataset "
+                    f"name; pass it via graphs={{{key!r}: <Graph>}}")
+            graph = load_dataset(dataset)
         place = self.store.replace if key in self.store else self.store.load
         entry = place(key, graph)
         # every load severs the key's warm-start history: a reload
@@ -700,11 +627,17 @@ class GraphService:
         self._engines[key] = set()
         if entry.version > 1:
             self.cache.invalidate_graph(key)
-        return entry
+        return {"version": entry.version}
 
-    def _mutated(self, key: str, batch: MutationBatch, batch_id: str):
+    def _mutated(self, batch, *, key: str, batch_id: str, file: str,
+                 from_version=None, to_version=None):
         """``mutation``: apply copy-on-write, harvest warm seeds, and
-        drop the cached answers no snapshot can reach any more."""
+        drop the cached answers no snapshot can reach any more.  Live,
+        the applied batch then lands in its sidecar; replayed, it is
+        read back from it."""
+        replayed = batch is None
+        if replayed:
+            batch = self.journal.load_mutation(file)
         pre_version = self.store.get(key).version
         # every engine a job asked for gets its partition carried
         # forward, built first if no job built it yet: the new version's
@@ -715,7 +648,17 @@ class GraphService:
         for engine_cls in sorted(self._engines.get(key, ()),
                                  key=lambda c: c.name):
             self.store.ensure_partition(key, engine_cls, cluster)
-        record = self.store.mutate(key, batch, batch_id)
+        try:
+            record = self.store.mutate(key, batch, batch_id)
+        except GraphError:
+            if not replayed:
+                raise
+            # defense in depth: a record from an older journal (or one
+            # straddling an unjournaled replace) may no longer fit the
+            # graph — skipping it beats wedging every future recover()
+            self.counts["skipped_mutations"] += 1
+            self._mutation_seq += 1
+            return None
         self._mutation_seq += 1
         # harvest the pre-version's cached fixpoints as warm-start
         # seeds before invalidating them: a cached answer for version N
@@ -729,44 +672,74 @@ class GraphService:
         keep = {record.to_version}
         keep.update(self.store.pinned_versions(key))
         self.cache.invalidate_graph(key, keep_versions=keep)
-        return record
+        if not replayed and self.journal is not None:
+            file = self.journal.save_mutation(self._mutation_seq, batch)
+        return {"from_version": record.from_version,
+                "to_version": record.to_version, "file": file}
 
-    def _submitted(self, job: Job, version: Optional[int]) -> None:
-        """``submitted``: register the job and pin its graph version.
-
-        Snapshot isolation: the job computes against this version for
-        its whole lifetime — mutations landing after it go into
-        versions the job never sees.
-        """
-        job.snapshot = self.store.snapshot(job.spec.graph, version=version)
+    def _submitted(self, job, *, job_id: int, spec: dict,
+                   submitted_ms=0.0, snapshot_version=None) -> None:
+        """``submitted``: register the job and pin its graph version
+        (snapshot isolation: later mutations go into versions it never
+        sees)."""
+        if job is None:
+            if job_id in self._jobs:
+                raise ServeError(f"journal submits job #{job_id} twice")
+            job = Job(job_id, JobSpec.from_doc(spec),
+                      submitted_ms=float(submitted_ms))
+        try:
+            job.snapshot = self.store.snapshot(job.spec.graph,
+                                               version=snapshot_version)
+        except ServeError:
+            # replayed: a version the graph history can no longer prove
+            # (a skipped mutation) — fall back to the latest
+            job.snapshot = self.store.snapshot(job.spec.graph)
         self._engines.setdefault(job.spec.graph, set()).add(
             job.spec.engine_cls())
-        self._jobs[job.job_id] = job
-        self._next_job_id = max(self._next_job_id, job.job_id + 1)
+        self._jobs[job_id] = job
+        self._next_job_id = max(self._next_job_id, job_id + 1)
 
-    def _admitted(self, job: Job) -> None:
+    def _keyed(self, carry, *, key: str, job_id: int) -> None:
+        """``idempotency``: a client key names the job submitted next."""
+        self._idempotency[key] = job_id
+
+    def _admitted(self, carry, *, job_id: int, resume_iteration=0) -> None:
         """``admitted``: the job left the queue."""
+        job = self._job_of(job_id)
         job.state = RUNNING
         if job.started_ms is None:
             job.started_ms = self.now_ms
 
-    def _charge(self, job: Job, ms: float, slices: int) -> None:
-        """``slice``: the one method that charges a job's account and
-        its tenant's ledger row (replay charges a slice 0 ms until the
-        ``finished`` record settles the account)."""
-        job.consumed_ms += ms
-        job.slices += slices
-        self.ledger.charge(job.spec.tenant, ms, slices=slices)
+    def _sliced(self, carry, *, job_id: int, iteration=None) -> None:
+        """``slice``: one more quantum (its ms are charged as the engine
+        spends them; replayed, the ``finished`` record settles them)."""
+        self._charge(self._job_of(job_id), 0.0, 1)
 
-    def _retried(self, job: Job, attempt: int) -> None:
+    def _checkpointed(self, carry, *, job_id: int, iteration=None,
+                      file=None) -> None:
+        """``checkpointed``: ``file`` holds the job's durable resume
+        point (recover() reads it once the records run out)."""
+        self._job_of(job_id).checkpoint_file = file
+
+    def _retried(self, carry, *, job_id: int, attempt: int,
+                 backoff_ms=None, error=None, resume_iteration=None) -> None:
         """``retry``: the failed job goes back to pending."""
+        job = self._job_of(job_id)
         job.retries = attempt
         job.state = PENDING
 
-    def _finished(self, job: Job, result, file: Optional[str], *,
-                  from_cache: bool, cache_key, consumed_ms: float) -> None:
+    def _finished(self, result, *, job_id: int, from_cache=False,
+                  cache_key=None, file=None, consumed_ms=0.0) -> None:
         """``finished``: settle the account to the journaled ms (live,
-        a computed job already holds them), publish the answer."""
+        a computed job already holds them), publish the answer.
+        Replayed, the answer is read back from ``file``; a job whose
+        answer is gone or unreadable stays unfinished and recomputes."""
+        job = self._job_of(job_id)
+        if result is None:
+            result = self._read_answer(job_id, file, job.snapshot.graph)
+            if result is None:
+                return
+            file = result.file
         self._charge(job, consumed_ms - job.consumed_ms, int(from_cache))
         job.result = result
         job.result_file = file
@@ -775,16 +748,57 @@ class GraphService:
         job.finished_ms = self.now_ms
         job.release_snapshot()
         self.ledger.finish(job.spec.tenant, from_cache=from_cache)
-        if cache_key is None:
+        if cache_key is None or from_cache or not job.spec.use_cache:
             return
         if isinstance(result, RunResult):
             self.cache.put(cache_key, result, file)
         else:  # replayed: the answer its sidecar holds
-            self.cache.put_entry(cache_key, result)
+            self.cache.put_entry(tuple(cache_key), result)
+
+    def _failed(self, carry, *, job_id: int, error=None) -> None:
+        """``failed``."""
+        self._ended(self._job_of(job_id), FAILED, error=error)
+
+    def _quarantined(self, carry, *, job_id: int, reason=None,
+                     error=None) -> None:
+        """``quarantined``: poison, never retried again."""
+        self._ended(self._job_of(job_id), QUARANTINED,
+                    error=reason if error is None else error,
+                    quarantine_reason=reason)
+
+    def _cancelled(self, carry, *, job_id: int) -> None:
+        """``cancelled``."""
+        self._ended(self._job_of(job_id), CANCELLED)
+
+    def _job_of(self, job_id: int) -> Job:
+        """The job a record names (none before its ``submitted``)."""
+        if job_id not in self._jobs:
+            raise ServeError(f"journal records job #{job_id} before its "
+                             f"submitted record")
+        return self._jobs[job_id]
+
+    #: journal record kind -> its transition, the one table both the
+    #: live path and recover() apply records through
+    _TRANSITIONS = {
+        "service_start": _noted, "graph_loaded": _graph_loaded,
+        "mutation": _mutated, "submitted": _submitted,
+        "idempotency": _keyed, "admitted": _admitted, "slice": _sliced,
+        "checkpointed": _checkpointed, "retry": _retried,
+        "finished": _finished, "failed": _failed,
+        "quarantined": _quarantined, "cancelled": _cancelled,
+        "shed": _noted, "shutdown": _noted,
+    }
+
+    def _charge(self, job: Job, ms: float, slices: int) -> None:
+        """The one method that charges a job's account and its tenant's
+        ledger row."""
+        job.consumed_ms += ms
+        job.slices += slices
+        self.ledger.charge(job.spec.tenant, ms, slices=slices)
 
     def _ended(self, job: Job, state: str, *, error: Optional[str] = None,
                quarantine_reason: Optional[str] = None) -> None:
-        """``failed`` / ``quarantined`` / ``cancelled``."""
+        """A terminal state other than done."""
         job.state = state
         if error is not None:
             job.error = error
@@ -869,20 +883,13 @@ class GraphService:
         return (deadline is not None
                 and self.now_ms - job.submitted_ms > deadline)
 
-    def _fail_before_start(self, job: Job, reason: str) -> None:
-        """Terminal failure of a job that never (re)dispatched."""
-        self._journal_append("failed", job_id=job.job_id, error=reason)
-        self._ended(job, FAILED, error=reason)
-        self._write_trace(job)
-
     def _dispatch(self, job: Job) -> None:
         """Start an admitted job: cache fast path or engine stepper."""
         spec = job.spec
-        self._journal_append(
-            "admitted", job_id=job.job_id,
-            resume_iteration=(job.resume_from.iteration
-                              if job.resume_from is not None else 0))
-        self._admitted(job)
+        self._apply({"rec": "admitted", "job_id": job.job_id,
+                     "resume_iteration": (job.resume_from.iteration
+                                          if job.resume_from is not None
+                                          else 0)})
         self.store._attach(spec.graph)
         snap = job.snapshot
         ckey = self.cache.key(spec.graph, snap.version, spec.algorithm,
@@ -956,8 +963,8 @@ class GraphService:
             self._fail(rj, exc)
             return
         self._run_for(rj, event.sim_ms)
-        self._journal_append("slice", job_id=job.job_id,
-                             iteration=event.iteration)
+        self._apply({"rec": "slice", "job_id": job.job_id,
+                     "iteration": event.iteration})
         if (event.checkpointed and not event.converged
                 and self.journal is not None):
             # a converged superstep's checkpoint is no resume point: the
@@ -978,8 +985,8 @@ class GraphService:
         ckpt = store.peek() if store is not None else None
         if ckpt is not None and self.journal is not None:
             name = self.journal.save_checkpoint(rj.job.job_id, ckpt)
-            self._journal_append("checkpointed", job_id=rj.job.job_id,
-                                 iteration=ckpt.iteration, file=name)
+            self._apply({"rec": "checkpointed", "job_id": rj.job.job_id,
+                         "iteration": ckpt.iteration, "file": name})
         return ckpt
 
     def _check_waiter_timeouts(self) -> None:
@@ -1007,13 +1014,13 @@ class GraphService:
                 waiter.state = PENDING
                 self.queue.push(waiter)
 
-    def _run_for(self, rj: RunningJob, ms: float, slices: int = 1) -> None:
+    def _run_for(self, rj: RunningJob, ms: float) -> None:
         """Charge engine time: the job's account, its stride-scheduling
         clock and the service clock."""
         rj.charged_ms += ms
         rj.virtual_ms += ms
         self.now_ms += ms
-        self._charge(rj.job, ms, slices)
+        self._charge(rj.job, ms, 0)
 
     def _read_answer(self, job_id: int, file: Optional[str], graph):
         """A journaled answer read back from its result sidecar, or None
@@ -1037,11 +1044,9 @@ class GraphService:
         # the hit names the sidecar its answer already lives in: the
         # job recovers from that file even after the entry is evicted
         # (sidecars are never deleted), so no copy is written
-        self._journal_append("finished", job_id=job.job_id,
-                             from_cache=True, cache_key=None,
-                             file=hit.file, consumed_ms=consumed)
-        self._finished(job, hit, hit.file, from_cache=True, cache_key=None,
-                       consumed_ms=consumed)
+        self._apply({"rec": "finished", "job_id": job.job_id,
+                     "from_cache": True, "cache_key": None, "file": hit.file,
+                     "consumed_ms": consumed}, hit)
         self._write_trace(job)
 
     def _finish(self, rj: RunningJob, result) -> None:
@@ -1052,7 +1057,7 @@ class GraphService:
         extra = result.total_ms - rj.charged_ms
         if extra > 0:
             # part of the last slice, not a slice of its own
-            self._run_for(rj, extra, slices=0)
+            self._run_for(rj, extra)
         job.fault_report = rj.middleware.fault_report(result)
         file = None
         if self.journal is not None:
@@ -1065,12 +1070,11 @@ class GraphService:
         self._ewma_service_ms = (result.total_ms if ewma is None
                                  else 0.5 * result.total_ms + 0.5 * ewma)
         self._teardown(rj)
-        cache_key = rj.cache_key if job.spec.use_cache else None
-        self._journal_append("finished", job_id=job.job_id,
-                             from_cache=False, cache_key=cache_key,
-                             file=file, consumed_ms=job.consumed_ms)
-        self._finished(job, result, file, from_cache=False,
-                       cache_key=cache_key, consumed_ms=job.consumed_ms)
+        self._apply({"rec": "finished", "job_id": job.job_id,
+                     "from_cache": False,
+                     "cache_key": (rj.cache_key if job.spec.use_cache
+                                   else None),
+                     "file": file, "consumed_ms": job.consumed_ms}, result)
         self._write_trace(job)
         if job.spec.use_cache:
             # the answer is published: serve the query's parked waiters
@@ -1099,28 +1103,24 @@ class GraphService:
             if ckpt is not None:
                 job.resume_from = ckpt
             job.not_before_ms = self.now_ms + backoff
-            self._journal_append(
-                "retry", job_id=job.job_id, attempt=attempt,
-                backoff_ms=backoff, error=reason,
-                resume_iteration=(ckpt.iteration if ckpt is not None
-                                  else 0))
-            self._retried(job, attempt)
+            self._apply({"rec": "retry", "job_id": job.job_id,
+                         "attempt": attempt, "backoff_ms": backoff,
+                         "error": reason,
+                         "resume_iteration": (ckpt.iteration
+                                              if ckpt is not None else 0)})
             self._teardown(rj)
             self.queue.push(job)
             # coalesced waiters stay parked: the retry is still the
             # one in-flight computation of their query
             return
         if retryable and job.spec.max_retries > 0:
-            state, poison = QUARANTINED, (
-                f"poison: failed {job.retries + 1} times "
-                f"(budget {job.spec.max_retries}); last error: {reason}")
-            self._journal_append("quarantined", job_id=job.job_id,
-                                 reason=poison, error=reason)
+            poison = (f"poison: failed {job.retries + 1} times "
+                      f"(budget {job.spec.max_retries}); last error: {reason}")
+            self._apply({"rec": "quarantined", "job_id": job.job_id,
+                         "reason": poison, "error": reason})
         else:
-            state, poison = FAILED, None
-            self._journal_append("failed", job_id=job.job_id,
-                                 error=reason)
-        self._ended(job, state, error=reason, quarantine_reason=poison)
+            self._apply({"rec": "failed", "job_id": job.job_id,
+                         "error": reason})
         self._teardown(rj)
         self._write_trace(job)
         if self._leads_waiters(rj):
