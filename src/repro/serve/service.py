@@ -489,9 +489,9 @@ class GraphService:
             if finish_running:
                 for job in self.queue.jobs():
                     self.admission.shed(job, "pending at drain")
-                    self._apply({"rec": "cancelled", "job_id": job.job_id})
+                    self._apply({"rec": "cancelled", "job_id": job.job_id,
+                                 "error": "shed: service draining"})
                     self.queue.cancel(job.job_id)
-                    job.error = "shed: service draining"
                 finished = self.run()
             else:
                 # suspend: close the live steppers (releasing daemons
@@ -766,9 +766,9 @@ class GraphService:
                     error=reason if error is None else error,
                     quarantine_reason=reason)
 
-    def _cancelled(self, carry, *, job_id: int) -> None:
-        """``cancelled``."""
-        self._ended(self._job_of(job_id), CANCELLED)
+    def _cancelled(self, carry, *, job_id: int, error=None) -> None:
+        """``cancelled`` (a drain's shed names itself in ``error``)."""
+        self._ended(self._job_of(job_id), CANCELLED, error=error)
 
     def _job_of(self, job_id: int) -> Job:
         """The job a record names (none before its ``submitted``)."""

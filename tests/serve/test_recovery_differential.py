@@ -71,9 +71,8 @@ def view(svc):
     The journal carries no ms for a job that did not finish, so a
     recovered service re-queues every unfinished job (``pending``) with
     an empty account; the live ledger sheds those jobs' charges to
-    match.  Records carry the clock to 6 decimals; a drain's shed
-    message is not journaled; lookup counts and the service clock
-    between records are not compared.
+    match.  Records carry the clock to 6 decimals; lookup counts and
+    the service clock between records are not compared.
     """
     jobs, unsettled = {}, {}
     for j in svc.jobs():
@@ -82,7 +81,7 @@ def view(svc):
             j.state if j.finished else "pending", j.snapshot_version,
             j.retries, j.from_cache,
             round(j.finished_ms, 6) if j.finished else None,
-            j.error if j.state in ("failed", "quarantined") else None,
+            j.error if j.finished else None,
             j.quarantine_reason,
             j.values.tobytes() if done else None,
             j.result.iterations if done else None,

@@ -373,6 +373,28 @@ def test_drain_finishes_running_sheds_pending(tmp_path):
     assert rec.job(pending.job_id).state == "cancelled"
 
 
+def test_drain_shed_message_survives_recovery(tmp_path):
+    """The ``cancelled`` record of a job shed at drain carries its
+    error, so recovery restores it; a record without one (an older
+    journal, or a plain cancel) restores none."""
+    jpath = str(tmp_path / "svc.jsonl")
+    svc = GraphService(SPEC, daemon_budget=2, journal=jpath)
+    svc.load_graph("g", rmat(64, 256, seed=1))
+    cancelled = svc.submit(pagerank_spec(tenant="c", use_cache=False))
+    svc.cancel(cancelled.job_id)
+    jobs = [svc.submit(pagerank_spec(tenant=f"t{i}", use_cache=False))
+            for i in range(4)]
+    svc.step()                                  # the first is in flight
+    svc.drain()
+    shed = [(j.state, j.error) for j in jobs[1:]]
+    assert shed == [("cancelled", "shed: service draining")] * 3
+    rec = GraphService.recover(jpath, graphs={"g": svc.store.get("g").graph})
+    assert [(rec.job(j.job_id).state, rec.job(j.job_id).error)
+            for j in jobs[1:]] == shed
+    assert (rec.job(cancelled.job_id).state,
+            rec.job(cancelled.job_id).error) == ("cancelled", None)
+
+
 def test_drain_sheds_through_admission_and_keeps_reasons_bounded():
     """Every job pending at a drain is one admission shed, and the
     recorded reasons keep the same bounded tail as any other shed."""
