@@ -114,6 +114,12 @@ class JobJournal:
         os.makedirs(self.state_dir, exist_ok=True)
         parent = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(parent, exist_ok=True)
+        if not fresh and os.path.exists(self.path):
+            # the unterminated tail a crash left was never committed
+            # (read_journal drops it): cut it, or the next append would
+            # complete it into a corrupt line
+            with open(self.path, "rb+") as f:
+                f.truncate(f.read().rfind(b"\n") + 1)
         self._f = open(self.path, "w" if fresh else "a", encoding="utf-8")
         self.records_written = 0
 
@@ -258,10 +264,11 @@ class JobJournal:
 def read_journal(path: str) -> List[Dict[str, Any]]:
     """Parse a journal file into its records, oldest first.
 
-    A torn final line (the service was killed mid-append, so it lacks
-    its newline) is silently dropped; any other line that does not
-    parse is corruption and raises — replay must never skip committed
-    history.  So does a
+    Record ``k`` is line ``k + 1``.  A torn final line (the service was
+    killed mid-append, so it lacks its newline) is silently dropped;
+    every other line must be a record — one that does not parse (a
+    blank one included) is corruption and raises, since replay must
+    never skip committed history.  So does a
     record of an unknown kind, one lacking a field its transition
     needs (or carrying one it does not take), and a ``service_start``
     of a format newer than :data:`JOURNAL_VERSION`: each
@@ -269,27 +276,23 @@ def read_journal(path: str) -> List[Dict[str, Any]]:
     """
     try:
         with open(path, "rb") as f:
-            lines = f.read().split(b"\n")
+            # a record is committed once its newline lands: the last
+            # piece is the append a crash cut short (empty if none)
+            lines = f.read().split(b"\n")[:-1]
     except OSError as exc:
         raise ServeError(f"cannot read journal {path!r}: {exc}") from None
     records: List[Dict[str, Any]] = []
-    for i, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
+    for i, line in enumerate(lines, 1):
         try:
             doc = json.loads(line.decode("utf-8"))
         except ValueError:
-            if i == len(lines) - 1:
-                break  # torn trailing append (no newline) from the crash
             raise ServeError(
-                f"journal {path!r} is corrupt at line {i + 1}")
+                f"journal {path!r} is corrupt at line {i}") from None
         if not isinstance(doc, dict) or "rec" not in doc:
-            raise ServeError(
-                f"journal {path!r} line {i + 1} is not a record")
+            raise ServeError(f"journal {path!r} line {i} is not a record")
         problem = _malformed(doc)
         if problem is not None:
-            raise ServeError(f"journal {path!r} line {i + 1}: {problem}")
+            raise ServeError(f"journal {path!r} line {i}: {problem}")
         records.append(doc)
     return records
 
@@ -342,7 +345,11 @@ def replay_journal(records: List[Dict[str, Any]], service,
     memory; ``graphs`` supplies what no sidecar holds: graph objects for
     keys journaled without a dataset name."""
     graphs = graphs or {}
-    for doc in records:
+    for line, doc in enumerate(records, 1):
         graph = graphs.get(doc["key"]) if doc["rec"] == "graph_loaded" \
             else None
-        service._apply(doc, graph, replayed=True)
+        try:
+            service._apply(doc, graph, replayed=True)
+        except ServeError as exc:
+            raise ServeError(f"journal line {line} ({doc['rec']!r}): "
+                             f"{exc}") from exc

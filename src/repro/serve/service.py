@@ -42,7 +42,6 @@ lifecycle round out the resilience story.
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import os
@@ -528,18 +527,24 @@ class GraphService:
         ``trace_dir`` overrides the journaled one.
         """
         records = read_journal(journal_path)
-        starts = [doc for doc in records if doc["rec"] == "service_start"]
+        starts = [i for i, doc in enumerate(records)
+                  if doc["rec"] == "service_start"]
         if not starts:
             raise ServeError(
                 f"journal {journal_path!r} has no service_start record")
-        meta = starts[-1]
-        # journaled settings that name a constructor parameter; one a
-        # journal lacks takes the constructor's default
-        params = inspect.signature(cls).parameters
-        settings = {k: v for k, v in meta.items() if k in params}
+        meta = records[starts[-1]]
+        # the journaled settings are constructor parameters (its
+        # transition's fields); one a journal lacks takes the default
+        settings = {k: v for k, v in meta.items()
+                    if k not in ("rec", "now_ms", "version", "cluster")}
         if trace_dir is not None:
             settings["trace_dir"] = trace_dir
-        svc = cls(ClusterSpec(**meta["cluster"]), **settings)
+        try:
+            svc = cls(ClusterSpec(**(meta.get("cluster") or {})),
+                      **settings)
+        except (TypeError, ReproError) as exc:  # refused journaled values
+            raise ServeError(f"journal {journal_path!r} line "
+                             f"{starts[-1] + 1}: {exc}") from None
         svc.journal = JobJournal(journal_path)  # append mode
         replay_journal(records, svc, graphs)
         # a key whose submitted record the crash cut off is an orphan:
@@ -602,9 +607,17 @@ class GraphService:
     # ``carry`` is None on replay, and the keyword parameters are the
     # record's fields (see repro.serve.journal).
 
-    def _noted(self, carry, **fields) -> None:
-        """``service_start``, ``shed``, ``shutdown``: nothing a replay
-        restores (recover() reads the newest ``service_start`` itself)."""
+    def _started(self, carry, *, version=1, cluster=None,
+                 memory_budget_mb=None, daemon_budget=None, max_running=None,
+                 cache_entries=None, trace_dir=None, max_queue_depth=None,
+                 max_pending_per_tenant=None, waiter_timeout_ms=None,
+                 journal_checkpoint_interval=None) -> None:
+        """``service_start``: the cluster and the constructor settings;
+        recover() builds the service from the newest one."""
+
+    def _noted(self, carry, *, tenant=None, reason=None,
+               clean=True) -> None:
+        """``shed``, ``shutdown``: nothing a replay restores."""
 
     def _graph_loaded(self, graph, *, key: str, dataset=None, version=None):
         """``graph_loaded``: load, or replace a resident graph (replayed:
@@ -780,7 +793,7 @@ class GraphService:
     #: journal record kind -> its transition, the one table both the
     #: live path and recover() apply records through
     _TRANSITIONS = {
-        "service_start": _noted, "graph_loaded": _graph_loaded,
+        "service_start": _started, "graph_loaded": _graph_loaded,
         "mutation": _mutated, "submitted": _submitted,
         "idempotency": _keyed, "admitted": _admitted, "slice": _sliced,
         "checkpointed": _checkpointed, "retry": _retried,

@@ -583,3 +583,39 @@ def test_a_submit_pinned_past_a_skipped_mutation_pins_the_latest(jpath):
     rec = _recover(jpath, records)
     assert rec.metrics()["skipped_mutations"] == 1
     assert rec.job(1).snapshot_version == 1 == rec.store.get("g").version
+
+
+@pytest.mark.parametrize("how", DAMAGE)
+def test_an_unreadable_checkpoint_restarts_only_its_job(jpath, how):
+    """One damaged checkpoint sidecar restarts its job from iteration
+    0 (re-queued, not resumed); recovery still comes up, the other
+    job resumes from its own checkpoint, and both end bit-identical to
+    a run that never crashed."""
+    from repro.graph import rmat
+    graph = rmat(64, 256, seed=1)
+    specs = [JobSpec(graph="g", algorithm="pagerank", max_iterations=10,
+                     use_cache=False),
+             JobSpec(graph="g", algorithm="cc", use_cache=False)]
+    clean = GraphService()
+    clean.load_graph("g", graph)
+    want = [clean.submit(spec) for spec in specs]
+    clean.run()
+    svc = GraphService(journal=jpath, journal_checkpoint_interval=1)
+    svc.load_graph("g", graph)
+    jobs = [svc.submit(spec) for spec in specs]
+    for _ in range(6):
+        svc.step()
+    assert not any(job.finished for job in jobs)
+    del svc                                     # killed, not drained
+    damage(os.path.join(jpath + ".d", "job-1-ckpt.npz"), how)
+    rec = GraphService.recover(jpath, graphs={"g": graph})
+    first, second = rec.job(1), rec.job(2)
+    assert first.resume_from is None
+    assert second.resume_from is not None and second.resume_from.iteration
+    recovery = rec.metrics()["recovery"]
+    assert recovery["requeued"] == 2 and recovery["resumed"] == 1
+    rec.run()
+    for job, ref in zip((first, second), want):
+        assert job.state == "done"
+        assert job.values.tobytes() == ref.values.tobytes()
+        assert job.result.iterations == ref.result.iterations
