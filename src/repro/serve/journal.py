@@ -74,11 +74,6 @@ _UNREADABLE = (OSError, EOFError, KeyError, RuntimeError, TypeError,
                ValueError, zipfile.BadZipFile, zlib.error)
 
 
-
-def _result_name(job_id: int) -> str:
-    return f"job-{job_id}-result.npz"
-
-
 def _jsonify(value: Any) -> Any:
     """Recursively coerce a value into plain JSON types.
 
@@ -111,9 +106,7 @@ class JobJournal:
     def __init__(self, path: str, *, fresh: bool = False) -> None:
         self.path = str(path)
         self.state_dir = self.path + ".d"
-        os.makedirs(self.state_dir, exist_ok=True)
-        parent = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(parent, exist_ok=True)
+        os.makedirs(self.state_dir, exist_ok=True)   # and its parent
         if not fresh and os.path.exists(self.path):
             # the unterminated tail a crash left was never committed
             # (read_journal drops it): cut it, or the next append would
@@ -126,7 +119,8 @@ class JobJournal:
     # -- appending ---------------------------------------------------------
 
     def append(self, rec: str, now_ms: float, **fields: Any) -> None:
-        """Durably append one lifecycle record."""
+        """Append one lifecycle record and flush it, without ``fsync``:
+        it survives a process kill, not a power loss."""
         if rec not in RECORD_KINDS:
             raise ServeError(f"unknown journal record kind {rec!r}")
         if self._f.closed:
@@ -194,9 +188,8 @@ class JobJournal:
 
     def load_checkpoint(self, job_id: int,
                         name: Optional[str] = None) -> Optional[Checkpoint]:
-        """A job's newest durable checkpoint (None if it has none), read
-        from ``name`` (a ``checkpointed`` record's ``file``) or else the
-        job's own sidecar."""
+        """The checkpoint in sidecar ``name`` (a ``checkpointed`` record's
+        ``file``; default the job's own), None if it is missing."""
         name = name or f"job-{job_id}-ckpt.npz"
         return self._load_npz(name, lambda d: Checkpoint(
             iteration=int(d["iteration"]), values=d["values"],
@@ -207,7 +200,7 @@ class JobJournal:
                     engine: str, algorithm: str) -> str:
         """Persist a finished job's answer for replay re-serving."""
         return self._write_npz(
-            _result_name(job_id),
+            f"job-{job_id}-result.npz",
             {"values": np.asarray(values),
              "iterations": np.asarray(int(iterations), dtype=np.int64),
              "converged": np.asarray(bool(converged)),
@@ -253,7 +246,7 @@ class JobJournal:
         a spilled cache entry's); without one the job's own sidecar is
         read, and only then is ``job_id`` used."""
         from .cache import CachedResult
-        name = name or _result_name(job_id)
+        name = name or f"job-{job_id}-result.npz"
         return self._load_npz(name, lambda d: CachedResult(
             values=d["values"], iterations=int(d["iterations"]),
             converged=bool(d["converged"]),
@@ -264,15 +257,12 @@ class JobJournal:
 def read_journal(path: str) -> List[Dict[str, Any]]:
     """Parse a journal file into its records, oldest first.
 
-    Record ``k`` is line ``k + 1``.  A torn final line (the service was
-    killed mid-append, so it lacks its newline) is silently dropped;
-    every other line must be a record — one that does not parse (a
-    blank one included) is corruption and raises, since replay must
-    never skip committed history.  So does a
-    record of an unknown kind, one lacking a field its transition
-    needs (or carrying one it does not take), and a ``service_start``
-    of a format newer than :data:`JOURNAL_VERSION`: each
-    :class:`ServeError` names the line.
+    Record ``k`` is line ``k + 1``.  A torn final line (killed
+    mid-append, it lacks its newline) is silently dropped; any other
+    line that is no record this reader replays (one that does not
+    parse, a blank one, one lacking a field its transition needs or
+    carrying one it does not take, a newer format) raises a
+    :class:`ServeError` naming the line: replay never skips history.
     """
     try:
         with open(path, "rb") as f:
@@ -288,8 +278,6 @@ def read_journal(path: str) -> List[Dict[str, Any]]:
         except ValueError:
             raise ServeError(
                 f"journal {path!r} is corrupt at line {i}") from None
-        if not isinstance(doc, dict) or "rec" not in doc:
-            raise ServeError(f"journal {path!r} line {i} is not a record")
         problem = _malformed(doc)
         if problem is not None:
             raise ServeError(f"journal {path!r} line {i}: {problem}")
@@ -299,9 +287,8 @@ def read_journal(path: str) -> List[Dict[str, Any]]:
 
 @functools.lru_cache(maxsize=None)
 def _fields(kind: str) -> Tuple[Dict[str, type], Optional[frozenset]]:
-    """The keyword parameters of ``kind``'s transition: the fields every
-    record carries (no default) with their types, and every field a
-    record may carry (None: any)."""
+    """From ``kind``'s transition's keyword parameters: the fields every
+    record carries, with their types, and all it may carry (None: any)."""
     from .service import GraphService
     transition = GraphService._TRANSITIONS[kind]
     params = inspect.signature(transition).parameters.values()
@@ -316,6 +303,8 @@ def _fields(kind: str) -> Tuple[Dict[str, type], Optional[frozenset]]:
 
 def _malformed(doc: Dict[str, Any]) -> Optional[str]:
     """Why ``doc`` is no record this reader can replay (None: it is)."""
+    if not isinstance(doc, dict) or "rec" not in doc:
+        return "not a record"
     kind = doc["rec"]
     if kind not in RECORD_KINDS:
         return f"unknown record kind {kind!r}"

@@ -515,36 +515,33 @@ class GraphService:
                 trace_dir: Optional[str] = None) -> "GraphService":
         """Rebuild a crashed service by replaying its journal.
 
-        Constructs the service from the journal's ``service_start``
-        record, then hands every record to the ``_apply`` the live
-        service wrote it through, with writing off
-        (:func:`~repro.serve.journal.replay_journal`).  When the records
-        run out, every job the journal left unfinished is re-queued
-        seeded with its newest durable checkpoint (from iteration 0 if
-        that sidecar is gone or unreadable).  Replay appends nothing, so
-        recovering a journal twice is a no-op.  ``graphs`` supplies
-        graph objects for keys loaded without a dataset name;
-        ``trace_dir`` overrides the journaled one.
+        Builds the service from the newest ``service_start`` record, and
+        :func:`~repro.serve.journal.replay_journal` hands every record to
+        the ``_apply`` the live service wrote it through, writing off.
+        Then every unfinished job is re-queued at its newest durable
+        checkpoint (at iteration 0 if that sidecar is gone or
+        unreadable).  Replay appends nothing: recovering twice is a
+        no-op.  ``graphs`` supplies graph objects for keys loaded
+        without a dataset name; ``trace_dir`` overrides the journaled one.
         """
         records = read_journal(journal_path)
-        starts = [i for i, doc in enumerate(records)
-                  if doc["rec"] == "service_start"]
-        if not starts:
+        line = max((i for i, doc in enumerate(records, 1)
+                    if doc["rec"] == "service_start"), default=None)
+        if line is None:
             raise ServeError(
                 f"journal {journal_path!r} has no service_start record")
-        meta = records[starts[-1]]
-        # the journaled settings are constructor parameters (its
-        # transition's fields); one a journal lacks takes the default
-        settings = {k: v for k, v in meta.items()
+        # the journaled settings are constructor parameters; one a
+        # journal lacks takes the default
+        settings = {k: v for k, v in records[line - 1].items()
                     if k not in ("rec", "now_ms", "version", "cluster")}
         if trace_dir is not None:
             settings["trace_dir"] = trace_dir
         try:
-            svc = cls(ClusterSpec(**(meta.get("cluster") or {})),
-                      **settings)
+            svc = cls(ClusterSpec(**(records[line - 1].get("cluster")
+                                     or {})), **settings)
         except (TypeError, ReproError) as exc:  # refused journaled values
-            raise ServeError(f"journal {journal_path!r} line "
-                             f"{starts[-1] + 1}: {exc}") from None
+            raise ServeError(
+                f"journal {journal_path!r} line {line}: {exc}") from None
         svc.journal = JobJournal(journal_path)  # append mode
         replay_journal(records, svc, graphs)
         # a key whose submitted record the crash cut off is an orphan:
@@ -602,18 +599,12 @@ class GraphService:
         return transition(self, carry, **fields)
 
     # -- transitions --------------------------------------------------------------------
-    #
-    # One per journal record kind, reached through _apply's table:
-    # ``carry`` is None on replay, and the keyword parameters are the
-    # record's fields (see repro.serve.journal).
+    # one per record kind, through _apply's table: ``carry`` is None on
+    # replay, and the keyword parameters are the record's fields
 
-    def _started(self, carry, *, version=1, cluster=None,
-                 memory_budget_mb=None, daemon_budget=None, max_running=None,
-                 cache_entries=None, trace_dir=None, max_queue_depth=None,
-                 max_pending_per_tenant=None, waiter_timeout_ms=None,
-                 journal_checkpoint_interval=None) -> None:
-        """``service_start``: the cluster and the constructor settings;
-        recover() builds the service from the newest one."""
+    def _started(self, carry, **settings) -> None:
+        """``service_start``: recover() builds the service from the
+        newest one, and the constructor refuses a setting it lacks."""
 
     def _noted(self, carry, *, tenant=None, reason=None,
                clean=True) -> None:
@@ -769,19 +760,16 @@ class GraphService:
             self.cache.put_entry(tuple(cache_key), result)
 
     def _failed(self, carry, *, job_id: int, error=None) -> None:
-        """``failed``."""
-        self._ended(self._job_of(job_id), FAILED, error=error)
+        self._ended(job_id, FAILED, error)
 
     def _quarantined(self, carry, *, job_id: int, reason=None,
                      error=None) -> None:
-        """``quarantined``: poison, never retried again."""
-        self._ended(self._job_of(job_id), QUARANTINED,
-                    error=reason if error is None else error,
-                    quarantine_reason=reason)
+        self._ended(job_id, QUARANTINED,
+                    reason if error is None else error, reason)
 
     def _cancelled(self, carry, *, job_id: int, error=None) -> None:
         """``cancelled`` (a drain's shed names itself in ``error``)."""
-        self._ended(self._job_of(job_id), CANCELLED, error=error)
+        self._ended(job_id, CANCELLED, error)
 
     def _job_of(self, job_id: int) -> Job:
         """The job a record names (none before its ``submitted``)."""
@@ -790,8 +778,7 @@ class GraphService:
                              f"submitted record")
         return self._jobs[job_id]
 
-    #: journal record kind -> its transition, the one table both the
-    #: live path and recover() apply records through
+    #: record kind -> transition: the live path's and recover()'s one table
     _TRANSITIONS = {
         "service_start": _started, "graph_loaded": _graph_loaded,
         "mutation": _mutated, "submitted": _submitted,
@@ -803,15 +790,15 @@ class GraphService:
     }
 
     def _charge(self, job: Job, ms: float, slices: int) -> None:
-        """The one method that charges a job's account and its tenant's
-        ledger row."""
+        """The one place that charges a job's account and its tenant's row."""
         job.consumed_ms += ms
         job.slices += slices
         self.ledger.charge(job.spec.tenant, ms, slices=slices)
 
-    def _ended(self, job: Job, state: str, *, error: Optional[str] = None,
+    def _ended(self, job_id: int, state: str, error: Optional[str],
                quarantine_reason: Optional[str] = None) -> None:
         """A terminal state other than done."""
+        job = self._job_of(job_id)
         job.state = state
         if error is not None:
             job.error = error
