@@ -315,9 +315,10 @@ def _malformed(doc: Dict[str, Any]) -> Optional[str]:
             what = ("an integer job_id" if field == "job_id"
                     else f"a {kind_of.__name__} {field!r}")
             return f"{kind!r} record needs {what}, got {value!r}"
-    if known is not None:
-        for field in sorted(set(doc) - known - {"rec", "now_ms"}):
-            return f"{kind!r} record has no field {field!r}"
+    unknown = [] if known is None else sorted(
+        set(doc) - known - {"rec", "now_ms"})
+    if unknown:
+        return f"{kind!r} record has no field {unknown[0]!r}"
     version = doc.get("version", 1)
     if kind == "service_start" and not (
             type(version) is int and 1 <= version <= JOURNAL_VERSION):

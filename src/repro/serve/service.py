@@ -274,10 +274,11 @@ class GraphService:
                     "version": prior.to_version,
                     "changes": prior.batch.num_changes,
                     "deduped": True}
-        # the applied batch lands durably before the success response
-        # reaches the caller; a crash in the gap loses an apply the
-        # client was never told about, so its idempotent resubmit
-        # re-applies cleanly after recover().  The file is named once
+        # applied (validated) before it is journaled: an unappliable
+        # batch in the journal would wedge every recover().  It lands
+        # durably before the success response; a crash in the gap loses
+        # an apply the client was never told about, so its idempotent
+        # resubmit re-applies after recover().  ``file`` is named once
         # the batch applied.
         made = self._apply({"rec": "mutation", "key": key, "batch_id": bid,
                             "file": None}, batch)
@@ -520,9 +521,10 @@ class GraphService:
         the ``_apply`` the live service wrote it through, writing off.
         Then every unfinished job is re-queued at its newest durable
         checkpoint (at iteration 0 if that sidecar is gone or
-        unreadable).  Replay appends nothing: recovering twice is a
-        no-op.  ``graphs`` supplies graph objects for keys loaded
-        without a dataset name; ``trace_dir`` overrides the journaled one.
+        unreadable).  Replay appends nothing (it cuts a torn final
+        line), so recovering twice is a no-op.  ``graphs`` supplies
+        graph objects for keys loaded without a dataset name;
+        ``trace_dir`` overrides the journaled one.
         """
         records = read_journal(journal_path)
         line = max((i for i, doc in enumerate(records, 1)

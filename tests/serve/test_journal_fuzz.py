@@ -11,8 +11,9 @@ too.  Every damaged journal ends one of three ways:
 * a :class:`ServeError` naming the damaged line (an inserted newline
   may leave the error on the line it split off): ``read_journal``
   refuses what does not parse, a blank line, a missing or mistyped
-  field and a field no transition takes, and replay names the line
-  whose record it cannot apply;
+  field and a field no transition takes; ``recover()`` names the
+  ``service_start`` line whose settings the constructor refuses, and
+  replay the line whose record it cannot apply;
 * the torn-tail drop, only when the final line lost its newline: the
   records before it, nothing else;
 * a journal that parses and recovers with every record still there.
@@ -23,9 +24,9 @@ or a torn tail in the middle of the file.
 The silent class is damage that still parses into another valid
 history; nothing short of a per-record checksum can see it.  Of the
 1 745 cases over the script's 29 lines, 1 453 end in an error naming
-the line (1 438 from ``read_journal``, 15 from replay), 1 in the torn
-drop, 132 in records identical to the original (a space between JSON
-tokens), and 159 silently:
+the line (1 426 from ``read_journal``, 27 from ``recover()``), 1 in
+the torn drop, 132 in records identical to the original (a space
+between JSON tokens), and 159 silently:
 
 * a digit that became another digit or gained a ``0`` (``now_ms``,
   ``iteration``, a version, a setting): 26;
