@@ -12,7 +12,7 @@ import pytest
 
 from repro.errors import ServeError
 from repro.fault.checkpoint import Checkpoint
-from repro.graph import Graph
+from repro.graph import Graph, rmat
 from repro.graph.mutations import MutationBatch
 from repro.serve import GraphService, JobSpec
 from repro.serve.journal import JOURNAL_VERSION, JobJournal, read_journal
@@ -591,7 +591,6 @@ def test_an_unreadable_checkpoint_restarts_only_its_job(jpath, how):
     0 (re-queued, not resumed); recovery still comes up, the other
     job resumes from its own checkpoint, and both end bit-identical to
     a run that never crashed."""
-    from repro.graph import rmat
     graph = rmat(64, 256, seed=1)
     specs = [JobSpec(graph="g", algorithm="pagerank", max_iterations=10,
                      use_cache=False),

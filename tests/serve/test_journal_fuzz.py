@@ -2,11 +2,12 @@
 flipped, cut short and grown, then read and recovered.
 
 The script (a keyed submit, a cache hit, a mutation, checkpoints, a
-cancel and a drain that sheds) writes every record kind but the four
-that end a failing job or refuse a submit.  Each line then takes, at ten seeded positions (its first and
-last byte among them), a one-bit flip, a cut that keeps its newline,
-and an inserted ``\\n``, ``0``, space or ``x``; its newline is flipped
-too.  Every damaged journal ends one of three ways:
+cancel and a drain that sheds) writes every record kind but
+``retry``, ``failed``, ``quarantined`` and ``shed``.  Each line takes, at
+ten seeded positions (its first and last byte among them), a one-bit
+flip, a cut that keeps its newline, and an inserted ``\\n``, ``0``,
+space or ``x``; its newline is flipped too.  Every damaged journal
+ends one of three ways:
 
 * a :class:`ServeError` naming the damaged line (an inserted newline
   may leave the error on the line it split off): ``read_journal``
