@@ -58,8 +58,6 @@ TESTS_ONLY = {
         "test oracle: exhaustive search the Lemma-1 block size must match",
     "repro.core.pipeline.PipelineCoefficients.sequential_time":
         "test oracle: the unpipelined 5-step time the pipeline must beat",
-    "repro.core.pipeline.pipeline_makespan_from_stage_times":
-        "test oracle: closed-form makespan the simulated pipeline equals",
     "repro.core.sync_cache.LRUVertexCache.invalidate":
         "test oracle: per-vertex twin of invalidate_many (property model)",
     "repro.engines.jni.JNIConfig.ms_per_entity":

@@ -1,192 +1,154 @@
 """Scheduler-bound wall-clock benchmark: simulated events/sec.
 
 The hot-path bench (:mod:`repro.bench.hotpath`) measures the vectorized
-numeric pipeline; this one measures the *event loop* itself.  It builds
-a synthetic 1000-node twin round protocol that is pure scheduler
-traffic — token fan-out, per-fragment block delivery to a root
-collector, barrier waves — with no numeric work, so wall time is
-entirely command dispatch and event-heap traffic.
+numeric pipeline; this one measures the *event loop* on the traffic the
+middleware sends.  Each agent pass builds a fresh
+:class:`~repro.ipc.Scheduler` and runs, per agent-daemon pair, the
+pipeline-shuffle handshake of Algorithms 1-2 for every block:
+``ExchangeFinished`` -> the daemon rotates and answers
+``RotateFinished`` -> the agent spawns an upload and a download thread
+while the daemon computes -> ``ComputeFinished`` -> the agent joins
+both threads and sends the next ``ExchangeFinished``.  There is no
+numeric work, so wall time is command dispatch and event-heap traffic.
 
-The same protocol runs twice:
-
-* **per-event baseline** — :class:`~repro.ipc.Scheduler` with one
-  ``Send``/``Recv`` command per fragment and token;
-* **batched** — :class:`~repro.ipc.BatchedScheduler` with ``SendMany``
-  token/fragment enqueues and a ``DrainReady`` collector, the shape the
-  middleware's transport uses.
-
-Both modes simulate the *identical* logical event stream (equal final
-simulated times, equal per-phase event counts), so events/sec is
-computed against one shared logical-event denominator and the speedup
-is a pure event-loop win.  Results merge into ``BENCH_hotpath.json``
-(``scheduler`` / ``sched-smoke`` entries) and gate in CI.
+Every pass's simulated time must equal the lockstep pipeline makespan
+(:func:`~repro.core.pipeline.pipeline_makespan_from_stage_times`) of
+its slowest pair, so a scheduler change that moves an event fails the
+bench.  Results merge into ``BENCH_hotpath.json`` (``scheduler`` /
+``sched-smoke`` entries) and gate in CI.
 """
 
 from __future__ import annotations
 
 import platform
 import time
-from typing import Dict, Optional
+from typing import Dict, List, Tuple
 
+from ..core.pipeline import pipeline_makespan_from_stage_times
 from ..errors import BenchmarkError
-from ..ipc import (Barrier, BatchedScheduler, Channel, DrainReady, Recv,
-                   Scheduler, Send, SendMany, Sleep, WaitBarrier)
+from ..ipc import Channel, Join, Recv, Scheduler, Send, Sleep, Spawn
 
-#: Default twin shape: 1000 nodes x 48 edge-block fragments per round.
-#: Each fragment stands for an edge block of ~125 simulated edges, so
-#: the twin models a 6M-edge graph (the ROADMAP's 100x-scale target)
-#: while the bench itself stays pure control flow.
-DEFAULT_NODES = 1_000
-DEFAULT_FRAGMENTS = 48
-DEFAULT_ROUNDS = 5
-EDGES_PER_FRAGMENT = 125
+_EXCHANGED, _ROTATED, _COMPUTED, _ALL_DONE = range(4)
 
 
-def _twin(sched_cls, nodes: int, fragments: int, rounds: int,
-          batched: bool):
-    """Run one twin protocol; returns the scheduler (for its counters)."""
-    sched = sched_cls()
-    frag_ch = Channel("frags", latency=0.05)
-    token_ch = Channel("tokens", latency=0.05)
-    bar = Barrier(nodes + 1, name="superstep")
+def _stage_times(pair: int, blocks: int) -> Tuple[List[float], ...]:
+    """Per-block download / compute / upload ms of one pair: each stage
+    leads some cycles, and pairs drift apart."""
+    skew = 1.0 + (pair % 7) * 0.01
+    return ([1.0 + (b % 3) * 0.5 for b in range(blocks)],
+            [1.5 * skew for _ in range(blocks)],
+            [0.75 + (b % 2) * 0.5 for b in range(blocks)])
 
-    def node_proc(i):
-        jitter = 1.0 + (i % 7) * 0.01
-        # pre-build the block metadata so the timed loop is pure
-        # scheduler traffic in both modes
-        blocks_by_round = [[(i, r, f) for f in range(fragments)]
-                           for r in range(rounds)]
-        for r in range(rounds):
-            yield Recv(token_ch)            # root's go-token
-            yield Sleep(jitter, "compute")  # the compute window
-            blocks = blocks_by_round[r]
-            if batched:
-                yield SendMany(frag_ch, blocks)
-            else:
-                for block in blocks:
-                    yield Send(frag_ch, block)
-            yield WaitBarrier(bar)
 
-    def root_proc():
-        for r in range(rounds):
-            if batched:
-                yield SendMany(token_ch, [r] * nodes)
-                need = nodes * fragments
-                while need > 0:
-                    got = yield DrainReady(frag_ch)
-                    need -= len(got)
-            else:
-                for _ in range(nodes):
-                    yield Send(token_ch, r)
-                for _ in range(nodes * fragments):
-                    yield Recv(frag_ch)
-            yield WaitBarrier(bar)
+def _stage(ms: float, category: str):
+    if ms:
+        yield Sleep(ms, category)
 
-    for i in range(nodes):
-        sched.spawn(node_proc(i), name=f"node{i}")
-    sched.spawn(root_proc(), name="root")
-    sched.run()
+
+def _daemon(to_daemon: Channel, to_agent: Channel, compute: List[float]):
+    """Algorithm 1: rotate on every exchange, then compute the c-area
+    block, until no block is left."""
+    for ms in compute + [None]:
+        yield Recv(to_daemon)
+        yield Send(to_agent, _ROTATED)
+        if ms is None:
+            yield Send(to_agent, _ALL_DONE)
+            return
+        yield Sleep(ms, "compute")
+        yield Send(to_agent, _COMPUTED)
+
+
+def _agent(pair: int, times: Tuple[List[float], ...]):
+    """Algorithm 2: download the first block, then per rotation upload
+    the previous result and download the next block while it computes."""
+    download, compute, upload = times
+    to_daemon = Channel(f"to_daemon{pair}")
+    to_agent = Channel(f"to_agent{pair}")
+    yield Spawn(_daemon(to_daemon, to_agent, compute),
+                name=f"daemon{pair}", daemon=True)
+    yield Sleep(download[0], "download")
+    yield Send(to_daemon, _EXCHANGED)
+    rotation = 0
+    while True:
+        msg = yield Recv(to_agent)
+        if msg == _ROTATED:
+            up = yield Spawn(_stage(
+                upload[rotation - 1] if rotation else 0.0, "upload"))
+            down = yield Spawn(_stage(
+                download[rotation + 1] if rotation + 1 < len(download)
+                else 0.0, "download"))
+            rotation += 1
+            continue
+        yield Join(up)
+        yield Join(down)
+        if msg == _ALL_DONE:
+            return
+        yield Send(to_daemon, _EXCHANGED)
+
+
+def _pass(pairs: int, blocks: int) -> Scheduler:
+    """One agent pass on a fresh scheduler; returns it for its counters."""
+    sched = Scheduler()
+    expected = 0.0
+    for pair in range(pairs):
+        times = _stage_times(pair, blocks)
+        expected = max(expected, pipeline_makespan_from_stage_times(*times))
+        sched.spawn(_agent(pair, times), name=f"agent->d{pair}")
+    if sched.run() != expected:
+        raise BenchmarkError(
+            f"pass ended at {sched.clock.now} simulated ms, not at the "
+            f"pipeline makespan {expected}")
     return sched
 
 
-def run_scheduler_bench(nodes: int = DEFAULT_NODES,
-                        fragments: int = DEFAULT_FRAGMENTS,
-                        rounds: int = DEFAULT_ROUNDS,
+def run_scheduler_bench(pairs: int, blocks: int, passes: int,
                         repeats: int = 1) -> Dict:
     """Run the scheduler bench; returns a ``BENCH_hotpath.json`` payload.
 
-    ``repeats`` re-runs each mode and keeps the fastest wall time.
+    ``repeats`` re-runs the passes and keeps the fastest wall time.
     """
-    if nodes < 1 or fragments < 1 or rounds < 1:
+    if pairs < 1 or blocks < 1 or passes < 1:
         raise BenchmarkError(
-            f"scheduler bench needs positive sizes, got nodes={nodes} "
-            f"fragments={fragments} rounds={rounds}")
+            f"scheduler bench needs positive sizes, got pairs={pairs} "
+            f"blocks={blocks} passes={passes}")
     if repeats < 1:
         raise BenchmarkError(f"repeats must be >= 1, got {repeats}")
-
-    modes = {}
-    for label, sched_cls, batched in (
-            ("per_event", Scheduler, False),
-            ("batched", BatchedScheduler, True)):
-        best: Optional[Dict] = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            sched = _twin(sched_cls, nodes, fragments, rounds, batched)
-            wall_s = time.perf_counter() - t0
-            row = {
-                "wall_s": wall_s,
-                "events_popped": sched.events_popped,
-                "batches": sched.batches,
-                "max_batch": sched.max_batch,
-                "heap_peak": sched.heap_peak,
-                "simulated_ms": sched.clock.now,
-            }
-            if best is None or row["wall_s"] < best["wall_s"]:
-                best = row
-        modes[label] = best
-
-    if modes["per_event"]["simulated_ms"] != modes["batched"]["simulated_ms"]:
-        raise BenchmarkError(
-            "batched scheduler diverged from the per-event oracle: "
-            f"{modes['batched']['simulated_ms']} != "
-            f"{modes['per_event']['simulated_ms']} simulated ms")
-
-    # one shared logical-event denominator: the oracle's popped events
-    logical = modes["per_event"]["events_popped"]
-    for row in modes.values():
-        row["events_per_sec"] = (logical / row["wall_s"]
-                                 if row["wall_s"] > 0 else float("inf"))
-    speedup = (modes["per_event"]["wall_s"] / modes["batched"]["wall_s"]
-               if modes["batched"]["wall_s"] > 0 else float("inf"))
-
-    # logical events per protocol phase (identical in both modes)
-    phase_events = {
-        "spawn": nodes + 1,
-        "token_delivery": nodes * rounds,
-        "compute_wake": nodes * rounds,
-        "fragment_delivery": nodes * fragments * rounds,
-        "barrier_wake": nodes * rounds,
-    }
+    best = None
+    for _ in range(repeats):
+        events = heap_peak = 0
+        t0 = time.perf_counter()
+        for _ in range(passes):
+            sched = _pass(pairs, blocks)
+            events += sched.events_popped
+            heap_peak = max(heap_peak, sched.heap_peak)
+        wall_s = time.perf_counter() - t0
+        if best is None or wall_s < best["wall_s"]:
+            best = {"wall_s": wall_s, "events_popped": events,
+                    "heap_peak": heap_peak,
+                    "pass_simulated_ms": sched.clock.now}
+    best["events_per_sec"] = (best["events_popped"] / best["wall_s"]
+                              if best["wall_s"] > 0 else float("inf"))
     return {
         "bench": "scheduler",
-        "params": {
-            "nodes": nodes,
-            "fragments": fragments,
-            "rounds": rounds,
-            "twin_edges": nodes * fragments * EDGES_PER_FRAGMENT,
-            "repeats": repeats,
-        },
-        "env": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-        },
-        "results": modes,
-        "phase_events": phase_events,
-        "aggregate": {
-            "logical_events": logical,
-            "wall_s": modes["batched"]["wall_s"],
-            "events_per_sec": modes["batched"]["events_per_sec"],
-            "speedup_vs_per_event": round(speedup, 2),
-        },
+        "params": {"pairs": pairs, "blocks": blocks, "passes": passes,
+                   "repeats": repeats},
+        "env": {"python": platform.python_version(),
+                "machine": platform.machine()},
+        "results": {"handshake": best},
+        "aggregate": {"logical_events": best["events_popped"],
+                      "wall_s": best["wall_s"],
+                      "events_per_sec": best["events_per_sec"]},
     }
 
 
 def format_scheduler_report(payload: Dict) -> list:
     """Human-readable lines for one scheduler bench payload."""
     p = payload["params"]
-    lines = [
-        f"scheduler bench: {p['nodes']} nodes x {p['fragments']} "
-        f"fragments x {p['rounds']} rounds "
-        f"(~{p['twin_edges']:,} twin edges)"]
-    for label, row in payload["results"].items():
-        lines.append(
-            f"  {label:10s} {row['events_per_sec']:>12,.0f} events/s  "
-            f"wall={row['wall_s']:.3f}s  batches={row['batches']:,}  "
-            f"max_cohort={row['max_batch']}  heap_peak={row['heap_peak']}")
-    agg = payload["aggregate"]
-    lines.append(
-        f"  {'aggregate':10s} {agg['events_per_sec']:>12,.0f} events/s  "
-        f"({agg['speedup_vs_per_event']}x vs per-event)")
-    for phase, count in payload["phase_events"].items():
-        lines.append(f"    phase {phase:18s} {count:>10,} events")
-    return lines
+    row = payload["results"]["handshake"]
+    return [
+        f"scheduler bench: {p['passes']} passes x {p['pairs']} "
+        f"agent-daemon pairs x {p['blocks']} blocks",
+        f"  {row['events_per_sec']:>12,.0f} events/s  "
+        f"wall={row['wall_s']:.3f}s  events={row['events_popped']:,}  "
+        f"heap_peak={row['heap_peak']}  "
+        f"pass={row['pass_simulated_ms']:.2f} simulated ms"]

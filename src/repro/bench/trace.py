@@ -86,7 +86,6 @@ def run_summary(result: RunResult) -> Dict:
         "cache_writebacks": result.cache_writebacks,
         "sched_events": result.sched_events,
         "sched_batches": result.sched_batches,
-        "sched_max_batch": result.sched_max_batch,
         "sched_heap_peak": result.sched_heap_peak,
         "breakdown": {k: round(v, 6)
                       for k, v in sorted(result.breakdown.items())},

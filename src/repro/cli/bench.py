@@ -18,7 +18,7 @@ def add_parser(sub) -> None:
     bench.add_argument("--profile", choices=sorted(PROFILES),
                        default="default",
                        help="named bench shape: R-MAT hot path "
-                            "(default/smoke), event-loop twin "
+                            "(default/smoke), agent-daemon handshake "
                             "(scheduler/sched-smoke) or greedy vertex "
                             "cut (partition/partition-smoke)")
     bench.add_argument("--vertices", type=int, default=None,
@@ -64,8 +64,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     try:
         if kind == "scheduler":
             payload = run_scheduler_bench(
-                nodes=profile["nodes"], fragments=profile["fragments"],
-                rounds=profile["rounds"], repeats=args.repeats)
+                pairs=profile["pairs"], blocks=profile["blocks"],
+                passes=profile["passes"], repeats=args.repeats)
             report = format_scheduler_report(payload)
         elif kind == "partition":
             payload = run_partition_bench(

@@ -199,10 +199,8 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"{result.cache_evictions} evictions "
               f"({result.cache_writebacks} dirty write-backs)")
     if result.sched_events:
-        print(f"event loop : {result.sched_events} events in "
-              f"{result.sched_batches} batches "
-              f"(max cohort {result.sched_max_batch}, "
-              f"heap peak {result.sched_heap_peak})")
+        print(f"event loop : {result.sched_events} events "
+              f"(heap peak {result.sched_heap_peak})")
     if middleware is not None and middleware.injector is not None:
         print(middleware.fault_report(result).summary())
     if args.trace_json:

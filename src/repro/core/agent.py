@@ -36,8 +36,7 @@ from ..errors import (
 from ..fault.monitor import HEARTBEAT_INTERVAL_MS, HeartbeatMonitor
 from ..fault.retry import RetryPolicy
 from ..fault.straggler import StragglerDetector
-from ..ipc import (BatchedScheduler, Channel, Join, Now, Recv, Send, Sleep,
-                   Spawn)
+from ..ipc import Channel, Join, Now, Recv, Scheduler, Send, Sleep, Spawn
 from ..ipc.shm import ShmRegistry
 from .blocks import TripletBlock, build_blocks
 from .config import MiddlewareConfig
@@ -181,8 +180,6 @@ class Agent:
         self.heartbeat_verdicts = 0
         # event-loop telemetry accumulated across every pass's scheduler
         self.sched_events = 0
-        self.sched_batches = 0
-        self.sched_max_batch = 0
         self.sched_heap_peak = 0
 
     def _bind_detector(self) -> None:
@@ -447,7 +444,7 @@ class Agent:
         shares = self._daemon_shares()
         bounds = np.floor(np.cumsum(shares) * d).astype(np.int64)
         bounds[-1] = d
-        sched = BatchedScheduler()
+        sched = Scheduler()
         monitor: Optional[HeartbeatMonitor] = None
         if self.config.pipeline and self.config.monitor_heartbeats:
             monitor = HeartbeatMonitor(detector=self.straggler)
@@ -516,9 +513,6 @@ class Agent:
         finally:
             self._settle_speculation(sched.clock.now)
             self.sched_events += sched.events_popped
-            self.sched_batches += sched.batches
-            if sched.max_batch > self.sched_max_batch:
-                self.sched_max_batch = sched.max_batch
             if sched.heap_peak > self.sched_heap_peak:
                 self.sched_heap_peak = sched.heap_peak
 

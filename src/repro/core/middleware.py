@@ -118,14 +118,14 @@ class GXPlug:
         return sum(a.total_middleware_ms for a in self.agents.values())
 
     def scheduler_counters(self) -> Dict[str, int]:
-        """Event-loop telemetry summed across every agent's passes:
-        events popped, cohort batches, largest cohort, heap peak."""
+        """Event-loop telemetry across every agent's passes: events
+        popped (summed; the core steps one event per loop iteration, so
+        they are its batches too) and the heap peak (max)."""
         agents = self.agents.values()
+        events = sum(a.sched_events for a in agents)
         return {
-            "sched_events": sum(a.sched_events for a in agents),
-            "sched_batches": sum(a.sched_batches for a in agents),
-            "sched_max_batch": max(
-                (a.sched_max_batch for a in agents), default=0),
+            "sched_events": events,
+            "sched_batches": events,
             "sched_heap_peak": max(
                 (a.sched_heap_peak for a in agents), default=0),
         }

@@ -211,13 +211,11 @@ class RunResult:
     wall_total_s: float = 0.0
     wall_s: Dict[str, float] = field(default_factory=dict)
     # event-loop telemetry across every agent pass scheduler
-    #: resume events popped (identical under both scheduler cores)
+    #: resume events popped
     sched_events: int = 0
-    #: cohort batches the event loop executed (== events under the
-    #: per-event oracle; smaller on the batched core)
+    #: event-loop iterations; the core steps one event per iteration,
+    #: so this equals ``sched_events``
     sched_batches: int = 0
-    #: largest same-timestamp cohort executed in one loop iteration
-    sched_max_batch: int = 0
     #: peak number of pending events in any pass's event heap
     sched_heap_peak: int = 0
 
@@ -603,7 +601,7 @@ class IterativeEngine:
                              "link_verdicts"):
                     setattr(res, name, getattr(det, name))
             for name, total in mw.scheduler_counters().items():
-                setattr(res, name, total)  # the four ``sched_*`` fields
+                setattr(res, name, total)  # the three ``sched_*`` fields
         res.wall_total_s = perf_counter() - run.wall_start
         res.wall_s = dict(self.wall_s)
         return res

@@ -5,35 +5,25 @@ Provides the deterministic discrete-event machinery the middleware runs on:
 * :class:`~repro.ipc.simclock.SimClock` — simulated milliseconds;
 * :class:`~repro.ipc.scheduler.Scheduler` — cooperative processes
   (generators yielding :class:`Sleep` / :class:`Send` / :class:`Recv` /
-  :class:`Spawn` / :class:`Join` / :class:`WaitBarrier` commands), the
-  per-event bit-identity oracle;
-* :class:`~repro.ipc.scheduler.BatchedScheduler` — same semantics on a
-  vectorized :class:`~repro.ipc.eventheap.EventHeap`, popping whole
-  same-timestamp cohorts per loop iteration (the fast path);
-* :class:`~repro.ipc.scheduler.Channel` — message channels with latency
-  and per-unit transfer cost, bulk :class:`SendMany` / :class:`DrainReady`
-  delivery;
+  :class:`Spawn` / :class:`Join` / :class:`Now` commands), stepped one
+  event at a time;
+* :class:`~repro.ipc.scheduler.Channel` — message channels with a fixed
+  delivery latency and armable drop/delay faults;
 * :class:`~repro.ipc.shm.ShmRegistry` — simulated System V shared memory.
 """
 
 from .simclock import SimClock
-from .eventheap import EventHeap
 from .scheduler import (
-    Barrier,
-    BatchedScheduler,
     Channel,
     Command,
-    DrainReady,
     Join,
     Now,
     ProcessHandle,
     Recv,
     Scheduler,
     Send,
-    SendMany,
     Sleep,
     Spawn,
-    WaitBarrier,
     run_process,
 )
 from .shm import IPC_PRIVATE, SharedMemorySegment, ShmRegistry
@@ -41,20 +31,14 @@ from .shm import IPC_PRIVATE, SharedMemorySegment, ShmRegistry
 __all__ = [
     "SimClock",
     "Scheduler",
-    "BatchedScheduler",
-    "EventHeap",
     "ProcessHandle",
     "Channel",
-    "Barrier",
     "Command",
     "Sleep",
     "Send",
-    "SendMany",
     "Recv",
-    "DrainReady",
     "Spawn",
     "Join",
-    "WaitBarrier",
     "Now",
     "run_process",
     "IPC_PRIVATE",

@@ -152,7 +152,8 @@ class JobSpec:
             except (KeyError, TypeError) as exc:
                 raise ServeError(f"bad fault shorthand: {exc}") from None
             runtime = runtime.with_(fault_plan=plan)
-        return cls(**_known_fields(cls, doc), runtime=runtime)
+        return cls(**{k: v for k, v in doc.items() if k in keys},
+                   runtime=runtime)
 
     # -- journal round-trip ------------------------------------------------
 
@@ -208,12 +209,36 @@ def runtime_from_doc(doc: Mapping[str, Any]) -> MiddlewareConfig:
             f"bad journaled runtime config: {exc}") from None
 
 
+#: Fields a journaled spec once carried and the class has since
+#: retired, per class (git history: ``batch_events`` and ``validate``
+#: went with the blocks-carry-cost change, ``balance`` with the one
+#: declaration per figure, ``speculative_checkpoint`` with the one run
+#: loop, the rest with the one home per tunable).  ``JobSpec`` has
+#: retired none.
+_RETIRED_FIELDS = {
+    MiddlewareConfig: frozenset({
+        "balance", "batch_events", "checkpoint_fixed_ms",
+        "checkpoint_ms_per_cell", "heartbeat_interval_ms",
+        "heartbeat_timeout_ms", "max_retry_attempts",
+        "net_ack_timeout_ms", "net_retransmit_base_ms",
+        "retry_backoff_factor", "retry_base_delay_ms",
+        "speculative_checkpoint", "validate"}),
+    StragglerConfig: frozenset({
+        "ewma_alpha", "patience", "rebalance_cooldown",
+        "share_divergence", "speculation_headroom"}),
+}
+
+
 def _known_fields(cls, doc: Mapping[str, Any]) -> Dict[str, Any]:
     """``doc``'s entries that name a field of the dataclass ``cls``.  A
-    journal outlives the code that wrote it: a field the config has
-    since retired is dropped on replay, and its value is whatever the
-    class that now owns it uses."""
+    journal outlives the code that wrote it: a field the class has
+    since retired (:data:`_RETIRED_FIELDS`) is dropped on replay, and
+    its value is whatever the class that now owns it uses.  Any other
+    name is damage, refused as a :class:`ServeError`."""
     known = {f.name for f in dataclasses.fields(cls)}
+    unknown = set(doc) - known - _RETIRED_FIELDS.get(cls, frozenset())
+    if unknown:
+        raise ServeError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
     return {k: v for k, v in doc.items() if k in known}
 
 

