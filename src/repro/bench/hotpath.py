@@ -42,20 +42,21 @@ DEFAULT_EDGES = 120_000
 #: trajectory BENCH_hotpath.json tracks; ``smoke`` is the tiny graph the
 #: CI ``bench-smoke`` job gates on.  The ``scheduler`` profiles run the
 #: event-loop bench (:mod:`repro.bench.schedbench`) instead of the
-#: numeric hot path: ``scheduler`` is the acceptance shape (agent
-#: passes of four agent-daemon pairs), ``sched-smoke`` the trimmed
-#: shape the ``sched-bench-smoke`` CI job gates on.  The ``partition``
-#: profiles time set-up's greedy vertex cut
+#: numeric hot path, sized from measured runs (docs/performance.md):
+#: ``scheduler`` is one ``serve-read`` catalogue (1 456 agent passes,
+#: 2.63 blocks each on average, rounded to 3), ``sched-smoke`` -- the
+#: shape the ``sched-bench-smoke`` CI job gates on -- three
+#: ``batch-compute`` rounds (294 passes each, 5.39 blocks, rounded to
+#: 5; one round times too briefly to gate on).
+#: The ``partition`` profiles time set-up's greedy vertex cut
 #: (:mod:`repro.bench.partbench`): ``partition`` on the batch
 #: workloads' 30k/240k graph over 4 nodes, ``partition-smoke`` on the
 #: hot-path graph over 2 nodes for the ``partition-bench-smoke`` CI job.
 PROFILES = {
     "default": {"vertices": DEFAULT_VERTICES, "edges": DEFAULT_EDGES},
     "smoke": {"vertices": 2_000, "edges": 10_000},
-    "scheduler": {"kind": "scheduler", "pairs": 4, "blocks": 48,
-                  "passes": 150},
-    "sched-smoke": {"kind": "scheduler", "pairs": 2, "blocks": 16,
-                    "passes": 120},
+    "scheduler": {"kind": "scheduler", "blocks": 3, "passes": 1_456},
+    "sched-smoke": {"kind": "scheduler", "blocks": 5, "passes": 882},
     "partition": {"kind": "partition", "vertices": 30_000,
                   "edges": 240_000, "nodes": 4},
     "partition-smoke": {"kind": "partition", "vertices": DEFAULT_VERTICES,

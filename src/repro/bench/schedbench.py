@@ -3,8 +3,10 @@
 The hot-path bench (:mod:`repro.bench.hotpath`) measures the vectorized
 numeric pipeline; this one measures the *event loop* on the traffic the
 middleware sends.  Each agent pass builds a fresh
-:class:`~repro.ipc.Scheduler` and runs, per agent-daemon pair, the
-pipeline-shuffle handshake of Algorithms 1-2 for every block:
+:class:`~repro.ipc.Scheduler` and runs one agent-daemon pair -- every
+cluster the figure runners and perfbench build has one device per
+node -- through the pipeline-shuffle handshake of Algorithms 1-2 for
+every block:
 ``ExchangeFinished`` -> the daemon rotates and answers
 ``RotateFinished`` -> the agent spawns an upload and a download thread
 while the daemon computes -> ``ComputeFinished`` -> the agent joins
@@ -13,7 +15,7 @@ numeric work, so wall time is command dispatch and event-heap traffic.
 
 Every pass's simulated time must equal the lockstep pipeline makespan
 (:func:`~repro.core.pipeline.pipeline_makespan_from_stage_times`) of
-its slowest pair, so a scheduler change that moves an event fails the
+its stage times, so a scheduler change that moves an event fails the
 bench.  Results merge into ``BENCH_hotpath.json`` (``scheduler`` /
 ``sched-smoke`` entries) and gate in CI.
 """
@@ -31,12 +33,11 @@ from ..ipc import Channel, Join, Recv, Scheduler, Send, Sleep, Spawn
 _EXCHANGED, _ROTATED, _COMPUTED, _ALL_DONE = range(4)
 
 
-def _stage_times(pair: int, blocks: int) -> Tuple[List[float], ...]:
-    """Per-block download / compute / upload ms of one pair: each stage
-    leads some cycles, and pairs drift apart."""
-    skew = 1.0 + (pair % 7) * 0.01
+def _stage_times(blocks: int) -> Tuple[List[float], ...]:
+    """Per-block download / compute / upload ms: each stage leads some
+    cycles."""
     return ([1.0 + (b % 3) * 0.5 for b in range(blocks)],
-            [1.5 * skew for _ in range(blocks)],
+            [1.5] * blocks,
             [0.75 + (b % 2) * 0.5 for b in range(blocks)])
 
 
@@ -58,14 +59,14 @@ def _daemon(to_daemon: Channel, to_agent: Channel, compute: List[float]):
         yield Send(to_agent, _COMPUTED)
 
 
-def _agent(pair: int, times: Tuple[List[float], ...]):
+def _agent(times: Tuple[List[float], ...]):
     """Algorithm 2: download the first block, then per rotation upload
     the previous result and download the next block while it computes."""
     download, compute, upload = times
-    to_daemon = Channel(f"to_daemon{pair}")
-    to_agent = Channel(f"to_agent{pair}")
+    to_daemon = Channel("to_daemon")
+    to_agent = Channel("to_agent")
     yield Spawn(_daemon(to_daemon, to_agent, compute),
-                name=f"daemon{pair}", daemon=True)
+                name="daemon", daemon=True)
     yield Sleep(download[0], "download")
     yield Send(to_daemon, _EXCHANGED)
     rotation = 0
@@ -86,14 +87,11 @@ def _agent(pair: int, times: Tuple[List[float], ...]):
         yield Send(to_daemon, _EXCHANGED)
 
 
-def _pass(pairs: int, blocks: int) -> Scheduler:
+def _pass(times: Tuple[List[float], ...]) -> Scheduler:
     """One agent pass on a fresh scheduler; returns it for its counters."""
     sched = Scheduler()
-    expected = 0.0
-    for pair in range(pairs):
-        times = _stage_times(pair, blocks)
-        expected = max(expected, pipeline_makespan_from_stage_times(*times))
-        sched.spawn(_agent(pair, times), name=f"agent->d{pair}")
+    sched.spawn(_agent(times), name="agent->d0")
+    expected = pipeline_makespan_from_stage_times(*times)
     if sched.run() != expected:
         raise BenchmarkError(
             f"pass ended at {sched.clock.now} simulated ms, not at the "
@@ -101,24 +99,25 @@ def _pass(pairs: int, blocks: int) -> Scheduler:
     return sched
 
 
-def run_scheduler_bench(pairs: int, blocks: int, passes: int,
-                        repeats: int = 1) -> Dict:
+def run_scheduler_bench(blocks: int, passes: int, repeats: int = 1) -> Dict:
     """Run the scheduler bench; returns a ``BENCH_hotpath.json`` payload.
 
-    ``repeats`` re-runs the passes and keeps the fastest wall time.
+    ``passes`` agent passes of ``blocks`` blocks each; ``repeats``
+    re-runs the passes and keeps the fastest wall time.
     """
-    if pairs < 1 or blocks < 1 or passes < 1:
+    if blocks < 1 or passes < 1:
         raise BenchmarkError(
-            f"scheduler bench needs positive sizes, got pairs={pairs} "
-            f"blocks={blocks} passes={passes}")
+            f"scheduler bench needs positive sizes, got blocks={blocks} "
+            f"passes={passes}")
     if repeats < 1:
         raise BenchmarkError(f"repeats must be >= 1, got {repeats}")
+    times = _stage_times(blocks)
     best = None
     for _ in range(repeats):
         events = heap_peak = 0
         t0 = time.perf_counter()
         for _ in range(passes):
-            sched = _pass(pairs, blocks)
+            sched = _pass(times)
             events += sched.events_popped
             heap_peak = max(heap_peak, sched.heap_peak)
         wall_s = time.perf_counter() - t0
@@ -130,8 +129,7 @@ def run_scheduler_bench(pairs: int, blocks: int, passes: int,
                               if best["wall_s"] > 0 else float("inf"))
     return {
         "bench": "scheduler",
-        "params": {"pairs": pairs, "blocks": blocks, "passes": passes,
-                   "repeats": repeats},
+        "params": {"blocks": blocks, "passes": passes, "repeats": repeats},
         "env": {"python": platform.python_version(),
                 "machine": platform.machine()},
         "results": {"handshake": best},
@@ -146,8 +144,8 @@ def format_scheduler_report(payload: Dict) -> list:
     p = payload["params"]
     row = payload["results"]["handshake"]
     return [
-        f"scheduler bench: {p['passes']} passes x {p['pairs']} "
-        f"agent-daemon pairs x {p['blocks']} blocks",
+        f"scheduler bench: {p['passes']} agent passes x {p['blocks']} "
+        f"blocks",
         f"  {row['events_per_sec']:>12,.0f} events/s  "
         f"wall={row['wall_s']:.3f}s  events={row['events_popped']:,}  "
         f"heap_peak={row['heap_peak']}  "

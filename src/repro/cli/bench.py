@@ -64,8 +64,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     try:
         if kind == "scheduler":
             payload = run_scheduler_bench(
-                pairs=profile["pairs"], blocks=profile["blocks"],
-                passes=profile["passes"], repeats=args.repeats)
+                blocks=profile["blocks"], passes=profile["passes"],
+                repeats=args.repeats)
             report = format_scheduler_report(payload)
         elif kind == "partition":
             payload = run_partition_bench(

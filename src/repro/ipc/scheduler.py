@@ -35,7 +35,8 @@ Commands
 
 These are exactly the commands the middleware's agent-daemon handshake
 yields; :class:`Scheduler` steps them one event at a time off a
-``heapq``.
+``heapq``.  It dispatches on the exact class, so the commands are
+final: a subclass of one is refused as an unsupported command.
 """
 
 from __future__ import annotations
@@ -334,6 +335,11 @@ class Scheduler:
                 value = cmd.handle._result
             elif cls is Now:
                 value = self.clock.now
+            elif isinstance(cmd, Command):
+                raise SimulationError(
+                    f"process {proc.name!r} yielded an unsupported "
+                    f"command {cmd!r}: the commands are final, "
+                    f"subclasses are not dispatched")
             else:
                 raise SimulationError(
                     f"process {proc.name!r} yielded a non-command: {cmd!r}"

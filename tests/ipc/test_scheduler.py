@@ -294,7 +294,20 @@ def test_yielding_garbage_raises():
 
     sched = Scheduler()
     sched.spawn(proc(), "p")
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match="non-command"):
+        sched.run()
+
+
+def test_a_command_subclass_is_refused_as_unsupported():
+    class LabelledSleep(Sleep):
+        __slots__ = ()
+
+    def proc():
+        yield LabelledSleep(1.0)
+
+    sched = Scheduler()
+    sched.spawn(proc(), "p")
+    with pytest.raises(SimulationError, match="unsupported command"):
         sched.run()
 
 
