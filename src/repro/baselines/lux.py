@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from ..cluster.network import DEFAULT_NETWORK, NetworkModel
+from ..cluster.topology import Topology
 from ..accel.costmodel import BYTES_PER_VERTEX, V100
 from ..core.template import AlgorithmTemplate
 from ..errors import DeviceMemoryError, SimulationError
@@ -70,13 +70,13 @@ class LuxSystem:
 
     name = "lux"
 
-    def __init__(self, graph: Graph, num_gpus: int,
-                 network: Optional[NetworkModel] = None) -> None:
+    def __init__(self, graph: Graph, num_gpus: int) -> None:
         if num_gpus < 1:
             raise SimulationError(f"need >=1 GPUs, got {num_gpus}")
         self.graph = graph
         self.num_gpus = num_gpus
-        self.network = network if network is not None else DEFAULT_NETWORK
+        # the GPUs exchange over one uniform rack
+        self.topology = Topology([range(num_gpus)])
         self._per_gpu_bytes = distributed_gpu_fit_bytes(graph, num_gpus)
 
     def fits(self) -> bool:
@@ -106,7 +106,7 @@ class LuxSystem:
             # no caching / laziness / skipping to trim the exchange
             cut_edges = active_edges * (g - 1) / g
             payload = int(cut_edges * width * BYTES_PER_VALUE_CELL)
-            sync = self.network.sync_ms(g, payload) if g > 1 else 0.0
+            sync = self.topology.sync_ms(g, payload) if g > 1 else 0.0
             coord = COORD_MS_PER_GPU * g + PAIR_MS * g * (g - 1) / 2.0
             return compute + sync + coord
 

@@ -1,19 +1,20 @@
 """Cluster assembly helpers.
 
 A :class:`Cluster` is the set of distributed nodes an engine runs over,
-plus the interconnect model.  Factories build the configurations the
+plus the :class:`~repro.cluster.topology.Topology` that prices every
+collective among them.  Factories build the configurations the
 paper evaluates: homogeneous GPU clusters (Fig. 9), heterogeneous
 CPU+GPU mixes (Fig. 9(d), Fig. 12(a)), and accelerator-less baselines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..accel import make_cpu_accelerator, make_gpu
 from ..errors import SimulationError
-from .network import DEFAULT_NETWORK, NetworkModel, ResilientTransport
+from .network import ResilientTransport
 from .node import NATIVE_RUNTIME, DistributedNode, HostRuntime
 from .topology import Topology
 
@@ -22,15 +23,14 @@ from .topology import Topology
 class Cluster:
     """A set of distributed nodes joined by a network.
 
-    ``topology`` is the optional rack :class:`Topology`; when set it
-    supersedes the flat ``network`` model as the collective substrate
-    (:attr:`collectives`) and must span exactly this cluster's nodes.
-    The default ``None`` keeps the uniform alpha-beta model and the
-    historical cost path bit-for-bit.
+    ``topology`` is the rack :class:`Topology` every collective is
+    priced on, and must span exactly this cluster's nodes.  ``None``
+    builds the one-rack topology over the default
+    :class:`~repro.cluster.network.NetworkModel` — the uniform
+    interconnect.
     """
 
     nodes: List[DistributedNode]
-    network: NetworkModel = field(default_factory=lambda: DEFAULT_NETWORK)
     topology: Optional[Topology] = None
 
     def __post_init__(self) -> None:
@@ -41,17 +41,11 @@ class Cluster:
             raise SimulationError(
                 f"node ids must be 0..{len(ids) - 1} in order, got {ids}"
             )
-        if (self.topology is not None
-                and self.topology.num_nodes != len(self.nodes)):
+        self.topology = self.topology or Topology([ids])
+        if self.topology.num_nodes != len(self.nodes):
             raise SimulationError(
                 f"topology spans {self.topology.num_nodes} nodes, cluster "
                 f"has {len(self.nodes)}")
-
-    @property
-    def collectives(self):
-        """The collective cost substrate engines should charge: the rack
-        topology when one is configured, the flat model otherwise."""
-        return self.topology if self.topology is not None else self.network
 
     @property
     def num_nodes(self) -> int:
@@ -64,13 +58,13 @@ class Cluster:
     def resilient_transport(self) -> ResilientTransport:
         """A resilient delivery layer over this cluster's interconnect.
 
-        The transport wraps :attr:`network` with acks, sequence-number
+        The transport wraps :attr:`topology` with acks, sequence-number
         dedupe, and bounded retransmission (the default
         :class:`~repro.fault.retry.RetryPolicy`, the budget daemon
-        passes get); engines swap it in for the bare model when
+        passes get); engines swap it in for the bare topology when
         ``MiddlewareConfig.network_resilient`` is set.
         """
-        return ResilientTransport(self.network, topology=self.topology)
+        return ResilientTransport(self.topology)
 
     def repartition_cost_ms(self, nbytes: int, network=None,
                             moved_by_node=None) -> float:
@@ -80,18 +74,15 @@ class Cluster:
         plus the slowest host runtime's fixed synchronization overhead —
         every node re-enters the barrier around the new layout.
 
-        ``network`` — the collective substrate to charge; defaults to
-        :attr:`collectives`, engines pass their resilient transport when
+        ``network`` — where the collective runs; defaults to
+        :attr:`topology`, engines pass their resilient transport when
         one is wired in.  ``moved_by_node`` — per-destination byte
-        weights; with a topology the migration is then priced over the
-        actual links it crosses instead of a uniform collective.
+        weights, so the migration is priced over the links it actually
+        crosses.
         """
-        net = network if network is not None else self.collectives
-        if moved_by_node is not None:
-            cost = net.sync_ms(self.num_nodes, nbytes,
-                               bytes_by_node=moved_by_node)
-        else:
-            cost = net.sync_ms(self.num_nodes, nbytes)
+        net = network if network is not None else self.topology
+        cost = net.sync_ms(self.num_nodes, nbytes,
+                           bytes_by_node=moved_by_node)
         return cost + max(n.runtime.sync_fixed_ms for n in self.nodes)
 
     def total_gpu_count(self) -> int:
@@ -110,8 +101,9 @@ def make_cluster(num_nodes: int, *, gpus_per_node: int = 0,
                  topology: Optional[Topology] = None) -> Cluster:
     """Homogeneous cluster: every node gets the same accelerator set.
 
-    The interconnect is the default :class:`NetworkModel`; describe any
-    other with :class:`repro.api.ClusterSpec`.
+    ``topology=None`` is the one-rack topology over the default
+    :class:`~repro.cluster.network.NetworkModel`; describe any other
+    interconnect with :class:`repro.api.ClusterSpec`.
     """
     if num_nodes < 1:
         raise SimulationError(f"need >=1 nodes, got {num_nodes}")
@@ -128,7 +120,7 @@ def make_cluster(num_nodes: int, *, gpus_per_node: int = 0,
             accels.append(make_cpu_accelerator(device_id))
             device_id += 1
         nodes.append(DistributedNode(node_id, runtime, accels))
-    return Cluster(nodes, DEFAULT_NETWORK, topology=topology)
+    return Cluster(nodes, topology)
 
 
 def make_heterogeneous_cluster(accel_specs: Sequence[Sequence[str]], *,
@@ -157,4 +149,4 @@ def make_heterogeneous_cluster(accel_specs: Sequence[Sequence[str]], *,
                 )
             device_id += 1
         nodes.append(DistributedNode(node_id, runtime, accels))
-    return Cluster(nodes, DEFAULT_NETWORK, topology=topology)
+    return Cluster(nodes, topology)

@@ -1,24 +1,26 @@
-"""Inter-node network: cost model and resilient transport.
+"""Inter-node network: link parameters and resilient transport.
 
 Global synchronization between iterations (§III-B) pays a network cost
 that grows with the number of distributed nodes — the effect behind the
 "downhill trend" of the middleware cost ratio in Fig. 14, where the
 distributed system side gradually dominates total time.
 
-The model is a standard alpha-beta one: a latency term that grows with the
-tree depth of the collective, a per-byte bandwidth term, and a small
-per-node coordination term (scheduler/barrier bookkeeping on the upper
-system's master).
+:class:`NetworkModel` holds the three alpha-beta parameters of that
+cost — a per-hop latency, a per-byte bandwidth term, and a per-node
+coordination term (scheduler/barrier bookkeeping on the upper system's
+master).  It prices nothing itself: every collective is priced by a
+:class:`~repro.cluster.topology.Topology` built over it, and the
+uniform interconnect is the one-rack topology.
 
 :class:`ResilientTransport` layers delivery guarantees on top of the
-cost model: every collective fragment is sequence-numbered and acked,
+topology: every collective fragment is sequence-numbered and acked,
 a missed ack is retransmitted point-to-point after a timeout with
 exponential backoff (bounded by the retry policy's attempt budget),
 duplicates are deduped by sequence number, a failed collective round
 falls back to point-to-point retransmission, and a node that survives
 the whole retransmission budget without acking earns a
 :class:`~repro.errors.NodeUnreachable` verdict.  With no faults armed,
-every call returns exactly the bare model's cost — the fault-free path
+every call returns exactly the topology's cost — the fault-free path
 pays zero overhead.
 """
 
@@ -37,7 +39,9 @@ from ..fault.retry import RetryPolicy
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """Alpha-beta(-gamma) cost model for cluster collectives."""
+    """Alpha-beta(-gamma) parameters of the cluster interconnect; a
+    :class:`~repro.cluster.topology.Topology` prices every collective on
+    them."""
 
     latency_ms: float = 0.08           # one hop
     ms_per_byte: float = 0.0000100     # bandwidth scaled with the data
@@ -47,70 +51,18 @@ class NetworkModel:
         if min(self.latency_ms, self.ms_per_byte, self.coord_ms_per_node) < 0:
             raise SimulationError("network cost parameters must be >= 0")
 
-    def transfer_ms(self, nbytes: int) -> float:
-        """Point-to-point transfer of ``nbytes``."""
-        if nbytes < 0:
-            raise SimulationError(f"negative transfer size {nbytes}")
-        return self.latency_ms + nbytes * self.ms_per_byte
-
-    def sync_ms(self, num_nodes: int, total_bytes: int,
-                bytes_by_node=None) -> float:
-        """Global synchronization cost for one iteration barrier.
-
-        Tree-structured collective: ``ceil(log2)`` latency hops, the full
-        payload crossing the wire once, plus per-node coordination.
-        A single node still pays its own coordination (local barrier).
-
-        ``bytes_by_node`` is accepted for signature compatibility with
-        :class:`~repro.cluster.topology.Topology` and ignored: the flat
-        model prices every byte the same no matter who produced it.
-        """
-        if num_nodes < 1:
-            raise SimulationError(f"need >=1 nodes, got {num_nodes}")
-        if total_bytes < 0:
-            raise SimulationError(f"negative sync payload {total_bytes}")
-        hops = math.ceil(math.log2(num_nodes)) if num_nodes > 1 else 0
-        return (self.latency_ms * hops
-                + total_bytes * self.ms_per_byte
-                + self.coord_ms_per_node * num_nodes)
-
-    def broadcast_ms(self, num_nodes: int, nbytes: int) -> float:
-        """Broadcast ``nbytes`` to every node (global query queue, §III-B2)."""
-        if num_nodes < 1:
-            raise SimulationError(f"need >=1 nodes, got {num_nodes}")
-        if nbytes < 0:
-            raise SimulationError(f"negative broadcast size {nbytes}")
-        hops = math.ceil(math.log2(num_nodes)) if num_nodes > 1 else 0
-        return self.latency_ms * hops + nbytes * self.ms_per_byte
-
-    def p2p_fallback_ms(self, num_nodes: int, total_bytes: int) -> float:
-        """Point-to-point fallback for a failed collective round.
-
-        Without the tree, the master exchanges with every node in turn:
-        one latency hop per node instead of ``log2`` hops, the payload
-        crossing once, plus the usual coordination — always at least as
-        expensive as the healthy collective, which is why the transport
-        only falls back when the collective round actually failed.
-        """
-        if num_nodes < 1:
-            raise SimulationError(f"need >=1 nodes, got {num_nodes}")
-        if total_bytes < 0:
-            raise SimulationError(f"negative fallback payload {total_bytes}")
-        return (self.latency_ms * num_nodes
-                + total_bytes * self.ms_per_byte
-                + self.coord_ms_per_node * num_nodes)
-
 
 #: Default cluster interconnect (10GbE-ish, scaled).
 DEFAULT_NETWORK = NetworkModel()
 
 
 class ResilientTransport:
-    """Ack/retransmit delivery layer over a :class:`NetworkModel`.
+    """Ack/retransmit delivery layer over a
+    :class:`~repro.cluster.topology.Topology`.
 
-    Drop-in for the bare model at the engine's call sites: it exposes
-    the same ``sync_ms`` / ``broadcast_ms`` / ``transfer_ms`` signatures
-    and returns simulated costs, but consumes armed network faults
+    Drop-in for the topology at the engine's call sites: it exposes the
+    same ``sync_ms`` / ``broadcast_ms`` signatures and returns simulated
+    costs, but consumes armed network faults
     (:data:`repro.fault.inject.NETWORK_KINDS`) while doing so:
 
     * an armed **delay** extends the barrier by the straggler's lateness;
@@ -127,26 +79,22 @@ class ResilientTransport:
 
     Faults are one-shot: armed events are consumed by the next
     collective, so a superstep re-executed after a rollback runs clean.
-    All extra simulated time (anything beyond the bare model's cost) is
+    All extra simulated time (anything beyond the topology's cost) is
     accumulated in ``net_wasted_ms``.
     """
 
-    def __init__(self, model: NetworkModel,
-                 policy: Optional[RetryPolicy] = None,
-                 ack_timeout_ms: float = 1.0,
-                 topology=None) -> None:
+    def __init__(self, topology, policy: Optional[RetryPolicy] = None,
+                 ack_timeout_ms: float = 1.0) -> None:
         if ack_timeout_ms <= 0:
             raise SimulationError(
                 f"ack timeout must be > 0, got {ack_timeout_ms}"
             )
-        self.model = model
+        #: the :class:`~repro.cluster.topology.Topology` fragments ride;
+        #: link gray-faults are armed per node on its uplinks
+        self.topology = topology
         self.policy = policy if policy is not None else RetryPolicy()
         self.ack_timeout_ms = float(ack_timeout_ms)
         self.monitor = CollectiveMonitor(self.ack_timeout_ms)
-        #: optional rack :class:`~repro.cluster.topology.Topology`; when
-        #: set it becomes the collective substrate (fragments ride
-        #: concrete links) and link gray-faults can be armed per node.
-        self.topology = topology
         # armed one-shot faults (consumed by the next collective)
         self._drops: List[int] = []
         self._delays: List[Tuple[int, float]] = []
@@ -175,12 +123,6 @@ class ResilientTransport:
         self.link_inflations = 0
         self.link_slow_ms = 0.0
 
-    @property
-    def substrate(self):
-        """The collective cost substrate: the rack topology when one is
-        wired in, the flat model otherwise."""
-        return self.topology if self.topology is not None else self.model
-
     # -- fault arming (FaultInjector network events) -----------------------
 
     def arm_drop(self, node_id: int) -> None:
@@ -201,7 +143,7 @@ class ResilientTransport:
     def arm_link_slow(self, node_id: int, factor: float = 4.0,
                       passes: int = 2) -> None:
         """Inflate ``node_id``'s uplink fragments ``factor``x for the
-        next ``passes`` collectives.  Values are never corrupted — a
+        next ``passes`` collective rounds.  Values are never corrupted — a
         slow link is a pure duration gray-failure."""
         if factor < 1.0:
             raise SimulationError(f"link slow factor must be >= 1, "
@@ -215,15 +157,16 @@ class ResilientTransport:
     def arm_link_flaky(self, node_id: int, factor: float = 4.0,
                        passes: int = 2) -> None:
         """Like :meth:`arm_link_slow` but intermittent: the inflation
-        fires on alternating collectives (the hardest gray failure to
+        fires on alternating collective rounds (the hardest gray failure to
         flag — the EWMA detector has to average through the flapping)."""
         self.arm_link_slow(node_id, factor, passes)
         self._slow_links[int(node_id)][2] = True
 
     def set_link_observer(self, observer) -> None:
         """Wire a per-link observer (the :class:`StragglerDetector`):
-        every topology collective reports each node's observed vs
-        healthy fragment time through ``observe_link``."""
+        when the topology's uplink paths differ, every collective
+        reports each node's observed vs healthy fragment time through
+        ``observe_link``."""
         self._link_observer = observer
 
     @property
@@ -292,56 +235,48 @@ class ResilientTransport:
         seqs += 1
         self.messages += num_nodes
 
-    # -- collectives --------------------------------------------------------
-
-    def transfer_ms(self, nbytes: int) -> float:
-        """Point-to-point transfer (no fault handling: unicast fragments
-        are only sent as retransmissions, which already paid their cost)."""
-        return self.substrate.transfer_ms(nbytes)
+    # -- collective rounds --------------------------------------------------
 
     def sync_ms(self, num_nodes: int, total_bytes: int,
                 bytes_by_node=None) -> float:
         """Global synchronization with delivery guarantees applied."""
-        if self.topology is not None:
-            base = self.topology.sync_ms(num_nodes, total_bytes,
-                                         bytes_by_node=bytes_by_node)
-        else:
-            base = self.model.sync_ms(num_nodes, total_bytes)
+        base = self.topology.sync_ms(num_nodes, total_bytes,
+                                     bytes_by_node=bytes_by_node)
         cost = self._collective(base, num_nodes, total_bytes)
         return cost + self._link_pass(num_nodes, total_bytes, bytes_by_node)
 
     def broadcast_ms(self, num_nodes: int, nbytes: int) -> float:
         """Global broadcast with delivery guarantees applied."""
-        base = self.substrate.broadcast_ms(num_nodes, nbytes)
+        base = self.topology.broadcast_ms(num_nodes, nbytes)
         return self._collective(base, num_nodes, nbytes)
 
     def _link_pass(self, num_nodes: int, total_bytes: int,
                    bytes_by_node=None) -> float:
         """Charge armed link gray-faults and feed the per-link observer.
 
-        Each node's fragment has a *healthy* wire time (its uplink path
-        over the topology, a flat transfer otherwise); an armed slow
-        link inflates it and the barrier eats the difference.  Every
-        topology collective also reports observed/healthy per link to
-        the observer, so the EWMA detector sees clean links too and its
-        median reference stays honest.  With no faults armed and no
-        observer wired (or no topology), the pass is free and returns
-        exactly ``0.0`` — fault-free flat runs stay bit-identical.
+        Each node's fragment has a *healthy* wire time over its uplink
+        path; an armed slow link inflates it and the barrier eats the
+        difference.  When the topology's uplink paths differ, every
+        collective also reports observed/healthy per link to the
+        observer, so the EWMA detector sees clean links too and its
+        median reference stays honest; on uniform uplinks there is no
+        link to tell apart and nothing is reported.  With no faults
+        armed and nothing to observe the pass is free and returns
+        exactly ``0.0``.
         """
-        if not self._slow_links and (self._link_observer is None
-                                     or self.topology is None):
+        differ = self.topology.uplinks_differ
+        observe = self._link_observer is not None and differ
+        if not self._slow_links and not observe:
             return 0.0
         # fused timeline: one vectorized healthy-time array for the
         # whole collective (elementwise over the topology's precomputed
         # uplink arrays, bit-identical to per-fragment fragment_ms);
-        # only the faulted links split back to per-fragment handling
-        if self.topology is not None:
-            per_node = self.topology.node_bytes(total_bytes, bytes_by_node)
-            healthy_arr = self.topology.fragment_ms_many(per_node)
-        else:
-            healthy_arr = None
-            healthy_flat = self.model.transfer_ms(
-                total_bytes / max(num_nodes, 1))
+        # only the faulted links split back to per-fragment handling.
+        # Uniform uplinks price every fragment at the even share, as
+        # the uniform collective prices every byte alike.
+        per_node = self.topology.node_bytes(
+            total_bytes, bytes_by_node if differ else None)
+        healthy_arr = self.topology.fragment_ms_many(per_node)
         # tick the armed gray-faults in ascending node order — the same
         # order (and thus float accumulation) as the per-node loop; an
         # entry outside this collective stays armed untouched
@@ -357,7 +292,7 @@ class ResilientTransport:
             if state[1] <= 0:
                 del self._slow_links[node]
         extra = 0.0
-        if self._link_observer is not None and self.topology is not None:
+        if observe:
             # observer wired: every link reports observed vs healthy so
             # the EWMA median reference sees clean links too
             for node in range(num_nodes):
@@ -372,8 +307,7 @@ class ResilientTransport:
         else:
             # no observer: only the faulted links need per-fragment work
             for node, factor in factors.items():
-                healthy = (float(healthy_arr[node])
-                           if healthy_arr is not None else healthy_flat)
+                healthy = float(healthy_arr[node])
                 if factor > 1.0:
                     self.link_inflations += 1
                     extra += healthy * factor - healthy
@@ -405,14 +339,14 @@ class ResilientTransport:
             self._ensure_peers(node + 1)
             seq = max(int(self._delivered[node]), 0)
             self.deliver(node, seq)            # re-delivery: returns False
-            extra += self.substrate.transfer_ms(fragment)
+            extra += self.topology.transfer_ms(fragment)
 
         # drops: ack timeout, backoff, point-to-point retransmit
         drops, self._drops = self._drops, []
         for node in drops:
             self.monitor.expect(node, base + extra)
             extra += self.ack_timeout_ms + self.policy.backoff_ms(1)
-            extra += self.substrate.transfer_ms(fragment)
+            extra += self.topology.transfer_ms(fragment)
             self.deliver(node, self.send(node))
             self.monitor.ack(node)
             self.retransmits += 1
@@ -422,7 +356,7 @@ class ResilientTransport:
         if self._sync_fails:
             rounds, self._sync_fails = self._sync_fails, 0
             for _ in range(rounds):
-                extra += self.substrate.p2p_fallback_ms(num_nodes,
+                extra += self.topology.p2p_fallback_ms(num_nodes,
                                                         total_bytes)
                 self._record_fused_round(num_nodes)
                 self.collective_fallbacks += 1
@@ -436,7 +370,7 @@ class ResilientTransport:
             attempts = 0
             for attempt in range(1, self.policy.max_attempts + 1):
                 clock += self.ack_timeout_ms + self.policy.backoff_ms(attempt)
-                clock += self.substrate.transfer_ms(fragment)
+                clock += self.topology.transfer_ms(fragment)
                 self.send(node)                # never delivered
                 self.retransmits += 1
                 attempts = attempt

@@ -1,14 +1,11 @@
-"""Rack topology: per-link cost models for the cluster interconnect.
+"""Rack topology: the one cost model of the cluster interconnect.
 
-The bare :class:`~repro.cluster.network.NetworkModel` prices every
-collective with one uniform alpha-beta model — fine for a single rack,
-blind to the bandwidth asymmetry that dominates real deployments, where
-the cross-rack uplink is an order of magnitude worse than the in-rack
-switch.  :class:`Topology` keeps the same alpha-beta vocabulary but
-attaches it to concrete links: nodes are grouped into racks, every
-``(src, dst)`` pair resolves to a :class:`LinkModel` (intra-rack or
-cross-rack default, individually overridable), and collectives pay a
-rack-aggregated tree cost:
+Every collective a cluster runs is priced here.  Nodes are grouped into
+racks, every ``(src, dst)`` pair resolves to a :class:`LinkModel`
+(intra-rack or cross-rack default, individually overridable) carrying
+the alpha-beta parameters of a
+:class:`~repro.cluster.network.NetworkModel`, and every collective
+pays a rack-aggregated tree cost:
 
 * stage 1 — every node ships its fragment to its rack leader; racks
   reduce in parallel, so the stage costs the *slowest* rack;
@@ -17,13 +14,13 @@ rack-aggregated tree cost:
   spine, so the stage costs the *sum*;
 * the usual per-node coordination term from the base model.
 
-A single-rack :class:`Topology` with default links is the degenerate
-case and reproduces :class:`NetworkModel` costs *exactly* — the
-property tests in ``tests/cluster/test_topology.py`` pin this, and the
-fault-free figures rely on it.  :class:`Topology` duck-types the full
-``NetworkModel`` cost surface (``sync_ms`` / ``broadcast_ms`` /
-``transfer_ms`` / ``p2p_fallback_ms``) so engines and the resilient
-transport can use either interchangeably.
+The uniform interconnect is the one-rack topology (``"flat:N"``, and
+what a cluster built without a topology gets): ``ceil(log2 N)`` latency
+hops, the full payload crossing the wire once, plus per-node
+coordination — the flat alpha-beta collective.  Only a topology whose
+uplink paths differ (:attr:`Topology.uplinks_differ`) turns on the
+link-aware behaviours: per-link observation in the resilient transport
+and the wire slope in online Lemma-2 re-estimation.
 """
 
 from __future__ import annotations
@@ -73,8 +70,8 @@ class Topology:
     rack's leader is its lowest node id; fragments ride member->leader
     intra-rack links, then leader->root cross-rack uplinks.  A leader's
     own fragment still crosses its local bus at the intra-rack rate, so
-    the single-rack degenerate case charges the full payload once —
-    exactly like :meth:`NetworkModel.sync_ms`.
+    the one-rack case charges the full payload once — the flat
+    alpha-beta collective.
     """
 
     def __init__(self, racks: Sequence[Sequence[int]], *,
@@ -121,7 +118,7 @@ class Topology:
         # fused uplink timelines: links are fixed at construction, so
         # every node's full uplink path collapses to one precomputed
         # (latency, ms/byte) pair and the payload-free tree-latency term
-        # is a constant — collectives read these instead of re-walking
+        # is a constant — each collective reads these instead of re-walking
         # the link tables.  The scalars keep the exact summation the
         # per-node methods used, so the arrays are bit-identical inputs.
         self._uplink_latency: List[float] = [
@@ -134,6 +131,10 @@ class Topology:
                                             dtype=np.float64)
         self._uplink_mspb_arr = np.array(self._uplink_mspb,
                                          dtype=np.float64)
+        #: do some nodes' uplink paths cost more than others'?  Only
+        #: then is there a link to observe or to shift load off.
+        self.uplinks_differ = (len(set(self._uplink_latency)) > 1
+                               or len(set(self._uplink_mspb)) > 1)
         self._latency_term_ms = self._latency_term()
 
     @property
@@ -289,9 +290,9 @@ class Topology:
 
         Rack payloads are carved out of ``total_bytes`` as weight
         ratios, and a rack whose members share one per-byte rate is
-        charged on its aggregate — so the degenerate single-rack default
-        charges ``total_bytes * ms_per_byte`` bit-exactly, not a re-sum
-        of float fragments.
+        charged on its aggregate — so the one-rack default charges
+        ``total_bytes * ms_per_byte`` bit-exactly whatever the weights,
+        not a re-sum of float fragments.
         """
         total_w = (float(self.num_nodes) if weights is None
                    else sum(float(w) for w in weights))
@@ -320,7 +321,7 @@ class Topology:
                                                  root_leader).ms_per_byte
         return stage1 + stage2
 
-    # -- NetworkModel cost surface ------------------------------------------
+    # -- collective costs ----------------------------------------------------
 
     def _check(self, num_nodes: int, nbytes: int) -> None:
         if num_nodes != self.num_nodes:
@@ -360,8 +361,7 @@ class Topology:
     def transfer_ms(self, nbytes: int, src: Optional[int] = None,
                     dst: Optional[int] = None) -> float:
         """Point-to-point transfer; without endpoints it prices the
-        intra-rack default link, matching :meth:`NetworkModel.transfer_ms`
-        in the degenerate case."""
+        intra-rack default link."""
         if src is None or dst is None:
             return self.intra.transfer_ms(nbytes)
         return self.link(src, dst).transfer_ms(nbytes)
@@ -391,7 +391,7 @@ class Topology:
 
         ``"rack:RxN"`` — R racks of N nodes each, ids assigned in order
         (rack r holds nodes ``r*N .. r*N+N-1``); ``"flat:N"`` — one rack
-        of N nodes (the degenerate case).  Trailing ``;link=...``
+        of N nodes (the uniform interconnect).  Trailing ``;link=...``
         override clauses (see :meth:`parse_link_overrides`) are ignored
         here — this method only resolves the rack shape.
         """

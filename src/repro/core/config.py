@@ -290,7 +290,8 @@ class ClusterSpec:
     engines, benches and the CLI.
 
     ``topology`` is a spec string (``"rack:RxN"`` — R racks of N nodes —
-    or ``"flat:N"``); ``None`` keeps the historical flat interconnect.
+    or ``"flat:N"``); ``None`` is the one-rack topology, ``"flat:N"``
+    for this spec's ``nodes``.
     The optional ``latency_ms`` / ``ms_per_byte`` / ``coord_ms_per_node``
     override the base :class:`NetworkModel` fields; the cross factors
     scale the intra-rack link into the cross-rack default.  The spec is
@@ -354,24 +355,24 @@ class ClusterSpec:
                                else base.coord_ms_per_node))
 
     def build_topology(self):
-        """The resolved :class:`Topology`, or ``None`` for flat."""
-        if self.topology is None:
-            return None
+        """The resolved :class:`Topology` the cluster's collectives are
+        priced on."""
         from ..cluster.topology import Topology
+        spec = (self.topology if self.topology is not None
+                else f"flat:{self.nodes}")
         return Topology.from_spec(
-            self.topology, base=self.network_model(),
+            spec, base=self.network_model(),
             cross_latency_factor=self.cross_latency_factor,
             cross_byte_factor=self.cross_byte_factor)
 
     def build(self):
         """Materialize the :class:`~repro.cluster.cluster.Cluster`."""
-        from ..cluster.cluster import Cluster, make_cluster
+        from ..cluster.cluster import make_cluster
         from ..cluster.node import HOST_RUNTIMES
-        cluster = make_cluster(self.nodes, gpus_per_node=self.gpus_per_node,
-                               cpu_accels_per_node=self.cpus_per_node,
-                               runtime=HOST_RUNTIMES[self.runtime])
-        return Cluster(cluster.nodes, self.network_model(),
-                       topology=self.build_topology())
+        return make_cluster(self.nodes, gpus_per_node=self.gpus_per_node,
+                            cpu_accels_per_node=self.cpus_per_node,
+                            runtime=HOST_RUNTIMES[self.runtime],
+                            topology=self.build_topology())
 
     def to_dict(self) -> dict:
         """The spec as plain JSON types, for trace recording."""

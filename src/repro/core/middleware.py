@@ -58,7 +58,7 @@ class GXPlug:
             for agent in self.agents.values():
                 agent.set_straggler_detector(self.straggler)
         self.connected = False
-        # network fault tolerance: route collectives through the
+        # network fault tolerance: route every collective through the
         # resilient transport so armed network faults have a place to go
         self.transport = None
         if self.config.network_resilient:

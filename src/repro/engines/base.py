@@ -628,13 +628,12 @@ class IterativeEngine:
                 sum(a.recoveries for a in mw.agents.values()))
 
     def _network(self):
-        """Where collectives run: the resilient transport when the
-        middleware carries one, else the cluster's topology (or flat
-        network model) cost substrate."""
+        """Where each collective runs: the resilient transport when the
+        middleware carries one, else the cluster's topology."""
         mw = self.middleware
         if mw is not None and mw.transport is not None:
             return mw.transport
-        return self.cluster.collectives
+        return self.cluster.topology
 
     def _net_counters(self) -> Tuple[int, int, float]:
         """(retransmits, dup_drops, net_wasted_ms) transport totals, for
@@ -661,7 +660,8 @@ class IterativeEngine:
                zip(self.pgraph.parts, st.node_compute_ms, st.node_entities)}
         coeff_est = estimate_coefficients(obs, coeff_est)
         folded = sum(1 for e, t in obs.values() if e > 0 and t > 0)
-        if self.cluster.topology is not None:
+        topology = self.cluster.topology
+        if topology.uplinks_differ:
             # fold each node's wire slope, inflated by the detector's
             # per-link EWMA for flagged uplinks, so a slow cross-rack
             # link shifts the optimum exactly the way a slow daemon
@@ -670,8 +670,7 @@ class IterativeEngine:
             # uploading / combined iterations keep the wire slope honest.
             bytes_per_entity = (st.uploads * width * BYTES_PER_CELL
                                 / max(st.active_edges, 1))
-            link_net = network_coefficients(self.cluster.topology,
-                                            bytes_per_entity)
+            link_net = network_coefficients(topology, bytes_per_entity)
             sdet = mw.straggler
             inflations = np.array(
                 [sdet.link_inflation(j) if sdet.is_slow_link(j) else 1.0
@@ -679,6 +678,8 @@ class IterativeEngine:
             shares = balancing_factors(link_adjusted_coefficients(
                 coeff_est, link_net, inflations))
         else:
+            # uniform uplinks add the same slope to every node: no link
+            # to shift load off, so the shares are the compute ones
             shares = balancing_factors(coeff_est)
         sizes = np.zeros(num_nodes)
         for part in self.pgraph.parts:
@@ -704,14 +705,12 @@ class IterativeEngine:
                            self.pgraph.strategy, shares=shares)
         changed = pgraph.master_of != old_master_of
         moved = int(np.count_nonzero(changed))
-        moved_by_node = None
-        if self.cluster.topology is not None:
-            # price the migration over the links the rows actually
-            # cross: each moved master uploads at its *new* node
-            counts = np.bincount(pgraph.master_of[changed],
-                                 minlength=self.cluster.num_nodes)
-            moved_by_node = [float(c) * width * BYTES_PER_CELL
-                             for c in counts]
+        # price the migration over the links the rows actually cross:
+        # each moved master uploads at its *new* node (on one uniform
+        # rack the weights cost the same bits as none)
+        counts = np.bincount(pgraph.master_of[changed],
+                             minlength=self.cluster.num_nodes)
+        moved_by_node = [float(c) * width * BYTES_PER_CELL for c in counts]
         self._bind_partition(pgraph)
         for agent in mw.agents.values():
             agent.flush_cache()

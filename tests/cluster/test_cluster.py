@@ -8,6 +8,7 @@ from repro.cluster import (
     JVM_RUNTIME,
     NATIVE_RUNTIME,
     NetworkModel,
+    Topology,
     make_cluster,
     make_heterogeneous_cluster,
 )
@@ -15,36 +16,41 @@ from repro.accel import make_cpu_accelerator, make_gpu
 from repro.errors import SimulationError
 
 
+def one_rack(num_nodes, net=None):
+    """The uniform interconnect: every node in one rack over ``net``."""
+    return Topology([range(num_nodes)], base=net)
+
+
 def test_network_transfer_linear():
     net = NetworkModel(latency_ms=1.0, ms_per_byte=0.01, coord_ms_per_node=0.0)
-    assert net.transfer_ms(0) == pytest.approx(1.0)
-    assert net.transfer_ms(100) == pytest.approx(2.0)
+    topo = one_rack(2, net)
+    assert topo.transfer_ms(0) == pytest.approx(1.0)
+    assert topo.transfer_ms(100) == pytest.approx(2.0)
 
 
 def test_network_sync_grows_with_nodes():
-    net = NetworkModel()
-    costs = [net.sync_ms(n, 1000) for n in (1, 2, 4, 8, 16, 32)]
+    costs = [one_rack(n).sync_ms(n, 1000) for n in (1, 2, 4, 8, 16, 32)]
     assert all(a < b for a, b in zip(costs, costs[1:]))
 
 
 def test_network_single_node_no_hops():
     net = NetworkModel(latency_ms=5.0, ms_per_byte=0.0, coord_ms_per_node=1.0)
-    assert net.sync_ms(1, 0) == pytest.approx(1.0)
-    assert net.sync_ms(2, 0) == pytest.approx(5.0 + 2.0)
+    assert one_rack(1, net).sync_ms(1, 0) == pytest.approx(1.0)
+    assert one_rack(2, net).sync_ms(2, 0) == pytest.approx(5.0 + 2.0)
 
 
 def test_network_validation():
     with pytest.raises(SimulationError):
         NetworkModel(latency_ms=-1.0)
-    net = NetworkModel()
+    topo = one_rack(2)
     with pytest.raises(SimulationError):
-        net.transfer_ms(-1)
+        topo.transfer_ms(-1)
     with pytest.raises(SimulationError):
-        net.sync_ms(0, 10)
+        topo.sync_ms(0, 10)
     with pytest.raises(SimulationError):
-        net.broadcast_ms(2, -1)
+        topo.broadcast_ms(2, -1)
     with pytest.raises(SimulationError):
-        net.sync_ms(2, -1)
+        topo.sync_ms(2, -1)
 
 
 def test_jvm_runtime_costlier_than_native():

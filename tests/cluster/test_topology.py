@@ -2,10 +2,14 @@
 
 The load-bearing property is pinned first: a single-rack
 :class:`Topology` with default links is *bit-identical* to the flat
-:class:`NetworkModel` on every cost method — the fault-free figures
-rely on it.  Then multi-rack pricing, per-link overrides, the
-transport's link gray-faults, and the per-link straggler detector.
+alpha-beta collective over its :class:`NetworkModel` on every cost
+method (the oracle formulas below) — every cluster built without a
+topology prices its collectives on that one rack.  Then multi-rack
+pricing, per-link overrides, the transport's link gray-faults, and the
+per-link straggler detector.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +19,7 @@ from repro.cluster import (
     DEFAULT_CROSS_BYTE_FACTOR,
     DEFAULT_CROSS_LATENCY_FACTOR,
     LinkModel,
+    DEFAULT_NETWORK,
     NetworkModel,
     ResilientTransport,
     Topology,
@@ -70,7 +75,33 @@ def test_link_override_names_must_exist():
         Topology([[0, 1]], overrides={(0, 7): LinkModel(1.0, 1e-5)})
 
 
-# -- degenerate single rack == NetworkModel, bit-exactly ---------------------
+# -- single rack == the flat alpha-beta collective, bit-exactly --------------
+
+
+def _hops(n):
+    return math.ceil(math.log2(n)) if n > 1 else 0
+
+
+def flat_sync_ms(net, n, nbytes):
+    """Tree collective: ``ceil(log2)`` latency hops, the payload crossing
+    the wire once, plus per-node coordination."""
+    return (net.latency_ms * _hops(n) + nbytes * net.ms_per_byte
+            + net.coord_ms_per_node * n)
+
+
+def flat_broadcast_ms(net, n, nbytes):
+    return net.latency_ms * _hops(n) + nbytes * net.ms_per_byte
+
+
+def flat_transfer_ms(net, nbytes):
+    return net.latency_ms + nbytes * net.ms_per_byte
+
+
+def flat_p2p_fallback_ms(net, n, nbytes):
+    """The master exchanges with every node in turn: one hop each."""
+    return (net.latency_ms * n + nbytes * net.ms_per_byte
+            + net.coord_ms_per_node * n)
+
 
 NETS = [
     NetworkModel(),
@@ -84,12 +115,14 @@ def test_single_rack_equals_network_model_grid(net):
     """Exhaustive: every cost method bit-identical across a small grid."""
     for n in range(1, 17):
         topo = Topology.from_spec(f"flat:{n}", base=net)
+        assert not topo.uplinks_differ
         for nbytes in (0, 1, 17, 4096, 1_000_003):
-            assert topo.sync_ms(n, nbytes) == net.sync_ms(n, nbytes)
-            assert topo.broadcast_ms(n, nbytes) == net.broadcast_ms(n, nbytes)
-            assert topo.transfer_ms(nbytes) == net.transfer_ms(nbytes)
+            assert topo.sync_ms(n, nbytes) == flat_sync_ms(net, n, nbytes)
+            assert (topo.broadcast_ms(n, nbytes)
+                    == flat_broadcast_ms(net, n, nbytes))
+            assert topo.transfer_ms(nbytes) == flat_transfer_ms(net, nbytes)
             assert (topo.p2p_fallback_ms(n, nbytes)
-                    == net.p2p_fallback_ms(n, nbytes))
+                    == flat_p2p_fallback_ms(net, n, nbytes))
 
 
 @settings(max_examples=200, deadline=None)
@@ -102,16 +135,20 @@ def test_single_rack_equals_network_model_property(n, nbytes, latency,
     net = NetworkModel(latency_ms=latency, ms_per_byte=mspb,
                        coord_ms_per_node=coord)
     topo = Topology.from_spec(f"flat:{n}", base=net)
-    assert topo.sync_ms(n, nbytes) == net.sync_ms(n, nbytes)
-    assert topo.broadcast_ms(n, nbytes) == net.broadcast_ms(n, nbytes)
-    assert topo.p2p_fallback_ms(n, nbytes) == net.p2p_fallback_ms(n, nbytes)
+    assert topo.sync_ms(n, nbytes) == flat_sync_ms(net, n, nbytes)
+    assert topo.broadcast_ms(n, nbytes) == flat_broadcast_ms(net, n, nbytes)
+    assert (topo.p2p_fallback_ms(n, nbytes)
+            == flat_p2p_fallback_ms(net, n, nbytes))
 
 
 def test_single_rack_weighted_sync_matches_uniform():
-    """Uniform weights are the same split as no weights — bit-exact."""
+    """On one uniform rack any weights are the same cost as none —
+    bit-exact, which is why engines always pass them."""
     net = NetworkModel()
     topo = Topology.from_spec("flat:4", base=net)
     assert (topo.sync_ms(4, 8192, bytes_by_node=[1.0] * 4)
+            == topo.sync_ms(4, 8192))
+    assert (topo.sync_ms(4, 8192, bytes_by_node=[7.0, 0.0, 0.5, 3.25])
             == topo.sync_ms(4, 8192))
     # all-zero weights fall back to the uniform split
     assert (topo.sync_ms(4, 8192, bytes_by_node=[0.0] * 4)
@@ -191,13 +228,15 @@ def test_collective_span_is_checked():
 # -- cluster integration -----------------------------------------------------
 
 
-def test_cluster_collectives_prefers_topology():
+def test_cluster_without_topology_is_one_rack():
     topo = Topology.from_spec("rack:2x2")
     c = make_cluster(4, gpus_per_node=1, topology=topo)
-    assert c.collectives is topo
+    assert c.topology is topo
+    assert topo.uplinks_differ
     flat = make_cluster(4, gpus_per_node=1)
-    assert flat.topology is None
-    assert flat.collectives is flat.network
+    assert flat.topology.racks == ((0, 1, 2, 3),)
+    assert flat.topology.base is DEFAULT_NETWORK
+    assert not flat.topology.uplinks_differ
 
 
 def test_cluster_topology_span_validated():
@@ -222,8 +261,8 @@ def test_repartition_cost_prices_links_crossed():
 # -- transport link gray-faults ----------------------------------------------
 
 
-def _transport(topology=None):
-    return ResilientTransport(NetworkModel(), topology=topology)
+def _transport(topology):
+    return ResilientTransport(topology)
 
 
 def test_link_pass_free_when_nothing_armed():
@@ -284,6 +323,23 @@ def test_observer_sees_every_node_per_collective():
     t.sync_ms(4, 4096)
     assert det.link_observations == 4
     assert det.flagged_links == []
+
+
+def test_uniform_uplinks_feed_no_observer():
+    """One rack has no link to tell apart: nothing is observed and a
+    slow link is priced on the even fragment whatever the weights."""
+    topo = Topology.from_spec("flat:4")
+    t = _transport(topo)
+    det = StragglerDetector()
+    t.set_link_observer(det)
+    assert t.sync_ms(4, 4096) == topo.sync_ms(4, 4096)
+    assert det.link_observations == 0
+    t.arm_link_slow(3, factor=3.0, passes=1)
+    weights = [0.0, 0.0, 0.0, 4096.0]
+    slow = t.sync_ms(4, 4096, bytes_by_node=weights)
+    even = flat_transfer_ms(DEFAULT_NETWORK, 4096 / 4)
+    assert slow == topo.sync_ms(4, 4096) + (even * 3.0 - even)
+    assert det.link_observations == 0
 
 
 # -- per-link straggler detection --------------------------------------------

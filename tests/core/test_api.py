@@ -90,8 +90,8 @@ def test_cluster_spec_build_matches_make_cluster():
     built = spec.build()
     legacy = make_cluster(3, gpus_per_node=2, cpu_accels_per_node=1)
     assert built.num_nodes == legacy.num_nodes
-    assert built.network == legacy.network == DEFAULT_NETWORK
-    assert built.topology is None
+    assert built.topology.base is legacy.topology.base is DEFAULT_NETWORK
+    assert built.topology.racks == legacy.topology.racks == ((0, 1, 2),)
     assert built.capacity_factors() == legacy.capacity_factors()
     assert ([len(n.accelerators) for n in built.nodes]
             == [len(n.accelerators) for n in legacy.nodes])
@@ -109,6 +109,8 @@ def test_cluster_spec_network_overrides():
     net = spec.network_model()
     assert net.ms_per_byte == 2e-4
     assert net.latency_ms == DEFAULT_NETWORK.latency_ms
+    # the one-rack topology prices collectives over the overridden base
+    assert spec.build().topology.base == net
     # no overrides: the shared default instance, not a copy
     assert ClusterSpec(nodes=2).network_model() is DEFAULT_NETWORK
 
@@ -119,7 +121,7 @@ def test_cluster_spec_topology_resolution():
     cluster = spec.build()
     assert cluster.topology is not None
     assert cluster.topology.num_racks == 2
-    assert cluster.collectives is cluster.topology
+    assert cluster.topology.uplinks_differ
     assert cluster.topology.cross.ms_per_byte == pytest.approx(
         cluster.topology.intra.ms_per_byte * 8.0)
 

@@ -13,7 +13,9 @@ PageRank, whose merges regroup with the partition, to ``rtol=1e-12``.
 Two placements of the slowness: a slowed daemon on a flat four-node
 cluster, and a slowed cross-rack uplink on a ``rack:`` topology, where
 the shares are link-adjusted (each node's wire slope, inflated for
-flagged uplinks, folds into its coefficient).
+flagged uplinks, folds into its coefficient).  A cluster without a
+topology is the one-rack topology, so naming it ``flat:4`` must be the
+same run.
 """
 
 import numpy as np
@@ -91,3 +93,23 @@ def test_online_repartition_ends_where_the_final_placement_does(
     else:
         np.testing.assert_allclose(twin.values, live.values,
                                    rtol=1e-12, atol=0)
+
+
+def test_flat_topology_is_the_same_run_as_no_topology():
+    """``topology=None`` builds the one-rack topology, whose uplinks
+    are uniform: spelling it ``flat:4`` turns on no link-aware share,
+    so a re-estimating straggler run ends on the same value bytes,
+    total and per-superstep stats either way."""
+    spec, config = FLAT
+    runs = []
+    for topology in (None, "flat:4"):
+        cluster = ClusterSpec(nodes=4, gpus_per_node=1,
+                              topology=topology).build()
+        engine = PowerGraphEngine.build(GRAPH, cluster,
+                                        middleware=GXPlug(cluster, config))
+        runs.append(engine.run(ALGORITHMS["pagerank"](), max_iterations=20))
+    none, flat = runs
+    assert spec.topology is None and none.online_rebalances >= 1
+    assert flat.values.tobytes() == none.values.tobytes()
+    assert repr(flat.total_ms) == repr(none.total_ms)
+    assert [repr(s) for s in flat.stats] == [repr(s) for s in none.stats]

@@ -22,7 +22,7 @@ from repro import (
     load_dataset,
     make_cluster,
 )
-from repro.cluster.network import NetworkModel
+from repro.cluster import Topology
 from repro.core.balance import rebalanced_shares
 from repro.errors import (
     MiddlewareError,
@@ -77,23 +77,28 @@ def fault_free_sssp(graph):
 # -- transport unit behaviour ----------------------------------------------
 
 
-def make_transport(**kw):
+def one_rack(num_nodes=4):
+    """The uniform interconnect a cluster built without a topology gets."""
+    return Topology([range(num_nodes)])
+
+
+def make_transport(num_nodes=4, **kw):
     policy = RetryPolicy(max_attempts=kw.pop("max_attempts", 3),
                          base_delay_ms=kw.pop("base_delay_ms", 0.5),
                          backoff_factor=kw.pop("backoff_factor", 2.0))
-    return ResilientTransport(NetworkModel(), policy,
+    return ResilientTransport(one_rack(num_nodes), policy,
                               ack_timeout_ms=kw.pop("ack_timeout_ms", 1.0))
 
 
 def test_fault_free_transport_is_bit_exact():
-    model = NetworkModel()
-    t = make_transport()
     for nodes, nbytes in [(1, 0), (2, 64), (4, 4096), (16, 10_000)]:
+        model = one_rack(nodes)
+        t = make_transport(nodes)
         assert t.sync_ms(nodes, nbytes) == model.sync_ms(nodes, nbytes)
         assert t.broadcast_ms(nodes, nbytes) == \
             model.broadcast_ms(nodes, nbytes)
-    assert t.net_wasted_ms == 0.0
-    assert t.retransmits == 0 and t.dup_drops == 0
+        assert t.net_wasted_ms == 0.0
+        assert t.retransmits == 0 and t.dup_drops == 0
 
 
 def test_sequence_numbers_dedupe_duplicates():
@@ -106,7 +111,7 @@ def test_sequence_numbers_dedupe_duplicates():
 
 
 def test_armed_delay_charges_the_straggler():
-    model = NetworkModel()
+    model = one_rack()
     t = make_transport()
     t.arm_delay(1, 7.5)
     cost = t.sync_ms(4, 1000)
@@ -117,7 +122,7 @@ def test_armed_delay_charges_the_straggler():
 
 
 def test_armed_dup_pays_the_wire_and_gets_deduped():
-    model = NetworkModel()
+    model = one_rack()
     t = make_transport()
     t.arm_dup(0)
     cost = t.sync_ms(4, 1000)
@@ -129,7 +134,7 @@ def test_armed_dup_pays_the_wire_and_gets_deduped():
 
 
 def test_armed_drop_retransmits_after_timeout_and_backoff():
-    model = NetworkModel()
+    model = one_rack()
     t = make_transport(ack_timeout_ms=2.0, base_delay_ms=0.5)
     t.arm_drop(1)
     cost = t.sync_ms(4, 1000)
@@ -141,7 +146,7 @@ def test_armed_drop_retransmits_after_timeout_and_backoff():
 
 
 def test_armed_sync_fail_falls_back_to_p2p():
-    model = NetworkModel()
+    model = one_rack()
     t = make_transport()
     t.arm_sync_fail()
     cost = t.sync_ms(4, 1000)
@@ -163,7 +168,7 @@ def test_partition_exhausts_budget_and_raises():
     assert t.monitor.verdicts == 1
     # the verdict consumed the armed fault; the transport is clean again
     assert t.faults_armed == 0
-    assert t.sync_ms(4, 1000) == NetworkModel().sync_ms(4, 1000)
+    assert t.sync_ms(4, 1000) == one_rack().sync_ms(4, 1000)
 
 
 def test_collective_monitor_validates_and_tracks():
