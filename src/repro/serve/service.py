@@ -668,9 +668,12 @@ class GraphService:
         self._mutation_seq += 1
         # harvest the pre-version's cached fixpoints as warm-start
         # seeds before invalidating them: a cached answer for version N
-        # is exactly the seed an incremental re-run on N+1 wants
+        # is exactly the seed an incremental re-run on N+1 wants.  Only
+        # a converged run is a fixpoint: resuming a capped one would
+        # stop wherever the cap falls, not where a cold run does
         for ckey, entry in self.cache.entries_for(key, pre_version):
-            self._warm_put((key, ckey[2], ckey[3]), pre_version, entry)
+            if entry.converged:
+                self._warm_put((key, ckey[2], ckey[3]), pre_version, entry)
         # eager invalidation: dead-version entries could never be hit
         # again, so evict them now instead of letting them squat in the
         # LRU — keeping only versions still reachable (the new latest

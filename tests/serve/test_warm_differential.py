@@ -10,11 +10,13 @@ cold twin is a fresh service loading the mutated graph.  The rules:
 * through the service, cc, sssp-bf and bfs (which declares no policy,
   so it always starts cold) end bit-identical to the cold twin under
   any batch: warm when the batch only grows the graph, cold otherwise;
-* PageRank, warm under every batch, is bit-identical to its cold twin
-  under pure reweights (it never reads edge weights).
+* PageRank, warm under every batch whose seed converged, is
+  bit-identical to its cold twin under pure reweights (it never reads
+  edge weights); a seed run stopped by its iteration cap is no
+  fixpoint, so it is never harvested and the re-run starts cold.
 """
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import ALGORITHMS
@@ -120,12 +122,19 @@ def test_warm_service_ends_on_the_cold_bits(case):
 
 @settings(max_examples=4, deadline=None)
 @given(case=mutated(shrink=False, grow=False))
+# at tolerance 0.0 PageRank never converges in floats on this graph: the
+# seed run stops at the cap, a last-bit cycle away from any fixpoint
+@example(case=(Graph.from_edges(3, [0, 0, 0, 1, 2, 2], [0, 1, 0, 2, 0, 0],
+                                [2.0] * 6),
+               MutationBatch(update_src=[0], update_dst=[0],
+                             update_weights=[1.0])))
 def test_pagerank_warm_start_under_reweights_is_bit_identical(case):
     graph, batch = case
     assume(not batch.is_empty)
     specs = [JobSpec(graph="g", algorithm="pagerank", max_iterations=500,
                      params={"tolerance": 0.0})]
     svc, (warm,) = served(graph, specs, batch)
+    seed = svc.jobs()[0]          # the pre-mutation run whose answer seeds
     _, (cold,) = served(svc.store.get("g").graph, specs)
-    assert warm.warm_started
+    assert warm.warm_started == seed.result.converged
     assert warm.values.tobytes() == cold.values.tobytes()
