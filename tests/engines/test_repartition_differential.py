@@ -16,7 +16,16 @@ the shares are link-adjusted (each node's wire slope, inflated for
 flagged uplinks, folds into its coefficient).  A cluster without a
 topology is the one-rack topology, so naming it ``flat:4`` must be the
 same run.
+
+Values cannot tell a stale ``SkipDetector`` from a fresh one (a skip
+drops only the sync's cost), so one more twin repeats every superstep
+after the run's last move, field by field, on a clustering placement
+whose communities survive the new shares: syncs are still skipped
+after the move, and a detector left on the old placement would stop
+skipping them.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -25,9 +34,10 @@ from repro import NETWORK_RESILIENT, RESILIENT, GXPlug
 from repro.algorithms import ALGORITHMS
 from repro.core import StragglerConfig
 from repro.core.config import ClusterSpec
-from repro.engines import PowerGraphEngine
+from repro.engines import IterationStats, PowerGraphEngine
 from repro.fault import LINK_SLOW, SLOWDOWN, FaultPlan
-from repro.graph import road_network
+from repro.graph import Graph, road_network
+from repro.graph.partition import clustering_partition
 
 #: long diameter, so even cc and bfs run past the rebalance cooldown
 GRAPH = road_network(20, 20, seed=1)
@@ -113,3 +123,56 @@ def test_flat_topology_is_the_same_run_as_no_topology():
     assert flat.values.tobytes() == none.values.tobytes()
     assert repr(flat.total_ms) == repr(none.total_ms)
     assert [repr(s) for s in flat.stats] == [repr(s) for s in none.stats]
+
+
+def vertex_pairs(count):
+    """``count`` communities of two vertices: ``2i <-> 2i+1`` plus a
+    self-loop on ``2i``, so PageRank runs ~30 supersteps and a pair
+    split across nodes costs a sync in every one of them."""
+    src = [v for i in range(count) for v in (2 * i, 2 * i + 1, 2 * i)]
+    dst = [v for i in range(count) for v in (2 * i + 1, 2 * i, 2 * i)]
+    return Graph.from_edges(2 * count, src, dst)
+
+
+def test_online_repartition_repeats_every_superstep_after_the_move():
+    """The twin starts on the final placement from the checkpoint held
+    at the run's *last* move, with the slowed daemon's remaining passes
+    carried over, and must repeat every later superstep's stats."""
+    graph = vertex_pairs(120)
+    spec, config = ClusterSpec(nodes=3, gpus_per_node=1), FLAT[1]
+    cluster = spec.build()
+    engine = PowerGraphEngine(clustering_partition(graph, 3), cluster,
+                              GXPlug(cluster, config))
+    steps = engine.run_stepwise(ALGORITHMS["pagerank"](), CAP)
+    placement, held, slow = engine.pgraph, None, None
+    while True:
+        try:
+            next(steps)
+        except StopIteration as stop:
+            live = stop.value
+            break
+        if engine.pgraph is not placement:
+            placement = engine.pgraph
+            held = engine.checkpoint_store.peek()
+            daemon = engine.middleware.agent_for(0).daemons[0]
+            slow = (daemon.slow_factor, daemon.slow_passes_left,
+                    daemon.slow_passes_done)
+    assert live.online_rebalances >= 1 and held is not None
+    after = live.stats[held.iteration:]
+    assert any(s.skipped for s in after)
+
+    cluster = spec.build()
+    plug = GXPlug(cluster, config.with_(fault_plan=None,
+                                        straggler=StragglerConfig()))
+    daemon = plug.agent_for(0).daemons[0]
+    daemon.arm_slowdown(slow[0], slow[1])
+    daemon.slow_passes_done = slow[2]
+    twin = PowerGraphEngine(placement, cluster, plug).run(
+        ALGORITHMS["pagerank"](), max_iterations=CAP, resume_from=held)
+    assert twin.online_rebalances == 0
+    assert twin.values.tobytes() == live.values.tobytes()
+    assert len(twin.stats) == len(after)
+    for ours, theirs in zip(after, twin.stats):
+        for f in dataclasses.fields(IterationStats):
+            assert getattr(theirs, f.name) == getattr(ours, f.name), \
+                f"superstep {ours.index}: {f.name}"
