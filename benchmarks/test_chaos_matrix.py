@@ -5,7 +5,7 @@ faults, gray slowdowns — each swept over three seeds on the resilient
 stack.  Two invariants per cell:
 
 * values always converge to the fault-free run (asserted inside
-  :func:`~repro.bench.runner.run_fault_soak` at 1e-9);
+  :func:`~repro.bench.figures.run_fault_soak` at 1e-9);
 * the recovery overhead is bounded: never meaningfully negative, never
   more than ``MAX_OVERHEAD_FACTOR`` times the clean runtime — a
   recovery path that triples the job is a failed recovery.
