@@ -196,15 +196,11 @@ class Topology:
         Vectorized over the precomputed uplink arrays; purely
         elementwise (no reductions), so every entry is bit-identical to
         calling :meth:`fragment_ms` node by node — the fused collective
-        timeline and the per-fragment path agree to the last ulp.
+        timeline and the per-fragment path agree to the last ulp.  The
+        sizes come from :meth:`node_bytes` of a payload
+        :meth:`sync_ms` already checked.
         """
         arr = np.asarray(per_node_bytes, dtype=np.float64)
-        if arr.shape != (self.num_nodes,):
-            raise SimulationError(
-                f"per_node_bytes has shape {arr.shape} for "
-                f"{self.num_nodes} nodes")
-        if arr.size and float(arr.min()) < 0:
-            raise SimulationError("negative fragment size")
         return self._uplink_latency_arr + arr * self._uplink_mspb_arr
 
     def node_bytes(self, total_bytes: int,
@@ -212,18 +208,11 @@ class Topology:
                    ) -> List[float]:
         """Split ``total_bytes`` across nodes: proportionally to the
         ``bytes_by_node`` weights when given (zero-sum weights fall back
-        to uniform), uniform otherwise."""
-        if total_bytes < 0:
-            raise SimulationError(f"negative sync payload {total_bytes}")
+        to uniform), uniform otherwise.  Callers pass what
+        :meth:`sync_ms` already checked."""
         n = self.num_nodes
         if bytes_by_node is not None:
-            if len(bytes_by_node) != n:
-                raise SimulationError(
-                    f"bytes_by_node has {len(bytes_by_node)} entries for "
-                    f"{n} nodes")
             weights = [float(w) for w in bytes_by_node]
-            if min(weights) < 0:
-                raise SimulationError("bytes_by_node weights must be >= 0")
             total_w = sum(weights)
             if total_w > 0:
                 return [w / total_w * total_bytes for w in weights]
@@ -358,13 +347,9 @@ class Topology:
             per_byte += self._max_cross_mspb()
         return self._latency_term_ms + nbytes * per_byte
 
-    def transfer_ms(self, nbytes: int, src: Optional[int] = None,
-                    dst: Optional[int] = None) -> float:
-        """Point-to-point transfer; without endpoints it prices the
-        intra-rack default link."""
-        if src is None or dst is None:
-            return self.intra.transfer_ms(nbytes)
-        return self.link(src, dst).transfer_ms(nbytes)
+    def transfer_ms(self, nbytes: int) -> float:
+        """Point-to-point transfer over the intra-rack default link."""
+        return self.intra.transfer_ms(nbytes)
 
     def p2p_fallback_ms(self, num_nodes: int, total_bytes: int) -> float:
         """Point-to-point fallback: the root exchanges with every node in

@@ -213,6 +213,31 @@ def test_weighted_sync_charges_the_bad_uplink():
     assert onto_remote > onto_root
 
 
+def test_p2p_fallback_walks_every_uplink_path():
+    """Across racks the fallback pays each node's own path latency and
+    each even fragment its own path rate."""
+    topo = Topology.from_spec("rack:2x1")
+    net = topo.base
+    lat = [net.latency_ms, net.latency_ms + topo.cross.latency_ms]
+    rate = [net.ms_per_byte, net.ms_per_byte + topo.cross.ms_per_byte]
+    expected = (sum(lat) + sum(5000 * r for r in rate)
+                + net.coord_ms_per_node * 2)
+    assert topo.p2p_fallback_ms(2, 10_000) == pytest.approx(expected)
+    assert topo.p2p_fallback_ms(2, 10_000) > flat_p2p_fallback_ms(net, 2,
+                                                                 10_000)
+
+
+def test_in_rack_override_prices_each_member_on_its_link():
+    """A pinned in-rack hop splits the rack's gather per member."""
+    slow = LinkModel(0.08, 1e-3)
+    topo = Topology.from_spec("flat:2", overrides={(1, 0): slow})
+    assert topo.uplinks_differ
+    expected = (topo.intra.latency_ms
+                + 500 * topo.intra.ms_per_byte + 500 * slow.ms_per_byte
+                + topo.base.coord_ms_per_node * 2)
+    assert topo.sync_ms(2, 1000) == pytest.approx(expected)
+
+
 def test_collective_span_is_checked():
     topo = Topology.from_spec("rack:2x2")
     with pytest.raises(SimulationError):

@@ -110,6 +110,25 @@ def test_sequence_numbers_dedupe_duplicates():
     assert t.deliver(0, t.send(0)) is True       # next seq passes
 
 
+def test_transport_refuses_bad_peers_and_timeouts():
+    with pytest.raises(SimulationError):
+        ResilientTransport(one_rack(), ack_timeout_ms=0.0)
+    t = make_transport()
+    with pytest.raises(SimulationError):
+        t.send(-1)
+    with pytest.raises(SimulationError):
+        t.deliver(-1, 0)
+
+
+def test_slow_link_outside_the_collective_stays_armed():
+    """A gray fault on a node the collective does not span is neither
+    charged nor spent."""
+    t = make_transport(num_nodes=2)
+    t.arm_link_slow(5, factor=4.0, passes=1)
+    assert t.sync_ms(2, 1000) == one_rack(2).sync_ms(2, 1000)
+    assert t.link_inflations == 0 and 5 in t._slow_links
+
+
 def test_armed_delay_charges_the_straggler():
     model = one_rack()
     t = make_transport()
