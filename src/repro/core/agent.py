@@ -562,7 +562,7 @@ class Agent:
         self.cache = None
         if self.config.sync_cache:
             capacity = self.config.cache_capacity or DEFAULT_CACHE_CAPACITY
-            self.cache = LRUVertexCache(capacity, writeback=True)
+            self.cache = LRUVertexCache(capacity)
         self._churn_reported = (0, 0)
 
     def _fastest_daemon(self) -> Daemon:

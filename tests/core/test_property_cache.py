@@ -9,21 +9,17 @@ eviction).
 import random
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.sync_cache import LRUVertexCache
-from repro.errors import MiddlewareError
 
 
 def table(cache):
     """Everything observable about the resident set:
     ``id -> (weight, dirty)``."""
-    slots = np.flatnonzero(cache._ids >= 0)
-    return {int(cache._ids[s]): (float(cache._weights[s]),
-                                 bool(cache._dirty[s]))
-            for s in slots}
+    return {int(v): (float(cache._weights[v]), bool(cache._dirty[v]))
+            for v in np.flatnonzero(cache._resident)}
 
 
 class ModelCache:
@@ -47,12 +43,11 @@ class ModelCache:
                 self.weights[v] = self.gen
 
     def _evict(self):
-        candidates = [(w, v) for v, w in self.weights.items()
-                      if v not in self.dirty]
-        if not candidates:
-            raise MiddlewareError("full of dirty")
-        _, victim = min(candidates)
+        # clean entries first; a cache full of dirty ones writes back
+        *_, victim = min((v in self.dirty, w, v)
+                         for v, w in self.weights.items())
         del self.weights[victim]
+        self.dirty.discard(victim)
 
     def insert(self, v):
         if v not in self.weights and len(self.weights) >= self.capacity:
@@ -194,15 +189,11 @@ def test_bulk_insert_pins_dirty_entries():
 
 
 def test_bulk_insert_writeback_evicts_dirty_when_all_pinned():
-    cache = LRUVertexCache(2, writeback=True)
+    cache = LRUVertexCache(2)
     fill(cache, [0, 1], dirty=True)
     evicted = cache.insert_many(np.array([5, 6]))
     assert sorted(evicted.tolist()) == [0, 1]
     assert cache.writebacks == 2
-    strict = LRUVertexCache(2)
-    fill(strict, [0, 1], dirty=True)
-    with pytest.raises(MiddlewareError):
-        strict.insert_many(np.array([5, 6]))
 
 
 def test_bulk_insert_larger_than_capacity_matches_sequential():
@@ -244,29 +235,23 @@ def test_cache_matches_model(ops, capacity):
     model = ModelCache(capacity)
     for op in ops:
         kind = op[0]
-        try:
-            if kind == "tick":
-                real.tick()
-                model.tick()
-            elif kind == "touch":
-                real.touch(np.array([op[1]]))
-                model.touch([op[1]])
-            elif kind == "insert":
-                real.insert(op[1])
-                model.insert(op[1])
-            elif kind == "update":
-                real.update(op[1], dirty=op[2])
-                model.update(op[1], dirty=op[2])
-            elif kind == "invalidate":
-                real.invalidate(op[1])
-                model.invalidate(op[1])
-            elif kind == "flush":
-                assert real.take_dirty().tolist() == model.take_dirty()
-        except MiddlewareError:
-            # both must agree the cache is wedged full of dirty entries
-            with pytest.raises(MiddlewareError):
-                model._evict()
-            return
+        if kind == "tick":
+            real.tick()
+            model.tick()
+        elif kind == "touch":
+            real.touch(np.array([op[1]]))
+            model.touch([op[1]])
+        elif kind == "insert":
+            real.insert(op[1])
+            model.insert(op[1])
+        elif kind == "update":
+            real.update(op[1], dirty=op[2])
+            model.update(op[1], dirty=op[2])
+        elif kind == "invalidate":
+            real.invalidate(op[1])
+            model.invalidate(op[1])
+        elif kind == "flush":
+            assert real.take_dirty().tolist() == model.take_dirty()
         # invariants after every step
         assert table(real) == model.table()
         assert len(real) == len(model.weights) <= capacity
@@ -328,17 +313,15 @@ def counters(cache):
 
 
 @settings(max_examples=300, deadline=None)
-@given(ops=THRASH_OPS, capacity=st.integers(1, 8),
-       writeback=st.booleans())
-def test_thrashing_insert_many_equals_the_per_vertex_fold(
-        ops, capacity, writeback):
+@given(ops=THRASH_OPS, capacity=st.integers(1, 8))
+def test_thrashing_insert_many_equals_the_per_vertex_fold(ops, capacity):
     """With capacity below the id universe, a batch larger than the
     cache takes the exact sequential order: the bulk cache must equal a
     twin driven one vertex at a time, in ascending id order (a batch is
-    a set), through insert()/update() on every observable, including
-    the full-of-dirty error and the state it leaves behind."""
-    bulk = LRUVertexCache(capacity, writeback=writeback)
-    twin = LRUVertexCache(capacity, writeback=writeback)
+    a set), through insert()/update() on every observable, dirty
+    write-backs included."""
+    bulk = LRUVertexCache(capacity)
+    twin = LRUVertexCache(capacity)
     for op in ops:
         kind = op[0]
         if kind == "tick":
@@ -354,33 +337,20 @@ def test_thrashing_insert_many_equals_the_per_vertex_fold(
             ids = np.asarray(op[1], dtype=np.int64)
             assert bulk.invalidate_many(ids) == twin.invalidate_many(ids)
         elif kind == "update":
-            outcomes = []
-            for cache in (bulk, twin):
-                try:
-                    outcomes.append(cache.update(op[1], dirty=op[2]))
-                except MiddlewareError as exc:
-                    outcomes.append(str(exc))
-            assert outcomes[0] == outcomes[1]
+            assert (bulk.update(op[1], dirty=op[2])
+                    == twin.update(op[1], dirty=op[2]))
         else:
             _, perm, extra, dirty, ascending = op
             ids = np.asarray(perm[: min(capacity + extra, UNIVERSE)],
                              dtype=np.int64)
             if ascending:  # the order the agent's np.unique batches have
                 ids = np.sort(ids)
-            expected, error = [], None
-            try:
-                for v in np.sort(ids).tolist():
-                    out = twin.update(v) if dirty else twin.insert(v)
-                    if out is not None:
-                        expected.append(out)
-            except MiddlewareError as exc:
-                error = str(exc)
-            if error is None:
-                assert bulk.insert_many(ids, dirty=dirty).tolist() == expected
-            else:
-                with pytest.raises(MiddlewareError) as caught:
-                    bulk.insert_many(ids, dirty=dirty)
-                assert str(caught.value) == error
+            expected = []
+            for v in np.sort(ids).tolist():
+                out = twin.update(v) if dirty else twin.insert(v)
+                if out is not None:
+                    expected.append(out)
+            assert bulk.insert_many(ids, dirty=dirty).tolist() == expected
         assert table(bulk) == table(twin)
         assert counters(bulk) == counters(twin)
         assert len(bulk) <= capacity

@@ -63,13 +63,6 @@ def test_dirty_entries_never_evicted():
     assert 1 in c and 3 in c and 2 not in c
 
 
-def test_cache_full_of_dirty_raises():
-    c = LRUVertexCache(1)
-    c.update(1, dirty=True)
-    with pytest.raises(MiddlewareError):
-        c.insert(2)
-
-
 def test_take_dirty_flushes():
     c = LRUVertexCache(4)
     c.update(1)
@@ -121,7 +114,17 @@ def test_capacity_validation():
         LRUVertexCache(0)
 
 
-# -- tables sized by residency ----------------------------------------------------
+# -- one table indexed by vertex id ------------------------------------------------
+
+
+def test_negative_ids_are_refused():
+    c = LRUVertexCache(4)
+    with pytest.raises(MiddlewareError, match="got -1"):
+        c.insert(-1)
+    with pytest.raises(MiddlewareError, match=">= 0"):
+        c.insert_many(np.array([3, -2]))
+    assert len(c) == 0
+    assert c.contains_many(np.array([-1, -2])).tolist() == [False, False]
 
 
 def test_nominal_capacity_costs_nothing_until_used():
@@ -129,45 +132,45 @@ def test_nominal_capacity_costs_nothing_until_used():
     ids = np.arange(0, 3000, 3)                    # 1 000 vertices
     c.insert_many(ids)
     assert len(c) == 1000
-    # all the memory there is: three flat slot tables and the id index
+    # all the memory there is: one flat table, sized by the largest id
+    # seen (doubled from its seed), not by the capacity
     arrays = {k: v for k, v in vars(c).items() if isinstance(v, np.ndarray)}
-    assert set(arrays) == {"_ids", "_weights", "_dirty", "_index"}
-    for name in ("_ids", "_weights", "_dirty"):
-        assert arrays[name].shape == (arrays[name].size,)
-        assert arrays[name].size <= 4 * 1000
-    assert len(c._free) == 0                       # no list of vacant slots
+    assert set(arrays) == {"_resident", "_weights", "_dirty"}
+    assert {a.shape for a in arrays.values()} == {(4096,)}
 
 
 def test_growing_tables_match_an_eagerly_sized_twin(monkeypatch):
+    """A table grown from a tiny seed equals one seeded past every id,
+    op for op."""
     capacity = 64
-    eager = LRUVertexCache(capacity, writeback=True)
-    monkeypatch.setattr(sync_cache, "_TABLE_SEED", 4)
-    grown = LRUVertexCache(capacity, writeback=True)
-    assert eager._ids.size == capacity and grown._ids.size == 4
+    eager = LRUVertexCache(capacity)
+    monkeypatch.setattr(sync_cache, "_INDEX_SEED", 4)
+    grown = LRUVertexCache(capacity)
+    assert eager._resident.size > 400 and grown._resident.size == 4
 
     def both(op):
         a, b = op(eager), op(grown)
         assert np.array_equal(a, b)
         assert table(eager) == table(grown)
-        assert (len(eager), eager.evictions, eager.writebacks) == (
-            len(grown), grown.evictions, grown.writebacks)
+        assert (len(eager), eager.evictions, eager.writebacks,
+                eager.hits) == (len(grown), grown.evictions,
+                                grown.writebacks, grown.hits)
 
     both(lambda c: c.insert(3))
     both(lambda c: c.insert_many(np.arange(10, 15)))
-    assert 4 < grown._ids.size < 32                # first doubling(s)
+    assert grown._resident.size == 16              # doubled past id 14
     both(lambda c: c.tick())
-    both(lambda c: c.insert_many(np.arange(20, 60),
-                                 dirty=True))      # crosses two more
-    assert grown._ids.size > 32
+    both(lambda c: c.insert_many(np.arange(20, 60), dirty=True))
+    both(lambda c: c.touch(np.arange(0, 80, 3)))   # ids past the table
+    both(lambda c: c.contains_many(np.arange(50, 70)))
     both(lambda c: c.invalidate_many(np.arange(10, 40, 2)))
-    recycled = len(grown._free)
-    assert recycled == 13
     both(lambda c: c.insert_many(np.arange(100, 110)))
-    assert len(grown._free) == recycled - 10       # vacated slots reused
     both(lambda c: c.tick())
     both(lambda c: c.insert_many(np.arange(200, 230)))  # bulk eviction
+    both(lambda c: c.update(250, dirty=False))     # one-vertex eviction
     both(lambda c: c.insert_many(np.arange(300, 400),
                                  dirty=True))      # thrash
     assert eager.evictions > 0 and eager.writebacks > 0
-    assert grown._ids.size == capacity
+    assert grown._resident.size == 512
+    both(lambda c: c.take_dirty(np.arange(350, 600)))
     both(lambda c: c.take_dirty())

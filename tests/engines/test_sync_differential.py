@@ -177,8 +177,9 @@ def cache_state(engine):
     state = []
     for node in range(NODES):
         cache = engine.middleware.agent_for(node).cache
-        state.append((cache._ids.tobytes(), cache._weights.tobytes(),
-                      cache._dirty.tobytes(), tuple(cache._free),
+        resident = cache._resident
+        state.append((resident.tobytes(), cache._weights[resident].tobytes(),
+                      cache._dirty.tobytes(),
                       cache.hits, cache.evictions, cache.writebacks,
                       len(cache)))
     return state
