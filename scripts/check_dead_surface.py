@@ -71,8 +71,6 @@ TESTS_ONLY = {
         "inspection hook: decodes a finished k-core value table",
     "repro.cluster.cluster.Cluster.total_gpu_count":
         "inspection hook: accelerator census of a built cluster",
-    "repro.cluster.topology.Topology.fragment_ms":
-        "inspection hook: healthy per-fragment wire time (docs/performance)",
     "repro.core.sync_cache.LRUVertexCache.dirty_count":
         "inspection hook: lazy-upload backlog size",
     "repro.core.sync_cache.LRUVertexCache.dirty_ids":

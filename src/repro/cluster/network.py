@@ -77,8 +77,11 @@ class ResilientTransport:
       when the policy's attempt budget is spent the collective monitor
       raises :class:`~repro.errors.NodeUnreachable`.
 
-    Faults are one-shot: armed events are consumed by the next
-    collective, so a superstep re-executed after a rollback runs clean.
+    A fragment that a dup, drop or partition sends again crosses the
+    sending node's own uplink path (:meth:`Topology.fragment_ms`), so a
+    cross-rack node pays its uplink on every resend.  Faults are
+    one-shot: armed events are consumed by the next collective, so a
+    superstep re-executed after a rollback runs clean.
     All extra simulated time (anything beyond the topology's cost) is
     accumulated in ``net_wasted_ms``.
     """
@@ -339,14 +342,14 @@ class ResilientTransport:
             self._ensure_peers(node + 1)
             seq = max(int(self._delivered[node]), 0)
             self.deliver(node, seq)            # re-delivery: returns False
-            extra += self.topology.transfer_ms(fragment)
+            extra += self.topology.fragment_ms(node, fragment)
 
         # drops: ack timeout, backoff, point-to-point retransmit
         drops, self._drops = self._drops, []
         for node in drops:
             self.monitor.expect(node, base + extra)
             extra += self.ack_timeout_ms + self.policy.backoff_ms(1)
-            extra += self.topology.transfer_ms(fragment)
+            extra += self.topology.fragment_ms(node, fragment)
             self.deliver(node, self.send(node))
             self.monitor.ack(node)
             self.retransmits += 1
@@ -370,7 +373,7 @@ class ResilientTransport:
             attempts = 0
             for attempt in range(1, self.policy.max_attempts + 1):
                 clock += self.ack_timeout_ms + self.policy.backoff_ms(attempt)
-                clock += self.topology.transfer_ms(fragment)
+                clock += self.topology.fragment_ms(node, fragment)
                 self.send(node)                # never delivered
                 self.retransmits += 1
                 attempts = attempt

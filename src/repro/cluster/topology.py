@@ -51,11 +51,6 @@ class LinkModel:
         if min(self.latency_ms, self.ms_per_byte) < 0:
             raise SimulationError("link cost parameters must be >= 0")
 
-    def transfer_ms(self, nbytes: int) -> float:
-        if nbytes < 0:
-            raise SimulationError(f"negative transfer size {nbytes}")
-        return self.latency_ms + nbytes * self.ms_per_byte
-
 
 class Topology:
     """Nodes grouped into racks with per-link alpha-beta costs.
@@ -346,10 +341,6 @@ class Topology:
         if self.num_racks > 1:
             per_byte += self._max_cross_mspb()
         return self._latency_term_ms + nbytes * per_byte
-
-    def transfer_ms(self, nbytes: int) -> float:
-        """Point-to-point transfer over the intra-rack default link."""
-        return self.intra.transfer_ms(nbytes)
 
     def p2p_fallback_ms(self, num_nodes: int, total_bytes: int) -> float:
         """Point-to-point fallback: the root exchanges with every node in

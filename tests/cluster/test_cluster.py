@@ -24,8 +24,8 @@ def one_rack(num_nodes, net=None):
 def test_network_transfer_linear():
     net = NetworkModel(latency_ms=1.0, ms_per_byte=0.01, coord_ms_per_node=0.0)
     topo = one_rack(2, net)
-    assert topo.transfer_ms(0) == pytest.approx(1.0)
-    assert topo.transfer_ms(100) == pytest.approx(2.0)
+    assert topo.fragment_ms(1, 0) == pytest.approx(1.0)
+    assert topo.fragment_ms(1, 100) == pytest.approx(2.0)
 
 
 def test_network_sync_grows_with_nodes():
@@ -44,7 +44,7 @@ def test_network_validation():
         NetworkModel(latency_ms=-1.0)
     topo = one_rack(2)
     with pytest.raises(SimulationError):
-        topo.transfer_ms(-1)
+        topo.fragment_ms(0, -1)
     with pytest.raises(SimulationError):
         topo.sync_ms(0, 10)
     with pytest.raises(SimulationError):

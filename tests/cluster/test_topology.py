@@ -120,7 +120,8 @@ def test_single_rack_equals_network_model_grid(net):
             assert topo.sync_ms(n, nbytes) == flat_sync_ms(net, n, nbytes)
             assert (topo.broadcast_ms(n, nbytes)
                     == flat_broadcast_ms(net, n, nbytes))
-            assert topo.transfer_ms(nbytes) == flat_transfer_ms(net, nbytes)
+            assert all(topo.fragment_ms(k, nbytes)
+                       == flat_transfer_ms(net, nbytes) for k in range(n))
             assert (topo.p2p_fallback_ms(n, nbytes)
                     == flat_p2p_fallback_ms(net, n, nbytes))
 

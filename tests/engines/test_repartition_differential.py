@@ -22,9 +22,12 @@ drops only the sync's cost), so one more twin repeats every superstep
 after the run's last move, field by field, on a clustering placement
 whose communities survive the new shares: syncs are still skipped
 after the move, and a detector left on the old placement would stop
-skipping them.
+skipping them.  A last twin repeats the same on ``RACK``, with the
+slowed uplink still armed after the move, so a transport that lost its
+``LINK_SLOW`` state would price the later syncs wrong.
 """
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -35,7 +38,7 @@ from repro.algorithms import ALGORITHMS
 from repro.core import StragglerConfig
 from repro.core.config import ClusterSpec
 from repro.engines import IterationStats, PowerGraphEngine
-from repro.fault import LINK_SLOW, SLOWDOWN, FaultPlan
+from repro.fault import LINK_SLOW, SLOWDOWN, CheckpointStore, FaultPlan
 from repro.graph import Graph, road_network
 from repro.graph.partition import clustering_partition
 
@@ -167,6 +170,63 @@ def test_online_repartition_repeats_every_superstep_after_the_move():
     daemon = plug.agent_for(0).daemons[0]
     daemon.arm_slowdown(slow[0], slow[1])
     daemon.slow_passes_done = slow[2]
+    twin = PowerGraphEngine(placement, cluster, plug).run(
+        ALGORITHMS["pagerank"](), max_iterations=CAP, resume_from=held)
+    assert twin.online_rebalances == 0
+    assert twin.values.tobytes() == live.values.tobytes()
+    assert len(twin.stats) == len(after)
+    for ours, theirs in zip(after, twin.stats):
+        for f in dataclasses.fields(IterationStats):
+            assert getattr(theirs, f.name) == getattr(ours, f.name), \
+                f"superstep {ours.index}: {f.name}"
+
+
+def test_link_adjusted_repartition_repeats_every_superstep_after_the_move(
+        monkeypatch):
+    """The same repeat on ``RACK``: link-adjusted shares move the graph
+    off the slowed cross-rack uplink, and the twin, started on the final
+    placement from the checkpoint held at the last move with the armed
+    ``LINK_SLOW`` state carried over (factor, passes left, flaky tick),
+    must repeat every later superstep's stats.  A superstep's
+    ``net_wasted_ms`` is a difference of the transport's running total
+    and its ``checkpoint_ms`` depends on the delta chain behind it, so
+    the twin also starts from the live transport's total and the live
+    checkpoint store."""
+    spec, config = RACK
+    cluster = spec.build()
+    engine = PowerGraphEngine.build(GRAPH, cluster,
+                                    middleware=GXPlug(cluster, config))
+    steps = engine.run_stepwise(ALGORITHMS["pagerank"](), CAP)
+    placement, held, link, wasted, store = (engine.pgraph, None, None,
+                                            None, None)
+    while True:
+        try:
+            next(steps)
+        except StopIteration as stop:
+            live = stop.value
+            break
+        if engine.pgraph is not placement:
+            placement = engine.pgraph
+            held = engine.checkpoint_store.peek()
+            transport = engine.middleware.transport
+            link = list(transport._slow_links[1])
+            wasted = transport.net_wasted_ms
+            store = copy.deepcopy(engine.checkpoint_store)
+    assert live.online_rebalances >= 1 and held is not None
+    after = live.stats[held.iteration:]
+    assert any(s.net_wasted_ms > 0 for s in after)  # still slowed
+
+    cluster = spec.build()
+    plug = GXPlug(cluster, config.with_(fault_plan=None,
+                                        straggler=StragglerConfig()))
+    factor, passes_left, flaky, tick = link
+    plug.transport.arm_link_slow(1, factor, passes_left)
+    plug.transport._slow_links[1][2:] = [flaky, tick]
+    plug.transport.net_wasted_ms = wasted
+    # the resume point is the live store's newest state: continue its
+    # delta chain instead of seeding a fresh one
+    monkeypatch.setattr(CheckpointStore, "seed",
+                        lambda self, *state: vars(self).update(vars(store)))
     twin = PowerGraphEngine(placement, cluster, plug).run(
         ALGORITHMS["pagerank"](), max_iterations=CAP, resume_from=held)
     assert twin.online_rebalances == 0

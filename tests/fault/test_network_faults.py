@@ -147,7 +147,7 @@ def test_armed_dup_pays_the_wire_and_gets_deduped():
     cost = t.sync_ms(4, 1000)
     fragment = 250
     assert cost == pytest.approx(model.sync_ms(4, 1000)
-                                 + model.transfer_ms(fragment))
+                                 + model.fragment_ms(0, fragment))
     assert t.dup_drops == 1
     assert t.retransmits == 0                    # a dup is not a resend
 
@@ -157,11 +157,25 @@ def test_armed_drop_retransmits_after_timeout_and_backoff():
     t = make_transport(ack_timeout_ms=2.0, base_delay_ms=0.5)
     t.arm_drop(1)
     cost = t.sync_ms(4, 1000)
-    expected_extra = 2.0 + 0.5 + model.transfer_ms(250)
+    expected_extra = 2.0 + 0.5 + model.fragment_ms(1, 250)
     assert cost == pytest.approx(model.sync_ms(4, 1000) + expected_extra)
     assert t.retransmits == 1
     assert t.monitor.acks == 1
     assert t.monitor.pending == 0
+
+
+def test_a_retransmission_crosses_the_senders_uplink():
+    """On ``rack:2x1`` node 1 sits behind the cross-rack uplink: its
+    resent fragment pays that path, not the in-rack default link."""
+    topo = Topology.from_spec("rack:2x1")
+    t = ResilientTransport(topo, RetryPolicy(max_attempts=3,
+                                             base_delay_ms=0.5),
+                           ack_timeout_ms=1.0)
+    t.arm_drop(1)
+    extra = t.sync_ms(2, 10_000) - topo.sync_ms(2, 10_000)
+    assert topo.fragment_ms(1, 5000) == pytest.approx(0.65)
+    assert extra == pytest.approx(1.0 + 0.5 + 0.65)
+    assert t.net_wasted_ms == pytest.approx(2.15)
 
 
 def test_armed_sync_fail_falls_back_to_p2p():
