@@ -35,7 +35,10 @@ be passed somewhere under those roots or ``tests/`` — by keyword, or
 by position in a call named after the class with more positional
 arguments than the knob's index.  A knob only tests pass is the
 class's home for a test-tuned value and stays; a knob no call passes
-only ever holds its default, which belongs inside the class.
+only ever holds its default, which belongs inside the class.  So does
+a knob every call outside ``tests/`` passes, and passes as one and the
+same literal: its default serves tests only, and the literal is the
+class's behaviour.
 
 Usage: python scripts/check_dead_surface.py
 """
@@ -245,11 +248,10 @@ def knobs():
     return found
 
 
-def positional_calls(roots):
-    """``{callee name: most positional arguments passed}`` over every
-    call in a ``*.py`` under ``roots``, the callee named by its bare
-    name or attribute; a ``*args`` argument counts as passing all."""
-    widest = {}
+def calls_by_name(roots):
+    """``{callee name: [call, ...]}`` over every call in a ``*.py``
+    under ``roots``, the callee named by its bare name or attribute."""
+    calls = {}
     for root in roots:
         for path in (ROOT / root).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
@@ -259,13 +261,40 @@ def positional_calls(roots):
                 name = (func.id if isinstance(func, ast.Name) else
                         func.attr if isinstance(func, ast.Attribute)
                         else None)
-                if name is None:
-                    continue
-                count = (sys.maxsize if any(isinstance(a, ast.Starred)
-                                            for a in node.args)
-                         else len(node.args))
-                widest[name] = max(widest.get(name, 0), count)
-    return widest
+                if name is not None:
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def widest_positional(calls):
+    """``{callee name: most positional arguments passed}``; a
+    ``*args`` argument counts as passing all."""
+    return {name: max(sys.maxsize if any(isinstance(a, ast.Starred)
+                                         for a in call.args)
+                      else len(call.args) for call in group)
+            for name, group in calls.items()}
+
+
+def literal_passed(call, name, index):
+    """``repr`` of the literal ``call`` passes for knob ``name`` (at
+    positional ``index``), or None when it passes none, passes an
+    expression, or may pass it through ``*args``/``**kwargs``."""
+    node = None
+    for kw in call.keywords:
+        if kw.arg is None:
+            return None
+        if kw.arg == name:
+            node = kw.value
+    if node is None:
+        if (index is None or index >= len(call.args)
+                or any(isinstance(a, ast.Starred)
+                       for a in call.args[:index + 1])):
+            return None
+        node = call.args[index]
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:
+        return None
 
 
 def reference_index(roots):
@@ -322,16 +351,21 @@ def main() -> int:
 
     params = knobs()
     test_passed = keywords(("tests",))
-    widest, test_widest = (positional_calls(USER_ROOTS),
-                           positional_calls(("tests",)))
+    calls = calls_by_name(USER_ROOTS)
+    widest, test_widest = (widest_positional(calls),
+                           widest_positional(calls_by_name(("tests",))))
 
     def passes(kw, wide, name, index, cls):
         return name in kw or (index is not None
                               and wide.get(cls, 0) > index)
 
-    unpassed, test_only_knobs = [], 0
+    unpassed, pinned, test_only_knobs = [], [], 0
     for qualified, (name, _, _, index, cls) in sorted(params.items()):
         if passes(passed, widest, name, index, cls):
+            values = {literal_passed(call, name, index)
+                      for call in calls.get(cls, ())}
+            if len(values) == 1 and None not in values:
+                pinned.append(qualified)
             continue
         if passes(test_passed, test_widest, name, index, cls):
             test_only_knobs += 1
@@ -350,6 +384,8 @@ def main() -> int:
              "retire them into the class that uses them", unset),
             ("constructor knobs no call passes, tests included — "
              "retire them into the class", unpassed),
+            ("constructor knobs every call outside tests/ passes as one "
+             "literal — retire them into the class", pinned),
             ("TESTS_ONLY / UNSET_FIELDS entries no longer needed — "
              "remove them", stale)):
         if names:
@@ -362,11 +398,12 @@ def main() -> int:
                     _, path, line, *_ = found
                     where = f"{path.relative_to(ROOT)}:{line}"
                 print(f"  {qualified}  [{where}]")
-    if dead or untabled or unset or unpassed or stale:
+    if dead or untabled or unset or unpassed or pinned or stale:
         return 1
     print(f"{len(defs)} public names in src/repro, "
           f"{len(TESTS_ONLY)} kept for tests only, none dead; "
-          f"{len(UNSET_FIELDS)} config fields unset, no knob unpassed")
+          f"{len(UNSET_FIELDS)} config fields unset, no knob unpassed "
+          f"or pinned to one literal")
     return 0
 
 
