@@ -282,7 +282,8 @@ class LRUVertexCache:
         n0, n1, n2, _ = np.bincount(pool_of, minlength=4).tolist()
         # the pools that only shrink, and the range of the one written
         if mark:
-            static, heap = n0 + n1 + n2, (n0 + n1 + n2, ranked.size)
+            static = n0 + n1 + n2
+            heap = (static, ranked.size)
         else:
             static, heap = n0, (n0, n0 + n1)
         rank = np.empty(self._resident.size, dtype=np.int64)

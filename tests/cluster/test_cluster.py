@@ -51,6 +51,10 @@ def test_network_validation():
         topo.broadcast_ms(2, -1)
     with pytest.raises(SimulationError):
         topo.sync_ms(2, -1)
+    for node_query in (topo.rack_of, topo.path_ms_per_byte,
+                       lambda node: topo.fragment_ms(node, 10)):
+        with pytest.raises(SimulationError, match="unknown node 2"):
+            node_query(2)
 
 
 def test_jvm_runtime_costlier_than_native():
