@@ -137,17 +137,14 @@ def vertex_pairs(count):
     return Graph.from_edges(2 * count, src, dst)
 
 
-def test_online_repartition_repeats_every_superstep_after_the_move():
-    """The twin starts on the final placement from the checkpoint held
-    at the run's *last* move, with the slowed daemon's remaining passes
-    carried over, and must repeat every later superstep's stats."""
-    graph = vertex_pairs(120)
-    spec, config = ClusterSpec(nodes=3, gpus_per_node=1), FLAT[1]
-    cluster = spec.build()
-    engine = PowerGraphEngine(clustering_partition(graph, 3), cluster,
-                              GXPlug(cluster, config))
+def repeats_after_last_move(engine, spec, config, capture, carry):
+    """Run PageRank on ``engine`` out, holding the checkpoint and
+    ``capture(engine)`` at each move; then start the twin on the final
+    placement from the last one, with ``carry(plug, captured)`` applied
+    to its fresh middleware, and require it to repeat every later
+    superstep's stats, field by field.  Returns those supersteps."""
     steps = engine.run_stepwise(ALGORITHMS["pagerank"](), CAP)
-    placement, held, slow = engine.pgraph, None, None
+    placement, held, captured = engine.pgraph, None, None
     while True:
         try:
             next(steps)
@@ -157,19 +154,14 @@ def test_online_repartition_repeats_every_superstep_after_the_move():
         if engine.pgraph is not placement:
             placement = engine.pgraph
             held = engine.checkpoint_store.peek()
-            daemon = engine.middleware.agent_for(0).daemons[0]
-            slow = (daemon.slow_factor, daemon.slow_passes_left,
-                    daemon.slow_passes_done)
+            captured = capture(engine)
     assert live.online_rebalances >= 1 and held is not None
     after = live.stats[held.iteration:]
-    assert any(s.skipped for s in after)
 
     cluster = spec.build()
     plug = GXPlug(cluster, config.with_(fault_plan=None,
                                         straggler=StragglerConfig()))
-    daemon = plug.agent_for(0).daemons[0]
-    daemon.arm_slowdown(slow[0], slow[1])
-    daemon.slow_passes_done = slow[2]
+    carry(plug, captured)
     twin = PowerGraphEngine(placement, cluster, plug).run(
         ALGORITHMS["pagerank"](), max_iterations=CAP, resume_from=held)
     assert twin.online_rebalances == 0
@@ -179,60 +171,61 @@ def test_online_repartition_repeats_every_superstep_after_the_move():
         for f in dataclasses.fields(IterationStats):
             assert getattr(theirs, f.name) == getattr(ours, f.name), \
                 f"superstep {ours.index}: {f.name}"
+    return after
+
+
+def test_online_repartition_repeats_every_superstep_after_the_move():
+    """The twin starts on the final placement from the checkpoint held
+    at the run's *last* move, with the slowed daemon's remaining passes
+    carried over, and must repeat every later superstep's stats."""
+    spec, config = ClusterSpec(nodes=3, gpus_per_node=1), FLAT[1]
+    cluster = spec.build()
+    engine = PowerGraphEngine(clustering_partition(vertex_pairs(120), 3),
+                              cluster, GXPlug(cluster, config))
+
+    def capture(engine):
+        daemon = engine.middleware.agent_for(0).daemons[0]
+        return (daemon.slow_factor, daemon.slow_passes_left,
+                daemon.slow_passes_done)
+
+    def carry(plug, slow):
+        daemon = plug.agent_for(0).daemons[0]
+        daemon.arm_slowdown(slow[0], slow[1])
+        daemon.slow_passes_done = slow[2]
+
+    after = repeats_after_last_move(engine, spec, config, capture, carry)
+    assert any(s.skipped for s in after)
 
 
 def test_link_adjusted_repartition_repeats_every_superstep_after_the_move(
         monkeypatch):
     """The same repeat on ``RACK``: link-adjusted shares move the graph
-    off the slowed cross-rack uplink, and the twin, started on the final
-    placement from the checkpoint held at the last move with the armed
-    ``LINK_SLOW`` state carried over (factor, passes left, flaky tick),
-    must repeat every later superstep's stats.  A superstep's
-    ``net_wasted_ms`` is a difference of the transport's running total
-    and its ``checkpoint_ms`` depends on the delta chain behind it, so
-    the twin also starts from the live transport's total and the live
-    checkpoint store."""
+    off the slowed cross-rack uplink, and the twin carries over the
+    armed ``LINK_SLOW`` state (factor, passes left, flaky flag, tick).
+    A superstep's ``net_wasted_ms`` is a difference of the transport's
+    running total and its ``checkpoint_ms`` depends on the delta chain
+    behind it, so the twin also starts from the live transport's total
+    and the live checkpoint store."""
     spec, config = RACK
     cluster = spec.build()
     engine = PowerGraphEngine.build(GRAPH, cluster,
                                     middleware=GXPlug(cluster, config))
-    steps = engine.run_stepwise(ALGORITHMS["pagerank"](), CAP)
-    placement, held, link, wasted, store = (engine.pgraph, None, None,
-                                            None, None)
-    while True:
-        try:
-            next(steps)
-        except StopIteration as stop:
-            live = stop.value
-            break
-        if engine.pgraph is not placement:
-            placement = engine.pgraph
-            held = engine.checkpoint_store.peek()
-            transport = engine.middleware.transport
-            link = list(transport._slow_links[1])
-            wasted = transport.net_wasted_ms
-            store = copy.deepcopy(engine.checkpoint_store)
-    assert live.online_rebalances >= 1 and held is not None
-    after = live.stats[held.iteration:]
-    assert any(s.net_wasted_ms > 0 for s in after)  # still slowed
 
-    cluster = spec.build()
-    plug = GXPlug(cluster, config.with_(fault_plan=None,
-                                        straggler=StragglerConfig()))
-    factor, passes_left, flaky, tick = link
-    plug.transport.arm_link_slow(1, factor, passes_left)
-    plug.transport._slow_links[1][2:] = [flaky, tick]
-    plug.transport.net_wasted_ms = wasted
-    # the resume point is the live store's newest state: continue its
-    # delta chain instead of seeding a fresh one
-    monkeypatch.setattr(CheckpointStore, "seed",
-                        lambda self, *state: vars(self).update(vars(store)))
-    twin = PowerGraphEngine(placement, cluster, plug).run(
-        ALGORITHMS["pagerank"](), max_iterations=CAP, resume_from=held)
-    assert twin.online_rebalances == 0
-    assert twin.values.tobytes() == live.values.tobytes()
-    assert len(twin.stats) == len(after)
-    for ours, theirs in zip(after, twin.stats):
-        for f in dataclasses.fields(IterationStats):
-            assert getattr(theirs, f.name) == getattr(ours, f.name), \
-                f"superstep {ours.index}: {f.name}"
+    def capture(engine):
+        transport = engine.middleware.transport
+        return (list(transport._slow_links[1]), transport.net_wasted_ms,
+                copy.deepcopy(engine.checkpoint_store))
+
+    def carry(plug, captured):
+        (factor, passes_left, flaky, tick), wasted, store = captured
+        plug.transport.arm_link_slow(1, factor, passes_left)
+        plug.transport._slow_links[1][2:] = [flaky, tick]
+        plug.transport.net_wasted_ms = wasted
+        # the resume point is the live store's newest state: continue
+        # its delta chain instead of seeding a fresh one
+        monkeypatch.setattr(
+            CheckpointStore, "seed",
+            lambda self, *state: vars(self).update(vars(store)))
+
+    after = repeats_after_last_move(engine, spec, config, capture, carry)
+    assert any(s.net_wasted_ms > 0 for s in after)  # still slowed
