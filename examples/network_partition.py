@@ -1,16 +1,16 @@
 #!/usr/bin/env python
 """Network fault tolerance: surviving a node partition mid-sync.
 
-The NETWORK_RESILIENT preset routes every global sync collective
-through an ack/retransmit transport.  A seeded campaign of transient
-network faults (dropped, delayed, duplicated fragments, failed
-collectives) is absorbed invisibly: each fault costs bounded recovery
-time and the ranks stay bit-for-bit.  A full node partition is nastier:
-the transport exhausts its retransmit budget, the collective monitor
-issues a NodeUnreachable verdict, and the engine rolls back to the last
-checkpoint, degrades the unreachable node to its host (CPU) path, and
-rebalances the partition with Lemma-2 shares — the slow node ends up
-owning fewer vertices.
+Every middleware routes each global sync collective through an
+ack/retransmit transport.  A seeded campaign of transient network
+faults (dropped, delayed, duplicated fragments, failed collectives) is
+absorbed invisibly: each fault costs bounded recovery time and the
+ranks stay bit-for-bit.  A full node partition is nastier: the
+transport exhausts its retransmit budget and raises a NodeUnreachable
+verdict, and — under the NETWORK_RESILIENT preset — the engine rolls
+back to the last checkpoint, degrades the unreachable node to its host
+(CPU) path, and rebalances the partition with Lemma-2 shares — the slow
+node ends up owning fewer vertices.
 """
 
 import numpy as np

@@ -82,8 +82,6 @@ TESTS_ONLY = {
         "inspection hook: Fig. 11(b)'s ratio on the strict detector",
     "repro.fault.checkpoint.CheckpointStore.latest_iteration":
         "inspection hook: superstep of the newest save, delta included",
-    "repro.fault.monitor.CollectiveMonitor.overdue":
-        "inspection hook: the ack deadline the watchdog verdict reads",
     "repro.graph.graph.Graph.in_degrees":
         "inspection hook: generator and partition degree checks",
     "repro.graph.graph.Graph.max_degree":

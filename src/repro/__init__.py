@@ -51,7 +51,6 @@ from .fault import (
     ALL_KINDS,
     Checkpoint,
     CheckpointStore,
-    CollectiveMonitor,
     FaultEvent,
     FaultInjector,
     FaultPlan,
@@ -128,7 +127,7 @@ __all__ = [
     "CheckpointError", "NetworkFault", "NodeUnreachable",
     # fault tolerance
     "FaultEvent", "FaultPlan", "FaultInjector", "HeartbeatMonitor",
-    "CollectiveMonitor", "RetryPolicy", "Checkpoint", "CheckpointStore",
+    "RetryPolicy", "Checkpoint", "CheckpointStore",
     "FaultReport", "fault_report", "NETWORK_KINDS", "GRAY_KINDS",
     "ALL_KINDS", "StragglerDetector",
     # graph

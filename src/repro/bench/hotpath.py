@@ -9,7 +9,7 @@ the engines' merge loops), so a regression in the *implementation* is
 visible even when the simulated figures are bit-identical.
 
 ``repro-gxplug bench`` runs PageRank / SSSP / CC on an R-MAT graph with a
-capacity-bounded vertex cache (the regime the slot cache is built for),
+capacity-bounded vertex cache (the regime its eviction path is built for),
 reports edges/sec plus the per-phase wall-time breakdown the engine
 accounts via ``time.perf_counter`` (gen / merge / apply / sync / cache),
 and writes ``BENCH_hotpath.json`` so the throughput trajectory is tracked
@@ -93,7 +93,7 @@ def run_hotpath_bench(vertices: int = DEFAULT_VERTICES,
 
     ``cache_fraction`` bounds the agents' vertex-cache capacity to that
     fraction of |V| (the acceptance regime is >= 0.1), forcing the
-    slot cache through its eviction and miss-fill paths.  ``repeats``
+    per-vertex cache through its eviction and miss-fill paths.  ``repeats``
     re-runs each workload and keeps the *fastest* wall time — standard
     practice for wall-clock micro-benchmarks on noisy machines.
     """

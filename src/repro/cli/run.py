@@ -118,8 +118,7 @@ def runtime_from_args(args: argparse.Namespace) -> MiddlewareConfig:
     return config.with_(
         fault_plan=FaultPlan.random(**campaign),
         monitor_heartbeats=not args.no_pipeline, checkpoint_interval=2,
-        degrade_to_host=True, network_resilient=True,
-        rebalance_on_degrade=True,
+        degrade_to_host=True, rebalance_on_degrade=True,
         straggler=StragglerConfig(
             enabled=True,
             ratio=(StragglerConfig.ratio if args.straggler_ratio is None

@@ -56,13 +56,14 @@ class Cluster:
         return [n.capacity_factor() for n in self.nodes]
 
     def resilient_transport(self) -> ResilientTransport:
-        """A resilient delivery layer over this cluster's interconnect.
+        """A resilient transport over this cluster's interconnect.
 
-        The transport wraps :attr:`topology` with acks, sequence-number
-        dedupe, and bounded retransmission (the default
+        The transport prices :attr:`topology`'s collectives plus what
+        armed network faults cost to survive: ack timeouts and bounded
+        retransmission (the default
         :class:`~repro.fault.retry.RetryPolicy`, the budget daemon
-        passes get); engines swap it in for the bare topology when
-        ``MiddlewareConfig.network_resilient`` is set.
+        passes get).  Every :class:`~repro.core.middleware.GXPlug`
+        builds one and runs each of its collectives through it.
         """
         return ResilientTransport(self.topology)
 
@@ -75,8 +76,8 @@ class Cluster:
         every node re-enters the barrier around the new layout.
 
         ``network`` — where the collective runs; defaults to
-        :attr:`topology`, engines pass their resilient transport when
-        one is wired in.  ``moved_by_node`` — per-destination byte
+        :attr:`topology`, engines with a middleware pass its resilient
+        transport.  ``moved_by_node`` — per-destination byte
         weights, so the migration is priced over the links it actually
         crosses.
         """

@@ -12,16 +12,15 @@ master).  It prices nothing itself: every collective is priced by a
 :class:`~repro.cluster.topology.Topology` built over it, and the
 uniform interconnect is the one-rack topology.
 
-:class:`ResilientTransport` layers delivery guarantees on top of the
-topology: every collective fragment is sequence-numbered and acked,
-a missed ack is retransmitted point-to-point after a timeout with
-exponential backoff (bounded by the retry policy's attempt budget),
-duplicates are deduped by sequence number, a failed collective round
-falls back to point-to-point retransmission, and a node that survives
-the whole retransmission budget without acking earns a
-:class:`~repro.errors.NodeUnreachable` verdict.  With no faults armed,
-every call returns exactly the topology's cost — the fault-free path
-pays zero overhead.
+:class:`ResilientTransport` prices what surviving armed network
+faults costs on top of the topology: a lost fragment is retransmitted
+point-to-point after an ack timeout with exponential backoff (bounded
+by the retry policy's attempt budget), a duplicate pays its wire time
+and is dropped, a failed collective round falls back to point-to-point
+retransmission, and a node that outlives the whole retransmission
+budget earns a :class:`~repro.errors.NodeUnreachable` verdict.  Every
+middleware syncs through one; with no faults armed, every call returns
+exactly the topology's cost — the fault-free path pays zero overhead.
 """
 
 from __future__ import annotations
@@ -30,10 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from ..errors import SimulationError
-from ..fault.monitor import CollectiveMonitor
+from ..errors import NodeUnreachable, SimulationError
 from ..fault.retry import RetryPolicy
 
 
@@ -57,7 +53,7 @@ DEFAULT_NETWORK = NetworkModel()
 
 
 class ResilientTransport:
-    """Ack/retransmit delivery layer over a
+    """Ack/retransmit pricing layer over a
     :class:`~repro.cluster.topology.Topology`.
 
     Drop-in for the topology at the engine's call sites: it exposes the
@@ -66,16 +62,16 @@ class ResilientTransport:
     (:data:`repro.fault.inject.NETWORK_KINDS`) while doing so:
 
     * an armed **delay** extends the barrier by the straggler's lateness;
-    * an armed **dup** re-delivers a fragment whose sequence number the
-      receiver has already seen — the duplicate crosses the wire (cost)
-      and is dropped by the dedupe window (no semantic effect);
+    * an armed **dup** re-delivers a fragment the receiver already
+      has — the duplicate crosses the wire (cost) and is dropped (no
+      semantic effect; counted in ``dup_drops``);
     * an armed **drop** loses a fragment; after ``ack_timeout_ms`` the
       sender backs off and retransmits it point-to-point;
     * an armed **sync_fail** fails the whole collective round, which is
       retried as point-to-point transfers (the wasted round is charged);
     * an armed **partition** makes a node ignore every retransmission;
-      when the policy's attempt budget is spent the collective monitor
-      raises :class:`~repro.errors.NodeUnreachable`.
+      when the policy's attempt budget is spent the transport raises
+      :class:`~repro.errors.NodeUnreachable`.
 
     A fragment that a dup, drop or partition sends again crosses the
     sending node's own uplink path (:meth:`Topology.fragment_ms`), so a
@@ -83,7 +79,9 @@ class ResilientTransport:
     one-shot: armed events are consumed by the next collective, so a
     superstep re-executed after a rollback runs clean.
     All extra simulated time (anything beyond the topology's cost) is
-    accumulated in ``net_wasted_ms``.
+    accumulated in ``net_wasted_ms`` over the transport's lifetime and
+    in ``step_wasted_ms`` since the engine last zeroed it (before each
+    superstep attempt).
     """
 
     def __init__(self, topology, policy: Optional[RetryPolicy] = None,
@@ -97,7 +95,6 @@ class ResilientTransport:
         self.topology = topology
         self.policy = policy if policy is not None else RetryPolicy()
         self.ack_timeout_ms = float(ack_timeout_ms)
-        self.monitor = CollectiveMonitor(self.ack_timeout_ms)
         # armed one-shot faults (consumed by the next collective)
         self._drops: List[int] = []
         self._delays: List[Tuple[int, float]] = []
@@ -109,20 +106,14 @@ class ResilientTransport:
         # delivery faults above; never corrupts values, only time.
         self._slow_links: Dict[int, List] = {}
         self._link_observer = None
-        # sequence-numbered delivery: per-peer next sequence to stamp
-        # and per-peer delivery high-water mark, SoA int64 arrays grown
-        # on demand so a clean collective round is one bulk assignment
-        # (:meth:`_record_fused_round`) instead of ``num_nodes`` dict
-        # round-trips
-        self._next_seq = np.zeros(0, dtype=np.int64)
-        self._delivered = np.full(0, -1, dtype=np.int64)
         # lifetime counters
-        self.messages = 0
         self.retransmits = 0
         self.dup_drops = 0
         self.collective_fallbacks = 0
         self.partition_verdicts = 0
         self.net_wasted_ms = 0.0
+        #: wasted ms since the engine last zeroed it (per superstep)
+        self.step_wasted_ms = 0.0
         self.link_inflations = 0
         self.link_slow_ms = 0.0
 
@@ -178,78 +169,18 @@ class ResilientTransport:
         return (len(self._drops) + len(self._delays) + len(self._dups)
                 + self._sync_fails + len(self._partitions))
 
-    # -- sequence-numbered delivery ----------------------------------------
-
-    def _ensure_peers(self, count: int) -> None:
-        """Grow the per-peer sequence arrays to hold ``count`` peers."""
-        cur = len(self._next_seq)
-        if count <= cur:
-            return
-        size = max(count, cur * 2, 8)
-        next_seq = np.zeros(size, dtype=np.int64)
-        delivered = np.full(size, -1, dtype=np.int64)
-        next_seq[:cur] = self._next_seq
-        delivered[:cur] = self._delivered
-        self._next_seq = next_seq
-        self._delivered = delivered
-
-    def send(self, node_id: int) -> int:
-        """Stamp one logical message from ``node_id``; returns its seq."""
-        node_id = int(node_id)
-        if node_id < 0:
-            raise SimulationError(f"negative peer id {node_id}")
-        self._ensure_peers(node_id + 1)
-        seq = int(self._next_seq[node_id])
-        self._next_seq[node_id] = seq + 1
-        self.messages += 1
-        return seq
-
-    def deliver(self, node_id: int, seq: int) -> bool:
-        """Accept a fragment unless its sequence number was already seen.
-
-        Returns ``True`` on first delivery; a re-delivery (duplicate or
-        stale retransmit) returns ``False`` and counts as a dedupe drop.
-        Delivery is in-order per peer, so a high-water mark suffices —
-        the dedupe window is O(nodes), not O(messages).
-        """
-        node_id = int(node_id)
-        if node_id < 0:
-            raise SimulationError(f"negative peer id {node_id}")
-        self._ensure_peers(node_id + 1)
-        mark = int(self._delivered[node_id])
-        if seq <= mark:
-            self.dup_drops += 1
-            return False
-        self._delivered[node_id] = seq
-        return True
-
-    def _record_fused_round(self, num_nodes: int) -> None:
-        """Stamp and deliver one collective's worth of fragments in bulk.
-
-        Per-peer delivery is in-order and ``next_seq > delivered``
-        always holds, so a collective round — every peer delivering
-        exactly the fragment it just stamped — is two vectorized array
-        ops with counters and high-water marks identical to running the
-        per-fragment ``deliver(node, send(node))`` loop.
-        """
-        self._ensure_peers(num_nodes)
-        seqs = self._next_seq[:num_nodes]
-        self._delivered[:num_nodes] = seqs
-        seqs += 1
-        self.messages += num_nodes
-
     # -- collective rounds --------------------------------------------------
 
     def sync_ms(self, num_nodes: int, total_bytes: int,
                 bytes_by_node=None) -> float:
-        """Global synchronization with delivery guarantees applied."""
+        """Global synchronization, priced with the armed faults."""
         base = self.topology.sync_ms(num_nodes, total_bytes,
                                      bytes_by_node=bytes_by_node)
         cost = self._collective(base, num_nodes, total_bytes)
         return cost + self._link_pass(num_nodes, total_bytes, bytes_by_node)
 
     def broadcast_ms(self, num_nodes: int, nbytes: int) -> float:
-        """Global broadcast with delivery guarantees applied."""
+        """Global broadcast, priced with the armed faults."""
         base = self.topology.broadcast_ms(num_nodes, nbytes)
         return self._collective(base, num_nodes, nbytes)
 
@@ -315,7 +246,7 @@ class ResilientTransport:
                     self.link_inflations += 1
                     extra += healthy * factor - healthy
         if extra > 0.0:
-            self.net_wasted_ms += extra
+            self._waste(extra)
             self.link_slow_ms += extra
         return extra
 
@@ -324,8 +255,6 @@ class ResilientTransport:
         """One collective round: charge ``base`` plus whatever the armed
         faults cost to survive.  Raises :class:`NodeUnreachable` when a
         partitioned node outlives the retransmission budget."""
-        # every node contributes one sequence-numbered fragment
-        self._record_fused_round(num_nodes)
         if not self.faults_armed:
             return base
         fragment = int(math.ceil(total_bytes / max(num_nodes, 1)))
@@ -336,22 +265,17 @@ class ResilientTransport:
         if delays:
             extra += max(ms for _, ms in delays)
 
-        # duplicates: the copy crosses the wire, the dedupe window eats it
+        # duplicates: the copy crosses the wire, the receiver drops it
         dups, self._dups = self._dups, []
         for node in dups:
-            self._ensure_peers(node + 1)
-            seq = max(int(self._delivered[node]), 0)
-            self.deliver(node, seq)            # re-delivery: returns False
             extra += self.topology.fragment_ms(node, fragment)
+            self.dup_drops += 1
 
         # drops: ack timeout, backoff, point-to-point retransmit
         drops, self._drops = self._drops, []
         for node in drops:
-            self.monitor.expect(node, base + extra)
             extra += self.ack_timeout_ms + self.policy.backoff_ms(1)
             extra += self.topology.fragment_ms(node, fragment)
-            self.deliver(node, self.send(node))
-            self.monitor.ack(node)
             self.retransmits += 1
 
         # whole-round failure: the collective is wasted, fall back to
@@ -361,7 +285,6 @@ class ResilientTransport:
             for _ in range(rounds):
                 extra += self.topology.p2p_fallback_ms(num_nodes,
                                                         total_bytes)
-                self._record_fused_round(num_nodes)
                 self.collective_fallbacks += 1
                 self.retransmits += num_nodes
 
@@ -369,17 +292,23 @@ class ResilientTransport:
         if self._partitions:
             node = self._partitions.pop(0)
             clock = base + extra
-            self.monitor.expect(node, clock)
-            attempts = 0
-            for attempt in range(1, self.policy.max_attempts + 1):
+            attempts = self.policy.max_attempts
+            for attempt in range(1, attempts + 1):
                 clock += self.ack_timeout_ms + self.policy.backoff_ms(attempt)
                 clock += self.topology.fragment_ms(node, fragment)
-                self.send(node)                # never delivered
                 self.retransmits += 1
-                attempts = attempt
             self.partition_verdicts += 1
-            self.net_wasted_ms += clock
-            self.monitor.verdict(node, attempts, clock)
+            self._waste(clock)
+            raise NodeUnreachable(
+                f"node {node}: no ack after {attempts} retransmission "
+                f"attempt(s) ({clock:.3f} ms burned)",
+                node_id=node, wasted_ms=clock,
+            )
 
-        self.net_wasted_ms += extra
+        self._waste(extra)
         return base + extra
+
+    def _waste(self, ms: float) -> None:
+        """Book ``ms`` of recovery time on both waste counters."""
+        self.net_wasted_ms += ms
+        self.step_wasted_ms += ms

@@ -148,15 +148,6 @@ class MiddlewareConfig:
     #: is the pre-fault-subsystem behaviour.
     degrade_to_host: bool = False
 
-    # -- network-layer fault tolerance (repro.cluster.network) -------------
-
-    #: Route sync collectives through the resilient transport (acks,
-    #: sequence-number dedupe, timeout + backoff retransmission, p2p
-    #: fallback for failed rounds).  Required to arm network fault kinds;
-    #: off by default — the fault-free path pays zero overhead either
-    #: way, but the bare model keeps the original behaviour exactly.
-    network_resilient: bool = False
-
     #: Recompute Lemma-2 partition shares and repartition the graph when
     #: a node degrades to its host path, so the degraded node stops
     #: straggling every subsequent superstep.  Requires
@@ -201,15 +192,6 @@ class MiddlewareConfig:
             raise MiddlewareError(
                 "the fault plan contains stall faults (hang / message "
                 "drop); detecting them requires monitor_heartbeats=True"
-            )
-        if (self.fault_plan is not None
-                and self.fault_plan.requires_transport
-                and not self.network_resilient):
-            raise MiddlewareError(
-                "the fault plan contains network faults (net_drop / "
-                "net_delay / net_dup / sync_fail / node_partition / "
-                "link_slow / link_flaky); surviving them requires "
-                "network_resilient=True"
             )
         if self.rebalance_on_degrade and not self.degrade_to_host:
             raise MiddlewareError(
@@ -256,14 +238,12 @@ RESILIENT = MiddlewareConfig(
                               reestimate=True),
 )
 
-#: RESILIENT plus the network layer: resilient sync collectives
-#: (acks, dedupe, retransmission, p2p fallback) and Lemma-2 partition
-#: rebalancing when a node degrades to its host path.
+#: RESILIENT plus Lemma-2 partition rebalancing when a node degrades to
+#: its host path (a partitioned node's verdict, for one).
 NETWORK_RESILIENT = MiddlewareConfig(
     monitor_heartbeats=True,
     checkpoint_interval=2,
     degrade_to_host=True,
-    network_resilient=True,
     rebalance_on_degrade=True,
     straggler=StragglerConfig(enabled=True, speculate=True,
                               reestimate=True),

@@ -58,21 +58,19 @@ class GXPlug:
             for agent in self.agents.values():
                 agent.set_straggler_detector(self.straggler)
         self.connected = False
-        # network fault tolerance: route every collective through the
-        # resilient transport so armed network faults have a place to go
-        self.transport = None
-        if self.config.network_resilient:
-            self.transport = cluster.resilient_transport()
-            # per-link gray-failure detection: the transport reports
-            # every topology collective's fragment times to the detector
-            if self.straggler is not None:
-                self.transport.set_link_observer(self.straggler)
+        # every collective runs through the resilient transport, so armed
+        # network faults always have a place to go
+        self.transport = cluster.resilient_transport()
+        # per-link gray-failure detection: the transport reports every
+        # topology collective's fragment times to the detector
+        if self.straggler is not None:
+            self.transport.set_link_observer(self.straggler)
         # fault subsystem: the injector holds the deterministic schedule
         # and arms it superstep by superstep (engines call arm_faults)
         self.injector: Optional[FaultInjector] = None
         if self.config.fault_plan is not None:
             self.injector = FaultInjector(self.config.fault_plan)
-            self.injector.validate_against(self.agents, self.transport)
+            self.injector.validate_against(self.agents)
 
     def connect_all(self) -> float:
         """Connect every agent; returns the total simulated setup cost.

@@ -122,7 +122,7 @@ class IterationStats:
     checkpoint_ms: float = 0.0   # snapshot cost charged after it
     # network-transport telemetry (repro.cluster.network)
     retransmits: int = 0         # collective fragments re-sent
-    dup_drops: int = 0           # duplicate deliveries deduped by seqno
+    dup_drops: int = 0           # duplicate deliveries dropped
     net_wasted_ms: float = 0.0   # recovery overhead inside sync_ms
 
     @property
@@ -179,7 +179,7 @@ class RunResult:
     rebalance_events: int = 0
     #: simulated ms spent exchanging partitions during rebalances
     rebalance_ms: float = 0.0
-    #: run totals from the resilient transport (0 without it)
+    #: run totals from the resilient transport (0 without middleware)
     retransmits: int = 0
     dup_drops: int = 0
     net_wasted_ms: float = 0.0
@@ -396,6 +396,8 @@ class IterativeEngine:
         while res.iterations < cap:
             faults = mw.arm_faults(res.iterations) if mw is not None else 0
             before = self._fault_counters() + self._net_counters()
+            if mw is not None:
+                mw.transport.step_wasted_ms = 0.0
             try:
                 if run.use_async:
                     step = self._run_superstep_combined(
@@ -541,8 +543,10 @@ class IterativeEngine:
         st, res.values, run.active, changed_ids = step
         after = self._fault_counters() + self._net_counters()
         st.faults_injected = faults
-        (st.retries, st.recoveries, st.retransmits, st.dup_drops,
-         st.net_wasted_ms) = (a - b for a, b in zip(after, before))
+        st.retries, st.recoveries, st.retransmits, st.dup_drops = (
+            a - b for a, b in zip(after, before))
+        if mw is not None:
+            st.net_wasted_ms = mw.transport.step_wasted_ms
         res.stats.append(st)
         res.iterations += 1
         if changed_ids.size:
@@ -587,12 +591,11 @@ class IterativeEngine:
         res.skipped_iterations = (
             sum(1 for s in res.stats if s.skipped)
             + sum(s.local_iterations - 1 for s in res.stats))
-        res.retransmits, res.dup_drops, res.net_wasted_ms = \
-            self._net_counters()
         if mw is not None:
+            for name in ("retransmits", "dup_drops", "net_wasted_ms",
+                         "link_slow_ms"):
+                setattr(res, name, getattr(mw.transport, name))
             res.degraded_nodes = mw.degraded_nodes()
-            if mw.transport is not None:
-                res.link_slow_ms = mw.transport.link_slow_ms
             det = mw.straggler
             if det is not None:
                 res.straggler_verdicts = len(det.verdicts)
@@ -628,21 +631,18 @@ class IterativeEngine:
                 sum(a.recoveries for a in mw.agents.values()))
 
     def _network(self):
-        """Where each collective runs: the resilient transport when the
-        middleware carries one, else the cluster's topology."""
+        """Where each collective runs: the middleware's resilient
+        transport, else (host-only engines) the cluster's topology."""
         mw = self.middleware
-        if mw is not None and mw.transport is not None:
-            return mw.transport
-        return self.cluster.topology
+        return mw.transport if mw is not None else self.cluster.topology
 
-    def _net_counters(self) -> Tuple[int, int, float]:
-        """(retransmits, dup_drops, net_wasted_ms) transport totals, for
-        per-superstep deltas in the iteration stats."""
+    def _net_counters(self) -> Tuple[int, int]:
+        """(retransmits, dup_drops) transport totals, for per-superstep
+        deltas in the iteration stats."""
         mw = self.middleware
-        if mw is None or mw.transport is None:
-            return (0, 0, 0.0)
-        t = mw.transport
-        return (t.retransmits, t.dup_drops, t.net_wasted_ms)
+        if mw is None:
+            return (0, 0)
+        return (mw.transport.retransmits, mw.transport.dup_drops)
 
     def _reestimate_shares(self, st: IterationStats, coeff_est: np.ndarray,
                            width: int):
@@ -822,9 +822,9 @@ class IterativeEngine:
 
     def _synchronize(self, st: IterationStats, collective):
         """Run the sync ``collective`` (a thunk pricing it) for the
-        superstep ``st`` describes.  When the transport's watchdog
-        gives a node up mid-collective, the whole superstep is
-        discarded with the failed sync."""
+        superstep ``st`` describes.  When the transport gives a node
+        up mid-collective, the whole superstep is discarded with the
+        failed sync."""
         wall0 = perf_counter()
         try:
             return collective()

@@ -15,11 +15,11 @@ Four layers, wired through the middleware stack:
   last consistent superstep, with graceful degradation to the host
   (CPU) path when a node's accelerators are exhausted;
 * **network** (:mod:`~repro.cluster.network`) — the resilient transport
-  that survives the inter-node fault kinds (``net_drop`` / ``net_delay``
-  / ``net_dup`` / ``sync_fail`` / ``node_partition``) with acks,
-  sequence-number dedupe, retransmission and p2p fallback, escalating
-  partitioned nodes through :class:`~repro.fault.monitor.CollectiveMonitor`
-  verdicts to rollback, degradation and Lemma-2 rebalancing;
+  every middleware syncs through prices the inter-node fault kinds
+  (``net_drop`` / ``net_delay`` / ``net_dup`` / ``sync_fail`` /
+  ``node_partition``): ack timeouts, retransmission and p2p fallback,
+  and a :class:`~repro.errors.NodeUnreachable` verdict for a partitioned
+  node that escalates to rollback, degradation and Lemma-2 rebalancing;
 * **gray failures** (:mod:`~repro.fault.straggler`) — EWMA straggler
   detection for pairs that heartbeat but run slow (``slowdown`` /
   ``shm_slow`` / ``flaky_slowdown``), answered by speculative block
@@ -56,7 +56,7 @@ from .inject import (
     FaultInjector,
     FaultPlan,
 )
-from .monitor import CollectiveMonitor, HeartbeatMonitor
+from .monitor import HeartbeatMonitor
 from .report import FaultReport, fault_report
 from .retry import RetryPolicy
 from .straggler import PHASES, StragglerDetector
@@ -66,7 +66,6 @@ __all__ = [
     "FaultPlan",
     "FaultInjector",
     "HeartbeatMonitor",
-    "CollectiveMonitor",
     "RetryPolicy",
     "Checkpoint",
     "CheckpointDelta",

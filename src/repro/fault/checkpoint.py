@@ -129,9 +129,7 @@ class CheckpointStore:
         )
         if use_delta:
             cost = self.snapshot_cost_ms(ids.size * width)
-            flips = np.nonzero(active != self._last_active)[0] \
-                if self._last_active is not None \
-                else np.nonzero(active)[0]
+            flips = np.nonzero(active != self._last_active)[0]
             self._deltas.append(CheckpointDelta(
                 iteration=int(iteration),
                 ids=np.array(ids, copy=True),

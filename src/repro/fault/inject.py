@@ -196,13 +196,6 @@ class FaultPlan:
         """True if any event can only be *detected* via heartbeats."""
         return any(e.kind in STALL_KINDS for e in self.events)
 
-    @property
-    def requires_transport(self) -> bool:
-        """True if any event targets the inter-node network (delivery or
-        link gray-faults); arming it needs the resilient transport
-        (``network_resilient=True``)."""
-        return any(e.kind in TRANSPORT_KINDS for e in self.events)
-
     # -- convenience constructors ------------------------------------------
 
     @classmethod
@@ -276,8 +269,7 @@ class FaultInjector:
         self.injected_by_kind: Dict[str, int] = {}
         self.log: List[FaultEvent] = []
 
-    def validate_against(self, agents: Dict[int, "object"],
-                         transport: "object" = None) -> None:
+    def validate_against(self, agents: Dict[int, "object"]) -> None:
         """Fail fast if the plan targets nodes/daemons that do not exist."""
         for event in self.plan.events:
             if event.node_id not in agents:
@@ -285,12 +277,6 @@ class FaultInjector:
                     f"fault plan targets unknown node {event.node_id}"
                 )
             if event.kind in TRANSPORT_KINDS:
-                if transport is None:
-                    raise FaultPlanError(
-                        f"fault plan contains network event {event.kind!r} "
-                        f"but no resilient transport is attached "
-                        f"(network_resilient=True)"
-                    )
                 continue
             agent = agents[event.node_id]
             if event.daemon_index >= len(agent.daemons):
@@ -301,16 +287,12 @@ class FaultInjector:
                 )
 
     def arm(self, superstep: int, agents: Dict[int, "object"],
-            transport: "object" = None) -> int:
-        """Arm every event scheduled for ``superstep``; returns the count."""
+            transport: "object") -> int:
+        """Arm every event scheduled for ``superstep`` on the agents'
+        daemons or the middleware's transport; returns the count."""
         events = self._pending.pop(superstep, [])
         for event in events:
             if event.kind in TRANSPORT_KINDS:
-                if transport is None:
-                    raise FaultPlanError(
-                        f"cannot arm {event.kind!r} without a resilient "
-                        f"transport (network_resilient=True)"
-                    )
                 self._arm_network(event, transport)
                 self.injected += 1
                 self.injected_by_kind[event.kind] = (

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, Optional
 
-from ..errors import DaemonDead, NodeUnreachable, SimulationError
+from ..errors import DaemonDead, SimulationError
 from ..ipc.scheduler import Now, Sleep
 
 #: Watchdog wake period on the simulated clock.
@@ -173,57 +173,3 @@ class HeartbeatMonitor:
             now = yield Now()
             self.check(now)
 
-
-class CollectiveMonitor:
-    """Ack-deadline tracking for collective retransmission rounds.
-
-    The network-layer sibling of :class:`HeartbeatMonitor`: where the
-    heartbeat monitor watches daemon-agent *pair* liveness, this one
-    watches *node* liveness during a collective.  The resilient
-    transport (:class:`~repro.cluster.network.ResilientTransport`)
-    declares an ack expectation before every (re)transmission; a node
-    that stays past its deadline through the whole retransmission
-    budget earns a :class:`~repro.errors.NodeUnreachable` verdict — the
-    signal the engine converts into rollback + degradation.
-    """
-
-    def __init__(self, timeout_ms: float) -> None:
-        if timeout_ms <= 0:
-            raise SimulationError(
-                f"ack timeout must be > 0, got {timeout_ms}"
-            )
-        self.timeout_ms = float(timeout_ms)
-        #: node_id -> ack deadline on the collective's local clock
-        self._deadlines: Dict[int, float] = {}
-        self.acks = 0
-        self.verdicts = 0
-
-    @property
-    def pending(self) -> int:
-        """Nodes currently owing an ack."""
-        return len(self._deadlines)
-
-    def expect(self, node_id: int, now: float) -> None:
-        """Declare that ``node_id`` owes an ack by ``now + timeout``."""
-        self._deadlines[node_id] = float(now) + self.timeout_ms
-
-    def ack(self, node_id: int) -> None:
-        """The node acknowledged; its deadline is discharged."""
-        if node_id in self._deadlines:
-            del self._deadlines[node_id]
-            self.acks += 1
-
-    def overdue(self, node_id: int, now: float) -> bool:
-        deadline = self._deadlines.get(node_id)
-        return deadline is not None and float(now) > deadline
-
-    def verdict(self, node_id: int, attempts: int,
-                wasted_ms: float) -> None:
-        """Raise the :class:`NodeUnreachable` verdict for ``node_id``."""
-        self._deadlines.pop(node_id, None)
-        self.verdicts += 1
-        raise NodeUnreachable(
-            f"node {node_id}: no ack after {attempts} retransmission "
-            f"attempt(s) ({wasted_ms:.3f} ms burned)",
-            node_id=node_id, wasted_ms=wasted_ms,
-        )

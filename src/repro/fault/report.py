@@ -8,7 +8,7 @@ happened to this job, fault-wise".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 @dataclass
@@ -127,14 +127,13 @@ def fault_report(middleware, result=None) -> FaultReport:
             report.daemon_respawns += daemon.respawns
         if agent.degraded:
             report.degraded_nodes.append(node_id)
-    transport = getattr(middleware, "transport", None)
-    if transport is not None:
-        report.retransmits = transport.retransmits
-        report.dup_drops = transport.dup_drops
-        report.collective_fallbacks = transport.collective_fallbacks
-        report.partition_verdicts = transport.partition_verdicts
-        report.net_wasted_ms = transport.net_wasted_ms
-        report.link_slow_ms = transport.link_slow_ms
+    transport = middleware.transport
+    report.retransmits = transport.retransmits
+    report.dup_drops = transport.dup_drops
+    report.collective_fallbacks = transport.collective_fallbacks
+    report.partition_verdicts = transport.partition_verdicts
+    report.net_wasted_ms = transport.net_wasted_ms
+    report.link_slow_ms = transport.link_slow_ms
     detector = getattr(middleware, "straggler", None)
     if detector is not None:
         report.straggler_verdicts = len(detector.verdicts)

@@ -213,15 +213,16 @@ def runtime_from_doc(doc: Mapping[str, Any]) -> MiddlewareConfig:
 #: retired, per class (git history: ``batch_events`` and ``validate``
 #: went with the blocks-carry-cost change, ``balance`` with the one
 #: declaration per figure, ``speculative_checkpoint`` with the one run
-#: loop, the rest with the one home per tunable).  ``JobSpec`` has
-#: retired none.
+#: loop, the transport switch when every middleware got the transport,
+#: the rest with the one home per tunable).  ``JobSpec`` has retired
+#: none.
 _RETIRED_FIELDS = {
     MiddlewareConfig: frozenset({
         "balance", "batch_events", "checkpoint_fixed_ms",
         "checkpoint_ms_per_cell", "heartbeat_interval_ms",
         "heartbeat_timeout_ms", "max_retry_attempts",
         "net_ack_timeout_ms", "net_retransmit_base_ms",
-        "retry_backoff_factor", "retry_base_delay_ms",
+        "network_resilient", "retry_backoff_factor", "retry_base_delay_ms",
         "speculative_checkpoint", "validate"}),
     StragglerConfig: frozenset({
         "ewma_alpha", "patience", "rebalance_cooldown",

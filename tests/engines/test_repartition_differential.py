@@ -202,10 +202,8 @@ def test_link_adjusted_repartition_repeats_every_superstep_after_the_move(
     """The same repeat on ``RACK``: link-adjusted shares move the graph
     off the slowed cross-rack uplink, and the twin carries over the
     armed ``LINK_SLOW`` state (factor, passes left, flaky flag, tick).
-    A superstep's ``net_wasted_ms`` is a difference of the transport's
-    running total and its ``checkpoint_ms`` depends on the delta chain
-    behind it, so the twin also starts from the live transport's total
-    and the live checkpoint store."""
+    A superstep's ``checkpoint_ms`` depends on the delta chain behind
+    it, so the twin also starts from the live checkpoint store."""
     spec, config = RACK
     cluster = spec.build()
     engine = PowerGraphEngine.build(GRAPH, cluster,
@@ -213,14 +211,13 @@ def test_link_adjusted_repartition_repeats_every_superstep_after_the_move(
 
     def capture(engine):
         transport = engine.middleware.transport
-        return (list(transport._slow_links[1]), transport.net_wasted_ms,
+        return (list(transport._slow_links[1]),
                 copy.deepcopy(engine.checkpoint_store))
 
     def carry(plug, captured):
-        (factor, passes_left, flaky, tick), wasted, store = captured
+        (factor, passes_left, flaky, tick), store = captured
         plug.transport.arm_link_slow(1, factor, passes_left)
         plug.transport._slow_links[1][2:] = [flaky, tick]
-        plug.transport.net_wasted_ms = wasted
         # the resume point is the live store's newest state: continue
         # its delta chain instead of seeding a fresh one
         monkeypatch.setattr(

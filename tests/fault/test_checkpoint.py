@@ -14,6 +14,8 @@ def test_validation():
         CheckpointStore(2, ms_per_cell=-1.0)
     with pytest.raises(CheckpointError):
         CheckpointStore(2, keep=0)
+    with pytest.raises(CheckpointError, match="full_every"):
+        CheckpointStore(2, full_every=0)
 
 
 def test_due_schedule():
@@ -72,3 +74,45 @@ def test_restore_before_save_raises():
     assert store.latest is None
     with pytest.raises(CheckpointError):
         store.restore()
+
+
+def test_boolean_mask_changed_is_a_delta_of_its_set_rows():
+    store = CheckpointStore(1, ms_per_cell=1.0, fixed_ms=0.0)
+    values, active = np.zeros(8), np.ones(8, dtype=bool)
+    store.save(0, values, active)
+    values = values.copy()
+    values[[2, 5]] = 1.0
+    mask = np.zeros(8, dtype=bool)
+    mask[[2, 5]] = True
+    assert store.save(1, values, active, changed=mask) == 2.0
+    assert store.delta_saves == 1
+    np.testing.assert_array_equal(store.restore().values, values)
+
+
+@pytest.mark.parametrize("ids", [[-1, 2], [3, 8]])
+def test_out_of_range_changed_ids_are_refused(ids):
+    store = CheckpointStore(1)
+    values, active = np.zeros(8), np.ones(8, dtype=bool)
+    store.save(0, values, active)
+    with pytest.raises(CheckpointError, match="out of range"):
+        store.save(1, values, active, changed=np.array(ids))
+
+
+def test_latest_iteration_names_the_newest_delta():
+    store = CheckpointStore(1)
+    values, active = np.zeros(8), np.ones(8, dtype=bool)
+    assert store.latest_iteration is None
+    store.save(0, values, active)
+    store.save(1, values, active, changed=np.array([3]))
+    assert store.delta_saves == 1
+    assert store.latest.iteration == 0           # the full base
+    assert store.latest_iteration == 1           # the delta on top
+
+
+def test_seed_refuses_a_non_empty_store():
+    store = CheckpointStore(1)
+    values, active = np.zeros(4), np.ones(4, dtype=bool)
+    store.seed(3, values, active)
+    assert store.latest.iteration == 3 and store.saves == 0
+    with pytest.raises(CheckpointError, match="non-empty"):
+        store.seed(3, values, active)

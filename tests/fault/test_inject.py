@@ -6,11 +6,15 @@ import pytest
 
 from repro.cluster import make_cluster
 from repro.core import GXPlug, MiddlewareConfig
+from repro.core.config import ClusterSpec
 from repro.errors import FaultPlanError, MiddlewareError
 from repro.fault import (
     CRASH,
+    GRAY_KINDS,
     HANG,
     KINDS,
+    LINK_FLAKY,
+    LINK_KINDS,
     MESSAGE_DELAY,
     MESSAGE_DROP,
     SHM_CORRUPTION,
@@ -33,6 +37,18 @@ def test_event_validation():
         FaultEvent(kind=HANG, superstep=0, duration_ms=-1.0)
     with pytest.raises(FaultPlanError):
         FaultEvent(kind=MESSAGE_DROP, superstep=0, direction="sideways")
+
+
+def test_event_refuses_negative_kernels_and_bad_gray_shapes():
+    with pytest.raises(FaultPlanError, match="after_kernels"):
+        FaultEvent(kind=CRASH, superstep=0, after_kernels=-1)
+    for kind in GRAY_KINDS + LINK_KINDS:
+        with pytest.raises(FaultPlanError, match="factor"):
+            FaultEvent(kind=kind, superstep=0, factor=0.5)
+        with pytest.raises(FaultPlanError, match="passes"):
+            FaultEvent(kind=kind, superstep=0, passes=0)
+    # the gray shape binds only the gray kinds
+    FaultEvent(kind=CRASH, superstep=0, factor=0.5, passes=0)
 
 
 def test_plan_is_immutable_and_extendable():
@@ -77,6 +93,16 @@ def test_random_plan_rate_bounds():
         FaultPlan.random(1, supersteps=10, num_nodes=2, rate=1.5)
 
 
+@pytest.mark.parametrize("shape", [
+    dict(supersteps=-1, num_nodes=2),
+    dict(supersteps=10, num_nodes=0),
+    dict(supersteps=10, num_nodes=2, daemons_per_node=0),
+])
+def test_random_plan_refuses_bad_shape(shape):
+    with pytest.raises(FaultPlanError, match="bad plan shape"):
+        FaultPlan.random(1, **shape)
+
+
 def test_injector_validates_targets():
     cluster = make_cluster(2, gpus_per_node=1)
     plug = GXPlug(cluster)
@@ -113,11 +139,11 @@ def test_arm_is_one_shot():
     cluster = make_cluster(2, gpus_per_node=1)
     plug = GXPlug(cluster)
     injector = FaultInjector(FaultPlan.single(HANG, 3, duration_ms=9.0))
-    assert injector.arm(0, plug.agents) == 0
-    assert injector.arm(3, plug.agents) == 1
+    assert injector.arm(0, plug.agents, plug.transport) == 0
+    assert injector.arm(3, plug.agents, plug.transport) == 1
     assert plug.agents[0].daemons[0].pending_hang_ms == 9.0
     plug.agents[0].daemons[0].pending_hang_ms = None
-    assert injector.arm(3, plug.agents) == 0    # consumed
+    assert injector.arm(3, plug.agents, plug.transport) == 0    # consumed
     assert plug.agents[0].daemons[0].pending_hang_ms is None
     assert injector.injected == 1
     assert injector.injected_by_kind == {HANG: 1}
@@ -136,7 +162,7 @@ def test_arm_reaches_every_kind():
                    direction="to_daemon"),
     ))
     injector = FaultInjector(plan)
-    assert injector.arm(0, plug.agents) == 5
+    assert injector.arm(0, plug.agents, plug.transport) == 5
     assert daemon.pending_crashes == 2
     assert daemon.crash_after_kernels == 2
     assert daemon.pending_hang_ms == 50.0
@@ -145,3 +171,18 @@ def test_arm_reaches_every_kind():
     assert daemon.to_daemon.delay_pending_ms == 4.0
     assert injector.injected == 5
     assert sorted(injector.injected_by_kind) == sorted(KINDS)
+
+
+def test_link_flaky_plan_inflates_alternate_collectives():
+    """A ``link_flaky`` event armed through a plan on ``rack:2x1``
+    slows node 1's cross-rack uplink on every other collective only."""
+    cluster = ClusterSpec(nodes=2, gpus_per_node=1,
+                          topology="rack:2x1").build()
+    plug = GXPlug(cluster, MiddlewareConfig(fault_plan=FaultPlan.single(
+        LINK_FLAKY, 0, node_id=1, factor=4.0, passes=4)))
+    assert plug.arm_faults(0) == 1
+    healthy = cluster.topology.sync_ms(2, 4096)
+    costs = [plug.transport.sync_ms(2, 4096) for _ in range(5)]
+    assert costs[0] > healthy and costs[2] > healthy
+    assert costs[1] == costs[3] == costs[4] == healthy   # 4 passes spent
+    assert plug.transport.link_inflations == 2

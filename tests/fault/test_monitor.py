@@ -188,53 +188,24 @@ def test_forget_drops_budget_state():
 
 
 # ---------------------------------------------------------------------------
-# CollectiveMonitor edge cases
+# The collective verdict: the transport's own, no monitor in between
 # ---------------------------------------------------------------------------
 
-def test_collective_monitor_validation():
-    from repro.fault import CollectiveMonitor
-    with pytest.raises(SimulationError):
-        CollectiveMonitor(0.0)
-
-
-def test_collective_expect_ack_cycle():
-    from repro.fault import CollectiveMonitor
-    mon = CollectiveMonitor(2.0)
-    mon.expect(1, now=10.0)
-    assert mon.pending == 1
-    assert not mon.overdue(1, now=12.0)      # exactly at the deadline
-    assert mon.overdue(1, now=12.1)
-    mon.ack(1)
-    assert mon.pending == 0
-    assert mon.acks == 1
-    assert not mon.overdue(1, now=100.0)     # discharged
-
-
-def test_collective_ack_of_unexpected_node_is_noop():
-    from repro.fault import CollectiveMonitor
-    mon = CollectiveMonitor(2.0)
-    mon.ack(5)                               # never expected
-    assert mon.acks == 0
-    assert not mon.overdue(5, now=100.0)
-
-
-def test_collective_reexpect_moves_deadline():
-    from repro.fault import CollectiveMonitor
-    mon = CollectiveMonitor(2.0)
-    mon.expect(1, now=0.0)
-    mon.expect(1, now=10.0)                  # retransmission round
-    assert not mon.overdue(1, now=11.0)
-    assert mon.overdue(1, now=12.1)
-
-
 def test_collective_verdict_raises_and_clears():
+    """A partitioned node outlives every retransmission: the transport
+    raises the verdict itself (node, attempts and burned ms named) and
+    the armed partition is spent."""
+    from repro.cluster import ResilientTransport, Topology
     from repro.errors import NodeUnreachable
-    from repro.fault import CollectiveMonitor
-    mon = CollectiveMonitor(2.0)
-    mon.expect(3, now=0.0)
-    with pytest.raises(NodeUnreachable) as ei:
-        mon.verdict(3, attempts=4, wasted_ms=7.5)
+    from repro.fault import RetryPolicy
+    t = ResilientTransport(Topology([range(4)]),
+                           RetryPolicy(max_attempts=4))
+    t.arm_partition(3)
+    with pytest.raises(NodeUnreachable,
+                       match=r"^node 3: no ack after 4 retransmission "
+                             r"attempt\(s\) \(\d+\.\d{3} ms burned\)$") as ei:
+        t.sync_ms(4, 1000)
     assert ei.value.node_id == 3
-    assert ei.value.wasted_ms == pytest.approx(7.5)
-    assert mon.pending == 0
-    assert mon.verdicts == 1
+    assert ei.value.wasted_ms == pytest.approx(t.net_wasted_ms)
+    assert t.partition_verdicts == 1
+    assert t.faults_armed == 0

@@ -3,9 +3,11 @@
 The acceptance bar mirrors the daemon-edge one: every network fault
 kind, injected under deterministic seeds, must leave PageRank and SSSP
 converging to the fault-free results (within 1e-9), with the transport's
-recovery visible in the counters — and the fault-free resilient path
-must cost exactly zero extra.
+recovery visible in the counters — and the fault-free path, which every
+middleware runs through the transport, must cost exactly zero extra.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -23,13 +25,11 @@ from repro import (
     make_cluster,
 )
 from repro.cluster import Topology
+from repro.core import StragglerConfig
 from repro.core.balance import rebalanced_shares
-from repro.errors import (
-    MiddlewareError,
-    NetworkFault,
-    NodeUnreachable,
-    SimulationError,
-)
+from repro.core.config import ClusterSpec
+from repro.engines import IterationStats
+from repro.errors import NetworkFault, NodeUnreachable, SimulationError
 from repro.fault import (
     NET_DELAY,
     NET_DROP,
@@ -38,7 +38,6 @@ from repro.fault import (
     NODE_PARTITION,
     SYNC_FAIL,
     CheckpointStore,
-    CollectiveMonitor,
     FaultPlan,
     RetryPolicy,
 )
@@ -52,8 +51,9 @@ def graph():
     return load_dataset("wrn")
 
 
-def run_algorithm(graph, config, algorithm=None):
-    cluster = make_cluster(NUM_NODES, gpus_per_node=1)
+def run_algorithm(graph, config, algorithm=None, cluster=None):
+    if cluster is None:
+        cluster = make_cluster(NUM_NODES, gpus_per_node=1)
     plug = GXPlug(cluster, config)
     engine = PowerGraphEngine.build(graph, cluster, middleware=plug)
     algorithm = algorithm if algorithm is not None else PageRank()
@@ -101,23 +101,16 @@ def test_fault_free_transport_is_bit_exact():
         assert t.retransmits == 0 and t.dup_drops == 0
 
 
-def test_sequence_numbers_dedupe_duplicates():
-    t = make_transport()
-    seq = t.send(0)
-    assert t.deliver(0, seq) is True
-    assert t.deliver(0, seq) is False            # replay: dropped
-    assert t.dup_drops == 1
-    assert t.deliver(0, t.send(0)) is True       # next seq passes
-
-
 def test_transport_refuses_bad_peers_and_timeouts():
+    """A resend from a node the topology does not know has no uplink to
+    price: the collective it is armed on refuses it."""
     with pytest.raises(SimulationError):
         ResilientTransport(one_rack(), ack_timeout_ms=0.0)
-    t = make_transport()
-    with pytest.raises(SimulationError):
-        t.send(-1)
-    with pytest.raises(SimulationError):
-        t.deliver(-1, 0)
+    for node in (-1, 4):
+        t = make_transport()
+        t.arm_drop(node)
+        with pytest.raises(SimulationError, match="unknown node"):
+            t.sync_ms(4, 1000)
 
 
 def test_slow_link_outside_the_collective_stays_armed():
@@ -160,8 +153,8 @@ def test_armed_drop_retransmits_after_timeout_and_backoff():
     expected_extra = 2.0 + 0.5 + model.fragment_ms(1, 250)
     assert cost == pytest.approx(model.sync_ms(4, 1000) + expected_extra)
     assert t.retransmits == 1
-    assert t.monitor.acks == 1
-    assert t.monitor.pending == 0
+    assert t.partition_verdicts == 0             # the resend landed
+    assert t.sync_ms(4, 1000) == model.sync_ms(4, 1000)
 
 
 def test_a_retransmission_crosses_the_senders_uplink():
@@ -194,27 +187,15 @@ def test_partition_exhausts_budget_and_raises():
     t.arm_partition(2)
     with pytest.raises(NodeUnreachable) as err:
         t.sync_ms(4, 1000)
+    assert isinstance(err.value, NetworkFault)
     assert err.value.node_id == 2
     assert err.value.wasted_ms > 0
+    assert t.net_wasted_ms == err.value.wasted_ms
     assert t.retransmits == 3                    # the whole budget
     assert t.partition_verdicts == 1
-    assert t.monitor.verdicts == 1
     # the verdict consumed the armed fault; the transport is clean again
     assert t.faults_armed == 0
     assert t.sync_ms(4, 1000) == one_rack().sync_ms(4, 1000)
-
-
-def test_collective_monitor_validates_and_tracks():
-    with pytest.raises(SimulationError):
-        CollectiveMonitor(0.0)
-    m = CollectiveMonitor(2.0)
-    m.expect(3, now=10.0)
-    assert m.pending == 1
-    assert not m.overdue(3, now=11.0)
-    assert m.overdue(3, now=12.5)
-    m.ack(3)
-    assert m.pending == 0 and m.acks == 1
-    assert issubclass(NodeUnreachable, NetworkFault)
 
 
 # -- end-to-end: every kind converges to fault-free results ---------------
@@ -312,7 +293,6 @@ def test_seeded_network_campaign_is_reproducible(graph):
     plan = FaultPlan.random(23, supersteps=MAX_ITER, num_nodes=NUM_NODES,
                             rate=0.3, kinds=NETWORK_KINDS)
     assert plan.events, "seed 23 must schedule at least one event"
-    assert plan.requires_transport
     assert all(e.daemon_index == 0 for e in plan.events)
     config = NETWORK_RESILIENT.with_(fault_plan=plan)
     first, _ = run_algorithm(graph, config)
@@ -321,23 +301,42 @@ def test_seeded_network_campaign_is_reproducible(graph):
     np.testing.assert_array_equal(first.values, second.values)
 
 
-def test_network_plan_requires_resilient_transport(graph):
-    plan = FaultPlan.single(NET_DROP, 0)
-    with pytest.raises(MiddlewareError):
-        RESILIENT.with_(fault_plan=plan)          # no transport configured
+def test_network_plan_arms_on_any_config(graph, fault_free):
+    """Every middleware syncs through the transport, so a network fault
+    arms on the plain FULL config too."""
+    plan = FaultPlan.single(NET_DROP, 0, node_id=1)
+    result, plug = run_algorithm(graph, FULL.with_(fault_plan=plan))
+    assert np.abs(result.values - fault_free.values).max() < 1e-9
+    assert result.retransmits == 1
+    assert result.total_ms > fault_free.total_ms
+    assert plug.fault_report(result).injected_by_kind == {NET_DROP: 1}
 
 
-def test_fault_free_network_resilient_costs_nothing_extra(graph):
-    """The transport's zero-overhead invariant, engine-level: with no
-    network faults armed the NETWORK_RESILIENT stack is bit-identical in
-    cost and values to the plain RESILIENT one."""
-    plain, _ = run_algorithm(graph, RESILIENT)
-    resilient, plug = run_algorithm(graph, NETWORK_RESILIENT)
-    np.testing.assert_array_equal(resilient.values, plain.values)
-    assert resilient.total_ms == plain.total_ms
-    assert resilient.retransmits == 0
-    assert resilient.net_wasted_ms == 0.0
-    assert plug.fault_report(resilient).clean
+def test_fault_free_link_observation_costs_nothing_extra(graph):
+    """The transport's zero-overhead invariant, engine-level: on
+    ``rack:2x1`` the uplinks differ, so with the straggler detector on
+    the transport reports every uplink of every collective to it.  A
+    fault-free RESILIENT run must still repeat the detector-off run's
+    values, cost and every superstep's stats, and flag no link."""
+    def run(config):
+        cluster = ClusterSpec(nodes=NUM_NODES, gpus_per_node=1,
+                              topology="rack:2x1").build()
+        return run_algorithm(graph, config, cluster=cluster)
+
+    plain, _ = run(RESILIENT.with_(straggler=StragglerConfig()))
+    observed, plug = run(RESILIENT)
+    assert plug.straggler.link_observations > 0
+    assert observed.link_verdicts == 0
+    np.testing.assert_array_equal(observed.values, plain.values)
+    assert observed.total_ms == plain.total_ms
+    assert len(observed.stats) == len(plain.stats)
+    for ours, theirs in zip(observed.stats, plain.stats):
+        for f in dataclasses.fields(IterationStats):
+            assert getattr(ours, f.name) == getattr(theirs, f.name), \
+                f"superstep {ours.index}: {f.name}"
+    assert observed.retransmits == 0
+    assert observed.net_wasted_ms == 0.0
+    assert plug.fault_report(observed).clean
 
 
 def test_rebalanced_shares_shift_load_off_degraded_nodes():

@@ -66,6 +66,10 @@ def test_detector_validation():
         StragglerDetector(alpha=0.0)
     with pytest.raises(SimulationError):
         StragglerDetector(alpha=1.5)
+    for link_ratio in (1.0, 0.5):
+        with pytest.raises(SimulationError, match="link ratio"):
+            StragglerDetector(link_ratio=link_ratio)
+    assert StragglerDetector(ratio=3.0).link_ratio == 3.0
 
 
 def test_detector_rejects_unknown_phase():
@@ -89,6 +93,16 @@ def test_degenerate_observations_are_skipped():
     assert det.observe(0, "compute", 0, 5.0, 5.0) is None
     assert det.observe(0, "compute", 10, 5.0, 0.0) is None
     assert det.observations == 0
+    assert det.observe_link(1, 5.0, 0.0) is None
+    assert det.link_observations == 0
+
+
+def test_unobserved_phases_and_links_read_neutral():
+    det = StragglerDetector()
+    det.observe_link(0, 4.0, 1.0)
+    assert det.median_inflation("compute") == 1.0
+    assert det.relative_link_inflation(1) == 1.0
+    assert det.relative_link_inflation(0) == 4.0
 
 
 def test_flag_after_patience_with_verdict_fields():
@@ -164,6 +178,8 @@ def test_overrun_and_speculation_counters():
 def test_report_clean_ignores_passive_observation():
     # watching is free: overruns and coefficient updates never dirty a run
     assert FaultReport(budget_overruns=4, coeff_updates=12).clean
+    assert FaultReport().summary() == \
+        "fault report: clean run (no faults, no recoveries)"
 
 
 @pytest.mark.parametrize("dirty", [

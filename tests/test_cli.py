@@ -190,7 +190,6 @@ RUN_LITERALS = [
                                       rate=0.05, kinds=ALL_KINDS),
           monitor_heartbeats=True, checkpoint_interval=2,
           degrade_to_host=True, rebalance_on_degrade=True,
-          network_resilient=True,
           straggler=StragglerConfig(enabled=True, ratio=2.5,
                                     link_ratio=2.0, speculate=True,
                                     reestimate=True))),
