@@ -1,11 +1,11 @@
 """Fault-tolerance overhead on the Fig. 8 configuration.
 
-The protection has to be cheap enough to leave on: with heartbeat
-monitoring and periodic checkpointing enabled (``RESILIENT``) a
-fault-free run must stay within 10% of the unprotected (``FULL``)
-simulated total, and the results must be identical.  Heartbeats
-piggyback on the Algorithm 1-2 protocol messages, so the entire cost is
-the periodic vertex-table snapshots.
+The protection has to be cheap enough to leave on: with periodic
+checkpointing and host degradation enabled (``RESILIENT``) a fault-free
+run must stay within 10% of the unprotected (``FULL``) simulated total,
+and the results must be identical.  A run without a stall plan arms no
+heartbeat monitor, so the entire cost is the periodic vertex-table
+snapshots.
 """
 
 from repro.bench import print_table, run_fault_overhead

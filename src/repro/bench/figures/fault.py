@@ -23,7 +23,7 @@ from .common import Figure, _run, algorithm_factories
 
 
 # ---------------------------------------------------------------------------
-# Fault-tolerance overhead (fault-free runs, monitor + checkpoints on)
+# Fault-tolerance overhead (fault-free runs, checkpoints on)
 # ---------------------------------------------------------------------------
 
 def run_fault_overhead(dataset: str = "orkut",
@@ -32,10 +32,10 @@ def run_fault_overhead(dataset: str = "orkut",
 
     The Fig. 8 GPU+PowerGraph configuration run fault-free twice: with
     the fault-tolerance layer off (``FULL``) and on (``RESILIENT``:
-    heartbeat monitoring, checkpoints every 2 supersteps, host
-    degradation armed).  The enabled path's budget is < 10% overhead —
-    heartbeats piggyback on protocol messages, so the cost is just the
-    periodic vertex-table snapshots.
+    checkpoints every 2 supersteps, host degradation armed).  The
+    enabled path's budget is < 10% overhead — a run without a stall
+    plan arms no heartbeat monitor, so the cost is just the periodic
+    vertex-table snapshots.
     """
     graph = load_dataset(dataset)
     rows = []

@@ -77,7 +77,6 @@ def run_summary(result: RunResult) -> Dict:
         "speculative_wins": result.speculative_wins,
         "speculative_losses": result.speculative_losses,
         "speculative_wasted_ms": round(result.speculative_wasted_ms, 6),
-        "budget_overruns": result.budget_overruns,
         "coeff_updates": result.coeff_updates,
         "online_rebalances": result.online_rebalances,
         "link_verdicts": result.link_verdicts,

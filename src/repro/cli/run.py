@@ -116,8 +116,7 @@ def runtime_from_args(args: argparse.Namespace) -> MiddlewareConfig:
     if campaign is None:
         return config
     return config.with_(
-        fault_plan=FaultPlan.random(**campaign),
-        monitor_heartbeats=not args.no_pipeline, checkpoint_interval=2,
+        fault_plan=FaultPlan.random(**campaign), checkpoint_interval=2,
         degrade_to_host=True, rebalance_on_degrade=True,
         straggler=StragglerConfig(
             enabled=True,

@@ -77,7 +77,7 @@ NAIVE_COPY_FACTOR = 0.35
 MSG_SPECULATED = "SpeculativeResult"
 
 #: How many expected durations a flagged pair's block may run before its
-#: speculative copy launches; it also widens the monitor's phase budgets.
+#: speculative copy launches.
 SPECULATION_HEADROOM = 2.0
 
 
@@ -446,8 +446,10 @@ class Agent:
         bounds[-1] = d
         sched = Scheduler()
         monitor: Optional[HeartbeatMonitor] = None
-        if self.config.pipeline and self.config.monitor_heartbeats:
-            monitor = HeartbeatMonitor(detector=self.straggler)
+        plan = self.config.fault_plan
+        if (self.config.pipeline and plan is not None
+                and plan.requires_monitor):
+            monitor = HeartbeatMonitor()
         self._spec_pending = []
         self._abandoned = []
         hits_misses = [0, 0]
@@ -469,21 +471,6 @@ class Agent:
                 daemon, algorithm, src_ids[lo:hi], dst_ids[lo:hi],
                 msgs[lo:hi], hits_misses, ascending)
             total_blocks += len(blocks)
-            if monitor is not None and self.config.straggler.enabled \
-                    and blocks:
-                # per-phase deadline budgets from the Eq. 2 cost model:
-                # the worst block's expected stage time with speculative
-                # headroom, floored at the flat timeout so budgets can
-                # only widen the allowed silence, never cause a false
-                # DaemonDead
-                coeffs = self.coefficients_for(daemon)
-                b = max(bl.num_entities for bl in blocks)
-                h, t = SPECULATION_HEADROOM, monitor.timeout_ms
-                monitor.set_budgets(daemon.daemon_id, {
-                    "download": max(t, coeffs.t_n(b) * h),
-                    "compute": max(t, coeffs.t_c(b) * h),
-                    "upload": max(t, coeffs.t_u(b) * h),
-                })
             if self.config.pipeline:
                 if monitor is not None:
                     monitor.register(daemon.daemon_id, sched.clock.now)
@@ -753,7 +740,7 @@ class Agent:
             entities, category = block.merged_size, CAT_UPLOAD
         cost = expected * daemon.transfer_inflation
         if lease:
-            yield from self._beat(daemon, busy_ms=cost, phase=stage)
+            yield from self._beat(daemon, busy_ms=cost)
         yield Sleep(cost, category)
         if self.straggler is not None and entities > 0:
             self.straggler.observe(daemon.daemon_id, "transfer",
@@ -761,27 +748,22 @@ class Agent:
 
     # -- Algorithm 2 (agent side of the pipeline) ------------------------------------------
 
-    def _beat(self, daemon: Daemon, busy_ms: float = 0.0,
-              phase: Optional[str] = None) -> Generator:
+    def _beat(self, daemon: Daemon, busy_ms: float = 0.0) -> Generator:
         """Agent-side heartbeat for the pair's monitor entry.
 
         ``busy_ms > 0`` declares an upcoming leased wait (download /
-        upload); ``phase`` names the deadline budget it charges against.
+        upload).
         """
         if daemon.heartbeat is not None:
             now = yield Now()
             daemon.heartbeat.beat(daemon.daemon_id, now,
                                   busy_until=(now + busy_ms) if busy_ms
-                                  else None,
-                                  phase=phase)
+                                  else None)
 
     def _pipeline_process(self, daemon: Daemon,
                           blocks: List[TripletBlock]) -> Generator:
         areas = daemon.areas
         block_iter = iter(blocks)
-        if not blocks:
-            daemon.pass_idle = True
-            return
         yield from self._download_thread(daemon, block_iter)
         yield Send(daemon.to_daemon, MSG_EXCHANGE_FINISHED)
         upload_h = download_h = None

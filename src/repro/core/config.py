@@ -8,9 +8,10 @@ evaluates, so each figure's bench is an ablation of exactly one knob:
 * ``sync_skip``                      — §III-B3 (Fig. 11(b))
 * ``runtime_isolation``              — §IV-C   (Fig. 13)
 
-plus the fault tiers' switches (``fault_plan``, ``monitor_heartbeats``,
-``checkpoint_interval``, ``degrade_to_host``, ...); their timing
-constants live with the classes that use them (docs/fault_tolerance.md).
+plus the fault tiers' switches (``fault_plan``, ``checkpoint_interval``,
+``degrade_to_host``, ...); their timing constants live with the classes
+that use them (docs/fault_tolerance.md).  The heartbeat monitor has no
+switch: a pipelined pass arms it when the fault plan holds a stall.
 """
 
 from __future__ import annotations
@@ -129,13 +130,10 @@ class MiddlewareConfig:
     # -- fault tolerance (repro.fault) ------------------------------------
 
     #: Deterministic fault schedule to inject, armed superstep by
-    #: superstep; ``None`` injects nothing.
+    #: superstep; ``None`` injects nothing.  A plan with stall faults
+    #: (hangs, dropped control messages) arms per-daemon heartbeats and
+    #: a watchdog on every pipelined pass, the only way to detect them.
     fault_plan: Optional[FaultPlan] = None
-
-    #: Per-daemon heartbeats with a watchdog on every pipelined pass.
-    #: Required to *detect* stall faults (hangs, dropped control
-    #: messages); off by default so fault-free deployments pay nothing.
-    monitor_heartbeats: bool = False
 
     #: Checkpoint the vertex tables every N supersteps (0 disables).
     #: With checkpoints, unrecoverable faults roll back to the last
@@ -177,21 +175,17 @@ class MiddlewareConfig:
             raise MiddlewareError(
                 "sync_skip builds on synchronization caching (§III-B3)"
             )
-        if self.monitor_heartbeats and not self.pipeline:
-            raise MiddlewareError(
-                "monitor_heartbeats requires the pipelined protocol: "
-                "heartbeats ride on the Algorithm 1-2 message exchange"
-            )
         if self.straggler.speculate and not self.pipeline:
             raise MiddlewareError(
                 "speculative block re-execution rides the pipelined "
                 "protocol (Algorithms 1-2); it requires pipeline=True"
             )
         if (self.fault_plan is not None and self.fault_plan.requires_monitor
-                and not self.monitor_heartbeats):
+                and not self.pipeline):
             raise MiddlewareError(
                 "the fault plan contains stall faults (hang / message "
-                "drop); detecting them requires monitor_heartbeats=True"
+                "drop); detecting them takes heartbeats, which ride the "
+                "Algorithm 1-2 message exchange: it requires pipeline=True"
             )
         if self.rebalance_on_degrade and not self.degrade_to_host:
             raise MiddlewareError(
@@ -226,12 +220,11 @@ BASELINE = MiddlewareConfig(
     sync_skip=False,
 )
 
-#: FULL plus the fault-tolerance layer: heartbeat monitoring, periodic
-#: superstep checkpoints, CPU degradation when accelerators die, and the
-#: gray-failure tier (straggler detection, speculative re-execution,
-#: online Lemma-2 re-estimation).
+#: FULL plus the fault-tolerance layer: periodic superstep checkpoints,
+#: CPU degradation when accelerators die, and the gray-failure tier
+#: (straggler detection, speculative re-execution, online Lemma-2
+#: re-estimation).
 RESILIENT = MiddlewareConfig(
-    monitor_heartbeats=True,
     checkpoint_interval=2,
     degrade_to_host=True,
     straggler=StragglerConfig(enabled=True, speculate=True,
@@ -241,7 +234,6 @@ RESILIENT = MiddlewareConfig(
 #: RESILIENT plus Lemma-2 partition rebalancing when a node degrades to
 #: its host path (a partitioned node's verdict, for one).
 NETWORK_RESILIENT = MiddlewareConfig(
-    monitor_heartbeats=True,
     checkpoint_interval=2,
     degrade_to_host=True,
     rebalance_on_degrade=True,

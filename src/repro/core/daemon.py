@@ -264,8 +264,7 @@ class Daemon:
                         # legitimate silence: lease the kernel's duration
                         now = yield Now()
                         self.heartbeat.beat(self.daemon_id, now,
-                                            busy_until=now + duration,
-                                            phase="compute")
+                                            busy_until=now + duration)
                     yield Sleep(duration, CAT_COMPUTE)
                     # result replaces the block in situ (*c <- com_dev.data)
                     area.block = None

@@ -192,8 +192,6 @@ class RunResult:
     speculative_losses: int = 0
     #: simulated device ms burned on losing copies (both directions)
     speculative_wasted_ms: float = 0.0
-    #: busy leases that outlived their cost-model phase budget
-    budget_overruns: int = 0
     #: (node, superstep) coefficient observations folded into the online
     #: Lemma-2 estimate
     coeff_updates: int = 0
@@ -600,8 +598,7 @@ class IterativeEngine:
             if det is not None:
                 res.straggler_verdicts = len(det.verdicts)
                 for name in ("speculative_wins", "speculative_losses",
-                             "speculative_wasted_ms", "budget_overruns",
-                             "link_verdicts"):
+                             "speculative_wasted_ms", "link_verdicts"):
                     setattr(res, name, getattr(det, name))
             for name, total in mw.scheduler_counters().items():
                 setattr(res, name, total)  # the three ``sched_*`` fields

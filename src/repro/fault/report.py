@@ -35,7 +35,6 @@ class FaultReport:
     # gray-failure layer (repro.fault.straggler)
     straggler_verdicts: int = 0
     straggler_recoveries: int = 0
-    budget_overruns: int = 0
     speculative_wins: int = 0
     speculative_losses: int = 0
     speculative_wasted_ms: float = 0.0
@@ -138,7 +137,6 @@ def fault_report(middleware, result=None) -> FaultReport:
     if detector is not None:
         report.straggler_verdicts = len(detector.verdicts)
         report.straggler_recoveries = detector.recoveries
-        report.budget_overruns = detector.budget_overruns
         report.speculative_wins = detector.speculative_wins
         report.speculative_losses = detector.speculative_losses
         report.speculative_wasted_ms = detector.speculative_wasted_ms

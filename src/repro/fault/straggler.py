@@ -92,8 +92,6 @@ class StragglerDetector:
         self.link_observations = 0
         self.link_verdicts = 0
         self.link_recoveries = 0
-        #: soft phase-budget overruns reported by the heartbeat monitor
-        self.budget_overruns = 0
         # speculation accounting (filled in by the agents)
         self.speculative_wins = 0
         self.speculative_losses = 0
@@ -147,12 +145,6 @@ class StragglerDetector:
                                     + self.alpha * inflation)
         self.link_observations += 1
         return self._evaluate_link(link_id)
-
-    def note_overrun(self, daemon_id: int, phase: str,
-                     leased_ms: float, budget_ms: float) -> None:
-        """A busy lease outlived its cost-model phase budget (monitor
-        hook) — soft evidence only; counted, never acted on here."""
-        self.budget_overruns += 1
 
     # -- queries ------------------------------------------------------------
 

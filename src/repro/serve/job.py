@@ -220,7 +220,7 @@ _RETIRED_FIELDS = {
     MiddlewareConfig: frozenset({
         "balance", "batch_events", "checkpoint_fixed_ms",
         "checkpoint_ms_per_cell", "heartbeat_interval_ms",
-        "heartbeat_timeout_ms", "max_retry_attempts",
+        "heartbeat_timeout_ms", "max_retry_attempts", "monitor_heartbeats",
         "net_ack_timeout_ms", "net_retransmit_base_ms",
         "network_resilient", "retry_backoff_factor", "retry_base_delay_ms",
         "speculative_checkpoint", "validate"}),

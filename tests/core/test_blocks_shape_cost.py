@@ -19,6 +19,7 @@ from repro.core import GXPlug
 from repro.core.agent import Agent
 from repro.core.config import MiddlewareConfig, StragglerConfig
 from repro.engines import GraphXEngine, PowerGraphEngine
+from repro.fault import HANG, FaultPlan
 from repro.graph import rmat
 from repro.ipc import ShmRegistry
 
@@ -112,7 +113,7 @@ def test_speculated_straggler_pass_returns_the_same_partial(alg):
     values = warmed_values(alg)
     expected = alg.msg_merge(GRAPH.dst, alg.msg_gen(
         GRAPH.src, GRAPH.dst, GRAPH.weights, values))
-    config = dict(block_size=32, monitor_heartbeats=True,
+    config = dict(block_size=32,
                   straggler=StragglerConfig(enabled=True, speculate=True))
     # three daemons: the detector flags against the cross-daemon median
     healthy = edge_pass(make_agent(3, **config), alg, values)
@@ -125,6 +126,58 @@ def test_speculated_straggler_pass_returns_the_same_partial(alg):
     # every pass had a backup adopt the straggler's block and drain the
     # rest of its share
     assert agent.straggler.speculative_wins == 3
+
+
+def test_adopted_speculation_raises_no_heartbeat_verdict():
+    """A stall plan arms the heartbeat monitor (an agent alone never
+    fires its events).  The primary a backup overtakes is abandoned
+    mid-kernel; it must leave liveness tracking, or the watchdog would
+    judge its silence a stall.  The passes keep their bits and time."""
+    alg = PageRank()
+    values = warmed_values(alg)
+    # small blocks: the backup drains the straggler's share for longer
+    # than the abandoned kernel's lease plus the heartbeat timeout
+    config = dict(block_size=8,
+                  straggler=StragglerConfig(enabled=True, speculate=True))
+    plain, watched = (make_agent(3, **config),
+                      make_agent(3, fault_plan=FaultPlan.single(HANG, 0),
+                                 **config))
+    for agent in (plain, watched):
+        agent.daemons[0].arm_slowdown(8.0, passes=3)
+    for _ in range(3):
+        ours = edge_pass(watched, alg, values)
+        theirs = edge_pass(plain, alg, values)
+        assert ours.partial.data.tobytes() == theirs.partial.data.tobytes()
+        assert ours.elapsed_ms == theirs.elapsed_ms
+    monitor = watched.daemons[0].heartbeat
+    assert monitor is not None and monitor.verdicts == 0
+    assert watched.heartbeat_verdicts == 0
+    assert watched.straggler.speculative_wins == 3
+
+
+@pytest.mark.parametrize("alg", algorithms(), ids=lambda a: a.name)
+def test_lost_speculation_keeps_the_unhedged_pass(alg):
+    """A straggler slow enough to flag (2.5x over a 2x ratio) but quicker
+    than the speculative headroom plus one block: every backup is still
+    mid-kernel when its primary finishes, so each copy is charged as a
+    loss and the pass keeps the unhedged straggler pass's bits and
+    time."""
+    values = warmed_values(alg)
+    expected = alg.msg_merge(GRAPH.dst, alg.msg_gen(
+        GRAPH.src, GRAPH.dst, GRAPH.weights, values))
+    detect = StragglerConfig(enabled=True, ratio=2.0)
+    unhedged, hedged = (make_agent(3, block_size=32, straggler=straggler)
+                        for straggler in (detect,
+                                          detect.with_(speculate=True)))
+    for agent in (unhedged, hedged):
+        agent.daemons[0].arm_slowdown(2.5, passes=3)
+    for _ in range(3):
+        ours = edge_pass(hedged, alg, values)
+        assert_same_bits(ours.partial, expected, "lost speculation")
+        assert ours.elapsed_ms == edge_pass(unhedged, alg, values).elapsed_ms
+    assert hedged.straggler.speculative_wins == 0
+    assert hedged.straggler.speculative_losses > 0
+    assert hedged.straggler.speculative_wasted_ms > 0.0
 
 
 @pytest.mark.parametrize("alg", algorithms(), ids=lambda a: a.name)

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.config import BASELINE, FULL, MiddlewareConfig
+from repro.core.config import (
+    BASELINE,
+    FULL,
+    MiddlewareConfig,
+    StragglerConfig,
+)
 from repro.errors import MiddlewareError
 
 
@@ -45,6 +50,19 @@ def test_lazy_upload_requires_cache():
 def test_sync_skip_requires_cache():
     with pytest.raises(MiddlewareError):
         MiddlewareConfig(sync_cache=False, lazy_upload=False, sync_skip=True)
+
+
+def test_rebalance_on_degrade_requires_degrade_to_host():
+    with pytest.raises(MiddlewareError, match="requires degrade_to_host"):
+        MiddlewareConfig(rebalance_on_degrade=True)
+    MiddlewareConfig(rebalance_on_degrade=True, degrade_to_host=True)
+
+
+@pytest.mark.parametrize("bad", [1.0, 0.5])
+def test_link_ratio_must_exceed_one(bad):
+    with pytest.raises(MiddlewareError, match="link_ratio must be > 1"):
+        StragglerConfig(link_ratio=bad)
+    StragglerConfig(link_ratio=1.5)
 
 
 def test_frozen():

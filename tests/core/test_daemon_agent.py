@@ -19,6 +19,7 @@ from repro.cluster import NATIVE_RUNTIME, DistributedNode
 from repro.core.agent import Agent
 from repro.core.config import MiddlewareConfig
 from repro.errors import MiddlewareError, ProtocolError
+from repro.fault import ALL_KINDS, STALL_KINDS, FaultPlan, HeartbeatMonitor
 from repro.graph import rmat
 from repro.ipc import ShmRegistry
 
@@ -137,6 +138,27 @@ def test_empty_edge_pass_is_free(graph):
     result = agent.edge_pass(empty, empty, np.empty(0), values, alg)
     assert result.elapsed_ms == 0.0
     assert result.partial.size == 0
+
+
+@pytest.mark.parametrize("kind", (None,) + ALL_KINDS)
+def test_pass_builds_a_monitor_only_for_a_stall_plan(graph, kind):
+    """The fault plan decides the watchdog: a pipelined pass builds a
+    heartbeat monitor when its plan holds a stall kind (hang, message
+    drop), which only a stall can set off; any other plan, or none,
+    passes with no monitor and no watchdog."""
+    plan = (None if kind is None else FaultPlan.random(
+        0, supersteps=1, num_nodes=1, rate=1.0, kinds=(kind,)))
+    alg = PageRank()
+    agent = make_agent(fault_plan=plan, **no_opt())
+    agent.connect()
+    agent.edge_pass(graph.src, graph.dst, graph.weights,
+                    alg.init_state(graph).values, alg)
+    monitor = agent.daemons[0].heartbeat
+    if kind in STALL_KINDS:
+        assert isinstance(monitor, HeartbeatMonitor)
+        assert monitor.beats > 0 and monitor.verdicts == 0
+    else:
+        assert monitor is None
 
 
 def malformed_pass(src, dst, weights, **config):

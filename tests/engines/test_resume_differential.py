@@ -9,13 +9,23 @@ every superstep; a fresh cluster then resumes from each checkpoint of a
 superstep that did not converge (a converged superstep's checkpoint is
 not a resume point, see ``StepEvent.checkpointed``) and must reproduce
 the value bytes, the iteration count and the convergence verdict.
+
+The clock must agree too.  A fresh cluster starts with empty agent
+caches, so the twin of a resume from superstep k is the uninterrupted
+run with every agent's cache flushed after superstep k: each later
+superstep's :class:`IterationStats` must repeat the twin's, field for
+field.  ``checkpoint_ms`` is pinned apart, because a resumed checkpoint
+store starts a fresh delta chain at the resume point.
 """
+
+import dataclasses
+from functools import lru_cache
 
 import pytest
 
 from repro import RESILIENT, GXPlug, make_cluster
 from repro.algorithms import ALGORITHMS
-from repro.engines import ENGINES, AsyncEngine
+from repro.engines import ENGINES, AsyncEngine, IterationStats
 from repro.errors import EngineError
 from repro.graph import rmat
 
@@ -45,15 +55,11 @@ def run_to_end(steps, on_event=lambda event: None):
             return stop.value
 
 
-@pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
-@pytest.mark.parametrize("engine_name", sorted(ENGINES))
-def test_resumed_run_ends_where_the_uninterrupted_one_does(
-        engine_name, algorithm_name):
+@lru_cache(maxsize=None)
+def resumes(engine_name, algorithm_name):
+    """The uninterrupted run, and one ``(checkpoint, resumed run, its
+    flushed twin)`` per resume point."""
     engine_cls = ENGINES[engine_name]
-    if engine_cls is AsyncEngine and algorithm_name in NOT_REPLAY_SAFE:
-        with pytest.raises(EngineError, match="not replay-safe"):
-            stepper(engine_cls, algorithm_name)
-        return
     engine, steps = stepper(engine_cls, algorithm_name)
     resume_points = []
 
@@ -63,10 +69,89 @@ def test_resumed_run_ends_where_the_uninterrupted_one_does(
 
     whole = run_to_end(steps, note)
     assert resume_points
-    for ckpt in resume_points:
-        resumed = run_to_end(stepper(engine_cls, algorithm_name,
-                                     resume_from=ckpt)[1])
+    return whole, [(ckpt,
+                    run_to_end(stepper(engine_cls, algorithm_name,
+                                       resume_from=ckpt)[1]),
+                    flushed_twin(engine_cls, algorithm_name,
+                                 ckpt.iteration))
+                   for ckpt in resume_points]
+
+
+def flushed_twin(engine_cls, algorithm_name, iteration):
+    """The uninterrupted run with every agent's cache flushed after the
+    superstep that leaves the engine at ``iteration``: the caches a run
+    resumed from that superstep's checkpoint starts with."""
+    engine, steps = stepper(engine_cls, algorithm_name)
+
+    def flush(event):
+        if event.kind == "superstep" and event.iteration == iteration:
+            for agent in engine.middleware.agents.values():
+                agent.flush_cache()
+
+    return run_to_end(steps, flush)
+
+
+#: engine x algorithm pairs the asynchronous model accepts
+REPLAYABLE = [(e, a) for e in sorted(ENGINES) for a in sorted(ALGORITHMS)
+              if not (ENGINES[e] is AsyncEngine and a in NOT_REPLAY_SAFE)]
+CLOCK = [f.name for f in dataclasses.fields(IterationStats)
+         if f.name != "checkpoint_ms"]
+
+
+def later_stats(ckpt, resumed, twin):
+    """(resumed, twin) stats of each superstep after the resume point."""
+    after = twin.stats[ckpt.iteration:]
+    assert len(resumed.stats) == len(after), \
+        f"resumed at superstep {ckpt.iteration}"
+    return zip(resumed.stats, after)
+
+
+@pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("engine_name", sorted(ENGINES))
+def test_resumed_run_ends_where_the_uninterrupted_one_does(
+        engine_name, algorithm_name):
+    engine_cls = ENGINES[engine_name]
+    if engine_cls is AsyncEngine and algorithm_name in NOT_REPLAY_SAFE:
+        with pytest.raises(EngineError, match="not replay-safe"):
+            stepper(engine_cls, algorithm_name)
+        return
+    whole, runs = resumes(engine_name, algorithm_name)
+    for ckpt, resumed, _ in runs:
         where = f"resumed at superstep {ckpt.iteration}"
         assert resumed.values.tobytes() == whole.values.tobytes(), where
         assert resumed.iterations == whole.iterations, where
         assert resumed.converged == whole.converged, where
+
+
+@pytest.mark.parametrize("engine_name,algorithm_name", REPLAYABLE)
+def test_resumed_run_repeats_the_flushed_twin_superstep_by_superstep(
+        engine_name, algorithm_name):
+    """Every field but ``checkpoint_ms`` of every later superstep."""
+    for ckpt, resumed, twin in resumes(engine_name, algorithm_name)[1]:
+        assert twin.values.tobytes() == resumed.values.tobytes()
+        for ours, theirs in later_stats(ckpt, resumed, twin):
+            for name in CLOCK:
+                assert getattr(ours, name) == getattr(theirs, name), (
+                    f"resumed at superstep {ckpt.iteration}, superstep "
+                    f"{theirs.index}: {name}")
+
+
+#: ``CheckpointStore.seed`` starts a fresh delta chain at the resume
+#: point, so full snapshots fall later than in the live run (the
+#: ``FOUND:`` line on a resumed run's ``checkpoint_ms`` in CHANGES.md)
+CHAIN_RESTARTS = pytest.mark.xfail(
+    strict=True, reason="a resumed CheckpointStore restarts its delta "
+                        "chain at the resume point")
+
+
+@pytest.mark.parametrize("engine_name,algorithm_name", [
+    pytest.param(e, a, marks=CHAIN_RESTARTS)
+    if (e, a) in {("graphx", "pagerank"), ("powergraph", "pagerank")}
+    else (e, a) for e, a in REPLAYABLE])
+def test_resumed_run_charges_the_flushed_twin_checkpoint_ms(
+        engine_name, algorithm_name):
+    for ckpt, resumed, twin in resumes(engine_name, algorithm_name)[1]:
+        for ours, theirs in later_stats(ckpt, resumed, twin):
+            assert ours.checkpoint_ms == theirs.checkpoint_ms, (
+                f"resumed at superstep {ckpt.iteration}, superstep "
+                f"{theirs.index}")

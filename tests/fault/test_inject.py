@@ -127,10 +127,13 @@ def test_config_builds_and_validates_injector():
 
 
 def test_stall_plan_requires_monitor_in_config():
-    with pytest.raises(MiddlewareError):
-        MiddlewareConfig(fault_plan=FaultPlan.single(HANG, 0))
-    MiddlewareConfig(fault_plan=FaultPlan.single(HANG, 0),
-                     monitor_heartbeats=True)
+    """A stall plan arms the heartbeat monitor on any pipelined config,
+    ``FULL`` included; heartbeats ride the Algorithm 1-2 exchange, so
+    the sequential flow refuses the plan."""
+    MiddlewareConfig(fault_plan=FaultPlan.single(HANG, 0))
+    with pytest.raises(MiddlewareError, match="requires pipeline=True"):
+        MiddlewareConfig(fault_plan=FaultPlan.single(HANG, 0),
+                         pipeline=False)
 
 
 def test_arm_is_one_shot():

@@ -105,89 +105,6 @@ def test_watchdog_quiet_when_waits_are_leased():
 
 
 # ---------------------------------------------------------------------------
-# per-phase deadline budgets (gray-failure layer)
-# ---------------------------------------------------------------------------
-
-def test_beat_on_unregistered_daemon_keeps_no_state():
-    mon = HeartbeatMonitor(1.0, 5.0)
-    mon.beat(9, now=0.0, busy_until=50.0, phase="compute")
-    assert mon.tracked == 0
-    assert mon.beats == 0
-    assert mon.budget_overruns == 0
-    # the flat timeout applies to a daemon the monitor never saw
-    assert mon.allowed_silence_ms(9) == 5.0
-    mon.check(now=1000.0)                    # nothing to verdict
-
-
-def test_set_budgets_validates_positive():
-    mon = HeartbeatMonitor(1.0, 5.0)
-    with pytest.raises(SimulationError):
-        mon.set_budgets(0, {"compute": 0.0})
-    with pytest.raises(SimulationError):
-        mon.set_budgets(0, {"download": -1.0})
-
-
-def test_phase_budget_refines_allowed_silence():
-    mon = HeartbeatMonitor(1.0, 5.0)
-    mon.register(0, now=0.0)
-    mon.set_budgets(0, {"compute": 20.0, "upload": 2.0})
-    assert mon.allowed_silence_ms(0) == 5.0  # between phases: flat
-    mon.beat(0, now=0.0, phase="compute")
-    assert mon.allowed_silence_ms(0) == 20.0
-    mon.check(now=19.0)                      # inside the compute budget
-    with pytest.raises(DaemonDead):
-        mon.check(now=20.1)
-    # a phase with no installed budget falls back to the flat timeout
-    mon2 = HeartbeatMonitor(1.0, 5.0)
-    mon2.register(0, now=0.0)
-    mon2.set_budgets(0, {"compute": 20.0})
-    mon2.beat(0, now=0.0, phase="download")
-    assert mon2.allowed_silence_ms(0) == 5.0
-
-
-def test_bare_beat_clears_declared_phase():
-    mon = HeartbeatMonitor(1.0, 5.0)
-    mon.register(0, now=0.0)
-    mon.set_budgets(0, {"compute": 50.0})
-    mon.beat(0, now=0.0, phase="compute")
-    mon.beat(0, now=1.0)                     # protocol progress, no phase
-    assert mon.allowed_silence_ms(0) == 5.0
-    with pytest.raises(DaemonDead):
-        mon.check(now=6.1)
-
-
-def test_lease_past_budget_counts_soft_overrun():
-    class _Spy:
-        def __init__(self):
-            self.calls = []
-
-        def note_overrun(self, daemon_id, phase, leased, budget):
-            self.calls.append((daemon_id, phase, leased, budget))
-
-    spy = _Spy()
-    mon = HeartbeatMonitor(1.0, 5.0, detector=spy)
-    mon.register(0, now=0.0)
-    mon.set_budgets(0, {"compute": 10.0})
-    mon.beat(0, now=0.0, busy_until=8.0, phase="compute")
-    assert mon.budget_overruns == 0          # within budget
-    mon.beat(0, now=8.0, busy_until=48.0, phase="compute")
-    assert mon.budget_overruns == 1          # alive, but 4x the budget
-    assert spy.calls == [(0, "compute", 40.0, 10.0)]
-    # the overrun is soft: the lease still protects against a verdict
-    mon.check(now=48.0)
-
-
-def test_forget_drops_budget_state():
-    mon = HeartbeatMonitor(1.0, 5.0)
-    mon.register(0, now=0.0)
-    mon.set_budgets(0, {"compute": 20.0})
-    mon.beat(0, now=0.0, phase="compute")
-    mon.forget(0)
-    assert mon.allowed_silence_ms(0) == 5.0
-    mon.check(now=1000.0)
-
-
-# ---------------------------------------------------------------------------
 # The collective verdict: the transport's own, no monitor in between
 # ---------------------------------------------------------------------------
 

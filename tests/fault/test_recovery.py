@@ -67,6 +67,9 @@ def fault_free(graph):
     (MESSAGE_DROP, dict(direction="to_agent"), RESILIENT),
     (MESSAGE_DROP, dict(direction="to_daemon"), RESILIENT),
     (MESSAGE_DELAY, dict(duration_ms=5.0), FULL),
+    # the plan arms the monitor: stalls are caught without RESILIENT too
+    (HANG, dict(duration_ms=100.0), FULL),
+    (MESSAGE_DROP, dict(direction="to_agent"), FULL),
 ])
 @pytest.mark.parametrize("superstep", [0, 3])
 def test_single_fault_converges_to_fault_free_ranks(

@@ -160,12 +160,10 @@ def test_clear_voids_history():
     assert det.inflation(0, "compute") == 1.0
 
 
-def test_overrun_and_speculation_counters():
+def test_speculation_counters():
     det = StragglerDetector()
-    det.note_overrun(0, "compute", leased_ms=50.0, budget_ms=10.0)
     det.record_win(3.5)
     det.record_loss(1.5)
-    assert det.budget_overruns == 1
     assert det.speculative_wins == 1
     assert det.speculative_losses == 1
     assert det.speculative_wasted_ms == pytest.approx(5.0)
@@ -176,8 +174,8 @@ def test_overrun_and_speculation_counters():
 # ---------------------------------------------------------------------------
 
 def test_report_clean_ignores_passive_observation():
-    # watching is free: overruns and coefficient updates never dirty a run
-    assert FaultReport(budget_overruns=4, coeff_updates=12).clean
+    # watching is free: coefficient updates never dirty a run
+    assert FaultReport(coeff_updates=12).clean
     assert FaultReport().summary() == \
         "fault report: clean run (no faults, no recoveries)"
 

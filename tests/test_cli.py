@@ -188,7 +188,7 @@ RUN_LITERALS = [
       "--link-slow-ratio", "2"],
      dict(fault_plan=FaultPlan.random(3, supersteps=10, num_nodes=4,
                                       rate=0.05, kinds=ALL_KINDS),
-          monitor_heartbeats=True, checkpoint_interval=2,
+          checkpoint_interval=2,
           degrade_to_host=True, rebalance_on_degrade=True,
           straggler=StragglerConfig(enabled=True, ratio=2.5,
                                     link_ratio=2.0, speculate=True,
