@@ -7,7 +7,7 @@ Import from here and nothing breaks when internals move::
     cluster = ClusterSpec(nodes=8, gpus_per_node=1,
                           topology="rack:2x4").build()
     config = MiddlewareConfig.preset("network-resilient")
-    config = config.with_(straggler=config.straggler.with_(link_ratio=2.5))
+    config = config.with_(checkpoint_interval=4)
     plug = GXPlug(cluster, config)
 
 Two frozen dataclasses describe a deployment, each checking its own

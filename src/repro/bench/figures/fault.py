@@ -141,8 +141,7 @@ def run_straggler_soak(dataset: str = "wrn", num_nodes: int = 2,
                     max_iter, config=config)
 
     detect_off = StragglerConfig()
-    detect_on = StragglerConfig(enabled=True, speculate=True,
-                                reestimate=True)
+    detect_on = StragglerConfig(enabled=True, reestimate=True)
     clean_off = one(None, detect_off)
     clean_on = one(None, detect_on)
     slow_off = one(plan, detect_off)

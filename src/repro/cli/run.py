@@ -70,22 +70,6 @@ def add_parser(sub) -> None:
                      default=None,
                      help="fault kinds the campaign draws from "
                           f"(default: all of {', '.join(sorted(ALL_KINDS))})")
-    run.add_argument("--straggler-ratio", type=float, default=None,
-                     metavar="R",
-                     help="EWMA inflation multiple over the cross-daemon "
-                          "median that flags a daemon-agent pair as a "
-                          "straggler (default 3.0; needs --fault-seed)")
-    run.add_argument("--link-slow-ratio", type=float, default=None,
-                     metavar="R",
-                     help="per-link EWMA inflation multiple over the "
-                          "cross-link median that flags an uplink as "
-                          "gray-failed (default: --straggler-ratio; "
-                          "needs --fault-seed)")
-    run.add_argument("--speculate", action="store_true",
-                     help="re-issue a flagged straggler's pending block "
-                          "to the fastest idle daemon, first finisher "
-                          "wins (needs --fault-seed and the pipelined "
-                          "protocol)")
     run.set_defaults(func=cmd_run)
 
 
@@ -118,25 +102,15 @@ def runtime_from_args(args: argparse.Namespace) -> MiddlewareConfig:
     return config.with_(
         fault_plan=FaultPlan.random(**campaign), checkpoint_interval=2,
         degrade_to_host=True, rebalance_on_degrade=True,
-        straggler=StragglerConfig(
-            enabled=True,
-            ratio=(StragglerConfig.ratio if args.straggler_ratio is None
-                   else args.straggler_ratio),
-            link_ratio=args.link_slow_ratio, speculate=args.speculate,
-            reestimate=True))
+        straggler=StragglerConfig(enabled=True, reestimate=True))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     # only flag combinations no config sees are checked here; every
     # value is checked by the config it builds, before any graph loads
-    if args.fault_seed is None and (
-            args.fault_kinds is not None or args.speculate
-            or args.straggler_ratio is not None
-            or args.link_slow_ratio is not None):
-        return _usage_error(
-            "--fault-kinds/--straggler-ratio/--link-slow-ratio/"
-            "--speculate shape the seeded campaign; they need "
-            "--fault-seed")
+    if args.fault_seed is None and args.fault_kinds is not None:
+        return _usage_error("--fault-kinds shapes the seeded campaign; "
+                            "it needs --fault-seed")
     if args.no_middleware and args.engine == "async":
         return _usage_error("the async engine requires the middleware")
     if args.no_middleware and args.fault_seed is not None:
@@ -173,8 +147,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             "supersteps": seeded["supersteps"],
             "nodes": seeded["num_nodes"],
             "events": len(config.fault_plan.events),
-            "straggler_ratio": config.straggler.ratio,
-            "speculate": config.straggler.speculate,
         }
 
     engine = engine_cls.build(graph, cluster, middleware=middleware)

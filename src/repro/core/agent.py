@@ -77,7 +77,9 @@ NAIVE_COPY_FACTOR = 0.35
 MSG_SPECULATED = "SpeculativeResult"
 
 #: How many expected durations a flagged pair's block may run before its
-#: speculative copy launches.
+#: speculative copy launches.  A backup then needs about one more, so
+#: only a pair whose compute inflation exceeds ``SPECULATION_HEADROOM +
+#: 1`` is hedged.
 SPECULATION_HEADROOM = 2.0
 
 
@@ -166,7 +168,7 @@ class Agent:
         # middleware's shared, cluster-wide instance when one exists)
         self.straggler: Optional[StragglerDetector] = None
         if config.straggler.enabled:
-            self.straggler = StragglerDetector(ratio=config.straggler.ratio)
+            self.straggler = StragglerDetector()
         self._bind_detector()
         # speculative re-execution bookkeeping for the current pass
         self._spec_pending: List[dict] = []
@@ -847,11 +849,15 @@ class Agent:
 
     def _speculation_armed(self, daemon: Daemon) -> bool:
         """Hedge this pair's next block?  Only when the detector has
-        flagged it and a potential backup exists on this agent."""
-        scfg = self.config.straggler
-        return (scfg.enabled and scfg.speculate
-                and self.straggler is not None
-                and self.straggler.is_straggler(daemon.daemon_id)
+        flagged it, its compute EWMA says a backup launched after
+        ``SPECULATION_HEADROOM`` expected durations and running one more
+        can still finish first, and a potential backup exists on this
+        agent (LATE's rule: hedge only what a copy can win)."""
+        det = self.straggler
+        return (det is not None
+                and det.is_straggler(daemon.daemon_id)
+                and det.inflation(daemon.daemon_id, "compute")
+                > SPECULATION_HEADROOM + 1.0
                 and any(d is not daemon for d in self.daemons))
 
     def _fastest_idle_daemon(self, exclude: Daemon) -> Optional[Daemon]:

@@ -36,54 +36,30 @@ def check_count(name: str, value, minimum: int) -> None:
 
 @dataclass(frozen=True)
 class StragglerConfig:
-    """Gray-failure tolerance knobs (:mod:`repro.fault.straggler`).
+    """Gray-failure tolerance switches (:mod:`repro.fault.straggler`).
 
     Off by default — detection is zero-simulated-cost bookkeeping, but
-    the responses (speculation, online re-estimation) change how a run
-    spends its time under gray faults, so they are an explicit opt-in
-    (on in the ``RESILIENT`` presets).
+    its responses change how a run spends its time under gray faults,
+    so they are an explicit opt-in (on in the ``RESILIENT`` presets).
+    The flag threshold is the detector's own; a flagged pair's block is
+    hedged whenever its measured inflation says a backup can win.
     """
 
-    #: Track per-daemon EWMA inflation and issue StragglerVerdicts.
+    #: Track per-daemon EWMA inflation, issue StragglerVerdicts, and
+    #: speculatively re-execute the blocks of a flagged pair slow enough
+    #: for a backup to finish first.
     enabled: bool = False
-
-    #: A pair whose EWMA inflation exceeds the cross-daemon median by
-    #: this multiple is slow enough to flag.
-    ratio: float = 3.0
-
-    #: Re-issue a flagged straggler's pending block to the fastest idle
-    #: daemon; first finisher wins (deterministic tie-break), the
-    #: loser's result is discarded and its time charged as waste.
-    speculate: bool = False
 
     #: Feed observed per-node times back into the Lemma-2 coefficient
     #: estimates and repartition when the estimated shares drift.
     reestimate: bool = False
 
-    #: Flag threshold for per-*link* inflation (uplink fragments over a
-    #: rack topology, judged against the other links' median); ``None``
-    #: reuses ``ratio``.
-    link_ratio: Optional[float] = None
-
     def __post_init__(self) -> None:
-        if self.link_ratio is not None and self.link_ratio <= 1.0:
+        if self.reestimate and not self.enabled:
             raise MiddlewareError(
-                f"link_ratio must be > 1, got {self.link_ratio}"
+                "online re-estimation requires enabled=True — there is "
+                "nothing to respond to without detection"
             )
-        if self.ratio <= 1.0:
-            raise MiddlewareError(
-                f"straggler ratio must be > 1, got {self.ratio}"
-            )
-        if (self.speculate or self.reestimate) and not self.enabled:
-            raise MiddlewareError(
-                "straggler responses (speculate / reestimate) require "
-                "enabled=True — there is nothing to respond to without "
-                "detection"
-            )
-
-    def with_(self, **changes) -> "StragglerConfig":
-        """A copy with the given fields replaced."""
-        return replace(self, **changes)
 
 
 @dataclass(frozen=True)
@@ -175,11 +151,6 @@ class MiddlewareConfig:
             raise MiddlewareError(
                 "sync_skip builds on synchronization caching (§III-B3)"
             )
-        if self.straggler.speculate and not self.pipeline:
-            raise MiddlewareError(
-                "speculative block re-execution rides the pipelined "
-                "protocol (Algorithms 1-2); it requires pipeline=True"
-            )
         if (self.fault_plan is not None and self.fault_plan.requires_monitor
                 and not self.pipeline):
             raise MiddlewareError(
@@ -227,8 +198,7 @@ BASELINE = MiddlewareConfig(
 RESILIENT = MiddlewareConfig(
     checkpoint_interval=2,
     degrade_to_host=True,
-    straggler=StragglerConfig(enabled=True, speculate=True,
-                              reestimate=True),
+    straggler=StragglerConfig(enabled=True, reestimate=True),
 )
 
 #: RESILIENT plus Lemma-2 partition rebalancing when a node degrades to
@@ -237,8 +207,7 @@ NETWORK_RESILIENT = MiddlewareConfig(
     checkpoint_interval=2,
     degrade_to_host=True,
     rebalance_on_degrade=True,
-    straggler=StragglerConfig(enabled=True, speculate=True,
-                              reestimate=True),
+    straggler=StragglerConfig(enabled=True, reestimate=True),
 )
 
 #: Named presets resolvable through :meth:`MiddlewareConfig.preset`.

@@ -52,9 +52,7 @@ class GXPlug:
         # the cross-daemon median inflation spans every node's daemons
         self.straggler: Optional[StragglerDetector] = None
         if self.config.straggler.enabled:
-            self.straggler = StragglerDetector(
-                ratio=self.config.straggler.ratio,
-                link_ratio=self.config.straggler.link_ratio)
+            self.straggler = StragglerDetector()
             for agent in self.agents.values():
                 agent.set_straggler_detector(self.straggler)
         self.connected = False

@@ -47,7 +47,6 @@ from ..core.balance import (
     network_coefficients,
     rebalanced_shares,
 )
-from ..core.config import MiddlewareConfig
 from ..core.middleware import GXPlug
 from ..core.sync_skip import SkipDetector
 from ..core.template import AlgorithmTemplate, MessageSet
@@ -337,10 +336,6 @@ class IterativeEngine:
 
     # -- configuration hooks (overridden by GraphX / PowerGraph) --------------------
 
-    @property
-    def config(self) -> Optional[MiddlewareConfig]:
-        return self.middleware.config if self.middleware else None
-
     def _mirror_sync_cells(self, changed: np.ndarray, width: int) -> int:
         """Extra sync payload for replica/mirror propagation (GAS only)."""
         return 0
@@ -543,8 +538,6 @@ class IterativeEngine:
         st.faults_injected = faults
         st.retries, st.recoveries, st.retransmits, st.dup_drops = (
             a - b for a, b in zip(after, before))
-        if mw is not None:
-            st.net_wasted_ms = mw.transport.step_wasted_ms
         res.stats.append(st)
         res.iterations += 1
         if changed_ids.size:
@@ -577,6 +570,10 @@ class IterativeEngine:
                 self._repartition(run, shares)
                 run.last_online_reb = res.iterations
                 res.online_rebalances += 1
+        if mw is not None:
+            # read after the rebalance: its collective's waste belongs
+            # to this superstep, and the next attempt zeroes the count
+            st.net_wasted_ms = mw.transport.step_wasted_ms
         res.converged = bool(run.algorithm.is_converged(
             st.changed_vertices, res.iterations))
         return StepEvent("superstep", res.iterations, res.total_ms - ms0,

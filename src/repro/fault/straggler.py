@@ -16,8 +16,9 @@ pair.  The detector closes the gap:
   itself).  When the relative inflation exceeds ``ratio`` for
   ``patience`` consecutive observations, the detector issues a soft
   :class:`~repro.errors.StragglerVerdict` — recorded, never raised —
-  and flags the daemon for the responses (speculative re-execution,
-  online Lemma-2 re-estimation).
+  and flags the daemon for the responses (speculative re-execution of
+  a pair inflated enough for a backup to win, online Lemma-2
+  re-estimation).
 * ``patience`` consecutive healthy observations in every observed phase
   unflag the daemon again (gray failures are often transient).
 
@@ -25,10 +26,11 @@ The same machinery extends to the *network edge*: when a rack
 :class:`~repro.cluster.topology.Topology` is wired in, the resilient
 transport reports every node's observed vs healthy uplink fragment time
 through :meth:`StragglerDetector.observe_link`.  Links keep their own
-EWMAs, streaks, and flag set, judged against the *other* links' median
-(exclude-self — with few links an inclusive median would let a lone slow
-uplink drag the reference up and mask itself).  A flagged link feeds the
-online Lemma-2 re-estimation exactly like a flagged daemon.
+EWMAs, streaks, and flag set, judged by the same ``ratio`` against the
+*other* links' median (exclude-self — with few links an inclusive
+median would let a lone slow uplink drag the reference up and mask
+itself).  A flagged link feeds the online Lemma-2 re-estimation
+exactly like a flagged daemon.
 
 Detection is pure bookkeeping on the simulated clock: it charges zero
 simulated milliseconds, so enabling it cannot change a fault-free run.
@@ -50,8 +52,7 @@ class StragglerDetector:
     """Per-daemon EWMA inflation tracking with median-relative verdicts."""
 
     def __init__(self, ratio: float = 3.0, patience: int = 3,
-                 alpha: float = 0.5,
-                 link_ratio: Optional[float] = None) -> None:
+                 alpha: float = 0.5) -> None:
         if ratio <= 1.0:
             raise SimulationError(
                 f"straggler ratio must be > 1 (a slowness multiple), "
@@ -65,17 +66,10 @@ class StragglerDetector:
             raise SimulationError(
                 f"EWMA alpha must be in (0, 1], got {alpha}"
             )
-        if link_ratio is not None and link_ratio <= 1.0:
-            raise SimulationError(
-                f"link ratio must be > 1 (a slowness multiple), "
-                f"got {link_ratio}"
-            )
+        #: flag threshold for pairs and links alike
         self.ratio = float(ratio)
         self.patience = int(patience)
         self.alpha = float(alpha)
-        #: flag threshold for link inflation; defaults to ``ratio``
-        self.link_ratio = (float(link_ratio) if link_ratio is not None
-                           else float(ratio))
         #: (daemon_id, phase) -> EWMA of observed/expected duration
         self._ewma: Dict[Tuple[int, str], float] = {}
         self._slow_streak: Dict[Tuple[int, str], int] = {}
@@ -268,7 +262,7 @@ class StragglerDetector:
 
     def _evaluate_link(self, link_id: int) -> Optional[StragglerVerdict]:
         rel = self.relative_link_inflation(link_id)
-        if rel >= self.link_ratio:
+        if rel >= self.ratio:
             streak = self._link_slow_streak.get(link_id, 0) + 1
             self._link_slow_streak[link_id] = streak
             self._link_healthy_streak[link_id] = 0

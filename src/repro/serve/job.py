@@ -225,8 +225,9 @@ _RETIRED_FIELDS = {
         "network_resilient", "retry_backoff_factor", "retry_base_delay_ms",
         "speculative_checkpoint", "validate"}),
     StragglerConfig: frozenset({
-        "ewma_alpha", "patience", "rebalance_cooldown",
-        "share_divergence", "speculation_headroom"}),
+        "ewma_alpha", "link_ratio", "patience", "ratio",
+        "rebalance_cooldown", "share_divergence", "speculate",
+        "speculation_headroom"}),
 }
 
 

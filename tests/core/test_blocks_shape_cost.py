@@ -19,7 +19,7 @@ from repro.core import GXPlug
 from repro.core.agent import Agent
 from repro.core.config import MiddlewareConfig, StragglerConfig
 from repro.engines import GraphXEngine, PowerGraphEngine
-from repro.fault import HANG, FaultPlan
+from repro.fault import HANG, FaultPlan, StragglerDetector
 from repro.graph import rmat
 from repro.ipc import ShmRegistry
 
@@ -114,7 +114,7 @@ def test_speculated_straggler_pass_returns_the_same_partial(alg):
     expected = alg.msg_merge(GRAPH.dst, alg.msg_gen(
         GRAPH.src, GRAPH.dst, GRAPH.weights, values))
     config = dict(block_size=32,
-                  straggler=StragglerConfig(enabled=True, speculate=True))
+                  straggler=StragglerConfig(enabled=True))
     # three daemons: the detector flags against the cross-daemon median
     healthy = edge_pass(make_agent(3, **config), alg, values)
     agent = make_agent(3, **config)
@@ -138,7 +138,7 @@ def test_adopted_speculation_raises_no_heartbeat_verdict():
     # small blocks: the backup drains the straggler's share for longer
     # than the abandoned kernel's lease plus the heartbeat timeout
     config = dict(block_size=8,
-                  straggler=StragglerConfig(enabled=True, speculate=True))
+                  straggler=StragglerConfig(enabled=True))
     plain, watched = (make_agent(3, **config),
                       make_agent(3, fault_plan=FaultPlan.single(HANG, 0),
                                  **config))
@@ -156,28 +156,55 @@ def test_adopted_speculation_raises_no_heartbeat_verdict():
 
 
 @pytest.mark.parametrize("alg", algorithms(), ids=lambda a: a.name)
-def test_lost_speculation_keeps_the_unhedged_pass(alg):
-    """A straggler slow enough to flag (2.5x over a 2x ratio) but quicker
-    than the speculative headroom plus one block: every backup is still
-    mid-kernel when its primary finishes, so each copy is charged as a
-    loss and the pass keeps the unhedged straggler pass's bits and
-    time."""
+def test_a_straggler_no_backup_can_beat_is_not_hedged(alg):
+    """A steady straggler slow enough to flag (2.5x over a 2x ratio) but
+    quicker than the speculative headroom plus one block: a backup could
+    only lose, so none launches, and the pass is the detection-off
+    pass, bits and time."""
     values = warmed_values(alg)
     expected = alg.msg_merge(GRAPH.dst, alg.msg_gen(
         GRAPH.src, GRAPH.dst, GRAPH.weights, values))
-    detect = StragglerConfig(enabled=True, ratio=2.0)
-    unhedged, hedged = (make_agent(3, block_size=32, straggler=straggler)
-                        for straggler in (detect,
-                                          detect.with_(speculate=True)))
-    for agent in (unhedged, hedged):
+    plain, flagged = make_agent(3, block_size=32), make_agent(3, block_size=32)
+    flagged.set_straggler_detector(StragglerDetector(ratio=2.0))
+    for agent in (plain, flagged):
         agent.daemons[0].arm_slowdown(2.5, passes=3)
     for _ in range(3):
-        ours = edge_pass(hedged, alg, values)
-        assert_same_bits(ours.partial, expected, "lost speculation")
-        assert ours.elapsed_ms == edge_pass(unhedged, alg, values).elapsed_ms
-    assert hedged.straggler.speculative_wins == 0
-    assert hedged.straggler.speculative_losses > 0
-    assert hedged.straggler.speculative_wasted_ms > 0.0
+        ours = edge_pass(flagged, alg, values)
+        assert_same_bits(ours.partial, expected, "flagged straggler")
+        assert ours.elapsed_ms == edge_pass(plain, alg, values).elapsed_ms
+    det = flagged.straggler
+    assert det.is_straggler(flagged.daemons[0].daemon_id)
+    assert (det.speculative_wins, det.speculative_losses,
+            det.speculative_wasted_ms) == (0, 0, 0.0)
+
+
+@pytest.mark.parametrize("alg", algorithms(), ids=lambda a: a.name)
+def test_lost_speculation_keeps_the_unhedged_pass(alg):
+    """A straggler that eases from 8x to 2.5x: its compute EWMA lags the
+    change, so blocks are still hedged once the primary is quick enough
+    to beat its backup.  Each such copy is charged as a loss, every
+    partial keeps the monolithic bits, and a pass with losses only takes
+    the unhedged pass's time."""
+    values = warmed_values(alg)
+    expected = alg.msg_merge(GRAPH.dst, alg.msg_gen(
+        GRAPH.src, GRAPH.dst, GRAPH.weights, values))
+    hedged = make_agent(4, block_size=64,
+                        straggler=StragglerConfig(enabled=True))
+    unhedged = make_agent(4, block_size=64)
+    det = hedged.straggler
+    for factor in (8.0, 2.5):
+        for agent in (hedged, unhedged):
+            agent.daemons[0].arm_slowdown(factor, passes=2)
+        for _ in range(2):
+            wins = det.speculative_wins
+            ours = edge_pass(hedged, alg, values)
+            theirs = edge_pass(unhedged, alg, values)
+            assert_same_bits(ours.partial, expected, f"{factor}x pass")
+            if det.speculative_wins == wins:
+                assert ours.elapsed_ms == theirs.elapsed_ms
+    assert det.speculative_wins > 0
+    assert det.speculative_losses > 0
+    assert det.speculative_wasted_ms > 0.0
 
 
 @pytest.mark.parametrize("alg", algorithms(), ids=lambda a: a.name)

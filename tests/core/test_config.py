@@ -7,7 +7,6 @@ from repro.core.config import (
     BASELINE,
     FULL,
     MiddlewareConfig,
-    StragglerConfig,
 )
 from repro.errors import MiddlewareError
 
@@ -56,13 +55,6 @@ def test_rebalance_on_degrade_requires_degrade_to_host():
     with pytest.raises(MiddlewareError, match="requires degrade_to_host"):
         MiddlewareConfig(rebalance_on_degrade=True)
     MiddlewareConfig(rebalance_on_degrade=True, degrade_to_host=True)
-
-
-@pytest.mark.parametrize("bad", [1.0, 0.5])
-def test_link_ratio_must_exceed_one(bad):
-    with pytest.raises(MiddlewareError, match="link_ratio must be > 1"):
-        StragglerConfig(link_ratio=bad)
-    StragglerConfig(link_ratio=1.5)
 
 
 def test_frozen():

@@ -29,6 +29,7 @@ slowed uplink still armed after the move, so a transport that lost its
 
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -106,6 +107,18 @@ def test_online_repartition_ends_where_the_final_placement_does(
     else:
         np.testing.assert_allclose(twin.values, live.values,
                                    rtol=1e-12, atol=0)
+
+
+def test_per_superstep_waste_sums_to_the_run_total():
+    """The repartition collective crosses the slowed uplink too: its
+    retransmit waste belongs to the superstep that moved, so no waste
+    falls between supersteps and the per-superstep counts add up to the
+    transport's total."""
+    spec, config = RACK
+    live, _, _ = rebalanced_run(spec, config, "pagerank")
+    assert live.online_rebalances >= 1 and live.net_wasted_ms > 0
+    assert math.fsum(s.net_wasted_ms for s in live.stats) == pytest.approx(
+        live.net_wasted_ms, rel=1e-12, abs=0)
 
 
 def test_flat_topology_is_the_same_run_as_no_topology():

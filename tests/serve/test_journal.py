@@ -10,6 +10,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from repro.core.config import StragglerConfig
 from repro.errors import ServeError
 from repro.fault.checkpoint import Checkpoint
 from repro.graph import Graph, rmat
@@ -225,6 +226,16 @@ def test_replay_names_the_line_of_a_spec_field_never_retired(jpath):
     with pytest.raises(ServeError, match=r"journal line 4 \('submitted'\)"
                                          r".*unknown MiddlewareConfig "
                                          r"fields: \['pipline'\]"):
+        _recover(jpath, records)
+    # the same two rules one level down, in the nested straggler config
+    records[3]["spec"]["runtime"] = {"straggler": {
+        "ratio": 2.5, "speculate": False, "link_ratio": 2.0}}
+    rec = _recover(jpath, records)  # three retired fields: dropped
+    assert rec.job(2).spec.runtime.straggler == StragglerConfig()
+    records[3]["spec"]["runtime"] = {"straggler": {"speculat": True}}
+    with pytest.raises(ServeError, match=r"journal line 4 \('submitted'\)"
+                                         r".*unknown StragglerConfig "
+                                         r"fields: \['speculat'\]"):
         _recover(jpath, records)
 
 

@@ -135,28 +135,11 @@ def test_fault_kinds_require_seed(capsys):
     assert "--fault-seed" in capsys.readouterr().err
 
 
-def test_straggler_flags_require_seed(capsys):
-    rc = main(["run", "--dataset", "wiki-topcats", "--speculate"])
+def test_fault_seed_requires_the_middleware(capsys):
+    rc = main(["run", "--dataset", "wiki-topcats", "--no-middleware",
+               "--fault-seed", "3"])
     assert rc == 2
-    assert "--fault-seed" in capsys.readouterr().err
-    rc = main(["run", "--dataset", "wiki-topcats",
-               "--straggler-ratio", "4.0"])
-    assert rc == 2
-    assert "--fault-seed" in capsys.readouterr().err
-
-
-def test_straggler_ratio_must_exceed_one(capsys):
-    rc = main(["run", "--dataset", "wiki-topcats", "--fault-seed", "3",
-               "--straggler-ratio", "0.5"])
-    assert rc == 2
-    assert "must be > 1" in capsys.readouterr().err
-
-
-def test_speculate_requires_pipeline(capsys):
-    rc = main(["run", "--dataset", "wiki-topcats", "--fault-seed", "3",
-               "--speculate", "--no-pipeline"])
-    assert rc == 2
-    assert "pipelined" in capsys.readouterr().err
+    assert "--no-middleware" in capsys.readouterr().err
 
 
 def test_run_gray_campaign_with_speculation(capsys, tmp_path):
@@ -165,14 +148,11 @@ def test_run_gray_campaign_with_speculation(capsys, tmp_path):
                "--gpus", "2", "--max-iterations", "4",
                "--fault-seed", "5", "--fault-rate", "0.4",
                "--fault-kinds", "slowdown",
-               "--straggler-ratio", "2.5", "--speculate",
                "--trace-json", str(json_path)])
     assert rc == 0
     assert "fault report:" in capsys.readouterr().out
     import json as _json
     doc = _json.loads(json_path.read_text())
-    assert doc["fault_campaign"]["straggler_ratio"] == 2.5
-    assert doc["fault_campaign"]["speculate"] is True
     assert doc["fault_campaign"]["kinds"] == ["slowdown"]
     assert "straggler_verdicts" in doc["summary"]
     assert "speculative_wins" in doc["summary"]
@@ -184,15 +164,12 @@ RUN_LITERALS = [
      dict(sync_cache=False, lazy_upload=False, sync_skip=False)),
     (["--no-skip", "--block-size", "64"],
      dict(sync_skip=False, block_size=64)),
-    (["--fault-seed", "3", "--speculate", "--straggler-ratio", "2.5",
-      "--link-slow-ratio", "2"],
+    (["--fault-seed", "3"],
      dict(fault_plan=FaultPlan.random(3, supersteps=10, num_nodes=4,
                                       rate=0.05, kinds=ALL_KINDS),
           checkpoint_interval=2,
           degrade_to_host=True, rebalance_on_degrade=True,
-          straggler=StragglerConfig(enabled=True, ratio=2.5,
-                                    link_ratio=2.0, speculate=True,
-                                    reestimate=True))),
+          straggler=StragglerConfig(enabled=True, reestimate=True))),
 ]
 
 
