@@ -15,7 +15,8 @@ from pathlib import Path
 from repro.api import (ClusterSpec, GXPlug, MultiSourceSSSP,
                        PowerGraphEngine, clustering_partition,
                        hash_partition, load_dataset)
-from repro.bench import print_table, write_csv, write_json
+from repro.bench import print_table
+from repro.engines.trace import write_csv, write_json
 from repro.graph import greedy_vertex_cut, partition_report
 
 

@@ -1,12 +1,6 @@
 """Benchmark harness: experiment runners + text reporting."""
 
 from .reporting import format_table, print_table, speedup
-from .trace import (
-    iteration_records,
-    run_summary,
-    write_csv,
-    write_json,
-)
 from .hotpath import (
     PROFILES,
     check_regression,
@@ -24,10 +18,6 @@ __all__ = [
     "format_table",
     "print_table",
     "speedup",
-    "iteration_records",
-    "run_summary",
-    "write_csv",
-    "write_json",
     *figures.__all__,
     "run_hotpath_bench",
     "format_report",

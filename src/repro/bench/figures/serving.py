@@ -1,8 +1,9 @@
 """Serving-layer experiments: the multi-tenant soak, the crash and wire
 chaos soaks, and the streaming-mutation soak.
 
-``repro.serve.service`` imports ``repro.bench.trace``, so every
-``repro.serve`` import here is deferred into the runner that needs it.
+Every ``repro.serve`` import here is deferred into the runner that
+needs it, so loading the figure registry (``repro.cli`` does) does not
+load the serving stack.
 """
 
 from __future__ import annotations

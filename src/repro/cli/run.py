@@ -6,9 +6,9 @@ from typing import Optional
 
 from ..algorithms import ALGORITHMS
 from ..bench.reporting import print_table
-from ..bench.trace import write_csv, write_json
 from ..core import ClusterSpec, GXPlug, MiddlewareConfig, StragglerConfig
 from ..engines import ENGINES
+from ..engines.trace import write_csv, write_json
 from ..errors import ReproError
 from ..fault import ALL_KINDS, FaultPlan
 from ..graph import DEFAULT_DATASET, dataset_names, load_dataset

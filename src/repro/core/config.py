@@ -16,9 +16,11 @@ switch: a pipelined pass arms it when the fault plan holds a stall.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from numbers import Integral
 from typing import Optional
+
+import numpy as np
 
 from ..errors import MiddlewareError
 from ..fault.inject import FaultPlan
@@ -32,6 +34,15 @@ def check_count(name: str, value, minimum: int) -> None:
             or value < minimum):
         raise MiddlewareError(
             f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_switches(config) -> None:
+    """Refuse a switch (a field annotated ``bool``) holding anything but
+    a ``bool`` or ``np.bool_``: ``"yes"`` or ``1`` would read as set."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "bool" and not isinstance(value, (bool, np.bool_)):
+            raise MiddlewareError(f"{f.name} must be a bool, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +66,7 @@ class StragglerConfig:
     reestimate: bool = False
 
     def __post_init__(self) -> None:
+        _check_switches(self)
         if self.reestimate and not self.enabled:
             raise MiddlewareError(
                 "online re-estimation requires enabled=True — there is "
@@ -135,6 +147,7 @@ class MiddlewareConfig:
     straggler: StragglerConfig = StragglerConfig()
 
     def __post_init__(self) -> None:
+        _check_switches(self)
         if self.block_size is not None:
             check_count("block_size", self.block_size, 1)
         if self.cache_capacity is not None:

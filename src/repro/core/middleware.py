@@ -110,18 +110,12 @@ class GXPlug:
         return sorted(node_id for node_id, agent in self.agents.items()
                       if agent.degraded)
 
-    def total_middleware_ms(self) -> float:
-        return sum(a.total_middleware_ms for a in self.agents.values())
-
     def scheduler_counters(self) -> Dict[str, int]:
         """Event-loop telemetry across every agent's passes: events
-        popped (summed; the core steps one event per loop iteration, so
-        they are its batches too) and the heap peak (max)."""
+        popped (summed) and the heap peak (max)."""
         agents = self.agents.values()
-        events = sum(a.sched_events for a in agents)
         return {
-            "sched_events": events,
-            "sched_batches": events,
+            "sched_events": sum(a.sched_events for a in agents),
             "sched_heap_peak": max(
                 (a.sched_heap_peak for a in agents), default=0),
         }

@@ -52,6 +52,7 @@ from ..core.sync_skip import SkipDetector
 from ..core.template import AlgorithmTemplate, MessageSet
 from ..errors import AcceleratorsExhausted, EngineError, NodeUnreachable
 from ..fault.checkpoint import Checkpoint, CheckpointStore
+from ..fault.report import _shared_fields, fault_report
 from ..graph.partition import PartitionedGraph, partition
 
 #: simulated bytes per float64 payload cell crossing the network
@@ -156,7 +157,12 @@ class StepEvent:
 
 @dataclass
 class RunResult:
-    """Outcome of one engine run."""
+    """Outcome of one engine run.
+
+    The fields it shares with :class:`~repro.fault.report.FaultReport`
+    are one record: the engine writes the rollback, rebalance and
+    re-estimation counts, and copies the rest from the run's fault
+    report, the one reader of the middleware's run totals."""
 
     values: np.ndarray
     iterations: int
@@ -210,11 +216,14 @@ class RunResult:
     # event-loop telemetry across every agent pass scheduler
     #: resume events popped
     sched_events: int = 0
-    #: event-loop iterations; the core steps one event per iteration,
-    #: so this equals ``sched_events``
-    sched_batches: int = 0
     #: peak number of pending events in any pass's event heap
     sched_heap_peak: int = 0
+
+    @property
+    def sched_batches(self) -> int:
+        """Event-loop iterations: the core steps one event per
+        iteration, so this is ``sched_events``."""
+        return self.sched_events
 
     @property
     def cache_evictions(self) -> int:
@@ -581,24 +590,18 @@ class IterativeEngine:
 
     def _finish(self, run: _Run) -> RunResult:
         """The last transition: the totals only known at the end of the
-        run (transport, straggler, scheduler, wall clock)."""
+        run (the middleware's, copied from its fault report, plus the
+        scheduler's and the wall clock's)."""
         mw, res = self.middleware, run.result
         res.skipped_iterations = (
             sum(1 for s in res.stats if s.skipped)
             + sum(s.local_iterations - 1 for s in res.stats))
         if mw is not None:
-            for name in ("retransmits", "dup_drops", "net_wasted_ms",
-                         "link_slow_ms"):
-                setattr(res, name, getattr(mw.transport, name))
-            res.degraded_nodes = mw.degraded_nodes()
-            det = mw.straggler
-            if det is not None:
-                res.straggler_verdicts = len(det.verdicts)
-                for name in ("speculative_wins", "speculative_losses",
-                             "speculative_wasted_ms", "link_verdicts"):
-                    setattr(res, name, getattr(det, name))
+            report = fault_report(mw, res)
+            for name in _shared_fields(res):
+                setattr(res, name, getattr(report, name))
             for name, total in mw.scheduler_counters().items():
-                setattr(res, name, total)  # the three ``sched_*`` fields
+                setattr(res, name, total)  # the two ``sched_*`` fields
         res.wall_total_s = perf_counter() - run.wall_start
         res.wall_s = dict(self.wall_s)
         return res

@@ -7,7 +7,7 @@ happened to this job, fault-wise".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List
 
 
@@ -109,44 +109,41 @@ class FaultReport:
                 f"{links}{degraded}")
 
 
+def _shared_fields(result) -> List[str]:
+    """The :class:`FaultReport` fields ``result`` (a
+    :class:`~repro.engines.base.RunResult`) has too: the one name set
+    both records are filled through, each from the other."""
+    return [f.name for f in fields(FaultReport)
+            if f.name in result.__dataclass_fields__]
+
+
 def fault_report(middleware, result=None) -> FaultReport:
-    """Build a :class:`FaultReport` from a middleware (and optionally the
-    :class:`~repro.engines.base.RunResult` that carries rollback info)."""
-    report = FaultReport()
-    injector = getattr(middleware, "injector", None)
-    if injector is not None:
-        report.faults_injected = injector.injected
-        report.injected_by_kind = dict(injector.injected_by_kind)
-    for node_id in sorted(middleware.agents):
-        agent = middleware.agents[node_id]
-        report.retries += agent.retries
-        report.recovered_passes += agent.recovered_passes
-        report.heartbeat_verdicts += agent.heartbeat_verdicts
-        for daemon in agent.daemons:
-            report.daemon_respawns += daemon.respawns
-        if agent.degraded:
-            report.degraded_nodes.append(node_id)
-    transport = middleware.transport
-    report.retransmits = transport.retransmits
-    report.dup_drops = transport.dup_drops
-    report.collective_fallbacks = transport.collective_fallbacks
-    report.partition_verdicts = transport.partition_verdicts
-    report.net_wasted_ms = transport.net_wasted_ms
-    report.link_slow_ms = transport.link_slow_ms
-    detector = getattr(middleware, "straggler", None)
+    """Build a :class:`FaultReport` from a middleware's run totals (its
+    transport, straggler detector, injector and agents: the one place
+    they are read) and optionally the
+    :class:`~repro.engines.base.RunResult` whose engine-written counts
+    (rollbacks, rebalances, coefficient updates) fill the rest."""
+    totals = {name: getattr(middleware.transport, name) for name in (
+        "retransmits", "dup_drops", "collective_fallbacks",
+        "partition_verdicts", "net_wasted_ms", "link_slow_ms")}
+    detector = middleware.straggler
     if detector is not None:
-        report.straggler_verdicts = len(detector.verdicts)
-        report.straggler_recoveries = detector.recoveries
-        report.speculative_wins = detector.speculative_wins
-        report.speculative_losses = detector.speculative_losses
-        report.speculative_wasted_ms = detector.speculative_wasted_ms
-        report.link_verdicts = detector.link_verdicts
-        report.link_recoveries = detector.link_recoveries
+        totals.update({name: getattr(detector, name) for name in (
+            "speculative_wins", "speculative_losses",
+            "speculative_wasted_ms", "link_verdicts", "link_recoveries")},
+            straggler_verdicts=len(detector.verdicts),
+            straggler_recoveries=detector.recoveries)
+    injector = middleware.injector
+    if injector is not None:
+        totals.update(faults_injected=injector.injected,
+                      injected_by_kind=dict(injector.injected_by_kind))
+    agents = middleware.agents.values()
+    for name in ("retries", "recovered_passes", "heartbeat_verdicts"):
+        totals[name] = sum(getattr(agent, name) for agent in agents)
+    totals["daemon_respawns"] = sum(daemon.respawns for agent in agents
+                                    for daemon in agent.daemons)
+    totals["degraded_nodes"] = middleware.degraded_nodes()
     if result is not None:
-        report.rollbacks = getattr(result, "rollbacks", 0)
-        report.wasted_ms = getattr(result, "wasted_ms", 0.0)
-        report.rebalance_events = getattr(result, "rebalance_events", 0)
-        report.rebalance_ms = getattr(result, "rebalance_ms", 0.0)
-        report.coeff_updates = getattr(result, "coeff_updates", 0)
-        report.online_rebalances = getattr(result, "online_rebalances", 0)
-    return report
+        for name in _shared_fields(result):
+            totals.setdefault(name, getattr(result, name))
+    return FaultReport(**totals)

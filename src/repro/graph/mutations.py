@@ -65,6 +65,16 @@ def _as_weights(values, size: int, label: str) -> np.ndarray:
     return arr
 
 
+def _isin_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """``np.isin(keys, sorted_keys)`` for an ascending ``sorted_keys``,
+    by binary search (several times faster than ``isin``'s hashing on
+    a mutation batch's key sets)."""
+    if not sorted_keys.size:
+        return np.zeros(keys.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return sorted_keys[pos] == keys
+
+
 @dataclass(frozen=True)
 class MutationBatch:
     """One atomic batch of graph edits.
@@ -251,16 +261,19 @@ class MutationBatch:
         edge_keys = graph.src * span + graph.dst
         keep = np.ones(graph.num_edges, dtype=bool)
 
-        if self.remove_src.size:
-            rkeys = self.remove_src * span + self.remove_dst
-            missing = ~np.isin(rkeys, edge_keys)
+        rkeys = self.remove_src * span + self.remove_dst
+        removed = np.sort(rkeys)
+        if rkeys.size or self.update_src.size:
+            sorted_edges = np.sort(edge_keys)
+        if rkeys.size:
+            missing = ~_isin_sorted(rkeys, sorted_edges)
             if missing.any():
                 i = int(np.nonzero(missing)[0][0])
                 raise GraphError(
                     f"remove targets missing edge "
                     f"({int(self.remove_src[i])}, "
                     f"{int(self.remove_dst[i])})")
-            keep &= ~np.isin(edge_keys, rkeys)
+            keep &= ~_isin_sorted(edge_keys, removed)
         if self.remove_vertices.size:
             gone = np.zeros(n_new, dtype=bool)
             gone[self.remove_vertices] = True
@@ -272,25 +285,21 @@ class MutationBatch:
         dec_dst: np.ndarray = np.empty(0, dtype=np.int64)
         if self.update_src.size:
             ukeys = self.update_src * span + self.update_dst
-            if self.remove_src.size and np.isin(
-                    ukeys, self.remove_src * span + self.remove_dst).any():
+            if _isin_sorted(ukeys, removed).any():
                 raise GraphError(
                     "batch both removes and updates the same edge")
             # last update to a pair wins
-            rev_keys = ukeys[::-1]
-            uniq, first = np.unique(rev_keys, return_index=True)
+            uniq, first = np.unique(ukeys[::-1], return_index=True)
             uw = self.update_weights[::-1][first]
-            missing = ~np.isin(uniq, edge_keys)
+            missing = ~_isin_sorted(uniq, sorted_edges)
             if missing.any():
                 k = int(uniq[np.nonzero(missing)[0][0]])
                 raise GraphError(
                     f"update targets missing edge "
                     f"({k // int(span)}, {k % int(span)})")
-            pos = np.searchsorted(uniq, edge_keys)
-            pos_c = np.minimum(pos, uniq.size - 1)
-            hit = (pos < uniq.size) & (uniq[pos_c] == edge_keys)
+            hit = _isin_sorted(edge_keys, uniq)
             old_w = weights[hit]
-            new_w = uw[pos_c[hit]]
+            new_w = uw[np.searchsorted(uniq, edge_keys[hit])]
             weight_increases = int(np.count_nonzero(new_w > old_w))
             dec = new_w < old_w
             dec_src = graph.src[hit][dec]

@@ -20,7 +20,7 @@ from typing import Any, Dict, Mapping, Optional
 from ..algorithms import ALGORITHMS
 from ..core.config import MiddlewareConfig, StragglerConfig
 from ..engines import ENGINES
-from ..errors import ServeError
+from ..errors import ReproError, ServeError
 from ..fault import FaultPlan
 from ..fault.inject import FaultEvent
 
@@ -195,16 +195,17 @@ def runtime_from_doc(doc: Mapping[str, Any]) -> MiddlewareConfig:
     (and its events) from their dicts of scalars."""
     fields = _known_fields(MiddlewareConfig, doc)
     straggler = fields.pop("straggler", None)
-    if straggler is not None:
-        fields["straggler"] = StragglerConfig(
-            **_known_fields(StragglerConfig, straggler))
     plan = fields.pop("fault_plan", None)
-    if plan is not None:
-        fields["fault_plan"] = FaultPlan(events=tuple(
-            FaultEvent(**event) for event in plan.get("events", ())))
     try:
+        if straggler is not None:
+            fields["straggler"] = StragglerConfig(
+                **_known_fields(StragglerConfig, straggler))
+        if plan is not None:
+            fields["fault_plan"] = FaultPlan(events=tuple(
+                FaultEvent(**event) for event in plan.get("events", ())))
         return MiddlewareConfig(**fields)
-    except TypeError as exc:
+    except (TypeError, AttributeError, ReproError) as exc:
+        # a value a config refuses, or a nested config of the wrong shape
         raise ServeError(
             f"bad journaled runtime config: {exc}") from None
 

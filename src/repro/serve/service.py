@@ -50,10 +50,10 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..bench.trace import write_json
 from ..core.config import ClusterSpec, check_count
 from ..core.middleware import GXPlug
 from ..engines.base import RunResult
+from ..engines.trace import write_json
 from ..errors import GraphError, ReproError, ServeError
 from ..graph import load_dataset
 from ..graph.mutations import MutationBatch, plan_warm_start

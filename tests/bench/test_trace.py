@@ -6,13 +6,13 @@ import json
 import pytest
 
 from repro.algorithms import PageRank
-from repro.bench import (
+from repro.engines.trace import (
+    FIELDS,
     iteration_records,
     run_summary,
     write_csv,
     write_json,
 )
-from repro.bench.trace import FIELDS
 from repro.cluster import make_cluster
 from repro.core import GXPlug, MiddlewareConfig
 from repro.engines import PowerGraphEngine

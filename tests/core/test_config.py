@@ -7,6 +7,7 @@ from repro.core.config import (
     BASELINE,
     FULL,
     MiddlewareConfig,
+    StragglerConfig,
 )
 from repro.errors import MiddlewareError
 
@@ -85,6 +86,26 @@ def test_counts_below_their_minimum_are_refused(field):
 def test_numpy_integer_counts_are_accepted(field):
     value = np.int64(COUNTS[field] + 2)
     assert getattr(MiddlewareConfig(**{field: value}), field) == value
+
+
+SWITCHES = [(MiddlewareConfig, name) for name in (
+    "pipeline", "sync_cache", "lazy_upload", "sync_skip",
+    "runtime_isolation", "degrade_to_host", "rebalance_on_degrade")] + [
+    (StragglerConfig, "enabled"), (StragglerConfig, "reestimate")]
+
+
+@pytest.mark.parametrize("cls,field", SWITCHES)
+@pytest.mark.parametrize("bad", ["yes", 1, 0, None])
+def test_switches_must_be_bools(cls, field, bad):
+    """A switch holding a string or a number is refused, not read as
+    set (``"yes"``) or unset."""
+    with pytest.raises(MiddlewareError, match=f"{field} must be a bool"):
+        cls(**{field: bad})
+
+
+def test_numpy_bool_switches_are_accepted():
+    assert not MiddlewareConfig(sync_skip=np.bool_(False)).sync_skip
+    assert StragglerConfig(enabled=np.bool_(True)).enabled
 
 
 def test_cache_capacity_of_a_numpy_integer_runs():

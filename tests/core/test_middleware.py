@@ -68,9 +68,9 @@ def test_total_middleware_ms_accumulates():
     alg = PageRank()
     values = alg.init_state(g).values
     agent = plug.agent_for(0)
-    before = plug.total_middleware_ms()
+    before = agent.total_middleware_ms
     agent.edge_pass(g.src, g.dst, g.weights, values, alg)
-    assert plug.total_middleware_ms() > before
+    assert agent.total_middleware_ms > before
 
 
 # -- the paper's operation interfaces (§IV-A2) ----------------------------------

@@ -5,11 +5,14 @@ converges to the same ranks (within 1e-9) as the fault-free run, for
 every fault kind, with deterministic seeds.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import (
     FULL,
+    NETWORK_RESILIENT,
     RESILIENT,
     GXPlug,
     MultiSourceSSSP,
@@ -28,6 +31,7 @@ from repro.errors import (
     RetryExhausted,
 )
 from repro.fault import (
+    ALL_KINDS,
     CRASH,
     HANG,
     MESSAGE_DELAY,
@@ -92,6 +96,21 @@ def test_single_fault_converges_to_fault_free_ranks(
     if kind in (HANG, MESSAGE_DROP):
         assert report.heartbeat_verdicts >= 1
     assert not report.degraded_nodes
+
+
+def test_run_result_and_fault_report_are_one_record(graph):
+    """Every field RunResult shares with FaultReport reads the same in
+    both, on a campaign over every fault kind."""
+    plan = FaultPlan.random(3, supersteps=MAX_ITER, num_nodes=NUM_NODES,
+                            rate=0.4, kinds=ALL_KINDS)
+    result, plug = run_pagerank(graph,
+                                NETWORK_RESILIENT.with_(fault_plan=plan))
+    report = dataclasses.asdict(plug.fault_report(result))
+    shared = [f.name for f in dataclasses.fields(result) if f.name in report]
+    assert len(shared) == 16
+    assert {name: getattr(result, name) for name in shared} == {
+        name: report[name] for name in shared}
+    assert sum(bool(report[name]) for name in shared) >= 6
 
 
 def test_faults_slow_the_run_but_keep_it_correct(graph, fault_free):

@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import GraphError
 from repro.graph import Graph
 from repro.graph.mutations import MutationBatch
 
@@ -87,3 +88,69 @@ def test_apply_equals_the_from_scratch_build(case):
     assert np.array_equal(applied.src[old], graph.src[origin])
     assert np.array_equal(applied.dst[old], graph.dst[origin])
     assert int(np.count_nonzero(~old)) == batch.add_src.size
+
+
+@st.composite
+def graph_and_any_batch(draw):
+    """A small multigraph (self-loops and parallel edges likely) and a
+    batch whose removes and updates name any in-range pair: present,
+    missing, repeated, or both removed and updated."""
+    n = draw(st.integers(1, 6))
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=12))
+    graph = Graph.from_edges(n, [s for s, _ in pairs],
+                             [d for _, d in pairs])
+    pair = st.tuples(ends, ends)
+    if pairs:
+        pair = st.one_of(st.sampled_from(pairs), pair)
+    removed = draw(st.lists(pair, max_size=4))
+    updated = draw(st.lists(st.tuples(pair, WEIGHTS), max_size=4))
+    batch = MutationBatch(
+        remove_src=[s for s, _ in removed], remove_dst=[d for _, d in removed],
+        update_src=[p[0] for p, _ in updated],
+        update_dst=[p[1] for p, _ in updated],
+        update_weights=[w for _, w in updated])
+    return graph, batch
+
+
+def isin_refusal(graph, batch):
+    """The refusal ``np.isin`` membership gives ``batch`` on ``graph``
+    (``None``: it applies): the first missing remove in batch order, a
+    pair both removed and updated, then the smallest missing update."""
+    span = max(graph.num_vertices, 1)
+    edge_keys = graph.src * span + graph.dst
+    rkeys = batch.remove_src * span + batch.remove_dst
+    ukeys = batch.update_src * span + batch.update_dst
+    missing = ~np.isin(rkeys, edge_keys)
+    if missing.any():
+        i = int(np.nonzero(missing)[0][0])
+        return (f"remove targets missing edge ({int(batch.remove_src[i])}, "
+                f"{int(batch.remove_dst[i])})")
+    if ukeys.size and np.isin(ukeys, rkeys).any():
+        return "batch both removes and updates the same edge"
+    uniq = np.unique(ukeys)
+    missing = ~np.isin(uniq, edge_keys)
+    if missing.any():
+        k = int(uniq[np.nonzero(missing)[0][0]])
+        return f"update targets missing edge ({k // span}, {k % span})"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=graph_and_any_batch())
+def test_apply_refuses_what_isin_refuses(case):
+    """``apply``'s sorted-key membership against ``np.isin``: the same
+    batches refused with the same edge named, and the rest applied as
+    the from-scratch build applies them."""
+    graph, batch = case
+    refusal = isin_refusal(graph, batch)
+    try:
+        applied, _ = batch.apply(graph)
+    except GraphError as exc:
+        assert str(exc) == refusal
+        return
+    assert refusal is None
+    twin = edited(graph, batch)
+    for name in ("indptr", "src", "dst", "weights"):
+        assert getattr(applied, name).tobytes() == \
+            getattr(twin, name).tobytes(), name

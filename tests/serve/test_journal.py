@@ -239,6 +239,25 @@ def test_replay_names_the_line_of_a_spec_field_never_retired(jpath):
         _recover(jpath, records)
 
 
+@pytest.mark.parametrize("runtime,problem", [
+    ({"block_size": 0}, r"block_size must be an integer >= 1, got 0"),
+    ({"straggler": {"reestimate": True}},
+     r"online re-estimation requires enabled=True"),
+    ({"straggler": {"enabled": "yes"}}, r"enabled must be a bool, got 'yes'"),
+    ({"fault_plan": []}, r"bad journaled runtime config"),
+])
+def test_replay_names_the_line_of_a_refused_runtime_value(jpath, runtime,
+                                                         problem):
+    """A journaled runtime value a config refuses fails the recover as a
+    ServeError naming its line, as a misspelt field does; a switch that
+    is not a bool is refused, not replayed as set."""
+    records = _lifecycle_records()
+    records[3]["spec"]["runtime"] = runtime
+    with pytest.raises(ServeError, match=r"journal line 4 \('submitted'\)"
+                                         r".*" + problem):
+        _recover(jpath, records)
+
+
 def test_replay_terminal_states_and_retry(jpath):
     values = _sidecars(jpath)
     records = _lifecycle_records() + [

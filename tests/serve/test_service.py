@@ -186,6 +186,34 @@ def test_cancelled_leader_hands_off_to_waiters(svc):
     assert np.array_equal(follower.values, solo_run(PageRank()).values)
 
 
+def test_cancelling_the_last_waiter_drops_its_group(tmp_path):
+    """A journaled service, no threads: the only job parked behind a
+    running leader is cancelled, so its coalescing group is gone, and
+    the leader runs out as if it had never had a waiter."""
+    def journaled(name):
+        service = GraphService(SPEC, cache_entries=8,
+                               journal=str(tmp_path / name))
+        service.load_graph("g", dataset="wrn")
+        return service, service.submit(pagerank_spec(tenant="a"))
+
+    svc, leader = journaled("coalesced.jsonl")
+    svc.step()
+    waiter = svc.submit(pagerank_spec(tenant="b"))
+    svc.step()                                   # parks the waiter
+    ckey = svc.scheduler.find(leader.job_id).cache_key
+    assert svc._waiters == {ckey: [waiter]}
+    assert svc.cancel(waiter.job_id)
+    assert waiter.state == "cancelled"
+    assert ckey not in svc._waiters and ckey not in svc._waiter_parked_ms
+    svc.run()
+    alone_svc, alone = journaled("alone.jsonl")
+    alone_svc.run()
+    assert leader.state == "done" and not leader.from_cache
+    assert np.array_equal(leader.values, alone.values)
+    assert leader.consumed_ms == alone.consumed_ms
+    assert waiter.values is None
+
+
 def test_admission_budgets_serialize_excess_jobs():
     svc = GraphService(SPEC, daemon_budget=2)   # one job's worth
     svc.load_graph("g", dataset="wrn")
