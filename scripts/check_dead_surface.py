@@ -24,10 +24,14 @@ Matching is by bare name, not by resolved object: a reference to any
 toward silence — what this gate reports has no user under any reading.
 
 The same holds for configuration: every field of the
-``CONFIG_CLASSES`` dataclasses must be passed by keyword (``field=``,
-to any call) somewhere under those roots, or be listed in
-``UNSET_FIELDS`` with a reason.  A field nothing sets only ever holds
-its default; that value belongs to the class that uses it.
+``CONFIG_CLASSES`` dataclasses must be set somewhere under those roots,
+or be listed in ``UNSET_FIELDS`` with a reason.  A field is set only by
+a keyword (``field=``) to a call of its own class, of a module-level
+alias of it in ``repro.core.config`` (``RuntimeConfig``), of ``with_``
+or of ``replace``: a call of any other name that takes the same keyword
+(a ``NetworkModel`` or ``Topology`` parameter) sets something else.  A
+field nothing sets only ever holds its default; that value belongs to
+the class that uses it.
 
 Constructors get the same rule, with ``tests/`` counted as a caller:
 a defaulted parameter of a public class's ``__init__`` (a *knob*) must
@@ -39,6 +43,12 @@ only ever holds its default, which belongs inside the class.  So does
 a knob every call outside ``tests/`` passes, and passes as one and the
 same literal: its default serves tests only, and the literal is the
 class's behaviour.
+
+A keyword whose value is the enclosing function's parameter of the
+same name (``intra=intra``) only forwards that parameter, so it does
+not pass the knob: a builder that threads a knob through leaves it at
+its default unless the builder's callers set it, and they then pass
+the builder's parameter, not the knob.
 
 Usage: python scripts/check_dead_surface.py
 """
@@ -206,13 +216,54 @@ def config_fields():
     return found
 
 
+def config_setters():
+    """``{config class: names of the calls that set its fields}``: the
+    class, its module-level aliases in ``repro.core.config``, ``with_``
+    and ``replace``."""
+    setters = {cls: {cls, "with_", "replace"} for cls in CONFIG_CLASSES}
+    for node in ast.parse((PACKAGE / "core" / "config.py")
+                          .read_text()).body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in setters):
+            setters[node.value.id].add(node.targets[0].id)
+    return setters
+
+
+def callee(call):
+    """The bare name or attribute a call is made through, or None."""
+    func = call.func
+    return (func.id if isinstance(func, ast.Name) else
+            func.attr if isinstance(func, ast.Attribute) else None)
+
+
 def keywords(roots):
-    """Every keyword name passed to a call in a ``*.py`` under
-    ``roots``."""
-    return {node.arg
-            for root in roots for path in (ROOT / root).rglob("*.py")
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.keyword) and node.arg}
+    """``(keyword, callee name, forwards)`` for every keyword passed to
+    a call in a ``*.py`` under ``roots``; ``forwards`` when its value is
+    the enclosing function's parameter of the same name."""
+    found = []
+
+    def visit(node, params):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            args = node.args
+            params = {a.arg for a in (args.posonlyargs + args.args
+                                      + args.kwonlyargs)}
+        elif isinstance(node, ast.Call):
+            for kw in node.keywords:
+                if kw.arg:
+                    found.append((kw.arg, callee(node),
+                                  isinstance(kw.value, ast.Name)
+                                  and kw.value.id == kw.arg
+                                  and kw.arg in params))
+        for child in ast.iter_child_nodes(node):
+            visit(child, params)
+
+    for root in roots:
+        for path in (ROOT / root).rglob("*.py"):
+            visit(ast.parse(path.read_text()), set())
+    return found
 
 
 def knobs():
@@ -255,10 +306,7 @@ def calls_by_name(roots):
             for node in ast.walk(ast.parse(path.read_text())):
                 if not isinstance(node, ast.Call):
                     continue
-                func = node.func
-                name = (func.id if isinstance(func, ast.Name) else
-                        func.attr if isinstance(func, ast.Attribute)
-                        else None)
+                name = callee(node)
                 if name is not None:
                     calls.setdefault(name, []).append(node)
     return calls
@@ -341,14 +389,23 @@ def main() -> int:
     stale += sorted(set(TESTS_ONLY) - set(defs))
 
     fields = config_fields()
-    passed = keywords(USER_ROOTS)
-    unset = [q for q, (name, *_) in sorted(fields.items())
-             if name not in passed and q not in UNSET_FIELDS]
+    used_kws, test_kws = keywords(USER_ROOTS), keywords(("tests",))
+    setters = config_setters()
+
+    def sets(kws, qualified):
+        name, cls = fields[qualified][0], qualified.split(".")[-2]
+        return any(kw == name and call in setters[cls]
+                   for kw, call, _ in kws)
+
+    passed = {kw for kw, _, forwards in used_kws if not forwards}
+    test_passed = {kw for kw, _, forwards in test_kws if not forwards}
+
+    unset = [q for q in sorted(fields)
+             if not sets(used_kws, q) and q not in UNSET_FIELDS]
     stale += [q for q in sorted(UNSET_FIELDS)
-              if q not in fields or fields[q][0] in passed]
+              if q not in fields or sets(used_kws, q)]
 
     params = knobs()
-    test_passed = keywords(("tests",))
     calls = calls_by_name(USER_ROOTS)
     widest, test_widest = (widest_positional(calls),
                            widest_positional(calls_by_name(("tests",))))
@@ -369,8 +426,8 @@ def main() -> int:
             test_only_knobs += 1
         else:
             unpassed.append(qualified)
-    test_only_fields = sum(1 for name, *_ in fields.values()
-                           if name not in passed and name in test_passed)
+    test_only_fields = sum(1 for q in fields if not sets(used_kws, q)
+                           and sets(test_kws, q))
     print(f"settable values: {len(fields)} config fields "
           f"({test_only_fields} set only by tests), {len(params)} "
           f"constructor knobs ({test_only_knobs} passed only by tests)")

@@ -14,7 +14,6 @@ from typing import List, Optional, Sequence
 
 from ..accel import make_cpu_accelerator, make_gpu
 from ..errors import SimulationError
-from .network import ResilientTransport
 from .node import NATIVE_RUNTIME, DistributedNode, HostRuntime
 from .topology import Topology
 
@@ -54,18 +53,6 @@ class Cluster:
     def capacity_factors(self) -> List[float]:
         """Per-node 1/c_j values (§III-C) for workload balancing."""
         return [n.capacity_factor() for n in self.nodes]
-
-    def resilient_transport(self) -> ResilientTransport:
-        """A resilient transport over this cluster's interconnect.
-
-        The transport prices :attr:`topology`'s collectives plus what
-        armed network faults cost to survive: ack timeouts and bounded
-        retransmission (the default
-        :class:`~repro.fault.retry.RetryPolicy`, the budget daemon
-        passes get).  Every :class:`~repro.core.middleware.GXPlug`
-        builds one and runs each of its collectives through it.
-        """
-        return ResilientTransport(self.topology)
 
     def repartition_cost_ms(self, nbytes: int, network=None,
                             moved_by_node=None) -> float:
@@ -125,8 +112,7 @@ def make_cluster(num_nodes: int, *, gpus_per_node: int = 0,
 
 
 def make_heterogeneous_cluster(accel_specs: Sequence[Sequence[str]], *,
-                               runtime: HostRuntime = NATIVE_RUNTIME,
-                               topology: Optional[Topology] = None
+                               runtime: HostRuntime = NATIVE_RUNTIME
                                ) -> Cluster:
     """Cluster from explicit per-node accelerator lists.
 
@@ -150,4 +136,4 @@ def make_heterogeneous_cluster(accel_specs: Sequence[Sequence[str]], *,
                 )
             device_id += 1
         nodes.append(DistributedNode(node_id, runtime, accels))
-    return Cluster(nodes, topology)
+    return Cluster(nodes)

@@ -34,9 +34,10 @@ import numpy as np
 from ..errors import SimulationError
 from .network import DEFAULT_NETWORK, NetworkModel
 
-#: Cross-rack links default to this multiple of the intra-rack latency.
+#: A cross-rack link not pinned by a ``;link=`` clause costs this
+#: multiple of the intra-rack latency...
 DEFAULT_CROSS_LATENCY_FACTOR = 4.0
-#: Cross-rack links default to this multiple of the intra-rack cost/byte.
+#: ...and this multiple of the intra-rack cost/byte.
 DEFAULT_CROSS_BYTE_FACTOR = 4.0
 
 
@@ -57,8 +58,8 @@ class Topology:
 
     ``racks`` — node ids grouped by rack; together they must cover
     ``0..n-1`` exactly once.  ``base`` supplies the coordination term
-    and the default intra-rack link parameters; ``intra`` / ``cross``
-    override the rack-local and cross-rack link defaults; ``overrides``
+    and the intra-rack link parameters; a cross-rack link costs the
+    intra-rack one times the ``DEFAULT_CROSS_*`` factors; ``overrides``
     pins individual directed ``(src, dst)`` pairs.
 
     Node 0 is the collective root (the upper system's master).  Each
@@ -71,11 +72,8 @@ class Topology:
 
     def __init__(self, racks: Sequence[Sequence[int]], *,
                  base: Optional[NetworkModel] = None,
-                 intra: Optional[LinkModel] = None,
-                 cross: Optional[LinkModel] = None,
-                 overrides: Optional[Dict[Tuple[int, int], LinkModel]] = None,
-                 cross_latency_factor: float = DEFAULT_CROSS_LATENCY_FACTOR,
-                 cross_byte_factor: float = DEFAULT_CROSS_BYTE_FACTOR) -> None:
+                 overrides: Optional[Dict[Tuple[int, int], LinkModel]] = None
+                 ) -> None:
         if not racks or any(not rack for rack in racks):
             raise SimulationError("every rack needs at least one node")
         self.racks: Tuple[Tuple[int, ...], ...] = tuple(
@@ -85,14 +83,11 @@ class Topology:
             raise SimulationError(
                 f"racks must cover node ids 0..{len(seen) - 1} exactly "
                 f"once, got {sorted(seen)}")
-        if min(cross_latency_factor, cross_byte_factor) < 1.0:
-            raise SimulationError("cross-rack factors must be >= 1")
         self.base = base if base is not None else DEFAULT_NETWORK
-        self.intra = intra if intra is not None else LinkModel(
-            self.base.latency_ms, self.base.ms_per_byte)
-        self.cross = cross if cross is not None else LinkModel(
-            self.intra.latency_ms * cross_latency_factor,
-            self.intra.ms_per_byte * cross_byte_factor)
+        self.intra = LinkModel(self.base.latency_ms, self.base.ms_per_byte)
+        self.cross = LinkModel(
+            self.intra.latency_ms * DEFAULT_CROSS_LATENCY_FACTOR,
+            self.intra.ms_per_byte * DEFAULT_CROSS_BYTE_FACTOR)
         self.overrides: Dict[Tuple[int, int], LinkModel] = dict(
             overrides or {})
         self.num_nodes = len(seen)
@@ -434,23 +429,12 @@ class Topology:
         return overrides
 
     @classmethod
-    def from_spec(cls, spec: str, *, base: Optional[NetworkModel] = None,
-                  intra: Optional[LinkModel] = None,
-                  cross: Optional[LinkModel] = None,
-                  overrides: Optional[Dict[Tuple[int, int],
-                                           LinkModel]] = None,
-                  cross_latency_factor: float = DEFAULT_CROSS_LATENCY_FACTOR,
-                  cross_byte_factor: float = DEFAULT_CROSS_BYTE_FACTOR
+    def from_spec(cls, spec: str, *, base: Optional[NetworkModel] = None
                   ) -> "Topology":
-        """Build from a spec string; ``;link=...`` clauses in the spec
-        become link overrides, with explicitly passed ``overrides``
-        winning on conflict."""
-        merged = cls.parse_link_overrides(spec)
-        merged.update(overrides or {})
-        return cls(cls.parse_spec(spec), base=base, intra=intra, cross=cross,
-                   overrides=merged,
-                   cross_latency_factor=cross_latency_factor,
-                   cross_byte_factor=cross_byte_factor)
+        """Build from a spec string; its ``;link=...`` clauses become
+        the link overrides."""
+        return cls(cls.parse_spec(spec), base=base,
+                   overrides=cls.parse_link_overrides(spec))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         sizes = "+".join(str(len(r)) for r in self.racks)

@@ -16,7 +16,7 @@ switch: a pipelined pass arms it when the fault plan holds a stall.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from numbers import Integral
 from typing import Optional
 
@@ -244,12 +244,12 @@ class ClusterSpec:
     engines, benches and the CLI.
 
     ``topology`` is a spec string (``"rack:RxN"`` — R racks of N nodes —
-    or ``"flat:N"``); ``None`` is the one-rack topology, ``"flat:N"``
-    for this spec's ``nodes``.
-    The optional ``latency_ms`` / ``ms_per_byte`` / ``coord_ms_per_node``
-    override the base :class:`NetworkModel` fields; the cross factors
-    scale the intra-rack link into the cross-rack default.  The spec is
-    plain data: :meth:`to_dict` is recorded verbatim in trace JSON.
+    or ``"flat:N"``, either with ``;link=`` clauses pinning individual
+    links); ``None`` is ``"flat:N"`` for this spec's ``nodes``.  The
+    optional ``ms_per_byte`` overrides the base
+    :class:`~repro.cluster.network.NetworkModel`'s bandwidth cost.  The
+    spec is plain data: :meth:`to_dict` is recorded verbatim in trace
+    JSON.
     """
 
     nodes: int = 4
@@ -257,11 +257,7 @@ class ClusterSpec:
     cpus_per_node: int = 0
     runtime: str = "native"
     topology: Optional[str] = None
-    latency_ms: Optional[float] = None
     ms_per_byte: Optional[float] = None
-    coord_ms_per_node: Optional[float] = None
-    cross_latency_factor: float = 4.0
-    cross_byte_factor: float = 4.0
 
     def __post_init__(self) -> None:
         check_count("nodes", self.nodes, 1)
@@ -270,12 +266,9 @@ class ClusterSpec:
         if self.runtime not in ("native", "jvm"):
             raise MiddlewareError(
                 f"unknown runtime {self.runtime!r} (want 'native'/'jvm')")
-        if min(self.cross_latency_factor, self.cross_byte_factor) < 1.0:
-            raise MiddlewareError("cross-rack factors must be >= 1")
-        for name in ("latency_ms", "ms_per_byte", "coord_ms_per_node"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise MiddlewareError(f"{name} must be >= 0, got {value}")
+        if self.ms_per_byte is not None and self.ms_per_byte < 0:
+            raise MiddlewareError(
+                f"ms_per_byte must be >= 0, got {self.ms_per_byte}")
         if self.topology is not None:
             from ..cluster.topology import Topology
             racks = Topology.parse_spec(self.topology)
@@ -292,56 +285,25 @@ class ClusterSpec:
                             f"({src}, {dst}) but node {end} is outside "
                             f"0..{self.nodes - 1}")
 
-    def network_model(self):
-        """The base :class:`NetworkModel` with any field overrides."""
-        from ..cluster.network import DEFAULT_NETWORK, NetworkModel
-        if (self.latency_ms is None and self.ms_per_byte is None
-                and self.coord_ms_per_node is None):
-            return DEFAULT_NETWORK
-        base = DEFAULT_NETWORK
-        return NetworkModel(
-            latency_ms=(self.latency_ms if self.latency_ms is not None
-                        else base.latency_ms),
-            ms_per_byte=(self.ms_per_byte if self.ms_per_byte is not None
-                         else base.ms_per_byte),
-            coord_ms_per_node=(self.coord_ms_per_node
-                               if self.coord_ms_per_node is not None
-                               else base.coord_ms_per_node))
-
-    def build_topology(self):
-        """The resolved :class:`Topology` the cluster's collectives are
-        priced on."""
-        from ..cluster.topology import Topology
-        spec = (self.topology if self.topology is not None
-                else f"flat:{self.nodes}")
-        return Topology.from_spec(
-            spec, base=self.network_model(),
-            cross_latency_factor=self.cross_latency_factor,
-            cross_byte_factor=self.cross_byte_factor)
-
     def build(self):
-        """Materialize the :class:`~repro.cluster.cluster.Cluster`."""
+        """Materialize the :class:`~repro.cluster.cluster.Cluster`, its
+        collectives priced on the resolved :class:`Topology`."""
         from ..cluster.cluster import make_cluster
+        from ..cluster.network import DEFAULT_NETWORK
         from ..cluster.node import HOST_RUNTIMES
+        from ..cluster.topology import Topology
+        base = (DEFAULT_NETWORK if self.ms_per_byte is None
+                else replace(DEFAULT_NETWORK, ms_per_byte=self.ms_per_byte))
+        topology = Topology.from_spec(self.topology or f"flat:{self.nodes}",
+                                      base=base)
         return make_cluster(self.nodes, gpus_per_node=self.gpus_per_node,
                             cpu_accels_per_node=self.cpus_per_node,
                             runtime=HOST_RUNTIMES[self.runtime],
-                            topology=self.build_topology())
+                            topology=topology)
 
     def to_dict(self) -> dict:
         """The spec as plain JSON types, for trace recording."""
-        return {
-            "nodes": self.nodes,
-            "gpus_per_node": self.gpus_per_node,
-            "cpus_per_node": self.cpus_per_node,
-            "runtime": self.runtime,
-            "topology": self.topology,
-            "latency_ms": self.latency_ms,
-            "ms_per_byte": self.ms_per_byte,
-            "coord_ms_per_node": self.coord_ms_per_node,
-            "cross_latency_factor": self.cross_latency_factor,
-            "cross_byte_factor": self.cross_byte_factor,
-        }
+        return asdict(self)
 
     def with_(self, **changes) -> "ClusterSpec":
         """A copy with the given fields replaced."""

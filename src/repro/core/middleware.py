@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..cluster.cluster import Cluster
+from ..cluster.network import ResilientTransport
 from ..errors import MiddlewareError
 from ..fault.inject import FaultInjector
 from ..fault.report import FaultReport, fault_report
@@ -57,8 +58,10 @@ class GXPlug:
                 agent.set_straggler_detector(self.straggler)
         self.connected = False
         # every collective runs through the resilient transport, so armed
-        # network faults always have a place to go
-        self.transport = cluster.resilient_transport()
+        # network faults always have a place to go: it prices the
+        # topology's collectives plus the ack timeouts and bounded
+        # retransmission (the default RetryPolicy) faults cost to survive
+        self.transport = ResilientTransport(cluster.topology)
         # per-link gray-failure detection: the transport reports every
         # topology collective's fragment times to the detector
         if self.straggler is not None:

@@ -63,11 +63,11 @@ class CheckpointDelta:
 
 
 class CheckpointStore:
-    """Keeps the most recent vertex-table snapshots, charging their cost."""
+    """Keeps the newest full vertex-table snapshot and the deltas saved
+    on top of it, charging their cost."""
 
     def __init__(self, interval: int, ms_per_cell: float = 2e-5,
-                 fixed_ms: float = 0.5, keep: int = 2,
-                 full_every: int = 8) -> None:
+                 fixed_ms: float = 0.5, full_every: int = 8) -> None:
         if interval < 1:
             raise CheckpointError(
                 f"checkpoint interval must be >= 1, got {interval}"
@@ -77,8 +77,6 @@ class CheckpointStore:
                 f"negative checkpoint cost model "
                 f"(ms_per_cell={ms_per_cell}, fixed_ms={fixed_ms})"
             )
-        if keep < 1:
-            raise CheckpointError(f"keep must be >= 1, got {keep}")
         if full_every < 1:
             raise CheckpointError(
                 f"full_every must be >= 1, got {full_every}"
@@ -86,9 +84,8 @@ class CheckpointStore:
         self.interval = int(interval)
         self.ms_per_cell = float(ms_per_cell)
         self.fixed_ms = float(fixed_ms)
-        self.keep = int(keep)
         self.full_every = int(full_every)
-        self._checkpoints: List[Checkpoint] = []
+        self._base: Optional[Checkpoint] = None
         self._deltas: List[CheckpointDelta] = []
         self._last_active: Optional[np.ndarray] = None
         self._force_full = False
@@ -122,7 +119,7 @@ class CheckpointStore:
         width = values.shape[1] if values.ndim > 1 else 1
         use_delta = (
             ids is not None
-            and self._checkpoints
+            and self._base is not None
             and not self._force_full
             and len(self._deltas) < self.full_every
             and ids.size * width < values.size
@@ -140,13 +137,12 @@ class CheckpointStore:
             self.delta_saves += 1
         else:
             cost = self.snapshot_cost_ms(values.size)
-            self._checkpoints.append(Checkpoint(
+            self._base = Checkpoint(
                 iteration=int(iteration),
                 values=np.array(values, copy=True),
                 active=np.array(active, copy=True),
                 cost_ms=cost,
-            ))
-            del self._checkpoints[:-self.keep]
+            )
             self._deltas = []
             self._force_full = False
         self._last_active = np.array(active, copy=True)
@@ -172,14 +168,14 @@ class CheckpointStore:
     @property
     def latest(self) -> Optional[Checkpoint]:
         """The newest *full* snapshot (None before the first save)."""
-        return self._checkpoints[-1] if self._checkpoints else None
+        return self._base
 
     @property
     def latest_iteration(self) -> Optional[int]:
         """The superstep the newest save (full or delta) captures."""
         if self._deltas:
             return self._deltas[-1].iteration
-        return self._checkpoints[-1].iteration if self._checkpoints else None
+        return self._base.iteration if self._base is not None else None
 
     def peek(self) -> Optional[Checkpoint]:
         """The newest saved state, reconstructed without side effects.
@@ -191,7 +187,7 @@ class CheckpointStore:
         failure or into a durable journal.  Returns ``None`` before the
         first save.
         """
-        return self._rebuild(0.0) if self._checkpoints else None
+        return self._rebuild(0.0) if self._base is not None else None
 
     def seed(self, iteration: int, values: np.ndarray,
              active: np.ndarray) -> None:
@@ -204,14 +200,14 @@ class CheckpointStore:
         mid-run rollback can then restore to the resume point even
         before the resumed run's first own checkpoint falls due.
         """
-        if self._checkpoints or self._deltas:
+        if self._base is not None or self._deltas:
             raise CheckpointError("seed on a non-empty checkpoint store")
-        self._checkpoints.append(Checkpoint(
+        self._base = Checkpoint(
             iteration=int(iteration),
             values=np.array(values, copy=True),
             active=np.array(active, copy=True),
             cost_ms=0.0,
-        ))
+        )
         self._last_active = np.array(active, copy=True)
 
     def restore(self) -> Checkpoint:
@@ -225,18 +221,18 @@ class CheckpointStore:
         The next save after a restore is forced full (the change chain's
         continuity cannot be assumed across a rollback).
         """
-        if not self._checkpoints:
+        if self._base is None:
             raise CheckpointError("restore before any checkpoint was saved")
         self.restores += 1
         self._force_full = True
-        cells = (self._checkpoints[-1].cells
+        cells = (self._base.cells
                  + sum(delta.cells for delta in self._deltas))
         return self._rebuild(self.snapshot_cost_ms(cells))
 
     def _rebuild(self, cost_ms: float) -> Checkpoint:
         """The last full snapshot with every delta replayed on top, in
         fresh arrays."""
-        base = self._checkpoints[-1]
+        base = self._base
         values = np.array(base.values, copy=True)
         active = np.array(base.active, copy=True)
         iteration = base.iteration

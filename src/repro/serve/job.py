@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 from ..algorithms import ALGORITHMS
-from ..core.config import MiddlewareConfig, StragglerConfig
+from ..core.config import ClusterSpec, MiddlewareConfig, StragglerConfig
 from ..engines import ENGINES
 from ..errors import ReproError, ServeError
 from ..fault import FaultPlan
@@ -215,9 +215,13 @@ def runtime_from_doc(doc: Mapping[str, Any]) -> MiddlewareConfig:
 #: went with the blocks-carry-cost change, ``balance`` with the one
 #: declaration per figure, ``speculative_checkpoint`` with the one run
 #: loop, the transport switch when every middleware got the transport,
-#: the rest with the one home per tunable).  ``JobSpec`` has retired
-#: none.
+#: ``ClusterSpec``'s network knobs with the one interconnect
+#: description, the rest with the one home per tunable).  ``JobSpec``
+#: has retired none.
 _RETIRED_FIELDS = {
+    ClusterSpec: frozenset({
+        "coord_ms_per_node", "cross_byte_factor", "cross_latency_factor",
+        "latency_ms"}),
     MiddlewareConfig: frozenset({
         "balance", "batch_events", "checkpoint_fixed_ms",
         "checkpoint_ms_per_cell", "heartbeat_interval_ms",

@@ -67,6 +67,7 @@ from .job import (
     RUNNING,
     Job,
     JobSpec,
+    _known_fields,
 )
 from .journal import JOURNAL_VERSION, JobJournal, read_journal, replay_journal
 from .queue import AdmissionControl, JobQueue, ResourceUsage
@@ -539,8 +540,9 @@ class GraphService:
         if trace_dir is not None:
             settings["trace_dir"] = trace_dir
         try:
-            svc = cls(ClusterSpec(**(records[line - 1].get("cluster")
-                                     or {})), **settings)
+            svc = cls(ClusterSpec(**_known_fields(
+                ClusterSpec, records[line - 1].get("cluster") or {})),
+                **settings)
         except (TypeError, ReproError) as exc:  # refused journaled values
             raise ServeError(
                 f"journal {journal_path!r} line {line}: {exc}") from None

@@ -154,6 +154,21 @@ def test_empty_messageset_is_identity_for_combine(g):
         assert canonical(alg, alg.combine(empty, ms)) == canonical(alg, ms)
 
 
+@pytest.mark.parametrize(
+    "alg", [a for a in registered_algorithms() if a.name != "pagerank"],
+    ids=lambda alg: alg.name)
+def test_apply_of_no_messages_changes_nothing(alg):
+    """A block that received no messages keeps its values: an equal
+    copy, not the caller's array, and no changed ids.  PageRank is the
+    exception: its apply recomputes every rank from the teleport term."""
+    g = Graph.from_edges(N_VERTICES, [0, 1], [1, 2], [1.0, 2.0])
+    values = alg.init_state(g).values
+    new_values, changed = alg.msg_apply(values, alg.empty_messages())
+    np.testing.assert_array_equal(new_values, values)
+    assert new_values is not values
+    assert changed.size == 0 and changed.dtype == np.int64
+
+
 @settings(max_examples=25, deadline=None)
 @given(g=small_graphs())
 def test_sssp_triangle_inequality_at_fixpoint(g):

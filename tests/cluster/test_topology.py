@@ -63,13 +63,6 @@ def test_racks_must_cover_node_ids_exactly():
         Topology([])
 
 
-def test_cross_factors_must_be_at_least_one():
-    with pytest.raises(SimulationError):
-        Topology([[0, 1]], cross_latency_factor=0.5)
-    with pytest.raises(SimulationError):
-        Topology([[0, 1]], cross_byte_factor=0.0)
-
-
 def test_link_override_names_must_exist():
     with pytest.raises(SimulationError):
         Topology([[0, 1]], overrides={(0, 7): LinkModel(1.0, 1e-5)})
@@ -168,12 +161,11 @@ def test_cross_rack_defaults_scale_intra():
 
 
 def test_link_resolution_intra_vs_cross_vs_override():
-    pinned = LinkModel(9.0, 1e-3)
-    topo = Topology.from_spec("rack:2x2", overrides={(3, 2): pinned})
+    topo = Topology.from_spec("rack:2x2;link=3-2:9.0:1e-3")
     assert topo.link(0, 1) is topo.intra
     assert topo.link(1, 1) is topo.intra          # local bus
     assert topo.link(0, 2) is topo.cross
-    assert topo.link(3, 2) is pinned              # directed override...
+    assert topo.link(3, 2) == LinkModel(9.0, 1e-3)  # directed override...
     assert topo.link(2, 3) is topo.intra          # ...other direction not
 
 
@@ -186,10 +178,11 @@ def test_multi_rack_sync_costs_more_than_flat():
         assert racked.broadcast_ms(8, nbytes) > flat.broadcast_ms(8, nbytes)
 
 
-def test_sync_monotone_in_cross_byte_factor():
-    costs = [Topology.from_spec("rack:2x4",
-                                cross_byte_factor=f).sync_ms(8, 10**6)
-             for f in (1.0, 2.0, 4.0, 8.0)]
+def test_sync_monotone_in_uplink_rate():
+    net = NetworkModel()
+    costs = [Topology.from_spec(
+        f"rack:2x4;link=4-0:{net.latency_ms * 4}:{net.ms_per_byte * f}"
+    ).sync_ms(8, 10**6) for f in (1.0, 2.0, 4.0, 8.0)]
     assert all(a < b for a, b in zip(costs, costs[1:]))
 
 
@@ -231,7 +224,7 @@ def test_p2p_fallback_walks_every_uplink_path():
 def test_in_rack_override_prices_each_member_on_its_link():
     """A pinned in-rack hop splits the rack's gather per member."""
     slow = LinkModel(0.08, 1e-3)
-    topo = Topology.from_spec("flat:2", overrides={(1, 0): slow})
+    topo = Topology.from_spec("flat:2;link=1-0:0.08:1e-3")
     assert topo.uplinks_differ
     expected = (topo.intra.latency_ms
                 + 500 * topo.intra.ms_per_byte + 500 * slow.ms_per_byte
@@ -449,17 +442,11 @@ def test_malformed_link_clauses_rejected(bad):
         Topology.from_spec(bad)
 
 
-def test_explicit_overrides_win_over_spec_clauses():
-    topo = Topology.from_spec("rack:2x1;link=1-0:9.0:0.9",
-                              overrides={(1, 0): LinkModel(1.0, 0.1)})
-    assert topo.link(1, 0) == LinkModel(1.0, 0.1)
-
-
 def test_cluster_spec_accepts_and_validates_link_clauses():
     from repro.core import ClusterSpec
     from repro.errors import MiddlewareError
     spec = ClusterSpec(nodes=4, topology="rack:2x2;link=2-0:5.0:0.02")
-    topo = spec.build_topology()
+    topo = spec.build().topology
     assert topo.link(2, 0) == LinkModel(5.0, 0.02)
     assert spec.to_dict()["topology"] == "rack:2x2;link=2-0:5.0:0.02"
     with pytest.raises(MiddlewareError):

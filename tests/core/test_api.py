@@ -25,7 +25,7 @@ from repro.api import (
     load_synthetic_uniform,
     make_cluster,
 )
-from repro.cluster import DEFAULT_NETWORK
+from repro.cluster import DEFAULT_CROSS_BYTE_FACTOR, DEFAULT_NETWORK, LinkModel
 from repro.errors import MiddlewareError, ReproError
 
 
@@ -105,25 +105,22 @@ def test_cluster_spec_runtime_strings():
 
 
 def test_cluster_spec_network_overrides():
-    spec = ClusterSpec(nodes=2, ms_per_byte=2e-4)
-    net = spec.network_model()
+    net = ClusterSpec(nodes=2, ms_per_byte=2e-4).build().topology.base
     assert net.ms_per_byte == 2e-4
     assert net.latency_ms == DEFAULT_NETWORK.latency_ms
-    # the one-rack topology prices collectives over the overridden base
-    assert spec.build().topology.base == net
-    # no overrides: the shared default instance, not a copy
-    assert ClusterSpec(nodes=2).network_model() is DEFAULT_NETWORK
+    assert net.coord_ms_per_node == DEFAULT_NETWORK.coord_ms_per_node
+    # no override: the shared default instance, not a copy
+    assert ClusterSpec(nodes=2).build().topology.base is DEFAULT_NETWORK
 
 
 def test_cluster_spec_topology_resolution():
-    spec = ClusterSpec(nodes=8, topology="rack:2x4",
-                       cross_byte_factor=8.0)
-    cluster = spec.build()
-    assert cluster.topology is not None
-    assert cluster.topology.num_racks == 2
-    assert cluster.topology.uplinks_differ
-    assert cluster.topology.cross.ms_per_byte == pytest.approx(
-        cluster.topology.intra.ms_per_byte * 8.0)
+    spec = ClusterSpec(nodes=8, topology="rack:2x4;link=4-0:0.32:8e-5")
+    topology = spec.build().topology
+    assert topology.num_racks == 2
+    assert topology.uplinks_differ
+    assert topology.cross.ms_per_byte == pytest.approx(
+        topology.intra.ms_per_byte * DEFAULT_CROSS_BYTE_FACTOR)
+    assert topology.link(4, 0) == LinkModel(0.32, 8e-5)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -131,7 +128,6 @@ def test_cluster_spec_topology_resolution():
     dict(nodes=2, gpus_per_node=-1),
     dict(nodes=2, runtime="rust"),
     dict(nodes=2, ms_per_byte=-1.0),
-    dict(nodes=2, cross_byte_factor=0.5),
     dict(nodes=4, topology="rack:2x4"),        # span mismatch
     dict(nodes=4, topology="mesh:4"),          # malformed spec
     # counts are integers: a float used to fail inside build(), and

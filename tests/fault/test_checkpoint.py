@@ -12,8 +12,6 @@ def test_validation():
         CheckpointStore(0)
     with pytest.raises(CheckpointError):
         CheckpointStore(2, ms_per_cell=-1.0)
-    with pytest.raises(CheckpointError):
-        CheckpointStore(2, keep=0)
     with pytest.raises(CheckpointError, match="full_every"):
         CheckpointStore(2, full_every=0)
 
@@ -59,14 +57,13 @@ def test_restore_charges_readback_cost():
 
 
 def test_keep_limit_retains_newest():
-    store = CheckpointStore(1, keep=2)
+    store = CheckpointStore(1)
     for i in range(1, 6):
         store.save(i, np.full(4, float(i)), np.zeros(4, dtype=bool))
     assert store.latest.iteration == 5
     assert store.saves == 5
-    # only the two newest survive; restore sees the newest
+    # restore sees the newest
     assert store.restore().iteration == 5
-    assert len(store._checkpoints) == 2
 
 
 def test_restore_before_save_raises():

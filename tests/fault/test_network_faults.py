@@ -409,7 +409,7 @@ def test_full_every_bounds_the_delta_chain():
     # saves: full, delta, delta, full, delta, delta
     assert store.saves == 6
     assert store.delta_saves == 4
-    assert len(store._checkpoints) == 2
+    assert store.saves - store.delta_saves == 2
     restored = store.restore()
     np.testing.assert_array_equal(restored.values, values)
 
@@ -426,17 +426,16 @@ def test_restore_after_rollback_forces_full_snapshot():
     store.restore()
     store.save(2, values, active, changed=np.array([0]))
     assert store.delta_saves == 1                 # forced full, not delta
-    assert store._checkpoints[-1].iteration == 2
+    assert store.latest.iteration == 2
 
 
 def test_changed_none_keeps_the_full_snapshot_api():
-    store = CheckpointStore(interval=2, keep=2)
+    store = CheckpointStore(interval=2)
     n = 8
     values, active = np.zeros(n), np.ones(n, dtype=bool)
     for i in (2, 4, 6):
         store.save(i, values, active)
     assert store.delta_saves == 0
-    assert [c.iteration for c in store._checkpoints] == [4, 6]
     assert store.latest.iteration == store.latest_iteration == 6
 
 

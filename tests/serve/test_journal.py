@@ -10,7 +10,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from repro.core.config import StragglerConfig
+from repro.core.config import ClusterSpec, StragglerConfig
 from repro.errors import ServeError
 from repro.fault.checkpoint import Checkpoint
 from repro.graph import Graph, rmat
@@ -255,6 +255,39 @@ def test_replay_names_the_line_of_a_refused_runtime_value(jpath, runtime,
     records[3]["spec"]["runtime"] = runtime
     with pytest.raises(ServeError, match=r"journal line 4 \('submitted'\)"
                                          r".*" + problem):
+        _recover(jpath, records)
+
+
+def test_replay_drops_retired_cluster_fields(jpath):
+    """A service_start cluster written before the interconnect had one
+    description carries four network keys the spec has since retired;
+    they are dropped and the cluster rebuilds as the spec now reads."""
+    records = _lifecycle_records()
+    records[0]["cluster"] = {"nodes": 2, "latency_ms": None,
+                             "coord_ms_per_node": None,
+                             "cross_latency_factor": 4.0,
+                             "cross_byte_factor": 4.0}
+    assert _recover(jpath, records).spec == ClusterSpec(nodes=2)
+
+
+@pytest.mark.parametrize("cluster,problem", [
+    ({"nodez": 2}, r"unknown ClusterSpec fields: \['nodez'\]"),
+    ({"nodes": 0}, r"nodes must be an integer >= 1, got 0"),
+    ({"nodes": 2, "topology": "mesh:2"},
+     r"malformed topology spec 'mesh:2'"),
+    ({"nodes": 2, "ms_per_byte": -1}, r"ms_per_byte must be >= 0, got -1"),
+    ({"nodes": 2, "topology": "flat:2;link=2-0:1.0:0.01"},
+     r"node 2 is outside 0\.\.1"),
+], ids=["misspelt", "no-nodes", "bad-shape", "negative-rate",
+        "link-outside"])
+def test_replay_names_the_line_of_a_refused_cluster(jpath, cluster,
+                                                    problem):
+    """A service_start cluster the spec refuses (a misspelt field or a
+    value out of range) fails the recover as a ServeError naming line
+    1, not as a TypeError or a half-built service."""
+    records = _lifecycle_records()
+    records[0]["cluster"] = cluster
+    with pytest.raises(ServeError, match=r"line 1: .*" + problem):
         _recover(jpath, records)
 
 
