@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from ..core.config import check_cost, check_count
 from ..errors import DeviceError
 
 BYTES_PER_EDGE = 16    # edge triplet entry: src, dst, weight, attribute
@@ -57,14 +58,14 @@ class DeviceCostModel:
     memory_bytes: int
 
     def __post_init__(self) -> None:
-        if self.init_ms < 0 or self.call_ms < 0:
-            raise DeviceError(f"{self.name}: negative fixed cost")
-        if self.compute_ms_per_entity < 0 or self.copy_ms_per_entity < 0:
-            raise DeviceError(f"{self.name}: negative per-entity cost")
-        if self.threads < 1:
-            raise DeviceError(f"{self.name}: needs >=1 threads")
-        if self.memory_bytes < 0:
-            raise DeviceError(f"{self.name}: negative memory")
+        for cost in ("init_ms", "call_ms", "compute_ms_per_entity",
+                     "copy_ms_per_entity"):
+            check_cost(f"{self.name}: {cost}", getattr(self, cost),
+                       error=DeviceError)
+        check_count(f"{self.name}: threads", self.threads, 1,
+                    error=DeviceError)
+        check_count(f"{self.name}: memory_bytes", self.memory_bytes, 0,
+                    error=DeviceError)
 
     @property
     def per_entity_ms(self) -> float:
@@ -83,8 +84,7 @@ class DeviceCostModel:
 
     def scaled(self, factor: float, name: str = "") -> "DeviceCostModel":
         """A device ``factor`` times faster (per-entity costs divided)."""
-        if factor <= 0:
-            raise DeviceError(f"scale factor must be positive, got {factor}")
+        check_cost("scale factor", factor, positive=True, error=DeviceError)
         return replace(
             self,
             name=name or f"{self.name}-x{factor:g}",

@@ -18,6 +18,7 @@ from typing import Optional
 
 from ..cluster.topology import Topology
 from ..accel.costmodel import BYTES_PER_VERTEX, V100
+from ..core.config import check_count
 from ..core.template import AlgorithmTemplate
 from ..errors import DeviceMemoryError, SimulationError
 from ..graph.graph import Graph
@@ -51,8 +52,7 @@ def distributed_gpu_fit_bytes(graph: Graph, num_gpus: int) -> int:
     paper's "no result for using 4 GPUs on UK-2007, for all methods"
     (Fig. 9(b)).
     """
-    if num_gpus < 1:
-        raise SimulationError(f"need >=1 GPUs, got {num_gpus}")
+    check_count("num_gpus", num_gpus, 1, error=SimulationError)
     edge_bytes = graph.num_edges * DIST_BYTES_PER_EDGE // num_gpus
     mirror_bytes = graph.num_vertices * BYTES_PER_VERTEX
     buffer_bytes = int(mirror_bytes * 2.0 * (num_gpus - 1) ** 2)
@@ -71,8 +71,7 @@ class LuxSystem:
     name = "lux"
 
     def __init__(self, graph: Graph, num_gpus: int) -> None:
-        if num_gpus < 1:
-            raise SimulationError(f"need >=1 GPUs, got {num_gpus}")
+        check_count("num_gpus", num_gpus, 1, error=SimulationError)
         self.graph = graph
         self.num_gpus = num_gpus
         # the GPUs exchange over one uniform rack

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..core.config import check_cost, check_count
 from ..errors import NodeUnreachable, SimulationError
 from ..fault.retry import RetryPolicy
 
@@ -44,8 +45,8 @@ class NetworkModel:
     coord_ms_per_node: float = 0.35    # barrier bookkeeping per participant
 
     def __post_init__(self) -> None:
-        if min(self.latency_ms, self.ms_per_byte, self.coord_ms_per_node) < 0:
-            raise SimulationError("network cost parameters must be >= 0")
+        for name in ("latency_ms", "ms_per_byte", "coord_ms_per_node"):
+            check_cost(name, getattr(self, name), error=SimulationError)
 
 
 #: Default cluster interconnect (10GbE-ish, scaled).
@@ -86,15 +87,12 @@ class ResilientTransport:
 
     def __init__(self, topology, policy: Optional[RetryPolicy] = None,
                  ack_timeout_ms: float = 1.0) -> None:
-        if ack_timeout_ms <= 0:
-            raise SimulationError(
-                f"ack timeout must be > 0, got {ack_timeout_ms}"
-            )
+        self.ack_timeout_ms = check_cost("ack_timeout_ms", ack_timeout_ms,
+                                         positive=True, error=SimulationError)
         #: the :class:`~repro.cluster.topology.Topology` fragments ride;
         #: link gray-faults are armed per node on its uplinks
         self.topology = topology
         self.policy = policy if policy is not None else RetryPolicy()
-        self.ack_timeout_ms = float(ack_timeout_ms)
         # armed one-shot faults (consumed by the next collective)
         self._drops: List[int] = []
         self._delays: List[Tuple[int, float]] = []
@@ -139,12 +137,11 @@ class ResilientTransport:
         """Inflate ``node_id``'s uplink fragments ``factor``x for the
         next ``passes`` collective rounds.  Values are never corrupted — a
         slow link is a pure duration gray-failure."""
-        if factor < 1.0:
+        if check_cost("link slow factor", factor,
+                      error=SimulationError) < 1.0:
             raise SimulationError(f"link slow factor must be >= 1, "
                                   f"got {factor}")
-        if passes < 1:
-            raise SimulationError(f"link slow passes must be >= 1, "
-                                  f"got {passes}")
+        check_count("link slow passes", passes, 1, error=SimulationError)
         self._slow_links[int(node_id)] = [float(factor), int(passes),
                                           False, 0]
 

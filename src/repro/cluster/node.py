@@ -21,6 +21,7 @@ from typing import List
 
 from ..accel.costmodel import HOST_JVM, HOST_NATIVE, DeviceCostModel
 from ..accel.device import Accelerator
+from ..core.config import check_cost
 from ..errors import SimulationError
 
 
@@ -36,9 +37,10 @@ class HostRuntime:
     sync_fixed_ms: float                # per-iteration engine overhead
 
     def __post_init__(self) -> None:
-        if min(self.download_ms_per_entity, self.upload_ms_per_entity,
-               self.apply_ms_per_entity, self.sync_fixed_ms) < 0:
-            raise SimulationError(f"{self.name}: negative host cost")
+        for cost in ("download_ms_per_entity", "upload_ms_per_entity",
+                     "apply_ms_per_entity", "sync_fixed_ms"):
+            check_cost(f"{self.name}: {cost}", getattr(self, cost),
+                       error=SimulationError)
 
 
 #: GraphX on Spark: JVM compute, JNI-crossing transfer costs.

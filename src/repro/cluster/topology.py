@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.config import check_cost
 from ..errors import SimulationError
 from .network import DEFAULT_NETWORK, NetworkModel
 
@@ -49,8 +50,9 @@ class LinkModel:
     ms_per_byte: float
 
     def __post_init__(self) -> None:
-        if min(self.latency_ms, self.ms_per_byte) < 0:
-            raise SimulationError("link cost parameters must be >= 0")
+        check_cost("link latency_ms", self.latency_ms, error=SimulationError)
+        check_cost("link ms_per_byte", self.ms_per_byte,
+                   error=SimulationError)
 
 
 class Topology:
@@ -417,10 +419,10 @@ class Topology:
                     "(want 'link=SRC-DST:LATENCY_MS:MS_PER_BYTE')")
             try:
                 link = LinkModel(float(lat_s), float(mspb_s))
-            except ValueError:
+            except (ValueError, SimulationError) as err:
                 raise SimulationError(
                     f"malformed link override {clause!r} in {spec!r}: "
-                    f"non-numeric cost parameters") from None
+                    f"{err}") from None
             key = (int(src_s), int(dst_s))
             if key in overrides:
                 raise SimulationError(

@@ -10,6 +10,10 @@ Public surface:
   caching & skipping (§III-B), workload balancing (§III-C).
 """
 
+# first: the cluster, device and fault modules that ``agent`` imports
+# take their value checks from ``config``
+from .config import (BASELINE, FULL, NETWORK_RESILIENT, PRESETS, RESILIENT,
+                     ClusterSpec, MiddlewareConfig, StragglerConfig)
 from .agent import Agent, EdgePassResult
 from .balance import (
     accelerators_for_load,
@@ -27,8 +31,6 @@ from .balance import (
     rebalanced_shares,
 )
 from .blocks import AreaSet, BlockArea, TripletBlock, build_blocks
-from .config import (BASELINE, FULL, NETWORK_RESILIENT, PRESETS, RESILIENT,
-                     ClusterSpec, MiddlewareConfig, StragglerConfig)
 from .daemon import Daemon
 from .middleware import GXPlug
 from .pipeline import (

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..errors import MiddlewareError
 from ..cluster.node import DistributedNode, HostRuntime
+from .config import check_cost
 
 
 def makespan(sizes: Sequence[float], coefficients: Sequence[float]) -> float:
@@ -50,8 +51,7 @@ def optimal_partition_sizes(total: float,
         raise MiddlewareError("need at least one node")
     if (coeffs <= 0).any():
         raise MiddlewareError("coefficients must be positive")
-    if total < 0:
-        raise MiddlewareError(f"negative total workload {total}")
+    check_cost("total workload", total)
     inv = 1.0 / coeffs
     return inv / inv.sum() * total
 
@@ -88,8 +88,7 @@ def optimal_capacity_factors(sizes: Sequence[float],
         raise MiddlewareError("need at least one node")
     if (sizes < 0).any():
         raise MiddlewareError("sizes must be non-negative")
-    if max_factor <= 0:
-        raise MiddlewareError(f"max capacity factor must be > 0")
+    check_cost("max capacity factor", max_factor, positive=True)
     d_star = sizes.max()
     if d_star == 0:
         return np.zeros_like(sizes)
@@ -105,8 +104,7 @@ def accelerators_for_load(sizes: Sequence[float], max_factor: float,
     it "dynamically allocate[s] idle accelerators to generate more daemons
     for the node demanding computation powers".
     """
-    if unit_factor <= 0:
-        raise MiddlewareError("unit capacity factor must be > 0")
+    check_cost("unit capacity factor", unit_factor, positive=True)
     ideal = optimal_capacity_factors(sizes, max_factor)
     return [max(1, int(math.ceil(f / unit_factor - 1e-9))) if f > 0 else 0
             for f in ideal]
@@ -170,9 +168,7 @@ def network_coefficients(topology, bytes_per_entity: float) -> np.ndarray:
     (the engine derives it from the vertex width and the graph's
     edge/vertex ratio).
     """
-    if bytes_per_entity < 0:
-        raise MiddlewareError(
-            f"negative bytes_per_entity {bytes_per_entity}")
+    bytes_per_entity = check_cost("bytes_per_entity", bytes_per_entity)
     return np.array([topology.path_ms_per_byte(j) * bytes_per_entity
                      for j in range(topology.num_nodes)],
                     dtype=np.float64)
@@ -196,9 +192,9 @@ def link_adjusted_coefficients(compute: Sequence[float],
         raise MiddlewareError(
             f"shape mismatch: {comp.size} compute vs {net.size} network "
             f"vs {infl.size} inflation entries")
-    if (comp <= 0).any():
+    if not (comp > 0).all():  # NaN included
         raise MiddlewareError("coefficients must be positive")
-    if (net < 0).any():
+    if not (net >= 0).all():
         raise MiddlewareError("network coefficients must be >= 0")
     if (infl < 1.0 - 1e-12).any():
         raise MiddlewareError("link inflations must be >= 1")
@@ -222,7 +218,7 @@ def estimate_coefficients(observations, prior: Sequence[float],
     est = np.asarray(prior, dtype=np.float64).copy()
     if est.size == 0:
         raise MiddlewareError("need at least one node")
-    if (est <= 0).any():
+    if not (est > 0).all():  # NaN included
         raise MiddlewareError("coefficients must be positive")
     if not 0.0 < alpha <= 1.0:
         raise MiddlewareError(f"alpha must be in (0, 1], got {alpha}")

@@ -16,24 +16,44 @@ switch: a pipelined pass arms it when the fault plan holds a stall.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields, replace
-from numbers import Integral
-from typing import Optional
+from numbers import Integral, Real
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from ..errors import MiddlewareError
-from ..fault.inject import FaultPlan
+
+if TYPE_CHECKING:  # the cost modules import this one: no cycle at run time
+    from ..fault.inject import FaultPlan
 
 
-def check_count(name: str, value, minimum: int) -> None:
+def check_count(name: str, value, minimum: int, *,
+                error=MiddlewareError) -> None:
     """Refuse a count that is not an integer ``>= minimum``: ``bool``
     and floats included, so a bad value fails here rather than deep
-    inside numpy mid-run.  ``np.int64`` and friends are integers."""
+    inside numpy mid-run.  ``np.int64`` and friends are integers.
+    ``error`` is the exception class the caller's layer raises."""
     if (not isinstance(value, Integral) or isinstance(value, bool)
             or value < minimum):
-        raise MiddlewareError(
-            f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_cost(name: str, value, *, positive: bool = False,
+               error=MiddlewareError) -> float:
+    """Refuse a cost that is not a finite real ``>= 0`` (``> 0`` with
+    ``positive``) and return it as a ``float``.  ``bool``, NaN and
+    ±inf are refused too: a ``< 0`` guard passes NaN, which then prices
+    a transfer as free or poisons every total it reaches.  ``error`` is
+    the exception class the caller's layer raises."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not math.isfinite(value)):
+        raise error(f"{name} must be a finite number, got {value!r}")
+    if value < 0 or (positive and value == 0):
+        raise error(f"{name} must be {'positive' if positive else '>= 0'}, "
+                    f"got {value!r}")
+    return float(value)
 
 
 def _check_switches(config) -> None:
@@ -266,9 +286,8 @@ class ClusterSpec:
         if self.runtime not in ("native", "jvm"):
             raise MiddlewareError(
                 f"unknown runtime {self.runtime!r} (want 'native'/'jvm')")
-        if self.ms_per_byte is not None and self.ms_per_byte < 0:
-            raise MiddlewareError(
-                f"ms_per_byte must be >= 0, got {self.ms_per_byte}")
+        if self.ms_per_byte is not None:
+            check_cost("ms_per_byte", self.ms_per_byte)
         if self.topology is not None:
             from ..cluster.topology import Topology
             racks = Topology.parse_spec(self.topology)

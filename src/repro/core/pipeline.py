@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from ..errors import MiddlewareError
+from .config import check_cost
 
 
 @dataclass(frozen=True)
@@ -45,10 +46,9 @@ class PipelineCoefficients:
     a: float
 
     def __post_init__(self) -> None:
-        if min(self.k1, self.k2, self.k3) <= 0:
-            raise MiddlewareError("k1, k2, k3 must be positive")
-        if self.a < 0:
-            raise MiddlewareError("call overhead a must be >= 0")
+        for name in ("k1", "k2", "k3"):
+            check_cost(name, getattr(self, name), positive=True)
+        check_cost("call overhead a", self.a)
 
     # -- stage times -----------------------------------------------------------
 

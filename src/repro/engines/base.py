@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..cluster.cluster import Cluster
+from ..core.config import check_cost
 from ..core.balance import (
     balancing_factors,
     cluster_coefficients,
@@ -282,12 +283,62 @@ class _Run:
     rebalanced_for: set = field(default_factory=set)
     #: vertices touched since the last checkpoint, for delta snapshots
     changed_accum: List[np.ndarray] = field(default_factory=list)
+    #: what ``result.total_ms`` gained after set-up, in run order: a
+    #: committed superstep's stats or a ``(kind, ms)`` charge
+    book: List[object] = field(default_factory=list)
+    #: the transport's ``_STAT_SUMS`` at the start (it outlives runs)
+    transport_start: Tuple[float, ...] = (0, 0, 0.0)
 
-    def charge(self, ms: float) -> None:
-        """Simulated time the driver spends outside any superstep:
-        restores and repartitions."""
+    def charge(self, ms: float, kind: str) -> None:
+        """Simulated time the driver spends outside any superstep: a
+        ``"rollback"`` (the failed attempt plus the restore) or a
+        ``"rebalance"`` (a repartition's exchange)."""
+        self.book.append((kind, ms))
         self.result.total_ms += ms
         self.result.breakdown["engine"] += ms
+
+
+#: the :class:`IterationStats` fields that hold simulated ms, and the
+#: transport counts each superstep records a share of
+_STAT_MS = ("compute_ms", "apply_ms", "sync_ms", "checkpoint_ms",
+            "net_wasted_ms")
+_STAT_SUMS = ("retransmits", "dup_drops", "net_wasted_ms")
+
+
+def _check_books(run: _Run) -> None:
+    """Balance a finished run's books in one pass, or raise
+    :class:`EngineError` naming the field and the superstep: finite
+    ms fields ``>= 0``; ``total_ms`` and ``rebalance_ms`` equal to
+    their parts added in run order; without rollbacks, the stats'
+    transport counts summing to the transport's; the breakdown summing
+    to ``total_ms`` (docs/simulation.md, "Finite costs and the books").
+    Not enforced: the transport sums of a run with rollbacks, whose
+    failed attempts' resends reach no superstep's stats."""
+    res = run.result
+    total, rebalance, where = res.setup_ms, 0.0, "set-up"
+    for entry in run.book:
+        if isinstance(entry, IterationStats):
+            where = f"superstep {entry.index}"
+            for name in _STAT_MS:
+                check_cost(f"{where} {name}", getattr(entry, name),
+                           error=EngineError)
+            total += entry.total_ms
+        else:
+            kind, ms = entry
+            where = f"a {kind} after {where}"
+            total += ms
+            rebalance += ms if kind == "rebalance" else 0.0
+    books = [("total_ms", res.total_ms, total, 0.0),
+             ("rebalance_ms", res.rebalance_ms, rebalance, 0.0),
+             ("breakdown", sum(res.breakdown.values()), total, 1e-12)]
+    if res.rollbacks == 0:
+        books += [(name, getattr(res, name), start + sum(
+                      getattr(st, name) for st in res.stats), 1e-12)
+                  for name, start in zip(_STAT_SUMS, run.transport_start)]
+    for name, value, parts, rel in books:
+        if not abs(value - parts) <= rel * abs(parts):  # NaN fails too
+            raise EngineError(
+                f"{name} is {value!r} after {where}, its parts {parts!r}")
 
 
 class IterativeEngine:
@@ -400,6 +451,7 @@ class IterativeEngine:
             before = self._fault_counters() + self._net_counters()
             if mw is not None:
                 mw.transport.step_wasted_ms = 0.0
+            spent = dict(res.breakdown)
             try:
                 if run.use_async:
                     step = self._run_superstep_combined(
@@ -411,6 +463,9 @@ class IterativeEngine:
                         run.width, run.detector, run.use_lazy,
                         res.breakdown)
             except (AcceleratorsExhausted, NodeUnreachable) as failure:
+                # the failed attempt reaches the breakdown once, as the
+                # rollback's charge, not also as its partial phases
+                res.breakdown.update(spent)
                 event = self._roll_back(run, failure)
             else:
                 event = self._commit(run, step, faults, before)
@@ -465,6 +520,8 @@ class IterativeEngine:
             run.active = np.array(resume_from.active, copy=True)
             res.iterations = run.first = int(resume_from.iteration)
         if mw is not None:
+            run.transport_start = tuple(getattr(mw.transport, name)
+                                        for name in _STAT_SUMS)
             if mw.config.checkpoint_interval > 0:
                 run.store = CheckpointStore(mw.config.checkpoint_interval)
                 if resume_from is not None:
@@ -519,7 +576,7 @@ class IterativeEngine:
         res.wasted_ms += (sum(s.total_ms for s in discarded)
                           + failed_ms + ckpt.cost_ms)
         del res.stats[ckpt.iteration - run.first:]
-        run.charge(failed_ms + ckpt.cost_ms)
+        run.charge(failed_ms + ckpt.cost_ms, "rollback")
         res.iterations = ckpt.iteration
         run.use_async = False  # the degraded node computes host-side
         run.changed_accum = []  # the store forces a full snapshot next
@@ -556,7 +613,10 @@ class IterativeEngine:
             st.checkpoint_ms += run.store.save(
                 res.iterations, res.values, run.active,
                 changed=_concat_ids(run.changed_accum))
+            # the driver's time, as a rollback's restore is
+            res.breakdown["engine"] += st.checkpoint_ms
             run.changed_accum = []
+        run.book.append(st)
         res.total_ms += st.total_ms
         if (run.coeff_est is not None and st.active_edges > 0
                 and st.retries == 0 and st.recoveries == 0
@@ -602,6 +662,7 @@ class IterativeEngine:
                 setattr(res, name, getattr(report, name))
             for name, total in mw.scheduler_counters().items():
                 setattr(res, name, total)  # the two ``sched_*`` fields
+        _check_books(run)
         res.wall_total_s = perf_counter() - run.wall_start
         res.wall_s = dict(self.wall_s)
         return res
@@ -612,7 +673,7 @@ class IterativeEngine:
         partition, so it is rebuilt on the new one."""
         ms = self._repartition_to(shares, run.width)
         run.result.rebalance_ms += ms
-        run.charge(ms)
+        run.charge(ms, "rebalance")
         if run.detector is not None:
             run.detector = SkipDetector(self.pgraph)
 
@@ -988,11 +1049,10 @@ class IterativeEngine:
             st.node_entities.append(entities)
             node_apply_ms.append(t_apply)
             st.local_iterations = max(st.local_iterations, sub)
-            if t_compute + t_apply > crit_ms:
-                # the critical node is the slowest pass + apply summed
-                # over its local iterations
-                crit_ms = t_compute + t_apply
-                crit_mw_ms, crit_dev_ms = mw_ms, dev_ms
+            if t_compute > crit_ms:
+                # the critical node is the first slowest pass (summed
+                # over its local iterations); its split is the superstep's
+                crit_ms, crit_mw_ms, crit_dev_ms = t_compute, mw_ms, dev_ms
             if local_changed:
                 local_changed_parts.append(np.concatenate(local_changed))
 

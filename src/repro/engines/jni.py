@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.config import check_count
 from ..errors import EngineError
 
 #: per-entity cost of a naive JNI callback round trip (ms)
@@ -39,9 +40,7 @@ class JNIConfig:
     batch_size: int = 4096
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise EngineError(f"batch_size must be >= 1, got "
-                              f"{self.batch_size}")
+        check_count("batch_size", self.batch_size, 1, error=EngineError)
 
     def transfer_ms(self, num_entities: int) -> float:
         """Simulated cost of moving ``num_entities`` across the boundary."""

@@ -29,6 +29,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
+from ..core.config import check_cost, check_count
 from ..errors import CheckpointError
 from ..graph import distinct_ids
 
@@ -68,22 +69,13 @@ class CheckpointStore:
 
     def __init__(self, interval: int, ms_per_cell: float = 2e-5,
                  fixed_ms: float = 0.5, full_every: int = 8) -> None:
-        if interval < 1:
-            raise CheckpointError(
-                f"checkpoint interval must be >= 1, got {interval}"
-            )
-        if ms_per_cell < 0 or fixed_ms < 0:
-            raise CheckpointError(
-                f"negative checkpoint cost model "
-                f"(ms_per_cell={ms_per_cell}, fixed_ms={fixed_ms})"
-            )
-        if full_every < 1:
-            raise CheckpointError(
-                f"full_every must be >= 1, got {full_every}"
-            )
+        check_count("checkpoint interval", interval, 1, error=CheckpointError)
+        check_count("full_every", full_every, 1, error=CheckpointError)
         self.interval = int(interval)
-        self.ms_per_cell = float(ms_per_cell)
-        self.fixed_ms = float(fixed_ms)
+        self.ms_per_cell = check_cost("ms_per_cell", ms_per_cell,
+                                      error=CheckpointError)
+        self.fixed_ms = check_cost("fixed_ms", fixed_ms,
+                                   error=CheckpointError)
         self.full_every = int(full_every)
         self._base: Optional[Checkpoint] = None
         self._deltas: List[CheckpointDelta] = []

@@ -64,6 +64,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..core.config import check_cost, check_count
 from ..errors import FaultPlanError
 
 # Fault kinds (the vocabulary of FaultEvent.kind).
@@ -151,34 +152,24 @@ class FaultEvent:
                 f"unknown fault kind {self.kind!r}; expected one of "
                 f"{ALL_KINDS}"
             )
-        if self.superstep < 0:
-            raise FaultPlanError(f"negative superstep {self.superstep}")
-        if self.node_id < 0 or self.daemon_index < 0:
-            raise FaultPlanError(
-                f"negative fault target node={self.node_id} "
-                f"daemon={self.daemon_index}"
-            )
-        if self.after_kernels < 0:
-            raise FaultPlanError(f"negative after_kernels {self.after_kernels}")
-        if self.repeat < 1:
-            raise FaultPlanError(f"repeat must be >= 1, got {self.repeat}")
-        if self.duration_ms < 0:
-            raise FaultPlanError(f"negative duration_ms {self.duration_ms}")
+        for name in ("superstep", "node_id", "daemon_index", "after_kernels"):
+            check_count(name, getattr(self, name), 0, error=FaultPlanError)
+        check_count("repeat", self.repeat, 1, error=FaultPlanError)
+        check_cost("duration_ms", self.duration_ms, error=FaultPlanError)
         if self.direction not in (TO_AGENT, TO_DAEMON):
             raise FaultPlanError(
                 f"direction must be {TO_AGENT!r}/{TO_DAEMON!r}, "
                 f"got {self.direction!r}"
             )
         if self.kind in GRAY_KINDS or self.kind in LINK_KINDS:
-            if self.factor < 1.0:
+            if check_cost("gray fault factor", self.factor,
+                          error=FaultPlanError) < 1.0:
                 raise FaultPlanError(
                     f"gray fault factor must be >= 1 (a slowdown), "
                     f"got {self.factor}"
                 )
-            if self.passes < 1:
-                raise FaultPlanError(
-                    f"gray fault passes must be >= 1, got {self.passes}"
-                )
+            check_count("gray fault passes", self.passes, 1,
+                        error=FaultPlanError)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, Optional
 
+from ..core.config import check_cost
 from ..errors import DaemonDead, SimulationError
 from ..ipc.scheduler import Now, Sleep
 
@@ -37,17 +38,15 @@ class HeartbeatMonitor:
 
     def __init__(self, interval_ms: float = HEARTBEAT_INTERVAL_MS,
                  timeout_ms: float = HEARTBEAT_TIMEOUT_MS) -> None:
-        if interval_ms <= 0:
-            raise SimulationError(
-                f"heartbeat interval must be > 0, got {interval_ms}"
-            )
-        if timeout_ms < interval_ms:
+        self.interval_ms = check_cost("heartbeat interval_ms", interval_ms,
+                                      positive=True, error=SimulationError)
+        self.timeout_ms = check_cost("heartbeat timeout_ms", timeout_ms,
+                                     error=SimulationError)
+        if self.timeout_ms < self.interval_ms:
             raise SimulationError(
                 f"heartbeat timeout {timeout_ms} must be >= the "
                 f"interval {interval_ms}"
             )
-        self.interval_ms = float(interval_ms)
-        self.timeout_ms = float(timeout_ms)
         #: daemon_id -> latest "known alive until" time (beat or lease end)
         self._alive_until: Dict[int, float] = {}
         self.beats = 0

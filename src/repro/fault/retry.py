@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+from ..core.config import check_cost, check_count
 from ..errors import FaultError
 
 
@@ -26,19 +27,15 @@ class RetryPolicy:
     max_delay_ms: float = 50.0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 0:
-            raise FaultError(
-                f"max_attempts must be >= 0, got {self.max_attempts}"
-            )
-        if self.base_delay_ms < 0:
-            raise FaultError(
-                f"base_delay_ms must be >= 0, got {self.base_delay_ms}"
-            )
-        if self.backoff_factor < 1.0:
+        check_count("max_attempts", self.max_attempts, 0, error=FaultError)
+        check_cost("base_delay_ms", self.base_delay_ms, error=FaultError)
+        if check_cost("backoff_factor", self.backoff_factor,
+                      error=FaultError) < 1.0:
             raise FaultError(
                 f"backoff_factor must be >= 1, got {self.backoff_factor}"
             )
-        if self.max_delay_ms < self.base_delay_ms:
+        if check_cost("max_delay_ms", self.max_delay_ms,
+                      error=FaultError) < self.base_delay_ms:
             raise FaultError(
                 f"max_delay_ms {self.max_delay_ms} must be >= "
                 f"base_delay_ms {self.base_delay_ms}"
@@ -46,8 +43,7 @@ class RetryPolicy:
 
     def backoff_ms(self, attempt: int) -> float:
         """Simulated delay before retry number ``attempt`` (1-based)."""
-        if attempt < 1:
-            raise FaultError(f"attempt is 1-based, got {attempt}")
+        check_count("attempt (1-based)", attempt, 1, error=FaultError)
         delay = self.base_delay_ms * self.backoff_factor ** (attempt - 1)
         return min(delay, self.max_delay_ms)
 

@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from ..core.config import check_cost, check_count
 from ..errors import SimulationError, StragglerVerdict
 
 #: The two observable phases of a pair's pipeline work.
@@ -53,15 +54,12 @@ class StragglerDetector:
 
     def __init__(self, ratio: float = 3.0, patience: int = 3,
                  alpha: float = 0.5) -> None:
-        if ratio <= 1.0:
+        if check_cost("straggler ratio", ratio,
+                      error=SimulationError) <= 1.0:
             raise SimulationError(
                 f"straggler ratio must be > 1 (a slowness multiple), "
-                f"got {ratio}"
-            )
-        if patience < 1:
-            raise SimulationError(
-                f"straggler patience must be >= 1, got {patience}"
-            )
+                f"got {ratio}")
+        check_count("straggler patience", patience, 1, error=SimulationError)
         if not 0.0 < alpha <= 1.0:
             raise SimulationError(
                 f"EWMA alpha must be in (0, 1], got {alpha}"

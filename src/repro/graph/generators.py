@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.config import check_count
 from ..errors import GraphError
 from .graph import Graph
 
@@ -32,8 +33,7 @@ def rmat(num_vertices: int, num_edges: int, *, a: float = 0.57,
     graphs.  ``num_vertices`` is rounded up to the next power of two for
     sampling and then mapped back down by modulo, which preserves skew.
     """
-    if num_vertices <= 0:
-        raise GraphError("rmat needs at least one vertex")
+    check_count("rmat num_vertices", num_vertices, 1, error=GraphError)
     if not 0 < a + b + c < 1:
         raise GraphError("rmat requires a+b+c in (0, 1)")
     rng = np.random.default_rng(seed)
@@ -68,8 +68,8 @@ def uniform_random(num_vertices: int, num_edges: int, *, seed: int = 0,
                    weighted: bool = True,
                    name: str = "uniform") -> Graph:
     """Erdős–Rényi ``G(n, m)`` with independently uniform endpoints."""
-    if num_vertices <= 0:
-        raise GraphError("uniform_random needs at least one vertex")
+    check_count("uniform_random num_vertices", num_vertices, 1,
+                error=GraphError)
     rng = np.random.default_rng(seed)
     src = rng.integers(0, num_vertices, num_edges, dtype=np.int64)
     dst = rng.integers(0, num_vertices, num_edges, dtype=np.int64)
@@ -88,8 +88,8 @@ def road_network(rows: int, cols: int, *, seed: int = 0,
     the graph is strongly connected-ish like real road grids), plus a few
     random "highway" shortcuts.
     """
-    if rows <= 0 or cols <= 0:
-        raise GraphError("road_network needs positive dimensions")
+    for name, size in (("rows", rows), ("cols", cols)):
+        check_count(f"road_network {name}", size, 1, error=GraphError)
     n = rows * cols
     rng = np.random.default_rng(seed)
     srcs = []
@@ -124,8 +124,7 @@ def road_network(rows: int, cols: int, *, seed: int = 0,
 
 def star(num_leaves: int, name: str = "star") -> Graph:
     """Vertex 0 points at every leaf — worst-case degree skew fixture."""
-    if num_leaves < 0:
-        raise GraphError("negative leaf count")
+    check_count("star num_leaves", num_leaves, 0, error=GraphError)
     src = np.zeros(num_leaves, dtype=np.int64)
     dst = np.arange(1, num_leaves + 1, dtype=np.int64)
     return Graph.from_edges(num_leaves + 1, src, dst, name=name)
@@ -133,8 +132,7 @@ def star(num_leaves: int, name: str = "star") -> Graph:
 
 def path(num_vertices: int, name: str = "path") -> Graph:
     """A directed path 0 → 1 → ... → n-1."""
-    if num_vertices <= 0:
-        raise GraphError("path needs at least one vertex")
+    check_count("path num_vertices", num_vertices, 1, error=GraphError)
     src = np.arange(0, num_vertices - 1, dtype=np.int64)
     dst = np.arange(1, num_vertices, dtype=np.int64)
     return Graph.from_edges(num_vertices, src, dst, name=name)
@@ -142,8 +140,7 @@ def path(num_vertices: int, name: str = "path") -> Graph:
 
 def cycle(num_vertices: int, name: str = "cycle") -> Graph:
     """A directed cycle 0 → 1 → ... → n-1 → 0."""
-    if num_vertices <= 0:
-        raise GraphError("cycle needs at least one vertex")
+    check_count("cycle num_vertices", num_vertices, 1, error=GraphError)
     src = np.arange(num_vertices, dtype=np.int64)
     dst = np.roll(src, -1)
     return Graph.from_edges(num_vertices, src, dst, name=name)
@@ -151,8 +148,7 @@ def cycle(num_vertices: int, name: str = "cycle") -> Graph:
 
 def complete(num_vertices: int, name: str = "complete") -> Graph:
     """Complete directed graph without self loops (small fixtures only)."""
-    if num_vertices <= 0:
-        raise GraphError("complete needs at least one vertex")
+    check_count("complete num_vertices", num_vertices, 1, error=GraphError)
     grid_src, grid_dst = np.meshgrid(np.arange(num_vertices),
                                      np.arange(num_vertices))
     mask = grid_src != grid_dst
@@ -173,8 +169,9 @@ def clustered_communities(num_communities: int, community_size: int,
     regime explicitly so the sync-skipping experiments have a graph whose
     partition-local structure is controllable.
     """
-    if num_communities <= 0 or community_size <= 0:
-        raise GraphError("need positive community count/size")
+    for name, size in (("num_communities", num_communities),
+                       ("community_size", community_size)):
+        check_count(name, size, 1, error=GraphError)
     rng = np.random.default_rng(seed)
     n = num_communities * community_size
     intra = num_communities * community_size * intra_edges_per_vertex

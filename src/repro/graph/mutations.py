@@ -51,6 +51,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.config import check_count
 from ..errors import GraphError
 from .graph import Graph, _as_ids, distinct_ids, stable_order
 
@@ -129,9 +130,7 @@ class MutationBatch:
             raise GraphError("update edges need update_weights")
         set_(self, "update_weights", _as_weights(
             self.update_weights, self.update_src.size, "update_weights"))
-        if self.add_vertices < 0:
-            raise GraphError(
-                f"add_vertices must be >= 0, got {self.add_vertices}")
+        check_count("add_vertices", self.add_vertices, 0, error=GraphError)
         set_(self, "add_vertices", int(self.add_vertices))
 
     # -- introspection ------------------------------------------------------------------

@@ -39,6 +39,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.config import check_cost, check_count
 from ..errors import (ServeError, WireError, WireProtocolError, WireShed,
                       WireTimeout, WireUnavailable)
 from .job import JobSpec
@@ -69,18 +70,17 @@ class GraphClient:
                  connect_attempts: int = 5, backoff_base_s: float = 0.05,
                  jitter_seed: int = 0, heartbeat: bool = True,
                  sleep=time.sleep) -> None:
-        if timeout_s <= 0:
-            raise ServeError(f"timeout_s must be positive, got {timeout_s}")
-        if connect_attempts < 1:
-            raise ServeError(f"connect_attempts must be >= 1, "
-                             f"got {connect_attempts}")
+        self.timeout_s = check_cost("timeout_s", timeout_s, positive=True,
+                                    error=ServeError)
+        self.lease_ms = check_cost("lease_ms", lease_ms, positive=True,
+                                   error=ServeError)
+        self.backoff_base_s = check_cost("backoff_base_s", backoff_base_s,
+                                         error=ServeError)
+        check_count("connect_attempts", connect_attempts, 1, error=ServeError)
         self.host = host
         self.port = port
         self.client_name = client_name
-        self.timeout_s = float(timeout_s)
-        self.lease_ms = float(lease_ms)
         self.connect_attempts = int(connect_attempts)
-        self.backoff_base_s = float(backoff_base_s)
         self._jitter = random.Random(jitter_seed)
         self._sleep = sleep
         self._lock = threading.RLock()

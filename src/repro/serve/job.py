@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 from ..algorithms import ALGORITHMS
-from ..core.config import ClusterSpec, MiddlewareConfig, StragglerConfig
+from ..core.config import (ClusterSpec, MiddlewareConfig, StragglerConfig,
+                           check_cost, check_count)
 from ..engines import ENGINES
 from ..errors import ReproError, ServeError
 from ..fault import FaultPlan
@@ -65,28 +66,13 @@ class JobSpec:
         if self.engine not in ENGINES:
             raise ServeError(
                 f"unknown engine {self.engine!r}; one of {sorted(ENGINES)}")
-        if self.priority < 1:
-            raise ServeError(
-                f"priority must be >= 1, got {self.priority}")
-        if self.deadline_ms is not None and not (
-                isinstance(self.deadline_ms, (int, float))
-                and not isinstance(self.deadline_ms, bool)
-                and self.deadline_ms > 0):
-            raise ServeError(
-                f"deadline_ms must be a positive number, "
-                f"got {self.deadline_ms!r}")
-        if not isinstance(self.max_retries, int) \
-                or isinstance(self.max_retries, bool) \
-                or self.max_retries < 0:
-            raise ServeError(
-                f"max_retries must be an int >= 0, "
-                f"got {self.max_retries!r}")
-        if not isinstance(self.retry_backoff_ms, (int, float)) \
-                or isinstance(self.retry_backoff_ms, bool) \
-                or self.retry_backoff_ms < 0:
-            raise ServeError(
-                f"retry_backoff_ms must be a number >= 0, "
-                f"got {self.retry_backoff_ms!r}")
+        check_count("priority", self.priority, 1, error=ServeError)
+        if self.deadline_ms is not None:
+            check_cost("deadline_ms", self.deadline_ms, positive=True,
+                       error=ServeError)
+        check_count("max_retries", self.max_retries, 0, error=ServeError)
+        check_cost("retry_backoff_ms", self.retry_backoff_ms,
+                   error=ServeError)
 
     def build_algorithm(self):
         """Instantiate the algorithm with this spec's parameters.

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set
 
+from ..core.config import check_count
 from ..errors import AdmissionError, ServeError
 from .job import CANCELLED, Job
 
@@ -68,8 +69,8 @@ class AdmissionControl:
                             ("max_queue_depth", max_queue_depth),
                             ("max_pending_per_tenant",
                              max_pending_per_tenant)):
-            if value is not None and value <= 0:
-                raise ServeError(f"{name} must be positive, got {value}")
+            if value is not None:
+                check_count(name, value, 1, error=ServeError)
         self.memory_budget_bytes = memory_budget_bytes
         self.daemon_budget = daemon_budget
         self.max_running = max_running

@@ -50,7 +50,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..core.config import ClusterSpec, check_count
+from ..core.config import ClusterSpec, check_cost, check_count
 from ..core.middleware import GXPlug
 from ..engines.base import RunResult
 from ..engines.trace import write_json
@@ -117,8 +117,9 @@ class GraphService:
         self.cache = ResultCache(cache_entries)
         daemons_per_job = self.spec.nodes * (
             self.spec.gpus_per_node + self.spec.cpus_per_node)
-        budget_bytes = (None if memory_budget_mb is None
-                        else int(memory_budget_mb * 1024 * 1024))
+        budget_bytes = (None if memory_budget_mb is None else int(
+            check_cost("memory_budget_mb", memory_budget_mb, positive=True,
+                       error=ServeError) * 1024 * 1024))
         self.admission = AdmissionControl(
             memory_budget_bytes=budget_bytes,
             daemon_budget=daemon_budget,
@@ -166,11 +167,9 @@ class GraphService:
         self._drain_result: Optional[List[Job]] = None
         #: simulated ms a job waits for a singleflight leader before the
         #: group abandons it and recomputes (None = wait forever)
-        if waiter_timeout_ms is not None and waiter_timeout_ms <= 0:
-            raise ServeError(
-                f"waiter_timeout_ms must be positive, "
-                f"got {waiter_timeout_ms}")
-        self.waiter_timeout_ms = waiter_timeout_ms
+        self.waiter_timeout_ms = None if waiter_timeout_ms is None else (
+            check_cost("waiter_timeout_ms", waiter_timeout_ms,
+                       positive=True, error=ServeError))
         # EWMA of completed engine-run service times, feeding the
         # deadline-aware admission's queue-wait estimate
         self._ewma_service_ms: Optional[float] = None

@@ -86,7 +86,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.config import check_count
+from ..core.config import check_cost, check_count
 from ..errors import AdmissionError, ReproError, ServeError, WireProtocolError
 from .job import JobSpec
 from .service import GraphService
@@ -326,18 +326,17 @@ class GraphServiceServer:
                  auto_step: bool = True,
                  max_frame_bytes: int = MAX_FRAME_BYTES,
                  crash_after_steps: Optional[int] = None) -> None:
-        for name, value in (("lease_ms", lease_ms),
-                            ("select_interval_s", select_interval_s)):
-            if not value > 0:
-                raise ServeError(f"{name} must be positive, got {value}")
+        self.lease_ms = check_cost("lease_ms", lease_ms, positive=True,
+                                   error=ServeError)
+        self.select_interval_s = check_cost(
+            "select_interval_s", select_interval_s, positive=True,
+            error=ServeError)
         check_count("step_burst", step_burst, 1)
         check_count("max_frame_bytes", max_frame_bytes, 1)
         if crash_after_steps is not None:
             check_count("crash_after_steps", crash_after_steps, 1)
         self.service = service
-        self.lease_ms = float(lease_ms)
         self.step_burst = int(step_burst)
-        self.select_interval_s = float(select_interval_s)
         self.auto_step = auto_step
         self.max_frame_bytes = int(max_frame_bytes)
         #: chaos hook: die (as :meth:`crash`) after exactly this many
@@ -532,11 +531,12 @@ class GraphServiceServer:
 
     def _op_hello(self, conn: _Conn, doc: Dict[str, Any]
                   ) -> Dict[str, Any]:
-        lease_ms = float(doc.get("lease_ms", self.lease_ms))
-        if not 0 < lease_ms < math.inf:
-            return {"ok": False, "code": "bad-frame",
-                    "error": f"lease_ms must be positive and finite, "
-                             f"got {lease_ms}"}
+        try:
+            lease_ms = check_cost("lease_ms",
+                                  doc.get("lease_ms", self.lease_ms),
+                                  positive=True, error=ServeError)
+        except ServeError as exc:
+            return {"ok": False, "code": "bad-frame", "error": str(exc)}
         wanted = doc.get("session")
         resumed = wanted is not None and wanted in self._sessions
         if resumed:

@@ -141,21 +141,21 @@ SHAPES = {
     ('pagerank', 'graphx', 'cache10'):
         '5eb6b035434b9a50c6229069015a48f46b1640a868e9c5794850c3d2b043d862',
     ('sssp-bf', 'powergraph', 'full'):
-        '14c57e5e773663034f96e52310abfd59342b1d7629dca370e123a8c5fc30d7d6',
+        'd321245ae30b2aa41d6828b51eb103b86f84407ac57202bc92b6766f3cb35591',
     ('sssp-bf', 'powergraph', 'cache10'):
-        '5c0c0f2f6653537574c4b1a137c9fc7a17ad8122d822a39be344b7f832b8523c',
+        '6a893c27e7e4f1be4360998f8894b25ebe3c1494ce1aaf9ab98e2dacdf9fa611',
     ('sssp-bf', 'graphx', 'full'):
-        '437429cc4e2fc8faec77ea8677f1fa26501d300c11f179bafbe8b3df26741b04',
+        '6afc7e8fe985f274122ed5cdf5f03cee2c547d39d85d2632a4cc0a9a2c6f2cf5',
     ('sssp-bf', 'graphx', 'cache10'):
-        '4b0d24bb2f48cfaf1ca722302c835c6f417d249c73ca378b111126ae0bfa909d',
+        '01d67f8ec6dbfe028709d8b47844e7810c60d8b8a7b818cef34ecb3df34754e4',
     ('cc', 'powergraph', 'full'):
-        'adf7982b33dab4215654bbf9e58be081fd2eefa05b07fcb660374161a5945bdd',
+        '5803953a608807cf5a8e1282e66c4002369b160e4de9a7e85b2b8102e4fafecd',
     ('cc', 'powergraph', 'cache10'):
-        'c11fa33375a07988143233aaabd9a017728470a143f33a00bbcc2cb758c329d8',
+        'd9829c57e86b64c8d2dc79811c801279b768895d037114e2610bcc46b7e975ff',
     ('cc', 'graphx', 'full'):
         'b9ef99fddc8564d1574fabd131e2575b2278b75f26a284b5e5f3bd61300f8876',
     ('cc', 'graphx', 'cache10'):
-        '2bfed0d1d96e3b6bebd8bdbaf1a54d34f89f294745d7d76e77809d5304502d74',
+        'c64fd6b56d184c70850fcb8b604bb0d28f5b012d85699bb9bdbe84b484f1cf48',
     ('lp', 'powergraph', 'full'):
         'd250df84fa47bd0d443119a2b4bb7683cef00aba8844a4d1d02991cf046eb8c8',
     ('lp', 'powergraph', 'cache10'):
@@ -183,11 +183,11 @@ EXTRA_PINS = {
     ('pagerank', 'powergraph', 'crash'):
         ('f33ecd2760786a345b935a43924025dd0c516f6893b4e1422091976b6db627e4',
          '147.09206', 5, 38549, 2031, 0,
-         '67687548adee6229c01c8167a0ea7f0581527cac8b433832e8010704d0710463'),
+         '92472bf2304ba4913353255a763bb6a4d614cb7d58a1affeb84ebda73e27ee67'),
     ('pagerank', 'powergraph', 'crash-degrade'):
         ('f33ecd2760786a345b935a43924025dd0c516f6893b4e1422091976b6db627e4',
          '271.79624', 5, 22652, 3388, 0,
-         '67d2b98497d14e337547c68728fa9c10b2a851156becfa83d08a98c77a6cb108'),
+         '83a0521fb2c6a16a18c67d691365ee7e6ccda71cdb0829e6da0ca4f96e78eb8b'),
     ('pagerank', 'graphx', 'host'):
         ('50cef999196ccea179e3b2fd4b8c488c36b629424ccef485218e99e1e345819c',
          '230.33255999999994', 5, 0, 0, 0,
@@ -203,11 +203,11 @@ EXTRA_PINS = {
     ('pagerank', 'graphx', 'crash'):
         ('50cef999196ccea179e3b2fd4b8c488c36b629424ccef485218e99e1e345819c',
          '139.74432000000002', 5, 38585, 870, 0,
-         'e1fd70c620498a434cd0cb99273a96c4cea7b714a6ca5188feaaedd71287cd4f'),
+         '108e68b7c618bd5f4201b18b929894ba69856d652838a33126155d8843acc202'),
     ('pagerank', 'graphx', 'crash-degrade'):
         ('50cef999196ccea179e3b2fd4b8c488c36b629424ccef485218e99e1e345819c',
          '255.25974', 5, 22505, 1464, 0,
-         'bc4a76669766db552fc8717163da254f87837724b99587d3476c56c74015c822'),
+         'b2e601fee99f82858f1ef56b6e2f7d9731d6d5c9b1cd9a0916cb4329a27d79bc'),
     ('sssp-bf', 'powergraph', 'host'):
         ('db0e8496d8fbb251491ab895b336dd8e98057fb9c1e2c48830ce731b3430b9aa',
          '182.37', 11, 0, 0, 0,
@@ -215,11 +215,11 @@ EXTRA_PINS = {
     ('sssp-bf', 'powergraph', 'cap1'):
         ('db0e8496d8fbb251491ab895b336dd8e98057fb9c1e2c48830ce731b3430b9aa',
          '100.92081999999998', 10, 15866, 2434, 0,
-         'b828c5703d44a7fd5413f941e5931164628b9b353391413697424d4ced021f32'),
+         '923d641d2d835a80a16236ab929a3cfee840f0459e7dea5740b4168d32b611c0'),
     ('sssp-bf', 'powergraph', 'cap2-cache10'):
         ('db0e8496d8fbb251491ab895b336dd8e98057fb9c1e2c48830ce731b3430b9aa',
          '104.92094', 7, 9599, 5299, 8241,
-         '95642edca3785316a45e7092536d7f9635e1cdadf0af568f25b2d617715bac83'),
+         'edc220bb85709a59f10d897e56bad52640062c90a7db4f360b011b534a126fc7'),
     ('sssp-bf', 'powergraph', 'noskip'):
         ('db0e8496d8fbb251491ab895b336dd8e98057fb9c1e2c48830ce731b3430b9aa',
          '109.83038', 11, 27196, 1166, 0,
@@ -231,11 +231,11 @@ EXTRA_PINS = {
     ('sssp-bf', 'powergraph', 'crash'):
         ('db0e8496d8fbb251491ab895b336dd8e98057fb9c1e2c48830ce731b3430b9aa',
          '179.56606', 7, 31835, 2397, 0,
-         'c12f455721144551585518e2f7f1dd52fbfb768a5d6b4c8c09a81fda19d0856d'),
+         '36a2d28eb578c510355863221ca5604a36be4ac79257cfd6a795ea4254293c37'),
     ('sssp-bf', 'powergraph', 'crash-degrade'):
         ('db0e8496d8fbb251491ab895b336dd8e98057fb9c1e2c48830ce731b3430b9aa',
          '281.73079999999993', 11, 24726, 2165, 0,
-         '87fd8d4696361cf040837a8f5c74513763eb420f60b77ad2ce3d1a3e6ce18f04'),
+         '93136d895f61f440c45c28cfb0657062a3865fbb06b5f9a2f6a6827d14b03a78'),
     ('sssp-bf', 'graphx', 'host'):
         ('db0e8496d8fbb251491ab895b336dd8e98057fb9c1e2c48830ce731b3430b9aa',
          '454.7986399999999', 11, 0, 0, 0,
@@ -243,7 +243,7 @@ EXTRA_PINS = {
     ('sssp-bf', 'graphx', 'cap1'):
         ('db0e8496d8fbb251491ab895b336dd8e98057fb9c1e2c48830ce731b3430b9aa',
          '103.20468', 11, 32989, 4, 0,
-         '5aef6177f5639c4eb3481fffabb34fd0f122de6bb538b175c9a78d9df9807925'),
+         '804b63f52fd38ccf025ee6fc991d06016062c0324c641a769843d00d57b0a51f'),
     ('sssp-bf', 'graphx', 'cap2-cache10'):
         ('db0e8496d8fbb251491ab895b336dd8e98057fb9c1e2c48830ce731b3430b9aa',
          '104.52824', 8, 18938, 1301, 3830,
@@ -259,11 +259,11 @@ EXTRA_PINS = {
     ('sssp-bf', 'graphx', 'crash'):
         ('db0e8496d8fbb251491ab895b336dd8e98057fb9c1e2c48830ce731b3430b9aa',
          '185.11208000000002', 7, 54894, 4, 0,
-         'c527c9a9a0d65f06857f90d495fc59584c94d64971bd1931985a3e62da216392'),
+         '002a77eaad84304e4ab25c1e589cea6348d390e9446168d0555376cfc2f98ef9'),
     ('sssp-bf', 'graphx', 'crash-degrade'):
         ('db0e8496d8fbb251491ab895b336dd8e98057fb9c1e2c48830ce731b3430b9aa',
          '437.51669999999996', 11, 68838, 598, 0,
-         '2721f6cd2cf5791056676d2eba242ce6f6e3c423f9530f6bbb5d828bcc128ce6'),
+         '040f5c0cb592032b57567e28f1a54ebf5b532ccc1b4cc527d1738ea4132a344f'),
     ('sssp-bf', 'async', 'full'):
         ('db0e8496d8fbb251491ab895b336dd8e98057fb9c1e2c48830ce731b3430b9aa',
          '140.70844', 7, 53695, 4, 0,
@@ -275,11 +275,11 @@ EXTRA_PINS = {
     ('sssp-bf', 'async', 'cap1'):
         ('db0e8496d8fbb251491ab895b336dd8e98057fb9c1e2c48830ce731b3430b9aa',
          '103.54614000000001', 11, 32989, 4, 0,
-         '66c126b706a618fa5ad12286d9a08b4102c6a247328e78d86947880ebda2f883'),
+         '5eff26ea308a2408ecd6169868976ed078849b798514233468e749f6721a07b3'),
     ('sssp-bf', 'async', 'cap2-cache10'):
         ('db0e8496d8fbb251491ab895b336dd8e98057fb9c1e2c48830ce731b3430b9aa',
          '113.84152', 9, 25637, 1420, 4016,
-         '309c9a491771414b8357e9c926e98af18ee2ee0f987c1b5e352bd6b2caf1cb76'),
+         'f8289439e1039121f41de7d28ae21cd8363d797dde04dd9d8ee79fb449167544'),
     ('sssp-bf', 'async', 'noskip'):
         ('db0e8496d8fbb251491ab895b336dd8e98057fb9c1e2c48830ce731b3430b9aa',
          '140.70844', 7, 53695, 4, 0,
@@ -291,11 +291,11 @@ EXTRA_PINS = {
     ('sssp-bf', 'async', 'crash'):
         ('db0e8496d8fbb251491ab895b336dd8e98057fb9c1e2c48830ce731b3430b9aa',
          '192.88371999999998', 7, 53695, 4, 0,
-         '5d2edf887a061986d9ad7fd1fb54de71922ee982ed1eb69ccbac2f4f1a0215a8'),
+         'dc28054edbf8c206843b1250b2dac393c9ebfbfa230e9af087bd899ee57fa481'),
     ('sssp-bf', 'async', 'crash-degrade'):
         ('db0e8496d8fbb251491ab895b336dd8e98057fb9c1e2c48830ce731b3430b9aa',
          '246.91727999999995', 11, 40420, 554, 0,
-         'c414d50d86ba14023d8c9684eb8400f8006f3742781eaa461904d78ac6f42986'),
+         '70ac45e1387098645b2a1997241282c543b8469b271d76cf1860ffe51825716b'),
     ('cc', 'powergraph', 'host'):
         ('82de827180713639a3be9322173dc668c7ea4797a9357b040db8011d6d810851',
          '115.45194000000001', 7, 0, 0, 0,
@@ -303,11 +303,11 @@ EXTRA_PINS = {
     ('cc', 'powergraph', 'cap1'):
         ('82de827180713639a3be9322173dc668c7ea4797a9357b040db8011d6d810851',
          '78.1397', 6, 8463, 2339, 0,
-         '5d9c812af38cfdf43f64db6f5a2475f0715d5405ae45e09e310985cb0326653f'),
+         '51b265cbab6a239d5008052fbb78c97c5b1086f548ca994bb96360c1b5eea050'),
     ('cc', 'powergraph', 'cap2-cache10'):
         ('82de827180713639a3be9322173dc668c7ea4797a9357b040db8011d6d810851',
          '78.19554000000001', 4, 1916, 3954, 4687,
-         '32fc02d4755d67097f97fcce36fd04653065a7252401db20b8de946468aedaff'),
+         'a871fb57eedb01e7a1a7d919e501c3ca1881e1a69decf86692519fa9f8b09323'),
     ('cc', 'powergraph', 'noskip'):
         ('82de827180713639a3be9322173dc668c7ea4797a9357b040db8011d6d810851',
          '86.5512', 7, 12365, 2031, 0,
@@ -319,11 +319,11 @@ EXTRA_PINS = {
     ('cc', 'powergraph', 'crash'):
         ('82de827180713639a3be9322173dc668c7ea4797a9357b040db8011d6d810851',
          '133.82013999999998', 4, 12696, 2136, 0,
-         'f57a53e7e244e21ba078b210547a5cf7b884100605e14b19cf0225744658d402'),
+         '98b0ebef49526eef4d41c9da11afe5af876db4d41a510ea3557b84bffe198982'),
     ('cc', 'powergraph', 'crash-degrade'):
         ('82de827180713639a3be9322173dc668c7ea4797a9357b040db8011d6d810851',
          '132.99177999999998', 4, 12569, 2189, 0,
-         '7196ac6cdf3b75b608a777f0c3de40c71864cc3e1c2b4b41c5dd71f3e4e76b5b'),
+         '0985d1315774d1c1573c13983ae68ff23a0d1a229e2cd99c73286865cc48f4eb'),
     ('cc', 'graphx', 'host'):
         ('82de827180713639a3be9322173dc668c7ea4797a9357b040db8011d6d810851',
          '271.45383999999996', 7, 0, 0, 0,
@@ -347,11 +347,11 @@ EXTRA_PINS = {
     ('cc', 'graphx', 'crash'):
         ('82de827180713639a3be9322173dc668c7ea4797a9357b040db8011d6d810851',
          '139.37048', 5, 19390, 870, 0,
-         '2a3cc6a2eb82980f1a9b9b56c91f5457bb0e5f92fa7630066ad9682d1bc84b58'),
+         '16aa900de0ed69c34e14d07739187964b65281e11b817629a2af2d8828672f85'),
     ('cc', 'graphx', 'crash-degrade'):
         ('82de827180713639a3be9322173dc668c7ea4797a9357b040db8011d6d810851',
          '232.20116', 6, 25663, 1464, 0,
-         'aaa71470e6356301a77d3b90e9f439d0b79ff454b6a19b784f347ebc3b235ffe'),
+         '2ebec519ded36da76b7a1c8273e9c8638c8f29d9161f7d1c1442a765a6e7cca9'),
     ('cc', 'async', 'full'):
         ('82de827180713639a3be9322173dc668c7ea4797a9357b040db8011d6d810851',
          '89.02296', 3, 20997, 870, 0,
@@ -363,11 +363,11 @@ EXTRA_PINS = {
     ('cc', 'async', 'cap1'):
         ('82de827180713639a3be9322173dc668c7ea4797a9357b040db8011d6d810851',
          '82.54019999999998', 7, 12305, 870, 0,
-         'ed1f0efe73c4efd11f8d758f9aedacead51f6ece328b34e3437d8280c25320d7'),
+         'e1e092ea5ffedb888c7bb5c7e8f610413384f97083536957879d35570d724026'),
     ('cc', 'async', 'cap2-cache10'):
         ('82de827180713639a3be9322173dc668c7ea4797a9357b040db8011d6d810851',
          '79.74197999999998', 4, 7097, 1505, 2558,
-         'df8299cf1795450d64c07c513e2cce158f374f429a24680a5b8c78107b980137'),
+         '9f7281528e785a3a882295584c8e583558e587e56e97742fc1b83b175dd8a1cc'),
     ('cc', 'async', 'noskip'):
         ('82de827180713639a3be9322173dc668c7ea4797a9357b040db8011d6d810851',
          '89.02296', 3, 20997, 870, 0,
@@ -379,11 +379,11 @@ EXTRA_PINS = {
     ('cc', 'async', 'crash'):
         ('82de827180713639a3be9322173dc668c7ea4797a9357b040db8011d6d810851',
          '137.36076', 3, 20997, 870, 0,
-         'fa060eb43fc918252797a4c988c898987a4226faba64134fe1c786d234f25551'),
+         'a073de1b7d41cca9ba5ad07bec909fd3572f6043f7f360c1a5111159e0498510'),
     ('cc', 'async', 'crash-degrade'):
         ('82de827180713639a3be9322173dc668c7ea4797a9357b040db8011d6d810851',
          '139.63978', 3, 20884, 916, 0,
-         '8123e4fad111b9357df2fc9be6423924f823f206a588f7334c898fd1fb885eba'),
+         'ed73201a40015936da5b6e9ea61830700287b81d79bf85e2d84bad902e39435d'),
     ('lp', 'powergraph', 'host'):
         ('201fd0138d1c8a5a10bf5612ac055cadf0211bd2b95ff48e8c03269a51d20dc7',
          '287.46502', 5, 0, 0, 0,
@@ -399,11 +399,11 @@ EXTRA_PINS = {
     ('lp', 'powergraph', 'crash'):
         ('201fd0138d1c8a5a10bf5612ac055cadf0211bd2b95ff48e8c03269a51d20dc7',
          '149.11059999999998', 5, 38549, 2031, 0,
-         'f0bb45d888852bab81531a0bd6e241f05df5544c4b0a3c0f08180d5a65bf2622'),
+         '98a92cb608a90b40bec602e4244357198bc556701ac87c90f3a3a34e90611fb1'),
     ('lp', 'powergraph', 'crash-degrade'):
         ('201fd0138d1c8a5a10bf5612ac055cadf0211bd2b95ff48e8c03269a51d20dc7',
          '269.35276', 5, 22652, 3388, 0,
-         'd9c94efed140f33c57475d791fac7e97c8b30137b751f3b1ac438a9d3b346285'),
+         '176c146b6b294786661ae1ab8a030dc4ef101680a6a1e225d0795f0a0b55ccf3'),
     ('lp', 'graphx', 'host'):
         ('201fd0138d1c8a5a10bf5612ac055cadf0211bd2b95ff48e8c03269a51d20dc7',
          '278.2882199999999', 5, 0, 0, 0,
@@ -419,11 +419,11 @@ EXTRA_PINS = {
     ('lp', 'graphx', 'crash'):
         ('201fd0138d1c8a5a10bf5612ac055cadf0211bd2b95ff48e8c03269a51d20dc7',
          '142.22832', 5, 38585, 870, 0,
-         '7a9611a6deb5c43b5fdfb3ccbd157a7c8881c835f7438c4e53f8f88ac23888f5'),
+         '13b337d2cd573be9c2925361fe88109fb9405eec0bdf4609b07fd44664149e1b'),
     ('lp', 'graphx', 'crash-degrade'):
         ('201fd0138d1c8a5a10bf5612ac055cadf0211bd2b95ff48e8c03269a51d20dc7',
          '264.18359999999996', 5, 22505, 1464, 0,
-         '3285fca8bf1cb94963feacddc52733cc714a4b404a0f2653ec967a89730e30bc'),
+         '96d3c5a6923334c6792cab096db3cfc091d48ddbe127ecfc0e66fad21792acc6'),
 }
 
 

@@ -245,6 +245,9 @@ def test_replay_names_the_line_of_a_spec_field_never_retired(jpath):
      r"online re-estimation requires enabled=True"),
     ({"straggler": {"enabled": "yes"}}, r"enabled must be a bool, got 'yes'"),
     ({"fault_plan": []}, r"bad journaled runtime config"),
+    ({"fault_plan": {"events": [{"kind": "hang", "superstep": 1,
+                                 "duration_ms": float("nan")}]}},
+     r"duration_ms must be a finite number, got nan"),
 ])
 def test_replay_names_the_line_of_a_refused_runtime_value(jpath, runtime,
                                                          problem):
@@ -276,15 +279,22 @@ def test_replay_drops_retired_cluster_fields(jpath):
     ({"nodes": 2, "topology": "mesh:2"},
      r"malformed topology spec 'mesh:2'"),
     ({"nodes": 2, "ms_per_byte": -1}, r"ms_per_byte must be >= 0, got -1"),
+    ({"nodes": 2, "ms_per_byte": float("nan")},
+     r"ms_per_byte must be a finite number, got nan"),
+    ({"nodes": 2, "ms_per_byte": float("inf")},
+     r"ms_per_byte must be a finite number, got inf"),
     ({"nodes": 2, "topology": "flat:2;link=2-0:1.0:0.01"},
      r"node 2 is outside 0\.\.1"),
-], ids=["misspelt", "no-nodes", "bad-shape", "negative-rate",
-        "link-outside"])
+    ({"nodes": 2, "topology": "flat:2;link=1-0:nan:1e-5"},
+     r"link latency_ms must be a finite number, got nan"),
+], ids=["misspelt", "no-nodes", "bad-shape", "negative-rate", "nan-rate",
+        "inf-rate", "link-outside", "nan-link"])
 def test_replay_names_the_line_of_a_refused_cluster(jpath, cluster,
                                                     problem):
     """A service_start cluster the spec refuses (a misspelt field or a
-    value out of range) fails the recover as a ServeError naming line
-    1, not as a TypeError or a half-built service."""
+    value out of range, JSON's ``NaN`` and ``Infinity`` included) fails
+    the recover as a ServeError naming line 1, not as a TypeError, a
+    half-built service or a link priced as free."""
     records = _lifecycle_records()
     records[0]["cluster"] = cluster
     with pytest.raises(ServeError, match=r"line 1: .*" + problem):
